@@ -40,6 +40,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -314,26 +315,12 @@ func populateStore(ctx context.Context, dir, spec string, workers int) error {
 	}
 	defer sess.Close(nil)
 
-	// One frozen graph per (family, size), shared by every scheme and
-	// source combo so the Session keys them onto the same fingerprint.
-	type topo struct {
-		net *radiobcast.Network
-		err error
-	}
-	topos := map[string]topo{}
 	var jobs []job
 	for _, fam := range families {
 		for _, n := range sizes {
-			id := fmt.Sprintf("%s/%d", fam, n)
-			net, err := radiobcast.Family(fam, n)
-			if err == nil {
-				net.Graph.Freeze()
-				net.Graph.Fingerprint()
-			}
-			topos[id] = topo{net: net, err: err}
 			for _, scheme := range schemes {
 				for _, src := range srcs {
-					jobs = append(jobs, job{id: id, scheme: scheme, source: src})
+					jobs = append(jobs, job{family: fam, n: n, scheme: scheme, source: src})
 				}
 			}
 		}
@@ -343,20 +330,20 @@ func populateStore(ctx context.Context, dir, spec string, workers int) error {
 		ok   bool
 	}
 	results, _ := sweep.MapErr(jobs, sweep.Workers(len(jobs), workers), func(j job) (outcome, error) {
-		t := topos[j.id]
-		if t.err != nil {
-			return outcome{fmt.Sprintf("%s %s source %d: %v", j.id, j.scheme, j.source, t.err), false}, nil
+		// The Session's graph cache builds each (family, size) once and
+		// shares it across every scheme and source combo.
+		net, err := sess.Family(j.family, j.n)
+		if err == nil && (j.source < 0 || j.source >= net.Graph.N()) {
+			err = errors.New("out of range")
 		}
-		if j.source < 0 || j.source >= t.net.Graph.N() {
-			return outcome{fmt.Sprintf("%s %s source %d: out of range", j.id, j.scheme, j.source), false}, nil
+		var l *radiobcast.Labeling
+		if err == nil {
+			l, err = sess.Label(ctx, net.At(j.source), j.scheme)
 		}
-		one := radiobcast.NewNetwork(t.net.Graph).At(j.source)
-		one.Name = t.net.Name
-		l, err := sess.Label(ctx, one, j.scheme)
 		if err != nil {
-			return outcome{fmt.Sprintf("%s %s source %d: %v", j.id, j.scheme, j.source, err), false}, nil
+			return outcome{fmt.Sprintf("%s/%d %s source %d: %v", j.family, j.n, j.scheme, j.source, err), false}, nil
 		}
-		return outcome{fmt.Sprintf("%s %s source %d: %d bits, %d distinct", j.id, j.scheme, j.source, l.Bits(), l.Distinct()), true}, nil
+		return outcome{fmt.Sprintf("%s/%d %s source %d: %d bits, %d distinct", j.family, j.n, j.scheme, j.source, l.Bits(), l.Distinct()), true}, nil
 	})
 	failures := 0
 	for _, r := range results {
@@ -375,7 +362,8 @@ func populateStore(ctx context.Context, dir, spec string, workers int) error {
 }
 
 type job struct {
-	id     string
+	family string
+	n      int
 	scheme string
 	source int
 }

@@ -131,7 +131,17 @@ func (l *Labeling) MarshalBinary() ([]byte, error) {
 // so the result runs and verifies exactly like the original. It implements
 // encoding.BinaryUnmarshaler. Corrupt, truncated or self-contradictory
 // input returns an error.
-func (l *Labeling) UnmarshalBinary(data []byte) error {
+func (l *Labeling) UnmarshalBinary(data []byte) error { return l.decode(data, nil) }
+
+// decode is UnmarshalBinary with an optional known graph. With known nil
+// it builds the blob's graph. With known non-nil no graph is built: the
+// blob's edge list must be exactly known's canonical one (the order
+// MarshalBinary writes), checked edge by edge against known's CSR — a
+// stricter test than comparing fingerprints — and the labeling and its
+// stages then refer to known itself. The Session decodes store hits onto
+// the request's graph this way, so every cached labeling of one topology
+// shares one graph.
+func (l *Labeling) decode(data []byte, known *Graph) error {
 	if len(data) < len(labelingMagic)+4 {
 		return fmt.Errorf("radiobcast: labeling codec: %d-byte input too short", len(data))
 	}
@@ -174,26 +184,14 @@ func (l *Labeling) UnmarshalBinary(data []byte) error {
 	if n > m+1 {
 		return fmt.Errorf("radiobcast: labeling codec: %d nodes with %d edges cannot be connected", n, m)
 	}
-	g := graph.New(n)
-	for i := 0; i < m; i++ {
-		u, err := d.varuint("edge endpoint")
-		if err != nil {
-			return err
-		}
-		v, err := d.varuint("edge endpoint")
-		if err != nil {
-			return err
-		}
-		if u >= n || v >= n || u == v {
-			return fmt.Errorf("radiobcast: labeling codec: bad edge {%d,%d} in %d-node graph", u, v, n)
-		}
-		g.AddEdge(u, v)
+	g := known
+	if known == nil {
+		g, err = d.graph(n, m)
+	} else {
+		err = d.knownGraph(known, n, m)
 	}
-	if g.M() != m {
-		return fmt.Errorf("radiobcast: labeling codec: duplicate edges (%d listed, %d distinct)", m, g.M())
-	}
-	if !g.IsConnected() {
-		return fmt.Errorf("radiobcast: labeling codec: graph is not connected")
+	if err != nil {
+		return err
 	}
 	if source < 0 || source >= n {
 		return fmt.Errorf("radiobcast: labeling codec: source %d out of range [0,%d)", source, n)
@@ -401,6 +399,61 @@ func (d *decoder) str(what string) (string, error) {
 	s := string(d.buf[:k])
 	d.buf = d.buf[k:]
 	return s, nil
+}
+
+// graph reads m edges into a fresh n-node graph, which must be simple
+// and connected.
+func (d *decoder) graph(n, m int) (*Graph, error) {
+	g := graph.New(n)
+	for i := 0; i < m; i++ {
+		u, v, err := d.edge()
+		if err != nil {
+			return nil, err
+		}
+		if u >= n || v >= n || u == v {
+			return nil, fmt.Errorf("radiobcast: labeling codec: bad edge {%d,%d} in %d-node graph", u, v, n)
+		}
+		g.AddEdge(u, v)
+	}
+	if g.M() != m {
+		return nil, fmt.Errorf("radiobcast: labeling codec: duplicate edges (%d listed, %d distinct)", m, g.M())
+	}
+	if !g.IsConnected() {
+		return nil, fmt.Errorf("radiobcast: labeling codec: graph is not connected")
+	}
+	return g, nil
+}
+
+// knownGraph reads m edges and requires them to be known's edges {u, w},
+// u < w, in the lexicographic order MarshalBinary writes them.
+func (d *decoder) knownGraph(known *Graph, n, m int) error {
+	if n != known.N() || m != known.M() {
+		return fmt.Errorf("radiobcast: labeling codec: blob graph has n=%d m=%d, known graph n=%d m=%d", n, m, known.N(), known.M())
+	}
+	csr := known.Freeze()
+	for u := 0; u < n; u++ {
+		for _, w := range csr.Neighbors(u) {
+			if int(w) < u {
+				continue
+			}
+			a, b, err := d.edge()
+			if err != nil {
+				return err
+			}
+			if a != u || b != int(w) {
+				return fmt.Errorf("radiobcast: labeling codec: edge {%d,%d} where the known graph has {%d,%d}", a, b, u, w)
+			}
+		}
+	}
+	return nil
+}
+
+func (d *decoder) edge() (u, v int, err error) {
+	if u, err = d.varuint("edge endpoint"); err != nil {
+		return 0, 0, err
+	}
+	v, err = d.varuint("edge endpoint")
+	return u, v, err
 }
 
 func (d *decoder) nodeList(what string, n int) ([]int, error) {

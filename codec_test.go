@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"radiobcast"
+	"radiobcast/internal/graph"
 )
 
 // codecMatrix pairs every registered scheme with a family it labels.
@@ -174,7 +175,10 @@ func TestMarshalInvalidLabeling(t *testing.T) {
 
 // FuzzLabelingCodec: decoding arbitrary bytes must never panic, and any
 // blob that decodes must re-encode canonically (decode → encode → decode
-// is a fixed point).
+// is a fixed point). The known-graph path the Session takes on a store
+// hit is held to the same standard: decoding onto the graph the first
+// decode built reproduces the canonical bytes, and decoding onto a
+// different graph is an error, never a panic.
 func FuzzLabelingCodec(f *testing.F) {
 	for _, scheme := range []string{"b", "back", "barb", "centralized", "flooding"} {
 		net, err := radiobcast.Family(codecMatrix[scheme].family, codecMatrix[scheme].n)
@@ -212,6 +216,40 @@ func FuzzLabelingCodec(f *testing.F) {
 		}
 		if !bytes.Equal(blob, blob2) {
 			t.Fatal("encoding is not canonical under round-trip")
+		}
+
+		onto := new(radiobcast.Labeling)
+		if err := onto.DecodeOnto(blob, l.Graph); err != nil {
+			t.Fatalf("canonical blob fails to decode onto its own graph: %v", err)
+		}
+		if onto.Graph != l.Graph {
+			t.Fatal("known-graph decode built its own graph")
+		}
+		if got, err := onto.MarshalBinary(); err != nil || !bytes.Equal(got, blob) {
+			t.Fatalf("known-graph decode re-encodes differently (err=%v)", err)
+		}
+		// The raw input may list its edges out of canonical order, which
+		// the known-graph path rejects; when it is accepted, it must
+		// agree with the plain decode.
+		onto = new(radiobcast.Labeling)
+		if err := onto.DecodeOnto(data, l.Graph); err == nil {
+			if got, err := onto.MarshalBinary(); err != nil || !bytes.Equal(got, blob) {
+				t.Fatalf("known-graph decode of the input re-encodes differently (err=%v)", err)
+			}
+		} else if bytes.Equal(data, blob) {
+			t.Fatalf("canonical input rejected on its own graph: %v", err)
+		}
+
+		n := l.Graph.N()
+		if n < 3 {
+			return // one connected graph per node count: nothing mismatches
+		}
+		other := graph.Path(n)
+		if other.Fingerprint() == l.Graph.Fingerprint() {
+			other = graph.Star(n)
+		}
+		if err := new(radiobcast.Labeling).DecodeOnto(blob, other); err == nil {
+			t.Fatal("blob decoded onto a different graph")
 		}
 	})
 }

@@ -21,7 +21,8 @@ func main() {
 	ctx := context.Background()
 
 	// A request stream with recurring topologies: only the first request
-	// per topology pays the labeling, the rest are cache hits served by a
+	// per topology pays the graph generation and the labeling, the rest
+	// share the session's cached graph and are cache hits served by a
 	// pooled engine.
 	for i, req := range []struct {
 		family string
@@ -29,7 +30,7 @@ func main() {
 	}{
 		{"grid", 64}, {"path", 32}, {"grid", 64}, {"grid", 64}, {"path", 32},
 	} {
-		net, err := radiobcast.Family(req.family, req.n)
+		net, err := sess.Family(req.family, req.n)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -49,6 +49,15 @@ func (g *Graph) Freeze() *CSR {
 	return g.csr
 }
 
+// Share fills every lazy cache a reader could otherwise fill — the
+// adjacency lists of a FromCSR graph, the CSR form and the fingerprint —
+// so that g can be handed to concurrent goroutines: afterwards every use
+// short of AddEdge or RemoveEdge is a read.
+func (g *Graph) Share() {
+	g.ensureAdj()
+	g.Fingerprint()
+}
+
 // FreezeInto rebuilds dst as the CSR form of g, reusing dst's arrays when
 // they are large enough. It is the incremental-re-freeze primitive for
 // callers that mutate a graph mid-run (topology churn) and want a fresh

@@ -225,12 +225,17 @@ func GNPConnected(n int, p float64, seed int64) *Graph {
 	}
 	r := rand.New(rand.NewSource(seed))
 	g := New(n)
+	parent := make([]int, n)
 	for i := 1; i < n; i++ {
-		g.AddEdge(i, r.Intn(i))
+		parent[i] = r.Intn(i)
+		g.AddEdge(i, parent[i])
 	}
+	// Each pair is visited once, so before its visit {i, j} is an edge
+	// only if it is a tree edge: the parent array answers that without
+	// the per-pair adjacency search.
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			if !g.HasEdge(i, j) && r.Float64() < p {
+			if parent[j] != i && parent[i] != j && r.Float64() < p {
 				g.AddEdge(i, j)
 			}
 		}

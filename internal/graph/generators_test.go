@@ -189,6 +189,33 @@ func TestGNPConnected(t *testing.T) {
 	}
 }
 
+// TestGNPFamiliesGolden pins the gnp family members bit for bit: the
+// edge counts and fingerprints were recorded from the generator that
+// tested every pair with HasEdge, so the parent-array shortcut must draw
+// the same random sequence and produce the same graphs.
+func TestGNPFamiliesGolden(t *testing.T) {
+	for _, c := range []struct {
+		family string
+		n, m   int
+		fp     uint64
+	}{
+		{"gnp-sparse", 256, 517, 0x9280b4292e89964},
+		{"gnp-sparse", 1024, 2049, 0xcf985b8a621e8217},
+		{"gnp-sparse", 4096, 8240, 0x81510bd35d772c1d},
+		{"gnp-dense", 256, 9885, 0x4ab944aeebfdf3a7},
+		{"gnp-dense", 1024, 157661, 0x88da01a2c645343a},
+		{"gnp-dense", 4096, 2519560, 0xc79f64860e56f8be},
+	} {
+		if testing.Short() && c.m > 1e6 {
+			continue
+		}
+		g := Families[c.family](c.n)
+		if g.M() != c.m || g.Fingerprint() != c.fp {
+			t.Errorf("%s/%d: m=%d fp=%#x, want m=%d fp=%#x", c.family, c.n, g.M(), g.Fingerprint(), c.m, c.fp)
+		}
+	}
+}
+
 func TestRandomRadius2(t *testing.T) {
 	f := func(seed int64) bool {
 		n := 2 + int(uint64(seed)%30)

@@ -81,7 +81,9 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) int {
 	return 0
 }
 
-// buildNetwork realizes a GraphSpec under the server's size limits.
+// buildNetwork realizes a GraphSpec under the server's size limits. A
+// family member comes from the Session's graph cache, so a recurring
+// spec shares one frozen graph instead of being rebuilt per request.
 func (s *Server) buildNetwork(spec client.GraphSpec) (*radiobcast.Network, *httpErr) {
 	switch {
 	case spec.Family != "" && len(spec.Edges) > 0:
@@ -90,7 +92,7 @@ func (s *Server) buildNetwork(spec client.GraphSpec) (*radiobcast.Network, *http
 		if spec.N > s.cfg.MaxGraphN {
 			return nil, limitExceeded("graph size %d exceeds the limit of %d nodes", spec.N, s.cfg.MaxGraphN)
 		}
-		net, err := radiobcast.Family(spec.Family, spec.N)
+		net, err := s.sess.Family(spec.Family, spec.N)
 		if err != nil {
 			return nil, badRequest("%v", err)
 		}

@@ -423,3 +423,52 @@ func TestConcurrentRuns(t *testing.T) {
 		t.Fatalf("cache hits = %d after %d cache-warm runs", hits, clients*runs)
 	}
 }
+
+// TestConcurrentRunsShareFamilyGraph sends clean, rate-jammed and churn
+// /v1/run requests for one family spec at once. All of them run on the
+// Session's one cached graph; churn must mutate a clone of it, so the
+// shared graph is structurally unchanged afterwards. Run under -race.
+func TestConcurrentRunsShareFamilyGraph(t *testing.T) {
+	srv, _, c := newTestServer(t, httpd.Config{})
+	ctx := context.Background()
+	spec := client.GraphSpec{Family: "grid", N: 64}
+	net, err := srv.Session().Family(spec.Family, spec.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := net.Graph
+	fp, m := g.Fingerprint(), g.M()
+	reqs := []client.RunRequest{
+		{Graph: spec, Scheme: "b"},
+		{Graph: spec, Scheme: "b", Fault: &radiobcast.FaultSpec{Model: radiobcast.FaultModelRate, Rate: 0.1}},
+		{Graph: spec, Scheme: "b", Fault: &radiobcast.FaultSpec{
+			Model:  radiobcast.FaultModelChurn,
+			Events: []radiobcast.ChurnEvent{{Round: 2, U: 0, V: g.Neighbors(0)[0]}},
+		}},
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 4*len(reqs); i++ {
+		req := reqs[i%len(reqs)]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out, err := c.Run(ctx, req)
+			if err != nil {
+				t.Errorf("run (fault %+v): %v", req.Fault, err)
+				return
+			}
+			if req.Fault == nil && !out.Verified {
+				t.Errorf("clean run not verified: %+v", out)
+			}
+		}()
+	}
+	wg.Wait()
+	if again, _ := srv.Session().Family(spec.Family, spec.N); again.Graph != g {
+		t.Fatal("requests did not share the cached graph")
+	}
+	// Clone rebuilds the fingerprint from the adjacency itself, where the
+	// cached one would survive an in-place mutation that skipped it.
+	if g.M() != m || g.Fingerprint() != fp || g.Clone().Fingerprint() != fp {
+		t.Fatal("concurrent requests mutated the shared graph")
+	}
+}

@@ -31,6 +31,7 @@ import (
 // One caveat inherited from Graph's lazy caches (Freeze, Fingerprint):
 // when a single *Graph value is shared by concurrent Runs, call its
 // Freeze once before handing it out — afterwards all uses are read-only.
+// Graphs from Session.Family are published that way already.
 type Session struct {
 	sims sync.Pool
 
@@ -66,6 +67,27 @@ type Session struct {
 	// key becomes the leader and computes; later misses on the same key
 	// wait on the flight instead of burning a core each on identical work.
 	flights map[labelingKey]*flight
+
+	// graphs caches the graphs Family builds, most recent first, holding
+	// at most capacity entries; graphIndex maps each (name, n) request
+	// onto its element.
+	graphs     list.List // of *graphEntry
+	graphIndex map[familyKey]*list.Element
+}
+
+// familyKey is a Family request as the caller made it: generators may
+// round n, so two keys can name structurally identical graphs.
+type familyKey struct {
+	name string
+	n    int
+}
+
+// graphEntry is one cached family member. net is the template every
+// Family call copies: the copy is the caller's to mutate, the Graph
+// inside is shared.
+type graphEntry struct {
+	key familyKey
+	net Network
 }
 
 // flight is one in-progress labeling computation. The leader fills l/err
@@ -189,6 +211,7 @@ func NewSession(opts ...SessionOption) *Session {
 		storePreload: -1,
 		index:        map[labelingKey]*list.Element{},
 		flights:      map[labelingKey]*flight{},
+		graphIndex:   map[familyKey]*list.Element{},
 	}
 	s.sims.New = func() any { return NewSim() }
 	for _, o := range opts {
@@ -230,7 +253,7 @@ func (s *Session) preloadStore() {
 			fp: k.Fingerprint, n: k.N, m: k.M,
 			scheme: k.Scheme, source: k.Source, coordinator: k.Coordinator,
 		}
-		l, ok := s.storeGet(key)
+		l, ok := s.storeGet(key, nil)
 		if !ok {
 			continue
 		}
@@ -369,6 +392,55 @@ func (s *Session) Close(ctx context.Context) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
+}
+
+// Family is the package-level Family served from a graph cache: each
+// (name, n) member is built once per Session, then shared by every later
+// request for it, so a serving loop pays the generator only on the first
+// request for a topology. The cache holds at most the labeling cache's
+// capacity in graphs, evicting the least recently used; with capacity 0
+// nothing is cached. Unknown names return Family's error and are not
+// cached.
+//
+// Every call returns a fresh *Network, so the caller may set its Source
+// and Coordinator (At, Coordinated); "figure1" keeps its preset source.
+// The *Graph inside is shared between callers and is frozen and
+// fingerprinted before it is first returned. Shared graphs are
+// read-only: a caller must not AddEdge or RemoveEdge on it — clone it
+// first (the churn fault model does exactly that).
+func (s *Session) Family(name string, n int) (*Network, error) {
+	key := familyKey{name, n}
+	s.mu.Lock()
+	if el, ok := s.graphIndex[key]; ok {
+		s.graphs.MoveToFront(el)
+		net := el.Value.(*graphEntry).net
+		s.mu.Unlock()
+		return &net, nil
+	}
+	s.mu.Unlock()
+	net, err := Family(name, n)
+	if err != nil {
+		return nil, err
+	}
+	net.Graph.Share()
+	if s.capacity <= 0 {
+		return net, nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if el, ok := s.graphIndex[key]; ok {
+		// A concurrent call built the same member first; share its graph,
+		// so every labeling of the member refers to one copy.
+		net.Graph = el.Value.(*graphEntry).net.Graph
+		return net, nil
+	}
+	s.graphIndex[key] = s.graphs.PushFront(&graphEntry{key: key, net: *net})
+	for s.graphs.Len() > s.capacity {
+		oldest := s.graphs.Back()
+		s.graphs.Remove(oldest)
+		delete(s.graphIndex, oldest.Value.(*graphEntry).key)
+	}
+	return net, nil
 }
 
 // Label resolves the network and returns the scheme's labeling, serving
@@ -517,7 +589,7 @@ func (s *Session) labelCached(ctx context.Context, sch Scheme, g *Graph, source 
 		close(f.done)
 	}()
 	if s.store != nil {
-		if l, ok := s.storeGet(key); ok {
+		if l, ok := s.storeGet(key, g); ok {
 			f.l = l
 			return f.l, nil
 		}
@@ -541,24 +613,24 @@ func storeKey(k labelingKey) store.Key {
 
 // storeGet reads and decodes one labeling from the disk store. The store
 // already guarantees the bytes hash to their content address; decoding
-// the wire format (with its own CRC) and cross-checking the graph against
-// the key closes the loop. Anything inconsistent is dropped from the
-// store and demoted to a miss — never an error.
-func (s *Session) storeGet(key labelingKey) (*Labeling, bool) {
+// the wire format (with its own CRC) and cross-checking the graph closes
+// the loop. With the request's graph g, the blob decodes onto g — its
+// edge list must be g's, edge for edge — so the labeling shares the
+// request's graph instead of a private copy; the warm-start preload has
+// no request graph, passes nil, and checks the decoded graph's
+// fingerprint against the key instead. Anything inconsistent is dropped
+// from the store and demoted to a miss — never an error.
+func (s *Session) storeGet(key labelingKey, g *Graph) (*Labeling, bool) {
 	data, ok := s.store.Get(storeKey(key))
 	if !ok {
 		return nil, false
 	}
 	l := &Labeling{}
-	if err := l.UnmarshalBinary(data); err != nil ||
-		l.Scheme != key.scheme || l.Graph.N() != key.n || l.Graph.M() != key.m {
-		s.store.Drop(storeKey(key))
-		return nil, false
-	}
-	// Freeze up front so the decoded graph's lazy caches are read-only
-	// before the labeling is shared through the LRU.
-	l.Graph.Freeze()
-	if l.Graph.Fingerprint() != key.fp {
+	// Fingerprint freezes a freshly decoded graph, so its lazy caches are
+	// read-only before the labeling is shared through the LRU.
+	if err := l.decode(data, g); err != nil || l.Scheme != key.scheme ||
+		l.Graph.N() != key.n || l.Graph.M() != key.m ||
+		(g == nil && l.Graph.Fingerprint() != key.fp) {
 		s.store.Drop(storeKey(key))
 		return nil, false
 	}

@@ -248,6 +248,74 @@ func TestSessionStoreWrongLabelingDropped(t *testing.T) {
 	}
 }
 
+// TestSessionStoreForgedGraphDropped: a blob planted under the right key
+// — same scheme, n and m, intact CRC and content address — but carrying
+// a different graph must not be served. The store hit decodes onto the
+// request's graph, whose edge list the blob fails to match, so the entry
+// is dropped and the labeling recomputed; the recompute heals the store,
+// and the next store hit shares the request's graph.
+func TestSessionStoreForgedGraphDropped(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	netA := storeNet(t, "path", 8)
+	netB := storeNet(t, "star", 8) // same n and m as netA
+	lb, err := radiobcast.LabelNetwork(netB, "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged, err := lb.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := store.Key{Fingerprint: netA.Graph.Fingerprint(), N: 8, M: 7, Scheme: "b"}
+	if err := st.Put(key, forged); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	sess := radiobcast.NewSession(radiobcast.WithStore(dir), radiobcast.WithStorePreload(0))
+	if err := sess.Err(); err != nil {
+		t.Fatal(err)
+	}
+	la, err := sess.Label(ctx, netA, "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if la.Graph.Fingerprint() != netA.Graph.Fingerprint() {
+		t.Fatal("served a labeling of the forged graph")
+	}
+	if s := sess.Stats(); s.StoreHits != 0 || s.Misses != 1 || s.StoreWrites != 1 {
+		t.Fatalf("stats = %+v, want the forged entry demoted to a miss and rewritten", s)
+	}
+	out, err := sess.Run(ctx, netA, "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := radiobcast.Verify(out); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	healed := radiobcast.NewSession(radiobcast.WithStore(dir), radiobcast.WithStorePreload(0))
+	defer healed.Close(ctx)
+	l, err := healed.Label(ctx, netA, "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if healed.StoreHits() != 1 || l.Graph != netA.Graph {
+		t.Fatalf("store hits = %d, shares request graph = %v; want a hit decoded onto the request graph",
+			healed.StoreHits(), l.Graph == netA.Graph)
+	}
+}
+
 // TestSessionStoreConcurrentSameKey hammers one key from two sessions
 // sharing a directory — the single-flight layer dedups within a session,
 // the store's content addressing dedups across them. Run under -race.
@@ -462,10 +530,11 @@ func TestSessionCloseFlushesStore(t *testing.T) {
 	}
 }
 
-// BenchmarkStoreHit measures the cold-process path the daemon takes after
-// a restart: the LRU is empty, every labeling is served by reading and
-// decoding the store blob. Compare with BenchmarkSessionCacheHit (pure
-// in-memory) in session_test.go; the delta is the price of durability.
+// BenchmarkStoreHit measures a restart: every iteration opens a Session
+// and its store, serves one labeling from disk and closes them again, so
+// the open and close dominate. It is the per-restart cost, not the
+// per-key cost of an open store, and it runs no broadcast — do not set
+// it against BenchmarkSessionCacheHit, which does.
 func BenchmarkStoreHit(b *testing.B) {
 	dir := b.TempDir()
 	net := storeNet(b, "grid", 1024)

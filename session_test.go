@@ -93,6 +93,98 @@ func TestSessionCacheEviction(t *testing.T) {
 	}
 }
 
+// TestSessionFamilySharesGraph: every Family call returns its own
+// *Network, so At and Coordinated on one never leak into another, while
+// the *Graph inside is built once and shared.
+func TestSessionFamilySharesGraph(t *testing.T) {
+	sess := radiobcast.NewSession()
+	a, err := sess.Family("grid", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := sess.Family("grid", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a == b {
+		t.Fatal("two Family calls returned the same *Network")
+	}
+	if a.Graph != b.Graph {
+		t.Fatal("second Family call rebuilt the graph")
+	}
+	want, _ := radiobcast.Family("grid", 64)
+	if a.Graph.Fingerprint() != want.Graph.Fingerprint() || a.Name != want.Name {
+		t.Fatal("cached member differs from the package-level Family's")
+	}
+	a.At(5).Coordinated(3)
+	if b.Source != 0 || b.Coordinator != 0 {
+		t.Fatalf("At/Coordinated on one network leaked into another: %+v", b)
+	}
+	if c, _ := sess.Family("grid", 64); c.Source != 0 || c.Coordinator != 0 {
+		t.Fatalf("At/Coordinated leaked into the cached template: %+v", c)
+	}
+
+	f, err := sess.Family("figure1", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	preset := radiobcast.Figure1().Source
+	f.At(0)
+	g, _ := sess.Family("figure1", 0)
+	if g.Source != preset || g.Graph != f.Graph {
+		t.Fatalf("figure1 source = %d (want preset %d), graph shared = %v", g.Source, preset, g.Graph == f.Graph)
+	}
+}
+
+// TestSessionFamilyCapacity: the graph cache is bounded by the labeling
+// cache's capacity and evicts least recently used; capacity 0 caches
+// nothing; an unknown family is an error that takes no slot.
+func TestSessionFamilyCapacity(t *testing.T) {
+	member := func(t *testing.T, sess *radiobcast.Session, name string) *radiobcast.Graph {
+		t.Helper()
+		net, err := sess.Family(name, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return net.Graph
+	}
+	t.Run("eviction", func(t *testing.T) {
+		sess := radiobcast.NewSession(radiobcast.WithLabelingCache(2))
+		path := member(t, sess, "path")
+		cycle := member(t, sess, "cycle")
+		member(t, sess, "path") // path is now the most recent
+		member(t, sess, "star") // evicts cycle
+		if member(t, sess, "path") != path {
+			t.Fatal("recently used member was evicted")
+		}
+		if member(t, sess, "cycle") == cycle {
+			t.Fatal("least recently used member survived past capacity")
+		}
+	})
+	t.Run("capacity 0", func(t *testing.T) {
+		sess := radiobcast.NewSession(radiobcast.WithLabelingCache(0))
+		a, b := member(t, sess, "path"), member(t, sess, "path")
+		if a == b {
+			t.Fatal("capacity 0 cached a graph")
+		}
+		if a.Fingerprint() != b.Fingerprint() {
+			t.Fatal("uncached members differ structurally")
+		}
+	})
+	t.Run("unknown family", func(t *testing.T) {
+		sess := radiobcast.NewSession(radiobcast.WithLabelingCache(1))
+		path := member(t, sess, "path")
+		for i := 0; i < 2; i++ {
+			if net, err := sess.Family("nosuch", 8); err == nil {
+				t.Fatalf("unknown family returned %v", net)
+			}
+		}
+		if member(t, sess, "path") != path {
+			t.Fatal("a failed Family call displaced a cached member")
+		}
+	})
+}
+
 // TestSessionCacheBypass: label-affecting options (quick mode, custom
 // seeds, build ablations) must not poison the cache — they bypass it.
 func TestSessionCacheBypass(t *testing.T) {

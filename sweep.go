@@ -233,9 +233,9 @@ func (s *Session) Sweep(ctx context.Context, spec SweepSpec) iter.Seq2[CellResul
 			return
 		}
 
-		// Phase 1: build and freeze one graph per (family, size). Freezing
-		// (and fingerprinting) here makes the shared graphs read-only for
-		// the concurrent phases.
+		// Phase 1: one graph per (family, size) from the session's graph
+		// cache, which publishes them frozen and fingerprinted, read-only
+		// for the concurrent phases.
 		nets := make(map[netKey]*Network)
 		for _, fam := range spec.Families {
 			for _, size := range spec.Sizes {
@@ -243,13 +243,11 @@ func (s *Session) Sweep(ctx context.Context, spec SweepSpec) iter.Seq2[CellResul
 				if _, ok := nets[k]; ok {
 					continue
 				}
-				net, err := Family(fam, size)
+				net, err := s.Family(fam, size)
 				if err != nil {
 					yield(CellResult{}, err)
 					return
 				}
-				net.Graph.Freeze()
-				net.Graph.Fingerprint()
 				nets[k] = net
 			}
 		}
