@@ -19,7 +19,6 @@ import (
 	"radiobcast/internal/core"
 	"radiobcast/internal/domset"
 	"radiobcast/internal/experiments"
-	"radiobcast/internal/graph"
 	"radiobcast/internal/nodeset"
 	"radiobcast/internal/onebit"
 )
@@ -290,31 +289,6 @@ func BenchmarkOneBit(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, _, err := onebit.GridScheme(size, size); err != nil {
 					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkEngineParallel compares sequential and parallel engine modes on
-// a dense graph (experiment PAR), through the facade's WithWorkers option.
-func BenchmarkEngineParallel(b *testing.B) {
-	net := radiobcast.NewNetwork(graph.GNPConnected(2000, 8.0/2000, 42))
-	l, err := radiobcast.LabelNetwork(net, "b")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				out, err := radiobcast.RunLabeled(l,
-					radiobcast.WithMessage("m"), radiobcast.WithWorkers(workers))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if out.Result.TotalTransmissions == 0 {
-					b.Fatal("no traffic")
 				}
 			}
 		})

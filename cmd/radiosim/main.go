@@ -56,14 +56,13 @@ func main() {
 		sources  = flag.String("sources", "", "comma-separated source nodes (-sweep mode; negative counts from the end)")
 		r        = flag.Int("r", 0, "coordinator node for barb")
 		mu       = flag.String("mu", "hello", "source message µ")
-		workers  = flag.Int("workers", 0, "single-run: engine parallelism; sweep: worker-pool size (0 = default)")
+		workers  = flag.Int("workers", 0, "worker-pool size of -sweep mode (0 = GOMAXPROCS)")
 		trace    = flag.Bool("trace", false, "print the round-by-round trace (single-run mode)")
 		quick    = flag.Bool("quick", false, "reduce labeling-search effort")
 		doSweep  = flag.Bool("sweep", false, "batch mode: run the full parameter grid as one sweep")
 		faults   = flag.String("faults", "", "comma-separated fault rates to sweep (e.g. 0,0.01,0.05)")
 		repeats  = flag.Int("repeats", 1, "runs per sweep cell (distinct fault seeds)")
 		seed     = flag.Int64("seed", 1, "base seed of the deterministic fault model")
-		dense    = flag.Bool("dense", false, "force the dense reference engine (no sparse wakeup)")
 		timeout  = cliutil.TimeoutFlag(0, "the whole job, printing partial results")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -112,7 +111,7 @@ func main() {
 		ok := runSweep(ctx, sweepArgs{
 			families: *family, sizes: *sizes, n: *n, schemes: *scheme,
 			sources: *sources, faults: *faults, repeats: *repeats,
-			mu: *mu, workers: *workers, seed: *seed, dense: *dense,
+			mu: *mu, workers: *workers, seed: *seed,
 		})
 		flushProfiles()
 		if !ok {
@@ -122,8 +121,8 @@ func main() {
 	}
 	runSingle(ctx, singleArgs{
 		family: *family, n: *n, file: *file, scheme: *scheme,
-		source: *source, r: *r, mu: *mu, workers: *workers,
-		trace: *trace, quick: *quick, dense: *dense,
+		source: *source, r: *r, mu: *mu,
+		trace: *trace, quick: *quick,
 	})
 	flushProfiles()
 }
@@ -173,8 +172,8 @@ func startProfiles(cpuPath, memPath string) {
 
 type singleArgs struct {
 	family, file, scheme, mu string
-	n, source, r, workers    int
-	trace, quick, dense      bool
+	n, source, r             int
+	trace, quick             bool
 }
 
 func runSingle(ctx context.Context, a singleArgs) {
@@ -193,15 +192,9 @@ func runSingle(ctx context.Context, a singleArgs) {
 	}
 	fmt.Printf("network: %v, source %d, scheme %s: %s\n", net, net.Source, s.Name(), s.Describe())
 
-	opts := []radiobcast.Option{
-		radiobcast.WithMessage(a.mu),
-		radiobcast.WithWorkers(a.workers),
-	}
+	opts := []radiobcast.Option{radiobcast.WithMessage(a.mu)}
 	if a.quick {
 		opts = append(opts, radiobcast.WithQuick())
-	}
-	if a.dense {
-		opts = append(opts, radiobcast.WithDenseEngine())
 	}
 	var tr *radiobcast.Trace
 	if a.trace {
@@ -236,7 +229,6 @@ type sweepArgs struct {
 	families, sizes, schemes, sources, faults, mu string
 	n, repeats, workers                           int
 	seed                                          int64
-	dense                                         bool
 }
 
 // runSweep streams the grid straight off Session.Sweep's iterator: one
@@ -245,16 +237,15 @@ type sweepArgs struct {
 // cut-off have already been printed, so the summary is the partial result.
 func runSweep(ctx context.Context, a sweepArgs) bool {
 	spec := radiobcast.SweepSpec{
-		Families:    splitList(a.families),
-		Schemes:     splitList(a.schemes),
-		Sizes:       parseInts(a.sizes, []int{a.n}),
-		Sources:     parseInts(a.sources, nil),
-		FaultRates:  parseFloats(a.faults),
-		Repeats:     a.repeats,
-		Mu:          a.mu,
-		Workers:     a.workers,
-		Seed:        a.seed,
-		DenseEngine: a.dense,
+		Families:   splitList(a.families),
+		Schemes:    splitList(a.schemes),
+		Sizes:      parseInts(a.sizes, []int{a.n}),
+		Sources:    parseInts(a.sources, nil),
+		FaultRates: parseFloats(a.faults),
+		Repeats:    a.repeats,
+		Mu:         a.mu,
+		Workers:    a.workers,
+		Seed:       a.seed,
 	}
 
 	fmt.Printf("%-12s %6s %-12s %5s %6s %4s  %-9s %7s %8s %s\n",

@@ -202,17 +202,18 @@ func waitForGoroutines(t *testing.T, before int) {
 func TestRunSweepCtxPartialGridOrder(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	// The grid is far longer than the cancellation needs to propagate:
+	// the sweep folds cells into lockstep batches of up to eight, and
+	// with two workers at most a few batches can be in flight when the
+	// fifth cell is streamed.
+	const repeats = 600
 	var streamed atomic.Int64
 	spec := radiobcast.SweepSpec{
 		Families: []string{"grid"},
 		Sizes:    []int{2500},
 		Schemes:  []string{"b"},
-		Repeats:  60,
+		Repeats:  repeats,
 		Workers:  2,
-		// The dense engine keeps each cell slow enough that the sweep
-		// cannot finish all 60 before the cancellation propagates; the
-		// bitset core is fast enough to beat the cancel otherwise.
-		DenseEngine: true,
 		OnCell: func(radiobcast.CellResult) {
 			if streamed.Add(1) == 5 {
 				cancel()
@@ -223,7 +224,7 @@ func TestRunSweepCtxPartialGridOrder(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if len(results) < 5 || len(results) >= 60 {
+	if len(results) < 5 || len(results) >= repeats {
 		t.Fatalf("partial sweep returned %d cells", len(results))
 	}
 	for i := 1; i < len(results); i++ {

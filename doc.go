@@ -12,7 +12,7 @@
 // and registers itself by name. A full run is one call:
 //
 //	net, _ := radiobcast.Family("grid", 64)
-//	out, _ := radiobcast.RunCtx(ctx, net, "barb", radiobcast.WithWorkers(-1))
+//	out, _ := radiobcast.RunCtx(ctx, net, "barb")
 //	err := radiobcast.Verify(out)
 //
 // Serving workloads go through a Session, which caches labelings by
@@ -35,8 +35,8 @@
 // Label once and broadcast many times with LabelNetwork + RunLabeled
 // (ctx variants: LabelNetworkCtx, RunLabeledCtx; the context-free names
 // are kept as context.Background() wrappers); tune runs with functional
-// options (WithWorkers, WithMaxRounds, WithTrace, WithSim,
-// WithDenseEngine, WithScalarEngine, WithQuick, WithSource, …);
+// options (WithMaxRounds, WithTrace, WithSim, WithQuick, WithSource, …;
+// WithWorkers is a deprecated no-op);
 // enumerate algorithms with Schemes and plug in new ones with Register.
 //
 // Adversarial channels are declared as a FaultSpec — an i.i.d. jamming
@@ -44,8 +44,8 @@
 // duty-cycling, topology churn, or a composition — and injected with
 // WithFaultSpec. A faulted run is graded, not failed: Outcome.Coverage,
 // Outcome.Degraded and Outcome.RoundsToCoverage quantify partial
-// delivery. Every model is deterministic in (spec, seed) and
-// bit-identical across all engine modes.
+// delivery. Every model is deterministic in (spec, seed), so a faulted
+// run is reproducible bit for bit.
 //
 // RunSweep executes a whole families × sizes × schemes × sources ×
 // faults × repeats grid as one batched job on a worker pool that shares
@@ -60,9 +60,9 @@
 //   - internal/graph, internal/nodeset: the network substrate, with a
 //     frozen CSR form (Graph.Freeze) iterated by every hot path;
 //   - internal/radio: the synchronous radio model of §1.1 — one reusable
-//     engine whose sequential sparse mode runs on a bit-packed
-//     word-parallel core with lockstep same-graph batches (RunBatch),
-//     plus scalar, dense and parallel modes, all bit-identical;
+//     engine, a bit-packed word-parallel core with lockstep same-graph
+//     batches (RunBatch), checked against the naive reference engine of
+//     internal/radio/radiotest;
 //   - internal/faults: the composable fault-model contract behind
 //     FaultSpec (jam/crash/duty/churn, seeded and deterministic);
 //   - internal/domset: minimal dominating subsets (§2.1 step 4);

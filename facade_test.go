@@ -11,6 +11,7 @@ import (
 	"radiobcast"
 	"radiobcast/internal/core"
 	"radiobcast/internal/radio"
+	"radiobcast/internal/radio/radiotest"
 )
 
 // builtins is the full set of schemes this repository ships.
@@ -151,10 +152,11 @@ func TestGoldenCompatibilityBack(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSequential runs schemes through the parallel engine
-// (WithWorkers(-1) = GOMAXPROCS) and requires results bit-identical to the
-// sequential engine. Run under -race this also exercises the facade's
-// wrapper layer (baseline observers, Stop predicates) for data races.
+// TestParallelMatchesSequential pins the deprecated WithWorkers option
+// to a no-op: runs with WithWorkers(-1) are bit-identical to runs
+// without it and to the reference engine. Run under -race this also
+// exercises the facade's wrapper layer (baseline observers, Stop
+// predicates) for data races.
 func TestParallelMatchesSequential(t *testing.T) {
 	for _, scheme := range []string{"b", "back", "barb", "roundrobin", "colorrobin"} {
 		t.Run(scheme, func(t *testing.T) {
@@ -162,26 +164,28 @@ func TestParallelMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			seq, err := radiobcast.Run(net, scheme, radiobcast.WithMessage("m"))
-			if err != nil {
-				t.Fatal(err)
+			run := func(opts ...radiobcast.Option) *radiobcast.Outcome {
+				t.Helper()
+				out, err := radiobcast.Run(net, scheme, append(opts, radiobcast.WithMessage("m"))...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return out
 			}
-			par, err := radiobcast.Run(net, scheme, radiobcast.WithMessage("m"), radiobcast.WithWorkers(-1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if seq.CompletionRound != par.CompletionRound {
-				t.Fatalf("sequential completion %d, parallel %d", seq.CompletionRound, par.CompletionRound)
-			}
-			if !reflect.DeepEqual(seq.InformedRound, par.InformedRound) {
-				t.Fatalf("informed rounds differ between engines:\nseq %v\npar %v", seq.InformedRound, par.InformedRound)
-			}
-			if seq.Result.TotalTransmissions != par.Result.TotalTransmissions {
-				t.Fatalf("transmissions differ: seq %d, par %d",
-					seq.Result.TotalTransmissions, par.Result.TotalTransmissions)
-			}
-			if err := radiobcast.Verify(par); err != nil {
-				t.Fatalf("parallel Verify: %v", err)
+			ref := run(radiobcast.WithEngine(radiotest.Run))
+			for mode, out := range map[string]*radiobcast.Outcome{
+				"default":         run(),
+				"WithWorkers(-1)": run(radiobcast.WithWorkers(-1)),
+			} {
+				if !reflect.DeepEqual(ref.Result, out.Result) {
+					t.Fatalf("%s: result diverged from the reference engine", mode)
+				}
+				if !reflect.DeepEqual(ref.InformedRound, out.InformedRound) {
+					t.Fatalf("%s: informed rounds differ from the reference engine", mode)
+				}
+				if err := radiobcast.Verify(out); err != nil {
+					t.Fatalf("%s: Verify: %v", mode, err)
+				}
 			}
 		})
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"radiobcast"
+	"radiobcast/internal/radio/radiotest"
 )
 
 // faultMatrix covers every model of the subsystem plus a composition;
@@ -34,11 +35,12 @@ func faultMatrix() map[string]radiobcast.FaultSpec {
 }
 
 // TestEngineModesBitIdenticalFaulted extends the engine-equivalence
-// contract to the fault subsystem: under every fault model, the sparse,
-// dense, sequential and parallel engines produce bit-identical raw
-// Results and identical degradation metrics over one shared labeling.
-// Each run materializes its own model instance from the same spec, so
-// this also pins that (model, seed) fully determines the fault pattern.
+// contract to the fault subsystem: under every fault model, the engine —
+// pooled, on a caller's Sim, and traced — produces raw Results and
+// degradation metrics bit-identical to the reference engine over one
+// shared labeling. Each run materializes its own model instance from the
+// same spec, so this also pins that (model, seed) fully determines the
+// fault pattern.
 func TestEngineModesBitIdenticalFaulted(t *testing.T) {
 	type cfg struct {
 		scheme, family string
@@ -67,16 +69,14 @@ func TestEngineModesBitIdenticalFaulted(t *testing.T) {
 					}
 					return out
 				}
-				ref := run(radiobcast.WithDenseEngine())
+				ref := run(radiobcast.WithEngine(radiotest.Run))
 				for mode, out := range map[string]*radiobcast.Outcome{
-					"sparse":         run(),
-					"sparse-sim":     run(radiobcast.WithSim(radiobcast.NewSim())),
-					"scalar":         run(radiobcast.WithScalarEngine()),
-					"parallel":       run(radiobcast.WithWorkers(4)),
-					"dense-parallel": run(radiobcast.WithDenseEngine(), radiobcast.WithWorkers(4)),
+					"engine":     run(),
+					"engine-sim": run(radiobcast.WithSim(radiobcast.NewSim())),
+					"traced":     run(radiobcast.WithTrace(&radiobcast.Trace{})),
 				} {
-					if !sameResults(ref.Result, out.Result) {
-						t.Fatalf("mode %s diverged from the dense reference engine", mode)
+					if !reflect.DeepEqual(ref.Result, out.Result) {
+						t.Fatalf("mode %s diverged from the reference engine", mode)
 					}
 					if !reflect.DeepEqual(ref.InformedRound, out.InformedRound) {
 						t.Fatalf("mode %s: informed rounds differ", mode)

@@ -165,8 +165,8 @@ func Observe(g *graph.Graph, ps []radio.Protocol, source, maxRounds int, labels 
 	n := g.N()
 	informed := make([]int, n)
 	// remaining counts the uninformed non-source nodes; observers decrement
-	// it atomically (they run inside the engine's phase-1 workers), making
-	// the stop predicate O(1) instead of an O(n) rescan every round.
+	// it atomically, making the stop predicate O(1) instead of an O(n)
+	// rescan every round.
 	remaining := int64(n - 1)
 	done := func(int) bool {
 		return atomic.LoadInt64(&remaining) <= 0

@@ -109,7 +109,6 @@ func TestDomAblationExperiment(t *testing.T)        { runExp(t, "ABLDOM") }
 func TestZAblationExperiment(t *testing.T)          { runExp(t, "ABLZ") }
 func TestOneBitExperiment(t *testing.T)             { runExp(t, "ONEBIT") }
 func TestFaultExperiment(t *testing.T)              { runExp(t, "FAULT") }
-func TestParallelExperiment(t *testing.T)           { runExp(t, "PAR") }
 
 func TestRunAllQuick(t *testing.T) {
 	if testing.Short() {

@@ -143,7 +143,6 @@ var Registry = []Entry{
 	{"ONEBIT", "§5: one-bit schemes for paths, cycles, grids; search study", OneBitExperiment},
 	{"FAULT", "Extension: single-transmission erasures vs algorithm B", FaultExperiment},
 	{"DEGRADE", "Extension: graceful degradation under adversarial fault models", DegradeExperiment},
-	{"PAR", "Infrastructure: parallel engine equivalence and speedup", ParallelExperiment},
 }
 
 // Groups names thematic experiment subsets for cmd/experiments' -table

@@ -7,7 +7,7 @@
 //
 // The contract is engine-neutral: a model is a pure, seeded function of
 // the run so far, so the same (model, seed) produces bit-identical
-// results across the sparse/dense and sequential/parallel engines. The
+// results on the engine and on the test-only reference engine. The
 // engine consults a model twice per round — once before the protocols
 // step (where crash/sleep effects must land, so a down node's radio is
 // off for the whole round) and once after the round's actions are decided

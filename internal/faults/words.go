@@ -24,10 +24,11 @@ func (w *Words) SetWipe(v int) { w.Wipe[v>>6] |= 1 << (uint(v) & 63) }
 // is Apply with the effect vector in bit-packed form, called under the
 // identical two-phase contract (pre-step with st.Transmitters == nil,
 // post-decision with the transmitter list). Implementations MUST set in
-// Words exactly the bits Apply would set in the effects slice — the
-// engine-mode differential tests pin this — and must draw any hashes in
-// the same order, so stateful models (crash outage timers) stay
-// bit-identical whichever path the engine picks. Models whose effect
+// Words exactly the bits Apply would set in the effects slice —
+// TestApplyWordsMatchesApply and the engine's differential tests against
+// the reference engine, which only calls Apply, pin this — and must draw
+// any hashes in the same order, so stateful models (crash outage timers)
+// stay bit-identical whichever path the engine picks. Models whose effect
 // computation is inherently order-sensitive over an explicit candidate
 // list (the budgeted jammer) simply do not implement WordModel; the
 // engine then falls back to Apply and packs the result.

@@ -1,32 +1,25 @@
 package radio
 
-import (
-	"radiobcast/internal/faults"
-	"radiobcast/internal/graph"
-)
+import "radiobcast/internal/graph"
 
 // BatchRun is one lane of a RunBatch: its protocol vector plus the
 // engine options of a standalone Run. Lanes may differ in everything —
-// sources, stop conditions, fault models, seeds — as long as they share
-// the graph.
+// sources, stop conditions, fault models, seeds, tracing — as long as
+// they share the graph.
 type BatchRun struct {
 	Protos []Protocol
 	Opt    Options
 }
 
-// RunBatch executes B same-graph runs in lockstep: every bitset-eligible
-// lane advances one round before any lane starts the next, so a round's
-// pass over the frozen CSR and its neighborhood slabs serves the whole
-// batch while the graph is hot in cache — the label-once/run-many regime
-// (sweep repeats, source sweeps, fault-seed sweeps) executed as one
-// interleaved walk instead of B cold ones. Each lane runs on its own Sim
-// (opt.Sim if set, else pooled), observes its own stop conditions, and
-// yields a Result bit-identical to a standalone Run with the same
-// options.
-//
-// Lanes that cannot run on the bitset core — tracing, dense or parallel
-// engine modes, DisableBitset, or a topology-churning fault model —
-// fall back to a standalone Run, so RunBatch accepts any mix.
+// RunBatch executes B same-graph runs in lockstep: every lane advances
+// one round before any lane starts the next, so a round's pass over the
+// frozen CSR and its neighborhood slabs serves the whole batch while the
+// graph is hot in cache — the label-once/run-many regime (sweep repeats,
+// source sweeps, fault-seed sweeps) executed as one interleaved walk
+// instead of B cold ones. Each lane runs on its own Sim (opt.Sim if set,
+// else pooled), observes its own stop conditions, and yields a Result
+// bit-identical to a standalone Run with the same options. A lane with
+// Options.Engine set is handed to that engine instead.
 func RunBatch(g *graph.Graph, runs []BatchRun) []*Result {
 	results := make([]*Result, len(runs))
 	type slot struct {
@@ -37,20 +30,17 @@ func RunBatch(g *graph.Graph, runs []BatchRun) []*Result {
 	var lanes []*slot
 	for i := range runs {
 		opt := runs[i].Opt
-		if !batchEligible(opt) {
-			results[i] = Run(g, runs[i].Protos, opt)
+		if opt.Engine != nil {
+			results[i] = opt.Engine(g, runs[i].Protos, opt)
 			continue
 		}
 		s := opt.Sim
-		pooled := false
-		if s == nil {
+		pooled := s == nil
+		if pooled {
 			s = simPool.Get().(*Sim)
-			pooled = true
 		}
-		n, _, csr := s.prepareRun(g, runs[i].Protos, opt)
-		_, fst := s.setupFaults(opt.Faults, n)
 		sl := &slot{idx: i, pooled: pooled}
-		sl.lane.init(s, csr, opt, opt.Faults, fst)
+		sl.lane.init(s, g, runs[i].Protos, opt)
 		lanes = append(lanes, sl)
 	}
 	live := len(lanes)
@@ -70,21 +60,4 @@ func RunBatch(g *graph.Graph, runs []BatchRun) []*Result {
 		}
 	}
 	return results
-}
-
-// batchEligible reports whether a lane with these options runs on the
-// bitset core (the lockstep path); ineligible lanes run standalone.
-func batchEligible(opt Options) bool {
-	if opt.Trace != nil || opt.DisableSparse || opt.DisableBitset {
-		return false
-	}
-	if opt.Workers < 0 || opt.Workers > 1 {
-		return false
-	}
-	if opt.Faults != nil {
-		if _, topo := opt.Faults.(faults.TopologyModel); topo {
-			return false
-		}
-	}
-	return true
 }

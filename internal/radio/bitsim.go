@@ -1,16 +1,17 @@
 package radio
 
 import (
+	"fmt"
 	"math/bits"
 
 	"radiobcast/internal/faults"
 	"radiobcast/internal/graph"
 )
 
-// This file is the bitset engine core: the sequential sparse engine
-// re-expressed over []uint64 bitsets so that both halves of a round —
-// picking the nodes to step and resolving the radio channel — cost word
-// operations instead of per-node work.
+// This file is the engine: a sparse-wakeup round loop over []uint64
+// bitsets, so that both halves of a round — picking the nodes to step
+// and resolving the radio channel — cost word operations instead of
+// per-node work.
 //
 // Stepping: the round's step set is assembled as
 //
@@ -19,10 +20,9 @@ import (
 // in ⌈n/64⌉ ORs, where eager holds the nodes whose next wake is now or
 // every round (non-Wakers, and Wakers whose NextWake is ≤ round+1), and
 // a ring-bucket wake calendar re-activates Wakers whose NextWake lands
-// on this round. This makes a quiet round cost O(n/64 + active) — the
-// scalar engine's decide loop is O(n) per round even when nothing
-// happens, which is what capped the path family (BENCH_7: 6.5 ms for
-// n=1024, ~2n rounds of mostly-idle scanning).
+// on this round. This makes a quiet round cost O(n/64 + active) rather
+// than O(n), which is what the mostly-idle ~2n rounds of the path family
+// need.
 //
 // Resolution: each transmitter ORs its neighborhood slabs (graph.BitCSR)
 // into two carry-save accumulators — busy1 collects "covered by ≥ 1
@@ -32,12 +32,18 @@ import (
 // radio-off nodes masked out. Only single-reception listeners cost
 // per-node work (a slab scan finds their unique sender).
 //
-// The bitset engine produces Results bit-identical to the scalar engine
-// on every scheme × family × fault-model cell (pinned by the facade's
-// engine-mode matrix tests): the step set provably equals the scalar
-// engine's, and within a round the Result is order-independent (each
-// node transmits and receives at most once per round, collisions are
-// per-round counters).
+// Tracing reads the round's ascending transmitter list and delivery
+// words, and a topology-churning fault model swaps the lane's CSR and
+// slab form at the round boundary, so every run takes this one path.
+//
+// The engine's Results are bit-identical to the naive reference engine
+// of internal/radio/radiotest, which steps every node every round and
+// resolves each listener by scanning its neighbours (pinned by
+// FuzzEngineMatchesOracle and the facade's scheme × family × fault-model
+// matrices): the step set differs only by rounds a Waker promised to
+// spend listening, and within a round the Result is order-independent
+// (each node transmits and receives at most once per round, collisions
+// are per-round counters).
 
 // ringSize is the wake-calendar horizon (power of two). Wakes further
 // out than the horizon park in the bucket of their round modulo the
@@ -45,14 +51,16 @@ import (
 // far sleeps cost O(sleep/ringSize) amortized.
 const ringSize = 256
 
-// bitState is the word-packed per-run state of the bitset core, owned by
-// a Sim and resized-not-reallocated between runs like every other engine
+// bitState is the word-packed per-run state of the engine, owned by a
+// Sim and resized-not-reallocated between runs like every other engine
 // buffer.
 type bitState struct {
 	w int // ⌈n/64⌉ words
 
-	// Double-buffered channel state, the word-packed twin of Sim's
-	// sets/busys bool arrays, cleared via per-half dirty word lists.
+	// Double-buffered channel state — who heard a message (setsW) and
+	// who heard at least one transmitter (busyW, for collision-detection
+	// protocols) in the previous round — cleared via per-half dirty word
+	// lists.
 	setsW [2][]uint64
 	busyW [2][]uint64
 	dirty [2][]int32
@@ -87,7 +95,7 @@ func (bs *bitState) reset(s *Sim) {
 	}
 	bs.eager = grow(bs.eager, w)
 	for i := range bs.eager {
-		bs.eager[i] = ^uint64(0) // reset sets nextWake=1: everyone steps in round 1
+		bs.eager[i] = ^uint64(0) // everyone steps in round 1
 	}
 	if n%64 != 0 && w > 0 {
 		bs.eager[w-1] = 1<<(uint(n)&63) - 1 // no phantom nodes past n
@@ -119,17 +127,18 @@ func (bs *bitState) reset(s *Sim) {
 	}
 }
 
-// bitLane is one run driven through the bitset core: a Sim plus the
-// round-loop bookkeeping the scalar loop keeps in locals. Sim.Run drives
-// a single lane; RunBatch drives several in lockstep over one graph, one
-// round across all lanes before the next (see batch.go).
+// bitLane is one run driven through the engine: a Sim plus the
+// round-loop bookkeeping. Sim.Run drives a single lane; RunBatch drives
+// several in lockstep over one graph, one round across all lanes before
+// the next (see batch.go).
 type bitLane struct {
 	s    *Sim
-	csr  *graph.CSR
+	csr  *graph.CSR // current topology; churn swaps it with bcsr
 	bcsr *graph.BitCSR
 	opt  Options
 	fm   faults.Model
 	wm   faults.WordModel
+	topo faults.TopologyModel
 	fst  *faults.State
 
 	rounds, total, silent      int
@@ -137,25 +146,40 @@ type bitLane struct {
 	done                       bool
 }
 
-// init prepares the lane over an already-reset Sim (reset and fault
-// setup happen in the caller, shared with the scalar path).
-func (l *bitLane) init(s *Sim, csr *graph.CSR, opt Options, fm faults.Model, fst *faults.State) {
-	if s.bits == nil {
-		s.bits = &bitState{}
+// init validates a (graph, protocols, options) triple, freezes the
+// graph, resets s for the run and primes the fault state: the shared
+// prologue of Sim.Run and of each lockstep lane of RunBatch.
+func (l *bitLane) init(s *Sim, g *graph.Graph, protos []Protocol, opt Options) {
+	n := g.N()
+	if len(protos) != n {
+		panic(fmt.Sprintf("radio: %d protocols for %d nodes", len(protos), n))
 	}
-	s.bits.reset(s)
-	l.s = s
-	l.csr = csr
-	l.bcsr = csr.Bits()
-	l.opt = opt
-	l.fm = fm
-	l.fst = fst
-	if fm != nil {
+	if opt.MaxRounds <= 0 {
+		panic("radio: Options.MaxRounds must be positive")
+	}
+	csr := g.Freeze()
+	s.reset(n, protos)
+	*l = bitLane{s: s, csr: csr, bcsr: csr.Bits(), opt: opt}
+	if fm := opt.Faults; fm != nil {
+		s.effects = grow(s.effects, n)
+		s.heard = grow(s.heard, n)
+		if s.txList == nil {
+			s.txList = []int32{} // keep non-nil: nil signals the pre-step phase
+		}
+		fm.Reset(n)
+		l.fm = fm
 		l.wm, _ = fm.(faults.WordModel)
+		l.topo, _ = fm.(faults.TopologyModel)
+		// fst escapes through the Apply interface calls, so it is
+		// allocated only when a model is installed and the clean path
+		// stays allocation-free.
+		l.fst = &faults.State{}
 	}
+	s.faulted = l.fm != nil
+	s.bits.reset(s)
 }
 
-// finish materializes the lane's Result exactly as the scalar loop does.
+// finish materializes the lane's Result and releases the Sim.
 func (l *bitLane) finish() *Result {
 	res := l.s.materialize(l.rounds, l.total, l.silentStopped)
 	res.Interrupted = l.interrupted
@@ -167,7 +191,7 @@ func (l *bitLane) finish() *Result {
 // sets l.done (and materializes nothing — callers finish() after).
 func (l *bitLane) runRound(round int) {
 	s := l.s
-	bs := s.bits
+	bs := &s.bits
 	if l.opt.Ctx != nil && l.opt.Ctx.Err() != nil {
 		l.interrupted = true
 		l.done = true
@@ -177,10 +201,16 @@ func (l *bitLane) runRound(round int) {
 	rxMark := len(s.rxNodes)
 
 	if s.faulted {
-		// Pre-step fault phase (Down/Wipe land before any protocol
-		// observes its pending reception). Effect words carry over
-		// between the two phases of a round, mirroring the effects
-		// slice contract, and are cleared here at the round boundary.
+		// Pre-step fault phase: swap in a churned topology, then let the
+		// model set Down/Wipe before any protocol observes its pending
+		// reception. Effect words carry over between the two phases of a
+		// round, mirroring the effects slice contract, and are cleared
+		// here at the round boundary.
+		if l.topo != nil {
+			if t := l.topo.Topology(round); t != nil {
+				l.csr, l.bcsr = t, t.Bits()
+			}
+		}
 		clear(bs.jamW)
 		clear(bs.downW)
 		clear(bs.wipeW)
@@ -236,6 +266,9 @@ func (l *bitLane) runRound(round int) {
 			s.heard[t] = true
 		}
 	}
+	if l.opt.Trace != nil {
+		l.opt.Trace.record(round, s.txList, s.actions, bs.setsW[nx], s.msgs[nx])
+	}
 	l.total += transmitted
 	s.cur = nx
 	l.rounds = round
@@ -260,7 +293,7 @@ func (l *bitLane) runRound(round int) {
 // entries (the node was re-stepped and re-scheduled since parking) are
 // dropped, and wakes a full horizon lap away stay parked.
 func (l *bitLane) drainRing(round int) {
-	bs := l.s.bits
+	bs := &l.s.bits
 	slot := round & (ringSize - 1)
 	bucket := bs.ring[slot]
 	if len(bucket) == 0 {
@@ -281,11 +314,10 @@ func (l *bitLane) drainRing(round int) {
 
 // stepActive steps node v in the given round: Waker bookkeeping (lazy
 // Skip, rescheduling into eager or the wake calendar), the protocol
-// step, Down suppression, and transmitter collection — the bitset twin
-// of the scalar decide loop body.
+// step, Down suppression, and transmitter collection.
 func (l *bitLane) stepActive(v, round int) {
 	s := l.s
-	bs := s.bits
+	bs := &s.bits
 	wi, mask := v>>6, uint64(1)<<(uint(v)&63)
 	var a Action
 	if wk := s.wakers[v]; wk != nil {
@@ -320,9 +352,11 @@ func (l *bitLane) stepActive(v, round int) {
 	}
 }
 
-// stepNodeBit is stepNode reading the word-packed channel state.
+// stepNodeBit invokes one protocol step with what v heard last round.
+// The received-message pointer aliases the Sim's buffer; Protocol
+// implementations must not retain it beyond the call (see Protocol).
 func (s *Sim) stepNodeBit(v int) Action {
-	bs := s.bits
+	bs := &s.bits
 	wi, mask := v>>6, uint64(1)<<(uint(v)&63)
 	var rcv *Message
 	if bs.setsW[s.cur][wi]&mask != 0 {
@@ -338,7 +372,7 @@ func (s *Sim) stepNodeBit(v int) Action {
 // writing deliveries into the nx half; it returns the transmission count.
 func (l *bitLane) resolve(round, nx int) int {
 	s := l.s
-	bs := s.bits
+	bs := &s.bits
 	for _, wi := range bs.dirty[nx] {
 		bs.setsW[nx][wi] = 0
 		bs.busyW[nx][wi] = 0
@@ -406,7 +440,7 @@ func (l *bitLane) resolve(round, nx int) int {
 // findSender returns the unique effective transmitter adjacent to v —
 // only single-reception listeners pay this slab scan.
 func (l *bitLane) findSender(v int) int {
-	bs := l.s.bits
+	bs := &l.s.bits
 	words, masks := l.bcsr.Slabs(v)
 	for k, wi := range words {
 		x := bs.txW[wi] & masks[k]
@@ -420,7 +454,7 @@ func (l *bitLane) findSender(v int) int {
 	panic("radio: single-transmitter word with no sender")
 }
 
-// packEffects folds a scalar effects vector into the effect words — the
+// packEffects folds a per-node effects vector into the effect words — the
 // fallback for fault models without the WordModel fast path.
 func (bs *bitState) packEffects(effects []faults.Effect) {
 	for v, e := range effects {

@@ -34,11 +34,6 @@ type Options struct {
 	// holds (e.g. the source's ack was delivered).
 	Stop func(round int) bool
 
-	// Workers selects the engine: ≤ 1 runs the sequential engine, > 1 runs
-	// the node-partitioned parallel engine with that many goroutines, and
-	// < 0 uses GOMAXPROCS workers. Results are identical in all modes.
-	Workers int
-
 	// Trace, when non-nil, records every round's transmissions and
 	// deliveries (used for Figure 1 rendering and debugging).
 	Trace *Trace
@@ -58,18 +53,11 @@ type Options struct {
 	// pool. See Sim.
 	Sim *Sim
 
-	// DisableSparse forces the dense reference engine: every node is
-	// stepped every round and the channel is resolved listener by
-	// listener, ignoring any Waker implementations. Results are
-	// bit-identical either way; this knob exists for differential tests
-	// and benchmarking the sparse-wakeup fast path.
-	DisableSparse bool
-
-	// DisableBitset forces the scalar sequential engine where the bitset
-	// engine would otherwise run (sequential sparse runs without a
-	// Trace). Results are bit-identical either way; the knob exists for
-	// differential tests and for measuring what the bitset core buys.
-	DisableBitset bool
+	// Engine, when non-nil, executes the run in place of the package's
+	// engine: Run and RunBatch hand the run to it unchanged. It is the
+	// per-run test seam through which differential tests substitute the
+	// reference engine of internal/radio/radiotest.
+	Engine func(g *graph.Graph, protos []Protocol, opt Options) *Result
 }
 
 // Reception records one successful message delivery.
@@ -149,36 +137,13 @@ var simPool = sync.Pool{New: func() any { return new(Sim) }}
 // Run borrows a reusable Sim from an internal pool unless opt.Sim is set;
 // the returned Result is always detached and stays valid indefinitely.
 func Run(g *graph.Graph, protos []Protocol, opt Options) *Result {
+	if opt.Engine != nil {
+		return opt.Engine(g, protos, opt)
+	}
 	if opt.Sim != nil {
 		return opt.Sim.Run(g, protos, opt)
 	}
 	s := simPool.Get().(*Sim)
 	defer simPool.Put(s)
 	return s.Run(g, protos, opt)
-}
-
-// parallelRange splits [0, n) into contiguous chunks and runs f on each.
-func parallelRange(n, workers int, f func(lo, hi int)) {
-	parallelRangeIdx(n, workers, func(_, lo, hi int) { f(lo, hi) })
-}
-
-func parallelRangeIdx(n, workers int, f func(worker, lo, hi int)) {
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			f(w, lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
 }

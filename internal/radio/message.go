@@ -4,7 +4,7 @@
 // round. There is no collision detection: silence and collision are
 // indistinguishable to the listener. The package provides the message
 // format with bit-size accounting, the deterministic per-node Protocol
-// interface, a sequential engine and an equivalent parallel engine, and
+// interface, the engine (a word-parallel bitset core, see bitsim.go), and
 // trace capture used to reproduce the paper's Figure 1.
 package radio
 

@@ -1,0 +1,171 @@
+// Package radiotest is the reference engine the radio package's engine
+// is differentially tested against. It implements the model of the
+// paper (§1.1) in the most direct way there is: every round, every node
+// is stepped, and each listener scans its neighbours to learn whether
+// exactly one of them transmitted. It ignores Waker hints, keeps no
+// bitsets and no per-run buffers, and shares only types with radio, so
+// a defect in the engine's fast paths cannot hide behind the same
+// defect here.
+//
+// Run has the signature of radio.Options.Engine: tests install it
+// there (or through the facade's test-only engine option) to run a
+// whole scheme on the reference engine.
+package radiotest
+
+import (
+	"fmt"
+
+	"radiobcast/internal/faults"
+	"radiobcast/internal/graph"
+	"radiobcast/internal/radio"
+)
+
+// Run executes the protocols on g round by round and returns what the
+// radio package's Run returns for the same inputs: the same Result, the
+// same Trace, the same fault-model calls. opt.Sim and opt.Engine are
+// ignored.
+func Run(g *graph.Graph, protos []radio.Protocol, opt radio.Options) *radio.Result {
+	n := g.N()
+	if len(protos) != n {
+		panic(fmt.Sprintf("radiotest: %d protocols for %d nodes", len(protos), n))
+	}
+	if opt.MaxRounds <= 0 {
+		panic("radiotest: Options.MaxRounds must be positive")
+	}
+	csr := g.Freeze()
+	res := &radio.Result{
+		Transmits:  make([][]int, n),
+		Receives:   make([][]radio.Reception, n),
+		Collisions: make([]int, n),
+	}
+
+	// heard[v]/msg[v]: v received msg[v] last round; busy[v]: at least
+	// one neighbour's transmission reached v last round.
+	heard := make([]bool, n)
+	busy := make([]bool, n)
+	msg := make([]radio.Message, n)
+	actions := make([]radio.Action, n)
+
+	fm := opt.Faults
+	var effects []faults.Effect
+	var informed []bool
+	var topo faults.TopologyModel
+	if fm != nil {
+		fm.Reset(n)
+		effects = make([]faults.Effect, n)
+		informed = make([]bool, n)
+		topo, _ = fm.(faults.TopologyModel)
+	}
+
+	silent := 0
+	for round := 1; round <= opt.MaxRounds; round++ {
+		if opt.Ctx != nil && opt.Ctx.Err() != nil {
+			res.Interrupted = true
+			break
+		}
+		var st faults.State
+		if fm != nil {
+			if topo != nil {
+				if t := topo.Topology(round); t != nil {
+					csr = t
+				}
+			}
+			clear(effects)
+			st = faults.State{Round: round, CSR: csr, Heard: informed}
+			fm.Apply(&st, effects)
+			for v, e := range effects {
+				if e&faults.Wipe != 0 {
+					heard[v], busy[v] = false, false
+				}
+			}
+		}
+
+		// Every node steps, in node order, on what it heard last round.
+		tx := []int32{}
+		for v, p := range protos {
+			var rcv *radio.Message
+			if heard[v] {
+				m := msg[v]
+				rcv = &m
+			}
+			var a radio.Action
+			if np, ok := p.(radio.NoiseProtocol); ok {
+				a = np.StepNoise(rcv, busy[v])
+			} else {
+				a = p.Step(rcv)
+			}
+			if fm != nil && effects[v]&faults.Down != 0 {
+				a = radio.Listen // radio off: the clock ran, nothing is sent
+			}
+			actions[v] = a
+			if a.Transmit {
+				tx = append(tx, int32(v))
+			}
+		}
+		if fm != nil {
+			st.Transmitters = tx
+			fm.Apply(&st, effects)
+		}
+
+		// A listener whose radio is on hears a message iff exactly one
+		// neighbour's transmission reached the channel (was not jammed).
+		tr := radio.TraceRound{Round: round}
+		for _, v := range tx {
+			res.Transmits[v] = append(res.Transmits[v], round)
+			m := actions[v].Msg
+			res.MaxMessageBits = max(res.MaxMessageBits, m.BitLen())
+			tr.Transmitters = append(tr.Transmitters, radio.TraceTx{Node: int(v), Msg: m})
+		}
+		for v := 0; v < n; v++ {
+			heard[v], busy[v] = false, false
+			if actions[v].Transmit || (fm != nil && effects[v]&faults.Down != 0) {
+				continue
+			}
+			count, sender := 0, -1
+			for _, w := range csr.Neighbors(v) {
+				if actions[w].Transmit && (fm == nil || effects[w]&faults.Jam == 0) {
+					count++
+					sender = int(w)
+				}
+			}
+			busy[v] = count > 0
+			switch {
+			case count == 1:
+				heard[v], msg[v] = true, actions[sender].Msg
+				res.Receives[v] = append(res.Receives[v], radio.Reception{Round: round, Msg: msg[v]})
+				tr.Deliveries = append(tr.Deliveries, radio.TraceRx{Node: v, Msg: msg[v]})
+			case count > 1:
+				res.Collisions[v]++
+			}
+		}
+		if fm != nil {
+			for v := range heard {
+				if heard[v] || actions[v].Transmit {
+					informed[v] = true
+				}
+			}
+		}
+		if opt.Trace != nil && (len(tr.Transmitters) > 0 || len(tr.Deliveries) > 0) {
+			opt.Trace.Rounds = append(opt.Trace.Rounds, tr)
+		}
+
+		res.Rounds = round
+		res.TotalTransmissions += len(tx)
+		if len(tx) == 0 {
+			silent++
+		} else {
+			silent = 0
+		}
+		if round == opt.MaxRounds {
+			break // the bound ends the run; no stop condition is consulted
+		}
+		if opt.Stop != nil && opt.Stop(round) {
+			break
+		}
+		if opt.StopAfterSilent > 0 && silent >= opt.StopAfterSilent {
+			res.SilentStopped = true
+			break
+		}
+	}
+	return res
+}

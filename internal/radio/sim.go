@@ -1,9 +1,6 @@
 package radio
 
 import (
-	"fmt"
-	"runtime"
-
 	"radiobcast/internal/faults"
 	"radiobcast/internal/graph"
 )
@@ -17,9 +14,11 @@ import (
 // and in every round ≥ the round most recently returned by NextWake. It
 // may skip Step in any other round; before the next real Step it reports
 // the number of skipped rounds through Skip, so the protocol's internal
-// round counter stays in sync. A skipped round is externally identical to
-// a Step that returned Listen — the sparse and dense engines produce
-// bit-identical Results (pinned by TestSparseMatchesDense and the facade
+// round counter stays in sync. A skipped round must be externally
+// identical to a Step that returned Listen: the engine's Results are
+// then bit-identical to those of the reference engine in
+// internal/radio/radiotest, which steps every node every round and
+// ignores Waker (pinned by FuzzEngineMatchesOracle and the facade
 // matrix tests).
 type Waker interface {
 	// NextWake returns the absolute 1-based round number of the next round
@@ -43,12 +42,12 @@ type Waker interface {
 const NeverWake = 0
 
 // Sim is a reusable simulation engine. It owns every per-run buffer —
-// heard/busy channel state, the per-round action and fault vectors, and
-// the flat transmit/receive accumulators — and resizes rather than
-// reallocates them between runs, so driving many runs through one Sim
-// (the label-once/run-many regime of the paper and the Sweep workloads)
-// does only a constant number of small allocations per run regardless of
-// graph size.
+// the word-packed channel state of the bitset core (see bitsim.go), the
+// per-round action and fault vectors, and the flat transmit/receive
+// accumulators — and resizes rather than reallocates them between runs,
+// so driving many runs through one Sim (the label-once/run-many regime
+// of the paper and the Sweep workloads) does only a constant number of
+// small allocations per run regardless of graph size.
 //
 // A Sim may be used for any sequence of runs over graphs of any sizes,
 // but a single Sim must not run concurrently with itself. The zero value
@@ -63,32 +62,22 @@ type Sim struct {
 	wakers []Waker
 
 	actions []Action
-	dropped []bool
 
-	// Double-buffered channel state: what each node heard in the previous
-	// round (msgs entry valid iff sets entry) and whether ≥ 1 neighbour
-	// transmitted (busys, for collision-detection protocols).
-	msgs    [2][]Message
-	sets    [2][]bool
-	busys   [2][]bool
-	touched [2][]int32 // entries dirtied in each half, for sparse clearing
+	// Double-buffered deliveries: msgs[cur][v] is what v heard in the
+	// previous round, valid iff v's bit is set in bits.setsW[cur].
+	msgs [2][]Message
 
-	// Sparse-wakeup state.
 	nextWake []int
-	skipped  []int
-	txList   []int32
+	txList   []int32 // this round's transmitters, ascending
 
-	// Push-resolution scratch.
-	deliverCnt []int32 // zeroed outside resolvePush/materialize
-	scatter    []int32
-
+	cnt        []int32 // per-node tally scratch of materialize, zero between uses
 	collisions []int
-	counts     []int // per-worker transmission tallies (parallel engine)
 
 	// Fault-injection state, live only when Options.Faults is set: the
-	// per-round effect vector written by the model and the monotone
-	// informed-set view it may consult (Heard in faults.State). The clean
-	// path never touches these beyond the s.faulted flag checks.
+	// per-round effect vector written by models without the WordModel
+	// fast path and the monotone informed-set view models may consult
+	// (Heard in faults.State). The clean path never touches these beyond
+	// the s.faulted flag checks.
 	faulted bool
 	effects []faults.Effect
 	heard   []bool
@@ -101,10 +90,7 @@ type Sim struct {
 
 	maxBits int
 
-	// bits holds the word-packed state of the bitset engine core, built
-	// lazily on the first bitset-eligible run and reused like every other
-	// buffer (see bitsim.go). Scalar and parallel runs never touch it.
-	bits *bitState
+	bits bitState
 }
 
 // NewSim returns an empty Sim ready for its first Run.
@@ -121,7 +107,7 @@ func grow[T any](buf []T, n int) []T {
 	return buf
 }
 
-func (s *Sim) reset(n, workers int, protos []Protocol) {
+func (s *Sim) reset(n int, protos []Protocol) {
 	s.n = n
 	s.cur = 0
 	s.protos = protos
@@ -136,26 +122,13 @@ func (s *Sim) reset(n, workers int, protos []Protocol) {
 		}
 	}
 	s.actions = grow(s.actions, n)
-	s.dropped = grow(s.dropped, n)
 	for i := 0; i < 2; i++ {
 		s.msgs[i] = grow(s.msgs[i], n)
-		s.sets[i] = grow(s.sets[i], n)
-		s.busys[i] = grow(s.busys[i], n)
-		s.touched[i] = s.touched[i][:0]
 	}
 	s.nextWake = grow(s.nextWake, n)
-	for v := range s.nextWake {
-		s.nextWake[v] = 1 // every node is stepped in round 1
-	}
-	s.skipped = grow(s.skipped, n)
 	s.txList = s.txList[:0]
-	s.deliverCnt = grow(s.deliverCnt, n)
-	s.scatter = s.scatter[:0]
+	s.cnt = grow(s.cnt, n)
 	s.collisions = grow(s.collisions, n)
-	if workers < 1 {
-		workers = 1
-	}
-	s.counts = grow(s.counts, workers)
 	s.txNodes = s.txNodes[:0]
 	s.txRounds = s.txRounds[:0]
 	s.rxNodes = s.rxNodes[:0]
@@ -167,215 +140,12 @@ func (s *Sim) reset(n, workers int, protos []Protocol) {
 // package level for the semantics; this is the same engine with explicit
 // buffer ownership).
 func (s *Sim) Run(g *graph.Graph, protos []Protocol, opt Options) *Result {
-	n, workers, csr := s.prepareRun(g, protos, opt)
-
-	fm := opt.Faults
-	topo, fst := s.setupFaults(fm, n)
-
-	sparse := !opt.DisableSparse
-	push := sparse && workers <= 1 // push-based channel resolution
-
-	// Sequential sparse runs without a Trace go through the bitset core
-	// (bit-identical, word-parallel; see bitsim.go). Tracing needs the
-	// per-round action vector the bitset core does not maintain for
-	// skipped nodes, and mid-run topology swaps would invalidate the slab
-	// cache, so both fall back to the scalar loop below.
-	if push && opt.Trace == nil && !opt.DisableBitset && topo == nil {
-		var lane bitLane
-		lane.init(s, csr, opt, fm, fst)
-		for !lane.done {
-			lane.runRound(lane.rounds + 1)
-		}
-		return lane.finish()
+	var lane bitLane
+	lane.init(s, g, protos, opt)
+	for !lane.done {
+		lane.runRound(lane.rounds + 1)
 	}
-
-	silent := 0
-	rounds := 0
-	total := 0
-	silentStopped := false
-	interrupted := false
-	for round := 1; round <= opt.MaxRounds; round++ {
-		// Cancellation is checked between rounds: a cancelled run stops
-		// before the next round and materializes the prefix executed so
-		// far, so callers get partial results promptly (bounded by one
-		// round) instead of waiting out MaxRounds.
-		if opt.Ctx != nil && opt.Ctx.Err() != nil {
-			interrupted = true
-			break
-		}
-		nx := 1 - s.cur
-
-		rxMark := len(s.rxNodes)
-		if s.faulted {
-			// Pre-step fault phase: swap in a churned topology, then let the
-			// model set this round's Down/Wipe bits before any protocol
-			// observes its pending reception.
-			if topo != nil {
-				if t := topo.Topology(round); t != nil {
-					csr = t
-				}
-			}
-			clear(s.effects)
-			*fst = faults.State{Round: round, CSR: csr, Heard: s.heard}
-			fm.Apply(fst, s.effects)
-			for v := 0; v < n; v++ {
-				if s.effects[v]&faults.Wipe != 0 {
-					s.sets[s.cur][v] = false
-					s.busys[s.cur][v] = false
-				}
-			}
-		}
-
-		// Phase 1: every node decides based on history through round−1.
-		if push {
-			s.txList = s.txList[:0]
-		}
-		if workers > 1 {
-			parallelRange(n, workers, func(lo, hi int) {
-				s.decide(round, sparse, push, lo, hi)
-			})
-		} else {
-			s.decide(round, sparse, push, 0, n)
-		}
-
-		if s.faulted {
-			// Post-decision fault phase: hand the model the round's
-			// transmitter list so transmission-level effects (Jam) can
-			// target it. Outside push mode the list is collected here —
-			// sequentially, in node order, matching push mode's ordering.
-			if !push {
-				s.txList = s.txList[:0]
-				for v := 0; v < n; v++ {
-					if s.actions[v].Transmit {
-						s.txList = append(s.txList, int32(v))
-					}
-				}
-			}
-			fst.Transmitters = s.txList
-			fm.Apply(fst, s.effects)
-		}
-
-		// Phase 2+3: resolve the channel at each listener and log events.
-		var transmitted int
-		if push {
-			transmitted = s.resolvePush(csr, round)
-		} else {
-			if s.faulted {
-				for v := 0; v < n; v++ {
-					s.dropped[v] = s.actions[v].Transmit && s.effects[v]&faults.Jam != 0
-				}
-			}
-			if workers > 1 {
-				// Capture a per-round copy: csr itself is reassigned by the
-				// churn swap, and a closure over a reassigned variable would
-				// force it into a heap cell on every run, clean or faulted.
-				rcsr := csr
-				parallelRangeIdx(n, workers, func(w, lo, hi int) {
-					c := 0
-					for v := lo; v < hi; v++ {
-						c += s.resolvePull(rcsr, v)
-					}
-					s.counts[w] = c
-				})
-				for w := 0; w < workers; w++ {
-					transmitted += s.counts[w]
-				}
-			} else {
-				for v := 0; v < n; v++ {
-					transmitted += s.resolvePull(csr, v)
-				}
-			}
-			// Bookkeeping is kept out of the parallel section so results
-			// are bit-identical across engine modes.
-			for v := 0; v < n; v++ {
-				if s.actions[v].Transmit {
-					s.logTransmit(int32(v), round)
-				}
-				if s.sets[nx][v] {
-					s.rxNodes = append(s.rxNodes, int32(v))
-					s.rxRecs = append(s.rxRecs, Reception{Round: round, Msg: s.msgs[nx][v]})
-				}
-			}
-		}
-		if s.faulted {
-			// Fold the round's deliveries and transmissions into the
-			// informed-set view the models consult next round. (A node that
-			// transmitted is informed even if it never received — the
-			// source.)
-			for _, w := range s.rxNodes[rxMark:] {
-				s.heard[w] = true
-			}
-			for _, t := range s.txList {
-				s.heard[t] = true
-			}
-		}
-		total += transmitted
-		if opt.Trace != nil {
-			opt.Trace.record(round, s.actions, s.msgs[nx], s.sets[nx])
-		}
-
-		s.cur = nx
-		rounds = round
-		if transmitted == 0 {
-			silent++
-		} else {
-			silent = 0
-		}
-		if opt.Stop != nil && opt.Stop(round) {
-			break
-		}
-		if opt.StopAfterSilent > 0 && silent >= opt.StopAfterSilent {
-			silentStopped = true
-			break
-		}
-	}
-	res := s.materialize(rounds, total, silentStopped)
-	res.Interrupted = interrupted
-	s.release()
-	return res
-}
-
-// prepareRun validates a (graph, protocols, options) triple, sizes the
-// engine buffers, and freezes the graph — the shared prologue of Run and
-// of each lockstep lane set up by RunBatch.
-func (s *Sim) prepareRun(g *graph.Graph, protos []Protocol, opt Options) (n, workers int, csr *graph.CSR) {
-	n = g.N()
-	if len(protos) != n {
-		panic(fmt.Sprintf("radio: %d protocols for %d nodes", len(protos), n))
-	}
-	if opt.MaxRounds <= 0 {
-		panic("radio: Options.MaxRounds must be positive")
-	}
-	workers = opt.Workers
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	csr = g.Freeze()
-	s.reset(n, workers, protos)
-	return n, workers, csr
-}
-
-// setupFaults primes the per-run fault-injection state and returns the
-// model's optional topology extension plus the reusable State snapshot
-// (nil, nil on clean runs — fst escapes through the Apply interface
-// calls, so it is allocated only when a model is installed and the clean
-// path stays allocation-free).
-func (s *Sim) setupFaults(fm faults.Model, n int) (faults.TopologyModel, *faults.State) {
-	s.faulted = fm != nil
-	if !s.faulted {
-		return nil, nil
-	}
-	s.effects = grow(s.effects, n)
-	s.heard = grow(s.heard, n)
-	if s.txList == nil {
-		s.txList = []int32{} // keep non-nil: nil signals the pre-step phase
-	}
-	fm.Reset(n)
-	topo, _ := fm.(faults.TopologyModel)
-	return topo, &faults.State{}
+	return lane.finish()
 }
 
 // release drops every reference the buffers hold into caller objects
@@ -394,153 +164,12 @@ func (s *Sim) release() {
 	clear(s.rxRecs)
 }
 
-// decide runs Phase 1 for nodes [lo, hi): skip provably idle Waker nodes
-// (sparse mode), step everyone else. collectTx additionally gathers the
-// round's transmitters for push-based resolution.
-func (s *Sim) decide(round int, sparse, collectTx bool, lo, hi int) {
-	for v := lo; v < hi; v++ {
-		if w := s.wakers[v]; sparse && w != nil {
-			heardSomething := s.sets[s.cur][v] || (s.noise[v] != nil && s.busys[s.cur][v])
-			if !heardSomething && (s.nextWake[v] == NeverWake || round < s.nextWake[v]) {
-				if s.actions[v].Transmit {
-					s.actions[v] = Listen
-				}
-				s.skipped[v]++
-				continue
-			}
-			if s.skipped[v] > 0 {
-				w.Skip(s.skipped[v])
-				s.skipped[v] = 0
-			}
-			s.actions[v] = s.stepNode(v)
-			s.nextWake[v] = w.NextWake()
-		} else {
-			s.actions[v] = s.stepNode(v)
-		}
-		if s.faulted && s.effects[v]&faults.Down != 0 && s.actions[v].Transmit {
-			// Radio off: the protocol stepped (its clock runs) and believes
-			// it transmitted, but nothing reaches the channel.
-			s.actions[v] = Listen
-		}
-		if collectTx && s.actions[v].Transmit {
-			s.txList = append(s.txList, int32(v))
-		}
-	}
-}
-
-// stepNode invokes one protocol step. The received-message pointer aliases
-// the Sim's buffer; Protocol implementations must not retain it beyond the
-// call (see Protocol).
-func (s *Sim) stepNode(v int) Action {
-	var rcv *Message
-	if s.sets[s.cur][v] {
-		rcv = &s.msgs[s.cur][v]
-	}
-	if np := s.noise[v]; np != nil {
-		return np.StepNoise(rcv, s.busys[s.cur][v])
-	}
-	return s.protos[v].Step(rcv)
-}
-
 func (s *Sim) logTransmit(v int32, round int) {
 	s.txNodes = append(s.txNodes, v)
 	s.txRounds = append(s.txRounds, int32(round))
 	if b := s.actions[v].Msg.BitLen(); b > s.maxBits {
 		s.maxBits = b
 	}
-}
-
-// resolvePush computes deliveries by scattering from this round's
-// transmitters to their neighbourhoods: O(Σ deg(transmitter)) instead of
-// O(Σ deg(listener)) per round, the complement of the sparse-wakeup
-// stepping skip. Semantics are identical to resolvePull.
-func (s *Sim) resolvePush(csr *graph.CSR, round int) int {
-	nx := 1 - s.cur
-	// Clear only the entries dirtied when this buffer half was last written.
-	for _, w := range s.touched[nx] {
-		s.msgs[nx][w] = Message{}
-		s.sets[nx][w] = false
-		s.busys[nx][w] = false
-	}
-	s.touched[nx] = s.touched[nx][:0]
-
-	for _, t32 := range s.txList {
-		t := int(t32)
-		s.logTransmit(t32, round)
-		if s.faulted && s.effects[t]&faults.Jam != 0 {
-			continue // jammed: v believes it transmitted, nobody hears it
-		}
-		for _, w := range csr.Neighbors(t) {
-			if s.deliverCnt[w] == 0 {
-				s.scatter = append(s.scatter, w)
-				s.msgs[nx][w] = s.actions[t].Msg
-			}
-			s.deliverCnt[w]++
-		}
-	}
-	for _, w32 := range s.scatter {
-		w := int(w32)
-		cnt := s.deliverCnt[w]
-		s.deliverCnt[w] = 0
-		s.touched[nx] = append(s.touched[nx], w32)
-		if s.actions[w].Transmit {
-			continue // a transmitter hears nothing and detects no noise
-		}
-		if s.faulted && s.effects[w]&faults.Down != 0 {
-			continue // radio off: hears neither the message nor the noise
-		}
-		s.busys[nx][w] = true
-		if cnt == 1 {
-			s.sets[nx][w] = true
-			s.rxNodes = append(s.rxNodes, w32)
-			s.rxRecs = append(s.rxRecs, Reception{Round: round, Msg: s.msgs[nx][w]})
-		} else {
-			s.collisions[w]++
-		}
-	}
-	s.scatter = s.scatter[:0]
-	return len(s.txList)
-}
-
-// resolvePull computes what node v hears this round by scanning v's
-// neighbourhood, and returns 1 if v transmitted (for the transmission
-// count). Used by the parallel engine (listener-partitioned) and the
-// dense reference mode.
-func (s *Sim) resolvePull(csr *graph.CSR, v int) int {
-	nx := 1 - s.cur
-	if s.actions[v].Transmit {
-		s.sets[nx][v] = false
-		s.busys[nx][v] = false
-		return 1
-	}
-	if s.faulted && s.effects[v]&faults.Down != 0 {
-		s.sets[nx][v] = false
-		s.busys[nx][v] = false
-		return 0
-	}
-	count := 0
-	var sender int32 = -1
-	for _, w := range csr.Neighbors(v) {
-		if s.actions[w].Transmit && !s.dropped[w] {
-			count++
-			if count > 1 {
-				break
-			}
-			sender = w
-		}
-	}
-	s.busys[nx][v] = count >= 1
-	switch {
-	case count == 1:
-		s.msgs[nx][v] = s.actions[sender].Msg
-		s.sets[nx][v] = true
-	case count > 1:
-		s.collisions[v]++ // safe in parallel mode: each v has one resolver
-		s.sets[nx][v] = false
-	default:
-		s.sets[nx][v] = false
-	}
-	return 0
 }
 
 // materialize builds the caller-owned Result from the flat event logs:
@@ -559,7 +188,7 @@ func (s *Sim) materialize(rounds, total int, silentStopped bool) *Result {
 	}
 	copy(res.Collisions, s.collisions)
 
-	cnt := s.deliverCnt // zeroed scratch between rounds, reused here
+	cnt := s.cnt
 	for _, v := range s.txNodes {
 		cnt[v]++
 	}

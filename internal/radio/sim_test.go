@@ -1,36 +1,42 @@
-package radio
+// The engine's differential tests: every run is compared with the
+// reference engine of radiotest. They live in the external test package
+// because radiotest imports radio.
+package radio_test
 
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"radiobcast/internal/faults"
 	"radiobcast/internal/graph"
+	"radiobcast/internal/radio"
+	"radiobcast/internal/radio/radiotest"
 )
 
 // echo is a reactive test protocol: it retransmits whatever it hears,
-// delay rounds after hearing it. It does not implement Waker, so sparse
-// runs must still step it whenever it can act.
+// delay rounds after hearing it. It does not implement Waker, so the
+// engine must step it whenever it can act.
 type echo struct {
 	round   int
 	sendAt  int
-	pending Message
+	pending radio.Message
 }
 
-func (e *echo) Step(rcv *Message) Action {
+func (e *echo) Step(rcv *radio.Message) radio.Action {
 	e.round++
 	if rcv != nil {
 		e.pending = *rcv
 		e.sendAt = e.round + e.delayOf(rcv)
 	}
 	if e.sendAt == e.round {
-		return Send(e.pending)
+		return radio.Send(e.pending)
 	}
-	return Listen
+	return radio.Listen
 }
 
-func (e *echo) delayOf(m *Message) int { return 1 + len(m.Payload)%3 }
+func (e *echo) delayOf(m *radio.Message) int { return 1 + len(m.Payload)%3 }
 
 // wakingEcho is echo with the sparse-wakeup contract.
 type wakingEcho struct{ echo }
@@ -39,25 +45,62 @@ func (e *wakingEcho) NextWake() int {
 	if e.sendAt > e.round {
 		return e.sendAt
 	}
-	return NeverWake
+	return radio.NeverWake
 }
 
 func (e *wakingEcho) Skip(rounds int) { e.round += rounds }
 
+// noiseEcho is a collision-detection protocol with the sparse-wakeup
+// contract: it relays a message it hears one round later, and answers
+// noise it could not decode with a stay message two rounds later, so the
+// busy flag feeds back into the traffic.
+type noiseEcho struct {
+	round   int
+	sendAt  int
+	pending radio.Message
+}
+
+func (e *noiseEcho) Step(*radio.Message) radio.Action {
+	panic("engine must use StepNoise for NoiseProtocol implementations")
+}
+
+func (e *noiseEcho) StepNoise(rcv *radio.Message, busy bool) radio.Action {
+	e.round++
+	switch {
+	case rcv != nil:
+		e.pending, e.sendAt = *rcv, e.round+1
+	case busy && e.sendAt <= e.round:
+		e.pending, e.sendAt = radio.Message{Kind: radio.KindStay}, e.round+2
+	}
+	if e.sendAt == e.round {
+		return radio.Send(e.pending)
+	}
+	return radio.Listen
+}
+
+func (e *noiseEcho) NextWake() int {
+	if e.sendAt > e.round {
+		return e.sendAt
+	}
+	return radio.NeverWake
+}
+
+func (e *noiseEcho) Skip(rounds int) { e.round += rounds }
+
 // randomProtocols builds a mixed population over n nodes: scripted
 // transmitters (Waker), waking echoes (Waker) and plain echoes (stepped
-// densely even in sparse mode), deterministically from seed.
-func randomProtocols(n int, seed int64) []Protocol {
+// every round), deterministically from seed.
+func randomProtocols(n int, seed int64) []radio.Protocol {
 	r := rand.New(rand.NewSource(seed))
-	ps := make([]Protocol, n)
+	ps := make([]radio.Protocol, n)
 	for v := range ps {
 		switch r.Intn(3) {
 		case 0:
-			sched := map[int]Message{}
+			sched := map[int]radio.Message{}
 			for k := r.Intn(4); k > 0; k-- {
-				sched[1+r.Intn(30)] = Message{Kind: KindData, Payload: fmt.Sprintf("p%d", r.Intn(8))}
+				sched[1+r.Intn(30)] = radio.Message{Kind: radio.KindData, Payload: fmt.Sprintf("p%d", r.Intn(8))}
 			}
-			ps[v] = &Scripted{Schedule: sched}
+			ps[v] = &radio.Scripted{Schedule: sched}
 		case 1:
 			ps[v] = &wakingEcho{}
 		default:
@@ -77,43 +120,45 @@ func testGraphs(t testing.TB) map[string]*graph.Graph {
 	}
 }
 
-// TestSparseMatchesDense pins the sparse-wakeup contract: every engine
-// mode (sparse push, sparse parallel pull, dense sequential, dense
-// parallel) produces bit-identical Results on mixed Waker/non-Waker
-// protocol populations.
+// sameRun reports whether two runs are indistinguishable: deep-equal
+// Results (including which nodes have nil event logs) and Traces.
+func sameRun(a, b *radio.Result, ta, tb *radio.Trace) bool {
+	return reflect.DeepEqual(a, b) && reflect.DeepEqual(ta, tb)
+}
+
+// TestSparseMatchesDense pins the sparse-wakeup contract: the engine,
+// which skips sleeping Wakers, produces Results bit-identical to the
+// reference engine, which steps every node every round, on mixed
+// Waker/non-Waker protocol populations — and so does a traced run, whose
+// Trace must match the reference engine's too.
 func TestSparseMatchesDense(t *testing.T) {
 	for name, g := range testGraphs(t) {
 		for seed := int64(1); seed <= 4; seed++ {
-			opt := Options{MaxRounds: 60}
-			ref := Run(g, randomProtocols(g.N(), seed), Options{MaxRounds: 60, DisableSparse: true})
-			modes := []struct {
-				mode string
-				opt  Options
-			}{
-				{"sparse-seq", opt},
-				{"sparse-par", Options{MaxRounds: 60, Workers: 4}},
-				{"dense-par", Options{MaxRounds: 60, Workers: 4, DisableSparse: true}},
+			want := radiotest.Run(g, randomProtocols(g.N(), seed), radio.Options{MaxRounds: 60})
+			got := radio.Run(g, randomProtocols(g.N(), seed), radio.Options{MaxRounds: 60})
+			if !sameRun(want, got, nil, nil) {
+				t.Fatalf("%s seed=%d: engine diverged from the reference engine", name, seed)
 			}
-			for _, m := range modes {
-				got := Run(g, randomProtocols(g.N(), seed), m.opt)
-				if !resultsEqual(ref, got) {
-					t.Fatalf("%s seed=%d: %s diverged from dense reference", name, seed, m.mode)
-				}
+			wantTr, gotTr := &radio.Trace{}, &radio.Trace{}
+			radiotest.Run(g, randomProtocols(g.N(), seed), radio.Options{MaxRounds: 60, Trace: wantTr})
+			radio.Run(g, randomProtocols(g.N(), seed), radio.Options{MaxRounds: 60, Trace: gotTr})
+			if !reflect.DeepEqual(wantTr, gotTr) {
+				t.Fatalf("%s seed=%d: engine trace diverged from the reference engine's", name, seed)
 			}
 		}
 	}
 }
 
 // TestSparseMatchesDenseWithFaults repeats the differential under fault
-// injection, which exercises the dropped-transmission paths of both
-// channel resolvers.
+// injection, which exercises the jammed-transmission paths of the
+// channel resolution.
 func TestSparseMatchesDenseWithFaults(t *testing.T) {
 	drop := func(node, round int) bool { return (node+round)%5 == 0 }
 	for name, g := range testGraphs(t) {
-		ref := Run(g, randomProtocols(g.N(), 3), Options{MaxRounds: 60, Faults: faults.DropFunc(drop), DisableSparse: true})
-		got := Run(g, randomProtocols(g.N(), 3), Options{MaxRounds: 60, Faults: faults.DropFunc(drop)})
-		if !resultsEqual(ref, got) {
-			t.Fatalf("%s: sparse diverged from dense under faults", name)
+		want := radiotest.Run(g, randomProtocols(g.N(), 3), radio.Options{MaxRounds: 60, Faults: faults.DropFunc(drop)})
+		got := radio.Run(g, randomProtocols(g.N(), 3), radio.Options{MaxRounds: 60, Faults: faults.DropFunc(drop)})
+		if !sameRun(want, got, nil, nil) {
+			t.Fatalf("%s: engine diverged from the reference engine under faults", name)
 		}
 	}
 }
@@ -122,7 +167,7 @@ func TestSparseMatchesDenseWithFaults(t *testing.T) {
 // that reuse changes nothing and that earlier Results stay intact
 // (materialize must detach them from the Sim's buffers).
 func TestSimReuse(t *testing.T) {
-	sim := NewSim()
+	sim := radio.NewSim()
 	type run struct {
 		g    *graph.Graph
 		seed int64
@@ -133,35 +178,35 @@ func TestSimReuse(t *testing.T) {
 		{graph.Star(6), 3},
 		{graph.Grid(5, 5), 1}, // repeat of the first
 	}
-	var kept []*Result
-	var fresh []*Result
+	var kept []*radio.Result
+	var fresh []*radio.Result
 	for _, r := range runs {
-		kept = append(kept, sim.Run(r.g, randomProtocols(r.g.N(), r.seed), Options{MaxRounds: 50}))
-		fresh = append(fresh, Run(r.g, randomProtocols(r.g.N(), r.seed), Options{MaxRounds: 50, DisableSparse: true}))
+		kept = append(kept, sim.Run(r.g, randomProtocols(r.g.N(), r.seed), radio.Options{MaxRounds: 50}))
+		fresh = append(fresh, radiotest.Run(r.g, randomProtocols(r.g.N(), r.seed), radio.Options{MaxRounds: 50}))
 	}
 	for i := range runs {
-		if !resultsEqual(kept[i], fresh[i]) {
-			t.Fatalf("run %d: reused Sim diverged from fresh dense run", i)
+		if !sameRun(kept[i], fresh[i], nil, nil) {
+			t.Fatalf("run %d: reused Sim diverged from the reference engine", i)
 		}
 	}
-	if !resultsEqual(kept[0], kept[3]) {
+	if !sameRun(kept[0], kept[3], nil, nil) {
 		t.Fatalf("identical runs through one Sim differ")
 	}
 }
 
-// TestWakerSkipAccounting checks that a protocol skipped by the sparse
-// engine observes exactly the same local round numbering as under the
-// dense engine: Scripted's own transmissions land in the scheduled rounds.
+// TestWakerSkipAccounting checks that a protocol skipped by the engine
+// observes exactly the round numbering of a protocol stepped every
+// round: Scripted's own transmissions land in the scheduled rounds.
 func TestWakerSkipAccounting(t *testing.T) {
 	g := graph.Path(3)
-	mk := func() []Protocol {
-		return []Protocol{
-			NewScripted(Message{Kind: KindData, Payload: "a"}, 5, 9, 23),
-			&Scripted{}, // silent
-			NewScripted(Message{Kind: KindData, Payload: "b"}, 14),
+	mk := func() []radio.Protocol {
+		return []radio.Protocol{
+			radio.NewScripted(radio.Message{Kind: radio.KindData, Payload: "a"}, 5, 9, 23),
+			&radio.Scripted{}, // silent
+			radio.NewScripted(radio.Message{Kind: radio.KindData, Payload: "b"}, 14),
 		}
 	}
-	res := Run(g, mk(), Options{MaxRounds: 30})
+	res := radio.Run(g, mk(), radio.Options{MaxRounds: 30})
 	if got, want := fmt.Sprint(res.Transmits[0]), "[5 9 23]"; got != want {
 		t.Fatalf("node 0 transmitted in %v, want %s", got, want)
 	}
@@ -177,12 +222,12 @@ func TestWakerSkipAccounting(t *testing.T) {
 // TestCompiledScriptMatchesMap pins the two Scripted population styles to
 // identical behaviour.
 func TestCompiledScriptMatchesMap(t *testing.T) {
-	msg := Message{Kind: KindData, Payload: "x"}
+	msg := radio.Message{Kind: radio.KindData, Payload: "x"}
 	g := graph.Path(2)
-	a := Run(g, []Protocol{NewScripted(msg, 2, 7, 7, 11), &Scripted{}}, Options{MaxRounds: 15})
-	compiled := CompiledScript([]int{2, 7, 11}, []Message{msg, msg, msg})
-	b := Run(g, []Protocol{&compiled, &Scripted{}}, Options{MaxRounds: 15})
-	if !resultsEqual(a, b) {
+	a := radio.Run(g, []radio.Protocol{radio.NewScripted(msg, 2, 7, 7, 11), &radio.Scripted{}}, radio.Options{MaxRounds: 15})
+	compiled := radio.CompiledScript([]int{2, 7, 11}, []radio.Message{msg, msg, msg})
+	b := radio.Run(g, []radio.Protocol{&compiled, &radio.Scripted{}}, radio.Options{MaxRounds: 15})
+	if !sameRun(a, b, nil, nil) {
 		t.Fatalf("compiled script diverged from map-driven script")
 	}
 }
@@ -191,18 +236,18 @@ func TestCompiledScriptMatchesMap(t *testing.T) {
 // 1-based round convention.
 func TestNoReceptionSentinel(t *testing.T) {
 	g := graph.Path(3)
-	res := Run(g, []Protocol{
-		NewScripted(Message{Kind: KindData, Payload: "x"}, 1),
-		&Scripted{}, &Scripted{},
-	}, Options{MaxRounds: 3})
-	if r := res.FirstReception(1, KindData); r != 1 {
+	res := radio.Run(g, []radio.Protocol{
+		radio.NewScripted(radio.Message{Kind: radio.KindData, Payload: "x"}, 1),
+		&radio.Scripted{}, &radio.Scripted{},
+	}, radio.Options{MaxRounds: 3})
+	if r := res.FirstReception(1, radio.KindData); r != 1 {
 		t.Fatalf("adjacent node first reception in round %d, want 1 (rounds are 1-based)", r)
 	}
-	if r := res.FirstReception(2, KindData); r != NoReception {
+	if r := res.FirstReception(2, radio.KindData); r != radio.NoReception {
 		t.Fatalf("unreached node first reception %d, want NoReception", r)
 	}
-	if NoReception != 0 {
-		t.Fatalf("NoReception must be 0 for backward compatibility, got %d", NoReception)
+	if radio.NoReception != 0 {
+		t.Fatalf("NoReception must be 0 for backward compatibility, got %d", radio.NoReception)
 	}
 }
 
@@ -212,27 +257,27 @@ func TestNoReceptionSentinel(t *testing.T) {
 func TestSimZeroSteadyStateAllocs(t *testing.T) {
 	g := graph.Grid(8, 8)
 	g.Freeze()
-	sim := NewSim()
-	protos := make([]Protocol, g.N())
-	scripts := make([]Scripted, g.N())
-	msg := Message{Kind: KindData, Payload: "m"}
+	sim := radio.NewSim()
+	protos := make([]radio.Protocol, g.N())
+	scripts := make([]radio.Scripted, g.N())
+	msg := radio.Message{Kind: radio.KindData, Payload: "m"}
 	rounds := make([]int, g.N())
-	msgs := make([]Message, g.N())
+	msgs := make([]radio.Message, g.N())
 	for v := range rounds {
 		rounds[v] = 1 + v%16
 		msgs[v] = msg
 	}
 	reset := func() {
 		for v := range protos {
-			scripts[v] = CompiledScript(rounds[v:v+1], msgs[v:v+1])
+			scripts[v] = radio.CompiledScript(rounds[v:v+1], msgs[v:v+1])
 			protos[v] = &scripts[v]
 		}
 	}
 	reset()
-	sim.Run(g, protos, Options{MaxRounds: 20}) // warm-up sizes every buffer
+	sim.Run(g, protos, radio.Options{MaxRounds: 20}) // warm-up sizes every buffer
 	allocs := testing.AllocsPerRun(20, func() {
 		reset()
-		sim.Run(g, protos, Options{MaxRounds: 20})
+		sim.Run(g, protos, radio.Options{MaxRounds: 20})
 	})
 	// materialize detaches the Result: 1 struct + 3 per-node views + 2
 	// backing arrays; everything else must be reused.

@@ -2,6 +2,7 @@ package radio
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -31,16 +32,18 @@ type TraceRx struct {
 	Msg  Message
 }
 
-func (t *Trace) record(round int, actions []Action, heardMsg []Message, heardSet []bool) {
+// record appends one round: its transmitters (tx, ascending, with the
+// messages in actions) and its deliveries in ascending node order, read
+// from the round's delivery words. Silent rounds are omitted.
+func (t *Trace) record(round int, tx []int32, actions []Action, delivered []uint64, msgs []Message) {
 	tr := TraceRound{Round: round}
-	for v, a := range actions {
-		if a.Transmit {
-			tr.Transmitters = append(tr.Transmitters, TraceTx{Node: v, Msg: a.Msg})
-		}
+	for _, v := range tx {
+		tr.Transmitters = append(tr.Transmitters, TraceTx{Node: int(v), Msg: actions[v].Msg})
 	}
-	for v, ok := range heardSet {
-		if ok {
-			tr.Deliveries = append(tr.Deliveries, TraceRx{Node: v, Msg: heardMsg[v]})
+	for wi, word := range delivered {
+		for ; word != 0; word &= word - 1 {
+			v := wi<<6 | bits.TrailingZeros64(word)
+			tr.Deliveries = append(tr.Deliveries, TraceRx{Node: v, Msg: msgs[v]})
 		}
 	}
 	if len(tr.Transmitters) > 0 || len(tr.Deliveries) > 0 {

@@ -4,20 +4,18 @@ import (
 	"context"
 
 	"radiobcast/internal/faults"
+	"radiobcast/internal/graph"
 )
 
 // Tuning carries the caller-adjustable engine knobs that are orthogonal to
 // a runner's scheme-specific Options (round bounds, stop predicates). The
 // public facade builds one Tuning from its functional options and every
-// runner layers it onto its base Options with Options.With, so workers,
-// tracing and fault injection reach all schemes through one path.
+// runner layers it onto its base Options with Options.With, so tracing,
+// fault injection and buffer reuse reach all schemes through one path.
 type Tuning struct {
 	// Ctx, when non-nil, makes the run cancellable between rounds (see
 	// Options.Ctx).
 	Ctx context.Context
-	// Workers overrides Options.Workers when non-zero (see Options.Workers:
-	// < 0 means GOMAXPROCS).
-	Workers int
 	// MaxRounds overrides the runner's default round bound when > 0.
 	MaxRounds int
 	// Trace, when non-nil, records the run round by round.
@@ -28,12 +26,9 @@ type Tuning struct {
 	// Sim, when non-nil, is the reusable engine buffers to run on (see
 	// Options.Sim).
 	Sim *Sim
-	// DisableSparse forces the dense reference engine (see
-	// Options.DisableSparse).
-	DisableSparse bool
-	// DisableBitset forces the scalar sequential engine (see
-	// Options.DisableBitset).
-	DisableBitset bool
+	// Engine, when non-nil, replaces the engine for the run (see
+	// Options.Engine; a test seam).
+	Engine func(g *graph.Graph, protos []Protocol, opt Options) *Result
 }
 
 // With returns o with the non-zero fields of t layered on top. A nil t
@@ -44,9 +39,6 @@ func (o Options) With(t *Tuning) Options {
 	}
 	if t.Ctx != nil {
 		o.Ctx = t.Ctx
-	}
-	if t.Workers != 0 {
-		o.Workers = t.Workers
 	}
 	if t.MaxRounds > 0 {
 		o.MaxRounds = t.MaxRounds
@@ -60,11 +52,8 @@ func (o Options) With(t *Tuning) Options {
 	if t.Sim != nil {
 		o.Sim = t.Sim
 	}
-	if t.DisableSparse {
-		o.DisableSparse = true
-	}
-	if t.DisableBitset {
-		o.DisableBitset = true
+	if t.Engine != nil {
+		o.Engine = t.Engine
 	}
 	return o
 }

@@ -5,6 +5,7 @@ import (
 
 	"radiobcast/internal/core"
 	"radiobcast/internal/faults"
+	"radiobcast/internal/graph"
 	"radiobcast/internal/radio"
 )
 
@@ -14,10 +15,6 @@ import (
 type Config struct {
 	// Mu is the source message µ (default "µ").
 	Mu string
-	// Workers selects the engine: 0 = scheme default (sequential), > 1 =
-	// node-partitioned parallel engine with that many goroutines, < 0 =
-	// GOMAXPROCS workers. Results are bit-identical in all modes.
-	Workers int
 	// MaxRounds overrides the scheme's default round bound when > 0.
 	MaxRounds int
 	// Trace, when non-nil, records every round (transmissions and
@@ -49,15 +46,6 @@ type Config struct {
 	// passing the same Sim to every run of a label-once/run-many loop
 	// amortises all per-run engine buffers (see NewSim).
 	Sim *Sim
-	// DenseEngine forces the dense reference engine: every node stepped
-	// every round, ignoring sparse-wakeup hints. Results are bit-identical
-	// either way; the knob exists for differential tests and benchmarks.
-	DenseEngine bool
-	// ScalarEngine forces the scalar sequential engine where the
-	// word-parallel bitset core would otherwise run. Results are
-	// bit-identical either way; the knob exists for differential tests
-	// and benchmarks.
-	ScalarEngine bool
 
 	// ctx is the run's context, set by the *Ctx entry points and checked
 	// by the engine between rounds; nil means "never cancelled".
@@ -71,6 +59,9 @@ type Config struct {
 	// faultModel is Fault materialized against the run's graph (set during
 	// preparation, consumed by tuning).
 	faultModel faults.Model
+	// engine replaces the engine for the run (radio.Options.Engine). Only
+	// the tests set it, to run schemes on the reference engine.
+	engine func(*graph.Graph, []radio.Protocol, radio.Options) *radio.Result
 }
 
 // Option is a functional option for Run, Label and RunLabeled.
@@ -79,10 +70,12 @@ type Option func(*Config)
 // WithMessage sets the source message µ.
 func WithMessage(mu string) Option { return func(c *Config) { c.Mu = mu } }
 
-// WithWorkers selects engine parallelism: n > 1 uses n goroutines, n < 0
-// uses GOMAXPROCS. The engine guarantees results identical to the
-// sequential mode.
-func WithWorkers(n int) Option { return func(c *Config) { c.Workers = n } }
+// WithWorkers has no effect; it is kept so existing callers compile.
+//
+// Deprecated: a run always executes on the one sequential engine.
+// Parallelism comes from running many runs at once: Session.Sweep's
+// worker pool and its lockstep batches.
+func WithWorkers(int) Option { return func(*Config) {} }
 
 // WithMaxRounds overrides the scheme's default round bound.
 func WithMaxRounds(n int) Option { return func(c *Config) { c.MaxRounds = n } }
@@ -132,18 +125,6 @@ func WithSeed(seed int64) Option { return func(c *Config) { c.Seed = seed } }
 // A Sim must not be used by two runs concurrently.
 func WithSim(s *Sim) Option { return func(c *Config) { c.Sim = s } }
 
-// WithDenseEngine disables the sparse-wakeup fast path, forcing the dense
-// reference engine that steps every node every round. Outcomes are
-// bit-identical with or without it; it exists for differential testing and
-// for measuring what the fast path buys.
-func WithDenseEngine() Option { return func(c *Config) { c.DenseEngine = true } }
-
-// WithScalarEngine disables the word-parallel bitset core, forcing the
-// scalar sequential engine on runs that would otherwise use it. Outcomes
-// are bit-identical with or without it; it exists for differential
-// testing and for measuring what the bitset core buys.
-func WithScalarEngine() Option { return func(c *Config) { c.ScalarEngine = true } }
-
 // WithBuild sets the options of the §2.1 stage construction (λ-family
 // schemes); mainly for ablations.
 func WithBuild(b core.BuildOptions) Option { return func(c *Config) { c.Build = b } }
@@ -162,13 +143,11 @@ func newConfig(opts []Option) *Config {
 // can live on the caller's stack (the runners do not retain it).
 func (c *Config) tuning() *radio.Tuning {
 	return &radio.Tuning{
-		Ctx:           c.ctx,
-		Workers:       c.Workers,
-		MaxRounds:     c.MaxRounds,
-		Trace:         c.Trace,
-		Faults:        c.faultModel,
-		Sim:           c.Sim,
-		DisableSparse: c.DenseEngine,
-		DisableBitset: c.ScalarEngine,
+		Ctx:       c.ctx,
+		MaxRounds: c.MaxRounds,
+		Trace:     c.Trace,
+		Faults:    c.faultModel,
+		Sim:       c.Sim,
+		Engine:    c.engine,
 	}
 }

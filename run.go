@@ -27,7 +27,7 @@ func LabelNetworkCtx(ctx context.Context, net *Network, scheme string, opts ...O
 
 // Run labels the network with the named scheme and executes one broadcast:
 //
-//	out, err := radiobcast.Run(net, "barb", radiobcast.WithWorkers(-1))
+//	out, err := radiobcast.Run(net, "barb", radiobcast.WithMessage("µ"))
 //
 // A run whose broadcast does not complete is NOT an error — inspect
 // out.AllInformed or call Verify(out), which checks the scheme's full

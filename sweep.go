@@ -57,9 +57,6 @@ type SweepSpec struct {
 	Workers int
 	// Seed is the base seed of the fault model (default 1).
 	Seed int64
-	// DenseEngine forces the dense reference engine in every cell (see
-	// WithDenseEngine).
-	DenseEngine bool
 	// OnCell, when non-nil, streams every finished cell as it completes
 	// (in completion order, which under a concurrent pool is not grid
 	// order; the slice returned by RunSweep is always in grid order). It
@@ -298,7 +295,7 @@ func (s *Session) Sweep(ctx context.Context, spec SweepSpec) iter.Seq2[CellResul
 		// stream (workers drop undeliverable results and exit — no leak),
 		// while plain cancellation keeps draining, so every cell finished
 		// before the cut-off is still yielded.
-		groups := groupCells(spec, cells, labelings)
+		groups := groupCells(cells, labelings)
 		inner, cancel := context.WithCancel(ctx)
 		defer cancel()
 		results, abandon := sweep.StreamIdx(inner, len(groups), spec.Workers, func(_, gi int) []CellResult {
@@ -416,9 +413,6 @@ func cellOptions(spec SweepSpec, c SweepCell, sim *Sim) []Option {
 	if spec.MaxRounds > 0 {
 		opts = append(opts, WithMaxRounds(spec.MaxRounds))
 	}
-	if spec.DenseEngine {
-		opts = append(opts, WithDenseEngine())
-	}
 	switch {
 	case c.fspec != nil:
 		// Copy the shared spec so each cell materializes its own stateful
@@ -472,11 +466,8 @@ const sweepBatchCap = 8
 // to sweepBatchCap, everything else stays a singleton. enumerateCells
 // nests the fault axis and repeats innermost, so the cells sharing a
 // graph — and usually a labeling too — are adjacent by construction.
-func groupCells(spec SweepSpec, cells []SweepCell, labelings map[labKey]labEntry) [][]int {
+func groupCells(cells []SweepCell, labelings map[labKey]labEntry) [][]int {
 	foldable := func(c SweepCell) bool {
-		if spec.DenseEngine {
-			return false
-		}
 		sch, ok := Lookup(c.Scheme)
 		if !ok {
 			return false

@@ -11,7 +11,9 @@ import (
 	"testing"
 
 	"radiobcast"
+	"radiobcast/internal/graph"
 	"radiobcast/internal/radio"
+	"radiobcast/internal/radio/radiotest"
 )
 
 func sameResults(a, b *radio.Result) bool {
@@ -24,10 +26,10 @@ func sameResults(a, b *radio.Result) bool {
 		reflect.DeepEqual(a.Collisions, b.Collisions)
 }
 
-// TestEngineModesBitIdentical pins the refactor's core contract on the
-// full scheme × family matrix: the sparse-wakeup fast path, the dense
-// reference engine and the parallel engine produce bit-identical raw
-// Results (not just equal summaries) over one shared labeling.
+// TestEngineModesBitIdentical pins the engine's core contract on the
+// full scheme × family matrix: the engine — pooled, on a caller's Sim,
+// and traced — produces raw Results bit-identical to the reference
+// engine (not just equal summaries) over one shared labeling.
 func TestEngineModesBitIdentical(t *testing.T) {
 	type fam struct {
 		name string
@@ -64,16 +66,23 @@ func TestEngineModesBitIdentical(t *testing.T) {
 					}
 					return out
 				}
-				ref := run(radiobcast.WithDenseEngine())
+				// Count the reference runs: a scheme whose runner dropped
+				// the engine seam would compare the engine with itself.
+				refRuns := 0
+				ref := run(radiobcast.WithEngine(func(g *graph.Graph, ps []radio.Protocol, opt radio.Options) *radio.Result {
+					refRuns++
+					return radiotest.Run(g, ps, opt)
+				}))
+				if refRuns == 0 {
+					t.Fatal("the run never reached the reference engine")
+				}
 				for mode, out := range map[string]*radiobcast.Outcome{
-					"sparse":         run(),
-					"sparse-sim":     run(radiobcast.WithSim(radiobcast.NewSim())),
-					"scalar":         run(radiobcast.WithScalarEngine()),
-					"parallel":       run(radiobcast.WithWorkers(4)),
-					"dense-parallel": run(radiobcast.WithDenseEngine(), radiobcast.WithWorkers(4)),
+					"engine":     run(),
+					"engine-sim": run(radiobcast.WithSim(radiobcast.NewSim())),
+					"traced":     run(radiobcast.WithTrace(&radiobcast.Trace{})),
 				} {
-					if !sameResults(ref.Result, out.Result) {
-						t.Fatalf("mode %s diverged from the dense reference engine", mode)
+					if !reflect.DeepEqual(ref.Result, out.Result) {
+						t.Fatalf("mode %s diverged from the reference engine", mode)
 					}
 					if !reflect.DeepEqual(ref.InformedRound, out.InformedRound) {
 						t.Fatalf("mode %s: informed rounds differ", mode)
@@ -85,20 +94,42 @@ func TestEngineModesBitIdentical(t *testing.T) {
 }
 
 // TestWithTraceMatchesResult cross-checks the WithTrace facade path: the
-// trace's per-round transmitter and delivery records must agree exactly
-// with the Result's per-node transmit/receive logs.
+// trace must equal the reference engine's, and its per-round transmitter
+// and delivery records must agree exactly with the Result's per-node
+// transmit/receive logs — on clean runs and under every fault model,
+// churn included.
 func TestWithTraceMatchesResult(t *testing.T) {
+	type tc struct {
+		name, scheme string
+		opts         []radiobcast.Option
+	}
+	var cases []tc
 	for _, scheme := range []string{"b", "back", "centralized"} {
-		t.Run(scheme, func(t *testing.T) {
+		cases = append(cases, tc{name: scheme, scheme: scheme})
+	}
+	for name, spec := range faultMatrix() {
+		cases = append(cases, tc{"b/" + name, "b",
+			[]radiobcast.Option{radiobcast.WithFaultSpec(spec), radiobcast.WithMaxRounds(400)}})
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
 			net, err := radiobcast.Family("grid", 25)
 			if err != nil {
 				t.Fatal(err)
 			}
-			tr := &radiobcast.Trace{}
-			out, err := radiobcast.Run(net, scheme,
-				radiobcast.WithMessage("m"), radiobcast.WithTrace(tr))
-			if err != nil {
-				t.Fatal(err)
+			run := func(extra ...radiobcast.Option) (*radiobcast.Outcome, *radiobcast.Trace) {
+				t.Helper()
+				tr := &radiobcast.Trace{}
+				opts := append([]radiobcast.Option{radiobcast.WithMessage("m"), radiobcast.WithTrace(tr)}, c.opts...)
+				out, err := radiobcast.Run(net, c.scheme, append(opts, extra...)...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return out, tr
+			}
+			out, tr := run()
+			if _, ref := run(radiobcast.WithEngine(radiotest.Run)); !reflect.DeepEqual(tr, ref) {
+				t.Fatal("trace diverged from the reference engine's")
 			}
 			res := out.Result
 
