@@ -113,21 +113,25 @@ func BenchmarkStages(b *testing.B) {
 }
 
 // BenchmarkMinimalDomset measures the minimality pruning that powers DOM_i
-// (experiment ABLDOM).
+// (experiment ABLDOM) on domset.Pruner, the pruner the stage construction
+// runs.
 func BenchmarkMinimalDomset(b *testing.B) {
 	for _, n := range benchSizes {
 		g := benchNet(b, "gnp-sparse", n).Graph
-		// Candidates: BFS layer 1; targets: layer 2.
+		// Candidates: BFS layer 1 (ascending); targets: layer 2.
 		layers := g.Layers(0)
 		if len(layers) < 3 {
 			b.Skip("graph too shallow")
 		}
-		cand := nodeset.Of(g.N(), layers[1]...)
+		var cand []int32
+		nodeset.Of(g.N(), layers[1]...).ForEach(func(v int) { cand = append(cand, int32(v)) })
 		targets := nodeset.Of(g.N(), layers[2]...)
+		csr := g.Freeze()
+		p := domset.NewPruner(g.N())
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := domset.MinimalSubset(g, cand, targets, domset.Ascending); err != nil {
+				if _, err := p.Prune(csr, cand, targets.Words(), targets.Count(), domset.Ascending); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -185,8 +189,9 @@ func BenchmarkBroadcastBack(b *testing.B) {
 	}, radiobcast.WithMessage("m"))
 }
 
-// BenchmarkCommonRound runs the Back→B composition (experiment CR); the
-// composition is not a registered scheme, so it stays on the internal path.
+// BenchmarkCommonRound runs the Back→B composition (experiment CR). The
+// composition is not a registered scheme, so it is timed through
+// core.RunCommonRound, which runs the two schemes' plans directly.
 func BenchmarkCommonRound(b *testing.B) {
 	g := benchNet(b, "grid", 256).Graph
 	b.ReportAllocs()

@@ -1,6 +1,6 @@
 // Public-API tests for the radiobcast facade: every registered scheme runs
-// and verifies on a grid of graph families, and the facade provably changes
-// no semantics relative to the pre-existing internal run paths.
+// and verifies on a grid of graph families, and matches the reference
+// engine run for run.
 package radiobcast_test
 
 import (
@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"radiobcast"
-	"radiobcast/internal/core"
 	"radiobcast/internal/radio"
 	"radiobcast/internal/radio/radiotest"
 )
@@ -82,73 +81,14 @@ func TestSchemeMatrix(t *testing.T) {
 				if !out.AllInformed {
 					t.Fatal("verified outcome claims incomplete broadcast")
 				}
+				if r := out.InformedRound[out.Source]; r != 0 {
+					t.Fatalf("InformedRound[source] = %d, want 0", r)
+				}
 				if out.Scheme != scheme || out.Mu != "m" {
 					t.Fatalf("outcome mislabeled: scheme %q mu %q", out.Scheme, out.Mu)
 				}
 			})
 		}
-	}
-}
-
-// TestGoldenCompatibilityB asserts that radiobcast.Run with scheme "b"
-// produces exactly the completion rounds and per-node informed rounds of
-// the pre-redesign core.RunBroadcast path, on three graph families.
-func TestGoldenCompatibilityB(t *testing.T) {
-	for _, f := range []struct {
-		name string
-		n    int
-	}{{"path", 16}, {"grid", 16}, {"gnp-sparse", 20}} {
-		t.Run(f.name, func(t *testing.T) {
-			net, err := radiobcast.Family(f.name, f.n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := core.RunBroadcast(net.Graph, 0, "m", core.BuildOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := radiobcast.Run(net, "b", radiobcast.WithMessage("m"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.CompletionRound != want.CompletionRound {
-				t.Fatalf("facade completion %d, internal %d", got.CompletionRound, want.CompletionRound)
-			}
-			if !reflect.DeepEqual(got.InformedRound, want.InformedRound) {
-				t.Fatalf("facade informed rounds %v, internal %v", got.InformedRound, want.InformedRound)
-			}
-		})
-	}
-}
-
-// TestGoldenCompatibilityBack is the same golden check for scheme "back"
-// against core.RunAcknowledged, including the acknowledgement round.
-func TestGoldenCompatibilityBack(t *testing.T) {
-	for _, f := range []struct {
-		name string
-		n    int
-	}{{"path", 16}, {"grid", 16}, {"gnp-sparse", 20}} {
-		t.Run(f.name, func(t *testing.T) {
-			net, err := radiobcast.Family(f.name, f.n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := core.RunAcknowledged(net.Graph, 0, "m", core.BuildOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := radiobcast.Run(net, "back", radiobcast.WithMessage("m"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.CompletionRound != want.CompletionRound || got.AckRound != want.AckRound {
-				t.Fatalf("facade (completion %d, ack %d), internal (%d, %d)",
-					got.CompletionRound, got.AckRound, want.CompletionRound, want.AckRound)
-			}
-			if !reflect.DeepEqual(got.InformedRound, want.InformedRound) {
-				t.Fatalf("facade informed rounds %v, internal %v", got.InformedRound, want.InformedRound)
-			}
-		})
 	}
 }
 
@@ -191,9 +131,10 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestRunLabeledReusesLabeling labels once with λarb and broadcasts from
-// three different sources over the same labeling (the paper's point:
-// λarb is source-independent).
+// TestRunLabeledReusesLabeling labels once and runs many broadcasts over
+// the labeling: λarb from three different sources (the paper's point:
+// λarb is source-independent), and λack for three consecutive messages
+// (the §1.2 deployment: each message is sent after the previous ack).
 func TestRunLabeledReusesLabeling(t *testing.T) {
 	net, err := radiobcast.Family("grid", 36)
 	if err != nil {
@@ -214,6 +155,44 @@ func TestRunLabeledReusesLabeling(t *testing.T) {
 		if out.Source != src {
 			t.Fatalf("outcome source %d, want %d", out.Source, src)
 		}
+	}
+
+	net, err = radiobcast.Family("grid", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err = radiobcast.LabelNetwork(net, "back")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ackRound := 0
+	for _, mu := range []string{"alpha", "beta", "gamma"} {
+		out, err := radiobcast.RunLabeled(l, radiobcast.WithMessage(mu))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := radiobcast.Verify(out); err != nil {
+			t.Fatalf("%s: %v", mu, err)
+		}
+		if out.AckRound <= out.CompletionRound {
+			t.Fatalf("%s: ack %d not after completion %d", mu, out.AckRound, out.CompletionRound)
+		}
+		// Same labels → identical schedule for every message.
+		if ackRound != 0 && out.AckRound != ackRound {
+			t.Fatalf("%s: ack round %d, earlier messages %d", mu, out.AckRound, ackRound)
+		}
+		ackRound = out.AckRound
+	}
+
+	net, err = radiobcast.Family("path", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l, err = radiobcast.LabelNetwork(net, "back"); err != nil {
+		t.Fatal(err)
+	}
+	if l.Bits() != 3 || l.Z != 4 {
+		t.Fatalf("path/5 λack: %d-bit labels, z = %d; want 3 bits and the far endpoint 4", l.Bits(), l.Z)
 	}
 }
 

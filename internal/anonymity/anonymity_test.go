@@ -3,6 +3,7 @@ package anonymity
 import (
 	"testing"
 
+	"radiobcast"
 	"radiobcast/internal/core"
 	"radiobcast/internal/graph"
 	"radiobcast/internal/radio"
@@ -92,11 +93,11 @@ func TestLabelsBreakTheSymmetry(t *testing.T) {
 
 func coreFourCycleBroadcast(t *testing.T) int {
 	t.Helper()
-	out, err := core.RunBroadcast(gC4(), 0, "m", core.BuildOptions{})
+	out, err := radiobcast.Run(radiobcast.NewNetwork(gC4()), "b", radiobcast.WithMessage("m"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := core.VerifyBroadcast(out, "m"); err != nil {
+	if err := radiobcast.Verify(out); err != nil {
 		t.Fatal(err)
 	}
 	return out.CompletionRound

@@ -23,10 +23,7 @@ func TestRoundRobinLabelsDistinct(t *testing.T) {
 
 func TestRoundRobinNoCollisionsEver(t *testing.T) {
 	g := graph.Complete(7)
-	out, err := RunRoundRobin(g, 0, "m")
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := runRoundRobin(g, 0, "m")
 	for v, c := range out.Result.Collisions {
 		if c != 0 {
 			t.Fatalf("node %d saw %d collisions; round robin must be collision-free", v, c)
@@ -40,10 +37,7 @@ func TestRoundRobinNoCollisionsEver(t *testing.T) {
 func TestRoundRobinCompletesOnFamilies(t *testing.T) {
 	for _, name := range graph.FamilyNames() {
 		g := graph.Families[name](20)
-		out, err := RunRoundRobin(g, 0, "m")
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		out := runRoundRobin(g, 0, "m")
 		if !out.AllInformed {
 			t.Fatalf("%s: incomplete", name)
 		}
@@ -54,11 +48,8 @@ func TestRoundRobinPeriodBound(t *testing.T) {
 	// Each BFS layer is fully informed after at most one period, so the
 	// completion round is ≤ period · eccentricity.
 	g := graph.Path(17)
-	out, err := RunRoundRobin(g, 0, "m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	period := 1 << uint(out.LabelBits)
+	out := runRoundRobin(g, 0, "m")
+	period := 1 << uint(core.MaxLen(RoundRobinLabels(g.N())))
 	if out.CompletionRound > period*g.Eccentricity(0) {
 		t.Fatalf("completion %d > period·ecc = %d", out.CompletionRound, period*g.Eccentricity(0))
 	}
@@ -67,10 +58,7 @@ func TestRoundRobinPeriodBound(t *testing.T) {
 func TestColorRobinCompletes(t *testing.T) {
 	for _, name := range graph.FamilyNames() {
 		g := graph.Families[name](20)
-		out, err := RunColorRobin(g, 0, "m")
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		out := runColorRobin(g, 0, "m")
 		if !out.AllInformed {
 			t.Fatalf("%s: incomplete", name)
 		}
@@ -96,8 +84,7 @@ func TestColorRobinQuick(t *testing.T) {
 		n := 2 + int(uint64(seed)%40)
 		g := graph.GNPConnected(n, 0.2, seed)
 		src := int(uint64(seed) % uint64(n))
-		out, err := RunColorRobin(g, src, "m")
-		return err == nil && out.AllInformed
+		return runColorRobin(g, src, "m").AllInformed
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -107,10 +94,7 @@ func TestColorRobinQuick(t *testing.T) {
 func TestCentralizedCompletesAndIsFast(t *testing.T) {
 	for _, name := range graph.FamilyNames() {
 		g := graph.Families[name](20)
-		out, err := RunCentralized(g, 0, "m")
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		out := runCentralized(g, 0, "m")
 		if !out.AllInformed {
 			t.Fatalf("%s: incomplete", name)
 		}
@@ -126,8 +110,7 @@ func TestCentralizedQuick(t *testing.T) {
 		n := 2 + int(uint64(seed)%40)
 		g := graph.GNPConnected(n, 0.2, seed)
 		src := int(uint64(seed) % uint64(n))
-		out, err := RunCentralized(g, src, "m")
-		return err == nil && out.AllInformed
+		return runCentralized(g, src, "m").AllInformed
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

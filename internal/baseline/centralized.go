@@ -1,8 +1,6 @@
 package baseline
 
 import (
-	"fmt"
-
 	"radiobcast/internal/graph"
 	"radiobcast/internal/nodeset"
 	"radiobcast/internal/radio"
@@ -114,19 +112,6 @@ func scheduleOneRound(csr *graph.CSR, informed *nodeset.Set) []int {
 	return chosen
 }
 
-// RunCentralized builds the schedule, replays it with Scripted protocols
-// through the radio engine (validating collision-freeness end to end) and
-// returns the outcome. Labels are nil: this baseline does not label nodes.
-func RunCentralized(g *graph.Graph, source int, mu string) (*Outcome, error) {
-	return RunCentralizedTuned(g, source, mu, nil)
-}
-
-// RunCentralizedTuned is RunCentralized with engine tuning (may be nil).
-func RunCentralizedTuned(g *graph.Graph, source int, mu string, tune *radio.Tuning) (*Outcome, error) {
-	schedule := BuildSchedule(g, source)
-	return RunScheduled(g, schedule, source, mu, tune)
-}
-
 // ScheduledProtocols turns a per-round transmitter schedule into compiled
 // Scripted protocols (one per node) carrying message mu. Per-node round
 // lists are carved out of one arena, so scripting a whole network costs a
@@ -166,21 +151,4 @@ func ScheduledProtocols(n int, schedule [][]int, mu string) []radio.Protocol {
 		ps[v] = &scripts[v]
 	}
 	return ps
-}
-
-// RunScheduled replays a precomputed transmitter schedule through the
-// engine and observes the outcome (used to validate schedules end to end
-// without rebuilding them).
-func RunScheduled(g *graph.Graph, schedule [][]int, source int, mu string, tune *radio.Tuning) (*Outcome, error) {
-	ps := ScheduledProtocols(g.N(), schedule, mu)
-	out, err := Observe(g, ps, source, len(schedule)+1, nil, tune)
-	if err != nil {
-		return out, fmt.Errorf("baseline: centralized schedule incomplete: %w", err)
-	}
-	return out, nil
-}
-
-// ScheduleLength returns the number of rounds of the centralized schedule.
-func ScheduleLength(g *graph.Graph, source int) int {
-	return len(BuildSchedule(g, source))
 }

@@ -91,17 +91,3 @@ func NewColorRobinProtocols(labels []core.Label, source int, mu string) []radio.
 	}
 	return ps
 }
-
-// RunColorRobin colours g, runs the colour-slotted broadcast and returns
-// the outcome.
-func RunColorRobin(g *graph.Graph, source int, mu string) (*Outcome, error) {
-	return RunColorRobinTuned(g, source, mu, nil)
-}
-
-// RunColorRobinTuned is RunColorRobin with engine tuning (may be nil).
-func RunColorRobinTuned(g *graph.Graph, source int, mu string, tune *radio.Tuning) (*Outcome, error) {
-	labels, _ := ColorRobinLabels(g)
-	ps := NewColorRobinProtocols(labels, source, mu)
-	maxRounds := SlottedMaxRounds(g, source, core.MaxLen(labels))
-	return Observe(g, ps, source, maxRounds, labels, tune)
-}

@@ -111,13 +111,6 @@ func NewFloodingProtocols(labels []core.Label, d FloodingDelays, source int, mu 
 // labeling and returns the outcome (which may be incomplete: callers use
 // this to *verify* candidate labelings).
 func RunFlooding(g *graph.Graph, labels []core.Label, d FloodingDelays, source int, mu string) *Outcome {
-	out, _ := RunFloodingTuned(g, labels, d, source, mu, nil)
-	return out
-}
-
-// RunFloodingTuned is RunFlooding with engine tuning (may be nil); unlike
-// RunFlooding it surfaces the incomplete-broadcast error.
-func RunFloodingTuned(g *graph.Graph, labels []core.Label, d FloodingDelays, source int, mu string, tune *radio.Tuning) (*Outcome, error) {
 	ps := NewFloodingProtocols(labels, d, source, mu)
-	return Observe(g, ps, source, FloodingMaxRounds(g.N()), labels, tune)
+	return Observe(g, ps, source, FloodingMaxRounds(g.N()), nil)
 }

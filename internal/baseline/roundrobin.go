@@ -8,7 +8,6 @@
 package baseline
 
 import (
-	"fmt"
 	"math/bits"
 	"sync/atomic"
 
@@ -128,20 +127,6 @@ func NewRoundRobinProtocols(labels []core.Label, source int, mu string) []radio.
 	return ps
 }
 
-// RunRoundRobin labels g with distinct IDs and runs the round-robin
-// broadcast, returning per-node informed rounds and the completion round.
-func RunRoundRobin(g *graph.Graph, source int, mu string) (*Outcome, error) {
-	return RunRoundRobinTuned(g, source, mu, nil)
-}
-
-// RunRoundRobinTuned is RunRoundRobin with engine tuning (may be nil).
-func RunRoundRobinTuned(g *graph.Graph, source int, mu string, tune *radio.Tuning) (*Outcome, error) {
-	labels := RoundRobinLabels(g.N())
-	ps := NewRoundRobinProtocols(labels, source, mu)
-	maxRounds := SlottedMaxRounds(g, source, idWidth(g.N()))
-	return Observe(g, ps, source, maxRounds, labels, tune)
-}
-
 // SlottedMaxRounds bounds a slotted (round-robin / colour-robin) run: one
 // full 2^labelBits period per BFS layer, with slack.
 func SlottedMaxRounds(g *graph.Graph, source, labelBits int) int {
@@ -151,17 +136,21 @@ func SlottedMaxRounds(g *graph.Graph, source, labelBits int) int {
 // FloodingMaxRounds bounds a delayed-flooding run.
 func FloodingMaxRounds(n int) int { return 3*n + 8 }
 
-// Outcome is the shared result shape for all baseline runs.
+// Outcome is the shared result shape for all observer-run schemes.
 type Outcome struct {
-	Result          *radio.Result
-	Labels          []core.Label
+	Result *radio.Result
+	// InformedRound[v] is the round in which v first received µ (0 for the
+	// source and for nodes never informed).
 	InformedRound   []int
 	AllInformed     bool
 	CompletionRound int
-	LabelBits       int
 }
 
-func Observe(g *graph.Graph, ps []radio.Protocol, source, maxRounds int, labels []core.Label, tune *radio.Tuning) (*Outcome, error) {
+// Observe runs protocols ps on g from source, recording each node's first
+// µ reception, and stops as soon as every node is informed (or after
+// maxRounds). An incomplete broadcast is reported through AllInformed,
+// not as an error: the facade's Verify judges it. tune may be nil.
+func Observe(g *graph.Graph, ps []radio.Protocol, source, maxRounds int, tune *radio.Tuning) *Outcome {
 	n := g.N()
 	informed := make([]int, n)
 	// remaining counts the uninformed non-source nodes; observers decrement
@@ -175,10 +164,7 @@ func Observe(g *graph.Graph, ps []radio.Protocol, source, maxRounds int, labels 
 		MaxRounds: maxRounds,
 		Stop:      done,
 	}.With(tune))
-	out := &Outcome{
-		Result: res, Labels: labels, InformedRound: informed,
-		AllInformed: true, LabelBits: core.MaxLen(labels),
-	}
+	out := &Outcome{Result: res, InformedRound: informed, AllInformed: true}
 	for v := 0; v < n; v++ {
 		if v == source {
 			continue
@@ -190,17 +176,15 @@ func Observe(g *graph.Graph, ps []radio.Protocol, source, maxRounds int, labels 
 			out.CompletionRound = informed[v]
 		}
 	}
-	if !out.AllInformed {
-		return out, fmt.Errorf("baseline: broadcast incomplete after %d rounds", res.Rounds)
-	}
-	return out, nil
+	return out
 }
 
-// observer wraps a protocol to record the round of first data reception.
+// observer wraps a non-source protocol to record the round of its first
+// data reception.
 type observer struct {
 	inner     radio.Protocol
 	informed  *int
-	remaining *int64 // decremented on first reception; nil at the source
+	remaining *int64 // decremented on first reception
 	round     int
 }
 
@@ -208,9 +192,7 @@ func (o *observer) Step(rcv *radio.Message) radio.Action {
 	o.round++
 	if rcv != nil && rcv.Kind == radio.KindData && *o.informed == 0 {
 		*o.informed = o.round - 1
-		if o.remaining != nil {
-			atomic.AddInt64(o.remaining, -1)
-		}
+		atomic.AddInt64(o.remaining, -1)
 	}
 	return o.inner.Step(rcv)
 }
@@ -230,22 +212,26 @@ func (o *wakerObserver) Skip(rounds int) {
 	o.w.Skip(rounds)
 }
 
+// wrapObservers wraps every protocol but the source's, which runs bare:
+// an echo of µ back to the source must not count as its informing, so
+// InformedRound[source] stays 0.
 func wrapObservers(ps []radio.Protocol, informed []int, source int, remaining *int64) []radio.Protocol {
 	out := make([]radio.Protocol, len(ps))
 	wakers := 0
-	for _, p := range ps {
-		if _, ok := p.(radio.Waker); ok {
+	for v, p := range ps {
+		if _, ok := p.(radio.Waker); ok && v != source {
 			wakers++
 		}
 	}
 	wobs := make([]wakerObserver, wakers)
-	obs := make([]observer, len(ps)-wakers)
+	obs := make([]observer, len(ps)-1-wakers)
 	wi, oi := 0, 0
 	for v := range ps {
-		o := observer{inner: ps[v], informed: &informed[v]}
-		if v != source {
-			o.remaining = remaining
+		if v == source {
+			out[v] = ps[v]
+			continue
 		}
+		o := observer{inner: ps[v], informed: &informed[v], remaining: remaining}
 		if w, ok := ps[v].(radio.Waker); ok {
 			wobs[wi] = wakerObserver{observer: o, w: w}
 			out[v] = &wobs[wi]

@@ -1,0 +1,27 @@
+package baseline
+
+import (
+	"radiobcast/internal/core"
+	"radiobcast/internal/graph"
+)
+
+// The tests run each baseline the way the facade does: label, build the
+// protocols, and Observe them under the scheme's round bound.
+
+func runRoundRobin(g *graph.Graph, source int, mu string) *Outcome {
+	labels := RoundRobinLabels(g.N())
+	ps := NewRoundRobinProtocols(labels, source, mu)
+	return Observe(g, ps, source, SlottedMaxRounds(g, source, core.MaxLen(labels)), nil)
+}
+
+func runColorRobin(g *graph.Graph, source int, mu string) *Outcome {
+	labels, _ := ColorRobinLabels(g)
+	ps := NewColorRobinProtocols(labels, source, mu)
+	return Observe(g, ps, source, SlottedMaxRounds(g, source, core.MaxLen(labels)), nil)
+}
+
+func runCentralized(g *graph.Graph, source int, mu string) *Outcome {
+	schedule := BuildSchedule(g, source)
+	ps := ScheduledProtocols(g.N(), schedule, mu)
+	return Observe(g, ps, source, len(schedule)+1, nil)
+}

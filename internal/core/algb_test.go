@@ -14,7 +14,7 @@ func TestAlgBFigure1Golden(t *testing.T) {
 	// The flagship golden test: algorithm B on the Figure 1 reconstruction
 	// must reproduce the paper's transmit schedule and informed rounds.
 	g := graph.Figure1()
-	out, err := RunBroadcast(g, graph.Figure1Source, "mu", BuildOptions{})
+	out, err := runBroadcast(g, graph.Figure1Source, "mu", BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestAlgBFigure1Golden(t *testing.T) {
 }
 
 func TestAlgBSingleEdge(t *testing.T) {
-	out, err := RunBroadcast(graph.Path(2), 0, "m", BuildOptions{})
+	out, err := runBroadcast(graph.Path(2), 0, "m", BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestAlgBSingleEdge(t *testing.T) {
 }
 
 func TestAlgBSingleNode(t *testing.T) {
-	out, err := RunBroadcast(graph.New(1), 0, "m", BuildOptions{})
+	out, err := runBroadcast(graph.New(1), 0, "m", BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestAlgBSingleNode(t *testing.T) {
 
 func TestAlgBPathTiming(t *testing.T) {
 	// Path from an endpoint: node i is informed in round 2i−1.
-	out, err := RunBroadcast(graph.Path(6), 0, "m", BuildOptions{})
+	out, err := runBroadcast(graph.Path(6), 0, "m", BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestAlgBFourCycleWithLabels(t *testing.T) {
 	// The four-cycle is the impossibility example *without* labels; with λ
 	// it must complete (one of the two source neighbours is pruned from
 	// DOM_2, breaking the fatal symmetry).
-	out, err := RunBroadcast(graph.Cycle(4), 0, "m", BuildOptions{})
+	out, err := runBroadcast(graph.Cycle(4), 0, "m", BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestAlgBAllSourcesSmallGraphs(t *testing.T) {
 	}
 	for name, g := range graphs {
 		for src := 0; src < g.N(); src++ {
-			out, err := RunBroadcast(g, src, "m", BuildOptions{})
+			out, err := runBroadcast(g, src, "m", BuildOptions{})
 			if err != nil {
 				t.Fatalf("%s src=%d: %v", name, src, err)
 			}
@@ -125,7 +125,7 @@ func TestAlgBAllFamiliesAllOrders(t *testing.T) {
 	for _, name := range graph.FamilyNames() {
 		g := graph.Families[name](40)
 		for _, order := range domset.Orders {
-			out, err := RunBroadcast(g, 0, "m", BuildOptions{Order: order})
+			out, err := runBroadcast(g, 0, "m", BuildOptions{Order: order})
 			if err != nil {
 				t.Fatalf("%s/%v: %v", name, order, err)
 			}
@@ -141,7 +141,7 @@ func TestAlgBQuickRandomGraphs(t *testing.T) {
 		n := 2 + int(uint64(seed)%60)
 		g := graph.GNPConnected(n, 0.18, seed)
 		src := int(uint64(seed) % uint64(n))
-		out, err := RunBroadcast(g, src, "m", BuildOptions{})
+		out, err := runBroadcast(g, src, "m", BuildOptions{})
 		if err != nil {
 			return false
 		}
@@ -157,10 +157,7 @@ func TestAlgBLemma28Characterisation(t *testing.T) {
 	// 2i exactly the x2-labeled members of NEW_i transmit "stay".
 	g := graph.Figure1()
 	l := mustLambda(t, g, graph.Figure1Source)
-	out, err := RunBroadcastLabeled(g, l, graph.Figure1Source, "m", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := runBroadcastLabeled(g, l, graph.Figure1Source, "m")
 	for i := 1; i <= l.Stages.NumStored(); i++ {
 		stage := l.Stages.Stage(i)
 		round := 2*i - 1
@@ -195,7 +192,7 @@ func TestAlgBMessageSizeConstant(t *testing.T) {
 	// B's messages are the source message or "stay": their size must not
 	// grow with n (§1.1 "much smaller messages will suffice").
 	for _, n := range []int{8, 64, 256} {
-		out, err := RunBroadcast(graph.Path(n), 0, "m", BuildOptions{})
+		out, err := runBroadcast(graph.Path(n), 0, "m", BuildOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,5 +249,34 @@ func TestAlgBInformedAccessors(t *testing.T) {
 	other := NewAlgB(Label("00"), nil)
 	if ok, _ := other.Informed(); ok {
 		t.Fatal("fresh node must be uninformed")
+	}
+}
+
+func TestBroadcastInvariantUnderRelabeling(t *testing.T) {
+	// Renaming nodes must preserve every guarantee (the DOM sets chosen may
+	// differ, but completion ≤ 2n−3 and full information always hold).
+	for seed := int64(0); seed < 20; seed++ {
+		g := graph.GNPConnected(24, 0.15, seed)
+		perm := graph.RandomPermutation(24, seed+100)
+		relabeled := graph.Relabel(g, perm)
+		out1, err := runBroadcast(g, 3, "m", BuildOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out2, err := runBroadcast(relabeled, perm[3], "m", BuildOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := VerifyBroadcast(out1, "m"); err != nil {
+			t.Fatal(err)
+		}
+		if err := VerifyBroadcast(out2, "m"); err != nil {
+			t.Fatalf("seed %d: relabeled graph: %v", seed, err)
+		}
+		// ℓ is permutation-invariant? Not necessarily (prune order is index
+		// based), but the 2n−3 bound and stage count ≤ n must hold in both.
+		if out1.Stages.L > 24 || out2.Stages.L > 24 {
+			t.Fatal("ℓ > n")
+		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 func TestAlgBackSingleEdge(t *testing.T) {
 	// n=2: v informed in round 1 = 2ℓ−3 (ℓ=2); z = v transmits (ack,1) in
 	// round 2 = 2ℓ−2; the source hears it.
-	out, err := RunAcknowledged(graph.Path(2), 0, "m", BuildOptions{})
+	out, err := runAcknowledged(graph.Path(2), 0, "m", BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestAlgBackSingleEdge(t *testing.T) {
 
 func TestAlgBackFigure1(t *testing.T) {
 	// ℓ=5: completion in round 7, ack window {2ℓ−2..3ℓ−4} = {8..11}.
-	out, err := RunAcknowledged(graph.Figure1(), graph.Figure1Source, "m", BuildOptions{})
+	out, err := runAcknowledged(graph.Figure1(), graph.Figure1Source, "m", BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestAlgBackPath(t *testing.T) {
 	// Path from an endpoint: ℓ = n; broadcast t = 2n−3; the ack chain walks
 	// back hop by hop: t′ = 3ℓ−4 exactly.
 	n := 7
-	out, err := RunAcknowledged(graph.Path(n), 0, "m", BuildOptions{})
+	out, err := runAcknowledged(graph.Path(n), 0, "m", BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestAlgBackTheorem39Window(t *testing.T) {
 		if n < 3 {
 			continue
 		}
-		out, err := RunAcknowledged(g, 0, "m", BuildOptions{})
+		out, err := runAcknowledged(g, 0, "m", BuildOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -103,7 +103,7 @@ func TestAlgBackQuickRandom(t *testing.T) {
 		n := 2 + int(uint64(seed)%50)
 		g := graph.GNPConnected(n, 0.2, seed)
 		src := int(uint64(seed) % uint64(n))
-		out, err := RunAcknowledged(g, src, "m", BuildOptions{})
+		out, err := runAcknowledged(g, src, "m", BuildOptions{})
 		if err != nil {
 			return false
 		}
@@ -119,7 +119,7 @@ func TestAlgBackAllSourcesSmall(t *testing.T) {
 		graph.Cycle(5), graph.Grid(3, 3), graph.Complete(5), graph.Figure1(),
 	} {
 		for src := 0; src < g.N(); src++ {
-			out, err := RunAcknowledged(g, src, "m", BuildOptions{})
+			out, err := runAcknowledged(g, src, "m", BuildOptions{})
 			if err != nil {
 				t.Fatalf("src=%d: %v", src, err)
 			}
@@ -184,7 +184,7 @@ func TestAlgBackMessageSizeLogN(t *testing.T) {
 
 func ackMaxBits(t *testing.T, n int) int {
 	t.Helper()
-	out, err := RunAcknowledged(graph.Path(n), 0, "m", BuildOptions{})
+	out, err := runAcknowledged(graph.Path(n), 0, "m", BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,10 +200,7 @@ func TestAlgBackWrongZPrematureAck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := RunAcknowledgedLabeled(g, l, 0, "m")
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := runAcknowledgedLabeled(g, l, 0, "m")
 	if out.AckRound == 0 {
 		t.Fatal("expected an (incorrectly early) ack")
 	}

@@ -11,7 +11,7 @@ func TestAlgBarbSingleEdge(t *testing.T) {
 	// n=2, r=0, sG=1: worked through by hand in the design notes — all
 	// nodes must know µ and reach "knows complete" in the same round.
 	g := graph.Path(2)
-	out, err := RunArbitrary(g, 0, 1, "m", BuildOptions{})
+	out, err := runArbitrary(g, 0, 1, "m", BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestAlgBarbSingleEdge(t *testing.T) {
 func TestAlgBarbSourceIsCoordinator(t *testing.T) {
 	// sG = r: the documented deviation path (phase-2 fetch skipped).
 	g := graph.Path(4)
-	out, err := RunArbitrary(g, 0, 0, "m", BuildOptions{})
+	out, err := runArbitrary(g, 0, 0, "m", BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestAlgBarbAllSourceCoordinatorPairs(t *testing.T) {
 	} {
 		for r := 0; r < g.N(); r++ {
 			for src := 0; src < g.N(); src++ {
-				out, err := RunArbitrary(g, r, src, "m", BuildOptions{})
+				out, err := runArbitrary(g, r, src, "m", BuildOptions{})
 				if err != nil {
 					t.Fatalf("%s r=%d src=%d: %v", name, r, src, err)
 				}
@@ -62,7 +62,7 @@ func TestAlgBarbAllSourceCoordinatorPairs(t *testing.T) {
 func TestAlgBarbFigure1AllSources(t *testing.T) {
 	g := graph.Figure1()
 	for src := 0; src < g.N(); src++ {
-		out, err := RunArbitrary(g, 0, src, "payload", BuildOptions{})
+		out, err := runArbitrary(g, 0, src, "payload", BuildOptions{})
 		if err != nil {
 			t.Fatalf("src=%d: %v", src, err)
 		}
@@ -79,7 +79,7 @@ func TestAlgBarbFamilies(t *testing.T) {
 			continue
 		}
 		src := g.N() - 1
-		out, err := RunArbitrary(g, 0, src, "m", BuildOptions{})
+		out, err := runArbitrary(g, 0, src, "m", BuildOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -95,7 +95,7 @@ func TestAlgBarbQuickRandom(t *testing.T) {
 		g := graph.GNPConnected(n, 0.25, seed)
 		r := int(uint64(seed) % uint64(n))
 		src := int(uint64(seed/7) % uint64(n))
-		out, err := RunArbitrary(g, r, src, "m", BuildOptions{})
+		out, err := runArbitrary(g, r, src, "m", BuildOptions{})
 		if err != nil {
 			return false
 		}
@@ -115,7 +115,7 @@ func TestAlgBarbTEqualsLastInformedRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := RunArbitraryLabeled(g, l, 5, "m")
+	out, err := runArbitraryLabeled(g, l, 5, "m")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestAlgBarbTEqualsLastInformedRound(t *testing.T) {
 }
 
 func TestAlgBarbRejectsSingleton(t *testing.T) {
-	if _, err := RunArbitrary(graph.New(1), 0, 0, "m", BuildOptions{}); err == nil {
+	if _, err := runArbitrary(graph.New(1), 0, 0, "m", BuildOptions{}); err == nil {
 		t.Fatal("expected error for n = 1")
 	}
 }
@@ -139,7 +139,7 @@ func TestAlgBarbLinearTime(t *testing.T) {
 	// total round count must stay linear in n.
 	for _, n := range []int{8, 16, 32, 64} {
 		g := graph.Path(n)
-		out, err := RunArbitrary(g, 0, n-1, "m", BuildOptions{})
+		out, err := runArbitrary(g, 0, n-1, "m", BuildOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -74,3 +74,11 @@ func RebuildStages(g *graph.Graph, source, l int, restricted bool, stalled int, 
 	}
 	return st, nil
 }
+
+// setToInt32 extracts a set's members as an ascending int32 list — the
+// delta-storage form of Stages.
+func setToInt32(s *nodeset.Set) []int32 {
+	out := make([]int32, 0, s.Count())
+	s.ForEach(func(v int) { out = append(out, int32(v)) })
+	return out
+}

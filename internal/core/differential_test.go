@@ -75,7 +75,7 @@ func TestBarbPhasesShareSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := RunArbitraryLabeled(g, l, 5, "m")
+	out, err := runArbitraryLabeled(g, l, 5, "m")
 	if err != nil {
 		t.Fatal(err)
 	}

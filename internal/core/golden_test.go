@@ -39,10 +39,7 @@ func TestGoldenC6(t *testing.T) {
 			t.Fatalf("labels = %v, want %v", l.Labels, wantLabels)
 		}
 	}
-	out, err := RunBroadcastLabeled(g, l, 0, "m", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := runBroadcastLabeled(g, l, 0, "m")
 	wantInformed := []int{0, 1, 3, 5, 3, 1}
 	for v, w := range wantInformed {
 		if out.InformedRound[v] != w {
@@ -69,10 +66,7 @@ func TestGoldenK23(t *testing.T) {
 			t.Fatalf("labels = %v, want %v", l.Labels, wantLabels)
 		}
 	}
-	out, err := RunBroadcastLabeled(g, l, 0, "m", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := runBroadcastLabeled(g, l, 0, "m")
 	if out.InformedRound[1] != 3 {
 		t.Fatalf("node 1 informed at %d, want 3", out.InformedRound[1])
 	}
@@ -86,10 +80,7 @@ func TestGoldenWheel6SourceHub(t *testing.T) {
 	if l.Stages.L != 2 {
 		t.Fatalf("ℓ = %d, want 2", l.Stages.L)
 	}
-	out, err := RunBroadcastLabeled(g, l, 0, "m", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := runBroadcastLabeled(g, l, 0, "m")
 	if out.Result.TotalTransmissions != 1 {
 		t.Fatalf("transmissions = %d, want 1", out.Result.TotalTransmissions)
 	}

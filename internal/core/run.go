@@ -21,40 +21,13 @@ type BroadcastOutcome struct {
 	Labels []Label
 }
 
-// RunBroadcast labels g with λ (under opt) and executes algorithm B with
-// source message mu, returning the outcome. MaxRounds defaults to 2n+4,
-// comfortably above the paper's 2n−3 bound.
-func RunBroadcast(g *graph.Graph, source int, mu string, opt BuildOptions) (*BroadcastOutcome, error) {
-	l, err := Lambda(g, source, opt)
-	if err != nil {
-		return nil, err
-	}
-	return RunBroadcastLabeled(g, l, source, mu, nil)
-}
-
-// RunBroadcastLabeled executes B on a pre-labeled graph. trace may be nil.
-func RunBroadcastLabeled(g *graph.Graph, l *Labeling, source int, mu string, trace *radio.Trace) (*BroadcastOutcome, error) {
-	var tune *radio.Tuning
-	if trace != nil {
-		tune = &radio.Tuning{Trace: trace}
-	}
-	return RunBroadcastTuned(g, l, source, mu, tune)
-}
-
-// RunBroadcastTuned executes B on a pre-labeled graph with engine tuning
-// (workers, round-bound override, trace, fault injection) layered onto the
-// scheme's default options. tune may be nil.
-func RunBroadcastTuned(g *graph.Graph, l *Labeling, source int, mu string, tune *radio.Tuning) (*BroadcastOutcome, error) {
-	ps, base, asm := PlanBroadcast(g, l, source, mu)
-	return asm(radio.Run(g, ps, base.With(tune))), nil
-}
-
 // PlanBroadcast splits a B execution into its three ingredients — the
 // protocol vector, the scheme's base engine options, and an assemble
 // function that turns the engine Result into the outcome — so callers can
 // hand the middle step to a different driver (radio.RunBatch folds many
-// plans over one graph into a lockstep batch). RunBroadcastTuned is
-// exactly plan → Run → assemble.
+// plans over one graph into a lockstep batch). A run is exactly
+// plan → radio.Run → assemble. MaxRounds defaults to 2n+4, comfortably
+// above the paper's 2n−3 bound.
 func PlanBroadcast(g *graph.Graph, l *Labeling, source int, mu string) ([]radio.Protocol, radio.Options, func(*radio.Result) *BroadcastOutcome) {
 	n := g.N()
 	ps := NewBProtocols(l.Labels, source, mu)
@@ -63,25 +36,33 @@ func PlanBroadcast(g *graph.Graph, l *Labeling, source int, mu string) ([]radio.
 		StopAfterSilent: 3,
 	}
 	asm := func(res *radio.Result) *BroadcastOutcome {
-		out := &BroadcastOutcome{Result: res, Stages: l.Stages, Labels: l.Labels}
-		out.InformedRound = make([]int, n)
-		out.AllInformed = true
-		for v := 0; v < n; v++ {
-			if v == source {
-				continue
-			}
-			r := res.FirstReception(v, radio.KindData)
-			out.InformedRound[v] = r
-			if r == radio.NoReception {
-				out.AllInformed = false
-			}
-			if r > out.CompletionRound {
-				out.CompletionRound = r
-			}
-		}
+		out := &BroadcastOutcome{}
+		assembleInformed(out, res, l, n, source)
 		return out
 	}
 	return ps, base, asm
+}
+
+// assembleInformed fills the broadcast half of an outcome from the
+// engine Result: every non-source node's first µ reception, and the
+// completion round.
+func assembleInformed(out *BroadcastOutcome, res *radio.Result, l *Labeling, n, source int) {
+	out.Result, out.Stages, out.Labels = res, l.Stages, l.Labels
+	out.InformedRound = make([]int, n)
+	out.AllInformed = true
+	for v := 0; v < n; v++ {
+		if v == source {
+			continue
+		}
+		r := res.FirstReception(v, radio.KindData)
+		out.InformedRound[v] = r
+		if r == radio.NoReception {
+			out.AllInformed = false
+		}
+		if r > out.CompletionRound {
+			out.CompletionRound = r
+		}
+	}
 }
 
 // VerifyBroadcast checks the outcome against the paper's guarantees:
@@ -123,30 +104,9 @@ type AckOutcome struct {
 	Z        int
 }
 
-// RunAcknowledged labels g with λack and executes Back.
-func RunAcknowledged(g *graph.Graph, source int, mu string, opt BuildOptions) (*AckOutcome, error) {
-	l, err := LambdaAck(g, source, opt)
-	if err != nil {
-		return nil, err
-	}
-	return RunAcknowledgedLabeled(g, l, source, mu)
-}
-
-// RunAcknowledgedLabeled executes Back on a pre-labeled graph (λack labels).
-func RunAcknowledgedLabeled(g *graph.Graph, l *Labeling, source int, mu string) (*AckOutcome, error) {
-	return RunAcknowledgedTuned(g, l, source, mu, nil)
-}
-
-// RunAcknowledgedTuned executes Back on a pre-labeled graph with engine
-// tuning layered onto the scheme's default options. tune may be nil.
-func RunAcknowledgedTuned(g *graph.Graph, l *Labeling, source int, mu string, tune *radio.Tuning) (*AckOutcome, error) {
-	ps, base, asm := PlanAcknowledged(g, l, source, mu)
-	return asm(radio.Run(g, ps, base.With(tune))), nil
-}
-
-// PlanAcknowledged is the plan/assemble split of RunAcknowledgedTuned
-// (see PlanBroadcast). The assemble closure reads the source protocol's
-// ack state, so it must be called on the Result of running exactly the
+// PlanAcknowledged is the plan/assemble split of a Back execution (see
+// PlanBroadcast). The assemble closure reads the source protocol's ack
+// state, so it must be called on the Result of running exactly the
 // returned protocol vector.
 func PlanAcknowledged(g *graph.Graph, l *Labeling, source int, mu string) ([]radio.Protocol, radio.Options, func(*radio.Result) *AckOutcome) {
 	n := g.N()
@@ -158,24 +118,7 @@ func PlanAcknowledged(g *graph.Graph, l *Labeling, source int, mu string) ([]rad
 	}
 	asm := func(res *radio.Result) *AckOutcome {
 		out := &AckOutcome{Z: l.Z}
-		out.Result = res
-		out.Stages = l.Stages
-		out.Labels = l.Labels
-		out.InformedRound = make([]int, n)
-		out.AllInformed = true
-		for v := 0; v < n; v++ {
-			if v == source {
-				continue
-			}
-			r := res.FirstReception(v, radio.KindData)
-			out.InformedRound[v] = r
-			if r == radio.NoReception {
-				out.AllInformed = false
-			}
-			if r > out.CompletionRound {
-				out.CompletionRound = r
-			}
-		}
+		assembleInformed(&out.BroadcastOutcome, res, l, n, source)
 		if src.AckDone {
 			out.AckRound = src.AckRound
 		}
@@ -228,23 +171,23 @@ type CommonRoundOutcome struct {
 
 // RunCommonRound performs acknowledged broadcast and then broadcasts the
 // ack round m with algorithm B, verifying all nodes receive m before round
-// 2m (the paper's closing argument of §3).
+// 2m (the paper's closing argument of §3). The composition is not a
+// registered scheme, so it runs the two plans itself.
 func RunCommonRound(g *graph.Graph, source int, mu string, opt BuildOptions) (*CommonRoundOutcome, error) {
-	ack, err := RunAcknowledged(g, source, mu, opt)
+	l, err := LambdaAck(g, source, opt)
 	if err != nil {
 		return nil, err
 	}
+	ps, base, asm := PlanAcknowledged(g, l, source, mu)
+	ack := asm(radio.Run(g, ps, base))
 	if g.N() >= 2 && ack.AckRound == 0 {
 		return nil, fmt.Errorf("core: acknowledged broadcast failed")
 	}
 	out := &CommonRoundOutcome{Ack: ack, M: ack.AckRound, CommonRound: 2 * ack.AckRound}
-	// Second execution: B with message m (the labels' 2-bit prefix works
-	// unchanged; extra bits are ignored by AlgB).
-	second, err := RunBroadcastLabeled(g, &Labeling{Labels: ack.Labels, Stages: ack.Stages}, source, fmt.Sprintf("%d", out.M), nil)
-	if err != nil {
-		return nil, err
-	}
-	out.SecondCompletion = second.CompletionRound
+	// Second execution: B with message m over the same labels (AlgB reads
+	// the 2-bit prefix and ignores x3).
+	ps, base, asmB := PlanBroadcast(g, l, source, fmt.Sprintf("%d", out.M))
+	out.SecondCompletion = asmB(radio.Run(g, ps, base)).CompletionRound
 	return out, nil
 }
 
@@ -273,32 +216,7 @@ type ArbOutcome struct {
 	T                  int
 }
 
-// RunArbitrary labels g with λarb (coordinator r) and runs Barb with node
-// source holding message mu. Requires n ≥ 2.
-func RunArbitrary(g *graph.Graph, r, source int, mu string, opt BuildOptions) (*ArbOutcome, error) {
-	l, err := LambdaArb(g, r, opt)
-	if err != nil {
-		return nil, err
-	}
-	return RunArbitraryLabeled(g, l, source, mu)
-}
-
-// RunArbitraryLabeled runs Barb on a pre-labeled graph (λarb labels).
-func RunArbitraryLabeled(g *graph.Graph, l *Labeling, source int, mu string) (*ArbOutcome, error) {
-	return RunArbitraryTuned(g, l, source, mu, nil)
-}
-
-// RunArbitraryTuned runs Barb on a pre-labeled graph with engine tuning
-// layered onto the scheme's default options. tune may be nil.
-func RunArbitraryTuned(g *graph.Graph, l *Labeling, source int, mu string, tune *radio.Tuning) (*ArbOutcome, error) {
-	ps, base, asm, err := PlanArbitrary(g, l, source, mu)
-	if err != nil {
-		return nil, err
-	}
-	return asm(radio.Run(g, ps, base.With(tune))), nil
-}
-
-// PlanArbitrary is the plan/assemble split of RunArbitraryTuned (see
+// PlanArbitrary is the plan/assemble split of a Barb execution (see
 // PlanBroadcast). Both the base Stop predicate and the assemble closure
 // read per-node protocol state, so the Result handed to assemble must
 // come from running exactly the returned protocol vector. Errors for

@@ -1,0 +1,51 @@
+package core
+
+import (
+	"radiobcast/internal/graph"
+	"radiobcast/internal/radio"
+)
+
+// The tests run each task the way the facade does: plan → radio.Run →
+// assemble, on the scheme's base options.
+
+func runBroadcast(g *graph.Graph, source int, mu string, opt BuildOptions) (*BroadcastOutcome, error) {
+	l, err := Lambda(g, source, opt)
+	if err != nil {
+		return nil, err
+	}
+	return runBroadcastLabeled(g, l, source, mu), nil
+}
+
+func runBroadcastLabeled(g *graph.Graph, l *Labeling, source int, mu string) *BroadcastOutcome {
+	ps, base, asm := PlanBroadcast(g, l, source, mu)
+	return asm(radio.Run(g, ps, base))
+}
+
+func runAcknowledged(g *graph.Graph, source int, mu string, opt BuildOptions) (*AckOutcome, error) {
+	l, err := LambdaAck(g, source, opt)
+	if err != nil {
+		return nil, err
+	}
+	return runAcknowledgedLabeled(g, l, source, mu), nil
+}
+
+func runAcknowledgedLabeled(g *graph.Graph, l *Labeling, source int, mu string) *AckOutcome {
+	ps, base, asm := PlanAcknowledged(g, l, source, mu)
+	return asm(radio.Run(g, ps, base))
+}
+
+func runArbitrary(g *graph.Graph, r, source int, mu string, opt BuildOptions) (*ArbOutcome, error) {
+	l, err := LambdaArb(g, r, opt)
+	if err != nil {
+		return nil, err
+	}
+	return runArbitraryLabeled(g, l, source, mu)
+}
+
+func runArbitraryLabeled(g *graph.Graph, l *Labeling, source int, mu string) (*ArbOutcome, error) {
+	ps, base, asm, err := PlanArbitrary(g, l, source, mu)
+	if err != nil {
+		return nil, err
+	}
+	return asm(radio.Run(g, ps, base)), nil
+}

@@ -80,31 +80,22 @@ type BuildOptions struct {
 	// radius-2 scheme. This recursion stalls on general graphs (the hint as
 	// literally stated is incomplete); we implement it to document that.
 	Restricted bool
-	// SkipMinimality, when true, keeps the full candidate set instead of a
-	// minimal subset. This deliberately violates the construction to
-	// demonstrate that minimality is load-bearing: NEW_i can become empty
-	// while FRONTIER_i is not (breaking Lemma 2.4). Used by ablations only.
+	// SkipMinimality, when true, keeps every candidate with a frontier
+	// neighbour instead of a minimal subset. This deliberately violates the
+	// construction to demonstrate that minimality is load-bearing: NEW_i
+	// can become empty while FRONTIER_i is not (breaking Lemma 2.4). Used
+	// by ablations only.
 	SkipMinimality bool
-	// Scalar forces the node-at-a-time reference builder instead of the
-	// word-parallel kernel. The two are pinned bit-identical by the
-	// differential tests; Scalar keeps the reference selectable for those
-	// tests and for bisecting a suspected kernel bug. Restricted and
-	// SkipMinimality imply the scalar path (the ablations are not hot).
-	Scalar bool
 }
 
 // BuildStages runs the construction of §2.1 and returns the stage sets.
 // It returns an error only in the deliberately broken modes (Restricted or
 // SkipMinimality) when progress stops; the standard construction always
-// completes on connected graphs. The standard mode runs the word-parallel
-// kernel (stages_bitset.go); ablation modes and opt.Scalar run the scalar
-// reference (stages_scalar.go). Both emit identical DOM/NEW lists.
+// completes on connected graphs. Every mode runs the word-parallel kernel
+// of stages_bitset.go.
 func BuildStages(g *graph.Graph, source int, opt BuildOptions) (*Stages, error) {
 	if n := g.N(); source < 0 || source >= n {
 		panic(fmt.Sprintf("core: source %d out of range [0,%d)", source, n))
-	}
-	if opt.Scalar || opt.Restricted || opt.SkipMinimality {
-		return buildStagesScalar(g, source, opt)
 	}
 	return buildStagesBitset(g, source, opt)
 }
@@ -273,4 +264,26 @@ func CheckStageInvariants(s *Stages) error {
 		}
 	}
 	return nil
+}
+
+// exactlyOneNeighbor returns the frontier nodes with exactly one neighbour
+// in dom (the definition of NEW_i).
+func exactlyOneNeighbor(g *graph.Graph, frontier, dom *nodeset.Set) *nodeset.Set {
+	csr := g.Freeze()
+	out := nodeset.New(g.N())
+	frontier.ForEach(func(v int) {
+		count := 0
+		for _, w := range csr.Neighbors(v) {
+			if dom.Has(int(w)) {
+				count++
+				if count > 1 {
+					return
+				}
+			}
+		}
+		if count == 1 {
+			out.Add(v)
+		}
+	})
+	return out
 }

@@ -27,12 +27,16 @@ import (
 //     FRONTIER_i read out of only the touched words.
 //
 // Combined with the delta storage in Stages, labeling a deep 10⁶-node
-// family becomes O(n + m) time and memory where the scalar builder's
-// snapshots alone were Θ(n²) bits. The emitted DOM/NEW lists are pinned
-// bit-identical to buildStagesScalar across every prune order.
+// family becomes O(n + m) time and memory, where per-stage full-set
+// snapshots alone were Θ(n²) bits. The two ablations branch once per
+// stage, outside the word loops: Restricted passes DOM_{i−1} alone as the
+// candidates, and SkipMinimality keeps the useful candidates unpruned.
+// The tests pin the emitted DOM/NEW lists and stall errors to the
+// node-at-a-time oracle in stages_oracle_test.go, for every prune order
+// and mode.
 func buildStagesBitset(g *graph.Graph, source int, opt BuildOptions) (*Stages, error) {
 	n := g.N()
-	st := &Stages{G: g, Source: source}
+	st := &Stages{G: g, Source: source, Restricted: opt.Restricted}
 	csr := g.Freeze()
 	bcsr := csr.Bits()
 
@@ -68,7 +72,7 @@ func buildStagesBitset(g *graph.Graph, source int, opt BuildOptions) (*Stages, e
 	busy2 := make([]uint64, nw)
 	wmark := make([]bool, nw)
 	var wlist []int32
-	var cand []int32
+	var merged []int32
 
 	for i := 2; ; i++ {
 		prevDom, prevNew := st.doms[i-2], st.news[i-2]
@@ -97,12 +101,27 @@ func buildStagesBitset(g *graph.Graph, source int, opt BuildOptions) (*Stages, e
 		}
 
 		// Candidates DOM_{i−1} ∪ NEW_{i−1}: the two lists are disjoint
-		// (DOM ⊆ INF, NEW ⊆ UNINF) and sorted, so a plain merge.
-		cand = mergeSortedInt32(cand[:0], prevDom, prevNew)
-		domList, err := pruner.Prune(csr, cand, frontierW, frontierCount, opt.Order)
-		if err != nil {
-			st.Stalled = i
-			return st, fmt.Errorf("core: stage %d: %v (restricted=%v)", i, err, opt.Restricted)
+		// (DOM ⊆ INF, NEW ⊆ UNINF) and sorted, so a plain merge. The
+		// Restricted ablation takes DOM_{i−1} alone.
+		cands := prevDom
+		if !opt.Restricted {
+			merged = mergeSortedInt32(merged[:0], prevDom, prevNew)
+			cands = merged
+		}
+		var domList []int32
+		if opt.SkipMinimality {
+			domList = usefulCandidates(bcsr, cands, frontierW)
+			if !domset.Dominates(g, nodeset.OfInt32(n, domList), nodeset.FromWords(n, frontierW)) {
+				st.Stalled = i
+				return st, fmt.Errorf("core: stage %d: candidates do not dominate frontier (skip-minimality mode)", i)
+			}
+		} else {
+			var err error
+			domList, err = pruner.Prune(csr, cands, frontierW, frontierCount, opt.Order)
+			if err != nil {
+				st.Stalled = i
+				return st, fmt.Errorf("core: stage %d: %v (restricted=%v)", i, err, opt.Restricted)
+			}
 		}
 
 		// NEW_i = FRONTIER_i nodes covered by exactly one DOM_i member.
@@ -134,8 +153,8 @@ func buildStagesBitset(g *graph.Graph, source int, opt BuildOptions) (*Stages, e
 		st.doms = append(st.doms, domList)
 		st.news = append(st.news, newList)
 		if len(newList) == 0 {
-			// Lemma 2.4 rules this out for the standard construction this
-			// kernel serves; kept as a defensive mirror of the scalar path.
+			// Lemma 2.4 rules this out for the standard construction; the
+			// SkipMinimality ablation exists to reach it.
 			st.Stalled = i
 			return st, fmt.Errorf("core: stage %d: no progress (NEW empty, frontier %v)", i, nodeset.FromWords(n, frontierW))
 		}
@@ -144,6 +163,22 @@ func buildStagesBitset(g *graph.Graph, source int, opt BuildOptions) (*Stages, e
 			return st, fmt.Errorf("core: stage count exceeded n=%d (Lemma 2.6 violated)", n)
 		}
 	}
+}
+
+// usefulCandidates is DOM_i under the SkipMinimality ablation: every
+// candidate with a frontier neighbour, unpruned.
+func usefulCandidates(bcsr *graph.BitCSR, cands []int32, frontierW []uint64) []int32 {
+	dom := make([]int32, 0, len(cands))
+	for _, c := range cands {
+		words, masks := bcsr.Slabs(int(c))
+		for k, wi := range words {
+			if masks[k]&frontierW[wi] != 0 {
+				dom = append(dom, c)
+				break
+			}
+		}
+	}
+	return dom
 }
 
 // mergeSortedInt32 merges two sorted, disjoint lists into dst.

@@ -8,12 +8,11 @@ import (
 	"radiobcast/internal/nodeset"
 )
 
-// buildStagesScalar is the node-at-a-time reference construction of §2.1:
+// buildStagesOracle is the node-at-a-time reference construction of §2.1:
 // the sets are full nodeset.Sets updated per stage, exactly the loop the
-// paper describes. It serves the ablation modes (Restricted,
-// SkipMinimality), the Scalar escape hatch, and the differential tests
-// that pin the word-parallel kernel bit-identical to it.
-func buildStagesScalar(g *graph.Graph, source int, opt BuildOptions) (*Stages, error) {
+// paper describes. The differential tests and FuzzStagesMatchOracle pin
+// BuildStages to it in every mode, ablations and stall errors included.
+func buildStagesOracle(g *graph.Graph, source int, opt BuildOptions) (*Stages, error) {
 	n := g.N()
 	st := &Stages{G: g, Source: source, Restricted: opt.Restricted}
 	csr := g.Freeze()
@@ -87,14 +86,6 @@ func (s *Stages) appendStage(dom, newSet *nodeset.Set) {
 	s.news = append(s.news, setToInt32(newSet))
 }
 
-// setToInt32 extracts a set's members as an ascending int32 list — the
-// delta-storage form of Stages.
-func setToInt32(s *nodeset.Set) []int32 {
-	out := make([]int32, 0, s.Count())
-	s.ForEach(func(v int) { out = append(out, int32(v)) })
-	return out
-}
-
 // restrictToUseful keeps candidates with at least one frontier neighbour.
 func restrictToUseful(g *graph.Graph, candidates, frontier *nodeset.Set) *nodeset.Set {
 	csr := g.Freeze()
@@ -108,26 +99,4 @@ func restrictToUseful(g *graph.Graph, candidates, frontier *nodeset.Set) *nodese
 		}
 	})
 	return kept
-}
-
-// exactlyOneNeighbor returns the frontier nodes with exactly one neighbour
-// in dom (the definition of NEW_i).
-func exactlyOneNeighbor(g *graph.Graph, frontier, dom *nodeset.Set) *nodeset.Set {
-	csr := g.Freeze()
-	out := nodeset.New(g.N())
-	frontier.ForEach(func(v int) {
-		count := 0
-		for _, w := range csr.Neighbors(v) {
-			if dom.Has(int(w)) {
-				count++
-				if count > 1 {
-					return
-				}
-			}
-		}
-		if count == 1 {
-			out.Add(v)
-		}
-	})
-	return out
 }

@@ -9,10 +9,10 @@ import (
 	"radiobcast/internal/nodeset"
 )
 
-// Pruner is the word-parallel form of MinimalSubset, built for the bitset
-// stage kernel in package core: candidates arrive as a sorted int32 list,
-// targets as a frontier bit-word vector, and the minimal subset comes back
-// as a fresh ascending int32 list. The algorithm is the same
+// Pruner is the word-parallel form of MinimalSubset, and the pruner the
+// stage construction in package core runs: candidates arrive as a sorted
+// int32 list, targets as a frontier bit-word vector, and the minimal subset
+// comes back as a fresh ascending int32 list. The algorithm is the same
 // greedy-removal loop as MinimalSubset — same usefulness filter, same
 // candidate permutation per PruneOrder (including the stable degree
 // sorts), same removable test, same decrements — so for equal inputs the

@@ -57,6 +57,10 @@ var Orders = []PruneOrder{Ascending, Descending, DegreeAsc, DegreeDesc}
 // and removing any single member would break that. Candidates with no
 // target neighbour are dropped outright. It returns an error if candidates
 // do not dominate targets.
+//
+// MinimalSubset is the set-at-a-time reference: the stage construction
+// prunes with Pruner, and the tests pin both Pruner and the stage
+// oracle of package core to this function.
 func MinimalSubset(g *graph.Graph, candidates, targets *nodeset.Set, order PruneOrder) (*nodeset.Set, error) {
 	n := g.N()
 	csr := g.Freeze()

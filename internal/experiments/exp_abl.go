@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"radiobcast"
 	"radiobcast/internal/core"
 	"radiobcast/internal/domset"
 	"radiobcast/internal/graph"
@@ -39,16 +40,17 @@ func DomAblationExperiment(cfg Config) ([]*Table, error) {
 	}
 	rows := sweep.Map(jobs, cfg.Workers, func(j job) row {
 		g := graph.Families[j.c.Family](j.c.N)
-		out, err := core.RunBroadcast(g, 0, "m", core.BuildOptions{Order: j.order})
+		out, err := radiobcast.Run(radiobcast.NewNetwork(g), "b", radiobcast.WithMessage("m"),
+			radiobcast.WithBuild(core.BuildOptions{Order: j.order}))
 		if err != nil {
 			return row{fam: j.c.Family, n: g.N(), order: j.order.String(), err: err}
 		}
-		if err := core.VerifyBroadcast(out, "m"); err != nil {
+		if err := radiobcast.Verify(out); err != nil {
 			return row{fam: j.c.Family, n: g.N(), order: j.order.String(), err: err}
 		}
 		return row{
 			fam: j.c.Family, n: g.N(), order: j.order.String(),
-			l: out.Stages.L, completion: out.CompletionRound,
+			l: out.Labeling.Stages.L, completion: out.CompletionRound,
 			totalTx: out.Result.TotalTransmissions,
 		}
 	})
@@ -109,23 +111,25 @@ func ZAblationExperiment(cfg Config) ([]*Table, error) {
 	}
 	for _, tc := range cases {
 		// Correct choice.
-		good, err := core.RunAcknowledged(tc.g, 0, "m", core.BuildOptions{})
+		good, err := radiobcast.Run(radiobcast.NewNetwork(tc.g), "back", radiobcast.WithMessage("m"))
 		if err != nil {
 			return nil, err
 		}
-		if err := core.VerifyAcknowledged(good, "m"); err != nil {
+		if err := radiobcast.Verify(good); err != nil {
 			return nil, fmt.Errorf("%s: %w", tc.name, err)
 		}
-		t.AddRow(tc.name, tc.g.N(), fmt.Sprintf("%d (correct)", good.Z),
+		t.AddRow(tc.name, tc.g.N(), fmt.Sprintf("%d (correct)", good.Labeling.Z),
 			good.CompletionRound, good.AckRound, boolMark(good.AckRound > good.CompletionRound))
 
 		// Wrong choice: a node informed in stage 1.
-		wrongZ := good.Stages.Stage(1).New.Min()
+		wrongZ := good.Labeling.Stages.Stage(1).New.Min()
 		l, err := core.LambdaAckWithZ(tc.g, 0, wrongZ, core.BuildOptions{})
 		if err != nil {
 			return nil, err
 		}
-		bad, err := core.RunAcknowledgedLabeled(tc.g, l, 0, "m")
+		bad, err := radiobcast.RunLabeled(&radiobcast.Labeling{
+			Scheme: "back", Graph: tc.g, Labels: l.Labels, Stages: l.Stages, Z: l.Z, R: l.R,
+		}, radiobcast.WithMessage("m"))
 		if err != nil {
 			return nil, err
 		}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"radiobcast"
 	"radiobcast/internal/core"
 	"radiobcast/internal/graph"
 	"radiobcast/internal/sweep"
@@ -32,14 +33,14 @@ func Theorem39Experiment(cfg Config) ([]*Table, error) {
 		if n < 2 {
 			return row{fam: c.Family, n: n, valid: false}
 		}
-		out, err := core.RunAcknowledged(g, 0, "m", core.BuildOptions{})
+		out, err := radiobcast.Run(radiobcast.NewNetwork(g), "back", radiobcast.WithMessage("m"))
 		if err != nil {
 			return row{fam: c.Family, n: n, err: err}
 		}
-		if err := core.VerifyAcknowledged(out, "m"); err != nil {
+		if err := radiobcast.Verify(out); err != nil {
 			return row{fam: c.Family, n: n, err: err}
 		}
-		l := out.Stages.L
+		l := out.Labeling.Stages.L
 		lo, hi := 2*l-2, 3*l-4
 		if hi < lo {
 			hi = lo

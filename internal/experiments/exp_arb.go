@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"radiobcast/internal/core"
+	"radiobcast"
 	"radiobcast/internal/graph"
 	"radiobcast/internal/sweep"
 )
@@ -32,18 +32,19 @@ func ArbitraryExperiment(cfg Config) ([]*Table, error) {
 	sortStrings(names)
 	for _, name := range names {
 		g := small[name]
+		net := radiobcast.NewNetwork(g)
 		pairs, maxRounds := 0, 0
 		for r := 0; r < g.N(); r++ {
-			l, err := core.LambdaArb(g, r, core.BuildOptions{})
+			l, err := radiobcast.LabelNetwork(net, "barb", radiobcast.WithCoordinator(r))
 			if err != nil {
 				return nil, fmt.Errorf("%s r=%d: %w", name, r, err)
 			}
 			for src := 0; src < g.N(); src++ {
-				out, err := core.RunArbitraryLabeled(g, l, src, "m")
+				out, err := radiobcast.RunLabeled(l, radiobcast.WithSource(src), radiobcast.WithMessage("m"))
 				if err != nil {
 					return nil, fmt.Errorf("%s r=%d src=%d: %w", name, r, src, err)
 				}
-				if err := core.VerifyArbitrary(g, out, "m"); err != nil {
+				if err := radiobcast.Verify(out); err != nil {
 					return nil, fmt.Errorf("%s r=%d src=%d: %w", name, r, src, err)
 				}
 				pairs++
@@ -80,11 +81,11 @@ func ArbitraryExperiment(cfg Config) ([]*Table, error) {
 				src, best = v, d
 			}
 		}
-		out, err := core.RunArbitrary(g, 0, src, "m", core.BuildOptions{})
+		out, err := radiobcast.Run(radiobcast.NewNetwork(g).At(src), "barb", radiobcast.WithMessage("m"))
 		if err != nil {
 			return row{fam: c.Family, n: g.N(), err: err}
 		}
-		if err := core.VerifyArbitrary(g, out, "m"); err != nil {
+		if err := radiobcast.Verify(out); err != nil {
 			return row{fam: c.Family, n: g.N(), err: err}
 		}
 		return row{fam: c.Family, n: g.N(), T: out.T, rounds: out.TotalRounds, know: out.KnowsCompleteRound[0]}

@@ -77,12 +77,12 @@ func MessageSizeExperiment(cfg Config) ([]*Table, error) {
 		Columns: []string{"n", "B bits", "Back bits", "⌈log₂(2n)⌉"},
 	}
 	for _, n := range cfg.Sizes() {
-		g := graph.Path(n)
-		b, err := core.RunBroadcast(g, 0, "m", core.BuildOptions{})
+		net := radiobcast.NewNetwork(graph.Path(n))
+		b, err := radiobcast.Run(net, "b", radiobcast.WithMessage("m"))
 		if err != nil {
 			return nil, err
 		}
-		back, err := core.RunAcknowledged(g, 0, "m", core.BuildOptions{})
+		back, err := radiobcast.Run(net, "back", radiobcast.WithMessage("m"))
 		if err != nil {
 			return nil, err
 		}
@@ -113,7 +113,7 @@ func EnergyExperiment(cfg Config) ([]*Table, error) {
 	}
 	rows := sweep.Map(familyGrid(cfg), cfg.Workers, func(c familyCase) row {
 		g := graph.Families[c.Family](c.N)
-		out, err := core.RunBroadcast(g, 0, "m", core.BuildOptions{})
+		out, err := radiobcast.Run(radiobcast.NewNetwork(g), "b", radiobcast.WithMessage("m"))
 		if err != nil {
 			return row{fam: c.Family, n: g.N(), err: err}
 		}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"radiobcast"
 	"radiobcast/internal/core"
 	"radiobcast/internal/graph"
 	"radiobcast/internal/sweep"
@@ -42,17 +43,17 @@ func Theorem29Experiment(cfg Config) ([]*Table, error) {
 	rows := sweep.Map(familyGrid(cfg), cfg.Workers, func(c familyCase) row {
 		g := graph.Families[c.Family](c.N)
 		n := g.N()
-		out, err := core.RunBroadcast(g, 0, "m", core.BuildOptions{})
+		out, err := radiobcast.Run(radiobcast.NewNetwork(g), "b", radiobcast.WithMessage("m"))
 		if err != nil {
 			return row{fam: c.Family, n: n, err: err}
 		}
-		verified := core.VerifyBroadcast(out, "m") == nil
+		verified := radiobcast.Verify(out) == nil
 		bound := 2*n - 3
 		if n < 2 {
 			bound = 0
 		}
 		return row{
-			fam: c.Family, n: n, l: out.Stages.L,
+			fam: c.Family, n: n, l: out.Labeling.Stages.L,
 			completion: out.CompletionRound, bound: bound,
 			within: out.CompletionRound <= bound || n < 2, verified: verified,
 		}

@@ -5,9 +5,8 @@ import (
 	"sort"
 	"strings"
 
-	"radiobcast/internal/core"
+	"radiobcast"
 	"radiobcast/internal/graph"
-	"radiobcast/internal/radio"
 )
 
 // Figure1Experiment reproduces the paper's Figure 1: it labels the
@@ -15,19 +14,15 @@ import (
 // per-node annotations (label, transmit rounds, receive rounds) in the
 // figure's format, cross-checking each against the golden values.
 func Figure1Experiment(cfg Config) ([]*Table, error) {
-	g := graph.Figure1()
-	l, err := core.Lambda(g, graph.Figure1Source, core.BuildOptions{})
+	tr := &radiobcast.Trace{}
+	out, err := radiobcast.Run(radiobcast.Figure1(), "b", radiobcast.WithMessage("µ"), radiobcast.WithTrace(tr))
 	if err != nil {
 		return nil, err
 	}
-	tr := &radio.Trace{}
-	out, err := core.RunBroadcastLabeled(g, l, graph.Figure1Source, "µ", tr)
-	if err != nil {
+	if err := radiobcast.Verify(out); err != nil {
 		return nil, err
 	}
-	if err := core.VerifyBroadcast(out, "µ"); err != nil {
-		return nil, err
-	}
+	g, l := out.Graph, out.Labeling
 
 	t := &Table{
 		ID:    "FIG1",

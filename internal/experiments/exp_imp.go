@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"radiobcast"
 	"radiobcast/internal/anonymity"
 	"radiobcast/internal/core"
 	"radiobcast/internal/graph"
@@ -89,11 +90,11 @@ func ImpossibilityExperiment(cfg Config) ([]*Table, error) {
 	t.AddRow("pseudorandom deterministic programs", seeds, horizon/4, "never (all seeds)", "yes")
 
 	// Labeled control: λ + B completes on C4.
-	out, err := core.RunBroadcast(gC4(), 0, "m", core.BuildOptions{})
+	out, err := radiobcast.Run(radiobcast.NewNetwork(gC4()), "b", radiobcast.WithMessage("m"))
 	if err != nil {
 		return nil, err
 	}
-	if err := core.VerifyBroadcast(out, "m"); err != nil {
+	if err := radiobcast.Verify(out); err != nil {
 		return nil, err
 	}
 	t.AddRow("control: λ labels + algorithm B", 1, out.CompletionRound,

@@ -38,8 +38,8 @@ func (b *BitCSR) Slabs(v int) ([]int32, []uint64) {
 // no neighbour is in the set. Slabs are stored in ascending word order and
 // TrailingZeros finds the lowest bit, so the scan is word-parallel yet
 // returns exactly the ascending-order answer a per-neighbour loop would —
-// this is what the stay-sender pick of §2.2 and the stage kernels use to
-// stay bit-identical to the scalar construction.
+// this is what the stay-sender pick of §2.2 and the stage kernel use to
+// stay bit-identical to the node-at-a-time reference construction.
 func (b *BitCSR) FirstIn(v int, words []uint64) int {
 	lo, hi := b.Off[v], b.Off[v+1]
 	for k := lo; k < hi; k++ {

@@ -158,9 +158,10 @@ type Outcome struct {
 
 // Scheme is the single contract every algorithm in this repository
 // implements: label a graph, derive per-node protocols, run, verify. All
-// eight built-in schemes (b, back, barb, onebit, roundrobin, colorrobin,
-// centralized, flooding) register implementations of this interface; new
-// algorithms plug in via Register without touching any caller.
+// nine built-in schemes (b, back, barb, onebit, gjp, roundrobin,
+// colorrobin, centralized, flooding) register implementations of this
+// interface; new algorithms plug in via Register without touching any
+// caller.
 type Scheme interface {
 	// Name is the registry key (e.g. "b", "barb", "roundrobin").
 	Name() string

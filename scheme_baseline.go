@@ -73,7 +73,7 @@ func (r roundRobinScheme) Run(l *Labeling, source int, cfg *Config) (*Outcome, e
 	}
 	ps, _ := r.Protocols(l, source, cfg.Mu)
 	maxRounds := baseline.SlottedMaxRounds(l.Graph, source, l.Bits())
-	out, _ := baseline.Observe(l.Graph, ps, source, maxRounds, l.Labels, cfg.tuning())
+	out := baseline.Observe(l.Graph, ps, source, maxRounds, cfg.tuning())
 	return baselineOutcome(out), nil
 }
 
@@ -108,7 +108,7 @@ func (c colorRobinScheme) Run(l *Labeling, source int, cfg *Config) (*Outcome, e
 	}
 	ps, _ := c.Protocols(l, source, cfg.Mu)
 	maxRounds := baseline.SlottedMaxRounds(l.Graph, source, l.Bits())
-	out, _ := baseline.Observe(l.Graph, ps, source, maxRounds, l.Labels, cfg.tuning())
+	out := baseline.Observe(l.Graph, ps, source, maxRounds, cfg.tuning())
 	return baselineOutcome(out), nil
 }
 
@@ -152,7 +152,7 @@ func (c centralizedScheme) Run(l *Labeling, source int, cfg *Config) (*Outcome, 
 	if err != nil {
 		return nil, err
 	}
-	out, _ := baseline.Observe(l.Graph, ps, source, len(l.Schedule)+1, nil, cfg.tuning())
+	out := baseline.Observe(l.Graph, ps, source, len(l.Schedule)+1, cfg.tuning())
 	o := baselineOutcome(out)
 	o.Labeling = l
 	return o, nil
@@ -201,7 +201,7 @@ func (f floodingScheme) Run(l *Labeling, source int, cfg *Config) (*Outcome, err
 	}
 	ps, _ := f.Protocols(l, source, cfg.Mu)
 	maxRounds := baseline.FloodingMaxRounds(l.Graph.N())
-	out, _ := baseline.Observe(l.Graph, ps, source, maxRounds, l.Labels, cfg.tuning())
+	out := baseline.Observe(l.Graph, ps, source, maxRounds, cfg.tuning())
 	return baselineOutcome(out), nil
 }
 

@@ -55,7 +55,7 @@ func (s gjpScheme) Run(l *Labeling, source int, cfg *Config) (*Outcome, error) {
 	}
 	ps, _ := s.Protocols(l, source, cfg.Mu)
 	maxRounds := gjp.MaxRounds(l.Graph.N())
-	out, _ := baseline.Observe(l.Graph, ps, source, maxRounds, l.Labels, cfg.tuning())
+	out := baseline.Observe(l.Graph, ps, source, maxRounds, cfg.tuning())
 	return baselineOutcome(out), nil
 }
 

@@ -62,7 +62,7 @@ func (o onebitScheme) Run(l *Labeling, source int, cfg *Config) (*Outcome, error
 	}
 	ps, _ := o.Protocols(l, source, cfg.Mu)
 	maxRounds := baseline.FloodingMaxRounds(l.Graph.N())
-	out, _ := baseline.Observe(l.Graph, ps, source, maxRounds, l.Labels, cfg.tuning())
+	out := baseline.Observe(l.Graph, ps, source, maxRounds, cfg.tuning())
 	return baselineOutcome(out), nil
 }
 
