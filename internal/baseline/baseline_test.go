@@ -49,6 +49,9 @@ func TestRoundRobinPeriodBound(t *testing.T) {
 	// completion round is ≤ period · eccentricity.
 	g := graph.Path(17)
 	out := runRoundRobin(g, 0, "m")
+	if !out.AllInformed {
+		t.Fatal("round robin incomplete")
+	}
 	period := 1 << uint(core.MaxLen(RoundRobinLabels(g.N())))
 	if out.CompletionRound > period*g.Eccentricity(0) {
 		t.Fatalf("completion %d > period·ecc = %d", out.CompletionRound, period*g.Eccentricity(0))
