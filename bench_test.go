@@ -19,6 +19,7 @@ import (
 	"radiobcast/internal/core"
 	"radiobcast/internal/domset"
 	"radiobcast/internal/experiments"
+	"radiobcast/internal/graph"
 	"radiobcast/internal/nodeset"
 	"radiobcast/internal/onebit"
 )
@@ -81,7 +82,6 @@ func BenchmarkSessionCacheMiss(b *testing.B) {
 	for _, fam := range []string{"path", "grid"} {
 		net := benchNet(b, fam, 1024)
 		net.Graph.Freeze()
-		net.Graph.Fingerprint()
 		b.Run(fmt.Sprintf("%s/n=1024", fam), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -94,6 +94,31 @@ func BenchmarkSessionCacheMiss(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkEdgeListGraph is the daemon's edge-list path for a first-seen
+// upload: graph.New and AddEdge over a renumbered 4096-node G(n, 6/n),
+// then the connectivity check and the fingerprint the labeling cache
+// keys on. It builds the graph a label-cold request keeps in the cache.
+func BenchmarkEdgeListGraph(b *testing.B) {
+	const n = 4096
+	base := graph.StreamGNPConnected(n, 6.0/n, 1).Edges()
+	perm := graph.RandomPermutation(n, 2)
+	edges := make([][2]int, len(base))
+	for i, e := range base {
+		edges[i] = [2]int{perm[e[0]], perm[e[1]]}
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		g := graph.New(n)
+		for _, e := range edges {
+			g.AddEdge(e[0], e[1])
+		}
+		if !g.IsConnected() {
+			b.Fatal("renumbered G(n, p) is disconnected")
+		}
+		g.Fingerprint()
 	}
 }
 

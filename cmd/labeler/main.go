@@ -232,10 +232,9 @@ func labelMany(ctx context.Context, net *radiobcast.Network, scheme, list string
 	if err != nil {
 		return err
 	}
-	// Shared across workers: freeze and fingerprint once up front so the
-	// graph's lazy caches are read-only from here on.
+	// Shared across workers: freeze once up front (CSR and fingerprint)
+	// so every later use is a read.
 	net.Graph.Freeze()
-	net.Graph.Fingerprint()
 	var opts []radiobcast.SessionOption
 	if storeDir != "" {
 		opts = append(opts, radiobcast.WithStore(storeDir))

@@ -57,8 +57,9 @@
 //
 // The machinery lives under internal/:
 //
-//   - internal/graph, internal/nodeset: the network substrate, with a
-//     frozen CSR form (Graph.Freeze) iterated by every hot path;
+//   - internal/graph, internal/nodeset: the network substrate; a Graph
+//     stores only its CSR form (Graph.Freeze), built from the added
+//     edges on its first read and iterated by every hot path;
 //   - internal/radio: the synchronous radio model of §1.1 — one reusable
 //     engine, a bit-packed word-parallel core with lockstep same-graph
 //     batches (RunBatch), checked against the naive reference engine of

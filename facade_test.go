@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"radiobcast"
+	"radiobcast/internal/graph"
 	"radiobcast/internal/radio"
 	"radiobcast/internal/radio/radiotest"
 )
@@ -240,6 +241,24 @@ func TestCentralizedSourceOverride(t *testing.T) {
 	if out.Labeling.Source != 0 || len(out.Labeling.Schedule) < out.CompletionRound {
 		t.Fatalf("outcome labeling not recomputed: source %d, schedule %d rounds, completion %d",
 			out.Labeling.Source, len(out.Labeling.Schedule), out.CompletionRound)
+	}
+}
+
+// TestBaselinesOnStreamedGraph runs roundrobin and colorrobin on a
+// network from the streaming generator, which Family uses for gnp members
+// of 50,000 nodes and more. The labeling's traversal and graph square are
+// the graph's first reads; they used to index an adjacency form such
+// graphs never built, and panicked.
+func TestBaselinesOnStreamedGraph(t *testing.T) {
+	for _, scheme := range []string{"roundrobin", "colorrobin"} {
+		net := radiobcast.NewNetwork(graph.StreamGNPConnected(200, 3.0/200, 5))
+		out, err := radiobcast.Run(net, scheme)
+		if err != nil {
+			t.Fatalf("%s: %v", scheme, err)
+		}
+		if err := radiobcast.Verify(out); err != nil || !out.AllInformed {
+			t.Fatalf("%s: verify %v, all informed %v", scheme, err, out.AllInformed)
+		}
 	}
 }
 

@@ -8,6 +8,18 @@ import (
 	"radiobcast/internal/nodeset"
 )
 
+// neighborhood returns Γ(X): the nodes adjacent to at least one member of
+// X (the paper's Γ; note Γ(X) may intersect X).
+func neighborhood(csr *graph.CSR, x *nodeset.Set) *nodeset.Set {
+	out := nodeset.New(csr.N())
+	x.ForEach(func(v int) {
+		for _, w := range csr.Neighbors(v) {
+			out.Add(int(w))
+		}
+	})
+	return out
+}
+
 // buildStagesOracle is the node-at-a-time reference construction of §2.1:
 // the sets are full nodeset.Sets updated per stage, exactly the loop the
 // paper describes. The differential tests and FuzzStagesMatchOracle pin
@@ -44,7 +56,7 @@ func buildStagesOracle(g *graph.Graph, source int, opt BuildOptions) (*Stages, e
 		// FRONTIER_i = UNINF_i ∩ Γ(INF_i), computed incrementally:
 		// previous frontier survivors plus uninformed neighbours of NEW_{i−1}.
 		frontier = nodeset.Intersect(frontier, uninf)
-		frontier.UnionWith(nodeset.Intersect(g.Neighborhood(prevNew), uninf))
+		frontier.UnionWith(nodeset.Intersect(neighborhood(csr, prevNew), uninf))
 
 		candidates := prevDom.Clone()
 		if !opt.Restricted {

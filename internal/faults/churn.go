@@ -17,20 +17,18 @@ type ChurnEvent struct {
 	V     int  `json:"v"`
 }
 
-// churn replays an edge add/remove schedule against a private clone of
-// the base graph, re-freezing into a model-owned CSR buffer whenever the
-// topology actually changes.
+// churn replays an edge add/remove schedule against a private copy of
+// the base graph's CSR, edited in place as events fall due.
 type churn struct {
 	base   *graph.Graph
 	events []ChurnEvent // sorted by round, original order preserved within a round
 
-	g    *graph.Graph
 	next int
 	csr  graph.CSR
 }
 
 // NewChurn returns a topology-churn model applying events to (a private
-// clone of) base. The schedule is sorted by round; events sharing a round
+// copy of) base. The schedule is sorted by round; events sharing a round
 // apply in their given order.
 func NewChurn(base *graph.Graph, events []ChurnEvent) TopologyModel {
 	evs := append([]ChurnEvent(nil), events...)
@@ -39,7 +37,12 @@ func NewChurn(base *graph.Graph, events []ChurnEvent) TopologyModel {
 }
 
 func (c *churn) Reset(int) {
-	c.g = c.base.Clone()
+	b := c.base.Freeze()
+	// A fresh value also drops the slab form of the previous run's edits.
+	c.csr = graph.CSR{
+		Offsets: append(c.csr.Offsets[:0], b.Offsets...),
+		Targets: append(c.csr.Targets[:0], b.Targets...),
+	}
 	c.next = 0
 }
 
@@ -47,28 +50,16 @@ func (c *churn) Apply(*State, []Effect) {}
 
 func (c *churn) Topology(round int) *graph.CSR {
 	changed := false
+	n := c.csr.N()
 	for c.next < len(c.events) && c.events[c.next].Round <= round {
 		e := c.events[c.next]
 		c.next++
-		if e.U == e.V || e.U < 0 || e.U >= c.g.N() || e.V < 0 || e.V >= c.g.N() {
-			continue
+		if e.U >= 0 && e.U < n && e.V >= 0 && e.V < n && c.csr.SetEdge(e.U, e.V, e.Add) {
+			changed = true
 		}
-		if e.Add {
-			if c.g.HasEdge(e.U, e.V) {
-				continue
-			}
-			c.g.AddEdge(e.U, e.V)
-		} else {
-			if !c.g.HasEdge(e.U, e.V) {
-				continue
-			}
-			c.g.RemoveEdge(e.U, e.V)
-		}
-		changed = true
 	}
 	if !changed {
 		return nil
 	}
-	c.g.FreezeInto(&c.csr)
 	return &c.csr
 }

@@ -51,7 +51,7 @@ func Build(g *graph.Graph, source int, budget int) ([]core.Label, error) {
 	if budget <= 0 {
 		budget = DefaultBudget
 	}
-	b := &builder{g: g, n: n, bits: make([]int8, n), informed: make([]bool, n), budget: budget}
+	b := &builder{csr: g.Freeze(), n: n, bits: make([]int8, n), informed: make([]bool, n), budget: budget}
 	for i := range b.bits {
 		b.bits[i] = -1
 	}
@@ -71,7 +71,7 @@ func Build(g *graph.Graph, source int, budget int) ([]core.Label, error) {
 }
 
 type builder struct {
-	g        *graph.Graph
+	csr      *graph.CSR
 	n        int
 	bits     []int8 // -1 = unassigned
 	informed []bool
@@ -138,9 +138,9 @@ func (b *builder) search(T []int) bool {
 func (b *builder) newlyInformed(T []int) []int {
 	count := map[int]int{}
 	for _, t := range T {
-		for _, w := range b.g.Neighbors(t) {
+		for _, w := range b.csr.Neighbors(t) {
 			if !b.informed[w] {
-				count[w]++
+				count[int(w)]++
 			}
 		}
 	}
@@ -245,11 +245,11 @@ func (b *builder) coverSel(newly []int) []bool {
 	sel := make([]bool, len(newly))
 	covered := map[int]bool{}
 	for i, v := range newly {
-		for _, w := range b.g.Neighbors(v) {
-			if b.informed[w] || covered[w] {
+		for _, w := range b.csr.Neighbors(v) {
+			if b.informed[w] || covered[int(w)] {
 				continue
 			}
-			covered[w] = true
+			covered[int(w)] = true
 			sel[i] = true
 		}
 	}
@@ -274,8 +274,8 @@ func (b *builder) step(T, newly []int, sel []bool) (next []int, score int) {
 	}
 	for _, t := range T {
 		echoes := 0
-		for _, w := range b.g.Neighbors(t) {
-			if echo[w] {
+		for _, w := range b.csr.Neighbors(t) {
+			if echo[int(w)] {
 				echoes++
 			}
 		}
@@ -286,9 +286,9 @@ func (b *builder) step(T, newly []int, sel []bool) (next []int, score int) {
 	sort.Ints(next)
 	count := map[int]int{}
 	for _, t := range next {
-		for _, w := range b.g.Neighbors(t) {
-			if !b.informed[w] && !inNew[w] {
-				count[w]++
+		for _, w := range b.csr.Neighbors(t) {
+			if !b.informed[w] && !inNew[int(w)] {
+				count[int(w)]++
 			}
 		}
 	}

@@ -4,17 +4,14 @@ package graph
 // with the same node count and the same edge set (over the same node
 // numbering) have the same fingerprint. It is the cache key of the
 // facade's labeling cache — a labeling computed for one *Graph serves any
-// structurally identical one — and is computed over the frozen CSR form
-// (FNV-1a over n and the flattened adjacency), then cached until the next
-// AddEdge.
-//
-// Like Freeze, the cache write is not synchronised: when a graph is
-// shared across goroutines, call Fingerprint (or Freeze) once before
-// handing it out.
+// structurally identical one. Freeze computes it together with the CSR.
 func (g *Graph) Fingerprint() uint64 {
-	if g.fpValid {
-		return g.fp
-	}
+	g.Freeze()
+	return g.fp
+}
+
+// fingerprint is FNV-1a over n and the CSR arrays.
+func fingerprint(c *CSR) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -27,17 +24,14 @@ func (g *Graph) Fingerprint() uint64 {
 			x >>= 8
 		}
 	}
-	csr := g.Freeze()
-	mix(uint64(g.n))
+	mix(uint64(c.N()))
 	// Offsets are determined by Targets plus the per-node degrees; hashing
 	// both arrays pins the structure completely.
-	for _, o := range csr.Offsets {
+	for _, o := range c.Offsets {
 		mix(uint64(uint32(o)))
 	}
-	for _, t := range csr.Targets {
+	for _, t := range c.Targets {
 		mix(uint64(uint32(t)))
 	}
-	g.fp = h
-	g.fpValid = true
 	return h
 }

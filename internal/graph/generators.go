@@ -260,10 +260,12 @@ func RandomRadius2(n int, p float64, seed int64) *Graph {
 	}
 	// Second ring: attach to random first-ring nodes.
 	for i := ring + 1; i < n; i++ {
-		g.AddEdge(i, 1+r.Intn(ring))
-		// extra attachments increase collision pressure
+		a := 1 + r.Intn(ring)
+		g.AddEdge(i, a)
+		// Extra attachments increase collision pressure. Node i's only
+		// first-ring edge so far is {i, a}, so no draw is spent on it.
 		for j := 1; j <= ring; j++ {
-			if !g.HasEdge(i, j) && r.Float64() < p {
+			if j != a && r.Float64() < p {
 				g.AddEdge(i, j)
 			}
 		}

@@ -7,25 +7,29 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
-
-	"radiobcast/internal/nodeset"
+	"slices"
 )
 
-// Graph is a simple undirected graph over nodes 0..n-1, stored as sorted
-// adjacency lists. Construct with New and AddEdge; adjacency lists are kept
-// sorted and duplicate-free so that all downstream algorithms iterate
-// neighbours in a deterministic order.
+// Graph is a simple undirected graph over nodes 0..n-1 whose adjacency is
+// its CSR (see Freeze). New, AddEdge and RemoveEdge only append to an edit
+// buffer; the first read turns the buffer into the CSR and the fingerprint
+// and drops it. Adjacency comes out sorted and duplicate-free, so every
+// downstream algorithm iterates neighbours in a deterministic order.
+//
+// Edits belong before the first read: an edit after a read that changes
+// the graph reopens the buffer from the CSR, which costs O(m), so
+// builders that test membership while they add edges keep their own
+// state. A graph is read-only once it is shared: read it once (Freeze)
+// before handing it to other goroutines, and do not edit it afterwards.
 type Graph struct {
-	n    int
-	adj  [][]int
-	m    int
-	sets []*nodeset.Set // lazily built adjacency bitsets for O(1) HasEdge
-	csr  *CSR           // lazily built frozen form (see Freeze)
-
-	fp      uint64 // cached structural hash (see Fingerprint)
-	fpValid bool
+	n int
+	// buf holds the edits since the last read: each is the edge key
+	// min·n+max shifted left one bit, with the low bit set for a removal.
+	buf []int64
+	csr *CSR // nil while edits are pending
+	fp  uint64
 }
 
 // New returns an edgeless graph with n nodes.
@@ -33,14 +37,14 @@ func New(n int) *Graph {
 	if n < 0 {
 		panic(fmt.Sprintf("graph: negative node count %d", n))
 	}
-	return &Graph{n: n, adj: make([][]int, n)}
+	return &Graph{n: n}
 }
 
 // N returns the number of nodes.
 func (g *Graph) N() int { return g.n }
 
 // M returns the number of edges.
-func (g *Graph) M() int { return g.m }
+func (g *Graph) M() int { return g.Freeze().M() }
 
 func (g *Graph) check(v int) {
 	if v < 0 || v >= g.n {
@@ -53,19 +57,10 @@ func (g *Graph) check(v int) {
 func (g *Graph) AddEdge(u, v int) {
 	g.check(u)
 	g.check(v)
-	g.ensureAdj()
 	if u == v {
 		panic(fmt.Sprintf("graph: self-loop at %d", u))
 	}
-	if g.HasEdge(u, v) {
-		return
-	}
-	g.insert(u, v)
-	g.insert(v, u)
-	g.m++
-	g.sets = nil // invalidate caches
-	g.csr = nil
-	g.fpValid = false
+	g.edit(u, v, 0)
 }
 
 // RemoveEdge deletes the undirected edge {u, v}. Removing an absent edge
@@ -73,158 +68,151 @@ func (g *Graph) AddEdge(u, v int) {
 func (g *Graph) RemoveEdge(u, v int) {
 	g.check(u)
 	g.check(v)
-	g.ensureAdj()
-	if u == v || !g.HasEdge(u, v) {
-		return
+	if u != v {
+		g.edit(u, v, 1)
 	}
-	g.remove(u, v)
-	g.remove(v, u)
-	g.m--
-	g.sets = nil // invalidate caches
-	g.csr = nil
-	g.fpValid = false
 }
 
-func (g *Graph) remove(u, v int) {
-	a := g.adj[u]
-	i := sort.SearchInts(a, v)
-	copy(a[i:], a[i+1:])
-	g.adj[u] = a[:len(a)-1]
+// edit appends one edit to the buffer. On a frozen graph an edit that
+// changes nothing keeps the CSR; any other reopens the buffer from it.
+func (g *Graph) edit(u, v int, removal int64) {
+	if g.csr != nil {
+		if g.HasEdge(u, v) == (removal == 0) {
+			return
+		}
+		buf := make([]int64, 0, g.csr.M()+1)
+		for _, e := range g.Edges() {
+			buf = append(buf, g.key(e[0], e[1])<<1)
+		}
+		g.buf, g.csr = buf, nil
+	}
+	g.buf = append(g.buf, g.key(min(u, v), max(u, v))<<1|removal)
 }
 
-func (g *Graph) insert(u, v int) {
-	a := g.adj[u]
-	i := sort.SearchInts(a, v)
-	a = append(a, 0)
-	copy(a[i+1:], a[i:])
-	a[i] = v
-	g.adj[u] = a
+func (g *Graph) key(u, v int) int64 { return int64(u)*int64(g.n) + int64(v) }
+
+// Freeze returns the CSR form of g. The first call after an edit builds it
+// from the edit buffer through edgesToCSR, computes the fingerprint and
+// drops the buffer; later calls return the same CSR, so callers on hot
+// paths just call Freeze every time. Every other read goes through it.
+func (g *Graph) Freeze() *CSR {
+	if g.csr != nil {
+		return g.csr
+	}
+	buf := g.buf
+	// The last edit of an edge decides whether it is present, so with
+	// removals in the buffer the sort keeps each edge's edits in arrival
+	// order. Without them an edge's edits are equal and any order will do.
+	if slices.ContainsFunc(buf, func(e int64) bool { return e&1 != 0 }) {
+		slices.SortStableFunc(buf, func(a, b int64) int { return cmp.Compare(a>>1, b>>1) })
+	} else {
+		slices.Sort(buf)
+	}
+	edges := buf[:0]
+	for i, e := range buf {
+		if e&1 == 0 && (i+1 == len(buf) || buf[i+1]>>1 != e>>1) {
+			edges = append(edges, e>>1)
+		}
+	}
+	g.csr = edgesToCSR(g.n, edges)
+	g.fp = fingerprint(g.csr)
+	g.buf = nil
+	return g.csr
 }
 
 // HasEdge reports whether {u, v} is an edge.
 func (g *Graph) HasEdge(u, v int) bool {
 	g.check(u)
 	g.check(v)
-	g.ensureAdj()
-	a := g.adj[u]
-	i := sort.SearchInts(a, v)
-	return i < len(a) && a[i] == v
+	_, ok := slices.BinarySearch(g.Freeze().Neighbors(u), int32(v))
+	return ok
 }
 
-// Neighbors returns v's adjacency list in ascending order. The returned
-// slice is owned by the graph and must not be modified.
+// Neighbors returns v's adjacency list in ascending order, as a fresh
+// slice the caller owns. Hot paths read Freeze().Neighbors instead.
 func (g *Graph) Neighbors(v int) []int {
 	g.check(v)
-	g.ensureAdj()
-	return g.adj[v]
+	nb := g.Freeze().Neighbors(v)
+	out := make([]int, len(nb))
+	for i, w := range nb {
+		out[i] = int(w)
+	}
+	return out
 }
 
 // Degree returns the degree of v.
 func (g *Graph) Degree(v int) int {
 	g.check(v)
-	g.ensureAdj()
-	return len(g.adj[v])
+	return g.Freeze().Degree(v)
 }
 
 // MaxDegree returns Δ(G), or 0 for an edgeless graph.
 func (g *Graph) MaxDegree() int {
-	g.ensureAdj()
+	c := g.Freeze()
 	d := 0
 	for v := 0; v < g.n; v++ {
-		if len(g.adj[v]) > d {
-			d = len(g.adj[v])
-		}
+		d = max(d, c.Degree(v))
 	}
 	return d
 }
 
 // Edges returns all edges as ordered pairs (u < v), sorted lexicographically.
 func (g *Graph) Edges() [][2]int {
-	g.ensureAdj()
-	out := make([][2]int, 0, g.m)
+	c := g.Freeze()
+	out := make([][2]int, 0, c.M())
 	for u := 0; u < g.n; u++ {
-		for _, v := range g.adj[u] {
-			if u < v {
-				out = append(out, [2]int{u, v})
+		for _, v := range c.Neighbors(u) {
+			if int(v) > u {
+				out = append(out, [2]int{u, int(v)})
 			}
 		}
 	}
 	return out
 }
 
-// Clone returns a deep copy.
+// Clone returns a copy that edits do not tie to g: the two share the
+// immutable CSR until one of them is edited.
 func (g *Graph) Clone() *Graph {
-	g.ensureAdj()
-	c := New(g.n)
-	c.m = g.m
-	for v := 0; v < g.n; v++ {
-		c.adj[v] = append([]int(nil), g.adj[v]...)
-	}
-	return c
+	g.Freeze()
+	c := *g
+	return &c
 }
 
-// NeighborSet returns v's neighbourhood as a nodeset.Set. Sets are cached;
-// they are owned by the graph and must not be modified.
-func (g *Graph) NeighborSet(v int) *nodeset.Set {
-	g.check(v)
-	g.ensureAdj()
-	if g.sets == nil {
-		g.sets = make([]*nodeset.Set, g.n)
-	}
-	if g.sets[v] == nil {
-		s := nodeset.New(g.n)
-		for _, w := range g.adj[v] {
-			s.Add(w)
-		}
-		g.sets[v] = s
-	}
-	return g.sets[v]
-}
-
-// Neighborhood returns Γ(X): the set of nodes adjacent to at least one
-// member of X (the paper's Γ; note Γ(X) may intersect X).
-func (g *Graph) Neighborhood(x *nodeset.Set) *nodeset.Set {
-	csr := g.Freeze()
-	out := nodeset.New(g.n)
-	x.ForEach(func(v int) {
-		for _, w := range csr.Neighbors(v) {
-			out.Add(int(w))
-		}
-	})
-	return out
-}
-
-// Validate checks structural invariants (sorted, symmetric, loop-free
-// adjacency). It returns nil for graphs built through AddEdge and exists to
-// guard graphs constructed by external decoders.
+// Validate checks the structural invariants of the CSR: offsets that
+// span the targets, and sorted, symmetric, loop-free adjacency. It
+// returns nil for every graph this package builds and exists to catch a
+// caller that wrote into the exported CSR arrays.
 func (g *Graph) Validate() error {
-	g.ensureAdj()
-	count := 0
+	c := g.Freeze()
+	if len(c.Offsets) != g.n+1 || c.Offsets[0] != 0 || int(c.Offsets[g.n]) != len(c.Targets) {
+		return fmt.Errorf("graph: offsets do not span the %d targets", len(c.Targets))
+	}
 	for u := 0; u < g.n; u++ {
-		a := g.adj[u]
+		if c.Offsets[u] > c.Offsets[u+1] {
+			return fmt.Errorf("graph: offsets decrease at node %d", u)
+		}
+	}
+	for u := 0; u < g.n; u++ {
+		a := c.Neighbors(u)
 		for i, v := range a {
-			if v < 0 || v >= g.n {
+			if v < 0 || int(v) >= g.n {
 				return fmt.Errorf("graph: node %d has out-of-range neighbour %d", u, v)
 			}
-			if v == u {
+			if int(v) == u {
 				return fmt.Errorf("graph: self-loop at %d", u)
 			}
 			if i > 0 && a[i-1] >= v {
 				return fmt.Errorf("graph: adjacency of %d not sorted/unique", u)
 			}
-			if !g.HasEdge(v, u) {
+			if _, ok := slices.BinarySearch(c.Neighbors(int(v)), int32(u)); !ok {
 				return fmt.Errorf("graph: edge {%d,%d} not symmetric", u, v)
 			}
-			count++
 		}
-	}
-	if count != 2*g.m {
-		return fmt.Errorf("graph: edge count %d inconsistent with adjacency size %d", g.m, count)
 	}
 	return nil
 }
 
 // String renders a short summary.
 func (g *Graph) String() string {
-	return fmt.Sprintf("graph(n=%d, m=%d)", g.n, g.m)
+	return fmt.Sprintf("graph(n=%d, m=%d)", g.n, g.M())
 }

@@ -1,0 +1,316 @@
+package graph
+
+import (
+	"reflect"
+	"sort"
+	"sync"
+	"testing"
+)
+
+// oracle is the sorted-adjacency graph this package stored before the CSR
+// became a Graph's only adjacency: one []int list per node, kept sorted
+// by insertion. FuzzGraphMatchesOracle pins Graph to it.
+type oracle struct {
+	n, m int
+	adj  [][]int
+}
+
+func newOracle(n int) *oracle { return &oracle{n: n, adj: make([][]int, n)} }
+
+func (o *oracle) HasEdge(u, v int) bool {
+	a := o.adj[u]
+	i := sort.SearchInts(a, v)
+	return i < len(a) && a[i] == v
+}
+
+func (o *oracle) AddEdge(u, v int) {
+	if u == v || o.HasEdge(u, v) {
+		return
+	}
+	o.insert(u, v)
+	o.insert(v, u)
+	o.m++
+}
+
+func (o *oracle) RemoveEdge(u, v int) {
+	if u == v || !o.HasEdge(u, v) {
+		return
+	}
+	o.remove(u, v)
+	o.remove(v, u)
+	o.m--
+}
+
+func (o *oracle) insert(u, v int) {
+	a := o.adj[u]
+	i := sort.SearchInts(a, v)
+	a = append(a, 0)
+	copy(a[i+1:], a[i:])
+	a[i] = v
+	o.adj[u] = a
+}
+
+func (o *oracle) remove(u, v int) {
+	a := o.adj[u]
+	i := sort.SearchInts(a, v)
+	copy(a[i:], a[i+1:])
+	o.adj[u] = a[:len(a)-1]
+}
+
+func (o *oracle) Edges() [][2]int {
+	out := make([][2]int, 0, o.m)
+	for u := 0; u < o.n; u++ {
+		for _, v := range o.adj[u] {
+			if u < v {
+				out = append(out, [2]int{u, v})
+			}
+		}
+	}
+	return out
+}
+
+func (o *oracle) BFS(src int) []int {
+	dist := make([]int, o.n)
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[src] = 0
+	queue := []int{src}
+	for len(queue) > 0 {
+		v := queue[0]
+		queue = queue[1:]
+		for _, w := range o.adj[v] {
+			if dist[w] == -1 {
+				dist[w] = dist[v] + 1
+				queue = append(queue, w)
+			}
+		}
+	}
+	return dist
+}
+
+// csr flattens the lists into CSR arrays.
+func (o *oracle) csr() (offsets, targets []int32) {
+	offsets = make([]int32, o.n+1)
+	targets = make([]int32, 0, 2*o.m)
+	for v := 0; v < o.n; v++ {
+		offsets[v] = int32(len(targets))
+		for _, w := range o.adj[v] {
+			targets = append(targets, int32(w))
+		}
+	}
+	offsets[o.n] = int32(len(targets))
+	return offsets, targets
+}
+
+// Fingerprint is FNV-1a over n, the offsets and the targets, each as
+// eight little-endian bytes.
+func (o *oracle) Fingerprint() uint64 {
+	h := uint64(14695981039346656037)
+	mix := func(x uint64) {
+		for i := 0; i < 8; i++ {
+			h ^= x & 0xff
+			h *= 1099511628211
+			x >>= 8
+		}
+	}
+	offsets, targets := o.csr()
+	mix(uint64(o.n))
+	for _, x := range offsets {
+		mix(uint64(uint32(x)))
+	}
+	for _, x := range targets {
+		mix(uint64(uint32(x)))
+	}
+	return h
+}
+
+// matchOracle compares every read of g with the oracle's answer.
+func matchOracle(t *testing.T, g *Graph, o *oracle) {
+	t.Helper()
+	if g.N() != o.n || g.M() != o.m {
+		t.Fatalf("n, m = %d, %d; oracle %d, %d", g.N(), g.M(), o.n, o.m)
+	}
+	for v := 0; v < o.n; v++ {
+		if got := g.Neighbors(v); len(got)+len(o.adj[v]) > 0 && !reflect.DeepEqual(got, o.adj[v]) {
+			t.Fatalf("Neighbors(%d) = %v, oracle %v", v, got, o.adj[v])
+		}
+	}
+	if got, want := g.Edges(), o.Edges(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Edges = %v, oracle %v", got, want)
+	}
+	if got, want := g.Fingerprint(), o.Fingerprint(); got != want {
+		t.Fatalf("Fingerprint = %#x, oracle %#x", got, want)
+	}
+	if o.n > 0 {
+		if got, want := g.BFS(0), o.BFS(0); !reflect.DeepEqual(got, want) {
+			t.Fatalf("BFS(0) = %v, oracle %v", got, want)
+		}
+	}
+	offsets, targets := o.csr()
+	if c := g.Freeze(); !reflect.DeepEqual(c.Offsets, offsets) || !reflect.DeepEqual(c.Targets, targets) {
+		t.Fatalf("CSR = {%v %v}, oracle {%v %v}", c.Offsets, c.Targets, offsets, targets)
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzGraphMatchesOracle applies one random interleaving of AddEdge
+// (duplicates included), RemoveEdge, HasEdge and full reads to a Graph,
+// to the oracle, and through SetEdge to a caller-owned CSR, then requires
+// all three to agree. Reads between edits make later edits reopen the
+// edit buffer from the CSR.
+func FuzzGraphMatchesOracle(f *testing.F) {
+	f.Add(uint8(4), []byte{0, 0, 1, 1, 1, 2, 4, 0, 1, 3, 1, 0, 5, 0, 0, 0, 1, 0})
+	f.Add(uint8(7), []byte{0, 0, 6, 2, 6, 5, 3, 6, 0, 5, 0, 0, 0, 0, 6, 3, 0, 6, 4, 2, 3})
+	f.Add(uint8(1), []byte{4, 0, 0, 5, 0, 0})
+	f.Add(uint8(30), []byte{0, 3, 9, 1, 9, 20, 2, 20, 3, 5, 0, 0, 3, 9, 3, 0, 9, 3, 4, 3, 9, 3, 3, 9, 0, 3, 9})
+	f.Fuzz(func(t *testing.T, nb uint8, ops []byte) {
+		n := 1 + int(nb%48)
+		g, o := New(n), newOracle(n)
+		var edited CSR
+		edited.Offsets = make([]int32, n+1)
+		for i := 0; i+2 < len(ops); i += 3 {
+			u, v := int(ops[i+1])%n, int(ops[i+2])%n
+			switch ops[i] % 6 {
+			case 0, 1, 2:
+				if u != v {
+					g.AddEdge(u, v)
+					o.AddEdge(u, v)
+					edited.SetEdge(u, v, true)
+				}
+			case 3:
+				g.RemoveEdge(u, v)
+				o.RemoveEdge(u, v)
+				edited.SetEdge(u, v, false)
+			case 4:
+				if got, want := g.HasEdge(u, v), o.HasEdge(u, v); got != want {
+					t.Fatalf("op %d: HasEdge(%d, %d) = %v, oracle %v", i/3, u, v, got, want)
+				}
+			case 5:
+				matchOracle(t, g, o)
+			}
+		}
+		matchOracle(t, g, o)
+		offsets, targets := o.csr()
+		if !reflect.DeepEqual(edited.Offsets, offsets) || len(edited.Targets)+len(targets) > 0 && !reflect.DeepEqual(edited.Targets, targets) {
+			t.Fatalf("SetEdge CSR = {%v %v}, oracle {%v %v}", edited.Offsets, edited.Targets, offsets, targets)
+		}
+	})
+}
+
+// reads lists every read method of Graph, each as a function whose
+// result can be compared with reflect.DeepEqual.
+var reads = []struct {
+	name string
+	read func(*Graph) any
+}{
+	{"N", func(g *Graph) any { return g.N() }},
+	{"M", func(g *Graph) any { return g.M() }},
+	{"String", func(g *Graph) any { return g.String() }},
+	{"Freeze", func(g *Graph) any { c := g.Freeze(); return [2][]int32{c.Offsets, c.Targets} }},
+	{"Fingerprint", func(g *Graph) any { return g.Fingerprint() }},
+	{"Neighbors", func(g *Graph) any {
+		out := make([][]int, g.N())
+		for v := range out {
+			out[v] = g.Neighbors(v)
+		}
+		return out
+	}},
+	{"Degree", func(g *Graph) any {
+		out := make([]int, g.N())
+		for v := range out {
+			out[v] = g.Degree(v)
+		}
+		return out
+	}},
+	{"MaxDegree", func(g *Graph) any { return g.MaxDegree() }},
+	{"HasEdge", func(g *Graph) any {
+		var out []bool
+		for u := 0; u < g.N(); u++ {
+			for v := 0; v < g.N(); v++ {
+				out = append(out, g.HasEdge(u, v))
+			}
+		}
+		return out
+	}},
+	{"Edges", func(g *Graph) any { return g.Edges() }},
+	{"Validate", func(g *Graph) any { return g.Validate() }},
+	{"Clone", func(g *Graph) any { return g.Clone().Edges() }},
+	{"BFS", func(g *Graph) any { return g.BFS(g.N() / 2) }},
+	{"Layers", func(g *Graph) any { return g.Layers(0) }},
+	{"IsConnected", func(g *Graph) any { return g.IsConnected() }},
+	{"ConnectedComponents", func(g *Graph) any { return g.ConnectedComponents() }},
+	{"Eccentricity", func(g *Graph) any { return g.Eccentricity(0) }},
+	{"Square", func(g *Graph) any { return g.Square().Edges() }},
+	{"GreedyColoring", func(g *Graph) any { c, k := g.GreedyColoring(); return [2]any{c, k} }},
+	{"Distance2Coloring", func(g *Graph) any { c, k := g.Distance2Coloring(); return [2]any{c, k} }},
+}
+
+// TestStreamedGraphReadsMatchAddEdge: every read method, called as the
+// first read of a StreamGNPConnected graph, answers as it does on the
+// same edges added one by one through New and AddEdge. (Traversals on
+// streamed graphs used to index an adjacency form they never built.)
+func TestStreamedGraphReadsMatchAddEdge(t *testing.T) {
+	const n, p, seed = 120, 0.04, 3
+	for _, r := range reads {
+		s := StreamGNPConnected(n, p, seed)
+		g := New(n)
+		for i := len(s.buf) - 1; i >= 0; i-- { // reversed, endpoints swapped
+			k := s.buf[i] >> 1
+			g.AddEdge(int(k%n), int(k/n))
+		}
+		if got, want := r.read(s), r.read(g); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: streamed graph gives %v, New+AddEdge gives %v", r.name, got, want)
+		}
+	}
+}
+
+// TestFirstReadDropsEditBuffer: whichever read comes first, it leaves a
+// graph built with New and AddEdge holding its CSR and no edit buffer.
+func TestFirstReadDropsEditBuffer(t *testing.T) {
+	for _, r := range reads {
+		g := New(6)
+		for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 0}, {3, 4}, {1, 0}, {4, 5}, {2, 3}} {
+			g.AddEdge(e[0], e[1])
+		}
+		if g.buf == nil {
+			t.Fatal("precondition: AddEdge left no edit buffer")
+		}
+		r.read(g)
+		if r.name == "N" {
+			continue // N reads no adjacency
+		}
+		if g.buf != nil || g.csr == nil {
+			t.Errorf("%s: after the first read buf=%v csr=%v", r.name, g.buf, g.csr)
+		}
+	}
+}
+
+// TestConcurrentReadsOfFrozenGraph runs the read paths a serving daemon
+// shares across requests on one frozen graph from several goroutines at
+// once; under -race any write on those paths fails the test.
+func TestConcurrentReadsOfFrozenGraph(t *testing.T) {
+	g := GNPConnected(200, 0.05, 11)
+	g.Freeze()
+	wantBFS, wantEdges, wantFP := g.BFS(7), g.Edges(), g.Fingerprint()
+	var wg sync.WaitGroup
+	bits := make([]*BitCSR, 4)
+	for i := range bits {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			bits[i] = g.Freeze().Bits()
+			if !reflect.DeepEqual(g.BFS(7), wantBFS) || !reflect.DeepEqual(g.Edges(), wantEdges) || g.Fingerprint() != wantFP {
+				t.Error("concurrent read disagrees with the sequential one")
+			}
+		}()
+	}
+	wg.Wait()
+	for _, b := range bits[1:] {
+		if !reflect.DeepEqual(b, bits[0]) {
+			t.Fatal("racing Bits calls built different slab forms")
+		}
+	}
+}

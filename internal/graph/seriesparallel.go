@@ -21,9 +21,7 @@ func SeriesParallel(n int, seed int64) *Graph {
 	b.compose(s, t, n-2)
 	g := New(b.next)
 	for _, e := range b.edges {
-		if e[0] != e[1] && !g.HasEdge(e[0], e[1]) {
-			g.AddEdge(e[0], e[1])
-		}
+		g.AddEdge(e[0], e[1]) // parallel compositions repeat edges; AddEdge dedups
 	}
 	return g
 }

@@ -10,16 +10,22 @@ package graph
 // Square returns G²: same nodes, with an edge between every pair of
 // distinct nodes at distance 1 or 2 in g.
 func (g *Graph) Square() *Graph {
+	c := g.Freeze()
 	sq := New(g.n)
+	// seen[w] == u+1 once {u, w} is in sq's edit buffer, so the buffer
+	// holds each edge of G² once instead of once per path of length ≤ 2.
+	seen := make([]int, g.n)
+	add := func(u, w int) {
+		if u < w && seen[w] != u+1 {
+			seen[w] = u + 1
+			sq.AddEdge(u, w)
+		}
+	}
 	for u := 0; u < g.n; u++ {
-		for _, v := range g.adj[u] {
-			if u < v {
-				sq.AddEdge(u, v)
-			}
-			for _, w := range g.adj[v] {
-				if u < w {
-					sq.AddEdge(u, w)
-				}
+		for _, v := range c.Neighbors(u) {
+			add(u, int(v))
+			for _, w := range c.Neighbors(int(v)) {
+				add(u, int(w))
 			}
 		}
 	}
@@ -30,6 +36,7 @@ func (g *Graph) Square() *Graph {
 // returns (colors, numColors). Colours are 0-based and at most MaxDegree+1
 // of them are used.
 func (g *Graph) GreedyColoring() ([]int, int) {
+	csr := g.Freeze()
 	colors := make([]int, g.n)
 	for i := range colors {
 		colors[i] = -1
@@ -40,7 +47,7 @@ func (g *Graph) GreedyColoring() ([]int, int) {
 		for i := range used {
 			used[i] = false
 		}
-		for _, w := range g.adj[v] {
+		for _, w := range csr.Neighbors(v) {
 			if c := colors[w]; c >= 0 {
 				used[c] = true
 			}

@@ -3,14 +3,12 @@ package graph
 import (
 	"math"
 	"math/rand"
-	"sort"
 )
 
-// This file is the million-node construction path: generators that emit
-// the frozen CSR directly, skipping the [][]int adjacency intermediate
-// (and its n+1 allocations), plus FromCSR to wrap the result as a Graph.
-// The adjacency lists materialize lazily only if a caller actually asks
-// for them; the radio engine runs off the CSR alone.
+// This file is the million-node construction path: a generator that
+// fills the edit buffer in O(m) instead of testing all n(n-1)/2 pairs,
+// and edgesToCSR, which turns sorted edge keys into the CSR on a graph's
+// first read.
 
 // streamGNPThreshold is the size at which GNPConnected switches from the
 // quadratic pair loop to the streaming geometric-skip sampler. The two
@@ -18,52 +16,20 @@ import (
 // above every size the golden tests pin.
 const streamGNPThreshold = 50000
 
-// FromCSR wraps a frozen CSR as a Graph without materializing adjacency
-// lists: the CSR itself becomes the Freeze cache, so engine runs touch
-// only the two flat arrays. Callers that later need per-node []int
-// adjacency (mutation, Validate, NeighborSet) trigger a lazy one-time
-// materialization. The CSR must be structurally valid (sorted, symmetric,
-// loop-free adjacency — what a generator emits); FromCSR takes ownership.
-func FromCSR(c *CSR) *Graph {
-	return &Graph{n: c.N(), m: c.M(), csr: c}
-}
-
-// ensureAdj materializes the [][]int adjacency of a FromCSR graph on
-// first use. Graphs built through New always have adj set, so the check
-// is a nil test on every other path.
-func (g *Graph) ensureAdj() {
-	if g.adj != nil {
-		return
-	}
-	g.adj = make([][]int, g.n)
-	if g.csr == nil {
-		return
-	}
-	backing := make([]int, len(g.csr.Targets))
-	for i, t := range g.csr.Targets {
-		backing[i] = int(t)
-	}
-	for v := 0; v < g.n; v++ {
-		// Full-slice expressions cap each node's slice at its own row, so a
-		// later AddEdge append reallocates instead of clobbering the next
-		// node's neighbours in the shared backing array.
-		g.adj[v] = backing[g.csr.Offsets[v]:g.csr.Offsets[v+1]:g.csr.Offsets[v+1]]
-	}
-}
-
 // StreamGNPConnected is the streaming form of GNPConnected for large n:
 // a random attachment tree guarantees connectivity and the G(n,p) pairs
 // are drawn by geometric skipping in O(m) instead of testing all n(n-1)/2
-// pairs, with the edge set assembled directly into a CSR. Deterministic
-// in seed; the random sequence differs from GNPConnected's, so results
-// agree in distribution but not bit-for-bit.
+// pairs, straight into the edit buffer. Deterministic in seed; the random
+// sequence differs from GNPConnected's, so results agree in distribution
+// but not bit-for-bit.
 func StreamGNPConnected(n int, p float64, seed int64) *Graph {
 	r := rand.New(rand.NewSource(seed))
-	// Edge keys i*n+j (i < j): the tree plus the sampled pairs, deduped.
+	// Edits of the edges i*n+j (i < j): the tree plus the sampled pairs,
+	// deduplicated on the first read.
 	keys := make([]int64, 0, n-1+int(float64(n)*(float64(n-1)/2)*p)+16)
 	for i := 1; i < n; i++ {
 		j := r.Intn(i)
-		keys = append(keys, int64(j)*int64(n)+int64(i))
+		keys = append(keys, (int64(j)*int64(n)+int64(i))<<1)
 	}
 	if p > 0 && p < 1 && n > 1 {
 		total := int64(n) * int64(n-1) / 2
@@ -83,17 +49,10 @@ func StreamGNPConnected(n int, p float64, seed int64) *Graph {
 				row++
 			}
 			i, j := row, row+1+(k-rowBase)
-			keys = append(keys, i*int64(n)+j)
+			keys = append(keys, (i*int64(n)+j)<<1)
 		}
 	}
-	sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
-	edges := keys[:0]
-	for idx, key := range keys {
-		if idx == 0 || key != edges[len(edges)-1] {
-			edges = append(edges, key)
-		}
-	}
-	return FromCSR(edgesToCSR(n, edges))
+	return &Graph{n: n, buf: keys}
 }
 
 // edgesToCSR assembles sorted, deduplicated i*n+j edge keys (i < j) into

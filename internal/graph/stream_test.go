@@ -1,6 +1,5 @@
-// Tests for the streaming CSR-direct construction path: generator
-// validity, seed determinism, the GNPConnected dispatch threshold, and
-// the lazy adjacency materialization of FromCSR graphs.
+// Tests for the streaming construction path: generator validity, seed
+// determinism, the GNPConnected dispatch threshold, and the CSR assembly.
 package graph
 
 import (
@@ -24,8 +23,8 @@ func TestStreamGNPValidAndConnected(t *testing.T) {
 		if g.N() != tc.n {
 			t.Fatalf("n=%d p=%g: N() = %d", tc.n, tc.p, g.N())
 		}
-		// Validate walks the lazily materialized adjacency: sortedness,
-		// symmetry, no loops, no duplicates, M consistency.
+		// Validate walks the CSR built on this first read: sortedness,
+		// symmetry, no loops, no duplicates, offsets spanning the targets.
 		if err := g.Validate(); err != nil {
 			t.Fatalf("n=%d p=%g seed=%d: %v", tc.n, tc.p, tc.seed, err)
 		}
@@ -55,54 +54,17 @@ func TestStreamGNPDeterministic(t *testing.T) {
 // TestGNPDispatchThreshold pins the GNPConnected routing contract:
 // below streamGNPThreshold the quadratic pair loop runs (the golden
 // tests depend on its exact random sequence), at and above it the
-// streaming sampler takes over — recognizable by its CSR-first Graph,
-// which carries a Freeze cache before anyone asked for one.
+// streaming sampler takes over. The two draw different sequences, so
+// each side is recognizable by its fingerprint.
 func TestGNPDispatchThreshold(t *testing.T) {
 	small := GNPConnected(100, 0.1, 5)
-	if small.csr != nil {
+	if small.Fingerprint() == StreamGNPConnected(100, 0.1, 5).Fingerprint() {
 		t.Fatal("small GNPConnected went through the streaming path")
 	}
 	large := GNPConnected(streamGNPThreshold, 2.0/float64(streamGNPThreshold), 5)
-	if large.csr == nil {
-		t.Fatal("threshold-sized GNPConnected skipped the streaming path")
-	}
-	if large.adj != nil {
-		t.Fatal("streaming construction materialized adjacency lists eagerly")
-	}
 	want := StreamGNPConnected(streamGNPThreshold, 2.0/float64(streamGNPThreshold), 5)
-	if large.M() != want.M() {
-		t.Fatalf("dispatch changed the graph: m=%d direct, m=%d streamed", want.M(), large.M())
-	}
-}
-
-// TestFromCSRLazyAdjacency: a FromCSR graph answers N/M/Freeze straight
-// off the CSR; the first adjacency-needing call materializes per-node
-// lists that match the CSR exactly, and mutation keeps working after.
-func TestFromCSRLazyAdjacency(t *testing.T) {
-	// 0-1-2-3 path as raw edge keys i*n+j.
-	const n = 4
-	g := FromCSR(edgesToCSR(n, []int64{0*n + 1, 1*n + 2, 2*n + 3}))
-	if g.N() != n || g.M() != 3 {
-		t.Fatalf("FromCSR reports n=%d m=%d", g.N(), g.M())
-	}
-	if g.adj != nil {
-		t.Fatal("FromCSR materialized adjacency eagerly")
-	}
-	if g.Freeze() != g.csr {
-		t.Fatal("Freeze did not reuse the wrapped CSR")
-	}
-	if got := g.Neighbors(1); !reflect.DeepEqual(got, []int{0, 2}) {
-		t.Fatalf("Neighbors(1) = %v after lazy materialization", got)
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	g.AddEdge(0, 3)
-	if !g.HasEdge(0, 3) || g.M() != 4 {
-		t.Fatal("mutation broken after lazy materialization")
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
+	if large.Fingerprint() != want.Fingerprint() {
+		t.Fatalf("threshold-sized GNPConnected skipped the streaming path: m=%d, streamed m=%d", large.M(), want.M())
 	}
 }
 

@@ -9,6 +9,7 @@ package graph
 // unreachable nodes.
 func (g *Graph) BFS(src int) []int {
 	g.check(src)
+	c := g.Freeze()
 	dist := make([]int, g.n)
 	for i := range dist {
 		dist[i] = -1
@@ -19,10 +20,10 @@ func (g *Graph) BFS(src int) []int {
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
-		for _, w := range g.adj[v] {
+		for _, w := range c.Neighbors(v) {
 			if dist[w] == -1 {
 				dist[w] = dist[v] + 1
-				queue = append(queue, w)
+				queue = append(queue, int(w))
 			}
 		}
 	}
@@ -106,6 +107,7 @@ func (g *Graph) Radius() int {
 // ConnectedComponents returns the node sets of each connected component,
 // ordered by smallest member.
 func (g *Graph) ConnectedComponents() [][]int {
+	c := g.Freeze()
 	seen := make([]bool, g.n)
 	var comps [][]int
 	for s := 0; s < g.n; s++ {
@@ -119,10 +121,10 @@ func (g *Graph) ConnectedComponents() [][]int {
 			v := queue[0]
 			queue = queue[1:]
 			comp = append(comp, v)
-			for _, w := range g.adj[v] {
+			for _, w := range c.Neighbors(v) {
 				if !seen[w] {
 					seen[w] = true
-					queue = append(queue, w)
+					queue = append(queue, int(w))
 				}
 			}
 		}

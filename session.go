@@ -28,10 +28,11 @@ import (
 // single-flighted: one computes, the rest wait for it and share the
 // result. Stats reports hits, misses, coalesced waits and evictions.
 //
-// One caveat inherited from Graph's lazy caches (Freeze, Fingerprint):
-// when a single *Graph value is shared by concurrent Runs, call its
-// Freeze once before handing it out — afterwards all uses are read-only.
-// Graphs from Session.Family are published that way already.
+// One caveat comes from Graph: its first read builds its CSR and
+// fingerprint from the edges added so far. When a single *Graph value is
+// shared by concurrent Runs, call its Freeze once before handing it out;
+// afterwards all uses are reads. Graphs from Session.Family are published
+// frozen already.
 type Session struct {
 	sims sync.Pool
 
@@ -404,10 +405,10 @@ func (s *Session) Close(ctx context.Context) error {
 //
 // Every call returns a fresh *Network, so the caller may set its Source
 // and Coordinator (At, Coordinated); "figure1" keeps its preset source.
-// The *Graph inside is shared between callers and is frozen and
-// fingerprinted before it is first returned. Shared graphs are
+// The *Graph inside is shared between callers and is frozen (its CSR
+// and fingerprint built) before it is first returned. Shared graphs are
 // read-only: a caller must not AddEdge or RemoveEdge on it — clone it
-// first (the churn fault model does exactly that).
+// first. The churn fault model edits a private copy of its CSR.
 func (s *Session) Family(name string, n int) (*Network, error) {
 	key := familyKey{name, n}
 	s.mu.Lock()
@@ -422,7 +423,7 @@ func (s *Session) Family(name string, n int) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	net.Graph.Share()
+	net.Graph.Freeze()
 	if s.capacity <= 0 {
 		return net, nil
 	}
@@ -626,8 +627,8 @@ func (s *Session) storeGet(key labelingKey, g *Graph) (*Labeling, bool) {
 		return nil, false
 	}
 	l := &Labeling{}
-	// Fingerprint freezes a freshly decoded graph, so its lazy caches are
-	// read-only before the labeling is shared through the LRU.
+	// Fingerprint freezes a freshly decoded graph, so it is read-only
+	// before the labeling is shared through the LRU.
 	if err := l.decode(data, g); err != nil || l.Scheme != key.scheme ||
 		l.Graph.N() != key.n || l.Graph.M() != key.m ||
 		(g == nil && l.Graph.Fingerprint() != key.fp) {

@@ -21,10 +21,9 @@ func TestSessionSingleFlight(t *testing.T) {
 	defer hookB.reset()
 	sess := radiobcast.NewSession()
 	net := figNet(t)
-	// The graph is shared across goroutines: freeze and fingerprint once
-	// up front so its lazy caches are read-only afterwards.
+	// The graph is shared across goroutines: freeze it once up front
+	// (CSR and fingerprint) so every later use is a read.
 	net.Graph.Freeze()
-	net.Graph.Fingerprint()
 
 	const n = 8
 	release := make(chan struct{})
