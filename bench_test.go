@@ -22,6 +22,7 @@ import (
 	"radiobcast/internal/graph"
 	"radiobcast/internal/nodeset"
 	"radiobcast/internal/onebit"
+	"radiobcast/internal/store"
 )
 
 // benchFamilies is the family subset used for scaling benchmarks (the full
@@ -69,6 +70,92 @@ func BenchmarkLabeling(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// codecCell is one of BenchmarkLabeling's cells with its λ labeling and
+// the labeling's wire bytes.
+type codecCell struct {
+	name string
+	net  *radiobcast.Network
+	l    *radiobcast.Labeling
+	blob []byte
+}
+
+func codecCells(b *testing.B) []codecCell {
+	b.Helper()
+	var cells []codecCell
+	for _, fam := range benchFamilies {
+		for _, n := range benchSizes {
+			net := benchNet(b, fam, n)
+			l, err := radiobcast.LabelNetwork(net, "b")
+			if err != nil {
+				b.Fatal(err)
+			}
+			blob, err := l.MarshalBinary()
+			if err != nil {
+				b.Fatal(err)
+			}
+			cells = append(cells, codecCell{fmt.Sprintf("%s/n=%d", fam, n), net, l, blob})
+		}
+	}
+	return cells
+}
+
+// BenchmarkCodec times the wire codec on BenchmarkLabeling's cells and
+// labelings: marshal; decode-onto, the decode of a store hit onto the
+// request's graph; and unmarshal, the decode that builds its own graph
+// (ReadLabeling). A store hit costs BenchmarkStoreGet plus decode-onto,
+// which is what to set against BenchmarkLabeling's λ on the same cell.
+func BenchmarkCodec(b *testing.B) {
+	cells := codecCells(b)
+	ops := []struct {
+		name string
+		run  func(c codecCell) error
+	}{
+		{"marshal", func(c codecCell) error { _, err := c.l.MarshalBinary(); return err }},
+		{"decode-onto", func(c codecCell) error { return new(radiobcast.Labeling).DecodeOnto(c.blob, c.net.Graph) }},
+		{"unmarshal", func(c codecCell) error { return new(radiobcast.Labeling).UnmarshalBinary(c.blob) }},
+	}
+	for _, op := range ops {
+		b.Run(op.name, func(b *testing.B) {
+			for _, c := range cells {
+				b.Run(c.name, func(b *testing.B) {
+					b.ReportAllocs()
+					for b.Loop() {
+						if err := op.run(c); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		})
+	}
+}
+
+// BenchmarkStoreGet times store.Get on an open store — the read half of a
+// store hit: the index lookup, the blob file read, its SHA-256 check and
+// the access-time touch — for the blobs of BenchmarkCodec's cells.
+func BenchmarkStoreGet(b *testing.B) {
+	st, err := store.Open(b.TempDir(), store.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	for _, c := range codecCells(b) {
+		g := c.net.Graph
+		key := store.Key{Fingerprint: g.Fingerprint(), N: g.N(), M: g.M(), Scheme: c.l.Scheme, Source: c.l.Source}
+		if err := st.Put(key, c.blob); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, ok := st.Get(key); !ok {
+					b.Fatal("store miss")
+				}
+			}
+		})
 	}
 }
 

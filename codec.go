@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/bits"
 
 	"radiobcast/internal/baseline"
 	"radiobcast/internal/core"
@@ -32,7 +33,12 @@ import (
 // travels in the blob (the λ-family stage structure is rebuilt from its
 // DOM/NEW lists via the §2.1 recurrence). Decoding is defensive: every
 // count is bounded by the remaining input before anything is allocated,
-// and corrupt or truncated blobs return errors, never panics.
+// every label must be a bit string, and corrupt or truncated blobs
+// return errors, never panics. Both directions are one pass, and for a
+// λ-family labeling neither allocates more as n or ℓ grows: labels of up
+// to 3 bits decode to interned constants, the DOM/NEW lists share one
+// backing array, and the encoder reads the CSR rows and the stored lists
+// in place into a buffer it sizes once.
 const (
 	labelingMagic   = "RBL1"
 	flagHasLabels   = 1 << 0
@@ -50,26 +56,57 @@ const LabelingContentType = "application/vnd.radiobcast.labeling.v1"
 // MarshalBinary encodes the labeling in the versioned wire format. It
 // implements encoding.BinaryMarshaler. The encoding is canonical: equal
 // labelings marshal to identical bytes, so blobs can be content-addressed.
+// A label that is not a bit string is an ErrLabelingMismatch, so no blob
+// is written that the decoder would refuse.
 func (l *Labeling) MarshalBinary() ([]byte, error) {
 	if l == nil || l.Graph == nil {
 		return nil, labelingMismatch("cannot marshal a labeling without a graph")
 	}
-	if l.Labels != nil && len(l.Labels) != l.Graph.N() {
-		return nil, labelingMismatch("%d labels for %d nodes", len(l.Labels), l.Graph.N())
+	csr := l.Graph.Freeze()
+	n := csr.N()
+	if l.Labels != nil && len(l.Labels) != n {
+		return nil, labelingMismatch("%d labels for %d nodes", len(l.Labels), n)
 	}
-	buf := []byte(labelingMagic)
+	// Every count and node id outside the labels is at most n, so it
+	// takes at most w bytes, and at most twelve varints (scheme length,
+	// source, Z, R, n, m, two delays, schedule rounds, ℓ, stalled, stored
+	// stages) are wider. Sized from that bound, the buffer never grows.
+	w := uvarintLen(uint64(n))
+	size := len(labelingMagic) + len(l.Scheme) + 12*binary.MaxVarintLen64 + 2 + crc32.Size + 2*w*csr.M()
+	for v, lab := range l.Labels {
+		if !lab.Valid() {
+			return nil, labelingMismatch("label %q of node %d is not a bit string", lab, v)
+		}
+		size += uvarintLen(uint64(len(lab))) + len(lab)
+	}
+	for _, round := range l.Schedule {
+		size += w * (1 + len(round))
+	}
+	if st := l.Stages; st != nil {
+		for i := 1; i <= st.NumStored(); i++ {
+			dom, nw := st.Lists(i)
+			size += w * (2 + len(dom) + len(nw))
+		}
+	}
+
+	buf := append(make([]byte, 0, size), labelingMagic...)
 	buf = binary.AppendUvarint(buf, uint64(len(l.Scheme)))
 	buf = append(buf, l.Scheme...)
 	buf = binary.AppendVarint(buf, int64(l.Source))
 	buf = binary.AppendVarint(buf, int64(l.Z))
 	buf = binary.AppendVarint(buf, int64(l.R))
 
-	g := l.Graph
-	buf = binary.AppendUvarint(buf, uint64(g.N()))
-	buf = binary.AppendUvarint(buf, uint64(g.M()))
-	for _, e := range g.Edges() {
-		buf = binary.AppendUvarint(buf, uint64(e[0]))
-		buf = binary.AppendUvarint(buf, uint64(e[1]))
+	// The edges {u, v}, u < v, in lexicographic order: each CSR row is
+	// ascending, so its entries above u are u's edges in order.
+	buf = binary.AppendUvarint(buf, uint64(n))
+	buf = binary.AppendUvarint(buf, uint64(csr.M()))
+	for u := 0; u < n; u++ {
+		for _, v := range csr.Neighbors(u) {
+			if int(v) > u {
+				buf = binary.AppendUvarint(buf, uint64(u))
+				buf = binary.AppendUvarint(buf, uint64(v))
+			}
+		}
 	}
 
 	var flags byte
@@ -84,47 +121,48 @@ func (l *Labeling) MarshalBinary() ([]byte, error) {
 	}
 	buf = append(buf, flags)
 
-	if l.Labels != nil {
-		for _, lab := range l.Labels {
-			buf = binary.AppendUvarint(buf, uint64(len(lab)))
-			buf = append(buf, lab...)
-		}
+	for _, lab := range l.Labels {
+		buf = binary.AppendUvarint(buf, uint64(len(lab)))
+		buf = append(buf, lab...)
 	}
 	buf = binary.AppendVarint(buf, int64(l.Delays.DelayOne))
 	buf = binary.AppendVarint(buf, int64(l.Delays.DelayZero))
 	if l.Schedule != nil {
 		buf = binary.AppendUvarint(buf, uint64(len(l.Schedule)))
 		for _, round := range l.Schedule {
-			buf = binary.AppendUvarint(buf, uint64(len(round)))
-			for _, v := range round {
-				buf = binary.AppendUvarint(buf, uint64(v))
-			}
+			buf = appendNodes(buf, round)
 		}
 	}
-	if l.Stages != nil {
-		buf = binary.AppendUvarint(buf, uint64(l.Stages.L))
+	if st := l.Stages; st != nil {
+		buf = binary.AppendUvarint(buf, uint64(st.L))
 		restricted := byte(0)
-		if l.Stages.Restricted {
+		if st.Restricted {
 			restricted = 1
 		}
 		buf = append(buf, restricted)
-		buf = binary.AppendUvarint(buf, uint64(l.Stages.Stalled))
-		doms, news := l.Stages.StageSets()
-		buf = binary.AppendUvarint(buf, uint64(len(doms)))
-		appendList := func(list []int) {
-			buf = binary.AppendUvarint(buf, uint64(len(list)))
-			for _, v := range list {
-				buf = binary.AppendUvarint(buf, uint64(v))
-			}
-		}
-		for i := range doms {
-			appendList(doms[i])
-			appendList(news[i])
+		buf = binary.AppendUvarint(buf, uint64(st.Stalled))
+		buf = binary.AppendUvarint(buf, uint64(st.NumStored()))
+		for i := 1; i <= st.NumStored(); i++ {
+			dom, nw := st.Lists(i)
+			buf = appendNodes(buf, dom)
+			buf = appendNodes(buf, nw)
 		}
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 	return buf, nil
 }
+
+// appendNodes appends a node list: its length, then the nodes.
+func appendNodes[T int | int32](buf []byte, list []T) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(list)))
+	for _, v := range list {
+		buf = binary.AppendUvarint(buf, uint64(v))
+	}
+	return buf
+}
+
+// uvarintLen is the length of x's uvarint encoding.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // UnmarshalBinary decodes a labeling previously produced by MarshalBinary,
 // reconstructing the graph and (for λ-family schemes) the stage structure,
@@ -154,7 +192,7 @@ func (l *Labeling) decode(data []byte, known *Graph) error {
 	}
 	d := &decoder{buf: body[len(labelingMagic):]}
 
-	scheme, err := d.str("scheme name")
+	scheme, err := d.bytes("scheme name")
 	if err != nil {
 		return err
 	}
@@ -211,12 +249,14 @@ func (l *Labeling) decode(data []byte, known *Graph) error {
 	var labels []Label
 	if flags&flagHasLabels != 0 {
 		labels = make([]Label, n)
-		for v := 0; v < n; v++ {
-			s, err := d.str("label")
+		for v := range labels {
+			b, err := d.bytes("label")
 			if err != nil {
 				return err
 			}
-			labels[v] = Label(s)
+			if labels[v], err = core.ParseLabel(b); err != nil {
+				return fmt.Errorf("radiobcast: labeling codec: node %d: %w", v, err)
+			}
 		}
 	}
 	delayOne, err := d.varint("delay-one")
@@ -236,11 +276,17 @@ func (l *Labeling) decode(data []byte, known *Graph) error {
 		}
 		schedule = make([][]int, rounds)
 		for i := range schedule {
-			nodes, err := d.nodeList("schedule round", n)
+			k, err := d.count("schedule round", 1)
 			if err != nil {
 				return err
 			}
-			schedule[i] = nodes
+			round := make([]int, k)
+			for j := range round {
+				if round[j], err = d.node("schedule node", n); err != nil {
+					return err
+				}
+			}
+			schedule[i] = round
 		}
 	}
 
@@ -262,21 +308,13 @@ func (l *Labeling) decode(data []byte, known *Graph) error {
 		if err != nil {
 			return err
 		}
-		// Lemma 2.6: the construction has ℓ ≤ n stages. Rebuilding clones
-		// five n-bit sets per stage, so without this bound a small blob
-		// declaring a huge stage count would amplify to O(n·stages) memory.
+		// Lemma 2.6: the construction has ℓ ≤ n stages.
 		if lStage > n || stored > n {
 			return fmt.Errorf("radiobcast: labeling codec: %d stages (ℓ=%d) for %d nodes", stored, lStage, n)
 		}
-		doms := make([][]int, stored)
-		news := make([][]int, stored)
-		for i := 0; i < stored; i++ {
-			if doms[i], err = d.nodeList("DOM", n); err != nil {
-				return err
-			}
-			if news[i], err = d.nodeList("NEW", n); err != nil {
-				return err
-			}
+		doms, news, err := d.stageLists(stored, n)
+		if err != nil {
+			return err
 		}
 		stages, err = core.RebuildStages(g, source, lStage, restricted != 0, stalled, doms, news)
 		if err != nil {
@@ -288,7 +326,7 @@ func (l *Labeling) decode(data []byte, known *Graph) error {
 	}
 
 	*l = Labeling{
-		Scheme:   scheme,
+		Scheme:   string(scheme),
 		Graph:    g,
 		Source:   source,
 		Labels:   labels,
@@ -327,7 +365,8 @@ func ReadLabeling(r io.Reader) (*Labeling, error) {
 }
 
 // decoder reads the wire format with every count bounded by the remaining
-// input, so corrupt length fields fail instead of allocating.
+// input, so corrupt length fields fail instead of allocating. Error text
+// is built only on the error path.
 type decoder struct {
 	buf []byte
 }
@@ -343,25 +382,17 @@ func (d *decoder) byte(what string) (byte, error) {
 	return b, nil
 }
 
-func (d *decoder) uvarint(what string) (uint64, error) {
+// varuint reads a uvarint that must fit int32 (so the conversion below
+// is safe even where int is 32 bits).
+func (d *decoder) varuint(what string) (int, error) {
 	v, k := binary.Uvarint(d.buf)
 	if k <= 0 {
 		return 0, fmt.Errorf("radiobcast: labeling codec: truncated or malformed uvarint at %s", what)
 	}
-	d.buf = d.buf[k:]
-	return v, nil
-}
-
-// varuint reads a uvarint that must fit int32 (so the conversion below
-// is safe even where int is 32 bits).
-func (d *decoder) varuint(what string) (int, error) {
-	v, err := d.uvarint(what)
-	if err != nil {
-		return 0, err
-	}
 	if v >= 1<<31 {
 		return 0, fmt.Errorf("radiobcast: labeling codec: %s %d implausibly large", what, v)
 	}
+	d.buf = d.buf[k:]
 	return int(v), nil
 }
 
@@ -391,20 +422,23 @@ func (d *decoder) count(what string, minBytesPer int) (int, error) {
 	return v, nil
 }
 
-func (d *decoder) str(what string) (string, error) {
+// bytes reads a length-prefixed byte string, returned as a slice of the
+// input.
+func (d *decoder) bytes(what string) ([]byte, error) {
 	k, err := d.count(what, 1)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	s := string(d.buf[:k])
+	b := d.buf[:k]
 	d.buf = d.buf[k:]
-	return s, nil
+	return b, nil
 }
 
 // graph reads m edges into a fresh n-node graph, which must be simple
 // and connected.
 func (d *decoder) graph(n, m int) (*Graph, error) {
 	g := graph.New(n)
+	g.Grow(m)
 	for i := 0; i < m; i++ {
 		u, v, err := d.edge()
 		if err != nil {
@@ -456,21 +490,52 @@ func (d *decoder) edge() (u, v int, err error) {
 	return u, v, err
 }
 
-func (d *decoder) nodeList(what string, n int) ([]int, error) {
-	k, err := d.count(what, 1)
+// node reads one node id, which must lie in [0, n).
+func (d *decoder) node(what string, n int) (int, error) {
+	v, err := d.varuint(what)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	out := make([]int, k)
-	for i := range out {
-		v, err := d.varuint(what + " node")
+	if v >= n {
+		return 0, fmt.Errorf("radiobcast: labeling codec: %s %d out of range [0,%d)", what, v, n)
+	}
+	return v, nil
+}
+
+// stageLists reads the stored DOM_i/NEW_i list pairs, which end the blob,
+// into one backing array. A uvarint ends at its only byte below 0x80, so
+// well-formed remaining input holds exactly that many uvarints: the
+// 2·stored list lengths and the nodes. Counting them sizes the array
+// once; a malformed section fails below.
+func (d *decoder) stageLists(stored, n int) (doms, news [][]int32, err error) {
+	uvarints := 0
+	for _, b := range d.buf {
+		if b < 0x80 {
+			uvarints++
+		}
+	}
+	nodes := make([]int32, 0, max(uvarints-2*stored, 0))
+	lists := make([][]int32, 2*stored)
+	doms, news = lists[:stored:stored], lists[stored:]
+	for i := range lists {
+		k, err := d.count("stage list", 1)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		if v >= n {
-			return nil, fmt.Errorf("radiobcast: labeling codec: %s node %d out of range [0,%d)", what, v, n)
+		start := len(nodes)
+		for ; k > 0; k-- {
+			v, err := d.node("stage node", n)
+			if err != nil {
+				return nil, nil, err
+			}
+			nodes = append(nodes, int32(v))
 		}
-		out[i] = v
+		// The lists alternate DOM_1, NEW_1, DOM_2, NEW_2, ….
+		if list := nodes[start:len(nodes):len(nodes)]; i%2 == 0 {
+			doms[i/2] = list
+		} else {
+			news[i/2] = list
+		}
 	}
-	return out, nil
+	return doms, news, nil
 }

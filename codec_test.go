@@ -5,8 +5,13 @@ package radiobcast_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"hash/crc32"
 	"reflect"
+	"strings"
 	"testing"
 
 	"radiobcast"
@@ -165,11 +170,162 @@ func TestLabelingCodecRejectsCorruption(t *testing.T) {
 			t.Fatalf("flipped byte %d accepted", i)
 		}
 	}
+
+	// A label that is not a bit string is refused even under a valid CRC.
+	bad := forgeLabel(t, "2x")
+	if err := new(radiobcast.Labeling).UnmarshalBinary(bad); err == nil || !strings.Contains(err.Error(), "not a bit") {
+		t.Fatalf("label \"2x\" decoded: %v", err)
+	}
+}
+
+// forgeLabel returns the wire bytes of a b labeling of path/8 whose node 3
+// carries label, built by hand with a valid CRC — MarshalBinary refuses
+// to write a label that is not a bit string.
+func forgeLabel(t *testing.T, label string) []byte {
+	t.Helper()
+	net, err := radiobcast.Family("path", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := radiobcast.LabelNetwork(net, "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const marker = "1111111111" // a 10-bit label no scheme assigns
+	l.Labels[3] = marker
+	blob, err := l.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := blob[:len(blob)-crc32.Size]
+	old := append([]byte{byte(len(marker))}, marker...)
+	if bytes.Count(body, old) != 1 {
+		t.Fatal("marker label not found exactly once")
+	}
+	body = bytes.Replace(body, old, append([]byte{byte(len(label))}, label...), 1)
+	return binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
 }
 
 func TestMarshalInvalidLabeling(t *testing.T) {
 	if _, err := (&radiobcast.Labeling{}).MarshalBinary(); !errors.Is(err, radiobcast.ErrLabelingMismatch) {
 		t.Fatalf("graphless labeling marshaled: %v", err)
+	}
+	net, err := radiobcast.Family("path", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := radiobcast.LabelNetwork(net, "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Labels[3] = "2x"
+	if _, err := l.MarshalBinary(); !errors.Is(err, radiobcast.ErrLabelingMismatch) {
+		t.Fatalf("label \"2x\" marshaled: %v", err)
+	}
+}
+
+// goldenFamilies is the fixed family matrix of TestLabelingWireBytesGolden:
+// every registered scheme labels each of these at n = 64.
+var goldenFamilies = []string{"path", "cycle", "grid", "btree", "gnp-sparse", "complete"}
+
+// wireGolden is, per scheme, the SHA-256 of its MarshalBinary outputs over
+// goldenFamilies at n = 64, concatenated in that order.
+var wireGolden = map[string]string{
+	"b":           "df62eca97a8169deac5c7d735d226c8aec073862a38d2099e2ba36ad089419ef",
+	"back":        "efc9f260f1236002920aa28a6dc06564d8aae484284c4caf440265eadae613ca",
+	"barb":        "715756a842c19879f5f13a659aa3b547a642646aa17cf108d6be4aee7d3a7c21",
+	"centralized": "05880ad74389926fbf6be1a51b4d656154feaf210895bc8145437d9d91a0c5fa",
+	"colorrobin":  "363159d69470b29c42cb127ccfb693671c815f9091b55b02eaa389d7c5de95a9",
+	"flooding":    "007f4f1210bf15a1ec25f1c3f63354d145ee9e4dd19f5126a1b5671d55bdca96",
+	"gjp":         "11a7981b020250ce6abf75c66d6b1a38d975e382c553baa3b94633c6c5dadfed",
+	"onebit":      "91e328894e4d1a9d67c584bcdf3f205904b8714f2a2f57d6b4bdabc9184824fb",
+	"roundrobin":  "62021178314df77fa5f95003702cf9d7109c7c7c1d09f46534ca5ee356b22c48",
+}
+
+// TestLabelingWireBytesGolden pins the wire bytes. The store addresses
+// every blob by the SHA-256 of MarshalBinary's output, so an encoder
+// change that moves a single byte orphans every stored labeling; it has
+// to fail here first.
+func TestLabelingWireBytesGolden(t *testing.T) {
+	for _, scheme := range radiobcast.SchemeNames() {
+		if scheme == "hook-b" {
+			continue // test-only instrumentation scheme
+		}
+		want, ok := wireGolden[scheme]
+		if !ok {
+			t.Errorf("scheme %q has no golden wire hash — add it", scheme)
+		}
+		h := sha256.New()
+		for _, fam := range goldenFamilies {
+			net, err := radiobcast.Family(fam, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l, err := radiobcast.LabelNetwork(net, scheme)
+			if err != nil {
+				t.Fatalf("%s on %s/64: %v", scheme, fam, err)
+			}
+			blob, err := l.MarshalBinary()
+			if err != nil {
+				t.Fatalf("%s on %s/64: %v", scheme, fam, err)
+			}
+			h.Write(blob)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want {
+			t.Errorf("%s: wire bytes hash to %s, want %s", scheme, got, want)
+		}
+	}
+}
+
+// TestCodecAllocsConstant is the codec's allocation contract: decoding a
+// λ-family blob, onto its graph (a store hit) or into a graph of its own,
+// and marshaling the labeling make as many allocations on path/4096 as on
+// path/256 — none per node, edge, label or stage.
+func TestCodecAllocsConstant(t *testing.T) {
+	cells := []struct {
+		family string
+		n      int
+	}{{"path", 256}, {"path", 1024}, {"path", 4096}, {"grid", 1024}}
+	for _, scheme := range []string{"b", "back"} {
+		var want [3]float64
+		for i, c := range cells {
+			net, err := radiobcast.Family(c.family, c.n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l, err := radiobcast.LabelNetwork(net, scheme)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blob, err := l.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := [3]float64{
+				testing.AllocsPerRun(10, func() {
+					if err := new(radiobcast.Labeling).DecodeOnto(blob, net.Graph); err != nil {
+						t.Fatal(err)
+					}
+				}),
+				testing.AllocsPerRun(10, func() {
+					if err := new(radiobcast.Labeling).UnmarshalBinary(blob); err != nil {
+						t.Fatal(err)
+					}
+				}),
+				testing.AllocsPerRun(10, func() {
+					if _, err := l.MarshalBinary(); err != nil {
+						t.Fatal(err)
+					}
+				}),
+			}
+			if i == 0 {
+				want = got
+			}
+			if got != want {
+				t.Errorf("%s on %s/%d: decode-onto, unmarshal, marshal make %v allocs; on %s/%d %v",
+					scheme, c.family, c.n, got, cells[0].family, cells[0].n, want)
+			}
+		}
 	}
 }
 
@@ -201,6 +357,11 @@ func FuzzLabelingCodec(f *testing.F) {
 		l := new(radiobcast.Labeling)
 		if err := l.UnmarshalBinary(data); err != nil {
 			return // rejected, and did not panic: fine
+		}
+		for v, lab := range l.Labels {
+			if !lab.Valid() {
+				t.Fatalf("decoded label %q of node %d is not a bit string", lab, v)
+			}
 		}
 		blob, err := l.MarshalBinary()
 		if err != nil {

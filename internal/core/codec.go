@@ -2,43 +2,33 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"radiobcast/internal/graph"
-	"radiobcast/internal/nodeset"
 )
 
-// StageSets extracts the per-stage DOM_i and NEW_i node lists of the
-// construction, in stage order. Together with the graph and the source
-// they determine the whole structure: INF/UNINF/FRONTIER follow from the
-// recurrence of §2.1 — this is exactly the delta representation Stages
-// itself stores, so the extraction is a plain copy (see RebuildStages).
-func (s *Stages) StageSets() (doms, news [][]int) {
-	doms = make([][]int, len(s.doms))
-	news = make([][]int, len(s.news))
-	for i := range s.doms {
-		doms[i] = int32ToIntList(s.doms[i])
-		news[i] = int32ToIntList(s.news[i])
-	}
-	return doms, news
-}
-
-func int32ToIntList(xs []int32) []int {
-	out := make([]int, len(xs))
-	for i, x := range xs {
-		out[i] = int(x)
-	}
-	return out
+// Lists returns the DOM_i and NEW_i node lists of stage i (1-based), in
+// ascending order. Together with the graph and the source the lists of
+// every stage determine the whole structure: INF/UNINF/FRONTIER follow
+// from the recurrence of §2.1. They are the delta representation Stages
+// itself stores, returned without a copy, so the caller must not modify
+// them. Panics if i is out of range.
+func (s *Stages) Lists(i int) (dom, nw []int32) {
+	return s.doms[i-1], s.news[i-1]
 }
 
 // RebuildStages reconstructs the §2.1 stage structure from its serialized
-// core: the graph, the source, ℓ, and the per-stage DOM/NEW lists produced
-// by StageSets. Since Stages stores exactly these deltas — INF/UNINF/
+// core: the graph, the source, ℓ, and the per-stage DOM/NEW lists that
+// Lists returns. Since Stages stores exactly these deltas — INF/UNINF/
 // FRONTIER are replayed on demand through the same recurrence BuildStages
 // obeys — rebuilding is validation plus normalization: node lists are
 // checked against the graph's node range (an error, never a panic; inputs
-// may come from an untrusted wire format) and stored sorted and
-// duplicate-free, the invariant every delta consumer assumes.
-func RebuildStages(g *graph.Graph, source, l int, restricted bool, stalled int, doms, news [][]int) (*Stages, error) {
+// may come from an untrusted wire format) and stored ascending and
+// duplicate-free, the invariant every delta consumer assumes. The lists
+// become the returned Stages' storage: one that is already strictly
+// ascending is kept as it is, any other is sorted and deduplicated in
+// place.
+func RebuildStages(g *graph.Graph, source, l int, restricted bool, stalled int, doms, news [][]int32) (*Stages, error) {
 	n := g.N()
 	if source < 0 || source >= n {
 		return nil, fmt.Errorf("core: rebuild: source %d out of range [0,%d)", source, n)
@@ -49,36 +39,22 @@ func RebuildStages(g *graph.Graph, source, l int, restricted bool, stalled int, 
 	if len(doms) == 0 {
 		return nil, fmt.Errorf("core: rebuild: no stages")
 	}
-	toList := func(elems []int) ([]int32, error) {
-		set := nodeset.New(n)
-		for _, v := range elems {
-			if v < 0 || v >= n {
-				return nil, fmt.Errorf("core: rebuild: stage node %d out of range [0,%d)", v, n)
+	for _, lists := range [2][][]int32{doms, news} {
+		for i, list := range lists {
+			ascending := true
+			for j, v := range list {
+				if v < 0 || int(v) >= n {
+					return nil, fmt.Errorf("core: rebuild: stage node %d out of range [0,%d)", v, n)
+				}
+				if j > 0 && v <= list[j-1] {
+					ascending = false
+				}
 			}
-			set.Add(v)
-		}
-		return setToInt32(set), nil
-	}
-
-	st := &Stages{G: g, Source: source, L: l, Restricted: restricted, Stalled: stalled}
-	st.doms = make([][]int32, len(doms))
-	st.news = make([][]int32, len(news))
-	for i := range doms {
-		var err error
-		if st.doms[i], err = toList(doms[i]); err != nil {
-			return nil, err
-		}
-		if st.news[i], err = toList(news[i]); err != nil {
-			return nil, err
+			if !ascending {
+				slices.Sort(list)
+				lists[i] = slices.Compact(list)
+			}
 		}
 	}
-	return st, nil
-}
-
-// setToInt32 extracts a set's members as an ascending int32 list — the
-// delta-storage form of Stages.
-func setToInt32(s *nodeset.Set) []int32 {
-	out := make([]int32, 0, s.Count())
-	s.ForEach(func(v int) { out = append(out, int32(v)) })
-	return out
+	return &Stages{G: g, Source: source, L: l, Restricted: restricted, Stalled: stalled, doms: doms, news: news}, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"radiobcast/internal/graph"
@@ -8,8 +9,8 @@ import (
 
 // TestRebuildStagesMatchesConstruction pins the stage codec contract: the
 // DOM/NEW lists plus the graph determine the whole structure — rebuilding
-// from StageSets output reproduces every one of the five sets of every
-// stage, set-for-set.
+// from copies of the Lists of every stage reproduces every one of the
+// five sets of every stage, set-for-set.
 func TestRebuildStagesMatchesConstruction(t *testing.T) {
 	for _, g := range []*graph.Graph{
 		graph.Figure1(),
@@ -21,7 +22,12 @@ func TestRebuildStagesMatchesConstruction(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", g, err)
 		}
-		doms, news := st.StageSets()
+		doms := make([][]int32, st.NumStored())
+		news := make([][]int32, st.NumStored())
+		for i := range doms {
+			dom, nw := st.Lists(i + 1)
+			doms[i], news[i] = slices.Clone(dom), slices.Clone(nw)
+		}
 		got, err := RebuildStages(g, st.Source, st.L, st.Restricted, st.Stalled, doms, news)
 		if err != nil {
 			t.Fatalf("%v: rebuild: %v", g, err)
@@ -43,16 +49,46 @@ func TestRebuildStagesMatchesConstruction(t *testing.T) {
 // errors, not panics.
 func TestRebuildStagesRejectsBadInput(t *testing.T) {
 	g := graph.Path(5)
-	if _, err := RebuildStages(g, 9, 2, false, 0, [][]int{{0}}, [][]int{{1}}); err == nil {
+	if _, err := RebuildStages(g, 9, 2, false, 0, [][]int32{{0}}, [][]int32{{1}}); err == nil {
 		t.Fatal("out-of-range source accepted")
 	}
-	if _, err := RebuildStages(g, 0, 2, false, 0, [][]int{{0}, {1}}, [][]int{{1}}); err == nil {
+	if _, err := RebuildStages(g, 0, 2, false, 0, [][]int32{{0}, {1}}, [][]int32{{1}}); err == nil {
 		t.Fatal("mismatched list lengths accepted")
 	}
-	if _, err := RebuildStages(g, 0, 2, false, 0, [][]int{{0}}, [][]int{{99}}); err == nil {
+	if _, err := RebuildStages(g, 0, 2, false, 0, [][]int32{{0}}, [][]int32{{99}}); err == nil {
 		t.Fatal("out-of-range stage node accepted")
 	}
 	if _, err := RebuildStages(g, 0, 1, false, 0, nil, nil); err == nil {
 		t.Fatal("empty stage lists accepted")
+	}
+}
+
+// TestRebuildStagesNormalizesLists pins what RebuildStages does with lists
+// it did not write itself: an ascending list is kept as it is (no copy),
+// and any other is sorted and deduplicated into the ascending,
+// duplicate-free form every delta consumer assumes.
+func TestRebuildStagesNormalizesLists(t *testing.T) {
+	g := graph.Path(6)
+	sorted := []int32{1, 3, 4}
+	doms := [][]int32{sorted, {4, 2, 2, 0, 4}}
+	news := [][]int32{{5, 5}, {}}
+	st, err := RebuildStages(g, 0, 3, false, 0, doms, news)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dom1, new1 := st.Lists(1)
+	if &dom1[0] != &sorted[0] {
+		t.Fatal("an ascending list was copied")
+	}
+	dom2, new2 := st.Lists(2)
+	for _, c := range []struct {
+		got, want []int32
+	}{{dom1, []int32{1, 3, 4}}, {new1, []int32{5}}, {dom2, []int32{0, 2, 4}}, {new2, nil}} {
+		if !slices.Equal(c.got, c.want) {
+			t.Fatalf("rebuilt list %v, want %v", c.got, c.want)
+		}
+	}
+	if _, err := RebuildStages(g, 0, 2, false, 0, [][]int32{{-1}}, [][]int32{{1}}); err == nil {
+		t.Fatal("negative stage node accepted")
 	}
 }

@@ -17,21 +17,29 @@ import (
 // maximum label length it assigns (§1.1).
 type Label string
 
-// ParseLabel validates that s consists solely of '0' and '1'.
-func ParseLabel(s string) (Label, error) {
-	for i := 0; i < len(s); i++ {
-		if s[i] != '0' && s[i] != '1' {
-			return "", fmt.Errorf("core: invalid label %q: byte %d is not a bit", s, i)
+// ParseLabel returns the label spelled by b, which must consist solely of
+// '0' and '1'. A label of up to 3 bits comes back as the constant
+// MakeLabel returns for it, so parsing the labels of a λ-family labeling
+// allocates nothing.
+func ParseLabel(b []byte) (Label, error) {
+	v := 0
+	for i, c := range b {
+		if c != '0' && c != '1' {
+			return "", fmt.Errorf("core: invalid label: byte %d is %q, not a bit", i, c)
 		}
+		v = v<<1 | int(c-'0')
 	}
-	return Label(s), nil
+	if len(b) < len(labelTable) {
+		return labelTable[len(b)][v], nil
+	}
+	return Label(b), nil
 }
 
 // labelTable interns every label of up to 3 bits, indexed by length then
 // by bit value (most significant first) — all the labels the paper's
-// schemes assign. MakeLabel runs once per node per labeling, so handing
-// out interned constants instead of building strings removes an
-// allocation from the hottest per-node step of label derivation.
+// schemes assign. MakeLabel runs once per node per labeling and
+// ParseLabel once per node per decode, so handing out interned constants
+// instead of building strings removes an allocation from both.
 var labelTable = [4][]Label{
 	{""},
 	{"0", "1"},
@@ -60,6 +68,17 @@ func MakeLabel(bits ...bool) Label {
 		}
 	}
 	return Label(b.String())
+}
+
+// Valid reports whether l consists solely of '0' and '1', the labels
+// ParseLabel accepts.
+func (l Label) Valid() bool {
+	for i := 0; i < len(l); i++ {
+		if l[i] != '0' && l[i] != '1' {
+			return false
+		}
+	}
+	return true
 }
 
 // Len returns the label length in bits.

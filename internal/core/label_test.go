@@ -5,14 +5,29 @@ import (
 )
 
 func TestParseLabel(t *testing.T) {
-	if _, err := ParseLabel("0101"); err != nil {
-		t.Fatal(err)
+	if l, err := ParseLabel([]byte("0101")); err != nil || l != "0101" {
+		t.Fatalf("ParseLabel(0101) = %q, %v", l, err)
 	}
-	if _, err := ParseLabel(""); err != nil {
-		t.Fatal("empty label should parse")
+	if l, err := ParseLabel(nil); err != nil || l != "" {
+		t.Fatalf("empty label: %q, %v", l, err)
 	}
-	if _, err := ParseLabel("01a"); err == nil {
-		t.Fatal("expected error for non-bit byte")
+	for _, bad := range []string{"01a", "2x", "1 "} {
+		if _, err := ParseLabel([]byte(bad)); err == nil {
+			t.Fatalf("ParseLabel(%q) accepted a non-bit byte", bad)
+		}
+		if Label(bad).Valid() {
+			t.Fatalf("Label(%q).Valid() = true", bad)
+		}
+	}
+	// Labels of up to 3 bits are MakeLabel's interned constants: parsing
+	// one allocates nothing.
+	for _, s := range []string{"", "1", "10", "011"} {
+		b := []byte(s)
+		var got Label
+		allocs := testing.AllocsPerRun(100, func() { got, _ = ParseLabel(b) })
+		if allocs != 0 || got != Label(s) || !got.Valid() {
+			t.Fatalf("ParseLabel(%q) = %q with %v allocs, want the interned label", s, got, allocs)
+		}
 	}
 }
 

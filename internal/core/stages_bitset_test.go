@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -45,13 +46,15 @@ func assertStagesIdentical(t *testing.T, tag string, got *Stages, gotErr error, 
 		t.Fatalf("%s: BuildStages ℓ=%d stalled=%d restricted=%v stages=%d, oracle ℓ=%d stalled=%d restricted=%v stages=%d",
 			tag, got.L, got.Stalled, got.Restricted, got.NumStored(), want.L, want.Stalled, want.Restricted, want.NumStored())
 	}
-	gd, gn := got.StageSets()
-	wd, wn := want.StageSets()
-	if !reflect.DeepEqual(gd, wd) {
-		t.Fatalf("%s: DOM lists differ:\nBuildStages %v\noracle      %v", tag, gd, wd)
-	}
-	if !reflect.DeepEqual(gn, wn) {
-		t.Fatalf("%s: NEW lists differ:\nBuildStages %v\noracle      %v", tag, gn, wn)
+	for i := 1; i <= got.NumStored(); i++ {
+		gd, gn := got.Lists(i)
+		wd, wn := want.Lists(i)
+		if !slices.Equal(gd, wd) {
+			t.Fatalf("%s: stage %d DOM lists differ:\nBuildStages %v\noracle      %v", tag, i, gd, wd)
+		}
+		if !slices.Equal(gn, wn) {
+			t.Fatalf("%s: stage %d NEW lists differ:\nBuildStages %v\noracle      %v", tag, i, gn, wn)
+		}
 	}
 }
 

@@ -98,6 +98,14 @@ func (s *Stages) appendStage(dom, newSet *nodeset.Set) {
 	s.news = append(s.news, setToInt32(newSet))
 }
 
+// setToInt32 extracts a set's members as an ascending int32 list — the
+// delta-storage form of Stages.
+func setToInt32(s *nodeset.Set) []int32 {
+	out := make([]int32, 0, s.Count())
+	s.ForEach(func(v int) { out = append(out, int32(v)) })
+	return out
+}
+
 // restrictToUseful keeps candidates with at least one frontier neighbour.
 func restrictToUseful(g *graph.Graph, candidates, frontier *nodeset.Set) *nodeset.Set {
 	csr := g.Freeze()

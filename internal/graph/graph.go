@@ -63,6 +63,15 @@ func (g *Graph) AddEdge(u, v int) {
 	g.edit(u, v, 0)
 }
 
+// Grow makes room for m more edits, so code that knows its edge count
+// adds the edges without reallocating. It does nothing to a graph that
+// has been read.
+func (g *Graph) Grow(m int) {
+	if g.csr == nil {
+		g.buf = slices.Grow(g.buf, m)
+	}
+}
+
 // RemoveEdge deletes the undirected edge {u, v}. Removing an absent edge
 // is a no-op, mirroring AddEdge's tolerance of re-adds.
 func (g *Graph) RemoveEdge(u, v int) {

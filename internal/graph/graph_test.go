@@ -49,6 +49,30 @@ func TestAddEdgeIdempotent(t *testing.T) {
 	}
 }
 
+// TestGrowPreallocatesEdits: after Grow(m), m edits append without
+// reallocating, so building a graph of known size costs the same number
+// of allocations whatever m is.
+func TestGrowPreallocatesEdits(t *testing.T) {
+	build := func(n int) float64 {
+		return testing.AllocsPerRun(10, func() {
+			g := New(n)
+			g.Grow(n - 1)
+			for v := 1; v < n; v++ {
+				g.AddEdge(v-1, v)
+			}
+		})
+	}
+	if small, large := build(16), build(4096); small != large {
+		t.Fatalf("building a grown path makes %v allocs at n=16 but %v at n=4096", small, large)
+	}
+	g := Path(4)
+	g.Freeze()
+	g.Grow(8) // a read graph ignores Grow
+	if g.M() != 3 || g.Validate() != nil {
+		t.Fatal("Grow on a read graph changed it")
+	}
+}
+
 func TestSelfLoopPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

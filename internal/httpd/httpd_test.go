@@ -6,9 +6,11 @@ package httpd_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -212,6 +214,46 @@ func TestRunLabeledEndpoint(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest || eb.Error.Code != "bad_request" {
 		t.Fatalf("corrupt blob: status=%d body=%+v", resp.StatusCode, eb)
+	}
+}
+
+// TestRunLabeledRejectsNonBitLabel: an upload whose label is not a bit
+// string is a malformed request (400 bad_request), not a run that looks
+// like a channel fault.
+func TestRunLabeledRejectsNonBitLabel(t *testing.T) {
+	_, ts, _ := newTestServer(t, httpd.Config{})
+	net, err := radiobcast.Family("path", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := radiobcast.LabelNetwork(net, "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// MarshalBinary refuses a non-bit label, so write a 10-bit marker
+	// label and swap "2x" in by hand under a recomputed CRC.
+	const marker = "1111111111"
+	l.Labels[3] = marker
+	blob, err := l.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := bytes.Replace(blob[:len(blob)-crc32.Size],
+		append([]byte{byte(len(marker))}, marker...), []byte("\x022x"), 1)
+	body = binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
+
+	resp, err := http.Post(ts.URL+"/v1/run-labeled", radiobcast.LabelingContentType, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eb client.ErrorBody
+	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || eb.Error.Code != "bad_request" ||
+		!strings.Contains(eb.Error.Message, "not a bit") {
+		t.Fatalf("label \"2x\": status=%d body=%+v", resp.StatusCode, eb)
 	}
 }
 
