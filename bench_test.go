@@ -414,7 +414,7 @@ func BenchmarkOneBit(b *testing.B) {
 
 // BenchmarkSweep times the batched workload path: a families × sizes ×
 // schemes × fault-rates grid executed as one RunSweep job with shared
-// frozen graphs, shared labelings and per-worker reusable engines.
+// frozen graphs, shared labelings and session-pooled reusable engines.
 func BenchmarkSweep(b *testing.B) {
 	spec := radiobcast.SweepSpec{
 		Families:   benchFamilies,

@@ -14,6 +14,8 @@ import (
 	"time"
 
 	"radiobcast"
+	"radiobcast/internal/graph"
+	"radiobcast/internal/radio"
 )
 
 func TestRunCtxPreCancelled(t *testing.T) {
@@ -41,13 +43,19 @@ func TestRunCtxCancelMidRunPartial(t *testing.T) {
 	const cancelRound = 4
 	out, err := radiobcast.RunCtx(ctx, net, "b",
 		radiobcast.WithMessage("m"),
-		// The fault hook runs once per transmission, giving us a
-		// deterministic mid-run trigger without touching the schedule.
-		radiobcast.WithFaults(func(node, round int) bool {
-			if round >= cancelRound {
-				cancel()
+		// Run the package's engine with a Stop predicate that cancels after
+		// round cancelRound: a deterministic mid-run trigger that leaves
+		// the schedule untouched.
+		radiobcast.WithEngine(func(g *graph.Graph, ps []radio.Protocol, opt radio.Options) *radio.Result {
+			opt.Engine = nil
+			stop := opt.Stop
+			opt.Stop = func(round int) bool {
+				if round >= cancelRound {
+					cancel()
+				}
+				return stop != nil && stop(round)
 			}
-			return false
+			return radio.Run(g, ps, opt)
 		}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -203,9 +211,8 @@ func TestRunSweepCtxPartialGridOrder(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	// The grid is far longer than the cancellation needs to propagate:
-	// the sweep folds cells into lockstep batches of up to eight, and
-	// with two workers at most a few batches can be in flight when the
-	// fifth cell is streamed.
+	// after the fifth cell is streamed, only the results already in the
+	// stream's buffer (at most 256) and one cell per worker can follow.
 	const repeats = 600
 	var streamed atomic.Int64
 	spec := radiobcast.SweepSpec{

@@ -51,9 +51,9 @@
 // faults × repeats grid as one batched job on a worker pool that shares
 // frozen graphs and labelings across cells; the fault axis is the
 // FaultRates entries followed by the Faults specs, each spec's seed
-// folded with the repeat index so the grid is reproducible. Cells that
-// share a graph fold automatically into lockstep batches (radio.RunBatch)
-// so the topology is read once per round for the whole batch.
+// folded with the repeat index so the grid is reproducible. Every cell
+// runs on its own engine borrowed from the Session's pool; the worker
+// pool is the only parallelism.
 //
 // The machinery lives under internal/:
 //
@@ -61,9 +61,8 @@
 //     stores only its CSR form (Graph.Freeze), built from the added
 //     edges on its first read and iterated by every hot path;
 //   - internal/radio: the synchronous radio model of §1.1 — one reusable
-//     engine, a bit-packed word-parallel core with lockstep same-graph
-//     batches (RunBatch), checked against the naive reference engine of
-//     internal/radio/radiotest;
+//     engine, a bit-packed word-parallel core checked against the naive
+//     reference engine of internal/radio/radiotest;
 //   - internal/faults: the composable fault-model contract behind
 //     FaultSpec (jam/crash/duty/churn, seeded and deterministic);
 //   - internal/domset: minimal dominating subsets (§2.1 step 4);

@@ -55,8 +55,7 @@ func ExampleRunLabeled() {
 
 // ExampleSession_Sweep streams a small sweep through a Session: cells
 // arrive in completion order, so the example re-sorts by Index to print
-// the deterministic grid order. Same-graph cells fold into lockstep
-// batches automatically.
+// the deterministic grid order.
 func ExampleSession_Sweep() {
 	sess := radiobcast.NewSession()
 	defer sess.Close(context.Background())

@@ -270,7 +270,7 @@ func TestFaultInjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	out, err := radiobcast.Run(net, "b",
-		radiobcast.WithFaults(func(node, round int) bool { return node == 0 }))
+		radiobcast.WithFaultSpec(radiobcast.FaultSpec{Model: radiobcast.FaultModelJam, Nodes: []int{0}}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,10 +24,9 @@ type BroadcastOutcome struct {
 // PlanBroadcast splits a B execution into its three ingredients — the
 // protocol vector, the scheme's base engine options, and an assemble
 // function that turns the engine Result into the outcome — so callers can
-// hand the middle step to a different driver (radio.RunBatch folds many
-// plans over one graph into a lockstep batch). A run is exactly
-// plan → radio.Run → assemble. MaxRounds defaults to 2n+4, comfortably
-// above the paper's 2n−3 bound.
+// layer their own tuning onto the options before running. A run is
+// exactly plan → radio.Run → assemble. MaxRounds defaults to 2n+4,
+// comfortably above the paper's 2n−3 bound.
 func PlanBroadcast(g *graph.Graph, l *Labeling, source int, mu string) ([]radio.Protocol, radio.Options, func(*radio.Result) *BroadcastOutcome) {
 	n := g.N()
 	ps := NewBProtocols(l.Labels, source, mu)

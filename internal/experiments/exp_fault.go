@@ -3,10 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"radiobcast/internal/core"
-	"radiobcast/internal/faults"
+	"radiobcast"
 	"radiobcast/internal/graph"
-	"radiobcast/internal/radio"
 	"radiobcast/internal/sweep"
 )
 
@@ -39,16 +37,18 @@ func FaultExperiment(cfg Config) ([]*Table, error) {
 	}
 	for _, tc := range cases {
 		g := tc.g
-		l, err := core.Lambda(g, 0, core.BuildOptions{})
+		l, err := radiobcast.LabelNetwork(radiobcast.NewNetwork(g), "b")
 		if err != nil {
 			return nil, err
 		}
-		ps, base, _ := core.PlanBroadcast(g, l, 0, "m")
-		nominal := radio.Run(g, ps, base)
+		nominal, err := radiobcast.RunLabeled(l, radiobcast.WithMessage("m"))
+		if err != nil {
+			return nil, err
+		}
 		// Enumerate all (node, round) transmission events.
 		type event struct{ node, round int }
 		var events []event
-		for v, rounds := range nominal.Transmits {
+		for v, rounds := range nominal.Result.Transmits {
 			for _, r := range rounds {
 				events = append(events, event{v, r})
 			}
@@ -56,20 +56,28 @@ func FaultExperiment(cfg Config) ([]*Table, error) {
 		type outcome struct {
 			survived bool
 			wasStay  bool
+			err      error
 		}
-		// One erasure at a given (node, round) is not expressible as a
-		// FaultSpec, so the erased runs stay on the plan with a drop hook.
+		// An oblivious jammer with no budget, restricted to one node and a
+		// one-round window, jams exactly that node's transmission in that
+		// round.
 		results := sweep.Map(events, cfg.Workers, func(e event) outcome {
-			ps, base, asm := core.PlanBroadcast(g, l, 0, "m")
-			base.MaxRounds = 4 * g.N()
-			base.Faults = faults.DropFunc(func(node, round int) bool {
-				return node == e.node && round == e.round
-			})
-			return outcome{survived: asm(radio.Run(g, ps, base)).AllInformed, wasStay: e.round%2 == 0}
+			out, err := radiobcast.RunLabeled(l,
+				radiobcast.WithMessage("m"),
+				radiobcast.WithMaxRounds(4*g.N()),
+				radiobcast.WithFaultSpec(radiobcast.FaultSpec{
+					Model: radiobcast.FaultModelJam, Nodes: []int{e.node}, From: e.round, To: e.round,
+				}))
+			if err != nil {
+				return outcome{err: err}
+			}
+			return outcome{survived: out.AllInformed, wasStay: e.round%2 == 0}
 		})
 		survived, fatalMu, fatalStay := 0, 0, 0
 		for _, r := range results {
 			switch {
+			case r.err != nil:
+				return nil, r.err
 			case r.survived:
 				survived++
 			case r.wasStay:

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -108,7 +109,6 @@ func TestEnergyExperiment(t *testing.T)             { runExp(t, "ENERGY") }
 func TestDomAblationExperiment(t *testing.T)        { runExp(t, "ABLDOM") }
 func TestZAblationExperiment(t *testing.T)          { runExp(t, "ABLZ") }
 func TestOneBitExperiment(t *testing.T)             { runExp(t, "ONEBIT") }
-func TestFaultExperiment(t *testing.T)              { runExp(t, "FAULT") }
 
 func TestRunAllQuick(t *testing.T) {
 	if testing.Short() {
@@ -120,5 +120,29 @@ func TestRunAllQuick(t *testing.T) {
 	}
 	if len(tables) < len(Registry) {
 		t.Fatalf("RunAll produced %d tables for %d experiments", len(tables), len(Registry))
+	}
+}
+
+// TestFaultExperiment pins the erasure counts of every FAULT row (graph,
+// n, events, survived, fatal µ, fatal stay); quick and full mode agree.
+func TestFaultExperiment(t *testing.T) {
+	want := [][]string{
+		{"figure1", "13", "13", "1", "9", "3"},
+		{"P10", "10", "9", "0", "9", "0"},
+		{"C12", "12", "10", "0", "10", "0"},
+		{"grid4x4", "16", "11", "3", "8", "0"},
+		{"btree15", "15", "7", "0", "7", "0"},
+		{"gnp20", "20", "15", "4", "9", "2"},
+	}
+	rows := runExp(t, "FAULT")[0].Rows
+	if len(rows) != len(want) {
+		t.Fatalf("FAULT has %d rows, want %d", len(rows), len(want))
+	}
+	for i, row := range rows {
+		// Skip the derived "survived %" column.
+		got := append(append([]string{}, row[:4]...), row[5:]...)
+		if !slices.Equal(got, want[i]) {
+			t.Errorf("FAULT row %d = %v, want %v", i, got, want[i])
+		}
 	}
 }

@@ -109,11 +109,11 @@ func threshold(p float64) uint64 {
 	return uint64(p * (1 << 63) * 2)
 }
 
-// DropFunc adapts the engine's historical fault hook — jam node v's
-// round-r transmission when f(v, r) is true — into a Model, so callers of
-// the old WithFaults(func) API run unchanged on the new subsystem. The
-// adapter consults f only for actual transmitters, which is exactly the
-// set the old engine's delivery semantics depended on.
+// DropFunc turns an arbitrary predicate into a Model: node v's round-r
+// transmission is jammed when f(v, r) is true. It expresses fault
+// patterns no declarative model does, which is what the engine tests and
+// the engine fuzz target drive it with. The adapter consults f only for
+// actual transmitters, the only nodes a jam can affect.
 func DropFunc(f func(node, round int) bool) Model {
 	if f == nil {
 		return nil

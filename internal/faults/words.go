@@ -37,7 +37,7 @@ type WordModel interface {
 	ApplyWords(st *State, w *Words)
 }
 
-// ApplyWords implements WordModel for the historical Drop hook.
+// ApplyWords implements WordModel for DropFunc.
 func (d dropFunc) ApplyWords(st *State, w *Words) {
 	if st.Transmitters == nil {
 		return

@@ -128,9 +128,7 @@ func (bs *bitState) reset(s *Sim) {
 }
 
 // bitLane is one run driven through the engine: a Sim plus the
-// round-loop bookkeeping. Sim.Run drives a single lane; RunBatch drives
-// several in lockstep over one graph, one round across all lanes before
-// the next (see batch.go).
+// round-loop bookkeeping. Sim.Run drives it one round at a time.
 type bitLane struct {
 	s    *Sim
 	csr  *graph.CSR // current topology; churn swaps it with bcsr
@@ -147,8 +145,8 @@ type bitLane struct {
 }
 
 // init validates a (graph, protocols, options) triple, freezes the
-// graph, resets s for the run and primes the fault state: the shared
-// prologue of Sim.Run and of each lockstep lane of RunBatch.
+// graph, resets s for the run and primes the fault state: the prologue
+// of Sim.Run.
 func (l *bitLane) init(s *Sim, g *graph.Graph, protos []Protocol, opt Options) {
 	n := g.N()
 	if len(protos) != n {

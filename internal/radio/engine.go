@@ -43,8 +43,8 @@ type Options struct {
 	// churn, duty-cycling, or any composition. The model is Reset at the
 	// start of the run and consulted twice per round (see faults.Model).
 	// Models are stateful: a model value must not be shared by runs that
-	// may execute concurrently. The historical Drop-hook API is available
-	// as faults.DropFunc.
+	// may execute concurrently. faults.DropFunc turns an arbitrary
+	// (node, round) predicate into a model.
 	Faults faults.Model
 
 	// Sim, when non-nil, is the reusable engine to run on: callers in a
@@ -54,7 +54,7 @@ type Options struct {
 	Sim *Sim
 
 	// Engine, when non-nil, executes the run in place of the package's
-	// engine: Run and RunBatch hand the run to it unchanged. It is the
+	// engine: Run hands the run to it unchanged. It is the
 	// per-run test seam through which differential tests substitute the
 	// reference engine of internal/radio/radiotest.
 	Engine func(g *graph.Graph, protos []Protocol, opt Options) *Result

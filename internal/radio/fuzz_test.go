@@ -73,7 +73,7 @@ func encodeEngineCase(g *graph.Graph, seed, fault, param, flags byte) []byte {
 
 // model builds a fresh instance of the case's fault model (models are
 // stateful, so every run gets its own). Selectors cover each model of
-// internal/faults, the historical drop hook, and compositions with and
+// internal/faults, a DropFunc predicate, and compositions with and
 // without the WordModel fast path.
 func (c engineCase) model() faults.Model {
 	p := int(c.param)
@@ -130,9 +130,8 @@ func (c engineCase) run() ([]radio.Protocol, radio.Options) {
 }
 
 // FuzzEngineMatchesOracle drives each decoded input through a reused
-// Sim, through pooled Run, and as the middle lane of a three-lane
-// RunBatch, and requires Result and Trace deep-equal to the reference
-// engine's.
+// Sim and through pooled Run, and requires Result and Trace deep-equal
+// to the reference engine's.
 func FuzzEngineMatchesOracle(f *testing.F) {
 	graphs := testGraphs(f)
 	for _, name := range slices.Sorted(maps.Keys(graphs)) { // stable seed#N numbering
@@ -159,26 +158,6 @@ func FuzzEngineMatchesOracle(f *testing.F) {
 		ps, got = c.run()
 		if res := radio.Run(c.g, ps, got); !sameRun(want, res, opt.Trace, got.Trace) {
 			t.Fatalf("pooled Run diverged from the reference engine")
-		}
-
-		// The outer lanes run neighbouring populations with the same
-		// fault model and options.
-		var runs []radio.BatchRun
-		var wants []*radio.Result
-		var traces []*radio.Trace
-		for i := int64(-1); i <= 1; i++ {
-			lane := c
-			lane.seed += i
-			ps, opt := lane.run()
-			wants = append(wants, radiotest.Run(c.g, ps, opt))
-			traces = append(traces, opt.Trace)
-			ps, opt = lane.run()
-			runs = append(runs, radio.BatchRun{Protos: ps, Opt: opt})
-		}
-		for i, res := range radio.RunBatch(c.g, runs) {
-			if !sameRun(wants[i], res, traces[i], runs[i].Opt.Trace) {
-				t.Fatalf("RunBatch lane %d diverged from the reference engine", i)
-			}
 		}
 	})
 }

@@ -13,15 +13,6 @@ import (
 // Map applies f to every item using the given number of workers
 // (0 or negative → GOMAXPROCS) and returns results in input order.
 func Map[T, R any](items []T, workers int, f func(T) R) []R {
-	return MapIdx(items, workers, func(_ int, t T) R { return f(t) })
-}
-
-// MapIdx is Map with worker identity: f receives the index of the worker
-// goroutine running it (0 ≤ w < Workers(len(items), workers)), so callers
-// can give each worker exclusive scratch state — the Sweep runner hands
-// every worker its own reusable radio.Sim this way. All calls with the
-// same worker index are sequential.
-func MapIdx[T, R any](items []T, workers int, f func(worker int, item T) R) []R {
 	n := len(items)
 	out := make([]R, n)
 	if n == 0 {
@@ -30,7 +21,7 @@ func MapIdx[T, R any](items []T, workers int, f func(worker int, item T) R) []R 
 	workers = Workers(n, workers)
 	if workers == 1 {
 		for i, it := range items {
-			out[i] = f(0, it)
+			out[i] = f(it)
 		}
 		return out
 	}
@@ -38,12 +29,12 @@ func MapIdx[T, R any](items []T, workers int, f func(worker int, item T) R) []R 
 	next := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := range next {
-				out[i] = f(w, items[i])
+				out[i] = f(items[i])
 			}
-		}(w)
+		}()
 	}
 	for i := 0; i < n; i++ {
 		next <- i
@@ -58,7 +49,7 @@ func MapIdx[T, R any](items []T, workers int, f func(worker int, item T) R) []R 
 // O(grid) memory up front on million-item sweeps.
 const streamBuffer = 256
 
-// StreamIdx runs f(worker, i) for every i in [0, n) on a pool of workers
+// StreamIdx runs f(i) for every i in [0, n) on a pool of workers
 // and delivers the results, in completion order, on the returned channel,
 // which is closed once every dispatched item has been delivered. The
 // second return value abandons the stream: a consumer that stops reading
@@ -71,7 +62,7 @@ const streamBuffer = 256
 // result — the consumer is expected to keep draining until the channel
 // closes, so results computed before the cut-off are never lost; only
 // abandoning the stream discards them.
-func StreamIdx[R any](ctx context.Context, n, workers int, f func(worker, i int) R) (<-chan R, func()) {
+func StreamIdx[R any](ctx context.Context, n, workers int, f func(i int) R) (<-chan R, func()) {
 	out := make(chan R, min(n, streamBuffer))
 	abandoned := make(chan struct{})
 	var once sync.Once
@@ -85,16 +76,16 @@ func StreamIdx[R any](ctx context.Context, n, workers int, f func(worker, i int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := range idx {
 				select {
-				case out <- f(w, i):
+				case out <- f(i):
 				case <-abandoned:
 					return
 				}
 			}
-		}(w)
+		}()
 	}
 	go func() {
 	dispatch:
@@ -116,17 +107,17 @@ func StreamIdx[R any](ctx context.Context, n, workers int, f func(worker, i int)
 	return out, abandon
 }
 
-// MapIdxCtx is MapIdx with cancellation: once ctx is done, no further
+// MapIdxCtx is Map with cancellation: once ctx is done, no further
 // items are dispatched and the call returns ctx.Err() together with the
 // partial results (unprocessed slots hold zero values, in input order).
-func MapIdxCtx[T, R any](ctx context.Context, items []T, workers int, f func(worker int, item T) R) ([]R, error) {
+func MapIdxCtx[T, R any](ctx context.Context, items []T, workers int, f func(item T) R) ([]R, error) {
 	type indexed struct {
 		i int
 		r R
 	}
 	out := make([]R, len(items))
-	stream, _ := StreamIdx(ctx, len(items), workers, func(w, i int) indexed {
-		return indexed{i, f(w, items[i])}
+	stream, _ := StreamIdx(ctx, len(items), workers, func(i int) indexed {
+		return indexed{i, f(items[i])}
 	})
 	for p := range stream {
 		out[p.i] = p.r
@@ -169,21 +160,4 @@ func MapErr[T, R any](items []T, workers int, f func(T) (R, error)) ([]R, error)
 		}
 	}
 	return out, firstErr
-}
-
-// Grid returns the cross product of two parameter slices as pairs.
-func Grid[A, B any](as []A, bs []B) []Pair[A, B] {
-	out := make([]Pair[A, B], 0, len(as)*len(bs))
-	for _, a := range as {
-		for _, b := range bs {
-			out = append(out, Pair[A, B]{a, b})
-		}
-	}
-	return out
-}
-
-// Pair is a two-element tuple for Grid.
-type Pair[A, B any] struct {
-	First  A
-	Second B
 }

@@ -79,22 +79,12 @@ func TestMapErrSuccess(t *testing.T) {
 	}
 }
 
-func TestGrid(t *testing.T) {
-	g := Grid([]string{"a", "b"}, []int{1, 2, 3})
-	if len(g) != 6 {
-		t.Fatalf("len = %d, want 6", len(g))
-	}
-	if g[0].First != "a" || g[0].Second != 1 || g[5].First != "b" || g[5].Second != 3 {
-		t.Fatalf("grid = %v", g)
-	}
-}
-
 func TestMapIdxCtxCompletesInOrder(t *testing.T) {
 	items := make([]int, 200)
 	for i := range items {
 		items[i] = i
 	}
-	out, err := MapIdxCtx(context.Background(), items, 8, func(_, x int) int { return x * 2 })
+	out, err := MapIdxCtx(context.Background(), items, 8, func(x int) int { return x * 2 })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +105,7 @@ func TestMapIdxCtxCancelStopsDispatch(t *testing.T) {
 	defer cancel()
 	items := make([]int, n)
 	var processed atomic.Int64
-	out, err := MapIdxCtx(ctx, items, workers, func(_, _ int) int {
+	out, err := MapIdxCtx(ctx, items, workers, func(int) int {
 		if processed.Add(1) == cancelAt {
 			cancel()
 		}
@@ -142,7 +132,7 @@ func TestMapIdxCtxCancelStopsDispatch(t *testing.T) {
 // even when the grid far exceeds the bounded buffer.
 func TestStreamIdxDeliversEverythingOnce(t *testing.T) {
 	const n = 2000 // > streamBuffer, so workers must block and resume
-	ch, _ := StreamIdx(context.Background(), n, 8, func(_, i int) int { return i })
+	ch, _ := StreamIdx(context.Background(), n, 8, func(i int) int { return i })
 	seen := make([]bool, n)
 	count := 0
 	for v := range ch {
@@ -162,7 +152,7 @@ func TestStreamIdxDeliversEverythingOnce(t *testing.T) {
 func TestStreamIdxAbandonUnblocksWorkers(t *testing.T) {
 	const n = 5000
 	var started atomic.Int64
-	ch, abandon := StreamIdx(context.Background(), n, 4, func(_, i int) int {
+	ch, abandon := StreamIdx(context.Background(), n, 4, func(i int) int {
 		started.Add(1)
 		return i
 	})
@@ -187,7 +177,7 @@ func TestStreamIdxAbandonUnblocksWorkers(t *testing.T) {
 }
 
 func TestStreamIdxEmpty(t *testing.T) {
-	ch, _ := StreamIdx(context.Background(), 0, 4, func(_, i int) int { return i })
+	ch, _ := StreamIdx(context.Background(), 0, 4, func(i int) int { return i })
 	if _, ok := <-ch; ok {
 		t.Fatal("empty stream delivered a result")
 	}

@@ -20,14 +20,10 @@ type Config struct {
 	// Trace, when non-nil, records every round (transmissions and
 	// deliveries) for rendering or debugging.
 	Trace *Trace
-	// Drop, when non-nil, injects transmission faults through the
-	// historical hook: a transmission by node v in round r is jammed when
-	// Drop(v, r) is true. Set by WithFaults; richer adversaries use Fault.
-	Drop func(node, round int) bool
 	// Fault, when non-nil, injects faults through a declarative model
 	// description (jamming, crash–recovery, churn, duty-cycling, or a
 	// composition). Set by WithFaultSpec / FaultRate; validated and
-	// materialized when the run is prepared. Drop and Fault compose.
+	// materialized when the run is prepared.
 	Fault *FaultSpec
 	// Quick reduces search effort for schemes that search for labelings
 	// (currently the one-bit scheme).
@@ -73,8 +69,8 @@ func WithMessage(mu string) Option { return func(c *Config) { c.Mu = mu } }
 // WithWorkers has no effect; it is kept so existing callers compile.
 //
 // Deprecated: a run always executes on the one sequential engine.
-// Parallelism comes from running many runs at once: Session.Sweep's
-// worker pool and its lockstep batches.
+// Parallelism comes from running many runs at once on Session.Sweep's
+// worker pool.
 func WithWorkers(int) Option { return func(*Config) {} }
 
 // WithMaxRounds overrides the scheme's default round bound.
@@ -82,15 +78,6 @@ func WithMaxRounds(n int) Option { return func(c *Config) { c.MaxRounds = n } }
 
 // WithTrace records the run round by round into tr.
 func WithTrace(tr *Trace) Option { return func(c *Config) { c.Trace = tr } }
-
-// WithFaults injects transmission faults through the historical hook:
-// node v's transmission in round r is jammed (heard by nobody) whenever
-// drop(v, r) returns true. It survives as a compatibility adapter over
-// the fault-model subsystem; declarative models (WithFaultSpec) are the
-// richer interface and the only one the sweep and the daemon speak.
-func WithFaults(drop func(node, round int) bool) Option {
-	return func(c *Config) { c.Drop = drop }
-}
 
 // WithQuick reduces search effort for labeling schemes that search
 // (trading completeness for speed).

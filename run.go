@@ -3,7 +3,6 @@ package radiobcast
 import (
 	"context"
 
-	"radiobcast/internal/faults"
 	"radiobcast/internal/radio"
 )
 
@@ -160,24 +159,18 @@ func prepareLabeled(ctx context.Context, l *Labeling, opts []Option) (Scheme, *C
 }
 
 // materializeFaults turns the Config's declarative fault spec into a model
-// instance bound to the run's graph and folds the historical Drop hook
-// into it. It runs during preparation so an unusable spec is an error
-// before anything executes, and builds a fresh instance per run — models
-// are stateful and must not be shared across concurrent runs. On the
-// clean path it leaves faultModel nil, so fault-free runs pay nothing.
+// instance bound to the run's graph. It runs during preparation so an
+// unusable spec is an error before anything executes, and builds a fresh
+// instance per run — models are stateful and must not be shared across
+// concurrent runs. On the clean path it leaves faultModel nil, so
+// fault-free runs pay nothing.
 func (c *Config) materializeFaults(g *Graph) error {
-	if c.Fault == nil && c.Drop == nil {
+	if c.Fault == nil {
 		return nil
 	}
-	var m faults.Model
-	if c.Fault != nil {
-		var err error
-		if m, err = c.Fault.materialize(g); err != nil {
-			return err
-		}
-	}
-	c.faultModel = faults.Compose(faults.DropFunc(c.Drop), m)
-	return nil
+	var err error
+	c.faultModel, err = c.Fault.materialize(g)
+	return err
 }
 
 // resolveLabeled validates a caller-supplied labeling before running on
@@ -225,22 +218,15 @@ func (c *Config) sourceOr(fallback int) int {
 	return fallback
 }
 
-// finish runs the scheme and decorates the outcome.
+// finish runs the scheme and fills the outcome fields common to all
+// schemes, so adapters only populate what is specific to them. When the
+// run was cut short by the Config's context, the partial outcome is
+// returned together with the ctx error.
 func finish(s Scheme, l *Labeling, source int, cfg *Config) (*Outcome, error) {
 	out, err := s.Run(l, source, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return decorate(out, s, l, source, cfg)
-}
-
-// decorate fills the outcome fields common to all schemes, so adapters
-// only populate what is specific to them. It is the post-run half of
-// finish, split out so the sweep's batch folding — which obtains the raw
-// Outcome through a scheme's plan/assemble seam instead of Run — applies
-// the same finishing touches. When the run was cut short by the Config's
-// context, the partial outcome is returned together with the ctx error.
-func decorate(out *Outcome, s Scheme, l *Labeling, source int, cfg *Config) (*Outcome, error) {
 	out.Scheme = s.Name()
 	out.Graph = l.Graph
 	out.Source = source

@@ -13,17 +13,6 @@ func init() {
 	Register(barbScheme{})
 }
 
-// batchScheme is the seam the sweep's batch folding needs: a scheme that
-// can split a run into (protocols, fully-tuned engine options, assemble)
-// so that the middle step — the engine run itself — can be handed to
-// radio.RunBatch together with other runs over the same graph. Each Run
-// method of the λ-family schemes is exactly plan → radio.Run → assemble,
-// so a folded cell is bit-identical to a standalone one by construction.
-type batchScheme interface {
-	Scheme
-	plan(l *Labeling, source int, cfg *Config) (ps []radio.Protocol, base radio.Options, assemble func(*radio.Result) (*Outcome, error), err error)
-}
-
 // bScheme adapts the paper's 2-bit scheme λ with universal algorithm B
 // (§2, Theorem 2.9).
 type bScheme struct{}
@@ -45,30 +34,19 @@ func (bScheme) Protocols(l *Labeling, source int, mu string) ([]Protocol, error)
 	return core.NewBProtocols(l.Labels, source, mu), nil
 }
 
-func (s bScheme) Run(l *Labeling, source int, cfg *Config) (*Outcome, error) {
-	ps, base, assemble, err := s.plan(l, source, cfg)
-	if err != nil {
+func (bScheme) Run(l *Labeling, source int, cfg *Config) (*Outcome, error) {
+	if err := l.checkLabels(); err != nil {
 		return nil, err
 	}
-	return assemble(radio.Run(l.Graph, ps, base))
-}
-
-func (bScheme) plan(l *Labeling, source int, cfg *Config) ([]radio.Protocol, radio.Options, func(*radio.Result) (*Outcome, error), error) {
-	if err := l.checkLabels(); err != nil {
-		return nil, radio.Options{}, nil, err
-	}
 	ps, base, asm := core.PlanBroadcast(l.Graph, l.coreLabeling(), source, cfg.Mu)
-	assemble := func(res *radio.Result) (*Outcome, error) {
-		out := asm(res)
-		return &Outcome{
-			Result:          out.Result,
-			InformedRound:   out.InformedRound,
-			AllInformed:     out.AllInformed,
-			CompletionRound: out.CompletionRound,
-			inner:           out,
-		}, nil
-	}
-	return ps, base.With(cfg.tuning()), assemble, nil
+	out := asm(radio.Run(l.Graph, ps, base.With(cfg.tuning())))
+	return &Outcome{
+		Result:          out.Result,
+		InformedRound:   out.InformedRound,
+		AllInformed:     out.AllInformed,
+		CompletionRound: out.CompletionRound,
+		inner:           out,
+	}, nil
 }
 
 func (bScheme) Verify(out *Outcome) error {
@@ -100,31 +78,20 @@ func (backScheme) Protocols(l *Labeling, source int, mu string) ([]Protocol, err
 	return core.NewBackProtocols(l.Labels, source, mu), nil
 }
 
-func (s backScheme) Run(l *Labeling, source int, cfg *Config) (*Outcome, error) {
-	ps, base, assemble, err := s.plan(l, source, cfg)
-	if err != nil {
+func (backScheme) Run(l *Labeling, source int, cfg *Config) (*Outcome, error) {
+	if err := l.checkLabels(); err != nil {
 		return nil, err
 	}
-	return assemble(radio.Run(l.Graph, ps, base))
-}
-
-func (backScheme) plan(l *Labeling, source int, cfg *Config) ([]radio.Protocol, radio.Options, func(*radio.Result) (*Outcome, error), error) {
-	if err := l.checkLabels(); err != nil {
-		return nil, radio.Options{}, nil, err
-	}
 	ps, base, asm := core.PlanAcknowledged(l.Graph, l.coreLabeling(), source, cfg.Mu)
-	assemble := func(res *radio.Result) (*Outcome, error) {
-		out := asm(res)
-		return &Outcome{
-			Result:          out.Result,
-			InformedRound:   out.InformedRound,
-			AllInformed:     out.AllInformed,
-			CompletionRound: out.CompletionRound,
-			AckRound:        out.AckRound,
-			inner:           out,
-		}, nil
-	}
-	return ps, base.With(cfg.tuning()), assemble, nil
+	out := asm(radio.Run(l.Graph, ps, base.With(cfg.tuning())))
+	return &Outcome{
+		Result:          out.Result,
+		InformedRound:   out.InformedRound,
+		AllInformed:     out.AllInformed,
+		CompletionRound: out.CompletionRound,
+		AckRound:        out.AckRound,
+		inner:           out,
+	}, nil
 }
 
 func (backScheme) Verify(out *Outcome) error {
@@ -157,42 +124,31 @@ func (barbScheme) Protocols(l *Labeling, source int, mu string) ([]Protocol, err
 	return core.NewBarbProtocols(l.Labels, source, mu), nil
 }
 
-func (s barbScheme) Run(l *Labeling, source int, cfg *Config) (*Outcome, error) {
-	ps, base, assemble, err := s.plan(l, source, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return assemble(radio.Run(l.Graph, ps, base))
-}
-
-func (barbScheme) plan(l *Labeling, source int, cfg *Config) ([]radio.Protocol, radio.Options, func(*radio.Result) (*Outcome, error), error) {
+func (barbScheme) Run(l *Labeling, source int, cfg *Config) (*Outcome, error) {
 	if err := l.checkLabels(); err != nil {
-		return nil, radio.Options{}, nil, err
+		return nil, err
 	}
 	ps, base, asm, err := core.PlanArbitrary(l.Graph, l.coreLabeling(), source, cfg.Mu)
 	if err != nil {
-		return nil, radio.Options{}, nil, err
+		return nil, err
 	}
-	assemble := func(res *radio.Result) (*Outcome, error) {
-		out := asm(res)
-		completion := 0
-		for _, r := range out.MuKnownRound {
-			if r > completion {
-				completion = r
-			}
+	out := asm(radio.Run(l.Graph, ps, base.With(cfg.tuning())))
+	completion := 0
+	for _, r := range out.MuKnownRound {
+		if r > completion {
+			completion = r
 		}
-		return &Outcome{
-			Result:             out.Result,
-			InformedRound:      out.MuKnownRound,
-			AllInformed:        out.AllKnowMu,
-			CompletionRound:    completion,
-			KnowsCompleteRound: out.KnowsCompleteRound,
-			TotalRounds:        out.TotalRounds,
-			T:                  out.T,
-			inner:              out,
-		}, nil
 	}
-	return ps, base.With(cfg.tuning()), assemble, nil
+	return &Outcome{
+		Result:             out.Result,
+		InformedRound:      out.MuKnownRound,
+		AllInformed:        out.AllKnowMu,
+		CompletionRound:    completion,
+		KnowsCompleteRound: out.KnowsCompleteRound,
+		TotalRounds:        out.TotalRounds,
+		T:                  out.T,
+		inner:              out,
+	}, nil
 }
 
 func (barbScheme) Verify(out *Outcome) error {

@@ -6,7 +6,6 @@ import (
 	"iter"
 	"sort"
 
-	"radiobcast/internal/radio"
 	"radiobcast/internal/sweep"
 )
 
@@ -15,9 +14,9 @@ import (
 // by one worker pool. Graphs are built and frozen once per (family, size)
 // and labelings once per (family, size, scheme, source); all cells that
 // differ only in fault rate or repeat share them, which is the paper's
-// label-once/run-many regime run as a single job. Each worker owns a
-// reusable Sim, so the steady state of a large sweep allocates per cell
-// only the protocols and the Outcome.
+// label-once/run-many regime run as a single job. Every cell runs on a
+// reusable Sim from the Session's pool, so the steady state of a large
+// sweep allocates per cell only the protocols and the Outcome.
 type SweepSpec struct {
 	// Families names the graph families to sweep (see FamilyNames).
 	Families []string
@@ -268,7 +267,7 @@ func (s *Session) Sweep(ctx context.Context, spec SweepSpec) iter.Seq2[CellResul
 				labKeys = append(labKeys, k)
 			}
 		}
-		entries, err := sweep.MapIdxCtx(ctx, labKeys, spec.Workers, func(_ int, k labKey) labEntry {
+		entries, err := sweep.MapIdxCtx(ctx, labKeys, spec.Workers, func(k labKey) labEntry {
 			net := nets[k.netKey]
 			l, err := s.Label(ctx, net, k.scheme, WithSource(k.source), WithMessage(spec.Mu))
 			if err != nil {
@@ -286,33 +285,21 @@ func (s *Session) Sweep(ctx context.Context, spec SweepSpec) iter.Seq2[CellResul
 		}
 
 		// Phase 3: run every cell on the pool, streaming results in
-		// completion order. Contiguous cells that share a frozen graph
-		// and whose scheme exposes the plan/assemble seam are folded into
-		// lockstep batches executed by radio.RunBatch — one pass over the
-		// graph per round serves every lane of the group — so the
-		// label-once/run-many regime of repeats, sources and fault seeds
-		// runs with the graph hot in cache. An early break abandons the
-		// stream (workers drop undeliverable results and exit — no leak),
-		// while plain cancellation keeps draining, so every cell finished
-		// before the cut-off is still yielded.
-		groups := groupCells(cells, labelings)
+		// completion order. An early break abandons the stream (workers
+		// drop undeliverable results and exit — no leak), while plain
+		// cancellation keeps draining, so every cell finished before the
+		// cut-off is still yielded.
 		inner, cancel := context.WithCancel(ctx)
 		defer cancel()
-		results, abandon := sweep.StreamIdx(inner, len(groups), spec.Workers, func(_, gi int) []CellResult {
-			g := groups[gi]
-			if len(g) == 1 {
-				sim := s.sims.Get().(*Sim)
-				defer s.sims.Put(sim)
-				return []CellResult{s.runCell(inner, spec, cells[g[0]], g[0], nets, labelings, sim)}
-			}
-			return s.runCellBatch(inner, spec, cells, g, nets, labelings)
+		results, abandon := sweep.StreamIdx(inner, len(cells), spec.Workers, func(i int) CellResult {
+			sim := s.sims.Get().(*Sim)
+			defer s.sims.Put(sim)
+			return s.runCell(inner, spec, cells[i], i, nets, labelings, sim)
 		})
 		defer abandon()
-		for batch := range results {
-			for _, res := range batch {
-				if !yield(res, nil) {
-					return
-				}
+		for res := range results {
+			if !yield(res, nil) {
+				return
 			}
 		}
 		if err := ctx.Err(); err != nil {
@@ -401,9 +388,7 @@ func resolveSource(src, n int) int {
 	return src
 }
 
-// cellOptions builds the run options of one sweep cell; both the solo
-// path (runCell) and the folded path (runCellBatch) go through it, so a
-// cell's configuration cannot depend on which path executed it.
+// cellOptions builds the run options of one sweep cell.
 func cellOptions(spec SweepSpec, c SweepCell, sim *Sim) []Option {
 	opts := []Option{
 		WithMessage(spec.Mu),
@@ -452,121 +437,4 @@ func (s *Session) runCell(ctx context.Context, spec SweepSpec, c SweepCell, idx 
 		}
 	}
 	return res
-}
-
-// sweepBatchCap bounds the lanes of one folded batch. Lockstep lanes
-// multiply the engine's per-round working set, so past a handful of
-// lanes the shared-graph cache win turns into cache pressure; eight
-// keeps the batch within typical L2 budgets for the sweep's graph sizes.
-const sweepBatchCap = 8
-
-// groupCells partitions the grid (in order, preserving indices) into the
-// units phase 3 dispatches: contiguous cells that share a frozen graph
-// and can run through a scheme's plan/assemble seam form batches of up
-// to sweepBatchCap, everything else stays a singleton. enumerateCells
-// nests the fault axis and repeats innermost, so the cells sharing a
-// graph — and usually a labeling too — are adjacent by construction.
-func groupCells(cells []SweepCell, labelings map[labKey]labEntry) [][]int {
-	foldable := func(c SweepCell) bool {
-		sch, ok := Lookup(c.Scheme)
-		if !ok {
-			return false
-		}
-		if _, ok := sch.(batchScheme); !ok {
-			return false
-		}
-		return labelings[labKey{netKey{c.Family, c.Size}, c.Scheme, c.Source}].err == nil
-	}
-	var groups [][]int
-	for i := 0; i < len(cells); {
-		if !foldable(cells[i]) {
-			groups = append(groups, []int{i})
-			i++
-			continue
-		}
-		k := netKey{cells[i].Family, cells[i].Size}
-		j := i + 1
-		for j < len(cells) && j-i < sweepBatchCap &&
-			(netKey{cells[j].Family, cells[j].Size}) == k && foldable(cells[j]) {
-			j++
-		}
-		group := make([]int, j-i)
-		for x := range group {
-			group[x] = i + x
-		}
-		groups = append(groups, group)
-		i = j
-	}
-	return groups
-}
-
-// runCellBatch executes one folded group: each cell's plan — protocols
-// plus fully tuned engine options — is collected and handed to
-// radio.RunBatch, which advances the lanes in lockstep over the shared
-// graph; each lane's Result is then assembled and decorated exactly as a
-// standalone run's would be. Folded cells are therefore bit-identical to
-// unfolded ones (the schemes' Run methods are the same plan → run →
-// assemble composition), which the sweep equivalence tests pin.
-func (s *Session) runCellBatch(ctx context.Context, spec SweepSpec, cells []SweepCell, group []int, nets map[netKey]*Network, labelings map[labKey]labEntry) []CellResult {
-	net := nets[netKey{cells[group[0]].Family, cells[group[0]].Size}]
-	out := make([]CellResult, len(group))
-	type lane struct {
-		pos      int // index into out
-		sch      Scheme
-		l        *Labeling
-		source   int
-		cfg      *Config
-		assemble func(*radio.Result) (*Outcome, error)
-	}
-	var lanes []lane
-	var runs []radio.BatchRun
-	sims := make([]*Sim, 0, len(group))
-	defer func() {
-		for _, sim := range sims {
-			s.sims.Put(sim)
-		}
-	}()
-	for pos, ci := range group {
-		c := cells[ci]
-		out[pos] = CellResult{Cell: c, Index: ci, N: net.Graph.N()}
-		entry := labelings[labKey{netKey{c.Family, c.Size}, c.Scheme, c.Source}]
-		sim := s.sims.Get().(*Sim)
-		sims = append(sims, sim)
-		sch, cfg, source, err := prepareLabeled(ctx, entry.l, cellOptions(spec, c, sim))
-		if err != nil {
-			out[pos].Err = fmt.Errorf("run %s: %w", c, err)
-			continue
-		}
-		ps, base, assemble, err := sch.(batchScheme).plan(entry.l, source, cfg)
-		if err != nil {
-			out[pos].Err = fmt.Errorf("run %s: %w", c, err)
-			continue
-		}
-		lanes = append(lanes, lane{pos, sch, entry.l, source, cfg, assemble})
-		runs = append(runs, radio.BatchRun{Protos: ps, Opt: base})
-	}
-	if len(runs) == 0 {
-		return out
-	}
-	for li, res := range radio.RunBatch(net.Graph, runs) {
-		ln := lanes[li]
-		o, err := ln.assemble(res)
-		if err == nil {
-			o, err = decorate(o, ln.sch, ln.l, ln.source, ln.cfg)
-		}
-		r := &out[ln.pos]
-		r.Outcome = o // partial on cancellation
-		if err != nil {
-			r.Err = fmt.Errorf("run %s: %w", r.Cell, err)
-			continue
-		}
-		if !r.Cell.Faulted() {
-			if err := Verify(o); err != nil {
-				r.Err = fmt.Errorf("verify %s: %w", r.Cell, err)
-			} else {
-				r.Verified = true
-			}
-		}
-	}
-	return out
 }

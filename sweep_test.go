@@ -1,6 +1,6 @@
-// Tests for the engine-mode equivalence contract, the WithTrace/WithFaults
-// facade paths, the steady-state allocation guarantee of reused Sims, and
-// the Sweep batch subsystem.
+// Tests for the engine-mode equivalence contract, the WithTrace and
+// fault-injection facade paths, the steady-state allocation guarantee of
+// reused Sims, and the Sweep subsystem.
 package radiobcast_test
 
 import (
@@ -200,12 +200,12 @@ func TestWithFaultsSuppressesDelivery(t *testing.T) {
 	}
 	out, err := radiobcast.Run(net, "b",
 		radiobcast.WithMessage("m"),
-		radiobcast.WithFaults(func(node, round int) bool { return true }))
+		radiobcast.FaultRate(1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Result.TotalTransmissions == 0 {
-		t.Fatal("jammed run recorded no transmissions; Drop should jam, not silence, the sender")
+		t.Fatal("jammed run recorded no transmissions; faults should jam, not silence, the sender")
 	}
 	for v, recs := range out.Result.Receives {
 		if len(recs) != 0 {
