@@ -56,7 +56,9 @@ func BenchmarkFig1(b *testing.B) {
 }
 
 // BenchmarkLabeling measures λ construction (stages + labels; experiments
-// L26/F31) through the facade's labeling step.
+// L26/F31) through the facade's labeling step. Labeling caches nothing on
+// the graph, so every iteration builds the slab form a first-seen graph
+// needs (BenchmarkBitCSR times that part alone).
 func BenchmarkLabeling(b *testing.B) {
 	for _, fam := range benchFamilies {
 		for _, n := range benchSizes {
@@ -67,6 +69,24 @@ func BenchmarkLabeling(b *testing.B) {
 					if _, err := radiobcast.LabelNetwork(net, "b"); err != nil {
 						b.Fatal(err)
 					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkBitCSR times graph.NewBitCSR, the word-parallel slab form the
+// λ kernel builds once per labeling, on BenchmarkLabeling's cells.
+// Complete graphs build none in λ (the source informs every node), but
+// the cells are timed alike.
+func BenchmarkBitCSR(b *testing.B) {
+	for _, fam := range benchFamilies {
+		for _, n := range benchSizes {
+			csr := benchNet(b, fam, n).Graph.Freeze()
+			b.Run(fmt.Sprintf("%s/n=%d", fam, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					graph.NewBitCSR(csr)
 				}
 			})
 		}
@@ -239,11 +259,12 @@ func BenchmarkMinimalDomset(b *testing.B) {
 		nodeset.Of(g.N(), layers[1]...).ForEach(func(v int) { cand = append(cand, int32(v)) })
 		targets := nodeset.Of(g.N(), layers[2]...)
 		csr := g.Freeze()
+		bcsr := graph.NewBitCSR(csr)
 		p := domset.NewPruner(g.N())
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := p.Prune(csr, cand, targets.Words(), targets.Count(), domset.Ascending); err != nil {
+				if _, err := p.Prune(csr, bcsr, cand, targets.Words(), targets.Count(), domset.Ascending); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -211,10 +211,10 @@ type ErrorBody struct {
 // ErrorDetail carries the stable machine-readable code and a human
 // message. Codes for facade failures come from radiobcast.ErrorCode
 // ("unknown_scheme", "node_out_of_range", "nil_network",
-// "labeling_mismatch", "session_closed", "bad_fault_spec"); the daemon
-// adds transport-level
-// codes ("bad_request", "limit_exceeded", "rate_limited", "saturated",
-// "draining", "canceled", "unsupported_media_type", "internal").
+// "labeling_mismatch", "session_closed", "bad_fault_spec", "no_labeling");
+// the daemon adds transport-level codes ("bad_request", "limit_exceeded",
+// "rate_limited", "saturated", "draining", "canceled",
+// "unsupported_media_type", "internal").
 type ErrorDetail struct {
 	Code    string `json:"code"`
 	Message string `json:"message"`

@@ -27,7 +27,8 @@
 // Every run is cancellable: the engine checks ctx between rounds and a
 // cancelled run returns its partial Outcome together with ctx.Err().
 // Setup failures are typed — match errors.Is against ErrUnknownScheme,
-// ErrNodeOutOfRange, ErrNilNetwork, ErrLabelingMismatch. Labelings are
+// ErrNodeOutOfRange, ErrNilNetwork, ErrLabelingMismatch, and
+// ErrNoLabeling when a searched scheme finds no labeling. Labelings are
 // durable artifacts: MarshalBinary/UnmarshalBinary (and WriteLabeling/
 // ReadLabeling) give them a versioned wire format that reruns
 // bit-identically in another process.

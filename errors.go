@@ -35,6 +35,10 @@ var (
 	// schedule. Faults never fail silently — a spec either materializes or
 	// the run refuses to start.
 	ErrBadFaultSpec = errors.New("bad fault spec")
+	// ErrNoLabeling reports a labeling search that found no labeling for
+	// the graph and source ("gjp", "onebit"): their 1-bit broadcast is
+	// not universal, so the request is well formed but cannot be served.
+	ErrNoLabeling = errors.New("no labeling")
 )
 
 // errorCodes maps every sentinel above to its stable machine-readable
@@ -52,15 +56,16 @@ var errorCodes = []struct {
 	{ErrLabelingMismatch, "labeling_mismatch"},
 	{ErrSessionClosed, "session_closed"},
 	{ErrBadFaultSpec, "bad_fault_spec"},
+	{ErrNoLabeling, "no_labeling"},
 }
 
 // ErrorCode maps err to the stable machine-readable code of the facade
 // sentinel it wraps ("unknown_scheme", "node_out_of_range", "nil_network",
-// "labeling_mismatch", "session_closed", "bad_fault_spec"). The second
-// result is false when
-// err wraps none of the sentinels — cancellation, I/O and other
-// non-facade errors have no code here; network-facing callers translate
-// those themselves (the daemon uses "canceled" and "internal").
+// "labeling_mismatch", "session_closed", "bad_fault_spec", "no_labeling").
+// The second result is false when err wraps none of the sentinels —
+// cancellation, I/O and other non-facade errors have no code here;
+// network-facing callers translate those themselves (the daemon uses
+// "canceled" and "internal").
 func ErrorCode(err error) (string, bool) {
 	for _, sc := range errorCodes {
 		if errors.Is(err, sc.err) {

@@ -119,6 +119,27 @@ func TestErrLabelingMismatch(t *testing.T) {
 	}
 }
 
+// TestErrNoLabeling pins the searched schemes' failure on Figure 1, which
+// no 1-bit labeling serves under either protocol: a typed error, in
+// direct labeling and in a sweep cell alike.
+func TestErrNoLabeling(t *testing.T) {
+	for _, scheme := range []string{"gjp", "onebit"} {
+		_, err := radiobcast.LabelNetwork(radiobcast.Figure1(), scheme, radiobcast.WithQuick())
+		if !errors.Is(err, radiobcast.ErrNoLabeling) {
+			t.Fatalf("%s on figure1: err = %v, want ErrNoLabeling", scheme, err)
+		}
+	}
+	cells, err := radiobcast.RunSweep(radiobcast.SweepSpec{
+		Families: []string{"figure1"}, Sizes: []int{13}, Schemes: []string{"gjp"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cells) != 1 || !errors.Is(cells[0].Err, radiobcast.ErrNoLabeling) {
+		t.Fatalf("sweep cells = %+v, want one cell failing with ErrNoLabeling", cells)
+	}
+}
+
 // sentinelCodes is the expected sentinel → code table, maintained by hand
 // and checked for completeness against errors.go itself below. The code
 // strings are wire API (the daemon's JSON error bodies); changing one
@@ -134,6 +155,7 @@ var sentinelCodes = map[string]struct {
 	"ErrLabelingMismatch": {radiobcast.ErrLabelingMismatch, "labeling_mismatch"},
 	"ErrSessionClosed":    {radiobcast.ErrSessionClosed, "session_closed"},
 	"ErrBadFaultSpec":     {radiobcast.ErrBadFaultSpec, "bad_fault_spec"},
+	"ErrNoLabeling":       {radiobcast.ErrNoLabeling, "no_labeling"},
 }
 
 // TestErrorCode checks the mapping itself: every sentinel (and anything

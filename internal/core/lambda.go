@@ -15,7 +15,7 @@ type Labeling struct {
 	// StayPick[w] = i means w ∈ NEW_i was chosen as the "stay" sender that
 	// keeps some v ∈ DOM_{i+1} ∩ DOM_i transmitting (x2(w) = 1); 0 if w was
 	// not picked.
-	StayPick []int
+	StayPick []int32
 	// Z is the acknowledgement initiator of λack (−1 for plain λ).
 	Z int
 	// R is the coordinator of λarb (−1 otherwise).
@@ -26,11 +26,11 @@ type Labeling struct {
 // designated source. The default options (ascending prune order) reproduce
 // the golden values used in tests, including Figure 1.
 func Lambda(g *graph.Graph, source int, opt BuildOptions) (*Labeling, error) {
-	st, err := BuildStages(g, source, opt)
+	st, bcsr, err := buildStagesBitset(g, source, opt)
 	if err != nil {
 		return nil, err
 	}
-	return labelsFromStages(st)
+	return labelsFromStages(st, bcsr)
 }
 
 // labelsFromStages derives λ from the stage deltas. For each i and each
@@ -42,14 +42,14 @@ func Lambda(g *graph.Graph, source int, opt BuildOptions) (*Labeling, error) {
 // exactly one "stay"). DOM_i ∩ DOM_{i+1} is a merge of the two sorted
 // delta lists and NEW_i is materialized as bit words only while stage i
 // is in hand, so the whole pass is O(Σ_i |DOM_i| + |NEW_i| + slab reads)
-// — no per-stage full-set snapshots anywhere.
-func labelsFromStages(st *Stages) (*Labeling, error) {
-	g := st.G
-	n := g.N()
-	bcsr := g.Freeze().Bits()
+// — no per-stage full-set snapshots anywhere. bcsr is the slab form of
+// st.G that built the stages; it may be nil only when st has one stage,
+// where no pick is made.
+func labelsFromStages(st *Stages, bcsr *graph.BitCSR) (*Labeling, error) {
+	n := st.G.N()
 	x1 := st.DomUnion()
 	x2 := make([]bool, n)
-	stayPick := make([]int, n)
+	stayPick := make([]int32, n)
 
 	newW := make([]uint64, (n+63)/64)
 	for i := 1; i+1 <= st.NumStored(); i++ {
@@ -70,7 +70,7 @@ func labelsFromStages(st *Stages) (*Labeling, error) {
 					return nil, fmt.Errorf("core: no NEW_%d neighbour for %d ∈ DOM_%d ∩ DOM_%d", i, v, i, i+1)
 				}
 				x2[w] = true
-				stayPick[w] = i
+				stayPick[w] = int32(i)
 				ai++
 				bi++
 			}
@@ -98,9 +98,7 @@ func VerifyLambda(l *Labeling) error {
 	st := l.Stages
 	g := st.G
 	n := g.N()
-	// One freeze for the whole verification (the old per-pick re-entry of
-	// g.Freeze inside the stage loops is gone).
-	bcsr := g.Freeze().Bits()
+	bcsr := graph.NewBitCSR(g.Freeze())
 	domUnion := st.DomUnion()
 	for v, lab := range l.Labels {
 		if lab.X1() != domUnion.Has(v) {

@@ -94,10 +94,8 @@ type BuildOptions struct {
 // completes on connected graphs. Every mode runs the word-parallel kernel
 // of stages_bitset.go.
 func BuildStages(g *graph.Graph, source int, opt BuildOptions) (*Stages, error) {
-	if n := g.N(); source < 0 || source >= n {
-		panic(fmt.Sprintf("core: source %d out of range [0,%d)", source, n))
-	}
-	return buildStagesBitset(g, source, opt)
+	st, _, err := buildStagesBitset(g, source, opt)
+	return st, err
 }
 
 // Stage returns stage i (1-based). Panics if out of range.

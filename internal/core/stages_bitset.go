@@ -34,11 +34,20 @@ import (
 // The tests pin the emitted DOM/NEW lists and stall errors to the
 // node-at-a-time oracle in stages_oracle_test.go, for every prune order
 // and mode.
-func buildStagesBitset(g *graph.Graph, source int, opt BuildOptions) (*Stages, error) {
+//
+// The slab form is the kernel's own (graph.NewBitCSR), built at the first
+// stage that reads it and returned for labelsFromStages; nil means no
+// stage needed it, because the source informs every node in round 1. It
+// is not cached on the CSR: a graph that is only labeled keeps no slabs,
+// and one the engine runs gets them cached by CSR.Bits then.
+func buildStagesBitset(g *graph.Graph, source int, opt BuildOptions) (*Stages, *graph.BitCSR, error) {
 	n := g.N()
+	if source < 0 || source >= n {
+		panic(fmt.Sprintf("core: source %d out of range [0,%d)", source, n))
+	}
 	st := &Stages{G: g, Source: source, Restricted: opt.Restricted}
 	csr := g.Freeze()
-	bcsr := csr.Bits()
+	var bcsr *graph.BitCSR
 
 	// Stage 1: INF_1 = DOM_1 = {source}, NEW_1 = FRONTIER_1 = Γ(source).
 	nbrS := csr.Neighbors(source)
@@ -46,7 +55,7 @@ func buildStagesBitset(g *graph.Graph, source int, opt BuildOptions) (*Stages, e
 	st.news = append(st.news, append(make([]int32, 0, len(nbrS)), nbrS...))
 	if n == 1 {
 		st.L = 1
-		return st, nil
+		return st, nil, nil
 	}
 
 	nw := (n + 63) / 64
@@ -79,7 +88,10 @@ func buildStagesBitset(g *graph.Graph, source int, opt BuildOptions) (*Stages, e
 		informed += len(prevNew)
 		if informed == n {
 			st.L = i
-			return st, nil
+			return st, bcsr, nil
+		}
+		if bcsr == nil {
+			bcsr = graph.NewBitCSR(csr)
 		}
 
 		// UNINF_i = UNINF_{i−1} ∖ NEW_{i−1}; the frontier survivors
@@ -113,14 +125,14 @@ func buildStagesBitset(g *graph.Graph, source int, opt BuildOptions) (*Stages, e
 			domList = usefulCandidates(bcsr, cands, frontierW)
 			if !domset.Dominates(g, nodeset.OfInt32(n, domList), nodeset.FromWords(n, frontierW)) {
 				st.Stalled = i
-				return st, fmt.Errorf("core: stage %d: candidates do not dominate frontier (skip-minimality mode)", i)
+				return st, bcsr, fmt.Errorf("core: stage %d: candidates do not dominate frontier (skip-minimality mode)", i)
 			}
 		} else {
 			var err error
-			domList, err = pruner.Prune(csr, cands, frontierW, frontierCount, opt.Order)
+			domList, err = pruner.Prune(csr, bcsr, cands, frontierW, frontierCount, opt.Order)
 			if err != nil {
 				st.Stalled = i
-				return st, fmt.Errorf("core: stage %d: %v (restricted=%v)", i, err, opt.Restricted)
+				return st, bcsr, fmt.Errorf("core: stage %d: %v (restricted=%v)", i, err, opt.Restricted)
 			}
 		}
 
@@ -156,11 +168,11 @@ func buildStagesBitset(g *graph.Graph, source int, opt BuildOptions) (*Stages, e
 			// Lemma 2.4 rules this out for the standard construction; the
 			// SkipMinimality ablation exists to reach it.
 			st.Stalled = i
-			return st, fmt.Errorf("core: stage %d: no progress (NEW empty, frontier %v)", i, nodeset.FromWords(n, frontierW))
+			return st, bcsr, fmt.Errorf("core: stage %d: no progress (NEW empty, frontier %v)", i, nodeset.FromWords(n, frontierW))
 		}
 		if i > n {
 			st.Stalled = i
-			return st, fmt.Errorf("core: stage count exceeded n=%d (Lemma 2.6 violated)", n)
+			return st, bcsr, fmt.Errorf("core: stage count exceeded n=%d (Lemma 2.6 violated)", n)
 		}
 	}
 }

@@ -92,7 +92,7 @@ func oracleLabeling(g *graph.Graph, source int, opt BuildOptions, ack, arb bool)
 	if err != nil {
 		return nil, err
 	}
-	l, err := labelsFromStages(st)
+	l, err := labelsFromStages(st, graph.NewBitCSR(g.Freeze()))
 	if err != nil {
 		return nil, err
 	}

@@ -50,12 +50,13 @@ func NewPruner(n int) *Pruner {
 
 // Prune returns the minimal subset of candidates dominating the frontier,
 // matching MinimalSubset(g, candidates, frontier, order) element for
-// element. candidates must be sorted ascending; frontierW is the frontier
-// as bit words with frontierCount bits set. The returned slice is freshly
-// allocated (callers keep it as stage storage); scratch state is reset
-// before returning on every path, including the error path.
-func (p *Pruner) Prune(csr *graph.CSR, candidates []int32, frontierW []uint64, frontierCount int, order PruneOrder) ([]int32, error) {
-	bcsr := csr.Bits()
+// element. bcsr is the slab form of csr (graph.NewBitCSR), which the
+// caller builds once per construction. candidates must be sorted
+// ascending; frontierW is the frontier as bit words with frontierCount
+// bits set. The returned slice is freshly allocated (callers keep it as
+// stage storage); scratch state is reset before returning on every path,
+// including the error path.
+func (p *Pruner) Prune(csr *graph.CSR, bcsr *graph.BitCSR, candidates []int32, frontierW []uint64, frontierCount int, order PruneOrder) ([]int32, error) {
 	p.kept = p.kept[:0]
 	p.tlist = p.tlist[:0]
 	defer func() {

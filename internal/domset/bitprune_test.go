@@ -13,7 +13,8 @@ func pruneViaWords(t *testing.T, p *Pruner, g *graph.Graph, candidates, targets 
 	t.Helper()
 	cand := make([]int32, 0, candidates.Count())
 	candidates.ForEach(func(v int) { cand = append(cand, int32(v)) })
-	got, err := p.Prune(g.Freeze(), cand, targets.Words(), targets.Count(), order)
+	csr := g.Freeze()
+	got, err := p.Prune(csr, graph.NewBitCSR(csr), cand, targets.Words(), targets.Count(), order)
 	if err != nil {
 		return nil, err
 	}
@@ -74,12 +75,14 @@ func TestPrunerMatchesMinimalSubset(t *testing.T) {
 func TestPrunerUndominatedTarget(t *testing.T) {
 	g := graph.Path(5)
 	p := NewPruner(5)
+	csr := g.Freeze()
+	bcsr := graph.NewBitCSR(csr)
 	targets := nodeset.Of(5, 4).Words() // node 4's only neighbour is 3
-	if _, err := p.Prune(g.Freeze(), []int32{0, 1}, targets, 1, Ascending); err == nil {
+	if _, err := p.Prune(csr, bcsr, []int32{0, 1}, targets, 1, Ascending); err == nil {
 		t.Fatal("expected undominated-target error")
 	}
 	// Reuse after the error: {3} dominates {4} and is already minimal.
-	got, err := p.Prune(g.Freeze(), []int32{3}, targets, 1, Ascending)
+	got, err := p.Prune(csr, bcsr, []int32{3}, targets, 1, Ascending)
 	if err != nil {
 		t.Fatalf("reuse after error: %v", err)
 	}

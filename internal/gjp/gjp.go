@@ -1,6 +1,7 @@
 package gjp
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -26,6 +27,10 @@ const (
 	QuickBudget   = 256
 )
 
+// ErrNoLabeling reports that Build's search found no 1-bit labeling within
+// its budget.
+var ErrNoLabeling = errors.New("no 1-bit labeling found")
+
 // Build computes a 1-bit labeling under which the echo-controlled
 // protocol (see Node) completes broadcast from source, by exact
 // simulation of the stage dynamics with backtracking.
@@ -40,7 +45,8 @@ const (
 // budget bounds the total candidate evaluations.
 //
 // Like the scheme it adapts, 1-bit broadcast is not universal: Build
-// returns an error when no assignment within budget sustains the wave.
+// returns an error wrapping ErrNoLabeling when no assignment within
+// budget sustains the wave.
 // Every labeling returned has been verified by running the real protocol
 // on the engine.
 func Build(g *graph.Graph, source int, budget int) ([]core.Label, error) {
@@ -58,7 +64,7 @@ func Build(g *graph.Graph, source int, budget int) ([]core.Label, error) {
 	b.informed[source] = true
 	b.ninf = 1
 	if !b.search([]int{source}) {
-		return nil, fmt.Errorf("gjp: no 1-bit labeling found for %v from source %d (echo-controlled broadcast is not universal)", g, source)
+		return nil, fmt.Errorf("gjp: %w for %v from source %d (echo-controlled broadcast is not universal)", ErrNoLabeling, g, source)
 	}
 	labels := make([]core.Label, n)
 	for v := range labels {

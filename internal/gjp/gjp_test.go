@@ -1,6 +1,7 @@
 package gjp
 
 import (
+	"errors"
 	"testing"
 
 	"radiobcast/internal/core"
@@ -106,10 +107,10 @@ func TestBuildDeterministic(t *testing.T) {
 
 // TestBuildFigure1Fails pins the scheme's known limit: the paper's
 // Figure 1 graph defeats every 1-bit echo assignment, and Build must
-// report that as an error instead of returning a broken labeling.
+// report that as ErrNoLabeling instead of returning a broken labeling.
 func TestBuildFigure1Fails(t *testing.T) {
-	if _, err := Build(graph.Figure1(), 0, DefaultBudget); err == nil {
-		t.Fatal("Build succeeded on Figure 1; expected the documented failure")
+	if _, err := Build(graph.Figure1(), 0, DefaultBudget); !errors.Is(err, ErrNoLabeling) {
+		t.Fatalf("Build on Figure 1: err = %v, want ErrNoLabeling", err)
 	}
 }
 

@@ -63,15 +63,29 @@ func (b *BitCSR) CountIn(v int, words []uint64) int {
 }
 
 // Bits returns the slab form of the CSR, building it on first use and
-// caching it on the CSR. Unlike Freeze, the cache is safe for concurrent
-// use: a frozen graph shared across goroutines (the sweep pool, the
-// serving daemon) may have the slab form built lazily from inside
-// concurrent runs. Two racing builders do redundant work; both end up
-// with the same immutable winner.
+// caching it on the CSR, where it stays as long as the CSR. Only the
+// engine calls it: a graph that is run is usually run many times. Callers
+// that need the slabs once, such as the labeling kernel, build a private
+// copy with NewBitCSR instead, so a graph that is only labeled does not
+// keep them. Unlike Freeze, the cache is safe for concurrent use: a
+// frozen graph shared across goroutines (the sweep pool, the serving
+// daemon) may have the slab form built lazily from inside concurrent
+// runs. Two racing builders do redundant work; both end up with the same
+// immutable winner.
 func (c *CSR) Bits() *BitCSR {
 	if b := c.bits.Load(); b != nil {
 		return b
 	}
+	b := NewBitCSR(c)
+	if !c.bits.CompareAndSwap(nil, b) {
+		return c.bits.Load() // a racing builder won; adopt its (identical) result
+	}
+	return b
+}
+
+// NewBitCSR builds the slab form of c without caching it: the result is
+// the caller's, and becomes garbage when the caller drops it.
+func NewBitCSR(c *CSR) *BitCSR {
 	n := c.N()
 	b := &BitCSR{Off: make([]int32, n+1)}
 	// First pass: count slabs so Words/Masks allocate exactly once.
@@ -103,8 +117,5 @@ func (c *CSR) Bits() *BitCSR {
 		}
 	}
 	b.Off[n] = int32(len(b.Words))
-	if !c.bits.CompareAndSwap(nil, b) {
-		return c.bits.Load() // a racing builder won; adopt its (identical) result
-	}
 	return b
 }

@@ -1,6 +1,9 @@
 package graph
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestBitCSRFirstIn(t *testing.T) {
 	g := Path(200) // neighbours of v are v−1 and v+1
@@ -39,5 +42,23 @@ func TestBitCSRCountIn(t *testing.T) {
 	}
 	if got := bcsr.CountIn(1, words); got != 4 {
 		t.Fatalf("CountIn = %d, want 4", got)
+	}
+}
+
+// TestNewBitCSRDoesNotCache pins the split between the two builders:
+// NewBitCSR leaves the CSR's cache empty, and Bits fills it, once, with
+// the same slabs.
+func TestNewBitCSRDoesNotCache(t *testing.T) {
+	csr := Grid(9, 9).Freeze()
+	b := NewBitCSR(csr)
+	if csr.bits.Load() != nil {
+		t.Fatal("NewBitCSR cached its result on the CSR")
+	}
+	cached := csr.Bits()
+	if cached == b || !reflect.DeepEqual(cached, b) {
+		t.Fatal("Bits must cache its own copy of the same slabs")
+	}
+	if csr.Bits() != cached {
+		t.Fatal("Bits rebuilt a cached slab form")
 	}
 }

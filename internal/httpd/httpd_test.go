@@ -220,6 +220,26 @@ func TestRunLabeledEndpoint(t *testing.T) {
 // TestRunLabeledRejectsNonBitLabel: an upload whose label is not a bit
 // string is a malformed request (400 bad_request), not a run that looks
 // like a channel fault.
+// TestLabelNoLabeling pins how a searched scheme's failure is served: no
+// 1-bit labeling exists for Figure 1, which is the request's answer, not
+// a server fault.
+func TestLabelNoLabeling(t *testing.T) {
+	_, ts, _ := newTestServer(t, httpd.Config{})
+	body := `{"graph":{"family":"figure1"},"scheme":"gjp"}`
+	resp, err := http.Post(ts.URL+"/v1/label", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var eb client.ErrorBody
+	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusUnprocessableEntity || eb.Error.Code != "no_labeling" {
+		t.Fatalf("gjp on figure1: status=%d body=%+v, want 422 no_labeling", resp.StatusCode, eb)
+	}
+}
+
 func TestRunLabeledRejectsNonBitLabel(t *testing.T) {
 	_, ts, _ := newTestServer(t, httpd.Config{})
 	net, err := radiobcast.Family("path", 8)

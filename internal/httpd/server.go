@@ -379,13 +379,16 @@ func retryAfterSeconds(d time.Duration) string {
 
 // mapError translates a facade error into (status, code): the typed
 // sentinels via radiobcast.ErrorCode (all client mistakes → 400, except a
-// closing session → 503), cancellation → 499-style 503, everything else
-// → 500 without leaking internals.
+// closing session → 503 and a labeling search that found nothing → 422),
+// cancellation → 499-style 503, everything else → 500 without leaking
+// internals.
 func mapError(err error) (int, string) {
 	if code, ok := radiobcast.ErrorCode(err); ok {
 		switch code {
 		case "session_closed":
 			return http.StatusServiceUnavailable, code
+		case "no_labeling":
+			return http.StatusUnprocessableEntity, code
 		default:
 			return http.StatusBadRequest, code
 		}

@@ -1,5 +1,6 @@
-// Million-node *labeling* smoke tests — the preprocessing-side companion
-// of TestMillionNodeSmoke. This file is an external test package so it
+// Labeling memory tests: the million-node *labeling* smoke tests — the
+// preprocessing-side companion of TestMillionNodeSmoke — and the heap a
+// cached labeling retains. This file is an external test package so it
 // can drive the public facade (Session, RunLabeled) over the same graphs
 // the engine scale tests use without an import cycle.
 package radio_test
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"radiobcast"
+	"radiobcast/internal/graph"
 )
 
 // labelingHeapCeiling bounds the heap growth one million-node labeling is
@@ -95,4 +97,49 @@ func TestMillionNodePathLabeling(t *testing.T) {
 	if l.Stages.L != n {
 		t.Fatalf("path ℓ = %d, want %d", l.Stages.L, n)
 	}
+}
+
+// labelingRetainedCeiling bounds the heap one λ labeling of a 4096-node
+// G(n, 6/n) may retain: its labels, stay picks and DOM/NEW lists take
+// about 113 KiB. The graph's slab form, about 390 KiB more, is the
+// labeling kernel's scratch and must not stay behind on the graph, as it
+// did while the kernel took it from the CSR's cache (517 KiB per
+// labeling).
+const labelingRetainedCeiling = 256 << 10
+
+// TestLabelingRetainsNoSlabForm labels frozen 4096-node G(n, 6/n) graphs
+// and bounds the heap the labelings retain, then runs and verifies one of
+// them, so the engine still builds its own slab form for a labeled graph.
+func TestLabelingRetainsNoSlabForm(t *testing.T) {
+	const n, graphs = 4096, 20
+	nets := make([]*radiobcast.Network, graphs)
+	for i := range nets {
+		g := graph.StreamGNPConnected(n, 6.0/n, int64(i+1))
+		g.Freeze()
+		nets[i] = radiobcast.NewNetwork(g)
+	}
+	labelings := make([]*radiobcast.Labeling, graphs)
+	before := heapInUse()
+	for i, net := range nets {
+		l, err := radiobcast.LabelNetwork(net, "b")
+		if err != nil {
+			t.Fatalf("graph %d: label: %v", i, err)
+		}
+		labelings[i] = l
+	}
+	after := heapInUse()
+	if after > before {
+		if per := (after - before) / graphs; per > labelingRetainedCeiling {
+			t.Fatalf("each labeling retained %d KiB, ceiling %d KiB", per>>10, labelingRetainedCeiling>>10)
+		}
+	}
+
+	out, err := radiobcast.RunLabeled(labelings[0], radiobcast.WithMessage("m"))
+	if err != nil {
+		t.Fatalf("run labeled: %v", err)
+	}
+	if err := radiobcast.Verify(out); err != nil {
+		t.Fatalf("verify: %v", err)
+	}
+	runtime.KeepAlive(labelings)
 }

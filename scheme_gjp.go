@@ -1,6 +1,7 @@
 package radiobcast
 
 import (
+	"errors"
 	"fmt"
 
 	"radiobcast/internal/baseline"
@@ -21,7 +22,7 @@ func init() {
 // echo steers the wave through regions with no fresh forwarders. Labels
 // are constructed by exact stage simulation with backtracking and every
 // labeling is verified against the engine before being returned; Label
-// fails with an error when no 1-bit assignment sustains the wave
+// fails with ErrNoLabeling when no 1-bit assignment sustains the wave
 // (echo-controlled 1-bit broadcast, like onebit, is not universal).
 type gjpScheme struct{}
 
@@ -36,6 +37,9 @@ func (gjpScheme) Label(g *Graph, source int, cfg *Config) (*Labeling, error) {
 		budget = gjp.QuickBudget
 	}
 	labels, err := gjp.Build(g, source, budget)
+	if errors.Is(err, gjp.ErrNoLabeling) {
+		return nil, fmt.Errorf("radiobcast: %w: %w", ErrNoLabeling, err)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("radiobcast: %w", err)
 	}

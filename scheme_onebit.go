@@ -16,8 +16,8 @@ func init() {
 // paper gives no general construction, so labeling is a search — exhaustive
 // over all 2^n labelings for small graphs, a seeded hill-climb otherwise —
 // and every labeling returned has been verified to complete broadcast by
-// exact simulation. Label fails with an error when no labeling is found
-// (one-bit broadcast is not universal).
+// exact simulation. Label fails with ErrNoLabeling when no labeling is
+// found (one-bit broadcast is not universal).
 type onebitScheme struct{}
 
 // onebitExhaustiveMax bounds the exhaustive 2^n search (beyond it the
@@ -49,7 +49,7 @@ func (onebitScheme) Label(g *Graph, source int, cfg *Config) (*Labeling, error) 
 			}, nil
 		}
 	}
-	return nil, fmt.Errorf("radiobcast: no 1-bit labeling found for %v from source %d (one-bit broadcast is not universal)", g, source)
+	return nil, fmt.Errorf("radiobcast: %w: no 1-bit labeling found for %v from source %d (one-bit broadcast is not universal)", ErrNoLabeling, g, source)
 }
 
 func (onebitScheme) Protocols(l *Labeling, source int, mu string) ([]Protocol, error) {

@@ -10,7 +10,7 @@
 #   <n>           index of the BENCH_<n>.json file to write (required)
 #   bench-regex   go test -bench pattern
 #                 (default: the broadcast + baseline + sweep + labeling
-#                 + codec + store + serving hot paths)
+#                 + slab build + codec + store + serving hot paths)
 #   benchtime     go test -benchtime value (default: 1s)
 #
 # Examples:
@@ -21,7 +21,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 n="${1:?usage: scripts/bench.sh <n> [bench-regex] [benchtime]}"
-pattern="${2:-BenchmarkBroadcastB\$|BenchmarkBroadcastBack\$|BenchmarkBaselines\$|BenchmarkSweep\$|BenchmarkLabeling\$|BenchmarkSessionCacheMiss\$|BenchmarkSessionCacheHit\$|BenchmarkStoreHit\$|BenchmarkEdgeListGraph\$|BenchmarkCodec\$|BenchmarkStoreGet\$}"
+pattern="${2:-BenchmarkBroadcastB\$|BenchmarkBroadcastBack\$|BenchmarkBaselines\$|BenchmarkSweep\$|BenchmarkLabeling\$|BenchmarkBitCSR\$|BenchmarkSessionCacheMiss\$|BenchmarkSessionCacheHit\$|BenchmarkStoreHit\$|BenchmarkEdgeListGraph\$|BenchmarkCodec\$|BenchmarkStoreGet\$}"
 benchtime="${3:-1s}"
 out="BENCH_${n}.json"
 
