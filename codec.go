@@ -33,12 +33,13 @@ import (
 // travels in the blob (the λ-family stage structure is rebuilt from its
 // DOM/NEW lists via the §2.1 recurrence). Decoding is defensive: every
 // count is bounded by the remaining input before anything is allocated,
-// every label must be a bit string, and corrupt or truncated blobs
-// return errors, never panics. Both directions are one pass, and for a
-// λ-family labeling neither allocates more as n or ℓ grows: labels of up
-// to 3 bits decode to interned constants, the DOM/NEW lists share one
-// backing array, and the encoder reads the CSR rows and the stored lists
-// in place into a buffer it sizes once.
+// every label must be a bit string of at most 31 bits (the longest a
+// Label holds), and corrupt or truncated blobs return errors, never
+// panics. Both directions are one pass, and for a λ-family labeling
+// neither allocates more as n or ℓ grows: labels decode into 4-byte
+// values, the DOM/NEW lists share one backing array, and the encoder
+// reads the CSR rows and the stored lists in place into a buffer it
+// sizes once.
 const (
 	labelingMagic   = "RBL1"
 	flagHasLabels   = 1 << 0
@@ -56,8 +57,8 @@ const LabelingContentType = "application/vnd.radiobcast.labeling.v1"
 // MarshalBinary encodes the labeling in the versioned wire format. It
 // implements encoding.BinaryMarshaler. The encoding is canonical: equal
 // labelings marshal to identical bytes, so blobs can be content-addressed.
-// A label that is not a bit string is an ErrLabelingMismatch, so no blob
-// is written that the decoder would refuse.
+// Every Label is a bit string of at most 31 bits, which the decoder
+// accepts, so no blob is written that the decoder would refuse.
 func (l *Labeling) MarshalBinary() ([]byte, error) {
 	if l == nil || l.Graph == nil {
 		return nil, labelingMismatch("cannot marshal a labeling without a graph")
@@ -73,11 +74,8 @@ func (l *Labeling) MarshalBinary() ([]byte, error) {
 	// stages) are wider. Sized from that bound, the buffer never grows.
 	w := uvarintLen(uint64(n))
 	size := len(labelingMagic) + len(l.Scheme) + 12*binary.MaxVarintLen64 + 2 + crc32.Size + 2*w*csr.M()
-	for v, lab := range l.Labels {
-		if !lab.Valid() {
-			return nil, labelingMismatch("label %q of node %d is not a bit string", lab, v)
-		}
-		size += uvarintLen(uint64(len(lab))) + len(lab)
+	for _, lab := range l.Labels {
+		size += 1 + lab.Len() // a length of at most 31 is a one-byte uvarint
 	}
 	for _, round := range l.Schedule {
 		size += w * (1 + len(round))
@@ -122,8 +120,8 @@ func (l *Labeling) MarshalBinary() ([]byte, error) {
 	buf = append(buf, flags)
 
 	for _, lab := range l.Labels {
-		buf = binary.AppendUvarint(buf, uint64(len(lab)))
-		buf = append(buf, lab...)
+		buf = binary.AppendUvarint(buf, uint64(lab.Len()))
+		buf, _ = lab.AppendText(buf)
 	}
 	buf = binary.AppendVarint(buf, int64(l.Delays.DelayOne))
 	buf = binary.AppendVarint(buf, int64(l.Delays.DelayZero))
@@ -254,7 +252,7 @@ func (l *Labeling) decode(data []byte, known *Graph) error {
 			if err != nil {
 				return err
 			}
-			if labels[v], err = core.ParseLabel(b); err != nil {
+			if labels[v], err = core.ParseLabel(string(b)); err != nil {
 				return fmt.Errorf("radiobcast: labeling codec: node %d: %w", v, err)
 			}
 		}

@@ -171,16 +171,29 @@ func TestLabelingCodecRejectsCorruption(t *testing.T) {
 		}
 	}
 
-	// A label that is not a bit string is refused even under a valid CRC.
+	// A label that is not a bit string, or is longer than a Label holds,
+	// is refused even under a valid CRC.
 	bad := forgeLabel(t, "2x")
 	if err := new(radiobcast.Labeling).UnmarshalBinary(bad); err == nil || !strings.Contains(err.Error(), "not a bit") {
 		t.Fatalf("label \"2x\" decoded: %v", err)
 	}
+	bad = forgeLabel(t, strings.Repeat("1", 32))
+	if err := new(radiobcast.Labeling).UnmarshalBinary(bad); err == nil || !strings.Contains(err.Error(), "31-bit limit") {
+		t.Fatalf("32-bit label decoded: %v", err)
+	}
+	// A 31-bit label is the longest that decodes.
+	var back radiobcast.Labeling
+	if err := back.UnmarshalBinary(forgeLabel(t, strings.Repeat("01", 15)+"1")); err != nil {
+		t.Fatalf("31-bit label refused: %v", err)
+	}
+	if got := back.Labels[3].String(); got != strings.Repeat("01", 15)+"1" {
+		t.Fatalf("31-bit label decoded as %s", got)
+	}
 }
 
 // forgeLabel returns the wire bytes of a b labeling of path/8 whose node 3
-// carries label, built by hand with a valid CRC — MarshalBinary refuses
-// to write a label that is not a bit string.
+// carries label, built by hand with a valid CRC — no Label value spells a
+// label the decoder refuses, so MarshalBinary cannot write one.
 func forgeLabel(t *testing.T, label string) []byte {
 	t.Helper()
 	net, err := radiobcast.Family("path", 8)
@@ -192,7 +205,7 @@ func forgeLabel(t *testing.T, label string) []byte {
 		t.Fatal(err)
 	}
 	const marker = "1111111111" // a 10-bit label no scheme assigns
-	l.Labels[3] = marker
+	l.Labels[3] = radiobcast.MustParseLabel(marker)
 	blob, err := l.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -218,9 +231,9 @@ func TestMarshalInvalidLabeling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Labels[3] = "2x"
+	l.Labels = l.Labels[:7]
 	if _, err := l.MarshalBinary(); !errors.Is(err, radiobcast.ErrLabelingMismatch) {
-		t.Fatalf("label \"2x\" marshaled: %v", err)
+		t.Fatalf("7 labels for 8 nodes marshaled: %v", err)
 	}
 }
 
@@ -359,8 +372,8 @@ func FuzzLabelingCodec(f *testing.F) {
 			return // rejected, and did not panic: fine
 		}
 		for v, lab := range l.Labels {
-			if !lab.Valid() {
-				t.Fatalf("decoded label %q of node %d is not a bit string", lab, v)
+			if back, err := radiobcast.ParseLabel(lab.String()); err != nil || back != lab {
+				t.Fatalf("decoded label %q of node %d does not re-parse: %v", lab, v, err)
 			}
 		}
 		blob, err := l.MarshalBinary()

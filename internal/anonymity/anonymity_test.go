@@ -20,7 +20,7 @@ func TestUniformAlgBNeverInformsAntipode(t *testing.T) {
 			mu := "m"
 			src = &mu
 		}
-		return core.NewAlgB(core.Label("11"), src)
+		return core.NewAlgB(core.MustParseLabel("11"), src)
 	}
 	if err := Verify(factory, 1000); err != nil {
 		t.Fatal(err)

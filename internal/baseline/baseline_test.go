@@ -16,7 +16,7 @@ func TestRoundRobinLabelsDistinct(t *testing.T) {
 	if core.MaxLen(labels) != 4 { // ⌈log₂ 10⌉
 		t.Fatalf("label width = %d, want 4", core.MaxLen(labels))
 	}
-	if labels[5] != core.Label("0101") {
+	if labels[5] != core.MustParseLabel("0101") {
 		t.Fatalf("label(5) = %s, want 0101", labels[5])
 	}
 }
@@ -126,7 +126,7 @@ func TestFloodingPathAllOnes(t *testing.T) {
 	n := 9
 	labels := make([]core.Label, n)
 	for v := range labels {
-		labels[v] = core.Label("1")
+		labels[v] = core.MustParseLabel("1")
 	}
 	out := RunFlooding(graph.Path(n), labels, DefaultDelays, 0, "m")
 	if !out.AllInformed {
@@ -146,7 +146,7 @@ func TestFloodingEvenCycleAllOnesFails(t *testing.T) {
 	n := 8
 	labels := make([]core.Label, n)
 	for v := range labels {
-		labels[v] = core.Label("1")
+		labels[v] = core.MustParseLabel("1")
 	}
 	out := RunFlooding(graph.Cycle(n), labels, DefaultDelays, 0, "m")
 	if out.AllInformed {
@@ -159,7 +159,7 @@ func TestFloodingEvenCycleAllOnesFails(t *testing.T) {
 
 func TestFloodingZeroBitNeverForwards(t *testing.T) {
 	g := graph.Path(3)
-	labels := []core.Label{"1", "0", "1"}
+	labels := []core.Label{core.MakeLabel(true), core.MakeLabel(false), core.MakeLabel(true)}
 	out := RunFlooding(g, labels, DefaultDelays, 0, "m")
 	if out.AllInformed {
 		t.Fatal("node 2 should stay uninformed behind a 0-labeled node")

@@ -23,23 +23,6 @@ type ColorRobin struct {
 	msg     string
 }
 
-// NewColorRobin builds the protocol from a colour label.
-func NewColorRobin(label core.Label, sourceMsg *string) *ColorRobin {
-	c := 0
-	for i := 0; i < label.Len(); i++ {
-		c <<= 1
-		if label.Bit(i) {
-			c |= 1
-		}
-	}
-	p := &ColorRobin{color: c, period: 1 << uint(label.Len())}
-	if sourceMsg != nil {
-		p.haveMsg = true
-		p.msg = *sourceMsg
-	}
-	return p
-}
-
 // Step implements radio.Protocol.
 func (p *ColorRobin) Step(rcv *radio.Message) radio.Action {
 	p.round++
@@ -76,18 +59,18 @@ func (p *ColorRobin) NextWake() int {
 // Skip implements radio.Waker.
 func (p *ColorRobin) Skip(rounds int) { p.round += rounds }
 
-// NewColorRobinProtocols builds one protocol per node, carved from one
-// bulk allocation.
+// NewColorRobinProtocols builds one protocol per node from its colour
+// label, carved from one bulk allocation.
 func NewColorRobinProtocols(labels []core.Label, source int, mu string) []radio.Protocol {
 	nodes := make([]ColorRobin, len(labels))
 	ps := make([]radio.Protocol, len(labels))
-	for v := range labels {
-		var src *string
+	for v, label := range labels {
+		p := &nodes[v]
+		p.color, p.period = slotOf(label)
 		if v == source {
-			src = &mu
+			p.haveMsg, p.msg = true, mu
 		}
-		nodes[v] = *NewColorRobin(labels[v], src)
-		ps[v] = &nodes[v]
+		ps[v] = p
 	}
 	return ps
 }

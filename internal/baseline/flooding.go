@@ -39,21 +39,6 @@ var DefaultDelays = FloodingDelays{DelayOne: 1, DelayZero: 0}
 // the family used by the grid labelings.
 var GridDelays = FloodingDelays{DelayOne: 1, DelayZero: 2}
 
-// NewFlooding builds the protocol for a 1-bit label.
-func NewFlooding(label core.Label, d FloodingDelays, sourceMsg *string) *Flooding {
-	delay := d.DelayZero
-	if label.Bit(0) {
-		delay = d.DelayOne
-	}
-	p := &Flooding{delay: delay, recvAt: -1}
-	if sourceMsg != nil {
-		p.isSource = true
-		p.haveMsg = true
-		p.msg = *sourceMsg
-	}
-	return p
-}
-
 // Step implements radio.Protocol.
 func (p *Flooding) Step(rcv *radio.Message) radio.Action {
 	p.round++
@@ -91,18 +76,21 @@ func (p *Flooding) NextWake() int {
 // Skip implements radio.Waker.
 func (p *Flooding) Skip(rounds int) { p.round += rounds }
 
-// NewFloodingProtocols builds one protocol per node, carved from one bulk
-// allocation.
+// NewFloodingProtocols builds one protocol per node from its 1-bit
+// label, carved from one bulk allocation.
 func NewFloodingProtocols(labels []core.Label, d FloodingDelays, source int, mu string) []radio.Protocol {
 	nodes := make([]Flooding, len(labels))
 	ps := make([]radio.Protocol, len(labels))
-	for v := range labels {
-		var src *string
-		if v == source {
-			src = &mu
+	for v, label := range labels {
+		p := &nodes[v]
+		p.delay, p.recvAt = d.DelayZero, -1
+		if label.Bit(0) {
+			p.delay = d.DelayOne
 		}
-		nodes[v] = *NewFlooding(labels[v], d, src)
-		ps[v] = &nodes[v]
+		if v == source {
+			p.isSource, p.haveMsg, p.msg = true, true, mu
+		}
+		ps[v] = p
 	}
 	return ps
 }

@@ -30,23 +30,6 @@ type RoundRobin struct {
 	msg     string
 }
 
-// NewRoundRobin builds the protocol from a w-bit identifier label.
-func NewRoundRobin(label core.Label, sourceMsg *string) *RoundRobin {
-	id := 0
-	for i := 0; i < label.Len(); i++ {
-		id <<= 1
-		if label.Bit(i) {
-			id |= 1
-		}
-	}
-	p := &RoundRobin{id: id, period: 1 << uint(label.Len())}
-	if sourceMsg != nil {
-		p.haveMsg = true
-		p.msg = *sourceMsg
-	}
-	return p
-}
-
 // Step implements radio.Protocol.
 func (p *RoundRobin) Step(rcv *radio.Message) radio.Action {
 	p.round++
@@ -78,17 +61,25 @@ func idWidth(n int) int {
 	return bits.Len(uint(n - 1))
 }
 
+// binaryLabel returns v written in exactly w bits, most significant first.
 func binaryLabel(v, w int) core.Label {
-	b := make([]byte, w)
-	for i := w - 1; i >= 0; i-- {
-		if v&1 == 1 {
-			b[i] = '1'
-		} else {
-			b[i] = '0'
-		}
-		v >>= 1
+	var bits [core.MaxLabelBits]bool
+	for i := range w {
+		bits[w-1-i] = v>>i&1 == 1
 	}
-	return core.Label(b)
+	return core.MakeLabel(bits[:w]...)
+}
+
+// slotOf reads a w-bit slot label back as its slot number and the period
+// 2^w: the inverse of binaryLabel.
+func slotOf(label core.Label) (slot, period int) {
+	for i := 0; i < label.Len(); i++ {
+		slot <<= 1
+		if label.Bit(i) {
+			slot |= 1
+		}
+	}
+	return slot, 1 << uint(label.Len())
 }
 
 // NextWake implements radio.Waker: an informed node's next own slot; an
@@ -111,18 +102,18 @@ func slotWake(haveMsg bool, round, period, slot int) int {
 	return next + delta
 }
 
-// NewRoundRobinProtocols builds one protocol per node, carved from one
-// bulk allocation.
+// NewRoundRobinProtocols builds one protocol per node from its w-bit
+// identifier label, carved from one bulk allocation.
 func NewRoundRobinProtocols(labels []core.Label, source int, mu string) []radio.Protocol {
 	nodes := make([]RoundRobin, len(labels))
 	ps := make([]radio.Protocol, len(labels))
-	for v := range labels {
-		var src *string
+	for v, label := range labels {
+		p := &nodes[v]
+		p.id, p.period = slotOf(label)
 		if v == source {
-			src = &mu
+			p.haveMsg, p.msg = true, mu
 		}
-		nodes[v] = *NewRoundRobin(labels[v], src)
-		ps[v] = &nodes[v]
+		ps[v] = p
 	}
 	return ps
 }

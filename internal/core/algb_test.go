@@ -208,7 +208,7 @@ func TestAlgBUninformedIgnoresStay(t *testing.T) {
 	g := graph.Path(2)
 	ps := []radio.Protocol{
 		radio.NewScripted(radio.Message{Kind: radio.KindStay}, 1, 2, 3),
-		NewAlgB(Label("11"), nil),
+		NewAlgB(MustParseLabel("11"), nil),
 	}
 	res := radio.Run(g, ps, radio.Options{MaxRounds: 6})
 	b := ps[1].(*AlgB)
@@ -225,8 +225,8 @@ func TestAlgBZeroLabelNeverTransmits(t *testing.T) {
 	g := graph.Path(2)
 	mu := "m"
 	ps := []radio.Protocol{
-		NewAlgB(Label("10"), &mu),
-		NewAlgB(Label("00"), nil),
+		NewAlgB(MustParseLabel("10"), &mu),
+		NewAlgB(MustParseLabel("00"), nil),
 	}
 	res := radio.Run(g, ps, radio.Options{MaxRounds: 8, StopAfterSilent: 3})
 	if len(res.Transmits[1]) != 0 {
@@ -239,14 +239,14 @@ func TestAlgBZeroLabelNeverTransmits(t *testing.T) {
 
 func TestAlgBInformedAccessors(t *testing.T) {
 	mu := "m"
-	src := NewAlgB(Label("10"), &mu)
+	src := NewAlgB(MustParseLabel("10"), &mu)
 	if ok, r := src.Informed(); !ok || r != 0 {
 		t.Fatal("source must be informed at round 0")
 	}
 	if src.Message() != "m" {
 		t.Fatal("source message wrong")
 	}
-	other := NewAlgB(Label("00"), nil)
+	other := NewAlgB(MustParseLabel("00"), nil)
 	if ok, _ := other.Informed(); ok {
 		t.Fatal("fresh node must be uninformed")
 	}

@@ -231,11 +231,11 @@ func TestRunCommonRound(t *testing.T) {
 
 func TestAlgBackInformedAccessor(t *testing.T) {
 	mu := "m"
-	src := NewAlgBack(Label("100"), &mu)
+	src := NewAlgBack(MustParseLabel("100"), &mu)
 	if ok, r := src.Informed(); !ok || r != 0 {
 		t.Fatal("source accessor wrong")
 	}
-	other := NewAlgBack(Label("000"), nil)
+	other := NewAlgBack(MustParseLabel("000"), nil)
 	if ok, _ := other.Informed(); ok {
 		t.Fatal("fresh node informed")
 	}

@@ -48,7 +48,7 @@ type AlgBarb struct {
 // NewAlgBarb returns node state for Barb. label is the λarb label; the node
 // holding µ passes it via sourceMsg.
 func NewAlgBarb(label Label, sourceMsg *string) *AlgBarb {
-	a := &AlgBarb{label: label, isR: label == Label("111")}
+	a := &AlgBarb{label: label, isR: label == coordinatorLabel}
 	if sourceMsg != nil {
 		a.isMuSource = true
 		a.haveMu = true

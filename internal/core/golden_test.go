@@ -33,9 +33,9 @@ func TestGoldenC6(t *testing.T) {
 			t.Fatalf("NEW_%d = %v, want %v", i, st.Stage(i).New, wantNew[i-1])
 		}
 	}
-	wantLabels := []Label{"10", "10", "00", "00", "10", "10"}
+	wantLabels := []string{"10", "10", "00", "00", "10", "10"}
 	for v, w := range wantLabels {
-		if l.Labels[v] != w {
+		if l.Labels[v].String() != w {
 			t.Fatalf("labels = %v, want %v", l.Labels, wantLabels)
 		}
 	}
@@ -60,9 +60,9 @@ func TestGoldenK23(t *testing.T) {
 	if !st.Stage(2).Dom.Equal(nodeset.Of(5, 4)) {
 		t.Fatalf("DOM_2 = %v, want {4}", st.Stage(2).Dom)
 	}
-	wantLabels := []Label{"10", "00", "00", "00", "10"}
+	wantLabels := []string{"10", "00", "00", "00", "10"}
 	for v, w := range wantLabels {
-		if l.Labels[v] != w {
+		if l.Labels[v].String() != w {
 			t.Fatalf("labels = %v, want %v", l.Labels, wantLabels)
 		}
 	}

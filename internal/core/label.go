@@ -9,85 +9,79 @@ package core
 
 import (
 	"fmt"
-	"strings"
+	"math/bits"
 )
 
-// Label is a binary-string node label, e.g. "10" for x1=1, x2=0. Labels
+// MaxLabelBits is the longest label a Label holds. Node ids are int32, so
+// the round-robin baseline's ⌈log₂ n⌉-bit identifiers and every colour
+// code fit.
+const MaxLabelBits = 31
+
+// Label is a binary-string node label, e.g. 10 for x1=1, x2=0. Labels
 // assigned by a scheme need not be distinct; the length of a scheme is the
 // maximum label length it assigns (§1.1).
-type Label string
+//
+// A Label is a 4-byte value: its bits sit below a leading 1 that marks
+// the length, and the word is stored minus one, so the zero value is the
+// empty label and every value spells exactly one bit string of at most
+// MaxLabelBits bits. Build labels with MakeLabel or ParseLabel; String
+// (and so %s, %v and %q) spells them as '0's and '1's.
+type Label struct{ v uint32 }
 
-// ParseLabel returns the label spelled by b, which must consist solely of
-// '0' and '1'. A label of up to 3 bits comes back as the constant
-// MakeLabel returns for it, so parsing the labels of a λ-family labeling
-// allocates nothing.
-func ParseLabel(b []byte) (Label, error) {
-	v := 0
-	for i, c := range b {
-		if c != '0' && c != '1' {
-			return "", fmt.Errorf("core: invalid label: byte %d is %q, not a bit", i, c)
-		}
-		v = v<<1 | int(c-'0')
-	}
-	if len(b) < len(labelTable) {
-		return labelTable[len(b)][v], nil
-	}
-	return Label(b), nil
-}
-
-// labelTable interns every label of up to 3 bits, indexed by length then
-// by bit value (most significant first) — all the labels the paper's
-// schemes assign. MakeLabel runs once per node per labeling and
-// ParseLabel once per node per decode, so handing out interned constants
-// instead of building strings removes an allocation from both.
-var labelTable = [4][]Label{
-	{""},
-	{"0", "1"},
-	{"00", "01", "10", "11"},
-	{"000", "001", "010", "011", "100", "101", "110", "111"},
-}
+// word returns the label's bits under their length sentinel.
+func (l Label) word() uint32 { return l.v + 1 }
 
 // MakeLabel builds a label from bits (true = '1'), most significant first.
+// It panics on more than MaxLabelBits bits.
 func MakeLabel(bits ...bool) Label {
-	if len(bits) < len(labelTable) {
-		v := 0
-		for _, bit := range bits {
-			v <<= 1
-			if bit {
-				v |= 1
-			}
-		}
-		return labelTable[len(bits)][v]
+	if len(bits) > MaxLabelBits {
+		panic(fmt.Sprintf("core: %d-bit label exceeds the %d-bit limit", len(bits), MaxLabelBits))
 	}
-	var b strings.Builder
+	w := uint32(1)
 	for _, bit := range bits {
+		w <<= 1
 		if bit {
-			b.WriteByte('1')
-		} else {
-			b.WriteByte('0')
+			w |= 1
 		}
 	}
-	return Label(b.String())
+	return Label{w - 1}
 }
 
-// Valid reports whether l consists solely of '0' and '1', the labels
-// ParseLabel accepts.
-func (l Label) Valid() bool {
-	for i := 0; i < len(l); i++ {
-		if l[i] != '0' && l[i] != '1' {
-			return false
-		}
+// ParseLabel returns the label spelled by s, which must consist solely of
+// '0' and '1' and be at most MaxLabelBits long.
+func ParseLabel(s string) (Label, error) {
+	if len(s) > MaxLabelBits {
+		return Label{}, fmt.Errorf("core: invalid label: %d bytes exceed the %d-bit limit", len(s), MaxLabelBits)
 	}
-	return true
+	w := uint32(1)
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c != '0' && c != '1' {
+			return Label{}, fmt.Errorf("core: invalid label: byte %d is %q, not a bit", i, c)
+		}
+		w = w<<1 | uint32(c-'0')
+	}
+	return Label{w - 1}, nil
+}
+
+// MustParseLabel is ParseLabel for labels known to be valid, such as
+// literals; it panics on an invalid one.
+func MustParseLabel(s string) Label {
+	l, err := ParseLabel(s)
+	if err != nil {
+		panic(err)
+	}
+	return l
 }
 
 // Len returns the label length in bits.
-func (l Label) Len() int { return len(l) }
+func (l Label) Len() int { return bits.Len32(l.word()) - 1 }
 
 // Bit returns bit i (0-based from the left), or false past the end. The
 // paper's x1, x2, x3 are bits 0, 1, 2.
 func (l Label) Bit(i int) bool {
-	return i >= 0 && i < len(l) && l[i] == '1'
+	n := l.Len()
+	return i >= 0 && i < n && l.word()>>(n-1-i)&1 == 1
 }
 
 // X1 reports the paper's first bit (membership in some DOM_i).
@@ -99,11 +93,40 @@ func (l Label) X2() bool { return l.Bit(1) }
 // X3 reports the paper's third bit (the acknowledgement initiator z).
 func (l Label) X3() bool { return l.Bit(2) }
 
+// AppendText appends the label's bits to b as '0' and '1' bytes. It
+// implements encoding.TextAppender and never fails.
+func (l Label) AppendText(b []byte) ([]byte, error) {
+	w := l.word()
+	for i := l.Len() - 1; i >= 0; i-- {
+		b = append(b, '0'+byte(w>>i&1))
+	}
+	return b, nil
+}
+
+// String spells the label as '0's and '1's.
+func (l Label) String() string {
+	var buf [MaxLabelBits]byte
+	b, _ := l.AppendText(buf[:0])
+	return string(b)
+}
+
+// MarshalText implements encoding.TextMarshaler, so JSON and other text
+// encodings carry a label as its bit string.
+func (l Label) MarshalText() ([]byte, error) { return l.AppendText(nil) }
+
+// UnmarshalText implements encoding.TextUnmarshaler with ParseLabel's
+// rules.
+func (l *Label) UnmarshalText(b []byte) error {
+	var err error
+	*l, err = ParseLabel(string(b))
+	return err
+}
+
 // Strings converts a labeling to plain strings (for rendering and DOT).
 func Strings(labels []Label) []string {
 	out := make([]string, len(labels))
 	for i, l := range labels {
-		out[i] = string(l)
+		out[i] = l.String()
 	}
 	return out
 }

@@ -21,7 +21,7 @@ func TestLambdaFigure1Golden(t *testing.T) {
 	g := graph.Figure1()
 	l := mustLambda(t, g, graph.Figure1Source)
 	for v, want := range graph.Figure1Labels {
-		if string(l.Labels[v]) != want {
+		if l.Labels[v].String() != want {
 			t.Errorf("label(%d) = %s, want %s", v, l.Labels[v], want)
 		}
 	}
@@ -47,9 +47,9 @@ func TestLambdaPath(t *testing.T) {
 	// On a path from endpoint 0, every internal node is in some DOM and
 	// never needs a stay (each DOM_i = {i-1} differs from DOM_{i+1}).
 	l := mustLambda(t, graph.Path(5), 0)
-	want := []Label{"10", "10", "10", "10", "00"}
+	want := []string{"10", "10", "10", "10", "00"}
 	for v, w := range want {
-		if l.Labels[v] != w {
+		if l.Labels[v].String() != w {
 			t.Fatalf("path labels = %v, want %v", l.Labels, want)
 		}
 	}
@@ -58,11 +58,11 @@ func TestLambdaPath(t *testing.T) {
 func TestLambdaStar(t *testing.T) {
 	// Star from the hub: one stage; leaves are all 00.
 	l := mustLambda(t, graph.Star(5), 0)
-	if l.Labels[0] != Label("10") {
+	if l.Labels[0] != MustParseLabel("10") {
 		t.Fatalf("hub label = %s", l.Labels[0])
 	}
 	for v := 1; v < 5; v++ {
-		if l.Labels[v] != Label("00") {
+		if l.Labels[v] != MustParseLabel("00") {
 			t.Fatalf("leaf %d label = %s, want 00", v, l.Labels[v])
 		}
 	}
@@ -111,7 +111,7 @@ func TestLambdaAckFact31(t *testing.T) {
 		}
 		// Fact 3.1: labels 101, 111, 011 never assigned → ≤ 5 distinct.
 		for v, lab := range l.Labels {
-			switch lab {
+			switch lab.String() {
 			case "101", "111", "011":
 				t.Fatalf("%s: forbidden label %s at node %d", name, lab, v)
 			}
@@ -141,7 +141,7 @@ func TestLambdaAckZIsLastInformed(t *testing.T) {
 	if l.Z != 12 {
 		t.Fatalf("z = %d, want 12 (the last-informed node)", l.Z)
 	}
-	if l.Labels[12] != Label("001") {
+	if l.Labels[12] != MustParseLabel("001") {
 		t.Fatalf("label(z) = %s, want 001", l.Labels[12])
 	}
 }
@@ -167,7 +167,7 @@ func TestLambdaArbSixLabels(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if l.Labels[0] != Label("111") {
+		if l.Labels[0] != MustParseLabel("111") {
 			t.Fatalf("%s: r label = %s, want 111", name, l.Labels[0])
 		}
 		if d := Distinct(l.Labels); d > 6 {
@@ -176,7 +176,7 @@ func TestLambdaArbSixLabels(t *testing.T) {
 		// Exactly one node labeled 111.
 		count := 0
 		for _, lab := range l.Labels {
-			if lab == Label("111") {
+			if lab == MustParseLabel("111") {
 				count++
 			}
 		}

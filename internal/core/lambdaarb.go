@@ -6,6 +6,9 @@ import (
 	"radiobcast/internal/graph"
 )
 
+// coordinatorLabel is the coordinator r's λarb label 111.
+var coordinatorLabel = MakeLabel(true, true, true)
+
 // LambdaArb computes the 3-bit labeling scheme λarb of §4.1 for the setting
 // where the source is not known at labeling time. An arbitrary node r is
 // labeled 111; the remaining nodes are labeled by λack computed *as if r
@@ -21,7 +24,7 @@ func LambdaArb(g *graph.Graph, r int, opt BuildOptions) (*Labeling, error) {
 	if err != nil {
 		return nil, err
 	}
-	l.Labels[r] = Label("111")
+	l.Labels[r] = coordinatorLabel
 	l.R = r
 	// λarb uses at most 6 distinct labels: the 5 of λack plus 111 (§5).
 	if d := Distinct(l.Labels); d > 6 {

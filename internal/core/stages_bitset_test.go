@@ -102,7 +102,7 @@ func oracleLabeling(g *graph.Graph, source int, opt BuildOptions, ack, arb bool)
 		}
 	}
 	if arb {
-		l.Labels[source] = Label("111")
+		l.Labels[source] = MustParseLabel("111")
 		l.R = source
 	}
 	return l, nil

@@ -36,9 +36,9 @@ func Figure1Experiment(cfg Config) ([]*Table, error) {
 		goldenTx := intSet(graph.Figure1Transmits[v])
 		informed := out.InformedRound[v]
 		goldenInf := graph.Figure1InformedRounds[v]
-		labelOK := string(l.Labels[v]) == graph.Figure1Labels[v]
+		labelOK := l.Labels[v].String() == graph.Figure1Labels[v]
 		match := tx == goldenTx && informed == goldenInf && labelOK
-		t.AddRow(v, string(l.Labels[v]), tx, goldenTx, informed, goldenInf, boolMark(match))
+		t.AddRow(v, l.Labels[v].String(), tx, goldenTx, informed, goldenInf, boolMark(match))
 	}
 
 	round := &Table{

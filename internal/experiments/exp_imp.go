@@ -42,7 +42,7 @@ func ImpossibilityExperiment(cfg Config) ([]*Table, error) {
 				mu := "m"
 				src = &mu
 			}
-			return core.NewAlgB(core.Label("11"), src)
+			return core.NewAlgB(core.MakeLabel(true, true), src)
 		}},
 		{"algorithm B, all labels 10", func(isSource bool) radio.Protocol {
 			var src *string
@@ -50,7 +50,7 @@ func ImpossibilityExperiment(cfg Config) ([]*Table, error) {
 				mu := "m"
 				src = &mu
 			}
-			return core.NewAlgB(core.Label("10"), src)
+			return core.NewAlgB(core.MakeLabel(true, false), src)
 		}},
 		{"always transmit once informed", anonymity.PseudorandomProgram(0x5555555555555555)},
 	}

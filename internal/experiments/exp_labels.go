@@ -42,8 +42,7 @@ func Fact31Experiment(cfg Config) ([]*Table, error) {
 		}
 		forbidden := 0
 		for _, lab := range ack.Labels {
-			switch lab {
-			case "101", "111", "011":
+			if lab.X3() && (lab.X1() || lab.X2()) { // 101, 111 or 011
 				forbidden++
 			}
 		}
@@ -89,11 +88,11 @@ func Fact31Experiment(cfg Config) ([]*Table, error) {
 	for _, scheme := range []string{"λ", "λack", "λarb"} {
 		labs := make([]string, 0, len(totals[scheme]))
 		for lab := range totals[scheme] {
-			labs = append(labs, string(lab))
+			labs = append(labs, lab.String())
 		}
 		sort.Strings(labs)
 		for _, lab := range labs {
-			agg.AddRow(scheme, lab, totals[scheme][core.Label(lab)])
+			agg.AddRow(scheme, lab, totals[scheme][core.MustParseLabel(lab)])
 		}
 	}
 	return []*Table{t, agg}, nil

@@ -308,11 +308,13 @@ func (b *builder) step(T, newly []int, sel []bool) (next []int, score int) {
 
 // verify runs the real protocol over the constructed labeling and
 // confirms complete broadcast — the constructive simulation and the
-// engine must agree, so a failure here is a bug, not a search miss.
+// engine must agree, so a failure here is a bug, not a search miss. It
+// runs on a clone of g, so the engine's slab form is not left cached on
+// the labeled graph.
 func verify(g *graph.Graph, labels []core.Label, source int) error {
 	mu := "µ"
 	ps := NewProtocols(labels, source, mu)
-	radio.Run(g, ps, radio.Options{MaxRounds: MaxRounds(g.N()), StopAfterSilent: 3})
+	radio.Run(g.Clone(), ps, radio.Options{MaxRounds: MaxRounds(g.N()), StopAfterSilent: 3})
 	for v, p := range ps {
 		if ok, _ := p.(*Node).Informed(); !ok {
 			return fmt.Errorf("gjp: internal error: constructed labeling leaves node %d uninformed", v)

@@ -179,11 +179,15 @@ func (g *Graph) Edges() [][2]int {
 	return out
 }
 
-// Clone returns a copy that edits do not tie to g: the two share the
-// immutable CSR until one of them is edited.
+// Clone returns a copy that edits do not tie to g. The two share the
+// immutable CSR arrays until one of them is edited, but not the slab
+// form the engine caches on a CSR (see CSR.Bits): runs on a clone leave
+// g without one, so a one-off run such as a labeling's self-check can
+// execute on a clone and leave nothing cached on the labeled graph.
 func (g *Graph) Clone() *Graph {
-	g.Freeze()
+	csr := g.Freeze()
 	c := *g
+	c.csr = &CSR{Offsets: csr.Offsets, Targets: csr.Targets}
 	return &c
 }
 

@@ -127,6 +127,29 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
+// TestCloneKeepsItsOwnSlabCache pins that a clone shares the CSR arrays
+// but not the slab form cached on them: the engine's Bits on a clone
+// leaves the original without one, and the reverse.
+func TestCloneKeepsItsOwnSlabCache(t *testing.T) {
+	g := Grid(9, 9)
+	c := g.Clone()
+	gc, cc := g.Freeze(), c.Freeze()
+	if gc == cc || &gc.Targets[0] != &cc.Targets[0] || &gc.Offsets[0] != &cc.Offsets[0] {
+		t.Fatal("a clone must share the CSR arrays under a header of its own")
+	}
+	if c.Fingerprint() != g.Fingerprint() {
+		t.Fatal("a clone fingerprints differently")
+	}
+	cc.Bits()
+	if gc.bits.Load() != nil {
+		t.Fatal("Bits on a clone cached the slab form on the original")
+	}
+	gc.Bits()
+	if g.Clone().Freeze().bits.Load() != nil {
+		t.Fatal("a clone inherited the original's slab form")
+	}
+}
+
 // neighborSet returns v's neighbourhood as a nodeset.Set.
 func neighborSet(g *Graph, v int) *nodeset.Set {
 	s := nodeset.New(g.N())

@@ -24,12 +24,15 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// ReadEdgeList parses the edge-list format.
-func ReadEdgeList(r io.Reader) (*Graph, error) {
+// ReadEdgeList parses the edge-list format and also returns the number of
+// edge lines it read. Nothing it allocates is sized by the node count the
+// input states, so a caller that distrusts the input can check that count
+// against the edge lines before a read of the graph builds its CSR.
+func ReadEdgeList(r io.Reader) (*Graph, int, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	var g *Graph
-	line := 0
+	line, edges := 0, 0
 	for sc.Scan() {
 		line++
 		text := strings.TrimSpace(sc.Text())
@@ -42,35 +45,36 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		fields := strings.Fields(text)
 		if g == nil {
 			if len(fields) != 1 {
-				return nil, fmt.Errorf("graph: line %d: want node count, got %q", line, text)
+				return nil, 0, fmt.Errorf("graph: line %d: want node count, got %q", line, text)
 			}
 			n, err := strconv.Atoi(fields[0])
 			if err != nil || n < 0 {
-				return nil, fmt.Errorf("graph: line %d: bad node count %q", line, fields[0])
+				return nil, 0, fmt.Errorf("graph: line %d: bad node count %q", line, fields[0])
 			}
 			g = New(n)
 			continue
 		}
 		if len(fields) != 2 {
-			return nil, fmt.Errorf("graph: line %d: want \"u v\", got %q", line, text)
+			return nil, 0, fmt.Errorf("graph: line %d: want \"u v\", got %q", line, text)
 		}
 		u, err1 := strconv.Atoi(fields[0])
 		v, err2 := strconv.Atoi(fields[1])
 		if err1 != nil || err2 != nil {
-			return nil, fmt.Errorf("graph: line %d: bad edge %q", line, text)
+			return nil, 0, fmt.Errorf("graph: line %d: bad edge %q", line, text)
 		}
 		if u < 0 || u >= g.N() || v < 0 || v >= g.N() || u == v {
-			return nil, fmt.Errorf("graph: line %d: invalid edge {%d,%d} for n=%d", line, u, v, g.N())
+			return nil, 0, fmt.Errorf("graph: line %d: invalid edge {%d,%d} for n=%d", line, u, v, g.N())
 		}
 		g.AddEdge(u, v)
+		edges++
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if g == nil {
-		return nil, fmt.Errorf("graph: empty input")
+		return nil, 0, fmt.Errorf("graph: empty input")
 	}
-	return g, nil
+	return g, edges, nil
 }
 
 // WriteDOT writes g in Graphviz DOT format. If labels is non-nil it must

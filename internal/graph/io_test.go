@@ -12,7 +12,7 @@ func TestEdgeListRoundTrip(t *testing.T) {
 	if err := WriteEdgeList(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadEdgeList(&buf)
+	back, _, err := ReadEdgeList(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,12 +33,12 @@ func TestReadEdgeListCommentsAndBlanks(t *testing.T) {
 0 1  # trailing comment
 1 2
 `
-	g, err := ReadEdgeList(strings.NewReader(in))
+	g, edges, err := ReadEdgeList(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.N() != 3 || g.M() != 2 {
-		t.Fatalf("n=%d m=%d", g.N(), g.M())
+	if g.N() != 3 || g.M() != 2 || edges != 2 {
+		t.Fatalf("n=%d m=%d edge lines=%d", g.N(), g.M(), edges)
 	}
 }
 
@@ -52,7 +52,7 @@ func TestReadEdgeListErrors(t *testing.T) {
 		"self loop":      "3\n1 1\n",
 	}
 	for name, in := range cases {
-		if _, err := ReadEdgeList(strings.NewReader(in)); err == nil {
+		if _, _, err := ReadEdgeList(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
 	}

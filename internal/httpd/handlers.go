@@ -348,6 +348,9 @@ func (s *Server) validateSweep(req *client.SweepRequest) *httpErr {
 		}
 	}
 	for _, n := range req.Sizes {
+		if n < 1 {
+			return badRequest("graph size %d: a network needs at least one node", n)
+		}
 		if n > s.cfg.MaxGraphN {
 			return limitExceeded("graph size %d exceeds the limit of %d nodes", n, s.cfg.MaxGraphN)
 		}

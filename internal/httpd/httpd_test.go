@@ -240,6 +240,31 @@ func TestLabelNoLabeling(t *testing.T) {
 	}
 }
 
+// TestFamilySizeBelowOne pins that a family member with fewer than one
+// node is the request's fault: 400 bad_request, not a 500 from a panic in
+// the generator.
+func TestFamilySizeBelowOne(t *testing.T) {
+	_, ts, _ := newTestServer(t, httpd.Config{})
+	for _, path := range []string{"/v1/run", "/v1/label"} {
+		for _, n := range []int{-1, 0} {
+			body := fmt.Sprintf(`{"graph":{"family":"path","n":%d},"scheme":"b"}`, n)
+			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var eb client.ErrorBody
+			err = json.NewDecoder(resp.Body).Decode(&eb)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusBadRequest || eb.Error.Code != "bad_request" {
+				t.Fatalf("%s with n=%d: status=%d body=%+v, want 400 bad_request", path, n, resp.StatusCode, eb)
+			}
+		}
+	}
+}
+
 func TestRunLabeledRejectsNonBitLabel(t *testing.T) {
 	_, ts, _ := newTestServer(t, httpd.Config{})
 	net, err := radiobcast.Family("path", 8)
@@ -250,10 +275,10 @@ func TestRunLabeledRejectsNonBitLabel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// MarshalBinary refuses a non-bit label, so write a 10-bit marker
-	// label and swap "2x" in by hand under a recomputed CRC.
+	// No Label spells a non-bit string, so write a 10-bit marker label
+	// and swap "2x" in by hand under a recomputed CRC.
 	const marker = "1111111111"
-	l.Labels[3] = marker
+	l.Labels[3] = radiobcast.MustParseLabel(marker)
 	blob, err := l.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -347,6 +372,8 @@ func TestSweepValidation(t *testing.T) {
 		{"unknown family", client.SweepRequest{Families: []string{"toroid"}, Sizes: []int{8}, Schemes: []string{"b"}}, "bad_request"},
 		{"grid too big", client.SweepRequest{Families: []string{"path"}, Sizes: []int{8}, Schemes: []string{"b"}, Repeats: 100}, "limit_exceeded"},
 		{"bad fault rate", client.SweepRequest{Families: []string{"path"}, Sizes: []int{8}, Schemes: []string{"b"}, FaultRates: []float64{2}}, "bad_request"},
+		{"size below one", client.SweepRequest{Families: []string{"path"}, Sizes: []int{-3}, Schemes: []string{"b"}}, "bad_request"},
+		{"size zero", client.SweepRequest{Families: []string{"grid"}, Sizes: []int{8, 0}, Schemes: []string{"b"}}, "bad_request"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := c.Sweep(ctx, tc.req, nil)

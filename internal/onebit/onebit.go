@@ -42,7 +42,7 @@ func Verify(g *graph.Graph, labels []core.Label, d baseline.FloodingDelays, sour
 // PathScheme labels a path (node ids in path order) with all-1 labels:
 // the wave forwards hop by hop with no collisions. Works for any source.
 func PathScheme(g *graph.Graph, source int) (*Scheme, error) {
-	labels := uniform(g.N(), '1')
+	labels := uniform(g.N(), true)
 	return verified(g, labels, baseline.DefaultDelays, source, "path")
 }
 
@@ -51,11 +51,11 @@ func PathScheme(g *graph.Graph, source int) (*Scheme, error) {
 // the antipode, so one of the antipode's neighbours is silenced with a 0.
 func CycleScheme(g *graph.Graph, source int) (*Scheme, error) {
 	n := g.N()
-	labels := uniform(n, '1')
+	labels := uniform(n, true)
 	if n%2 == 0 {
 		// Silence the clockwise neighbour of the antipodal node.
 		antipode := (source + n/2) % n
-		labels[(antipode+1)%n] = core.Label("0")
+		labels[(antipode+1)%n] = core.MakeLabel(false)
 	}
 	return verified(g, labels, baseline.DefaultDelays, source, "cycle")
 }
@@ -83,11 +83,7 @@ func GridSchemeAt(rows, cols, si, sj int) (*Scheme, *graph.Graph, error) {
 	labels := make([]core.Label, g.N())
 	for i := 0; i < rows; i++ {
 		for j := 0; j < cols; j++ {
-			bit := byte('0')
-			if j == sj {
-				bit = '1'
-			}
-			labels[graph.GridIndex(rows, cols, i, j)] = core.Label([]byte{bit})
+			labels[graph.GridIndex(rows, cols, i, j)] = core.MakeLabel(j == sj)
 		}
 	}
 	source := graph.GridIndex(rows, cols, si, sj)
@@ -106,11 +102,7 @@ func SearchExhaustive(g *graph.Graph, d baseline.FloodingDelays, source int) (*S
 	labels := make([]core.Label, n)
 	for mask := 0; mask < 1<<uint(n); mask++ {
 		for v := 0; v < n; v++ {
-			if mask&(1<<uint(v)) != 0 {
-				labels[v] = core.Label("1")
-			} else {
-				labels[v] = core.Label("0")
-			}
+			labels[v] = core.MakeLabel(mask&(1<<uint(v)) != 0)
 		}
 		if round, ok := Verify(g, labels, d, source); ok {
 			return &Scheme{Labels: append([]core.Label(nil), labels...), Delays: d, CompletionRound: round}, true
@@ -125,7 +117,7 @@ func SearchExhaustive(g *graph.Graph, d baseline.FloodingDelays, source int) (*S
 func SearchRandom(g *graph.Graph, d baseline.FloodingDelays, source int, tries int, seed int64) (*Scheme, bool) {
 	n := g.N()
 	r := rand.New(rand.NewSource(seed))
-	labels := uniform(n, '1')
+	labels := uniform(n, true)
 	best := uninformedCount(g, labels, d, source)
 	if best == 0 {
 		round, _ := Verify(g, labels, d, source)
@@ -134,11 +126,7 @@ func SearchRandom(g *graph.Graph, d baseline.FloodingDelays, source int, tries i
 	for t := 0; t < tries; t++ {
 		v := r.Intn(n)
 		flipped := append([]core.Label(nil), labels...)
-		if flipped[v] == core.Label("1") {
-			flipped[v] = core.Label("0")
-		} else {
-			flipped[v] = core.Label("1")
-		}
+		flipped[v] = core.MakeLabel(!flipped[v].Bit(0))
 		score := uninformedCount(g, flipped, d, source)
 		if score <= best { // accept sideways moves to escape plateaus
 			labels, best = flipped, score
@@ -162,10 +150,10 @@ func uninformedCount(g *graph.Graph, labels []core.Label, d baseline.FloodingDel
 	return count
 }
 
-func uniform(n int, bit byte) []core.Label {
+func uniform(n int, bit bool) []core.Label {
 	labels := make([]core.Label, n)
 	for v := range labels {
-		labels[v] = core.Label([]byte{bit})
+		labels[v] = core.MakeLabel(bit)
 	}
 	return labels
 }

@@ -139,7 +139,7 @@ func TestSearchRandomRadius2(t *testing.T) {
 
 func TestVerifyRejectsBadLabeling(t *testing.T) {
 	g := graph.Path(3)
-	labels := uniform(3, '0') // nobody forwards
+	labels := uniform(3, false) // nobody forwards
 	if _, ok := Verify(g, labels, baseline.DefaultDelays, 0); ok {
 		t.Fatal("all-zero labeling should fail on P3")
 	}

@@ -100,12 +100,32 @@ func TestMillionNodePathLabeling(t *testing.T) {
 }
 
 // labelingRetainedCeiling bounds the heap one λ labeling of a 4096-node
-// G(n, 6/n) may retain: its labels, stay picks and DOM/NEW lists take
-// about 113 KiB. The graph's slab form, about 390 KiB more, is the
-// labeling kernel's scratch and must not stay behind on the graph, as it
-// did while the kernel took it from the CSR's cache (517 KiB per
-// labeling).
-const labelingRetainedCeiling = 256 << 10
+// G(n, 6/n) may retain: its 4-byte labels and DOM/NEW lists take about
+// 49 KiB. The graph's slab form, about 390 KiB more, is the labeling
+// kernel's scratch and must not stay behind on the graph, as it did while
+// the kernel took it from the CSR's cache (517 KiB per labeling); string
+// labels and the stay picks kept 113 KiB.
+const labelingRetainedCeiling = 64 << 10
+
+// retainedPerLabeling labels every network with scheme and returns the
+// labelings and the heap each retains on average.
+func retainedPerLabeling(t *testing.T, nets []*radiobcast.Network, scheme string) ([]*radiobcast.Labeling, uint64) {
+	t.Helper()
+	labelings := make([]*radiobcast.Labeling, len(nets))
+	before := heapInUse()
+	for i, net := range nets {
+		l, err := radiobcast.LabelNetwork(net, scheme)
+		if err != nil {
+			t.Fatalf("%s on graph %d: label: %v", scheme, i, err)
+		}
+		labelings[i] = l
+	}
+	after := heapInUse()
+	if after < before {
+		return labelings, 0
+	}
+	return labelings, (after - before) / uint64(len(nets))
+}
 
 // TestLabelingRetainsNoSlabForm labels frozen 4096-node G(n, 6/n) graphs
 // and bounds the heap the labelings retain, then runs and verifies one of
@@ -118,20 +138,9 @@ func TestLabelingRetainsNoSlabForm(t *testing.T) {
 		g.Freeze()
 		nets[i] = radiobcast.NewNetwork(g)
 	}
-	labelings := make([]*radiobcast.Labeling, graphs)
-	before := heapInUse()
-	for i, net := range nets {
-		l, err := radiobcast.LabelNetwork(net, "b")
-		if err != nil {
-			t.Fatalf("graph %d: label: %v", i, err)
-		}
-		labelings[i] = l
-	}
-	after := heapInUse()
-	if after > before {
-		if per := (after - before) / graphs; per > labelingRetainedCeiling {
-			t.Fatalf("each labeling retained %d KiB, ceiling %d KiB", per>>10, labelingRetainedCeiling>>10)
-		}
+	labelings, per := retainedPerLabeling(t, nets, "b")
+	if per > labelingRetainedCeiling {
+		t.Fatalf("each labeling retained %d KiB, ceiling %d KiB", per>>10, labelingRetainedCeiling>>10)
 	}
 
 	out, err := radiobcast.RunLabeled(labelings[0], radiobcast.WithMessage("m"))
@@ -142,4 +151,45 @@ func TestLabelingRetainsNoSlabForm(t *testing.T) {
 		t.Fatalf("verify: %v", err)
 	}
 	runtime.KeepAlive(labelings)
+}
+
+// oneBitRetainedCeiling bounds the heap one 1-bit labeling of a 4096-node
+// graph may retain: its 4-byte labels take 16 KiB. gjp's self-check and
+// onebit's search run the engine, which caches the graph's slab form, so
+// both run on a clone and leave none on the labeled graph; with the slab
+// form left behind and string labels, a gjp labeling of a random tree
+// retained 178 KiB and an onebit labeling of a path 140 KiB.
+const oneBitRetainedCeiling = 32 << 10
+
+// TestOneBitLabelingsRetainNoSlabForm bounds the heap gjp labelings of
+// 4096-node random trees and onebit labelings of 4096-node paths retain.
+func TestOneBitLabelingsRetainNoSlabForm(t *testing.T) {
+	const n, graphs = 4096, 20
+	for _, c := range []struct {
+		scheme string
+		build  func(i int) *graph.Graph
+	}{
+		{"gjp", func(i int) *graph.Graph { return graph.RandomTree(n, int64(i+1)) }},
+		{"onebit", func(int) *graph.Graph { return graph.Path(n) }},
+	} {
+		t.Run(c.scheme, func(t *testing.T) {
+			nets := make([]*radiobcast.Network, graphs)
+			for i := range nets {
+				g := c.build(i)
+				g.Freeze()
+				nets[i] = radiobcast.NewNetwork(g)
+			}
+			// A first labeling fills the engine's pooled run buffers,
+			// which outlive it; label a spare graph so they are in
+			// place before the measurement starts.
+			if _, err := radiobcast.LabelNetwork(radiobcast.NewNetwork(c.build(graphs)), c.scheme); err != nil {
+				t.Fatal(err)
+			}
+			labelings, per := retainedPerLabeling(t, nets, c.scheme)
+			if per > oneBitRetainedCeiling {
+				t.Fatalf("each %s labeling retained %d KiB, ceiling %d KiB", c.scheme, per>>10, oneBitRetainedCeiling>>10)
+			}
+			runtime.KeepAlive(labelings)
+		})
+	}
 }

@@ -32,9 +32,10 @@ func NewNetwork(g *Graph) *Network {
 }
 
 // Family builds the n-node member of a named graph family ("path",
-// "grid", "gnp-sparse", …; see FamilyNames). Generators may round n (grids
-// use the nearest square); read the actual size from Graph.N(). The name
-// "figure1" yields the paper's 13-node example with its source preset.
+// "grid", "gnp-sparse", …; see FamilyNames). n must be at least 1.
+// Generators may round n (grids use the nearest square); read the actual
+// size from Graph.N(). The name "figure1" yields the paper's 13-node
+// example with its source preset, and ignores n.
 func Family(name string, n int) (*Network, error) {
 	if name == "figure1" {
 		return Figure1(), nil
@@ -42,6 +43,9 @@ func Family(name string, n int) (*Network, error) {
 	build, ok := graph.Families[name]
 	if !ok {
 		return nil, fmt.Errorf("radiobcast: unknown graph family %q (known: %v)", name, FamilyNames())
+	}
+	if n < 1 {
+		return nil, fmt.Errorf("radiobcast: graph size %d: a network needs at least one node", n)
 	}
 	return &Network{Graph: build(n), Name: name}, nil
 }
@@ -52,11 +56,19 @@ func Figure1() *Network {
 }
 
 // ReadNetwork reads an edge-list ("u v" per line) network from r and
-// requires it to be connected.
+// requires it to be connected, so to have at least one node and at least
+// n−1 edge lines. The node count is checked against the edge lines before
+// anything is sized by it: a short input cannot claim billions of nodes.
 func ReadNetwork(r io.Reader) (*Network, error) {
-	g, err := graph.ReadEdgeList(r)
+	g, edges, err := graph.ReadEdgeList(r)
 	if err != nil {
 		return nil, err
+	}
+	switch n := g.N(); {
+	case n < 1:
+		return nil, fmt.Errorf("radiobcast: network has no nodes")
+	case n > edges+1:
+		return nil, fmt.Errorf("radiobcast: network is not connected: %d edge lines cannot connect %d nodes", edges, n)
 	}
 	if !g.IsConnected() {
 		return nil, fmt.Errorf("radiobcast: network is not connected")

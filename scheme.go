@@ -12,7 +12,8 @@ import (
 type (
 	// Graph is an undirected radio network topology.
 	Graph = graph.Graph
-	// Label is a binary-string node label (the paper's x1x2x3 bits).
+	// Label is a binary-string node label (the paper's x1x2x3 bits),
+	// packed into a 4-byte value; the zero value is the empty label.
 	Label = core.Label
 	// Protocol is a per-node deterministic state machine driven by the
 	// synchronous radio engine.
@@ -29,6 +30,14 @@ type (
 	// NewSim and WithSim).
 	Sim = radio.Sim
 )
+
+// ParseLabel returns the label spelled by s, which must consist solely of
+// '0' and '1' and be at most 31 bits long. Label.String is its inverse.
+func ParseLabel(s string) (Label, error) { return core.ParseLabel(s) }
+
+// MustParseLabel is ParseLabel for labels known to be valid, such as
+// literals; it panics on an invalid one.
+func MustParseLabel(s string) Label { return core.MustParseLabel(s) }
 
 // NoReception is the sentinel Result.FirstReception returns for a node
 // that never received a matching message. Engine rounds are 1-based, so

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"radiobcast/internal/baseline"
+	"radiobcast/internal/core"
 )
 
 func init() {
@@ -182,8 +183,9 @@ func (floodingScheme) Describe() string {
 
 func (floodingScheme) Label(g *Graph, source int, _ *Config) (*Labeling, error) {
 	labels := make([]Label, g.N())
+	one := core.MakeLabel(true)
 	for v := range labels {
-		labels[v] = Label("1")
+		labels[v] = one
 	}
 	return &Labeling{
 		Scheme: "flooding", Graph: g, Source: source,

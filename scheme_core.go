@@ -159,8 +159,11 @@ func (barbScheme) Verify(out *Outcome) error {
 	return core.VerifyArbitrary(out.Graph, a, out.Mu)
 }
 
-// wrapCore lifts an internal λ-family labeling into the public shape.
+// wrapCore lifts an internal λ-family labeling into the public shape. It
+// drops StayPick, which only core.VerifyLambda reads and no facade path
+// calls, so a cached labeling does not keep four bytes per node for it.
 func wrapCore(scheme string, g *Graph, source int, l *core.Labeling) *Labeling {
+	l.StayPick = nil
 	return &Labeling{
 		Scheme: scheme,
 		Graph:  g,

@@ -34,13 +34,16 @@ func (onebitScheme) Label(g *Graph, source int, cfg *Config) (*Labeling, error) 
 	if cfg.Quick {
 		tries = 400
 	}
+	// The search runs the engine on a clone, so the slab form it caches
+	// is not left on the labeled graph.
+	search := g.Clone()
 	for _, d := range []baseline.FloodingDelays{baseline.DefaultDelays, baseline.GridDelays} {
 		var s *onebit.Scheme
 		var ok bool
 		if g.N() <= onebitExhaustiveMax {
-			s, ok = onebit.SearchExhaustive(g, d, source)
+			s, ok = onebit.SearchExhaustive(search, d, source)
 		} else {
-			s, ok = onebit.SearchRandom(g, d, source, tries, cfg.Seed)
+			s, ok = onebit.SearchRandom(search, d, source, tries, cfg.Seed)
 		}
 		if ok {
 			return &Labeling{
