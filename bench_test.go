@@ -340,10 +340,12 @@ func BenchmarkCommonRound(b *testing.B) {
 }
 
 // BenchmarkBroadcastBarb runs the arbitrary-source algorithm (experiment
-// ARB): one λarb labeling, broadcasts originating at the far corner.
+// ARB): one λarb labeling, broadcasts originating at the far corner, on
+// one reused Sim like BenchmarkBroadcastB and BenchmarkBroadcastBack.
 func BenchmarkBroadcastBarb(b *testing.B) {
+	sim := radiobcast.NewSim()
 	for _, fam := range benchFamilies {
-		for _, n := range []int{64, 256} {
+		for _, n := range benchSizes {
 			net := benchNet(b, fam, n)
 			l, err := radiobcast.LabelNetwork(net, "barb")
 			if err != nil {
@@ -353,8 +355,8 @@ func BenchmarkBroadcastBarb(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/n=%d", fam, n), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					out, err := radiobcast.RunLabeled(l,
-						radiobcast.WithSource(src), radiobcast.WithMessage("m"))
+					out, err := radiobcast.RunLabeled(l, radiobcast.WithSource(src),
+						radiobcast.WithMessage("m"), radiobcast.WithSim(sim))
 					if err != nil {
 						b.Fatal(err)
 					}

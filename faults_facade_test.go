@@ -45,8 +45,15 @@ func TestEngineModesBitIdenticalFaulted(t *testing.T) {
 	type cfg struct {
 		scheme, family string
 		n              int
+		far            bool // broadcast from node n−1, not the labeled source
 	}
-	targets := []cfg{{"b", "grid", 16}, {"back", "gnp-sparse", 14}}
+	// The barb rows cover both of its timed spontaneous rounds: from the
+	// far end, sG sends its deferred phase-2 ack; from the coordinator, r
+	// starts phase 3 by its own clock.
+	targets := []cfg{
+		{"b", "grid", 16, false}, {"back", "gnp-sparse", 14, false},
+		{"barb", "grid", 16, true}, {"barb", "path", 12, false},
+	}
 	for name, spec := range faultMatrix() {
 		for _, tc := range targets {
 			t.Run(name+"/"+tc.scheme+"/"+tc.family, func(t *testing.T) {
@@ -58,12 +65,17 @@ func TestEngineModesBitIdenticalFaulted(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				base := []radiobcast.Option{
+					radiobcast.WithMessage("m"),
+					radiobcast.WithFaultSpec(spec),
+					radiobcast.WithMaxRounds(400),
+				}
+				if tc.far {
+					base = append(base, radiobcast.WithSource(net.Graph.N()-1))
+				}
 				run := func(opts ...radiobcast.Option) *radiobcast.Outcome {
 					t.Helper()
-					out, err := radiobcast.RunLabeled(l, append(opts,
-						radiobcast.WithMessage("m"),
-						radiobcast.WithFaultSpec(spec),
-						radiobcast.WithMaxRounds(400))...)
+					out, err := radiobcast.RunLabeled(l, append(opts, base...)...)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"radiobcast/internal/faults"
 	"radiobcast/internal/graph"
 	"radiobcast/internal/radio"
 )
@@ -238,5 +240,158 @@ func TestAlgBackInformedAccessor(t *testing.T) {
 	other := NewAlgBack(MustParseLabel("000"), nil)
 	if ok, _ := other.Informed(); ok {
 		t.Fatal("fresh node informed")
+	}
+}
+
+// sentTx is one broadcast-kind transmission a protocol decided on.
+type sentTx struct{ round, ts int }
+
+// txRecorder wraps a protocol and logs, per phase tag, the broadcast-kind
+// transmissions it decides on, including those a fault keeps off the
+// channel. It is not a radio.Waker, so the engine steps it every round.
+type txRecorder struct {
+	radio.Protocol
+	round int
+	runs  map[uint8][]sentTx
+}
+
+func (r *txRecorder) Step(rcv *radio.Message) radio.Action {
+	r.round++
+	act := r.Protocol.Step(rcv)
+	spec := backSpec
+	if p := act.Msg.Phase; p > 0 {
+		spec = barbSpecs[p-1]
+	}
+	if act.Transmit && act.Msg.Kind == spec.kind {
+		r.runs[act.Msg.Phase] = append(r.runs[act.Msg.Phase], sentTx{r.round, act.Msg.TS})
+	}
+	return act
+}
+
+// checkTimestampRun runs ps on g under model and checks every node's
+// broadcast transmissions, per phase: they fall in rounds s, s+2, …, each
+// timestamp minus its round is one constant, and the machine's
+// sentWithTS accepts exactly the timestamps sent. It returns the number
+// of retransmissions checked: transmissions after the first of a run.
+func checkTimestampRun(t *testing.T, g *graph.Graph, ps []radio.Protocol, model faults.Model, machine func(v int, phase uint8) *ackMachine) int {
+	t.Helper()
+	rec := make([]txRecorder, len(ps))
+	wrapped := make([]radio.Protocol, len(ps))
+	for v := range ps {
+		rec[v] = txRecorder{Protocol: ps[v], runs: map[uint8][]sentTx{}}
+		wrapped[v] = &rec[v]
+	}
+	radio.Run(g, wrapped, radio.Options{MaxRounds: 14*g.N() + 40, Faults: model})
+	retx := 0
+	for v := range rec {
+		for phase, run := range rec[v].runs {
+			m := machine(v, phase)
+			for i, tx := range run {
+				if i > 0 && tx.round != run[i-1].round+2 {
+					t.Fatalf("node %d phase %d: transmissions in rounds %v, not one run two apart", v, phase, run)
+				}
+				if m.spec.timestamps && tx.ts-tx.round != run[0].ts-run[0].round {
+					t.Fatalf("node %d phase %d: timestamp offsets differ in %v", v, phase, run)
+				}
+				if m.spec.timestamps && !m.sentWithTS(int32(tx.ts)) {
+					t.Fatalf("node %d phase %d: sent TS %d, sentWithTS denies it", v, phase, tx.ts)
+				}
+			}
+			if m.spec.timestamps {
+				if want := (m.lastTS-m.firstTS)/2 + 1; int(want) != len(run) {
+					t.Fatalf("node %d phase %d: [firstTS, lastTS] = [%d, %d] spans %d timestamps, node sent %d",
+						v, phase, m.firstTS, m.lastTS, want, len(run))
+				}
+			}
+			retx += len(run) - 1
+		}
+	}
+	return retx
+}
+
+// TestAckMachineTimestampRun pins the invariant that lets two integers
+// stand for a node's transmit timestamps, on random connected graphs,
+// fault-free and under rate and crash faults, for Back and for each of
+// Barb's phases.
+func TestAckMachineTimestampRun(t *testing.T) {
+	for name, model := range map[string]func(seed int64) faults.Model{
+		"clean": func(int64) faults.Model { return nil },
+		"rate":  func(seed int64) faults.Model { return faults.NewRate(0.15, seed) },
+		"crash": func(seed int64) faults.Model {
+			return faults.NewCrash(faults.CrashConfig{Rate: 0.05, Down: 3, Seed: seed})
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			retx := 0
+			for seed := int64(1); seed <= 40; seed++ {
+				n := 2 + int(seed*7%40)
+				g := graph.GNPConnected(n, 0.15, seed)
+				src := int(seed*13) % n
+				lack, err := LambdaAck(g, src, BuildOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				back := NewBackProtocols(lack.Labels, src, "m")
+				retx += checkTimestampRun(t, g, back, model(seed), func(v int, _ uint8) *ackMachine {
+					return &back[v].(*AlgBack).m
+				})
+				larb, err := LambdaArb(g, int(seed*5)%n, BuildOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				barb := NewBarbProtocols(larb.Labels, int(seed*3)%n, "m")
+				retx += checkTimestampRun(t, g, barb, model(seed), func(v int, phase uint8) *ackMachine {
+					return &barb[v].(*AlgBarb).p[phase-1]
+				})
+			}
+			if retx < 50 {
+				t.Fatalf("only %d retransmissions checked", retx)
+			}
+		})
+	}
+}
+
+// TestAlgBackRelaysOnlyOwnTimestamps drives one Back node from a scripted
+// neighbour. The node is informed with timestamp 1 and, prompted by two
+// "stay" messages, transmits µ with timestamps 3, 5 and 7. It must relay
+// an ack exactly when the ack's TS is one of those: not for a TS inside
+// [3, 7] of the wrong parity, and not for one outside that range.
+func TestAlgBackRelaysOnlyOwnTimestamps(t *testing.T) {
+	rounds := []int{1, 4, 6}
+	msgs := []radio.Message{
+		{Kind: radio.KindData, Payload: "m", TS: 1},
+		{Kind: radio.KindStay, TS: 4},
+		{Kind: radio.KindStay, TS: 6},
+	}
+	relay := map[int]bool{}
+	for i, ts := range []int{5, 4, 9, 1, 3, 6, 7, 8, 2} {
+		r := 8 + 2*i
+		rounds = append(rounds, r)
+		msgs = append(msgs, radio.Message{Kind: radio.KindAck, TS: ts})
+		if ts == 3 || ts == 5 || ts == 7 {
+			relay[r+1] = true
+		}
+	}
+	script := radio.CompiledScript(rounds, msgs)
+	ps := []radio.Protocol{&script, NewAlgBack(MustParseLabel("100"), nil)}
+	res := radio.Run(graph.Path(2), ps, radio.Options{MaxRounds: rounds[len(rounds)-1] + 2})
+
+	var got []radio.Reception
+	for _, rec := range res.Receives[0] {
+		if rec.Msg.Kind == radio.KindAck {
+			if !relay[rec.Round] {
+				t.Errorf("round %d: node relayed an ack it did not send µ for", rec.Round)
+			}
+			if rec.Msg.TS != 1 {
+				t.Errorf("round %d: relayed ack carries TS %d, want its informedRound 1", rec.Round, rec.Msg.TS)
+			}
+			got = append(got, rec)
+		}
+	}
+	if len(got) != len(relay) {
+		t.Fatalf("node relayed %d acks, want %d (rounds %v)", len(got), len(relay), relay)
+	}
+	if want := []int{3, 5, 7}; !reflect.DeepEqual(res.Transmits[1][:3], want) {
+		t.Fatalf("µ transmissions in rounds %v, want %v first", res.Transmits[1], want)
 	}
 }

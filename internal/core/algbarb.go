@@ -5,7 +5,8 @@ import (
 )
 
 // AlgBarb is the arbitrary-source algorithm of §4.2: the node labeled 111
-// (the coordinator r chosen by λarb) drives three phases:
+// (the coordinator r chosen by λarb) drives three phases, each one run of
+// Back's acknowledged-broadcast machine (barbSpecs):
 //
 //  1. acknowledged broadcast of "initialize" from r; each node v stores the
 //     timestamp t_v of its first "initialize"; the x3 node z appends T = t_z
@@ -22,21 +23,19 @@ import (
 // phase 3 after 2T+2 local rounds of phase 2, a documented benign deviation
 // (see DESIGN.md).
 type AlgBarb struct {
-	label      Label
+	p [3]ackMachine // phases 1–3
+
+	mu         string
 	isR        bool
 	isMuSource bool
-	mu         string
 	haveMu     bool
+	haveT      bool
 
-	round int
-	p     [3]*backPhase
-
-	T     int
-	haveT bool
-
-	sgAckRound    int // absolute round at which sG transmits its phase-2 ack
-	phase2StartAt int
-	phase3StartAt int
+	round         int32
+	t             int32 // T, once haveT
+	sgAckRound    int32 // round in which sG transmits its phase-2 ack
+	phase2StartAt int32
+	phase3StartAt int32
 
 	// MuKnownRound is the absolute round in which this node learned µ
 	// (0 = held from the start). KnowsCompleteRound is the absolute round
@@ -45,26 +44,11 @@ type AlgBarb struct {
 	KnowsCompleteRound int
 }
 
-// NewAlgBarb returns node state for Barb. label is the λarb label; the node
-// holding µ passes it via sourceMsg.
-func NewAlgBarb(label Label, sourceMsg *string) *AlgBarb {
-	a := &AlgBarb{label: label, isR: label == coordinatorLabel}
-	if sourceMsg != nil {
-		a.isMuSource = true
-		a.haveMu = true
-		a.mu = *sourceMsg
-	}
-	a.p[0] = newBackPhase(1, radio.KindInit, label, a.isR, true, true)
-	a.p[1] = newBackPhase(2, radio.KindReady, label, a.isR, false, true)
-	a.p[2] = newBackPhase(3, radio.KindData, label, a.isR, false, false)
-	return a
-}
-
 // Mu returns the source message if known.
 func (a *AlgBarb) Mu() (string, bool) { return a.mu, a.haveMu }
 
-// TValue returns the learned T (valid once haveT).
-func (a *AlgBarb) TValue() (int, bool) { return a.T, a.haveT }
+// TValue returns the learned T, if any.
+func (a *AlgBarb) TValue() (int, bool) { return int(a.t), a.haveT }
 
 // Step implements radio.Protocol.
 func (a *AlgBarb) Step(rcv *radio.Message) radio.Action {
@@ -72,24 +56,24 @@ func (a *AlgBarb) Step(rcv *radio.Message) radio.Action {
 	r := a.round
 
 	if rcv != nil {
-		if ph := int(rcv.Phase); ph >= 1 && ph <= 3 {
-			a.p[ph-1].receive(rcv, r-1)
-			a.react(ph, rcv, r-1)
+		for i := range a.p {
+			a.p[i].receive(rcv, r-1)
 		}
+		a.react(rcv, r-1)
 	}
 
 	// Coordinator bootstrapping and phase transitions.
 	if a.isR {
-		if !a.p[0].started {
+		if !a.p[0].started() {
 			return a.p[0].start(r, "initialize", 0)
 		}
 		if a.phase2StartAt == r {
-			return a.p[1].start(r, "", a.T)
+			return a.p[1].start(r, "", a.t)
 		}
 		if a.phase3StartAt == r {
 			// Phase-3 start: r knows completion T−1 rounds after this
 			// transmission (its own phase-local reception round is 0).
-			a.KnowsCompleteRound = r + a.T - 1
+			a.KnowsCompleteRound = int(r + a.t - 1)
 			return a.p[2].start(r, a.mu, 0)
 		}
 	}
@@ -97,14 +81,14 @@ func (a *AlgBarb) Step(rcv *radio.Message) radio.Action {
 	// sG's deferred phase-2 acknowledgement carrying µ.
 	if a.sgAckRound == r {
 		return radio.Send(radio.Message{
-			Kind: radio.KindAck, TS: a.p[1].informedRound, Payload: a.mu, Phase: 2,
+			Kind: radio.KindAck, TS: int(a.p[1].informedRound), Payload: a.mu, Phase: 2,
 		})
 	}
 
 	// Standard per-phase duties; later phases take precedence (by the
 	// phase-separation argument at most one phase is active per round).
 	for i := 2; i >= 0; i-- {
-		if act := a.p[i].action(r); act.Transmit {
+		if act := a.p[i].act(r, rcv); act.Transmit {
 			return act
 		}
 	}
@@ -112,58 +96,84 @@ func (a *AlgBarb) Step(rcv *radio.Message) radio.Action {
 }
 
 // react handles the node-level consequences of a reception (recorded at
-// round recvRound, processed at the next Step).
-func (a *AlgBarb) react(ph int, m *radio.Message, recvRound int) {
+// round rr, processed at the next Step).
+func (a *AlgBarb) react(m *radio.Message, rr int32) {
 	switch {
-	case ph == 2 && m.Kind == radio.KindReady && !a.haveT:
-		a.T = m.Aux
+	case m.Phase == 2 && m.Kind == radio.KindReady && !a.haveT:
+		a.t = int32(m.Aux)
 		a.haveT = true
 		if a.isMuSource && !a.isR {
 			// §4.2 step 2: wait T rounds after receiving "ready", then
 			// start the ack chain carrying µ.
-			a.sgAckRound = recvRound + a.T + 1
+			a.sgAckRound = rr + a.t + 1
 		}
-	case ph == 3 && m.Kind == radio.KindData:
+	case m.Phase == 3 && m.Kind == radio.KindData:
 		if !a.haveMu {
 			a.mu = m.Payload
 			a.haveMu = true
-			a.MuKnownRound = recvRound
+			a.MuKnownRound = int(rr)
 		}
 		// Every node (including sG, which already holds µ) starts its
 		// completion wait at its first phase-3 reception: T − t_v rounds
 		// after receiving µ in phase 3, all nodes know broadcast completed.
 		if a.KnowsCompleteRound == 0 && a.haveT {
-			tV := a.p[0].informedRound
-			a.KnowsCompleteRound = recvRound + (a.T - tV)
+			a.KnowsCompleteRound = int(rr + a.t - a.p[0].informedRound)
 		}
-	case a.isR && ph == 1 && m.Kind == radio.KindAck && a.phase2StartAt == 0:
+	case a.isR && m.Phase == 1 && m.Kind == radio.KindAck && a.phase2StartAt == 0:
 		// Phase 1 complete: the ack carries T.
-		a.T = m.Aux
+		a.t = int32(m.Aux)
 		a.haveT = true
-		a.phase2StartAt = recvRound + 1
+		a.phase2StartAt = rr + 1
 		if a.isMuSource {
 			// r already holds µ: skip the phase-2 fetch and start phase 3
 			// once phase 2 has certainly completed.
-			a.phase3StartAt = a.phase2StartAt + 2*a.T + 2
+			a.phase3StartAt = a.phase2StartAt + 2*a.t + 2
 		}
-	case a.isR && ph == 2 && m.Kind == radio.KindAck && a.phase3StartAt == 0:
+	case a.isR && m.Phase == 2 && m.Kind == radio.KindAck && a.phase3StartAt == 0:
 		// Phase 2 complete: the ack carries µ.
 		a.mu = m.Payload
 		a.haveMu = true
-		a.MuKnownRound = recvRound
-		a.phase3StartAt = recvRound + 1
+		a.MuKnownRound = int(rr)
+		a.phase3StartAt = rr + 1
 	}
 }
 
-// NewBarbProtocols builds one AlgBarb per node. source is the node holding µ.
-func NewBarbProtocols(labels []Label, source int, mu string) []radio.Protocol {
-	ps := make([]radio.Protocol, len(labels))
-	for v := range labels {
-		var src *string
-		if v == source {
-			src = &mu
+// NextWake implements radio.Waker. Barb's spontaneous rounds are the
+// coordinator's phase starts (phase 1 starts in round 1, which is always
+// stepped), sG's deferred ack and the three machines' wakes; everything
+// else answers a reception. KnowsCompleteRound is computed at a
+// reception, so it needs no step.
+func (a *AlgBarb) NextWake() int {
+	next := int32(radio.NeverWake)
+	for _, w := range [...]int32{
+		a.phase2StartAt, a.phase3StartAt, a.sgAckRound,
+		a.p[0].wake(), a.p[1].wake(), a.p[2].wake(),
+	} {
+		if w > a.round && (next == radio.NeverWake || w < next) {
+			next = w
 		}
-		ps[v] = NewAlgBarb(labels[v], src)
+	}
+	return int(next)
+}
+
+// Skip implements radio.Waker.
+func (a *AlgBarb) Skip(rounds int) { a.round += int32(rounds) }
+
+// NewBarbProtocols builds one AlgBarb per node for the λarb labels,
+// carved from one bulk allocation. source is the node holding µ.
+func NewBarbProtocols(labels []Label, source int, mu string) []radio.Protocol {
+	nodes := make([]AlgBarb, len(labels))
+	ps := make([]radio.Protocol, len(labels))
+	for v, lab := range labels {
+		a := &nodes[v]
+		a.isR = lab == coordinatorLabel
+		for i := range a.p {
+			a.p[i] = ackMachine{label: lab, spec: barbSpecs[i], origin: a.isR}
+		}
+		if v == source {
+			a.mu, a.isMuSource, a.haveMu = mu, true, true
+		}
+		ps[v] = a
 	}
 	return ps
 }

@@ -119,13 +119,14 @@ func TestBackQuiescenceAfterAck(t *testing.T) {
 	ps := NewBackProtocols(l.Labels, 0, "m")
 	src := ps[0].(*AlgBack)
 	res := radio.Run(g, ps, radio.Options{MaxRounds: 6 * g.N()})
-	if !src.AckDone {
+	ack := src.AckRound()
+	if ack == 0 {
 		t.Fatal("no ack")
 	}
 	for v, rounds := range res.Transmits {
 		for _, r := range rounds {
-			if r > src.AckRound {
-				t.Fatalf("node %d transmitted in round %d after the ack (round %d)", v, r, src.AckRound)
+			if r > ack {
+				t.Fatalf("node %d transmitted in round %d after the ack (round %d)", v, r, ack)
 			}
 		}
 	}

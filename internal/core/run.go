@@ -118,9 +118,7 @@ func PlanAcknowledged(g *graph.Graph, l *Labeling, source int, mu string) ([]rad
 	asm := func(res *radio.Result) *AckOutcome {
 		out := &AckOutcome{Z: l.Z}
 		assembleInformed(&out.BroadcastOutcome, res, l, n, source)
-		if src.AckDone {
-			out.AckRound = src.AckRound
-		}
+		out.AckRound = src.AckRound()
 		return out
 	}
 	return ps, base, asm

@@ -21,7 +21,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 n="${1:?usage: scripts/bench.sh <n> [bench-regex] [benchtime]}"
-pattern="${2:-BenchmarkBroadcastB\$|BenchmarkBroadcastBack\$|BenchmarkBaselines\$|BenchmarkSweep\$|BenchmarkLabeling\$|BenchmarkBitCSR\$|BenchmarkSessionCacheMiss\$|BenchmarkSessionCacheHit\$|BenchmarkStoreHit\$|BenchmarkEdgeListGraph\$|BenchmarkCodec\$|BenchmarkStoreGet\$}"
+pattern="${2:-BenchmarkBroadcastB\$|BenchmarkBroadcastBack\$|BenchmarkBroadcastBarb\$|BenchmarkBaselines\$|BenchmarkSweep\$|BenchmarkLabeling\$|BenchmarkBitCSR\$|BenchmarkSessionCacheMiss\$|BenchmarkSessionCacheHit\$|BenchmarkStoreHit\$|BenchmarkEdgeListGraph\$|BenchmarkCodec\$|BenchmarkStoreGet\$}"
 benchtime="${3:-1s}"
 out="BENCH_${n}.json"
 

@@ -276,33 +276,50 @@ func TestFaultRateDeterministic(t *testing.T) {
 }
 
 // TestRunLabeledSteadyStateAllocs pins the label-once/run-many regime the
-// refactor exists for: with a reused Sim, a steady-state RunLabeled
-// allocates only the per-run protocols and outcome — the count must not
-// scale with traffic or rounds (the pre-refactor engine did thousands of
-// allocations on this workload).
+// refactor exists for: with a reused Sim, a steady-state RunLabeled of any
+// λ scheme allocates only the per-run protocols and outcome — the count
+// must not scale with n, traffic or rounds (the pre-refactor engine did
+// thousands of allocations on this workload). barb broadcasts from the
+// far end, so its source is not the coordinator.
 func TestRunLabeledSteadyStateAllocs(t *testing.T) {
-	net, err := radiobcast.Family("grid", 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := radiobcast.LabelNetwork(net, "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim := radiobcast.NewSim()
-	run := func() {
-		out, err := radiobcast.RunLabeled(l, radiobcast.WithMessage("m"), radiobcast.WithSim(sim))
-		if err != nil || !out.AllInformed {
-			t.Fatalf("run failed: %v", err)
-		}
-	}
-	run() // warm-up sizes the Sim's buffers
-	allocs := testing.AllocsPerRun(10, run)
-	// Fresh protocols, the detached Result, the outcome assembly and the
-	// option slice: a fixed small budget, independent of n and traffic.
-	const budget = 40
-	if allocs > budget {
-		t.Fatalf("steady-state RunLabeled does %.0f allocs/run, want ≤ %d", allocs, budget)
+	for _, tc := range []struct {
+		scheme, family string
+		n              int
+	}{
+		{"b", "grid", 256},
+		{"b", "path", 1024}, {"b", "grid", 1024},
+		{"back", "path", 1024}, {"back", "grid", 1024},
+		{"barb", "path", 1024}, {"barb", "grid", 1024},
+	} {
+		t.Run(fmt.Sprintf("%s/%s/%d", tc.scheme, tc.family, tc.n), func(t *testing.T) {
+			net, err := radiobcast.Family(tc.family, tc.n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l, err := radiobcast.LabelNetwork(net, tc.scheme)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := []radiobcast.Option{radiobcast.WithMessage("m"), radiobcast.WithSim(radiobcast.NewSim())}
+			if tc.scheme == "barb" {
+				opts = append(opts, radiobcast.WithSource(net.Graph.N()-1))
+			}
+			run := func() {
+				out, err := radiobcast.RunLabeled(l, opts...)
+				if err != nil || !out.AllInformed {
+					t.Fatalf("run failed: %v", err)
+				}
+			}
+			run() // warm-up sizes the Sim's buffers
+			allocs := testing.AllocsPerRun(10, run)
+			// Fresh protocols, the detached Result, the outcome assembly and
+			// the option slice: a fixed small budget, independent of n and
+			// traffic.
+			const budget = 40
+			if allocs > budget {
+				t.Fatalf("steady-state RunLabeled does %.0f allocs/run, want ≤ %d", allocs, budget)
+			}
+		})
 	}
 }
 
