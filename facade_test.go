@@ -282,22 +282,30 @@ func TestFaultInjection(t *testing.T) {
 	}
 }
 
-// TestMaxRoundsTruncation caps the run below the completion bound and
-// expects a verifiable failure, not a crash.
+// TestMaxRoundsTruncation caps every scheme's run below its completion
+// bound and expects the cap to hold and a verifiable failure, not a
+// crash.
 func TestMaxRoundsTruncation(t *testing.T) {
 	net, err := radiobcast.Family("path", 12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := radiobcast.Run(net, "b", radiobcast.WithMaxRounds(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.AllInformed {
-		t.Fatal("12-node path informed in 2 rounds")
-	}
-	if err := radiobcast.Verify(out); err == nil {
-		t.Fatal("Verify accepted a truncated broadcast")
+	for _, scheme := range radiobcast.SchemeNames() {
+		t.Run(scheme, func(t *testing.T) {
+			out, err := radiobcast.Run(net, scheme, radiobcast.WithMaxRounds(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.Result.Rounds > 2 {
+				t.Fatalf("ran %d rounds under WithMaxRounds(2)", out.Result.Rounds)
+			}
+			if out.AllInformed {
+				t.Fatal("12-node path informed in 2 rounds")
+			}
+			if err := radiobcast.Verify(out); err == nil {
+				t.Fatal("Verify accepted a truncated broadcast")
+			}
+		})
 	}
 }
 

@@ -27,9 +27,15 @@ func faultMatrix() map[string]radiobcast.FaultSpec {
 			{Round: 3, Add: true, U: 0, V: 5},
 			{Round: 7, Add: true, U: 0, V: 1},
 		}},
+		// Seed 0 aligns every phase, so the model fills whole words.
+		"duty-aligned": {Model: radiobcast.FaultModelDuty, Period: 4, On: 3},
 		"compose": {Compose: []radiobcast.FaultSpec{
 			{Model: radiobcast.FaultModelRate, Rate: 0.1, Seed: 5},
 			{Model: radiobcast.FaultModelDuty, Period: 5, On: 4, Seed: 9},
+		}},
+		"compose-jam": {Compose: []radiobcast.FaultSpec{
+			{Model: radiobcast.FaultModelCrash, Rate: 0.05, Down: 2, Lose: true, Seed: 5},
+			{Model: radiobcast.FaultModelJam, Greedy: true, Budget: 6, Seed: 5},
 		}},
 	}
 }

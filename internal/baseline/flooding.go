@@ -100,5 +100,5 @@ func NewFloodingProtocols(labels []core.Label, d FloodingDelays, source int, mu 
 // this to *verify* candidate labelings).
 func RunFlooding(g *graph.Graph, labels []core.Label, d FloodingDelays, source int, mu string) *Outcome {
 	ps := NewFloodingProtocols(labels, d, source, mu)
-	return Observe(g, ps, source, FloodingMaxRounds(g.N()), nil)
+	return Observe(g, ps, source, radio.Options{MaxRounds: FloodingMaxRounds(g.N())})
 }

@@ -137,24 +137,22 @@ type Outcome struct {
 	CompletionRound int
 }
 
-// Observe runs protocols ps on g from source, recording each node's first
-// µ reception, and stops as soon as every node is informed (or after
-// maxRounds). An incomplete broadcast is reported through AllInformed,
-// not as an error: the facade's Verify judges it. tune may be nil.
-func Observe(g *graph.Graph, ps []radio.Protocol, source, maxRounds int, tune *radio.Tuning) *Outcome {
+// Observe runs protocols ps on g from source under opt, recording each
+// node's first µ reception, and stops as soon as every node is informed
+// (or after opt.MaxRounds); it sets opt.Stop. An incomplete broadcast is
+// reported through AllInformed, not as an error: the facade's Verify
+// judges it.
+func Observe(g *graph.Graph, ps []radio.Protocol, source int, opt radio.Options) *Outcome {
 	n := g.N()
 	informed := make([]int, n)
 	// remaining counts the uninformed non-source nodes; observers decrement
 	// it atomically, making the stop predicate O(1) instead of an O(n)
 	// rescan every round.
 	remaining := int64(n - 1)
-	done := func(int) bool {
+	opt.Stop = func(int) bool {
 		return atomic.LoadInt64(&remaining) <= 0
 	}
-	res := radio.Run(g, wrapObservers(ps, informed, source, &remaining), radio.Options{
-		MaxRounds: maxRounds,
-		Stop:      done,
-	}.With(tune))
+	res := radio.Run(g, wrapObservers(ps, informed, source, &remaining), opt)
 	out := &Outcome{Result: res, InformedRound: informed, AllInformed: true}
 	for v := 0; v < n; v++ {
 		if v == source {

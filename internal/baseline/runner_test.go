@@ -3,6 +3,7 @@ package baseline
 import (
 	"radiobcast/internal/core"
 	"radiobcast/internal/graph"
+	"radiobcast/internal/radio"
 )
 
 // The tests run each baseline the way the facade does: label, build the
@@ -11,17 +12,17 @@ import (
 func runRoundRobin(g *graph.Graph, source int, mu string) *Outcome {
 	labels := RoundRobinLabels(g.N())
 	ps := NewRoundRobinProtocols(labels, source, mu)
-	return Observe(g, ps, source, SlottedMaxRounds(g, source, core.MaxLen(labels)), nil)
+	return Observe(g, ps, source, radio.Options{MaxRounds: SlottedMaxRounds(g, source, core.MaxLen(labels))})
 }
 
 func runColorRobin(g *graph.Graph, source int, mu string) *Outcome {
 	labels, _ := ColorRobinLabels(g)
 	ps := NewColorRobinProtocols(labels, source, mu)
-	return Observe(g, ps, source, SlottedMaxRounds(g, source, core.MaxLen(labels)), nil)
+	return Observe(g, ps, source, radio.Options{MaxRounds: SlottedMaxRounds(g, source, core.MaxLen(labels))})
 }
 
 func runCentralized(g *graph.Graph, source int, mu string) *Outcome {
 	schedule := BuildSchedule(g, source)
 	ps := ScheduledProtocols(g.N(), schedule, mu)
-	return Observe(g, ps, source, len(schedule)+1, nil)
+	return Observe(g, ps, source, radio.Options{MaxRounds: len(schedule) + 1})
 }

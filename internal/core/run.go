@@ -24,7 +24,7 @@ type BroadcastOutcome struct {
 // PlanBroadcast splits a B execution into its three ingredients — the
 // protocol vector, the scheme's base engine options, and an assemble
 // function that turns the engine Result into the outcome — so callers can
-// layer their own tuning onto the options before running. A run is
+// set their own engine knobs on the options before running. A run is
 // exactly plan → radio.Run → assemble. MaxRounds defaults to 2n+4,
 // comfortably above the paper's 2n−3 bound.
 func PlanBroadcast(g *graph.Graph, l *Labeling, source int, mu string) ([]radio.Protocol, radio.Options, func(*radio.Result) *BroadcastOutcome) {

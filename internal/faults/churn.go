@@ -46,7 +46,7 @@ func (c *churn) Reset(int) {
 	c.next = 0
 }
 
-func (c *churn) Apply(*State, []Effect) {}
+func (c *churn) Apply(*State, *Words) {}
 
 func (c *churn) Topology(round int) *graph.CSR {
 	changed := false

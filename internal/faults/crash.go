@@ -45,7 +45,7 @@ func (c *crasher) Reset(n int) {
 	}
 }
 
-func (c *crasher) Apply(st *State, effects []Effect) {
+func (c *crasher) Apply(st *State, w *Words) {
 	if st.Transmitters != nil {
 		return // crashes land before the protocols step
 	}
@@ -53,14 +53,14 @@ func (c *crasher) Apply(st *State, effects []Effect) {
 	inWindow := r >= c.cfg.From && (c.cfg.To <= 0 || r <= c.cfg.To)
 	for v := range c.downUntil {
 		if r <= c.downUntil[v] {
-			effects[v] |= Down // outage in progress
+			w.SetDown(v) // outage in progress
 			continue
 		}
 		if inWindow && hash64(c.cfg.Seed, v, r) < c.bound {
 			c.downUntil[v] = r + c.cfg.Down - 1
-			effects[v] |= Down
+			w.SetDown(v)
 			if c.cfg.Lose {
-				effects[v] |= Wipe
+				w.SetWipe(v)
 			}
 		}
 	}

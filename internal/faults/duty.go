@@ -46,13 +46,24 @@ func (d *duty) Reset(n int) {
 	}
 }
 
-func (d *duty) Apply(st *State, effects []Effect) {
+// Apply puts the sleeping nodes' radios off. Seed 0 aligns every phase,
+// so a sleeping round fills whole words at once (Words ignores the bits
+// past n).
+func (d *duty) Apply(st *State, w *Words) {
 	if st.Transmitters != nil || d.cfg.Period < 1 || d.cfg.On >= d.cfg.Period {
+		return
+	}
+	if d.cfg.Seed == 0 {
+		if (st.Round-1)%d.cfg.Period >= d.cfg.On {
+			for i := range w.Down {
+				w.Down[i] = ^uint64(0)
+			}
+		}
 		return
 	}
 	for v := range d.phase {
 		if (st.Round-1+d.phase[v])%d.cfg.Period >= d.cfg.On {
-			effects[v] |= Down
+			w.SetDown(v)
 		}
 	}
 }

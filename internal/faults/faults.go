@@ -19,25 +19,37 @@ package faults
 
 import "radiobcast/internal/graph"
 
-// Effect is the per-node, per-round fault bit set a Model writes.
-type Effect uint8
-
-const (
+// Words is a round's fault effects in the engine's bit-packed form: bit
+// v of word v/64 of a field is node v's bit. The engine sizes each field
+// to ⌈n/64⌉ words and clears them at the start of every round; a model
+// ORs its bits in, and bits set in the pre-step phase persist into the
+// post-decision phase. Bits past n are ignored, so a model may fill
+// whole words.
+type Words struct {
 	// Jam suppresses the node's transmission at the channel this round:
 	// no neighbour hears it (nor counts it towards a collision), while
 	// the node itself believes it transmitted.
-	Jam Effect = 1 << iota
+	Jam []uint64
 	// Down turns the node's radio off for the round: it neither transmits
 	// nor hears (no delivery, no collision, no noise). Its protocol still
 	// steps — the node's clock runs — so recovery needs no resync: the
 	// first post-outage delivery re-wakes it through the engine's normal
 	// sparse-wakeup path.
-	Down
+	Down []uint64
 	// Wipe discards the node's pending (delivered but not yet processed)
 	// reception before this round's step — the crash-with-memory-loss
 	// policy. Meaningful only alongside Down at a crash round.
-	Wipe
-)
+	Wipe []uint64
+}
+
+// SetJam sets node v's Jam bit.
+func (w *Words) SetJam(v int) { w.Jam[v>>6] |= 1 << (uint(v) & 63) }
+
+// SetDown sets node v's Down bit.
+func (w *Words) SetDown(v int) { w.Down[v>>6] |= 1 << (uint(v) & 63) }
+
+// SetWipe sets node v's Wipe bit.
+func (w *Words) SetWipe(v int) { w.Wipe[v>>6] |= 1 << (uint(v) & 63) }
 
 // State is the engine snapshot a Model may consult in Apply. All slices
 // are owned by the engine and read-only for models.
@@ -60,17 +72,17 @@ type State struct {
 // nil) — crash/sleep effects (Down, Wipe) must be set here so they cover
 // the whole round — and once after the round's actions are decided
 // (st.Transmitters != nil) — transmission effects (Jam) may be added
-// here. The effects slice arrives zeroed before the first call and
-// persists between the two.
+// here. The words arrive cleared before the first call and persist
+// between the two.
 type Model interface {
 	// Reset prepares the model for a fresh run over n nodes, rewinding
 	// budgets, outage timers and any churned topology. Determinism
 	// contract: after Reset, the same sequence of Apply calls with the
 	// same States produces the same effects.
 	Reset(n int)
-	// Apply ORs this round's effects into effects[v] for every affected
-	// node (see Model).
-	Apply(st *State, effects []Effect)
+	// Apply ORs this round's effect bits into w for every affected node
+	// (see Model).
+	Apply(st *State, w *Words)
 }
 
 // TopologyModel is an optional Model extension for adversaries that
@@ -125,13 +137,13 @@ type dropFunc struct{ f func(node, round int) bool }
 
 func (dropFunc) Reset(int) {}
 
-func (d dropFunc) Apply(st *State, effects []Effect) {
+func (d dropFunc) Apply(st *State, w *Words) {
 	if st.Transmitters == nil {
 		return
 	}
 	for _, t := range st.Transmitters {
 		if d.f(int(t), st.Round) {
-			effects[t] |= Jam
+			w.SetJam(int(t))
 		}
 	}
 }
@@ -154,13 +166,13 @@ type rateModel struct {
 
 func (*rateModel) Reset(int) {}
 
-func (r *rateModel) Apply(st *State, effects []Effect) {
+func (r *rateModel) Apply(st *State, w *Words) {
 	if st.Transmitters == nil {
 		return
 	}
 	for _, t := range st.Transmitters {
 		if r.always || hash64(r.seed, int(t), st.Round) < r.bound {
-			effects[t] |= Jam
+			w.SetJam(int(t))
 		}
 	}
 }
@@ -181,18 +193,6 @@ func Compose(models ...Model) Model {
 	case 1:
 		return ms[0]
 	}
-	// A composition of WordModels keeps the vectorized fast path; one
-	// member without it drops the whole composition to the scalar path.
-	allWords := true
-	for _, m := range ms {
-		if _, ok := m.(WordModel); !ok {
-			allWords = false
-			break
-		}
-	}
-	if allWords {
-		return &wordComposite{composite{models: ms}}
-	}
 	return &composite{models: ms}
 }
 
@@ -204,9 +204,9 @@ func (c *composite) Reset(n int) {
 	}
 }
 
-func (c *composite) Apply(st *State, effects []Effect) {
+func (c *composite) Apply(st *State, w *Words) {
 	for _, m := range c.models {
-		m.Apply(st, effects)
+		m.Apply(st, w)
 	}
 }
 

@@ -19,14 +19,58 @@ func path5() *graph.Graph {
 	return g
 }
 
-func applyPost(t *testing.T, m Model, st *State, n int) []Effect {
+// effect is one node's three bits of a round's Words, as unpack reads
+// them.
+type effect uint8
+
+const (
+	jam effect = 1 << iota
+	down
+	wipe
+)
+
+// newWords returns cleared Words for n nodes, sized as the engine sizes
+// them.
+func newWords(n int) *Words {
+	k := (n + 63) / 64
+	return &Words{Jam: make([]uint64, k), Down: make([]uint64, k), Wipe: make([]uint64, k)}
+}
+
+// unpack reads the first n nodes' bits out of w.
+func unpack(w *Words, n int) []effect {
+	out := make([]effect, n)
+	for v := range out {
+		i, bit := v>>6, uint64(1)<<(uint(v)&63)
+		if w.Jam[i]&bit != 0 {
+			out[v] |= jam
+		}
+		if w.Down[i]&bit != 0 {
+			out[v] |= down
+		}
+		if w.Wipe[i]&bit != 0 {
+			out[v] |= wipe
+		}
+	}
+	return out
+}
+
+// applyOnce runs one Apply call on cleared words.
+func applyOnce(m Model, st *State, n int) []effect {
+	w := newWords(n)
+	m.Apply(st, w)
+	return unpack(w, n)
+}
+
+// applyPost runs both phases of one round, the post-decision one with
+// st's transmitters.
+func applyPost(t *testing.T, m Model, st *State, n int) []effect {
 	t.Helper()
-	effects := make([]Effect, n)
+	w := newWords(n)
 	pre := *st
 	pre.Transmitters = nil
-	m.Apply(&pre, effects)
-	m.Apply(st, effects)
-	return effects
+	m.Apply(&pre, w)
+	m.Apply(st, w)
+	return unpack(w, n)
 }
 
 func TestHash64Deterministic(t *testing.T) {
@@ -69,7 +113,7 @@ func TestRateBoundary(t *testing.T) {
 		for round := 1; round <= 50; round++ {
 			eff := applyPost(t, m, &State{Round: round, CSR: csr, Heard: make([]bool, 5), Transmitters: tx}, 5)
 			for v, e := range eff {
-				if e&Jam == 0 {
+				if e&jam == 0 {
 					t.Fatalf("rate %g: node %d round %d escaped the jam", rate, v, round)
 				}
 			}
@@ -89,7 +133,7 @@ func TestRateBoundary(t *testing.T) {
 func TestRateSeedAndPhase(t *testing.T) {
 	csr := path5().Freeze()
 	tx := []int32{0, 1, 2, 3, 4}
-	jams := func(seed int64) []Effect {
+	jams := func(seed int64) []effect {
 		m := NewRate(0.5, seed)
 		m.Reset(5)
 		return applyPost(t, m, &State{Round: 3, CSR: csr, Heard: make([]bool, 5), Transmitters: tx}, 5)
@@ -103,8 +147,7 @@ func TestRateSeedAndPhase(t *testing.T) {
 	// The pre-step phase must be a no-op for a transmission-level model.
 	m := NewRate(1, 7)
 	m.Reset(5)
-	eff := make([]Effect, 5)
-	m.Apply(&State{Round: 1, CSR: csr, Heard: make([]bool, 5)}, eff)
+	eff := applyOnce(m, &State{Round: 1, CSR: csr, Heard: make([]bool, 5)}, 5)
 	for v, e := range eff {
 		if e != 0 {
 			t.Fatalf("rate model acted in the pre-step phase (node %d)", v)
@@ -122,7 +165,7 @@ func TestJamBudgetAndPerRound(t *testing.T) {
 		eff := applyPost(t, m, &State{Round: round, CSR: csr, Heard: heard, Transmitters: []int32{0, 1, 2, 3, 4}}, 5)
 		jammed := 0
 		for _, e := range eff {
-			if e&Jam != 0 {
+			if e&jam != 0 {
 				jammed++
 			}
 		}
@@ -146,7 +189,7 @@ func TestJamGreedyTargetsFrontier(t *testing.T) {
 	m.Reset(5)
 	heard := []bool{true, true, false, false, false}
 	eff := applyPost(t, m, &State{Round: 1, CSR: csr, Heard: heard, Transmitters: []int32{1, 3}}, 5)
-	if eff[3]&Jam == 0 || eff[1]&Jam != 0 {
+	if eff[3]&jam == 0 || eff[1]&jam != 0 {
 		t.Fatalf("greedy jam picked %v, want node 3 (gain 2) over node 1 (gain 1)", eff)
 	}
 
@@ -171,8 +214,8 @@ func TestJamWindowAndNodes(t *testing.T) {
 		inWindow := round >= 3 && round <= 4
 		for v, e := range eff {
 			wantJam := inWindow && v == 2
-			if (e&Jam != 0) != wantJam {
-				t.Fatalf("round %d node %d: jam=%v, want %v", round, v, e&Jam != 0, wantJam)
+			if (e&jam != 0) != wantJam {
+				t.Fatalf("round %d node %d: jam=%v, want %v", round, v, e&jam != 0, wantJam)
 			}
 		}
 	}
@@ -184,31 +227,28 @@ func TestCrashOutageTiming(t *testing.T) {
 	m := NewCrash(CrashConfig{Rate: 1, Down: 3, From: 2, To: 2, Lose: true, Seed: 9})
 	m.Reset(3)
 	for round := 1; round <= 6; round++ {
-		eff := make([]Effect, 3)
-		m.Apply(&State{Round: round}, eff)
-		down := round >= 2 && round <= 4
+		eff := applyOnce(m, &State{Round: round}, 3)
+		wantDown := round >= 2 && round <= 4
 		for v, e := range eff {
-			if (e&Down != 0) != down {
-				t.Fatalf("round %d node %d: down=%v, want %v", round, v, e&Down != 0, down)
+			if (e&down != 0) != wantDown {
+				t.Fatalf("round %d node %d: down=%v, want %v", round, v, e&down != 0, wantDown)
 			}
 			// Wipe fires only at the crash round itself, not during the
 			// outage tail.
-			if wantWipe := round == 2; (e&Wipe != 0) != wantWipe {
-				t.Fatalf("round %d node %d: wipe=%v, want %v", round, v, e&Wipe != 0, wantWipe)
+			if wantWipe := round == 2; (e&wipe != 0) != wantWipe {
+				t.Fatalf("round %d node %d: wipe=%v, want %v", round, v, e&wipe != 0, wantWipe)
 			}
 		}
 	}
 	// Without Lose, no Wipe.
 	m = NewCrash(CrashConfig{Rate: 1, Down: 1, From: 1, To: 1})
 	m.Reset(2)
-	eff := make([]Effect, 2)
-	m.Apply(&State{Round: 1}, eff)
-	if eff[0]&Wipe != 0 {
+	eff := applyOnce(m, &State{Round: 1}, 2)
+	if eff[0]&wipe != 0 {
 		t.Fatal("retain-policy crash set Wipe")
 	}
 	// The post-decide phase is a no-op for crashes.
-	eff = make([]Effect, 2)
-	m.Apply(&State{Round: 1, Transmitters: []int32{0}}, eff)
+	eff = applyOnce(m, &State{Round: 1, Transmitters: []int32{0}}, 2)
 	if eff[0] != 0 {
 		t.Fatal("crash model acted in the post-decide phase")
 	}
@@ -220,12 +260,11 @@ func TestDutySchedule(t *testing.T) {
 	m := NewDutyCycle(DutyConfig{Period: 4, On: 3})
 	m.Reset(4)
 	for round := 1; round <= 12; round++ {
-		eff := make([]Effect, 4)
-		m.Apply(&State{Round: round}, eff)
+		eff := applyOnce(m, &State{Round: round}, 4)
 		asleep := round%4 == 0
 		for v, e := range eff {
-			if (e&Down != 0) != asleep {
-				t.Fatalf("round %d node %d: down=%v, want %v", round, v, e&Down != 0, asleep)
+			if (e&down != 0) != asleep {
+				t.Fatalf("round %d node %d: down=%v, want %v", round, v, e&down != 0, asleep)
 			}
 		}
 	}
@@ -238,11 +277,10 @@ func TestDutySchedule(t *testing.T) {
 	aligned := true
 	var first []bool
 	for round := 1; round <= 4; round++ {
-		eff := make([]Effect, n)
-		m.Apply(&State{Round: round}, eff)
+		eff := applyOnce(m, &State{Round: round}, n)
 		cur := make([]bool, n)
 		for v, e := range eff {
-			if e&Down != 0 {
+			if e&down != 0 {
 				sleeps[v]++
 				cur[v] = true
 			}
@@ -267,8 +305,7 @@ func TestDutySchedule(t *testing.T) {
 	// On == Period disables sleeping entirely.
 	m = NewDutyCycle(DutyConfig{Period: 4, On: 4})
 	m.Reset(2)
-	eff := make([]Effect, 2)
-	m.Apply(&State{Round: 4}, eff)
+	eff := applyOnce(m, &State{Round: 4}, 2)
 	if eff[0] != 0 || eff[1] != 0 {
 		t.Fatal("always-on duty cycle put a node to sleep")
 	}
@@ -329,11 +366,9 @@ func TestCompose(t *testing.T) {
 	crash := NewCrash(CrashConfig{Rate: 1, Down: 10, From: 1, To: 1})
 	m := Compose(crash, NewRate(1, 1))
 	m.Reset(3)
-	eff := make([]Effect, 3)
-	m.Apply(&State{Round: 1}, eff)
-	m.Apply(&State{Round: 1, Transmitters: []int32{0, 1, 2}}, eff)
+	eff := applyPost(t, m, &State{Round: 1, Transmitters: []int32{0, 1, 2}}, 3)
 	for v, e := range eff {
-		if e&Down == 0 || e&Jam == 0 {
+		if e&down == 0 || e&jam == 0 {
 			t.Fatalf("node %d effects = %v, want Down|Jam", v, e)
 		}
 	}
@@ -361,16 +396,16 @@ func TestDropFuncAdapter(t *testing.T) {
 		return node == 1
 	})
 	m.Reset(3)
-	eff := make([]Effect, 3)
-	m.Apply(&State{Round: 4}, eff) // pre-step: must not consult f
+	w := newWords(3)
+	m.Apply(&State{Round: 4}, w) // pre-step: must not consult f
 	if len(calls) != 0 {
 		t.Fatal("DropFunc consulted f in the pre-step phase")
 	}
-	m.Apply(&State{Round: 4, Transmitters: []int32{0, 1}}, eff)
+	m.Apply(&State{Round: 4, Transmitters: []int32{0, 1}}, w)
 	if len(calls) != 2 || calls[0] != [2]int{0, 4} || calls[1] != [2]int{1, 4} {
 		t.Fatalf("DropFunc consulted f at %v", calls)
 	}
-	if eff[0] != 0 || eff[1]&Jam == 0 || eff[2] != 0 {
+	if eff := unpack(w, 3); eff[0] != 0 || eff[1]&jam == 0 || eff[2] != 0 {
 		t.Fatalf("DropFunc effects = %v", eff)
 	}
 }

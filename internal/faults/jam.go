@@ -60,7 +60,7 @@ func (j *jammer) Reset(n int) {
 	}
 }
 
-func (j *jammer) Apply(st *State, effects []Effect) {
+func (j *jammer) Apply(st *State, w *Words) {
 	if st.Transmitters == nil {
 		return // jamming is decided once the round's transmitters are known
 	}
@@ -121,7 +121,7 @@ func (j *jammer) Apply(st *State, effects []Effect) {
 		j.cand = j.cand[:quota]
 	}
 	for _, c := range j.cand {
-		effects[c.node] |= Jam
+		w.SetJam(int(c.node))
 		j.spent++
 	}
 }

@@ -78,10 +78,9 @@ type bitState struct {
 	candSeen     []uint64 // bitset over word indices touched this round
 	candList     []int32
 
-	// Fault-effect words (faulted runs only) and the Words view handed
-	// to WordModel implementations.
-	jamW, downW, wipeW []uint64
-	words              faults.Words
+	// Fault-effect words (faulted runs only), written by the model's
+	// Apply.
+	fx faults.Words
 }
 
 func (bs *bitState) reset(s *Sim) {
@@ -120,10 +119,9 @@ func (bs *bitState) reset(s *Sim) {
 	bs.candSeen = grow(bs.candSeen, (w+63)/64)
 	bs.candList = bs.candList[:0]
 	if s.faulted {
-		bs.jamW = grow(bs.jamW, w)
-		bs.downW = grow(bs.downW, w)
-		bs.wipeW = grow(bs.wipeW, w)
-		bs.words = faults.Words{Jam: bs.jamW, Down: bs.downW, Wipe: bs.wipeW}
+		bs.fx.Jam = grow(bs.fx.Jam, w)
+		bs.fx.Down = grow(bs.fx.Down, w)
+		bs.fx.Wipe = grow(bs.fx.Wipe, w)
 	}
 }
 
@@ -135,7 +133,6 @@ type bitLane struct {
 	bcsr *graph.BitCSR
 	opt  Options
 	fm   faults.Model
-	wm   faults.WordModel
 	topo faults.TopologyModel
 	fst  *faults.State
 
@@ -159,14 +156,12 @@ func (l *bitLane) init(s *Sim, g *graph.Graph, protos []Protocol, opt Options) {
 	s.reset(n, protos)
 	*l = bitLane{s: s, csr: csr, bcsr: csr.Bits(), opt: opt}
 	if fm := opt.Faults; fm != nil {
-		s.effects = grow(s.effects, n)
 		s.heard = grow(s.heard, n)
 		if s.txList == nil {
 			s.txList = []int32{} // keep non-nil: nil signals the pre-step phase
 		}
 		fm.Reset(n)
 		l.fm = fm
-		l.wm, _ = fm.(faults.WordModel)
 		l.topo, _ = fm.(faults.TopologyModel)
 		// fst escapes through the Apply interface calls, so it is
 		// allocated only when a model is installed and the clean path
@@ -202,25 +197,19 @@ func (l *bitLane) runRound(round int) {
 		// Pre-step fault phase: swap in a churned topology, then let the
 		// model set Down/Wipe before any protocol observes its pending
 		// reception. Effect words carry over between the two phases of a
-		// round, mirroring the effects slice contract, and are cleared
-		// here at the round boundary.
+		// round (see faults.Words) and are cleared here at the round
+		// boundary.
 		if l.topo != nil {
 			if t := l.topo.Topology(round); t != nil {
 				l.csr, l.bcsr = t, t.Bits()
 			}
 		}
-		clear(bs.jamW)
-		clear(bs.downW)
-		clear(bs.wipeW)
+		clear(bs.fx.Jam)
+		clear(bs.fx.Down)
+		clear(bs.fx.Wipe)
 		*l.fst = faults.State{Round: round, CSR: l.csr, Heard: s.heard}
-		if l.wm != nil {
-			l.wm.ApplyWords(l.fst, &bs.words)
-		} else {
-			clear(s.effects)
-			l.fm.Apply(l.fst, s.effects)
-			bs.packEffects(s.effects)
-		}
-		for i, wp := range bs.wipeW {
+		l.fm.Apply(l.fst, &bs.fx)
+		for i, wp := range bs.fx.Wipe {
 			if wp != 0 {
 				bs.setsW[cur][i] &^= wp
 				bs.busyW[cur][i] &^= wp
@@ -246,12 +235,7 @@ func (l *bitLane) runRound(round int) {
 	if s.faulted {
 		// Post-decision fault phase: transmission-level effects (Jam).
 		l.fst.Transmitters = s.txList
-		if l.wm != nil {
-			l.wm.ApplyWords(l.fst, &bs.words)
-		} else {
-			l.fm.Apply(l.fst, s.effects)
-			bs.packEffects(s.effects)
-		}
+		l.fm.Apply(l.fst, &bs.fx)
 	}
 
 	transmitted := l.resolve(round, nx)
@@ -338,7 +322,7 @@ func (l *bitLane) stepActive(v, round int) {
 		a = s.stepNodeBit(v) // non-Wakers stay eager for the whole run
 		bs.lastStep[v] = int32(round)
 	}
-	if s.faulted && a.Transmit && bs.downW[wi]&mask != 0 {
+	if s.faulted && a.Transmit && bs.fx.Down[wi]&mask != 0 {
 		// Radio off: the protocol stepped (its clock runs) and believes
 		// it transmitted, but nothing reaches the channel.
 		a = Listen
@@ -382,7 +366,7 @@ func (l *bitLane) resolve(round, nx int) int {
 	for _, t32 := range s.txList {
 		t := int(t32)
 		s.logTransmit(t32, round)
-		if s.faulted && bs.jamW[t>>6]&(1<<(uint(t)&63)) != 0 {
+		if s.faulted && bs.fx.Jam[t>>6]&(1<<(uint(t)&63)) != 0 {
 			continue // jammed: t believes it transmitted, nobody hears it
 		}
 		words, masks := l.bcsr.Slabs(t)
@@ -403,7 +387,7 @@ func (l *bitLane) resolve(round, nx int) int {
 	for _, wi := range bs.candList {
 		excl := bs.txW[wi]
 		if s.faulted {
-			excl |= bs.downW[wi]
+			excl |= bs.fx.Down[wi]
 		}
 		b1 := bs.busy1[wi] &^ excl
 		b2 := bs.busy2[wi] &^ excl
@@ -443,31 +427,11 @@ func (l *bitLane) findSender(v int) int {
 	for k, wi := range words {
 		x := bs.txW[wi] & masks[k]
 		if l.s.faulted {
-			x &^= bs.jamW[wi]
+			x &^= bs.fx.Jam[wi]
 		}
 		if x != 0 {
 			return int(wi)<<6 | bits.TrailingZeros64(x)
 		}
 	}
 	panic("radio: single-transmitter word with no sender")
-}
-
-// packEffects folds a per-node effects vector into the effect words — the
-// fallback for fault models without the WordModel fast path.
-func (bs *bitState) packEffects(effects []faults.Effect) {
-	for v, e := range effects {
-		if e == 0 {
-			continue
-		}
-		wi, mask := v>>6, uint64(1)<<(uint(v)&63)
-		if e&faults.Jam != 0 {
-			bs.jamW[wi] |= mask
-		}
-		if e&faults.Down != 0 {
-			bs.downW[wi] |= mask
-		}
-		if e&faults.Wipe != 0 {
-			bs.wipeW[wi] |= mask
-		}
-	}
 }

@@ -73,8 +73,8 @@ func encodeEngineCase(g *graph.Graph, seed, fault, param, flags byte) []byte {
 
 // model builds a fresh instance of the case's fault model (models are
 // stateful, so every run gets its own). Selectors cover each model of
-// internal/faults, a DropFunc predicate, and compositions with and
-// without the WordModel fast path.
+// internal/faults, a DropFunc predicate, and two compositions, one of
+// them with the budgeted jammer.
 func (c engineCase) model() faults.Model {
 	p := int(c.param)
 	rate := func() faults.Model { return faults.NewRate(float64(p%8)/8, c.seed) }

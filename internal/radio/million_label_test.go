@@ -22,7 +22,13 @@ import (
 // (≈ 78 TiB for the 10⁶-node path) and could not fit at any ceiling.
 const labelingHeapCeiling = 512 << 20
 
+// heapInUse reads the live heap after two collections: the first moves
+// sync.Pool contents to the pools' victim caches, the second frees them,
+// so a Sim pooled (or not) during a labeling does not count as retained.
+// The race detector drops a random share of Pool Puts, so without the
+// second collection the readings depend on which Puts it kept.
 func heapInUse() uint64 {
+	runtime.GC()
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)

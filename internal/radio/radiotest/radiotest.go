@@ -46,16 +46,20 @@ func Run(g *graph.Graph, protos []radio.Protocol, opt radio.Options) *radio.Resu
 	msg := make([]radio.Message, n)
 	actions := make([]radio.Action, n)
 
+	// fx holds the round's fault effects; has reads node v's bit of one
+	// of its fields.
 	fm := opt.Faults
-	var effects []faults.Effect
+	var fx faults.Words
 	var informed []bool
 	var topo faults.TopologyModel
 	if fm != nil {
 		fm.Reset(n)
-		effects = make([]faults.Effect, n)
+		k := (n + 63) / 64
+		fx = faults.Words{Jam: make([]uint64, k), Down: make([]uint64, k), Wipe: make([]uint64, k)}
 		informed = make([]bool, n)
 		topo, _ = fm.(faults.TopologyModel)
 	}
+	has := func(bits []uint64, v int) bool { return fm != nil && bits[v>>6]&(1<<(uint(v)&63)) != 0 }
 
 	silent := 0
 	for round := 1; round <= opt.MaxRounds; round++ {
@@ -70,11 +74,13 @@ func Run(g *graph.Graph, protos []radio.Protocol, opt radio.Options) *radio.Resu
 					csr = t
 				}
 			}
-			clear(effects)
+			clear(fx.Jam)
+			clear(fx.Down)
+			clear(fx.Wipe)
 			st = faults.State{Round: round, CSR: csr, Heard: informed}
-			fm.Apply(&st, effects)
-			for v, e := range effects {
-				if e&faults.Wipe != 0 {
+			fm.Apply(&st, &fx)
+			for v := 0; v < n; v++ {
+				if has(fx.Wipe, v) {
 					heard[v], busy[v] = false, false
 				}
 			}
@@ -94,7 +100,7 @@ func Run(g *graph.Graph, protos []radio.Protocol, opt radio.Options) *radio.Resu
 			} else {
 				a = p.Step(rcv)
 			}
-			if fm != nil && effects[v]&faults.Down != 0 {
+			if has(fx.Down, v) {
 				a = radio.Listen // radio off: the clock ran, nothing is sent
 			}
 			actions[v] = a
@@ -104,7 +110,7 @@ func Run(g *graph.Graph, protos []radio.Protocol, opt radio.Options) *radio.Resu
 		}
 		if fm != nil {
 			st.Transmitters = tx
-			fm.Apply(&st, effects)
+			fm.Apply(&st, &fx)
 		}
 
 		// A listener whose radio is on hears a message iff exactly one
@@ -118,12 +124,12 @@ func Run(g *graph.Graph, protos []radio.Protocol, opt radio.Options) *radio.Resu
 		}
 		for v := 0; v < n; v++ {
 			heard[v], busy[v] = false, false
-			if actions[v].Transmit || (fm != nil && effects[v]&faults.Down != 0) {
+			if actions[v].Transmit || has(fx.Down, v) {
 				continue
 			}
 			count, sender := 0, -1
 			for _, w := range csr.Neighbors(v) {
-				if actions[w].Transmit && (fm == nil || effects[w]&faults.Jam == 0) {
+				if actions[w].Transmit && !has(fx.Jam, int(w)) {
 					count++
 					sender = int(w)
 				}

@@ -1,9 +1,6 @@
 package radio
 
-import (
-	"radiobcast/internal/faults"
-	"radiobcast/internal/graph"
-)
+import "radiobcast/internal/graph"
 
 // Waker is an optional Protocol extension for schedule-driven protocols
 // (B, Back, the slotted baselines, scripted schedules): it lets the engine
@@ -42,8 +39,8 @@ type Waker interface {
 const NeverWake = 0
 
 // Sim is a reusable simulation engine. It owns every per-run buffer —
-// the word-packed channel state of the bitset core (see bitsim.go), the
-// per-round action and fault vectors, and the flat transmit/receive
+// the word-packed channel and fault state of the bitset core (see
+// bitsim.go), the per-round action vector, and the flat transmit/receive
 // accumulators — and resizes rather than reallocates them between runs,
 // so driving many runs through one Sim (the label-once/run-many regime
 // of the paper and the Sweep workloads) does only a constant number of
@@ -74,12 +71,10 @@ type Sim struct {
 	collisions []int
 
 	// Fault-injection state, live only when Options.Faults is set: the
-	// per-round effect vector written by models without the WordModel
-	// fast path and the monotone informed-set view models may consult
-	// (Heard in faults.State). The clean path never touches these beyond
-	// the s.faulted flag checks.
+	// monotone informed-set view models may consult (Heard in
+	// faults.State). The clean path never touches it beyond the
+	// s.faulted flag checks.
 	faulted bool
-	effects []faults.Effect
 	heard   []bool
 
 	// Flat event logs, materialized into Result at the end of a run.

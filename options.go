@@ -53,7 +53,7 @@ type Config struct {
 	// (node 0 is a valid coordinator, so the value alone cannot tell).
 	coordinatorSet bool
 	// faultModel is Fault materialized against the run's graph (set during
-	// preparation, consumed by tuning).
+	// preparation, consumed by radioOptions).
 	faultModel faults.Model
 	// engine replaces the engine for the run (radio.Options.Engine). Only
 	// the tests set it, to run schemes on the reference engine.
@@ -124,17 +124,17 @@ func newConfig(opts []Option) *Config {
 	return c
 }
 
-// tuning converts the engine-level knobs into the overlay every internal
-// runner accepts.
-// tuning stays a single composite literal so it inlines and the Tuning
-// can live on the caller's stack (the runners do not retain it).
-func (c *Config) tuning() *radio.Tuning {
-	return &radio.Tuning{
-		Ctx:       c.ctx,
-		MaxRounds: c.MaxRounds,
-		Trace:     c.Trace,
-		Faults:    c.faultModel,
-		Sim:       c.Sim,
-		Engine:    c.engine,
+// radioOptions sets the run's engine knobs on a scheme's base options:
+// its context, round-bound override, trace, fault model, Sim and test
+// engine. Every runner passes its engine options through here.
+func (c *Config) radioOptions(base radio.Options) radio.Options {
+	base.Ctx = c.ctx
+	if c.MaxRounds > 0 {
+		base.MaxRounds = c.MaxRounds
 	}
+	base.Trace = c.Trace
+	base.Faults = c.faultModel
+	base.Sim = c.Sim
+	base.Engine = c.engine
+	return base
 }

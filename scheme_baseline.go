@@ -5,6 +5,7 @@ import (
 
 	"radiobcast/internal/baseline"
 	"radiobcast/internal/core"
+	"radiobcast/internal/radio"
 )
 
 func init() {
@@ -74,7 +75,7 @@ func (r roundRobinScheme) Run(l *Labeling, source int, cfg *Config) (*Outcome, e
 	}
 	ps, _ := r.Protocols(l, source, cfg.Mu)
 	maxRounds := baseline.SlottedMaxRounds(l.Graph, source, l.Bits())
-	out := baseline.Observe(l.Graph, ps, source, maxRounds, cfg.tuning())
+	out := baseline.Observe(l.Graph, ps, source, cfg.radioOptions(radio.Options{MaxRounds: maxRounds}))
 	return baselineOutcome(out), nil
 }
 
@@ -109,7 +110,7 @@ func (c colorRobinScheme) Run(l *Labeling, source int, cfg *Config) (*Outcome, e
 	}
 	ps, _ := c.Protocols(l, source, cfg.Mu)
 	maxRounds := baseline.SlottedMaxRounds(l.Graph, source, l.Bits())
-	out := baseline.Observe(l.Graph, ps, source, maxRounds, cfg.tuning())
+	out := baseline.Observe(l.Graph, ps, source, cfg.radioOptions(radio.Options{MaxRounds: maxRounds}))
 	return baselineOutcome(out), nil
 }
 
@@ -153,7 +154,7 @@ func (c centralizedScheme) Run(l *Labeling, source int, cfg *Config) (*Outcome, 
 	if err != nil {
 		return nil, err
 	}
-	out := baseline.Observe(l.Graph, ps, source, len(l.Schedule)+1, cfg.tuning())
+	out := baseline.Observe(l.Graph, ps, source, cfg.radioOptions(radio.Options{MaxRounds: len(l.Schedule) + 1}))
 	o := baselineOutcome(out)
 	o.Labeling = l
 	return o, nil
@@ -203,7 +204,7 @@ func (f floodingScheme) Run(l *Labeling, source int, cfg *Config) (*Outcome, err
 	}
 	ps, _ := f.Protocols(l, source, cfg.Mu)
 	maxRounds := baseline.FloodingMaxRounds(l.Graph.N())
-	out := baseline.Observe(l.Graph, ps, source, maxRounds, cfg.tuning())
+	out := baseline.Observe(l.Graph, ps, source, cfg.radioOptions(radio.Options{MaxRounds: maxRounds}))
 	return baselineOutcome(out), nil
 }
 

@@ -39,7 +39,7 @@ func (bScheme) Run(l *Labeling, source int, cfg *Config) (*Outcome, error) {
 		return nil, err
 	}
 	ps, base, asm := core.PlanBroadcast(l.Graph, l.coreLabeling(), source, cfg.Mu)
-	out := asm(radio.Run(l.Graph, ps, base.With(cfg.tuning())))
+	out := asm(radio.Run(l.Graph, ps, cfg.radioOptions(base)))
 	return &Outcome{
 		Result:          out.Result,
 		InformedRound:   out.InformedRound,
@@ -83,7 +83,7 @@ func (backScheme) Run(l *Labeling, source int, cfg *Config) (*Outcome, error) {
 		return nil, err
 	}
 	ps, base, asm := core.PlanAcknowledged(l.Graph, l.coreLabeling(), source, cfg.Mu)
-	out := asm(radio.Run(l.Graph, ps, base.With(cfg.tuning())))
+	out := asm(radio.Run(l.Graph, ps, cfg.radioOptions(base)))
 	return &Outcome{
 		Result:          out.Result,
 		InformedRound:   out.InformedRound,
@@ -132,7 +132,7 @@ func (barbScheme) Run(l *Labeling, source int, cfg *Config) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := asm(radio.Run(l.Graph, ps, base.With(cfg.tuning())))
+	out := asm(radio.Run(l.Graph, ps, cfg.radioOptions(base)))
 	completion := 0
 	for _, r := range out.MuKnownRound {
 		if r > completion {

@@ -6,6 +6,7 @@ import (
 
 	"radiobcast/internal/baseline"
 	"radiobcast/internal/gjp"
+	"radiobcast/internal/radio"
 )
 
 func init() {
@@ -59,7 +60,7 @@ func (s gjpScheme) Run(l *Labeling, source int, cfg *Config) (*Outcome, error) {
 	}
 	ps, _ := s.Protocols(l, source, cfg.Mu)
 	maxRounds := gjp.MaxRounds(l.Graph.N())
-	out := baseline.Observe(l.Graph, ps, source, maxRounds, cfg.tuning())
+	out := baseline.Observe(l.Graph, ps, source, cfg.radioOptions(radio.Options{MaxRounds: maxRounds}))
 	return baselineOutcome(out), nil
 }
 

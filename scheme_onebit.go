@@ -5,6 +5,7 @@ import (
 
 	"radiobcast/internal/baseline"
 	"radiobcast/internal/onebit"
+	"radiobcast/internal/radio"
 )
 
 func init() {
@@ -65,7 +66,7 @@ func (o onebitScheme) Run(l *Labeling, source int, cfg *Config) (*Outcome, error
 	}
 	ps, _ := o.Protocols(l, source, cfg.Mu)
 	maxRounds := baseline.FloodingMaxRounds(l.Graph.N())
-	out := baseline.Observe(l.Graph, ps, source, maxRounds, cfg.tuning())
+	out := baseline.Observe(l.Graph, ps, source, cfg.radioOptions(radio.Options{MaxRounds: maxRounds}))
 	return baselineOutcome(out), nil
 }
 

@@ -190,35 +190,39 @@ func orEmpty(m map[int]bool) map[int]bool {
 	return m
 }
 
-// TestWithFaultsSuppressesDelivery pins the fault path end to end: with
-// every transmission jammed, traffic still flows (nodes believe they
-// transmitted) but nothing is ever delivered.
+// TestWithFaultsSuppressesDelivery pins the fault path end to end for
+// every scheme's runner: with every transmission jammed, traffic still
+// flows (nodes believe they transmitted) but nothing is ever delivered.
 func TestWithFaultsSuppressesDelivery(t *testing.T) {
 	net, err := radiobcast.Family("grid", 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := radiobcast.Run(net, "b",
-		radiobcast.WithMessage("m"),
-		radiobcast.FaultRate(1, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Result.TotalTransmissions == 0 {
-		t.Fatal("jammed run recorded no transmissions; faults should jam, not silence, the sender")
-	}
-	for v, recs := range out.Result.Receives {
-		if len(recs) != 0 {
-			t.Fatalf("node %d received %d messages through a fully jammed channel", v, len(recs))
-		}
-	}
-	if out.AllInformed {
-		t.Fatal("broadcast claims completion with every transmission jammed")
-	}
-	for v, r := range out.InformedRound {
-		if v != out.Source && r != radiobcast.NoReception {
-			t.Fatalf("node %d marked informed in round %d under a fully jammed channel", v, r)
-		}
+	for _, scheme := range radiobcast.SchemeNames() {
+		t.Run(scheme, func(t *testing.T) {
+			out, err := radiobcast.Run(net, scheme,
+				radiobcast.WithMessage("m"),
+				radiobcast.FaultRate(1, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.Result.TotalTransmissions == 0 {
+				t.Fatal("jammed run recorded no transmissions; faults should jam, not silence, the sender")
+			}
+			for v, recs := range out.Result.Receives {
+				if len(recs) != 0 {
+					t.Fatalf("node %d received %d messages through a fully jammed channel", v, len(recs))
+				}
+			}
+			if out.AllInformed {
+				t.Fatal("broadcast claims completion with every transmission jammed")
+			}
+			for v, r := range out.InformedRound {
+				if v != out.Source && r != radiobcast.NoReception {
+					t.Fatalf("node %d marked informed in round %d under a fully jammed channel", v, r)
+				}
+			}
+		})
 	}
 }
 
