@@ -369,14 +369,16 @@ func BenchmarkBroadcastBarb(b *testing.B) {
 	}
 }
 
-// BenchmarkBaselines compares the comparison schemes (experiment BASE).
+// BenchmarkBaselines compares the comparison schemes (experiment BASE),
+// on one reused Sim like the broadcast benchmarks, so allocs/op is exact.
 func BenchmarkBaselines(b *testing.B) {
 	net := benchNet(b, "grid", 256)
+	sim := radiobcast.NewSim()
 	for _, scheme := range []string{"roundrobin", "colorrobin", "centralized"} {
 		b.Run(scheme, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				out, err := radiobcast.Run(net, scheme, radiobcast.WithMessage("m"))
+				out, err := radiobcast.Run(net, scheme, radiobcast.WithMessage("m"), radiobcast.WithSim(sim))
 				if err != nil {
 					b.Fatal(err)
 				}

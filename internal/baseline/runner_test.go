@@ -11,13 +11,13 @@ import (
 
 func runRoundRobin(g *graph.Graph, source int, mu string) *Outcome {
 	labels := RoundRobinLabels(g.N())
-	ps := NewRoundRobinProtocols(labels, source, mu)
+	ps := NewSlottedProtocols(labels, source, mu)
 	return Observe(g, ps, source, radio.Options{MaxRounds: SlottedMaxRounds(g, source, core.MaxLen(labels))})
 }
 
 func runColorRobin(g *graph.Graph, source int, mu string) *Outcome {
 	labels, _ := ColorRobinLabels(g)
-	ps := NewColorRobinProtocols(labels, source, mu)
+	ps := NewSlottedProtocols(labels, source, mu)
 	return Observe(g, ps, source, radio.Options{MaxRounds: SlottedMaxRounds(g, source, core.MaxLen(labels))})
 }
 

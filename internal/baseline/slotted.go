@@ -16,13 +16,19 @@ import (
 	"radiobcast/internal/radio"
 )
 
-// RoundRobin is the classical O(log n)-bit scheme: every node gets a
-// distinct identifier; round r is the slot of identifier (r−1) mod P where
-// the period P = 2^w is derived from the label width w. Informed nodes
-// transmit µ exactly in their own slot, so no two transmissions ever
-// collide, and each BFS layer is informed after at most one full period.
-type RoundRobin struct {
-	id     int
+// Slotted is the slotted broadcast protocol of the round-robin and
+// colour-robin baselines: a node's w-bit label is its slot s in a period
+// of P = 2^w rounds, and an informed node transmits µ exactly in the
+// rounds r with (r−1) mod P = s. The two schemes differ only in their
+// labels. Round robin gives every node a distinct identifier, so no two
+// transmissions ever collide and each BFS layer is informed after at most
+// one full period. Colour robin (O(log Δ) bits, from the paper's
+// introduction) gives every node its colour in a proper colouring of G²:
+// any two nodes at distance ≤ 2 have different slots, so at most one
+// neighbour of any listener transmits per slot, and every frontier node
+// is informed within one period of its first informed neighbour.
+type Slotted struct {
+	slot   int
 	period int
 
 	round   int
@@ -31,16 +37,45 @@ type RoundRobin struct {
 }
 
 // Step implements radio.Protocol.
-func (p *RoundRobin) Step(rcv *radio.Message) radio.Action {
+func (p *Slotted) Step(rcv *radio.Message) radio.Action {
 	p.round++
 	if rcv != nil && rcv.Kind == radio.KindData && !p.haveMsg {
 		p.haveMsg = true
 		p.msg = rcv.Payload
 	}
-	if p.haveMsg && (p.round-1)%p.period == p.id {
+	if p.haveMsg && (p.round-1)%p.period == p.slot {
 		return radio.Send(radio.Message{Kind: radio.KindData, Payload: p.msg})
 	}
 	return radio.Listen
+}
+
+// NextWake implements radio.Waker: an informed node's next own slot; an
+// uninformed node acts only after a reception.
+func (p *Slotted) NextWake() int {
+	if !p.haveMsg {
+		return radio.NeverWake
+	}
+	next := p.round + 1
+	return next + (p.slot-(next-1)%p.period+p.period)%p.period
+}
+
+// Skip implements radio.Waker.
+func (p *Slotted) Skip(rounds int) { p.round += rounds }
+
+// NewSlottedProtocols builds one protocol per node from its slot label,
+// carved from one bulk allocation.
+func NewSlottedProtocols(labels []core.Label, source int, mu string) []radio.Protocol {
+	nodes := make([]Slotted, len(labels))
+	ps := make([]radio.Protocol, len(labels))
+	for v, label := range labels {
+		p := &nodes[v]
+		p.slot, p.period = slotOf(label)
+		if v == source {
+			p.haveMsg, p.msg = true, mu
+		}
+		ps[v] = p
+	}
+	return ps
 }
 
 // RoundRobinLabels assigns the distinct-identifier labeling: node v gets v
@@ -59,6 +94,18 @@ func idWidth(n int) int {
 		return 1
 	}
 	return bits.Len(uint(n - 1))
+}
+
+// ColorRobinLabels computes a distance-2 colouring of g and encodes each
+// node's colour in ⌈log₂ numColors⌉ bits.
+func ColorRobinLabels(g *graph.Graph) ([]core.Label, int) {
+	colors, num := g.Distance2Coloring()
+	w := idWidth(num)
+	labels := make([]core.Label, g.N())
+	for v, c := range colors {
+		labels[v] = binaryLabel(c, w)
+	}
+	return labels, num
 }
 
 // binaryLabel returns v written in exactly w bits, most significant first.
@@ -80,42 +127,6 @@ func slotOf(label core.Label) (slot, period int) {
 		}
 	}
 	return slot, 1 << uint(label.Len())
-}
-
-// NextWake implements radio.Waker: an informed node's next own slot; an
-// uninformed node acts only after a reception.
-func (p *RoundRobin) NextWake() int {
-	return slotWake(p.haveMsg, p.round, p.period, p.id)
-}
-
-// Skip implements radio.Waker.
-func (p *RoundRobin) Skip(rounds int) { p.round += rounds }
-
-// slotWake returns the next round r > round with (r−1) mod period == slot,
-// or NeverWake for a node with nothing to transmit yet.
-func slotWake(haveMsg bool, round, period, slot int) int {
-	if !haveMsg {
-		return radio.NeverWake
-	}
-	next := round + 1
-	delta := (slot - (next-1)%period + period) % period
-	return next + delta
-}
-
-// NewRoundRobinProtocols builds one protocol per node from its w-bit
-// identifier label, carved from one bulk allocation.
-func NewRoundRobinProtocols(labels []core.Label, source int, mu string) []radio.Protocol {
-	nodes := make([]RoundRobin, len(labels))
-	ps := make([]radio.Protocol, len(labels))
-	for v, label := range labels {
-		p := &nodes[v]
-		p.id, p.period = slotOf(label)
-		if v == source {
-			p.haveMsg, p.msg = true, mu
-		}
-		ps[v] = p
-	}
-	return ps
 }
 
 // SlottedMaxRounds bounds a slotted (round-robin / colour-robin) run: one

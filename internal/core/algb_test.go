@@ -211,8 +211,7 @@ func TestAlgBUninformedIgnoresStay(t *testing.T) {
 		NewAlgB(MustParseLabel("11"), nil),
 	}
 	res := radio.Run(g, ps, radio.Options{MaxRounds: 6})
-	b := ps[1].(*AlgB)
-	if ok, _ := b.Informed(); ok {
+	if ok, _ := ps[1].(*AckNode).Informed(); ok {
 		t.Fatal("node adopted a stay message as µ")
 	}
 	if len(res.Transmits[1]) != 0 {
@@ -243,12 +242,17 @@ func TestAlgBInformedAccessors(t *testing.T) {
 	if ok, r := src.Informed(); !ok || r != 0 {
 		t.Fatal("source must be informed at round 0")
 	}
-	if src.Message() != "m" {
-		t.Fatal("source message wrong")
+	if a := src.Step(nil); !a.Transmit || a.Msg != (radio.Message{Kind: radio.KindData, Payload: "m"}) {
+		t.Fatalf("source's first step = %+v, want µ = %q", a, mu)
 	}
 	other := NewAlgB(MustParseLabel("00"), nil)
 	if ok, _ := other.Informed(); ok {
 		t.Fatal("fresh node must be uninformed")
+	}
+	other.Step(nil)
+	other.Step(&radio.Message{Kind: radio.KindData, Payload: "m"})
+	if ok, r := other.Informed(); !ok || r != 1 {
+		t.Fatalf("node that heard µ in round 1: Informed = %v, %d", ok, r)
 	}
 }
 

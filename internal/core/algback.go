@@ -5,16 +5,19 @@ import (
 )
 
 // ackSpec fixes one use of the acknowledged-broadcast machine: algorithm
-// Back itself, or one of Barb's three phases (§4.2).
+// B, algorithm Back, or one of Barb's three phases (§4.2).
 type ackSpec struct {
 	kind       radio.Kind // kind of the broadcast message
-	phase      uint8      // phase tag on every message (0 for Back)
+	phase      uint8      // phase tag on every message (0 for B and Back)
 	timestamps bool       // broadcast and "stay" messages carry timestamps
 	zAck       bool       // the x3 node z starts the ack chain
 	zAckT      bool       // z's ack carries T = its informedRound in Aux
 }
 
 var (
+	// bSpec is algorithm B (Algorithm 1): Algorithm 2 without timestamps
+	// and without an ack, so x3 is ignored.
+	bSpec    = ackSpec{kind: radio.KindData}
 	backSpec = ackSpec{kind: radio.KindData, timestamps: true, zAck: true}
 
 	// barbSpecs are Barb's phases: "initialize" acknowledged by z with T,
@@ -27,8 +30,10 @@ var (
 )
 
 // ackMachine is Algorithm 2's acknowledged broadcast at one node, for one
-// spec. It keeps no clock: callers pass the node-local round. Rounds are
-// 1-based, so 0 means "never".
+// spec. Algorithm 1 (B) is Algorithm 2 without timestamps and without the
+// ack chain, so bSpec runs it on the same rules. The machine keeps no
+// clock: callers pass the node-local round. Rounds are 1-based, so 0
+// means "never".
 //
 // Every timestamp a message carries equals the round it is sent in
 // (Lemma 3.5; for a Barb phase, the round counted from the phase start),
@@ -38,7 +43,7 @@ var (
 type ackMachine struct {
 	label  Label
 	spec   ackSpec
-	origin bool  // the node starts this broadcast (Back's source, Barb's r)
+	origin bool  // the node starts this broadcast (the source, Barb's r)
 	aux    int32 // Aux attached to the broadcast (phase 2 carries T)
 
 	payload       string // payload being disseminated
@@ -54,10 +59,16 @@ type ackMachine struct {
 // the origin, whether it has started it.
 func (m *ackMachine) started() bool { return m.lastDataTx != 0 }
 
+// The machine's decisions write the message to send through an out
+// pointer and report whether the node transmits. A radio.Action is too
+// large for the compiler to keep in registers, so every function that
+// returns one spills and reloads it; this way only the protocol's Step
+// returns it.
+
 // start is the origin's first transmission, in round r.
-func (m *ackMachine) start(r int32, payload string, aux int32) radio.Action {
+func (m *ackMachine) start(r int32, payload string, aux int32, out *radio.Message) bool {
 	m.payload, m.aux = payload, aux
-	return m.transmit(r, 1)
+	return m.transmit(r, 1, out)
 }
 
 // stamp is the timestamp field for t: t itself, or 0 when the spec
@@ -69,8 +80,9 @@ func (m *ackMachine) stamp(t int32) int {
 	return int(t)
 }
 
-// transmit sends the broadcast message in round r with timestamp ts.
-func (m *ackMachine) transmit(r, ts int32) radio.Action {
+// transmit sets *out to the broadcast message for round r, with
+// timestamp ts, and reports true.
+func (m *ackMachine) transmit(r, ts int32, out *radio.Message) bool {
 	m.lastDataTx = r
 	if m.spec.timestamps {
 		if m.firstTS == 0 {
@@ -78,7 +90,8 @@ func (m *ackMachine) transmit(r, ts int32) radio.Action {
 		}
 		m.lastTS = ts
 	}
-	return radio.Send(radio.Message{Kind: m.spec.kind, Payload: m.payload, TS: m.stamp(ts), Aux: int(m.aux), Phase: m.spec.phase})
+	*out = radio.Message{Kind: m.spec.kind, Payload: m.payload, TS: m.stamp(ts), Aux: int(m.aux), Phase: m.spec.phase}
+	return true
 }
 
 // sentWithTS reports whether the node transmitted the broadcast with
@@ -108,45 +121,45 @@ func (m *ackMachine) receive(msg *radio.Message, rr int32) {
 	}
 }
 
-// act is the machine's action for round r; heard is what the node heard
+// act is the machine's decision for round r; heard is what the node heard
 // in round r−1 (nil for nothing). It mirrors lines 12–31 of Algorithm 2.
-func (m *ackMachine) act(r int32, heard *radio.Message) radio.Action {
+func (m *ackMachine) act(r int32, heard *radio.Message, out *radio.Message) bool {
 	if !m.origin {
 		switch m.firstRecv {
 		case 0:
-			return radio.Listen
+			return false
 		case r - 2: // lines 12-16
-			if m.label.X1() {
-				return m.transmit(r, m.informedRound+2)
-			}
-			return radio.Listen
+			return m.label.X1() && m.transmit(r, m.informedRound+2, out)
 		case r - 1: // lines 17-22
 			if m.label.X3() && m.spec.zAck {
 				aux := 0
 				if m.spec.zAckT {
 					aux = int(m.informedRound)
 				}
-				return radio.Send(radio.Message{Kind: radio.KindAck, TS: int(m.informedRound), Aux: aux, Phase: m.spec.phase})
+				*out = radio.Message{Kind: radio.KindAck, TS: int(m.informedRound), Aux: aux, Phase: m.spec.phase}
+				return true
 			}
 			if m.label.X2() {
-				return radio.Send(radio.Message{Kind: radio.KindStay, TS: m.stamp(m.informedRound + 1), Phase: m.spec.phase})
+				*out = radio.Message{Kind: radio.KindStay, TS: m.stamp(m.informedRound + 1), Phase: m.spec.phase}
+				return true
 			}
-			return radio.Listen
+			return false
 		}
 	}
 	if heard == nil || heard.Phase != m.spec.phase {
-		return radio.Listen
+		return false
 	}
 	switch {
 	case heard.Kind == radio.KindStay && m.started() && m.lastDataTx == r-2:
 		// lines 23-27
-		return m.transmit(r, int32(heard.TS)+1)
+		return m.transmit(r, int32(heard.TS)+1, out)
 	case heard.Kind == radio.KindAck && !m.origin && m.sentWithTS(int32(heard.TS)):
 		// lines 28-31: relay the ack with our own informedRound, keeping
 		// what it carries (Barb's T or µ).
-		return radio.Send(radio.Message{Kind: radio.KindAck, TS: int(m.informedRound), Aux: heard.Aux, Payload: heard.Payload, Phase: m.spec.phase})
+		*out = radio.Message{Kind: radio.KindAck, TS: int(m.informedRound), Aux: heard.Aux, Payload: heard.Payload, Phase: m.spec.phase}
+		return true
 	}
-	return radio.Listen
+	return false
 }
 
 // wake is the round of the machine's only spontaneous decision, an x1
@@ -161,21 +174,30 @@ func (m *ackMachine) wake() int32 {
 	return m.firstRecv + 2
 }
 
-// AlgBack is the acknowledged broadcast algorithm Back (Algorithm 2) run at
-// a single node: algorithm B plus round-number timestamps (informedRound is
-// the timestamp on the first received µ, Lemma 3.5) and an acknowledgement
+// AckNode runs one acknowledged-broadcast machine at a single node: a
+// machine plus a round counter. With bSpec it is algorithm B (Algorithm
+// 1): decisions depend only on the 2-bit label and on the rounds in which
+// the node heard µ or "stay". With backSpec it is algorithm Back
+// (Algorithm 2): B plus round-number timestamps (informedRound is the
+// timestamp on the first received µ, Lemma 3.5) and an acknowledgement
 // chain. The unique node with x3 = 1 starts an "ack" carrying its
 // informedRound; a node that transmitted µ in exactly that round relays an
 // ack carrying its own informedRound; the chain's round numbers strictly
 // decrease (Lemma 3.7) until the source is reached.
-type AlgBack struct {
+type AckNode struct {
 	m     ackMachine
 	round int32
 }
 
-// NewAlgBack returns node state for algorithm Back with a 3-bit λack label.
-func NewAlgBack(label Label, sourceMsg *string) *AlgBack {
-	a := &AlgBack{m: ackMachine{label: label, spec: backSpec}}
+// NewAlgB returns node state for algorithm B with a 2-bit λ label (a
+// longer label's x3 is ignored). A node is the source iff sourceMsg is
+// non-nil.
+func NewAlgB(label Label, sourceMsg *string) *AckNode {
+	return newAckNode(label, sourceMsg, bSpec)
+}
+
+func newAckNode(label Label, sourceMsg *string, spec ackSpec) *AckNode {
+	a := &AckNode{m: ackMachine{label: label, spec: spec}}
 	if sourceMsg != nil {
 		a.m.origin = true
 		a.m.payload = *sourceMsg
@@ -183,38 +205,45 @@ func NewAlgBack(label Label, sourceMsg *string) *AlgBack {
 	return a
 }
 
-// Informed reports whether the node holds µ and its informedRound.
-func (a *AlgBack) Informed() (bool, int) {
+// Informed reports whether the node holds µ and the round it first
+// received it (0 for the source). Under Back that round is also the
+// node's informedRound (Lemma 3.5).
+func (a *AckNode) Informed() (bool, int) {
 	switch {
 	case a.m.origin:
 		return true, 0
 	case a.m.firstRecv != 0:
-		return true, int(a.m.informedRound)
+		return true, int(a.m.firstRecv)
 	}
 	return false, 0
 }
 
 // AckRound returns, at the source, the round in which an "ack" first
 // arrived (§3.2, Corollary 3.8), or 0 if none has.
-func (a *AlgBack) AckRound() int { return int(a.m.ackRound) }
+func (a *AckNode) AckRound() int { return int(a.m.ackRound) }
 
-// Step implements radio.Protocol, mirroring Algorithm 2.
-func (a *AlgBack) Step(rcv *radio.Message) radio.Action {
+// Step implements radio.Protocol, mirroring Algorithm 1 or 2. Its only
+// call into the machine is act; receive and transmit inline.
+func (a *AckNode) Step(rcv *radio.Message) radio.Action {
 	a.round++
+	m := &a.m
 	if rcv != nil {
-		a.m.receive(rcv, a.round-1)
+		m.receive(rcv, a.round-1)
 	}
-	if a.m.origin && !a.m.started() {
+	var msg radio.Message
+	if m.origin && !m.started() {
 		// lines 4-5: the source transmits (µ, 1) in its first round.
-		return a.m.start(a.round, a.m.payload, 0)
+		m.transmit(a.round, 1, &msg)
+	} else if !m.act(a.round, rcv, &msg) {
+		return radio.Listen
 	}
-	return a.m.act(a.round, rcv)
+	return radio.Send(msg)
 }
 
-// NextWake implements radio.Waker. Like B, Back is reactive: beyond the
-// source's opening transmission (round 1 is always stepped), its only
-// spontaneous round is the machine's wake.
-func (a *AlgBack) NextWake() int {
+// NextWake implements radio.Waker. B and Back are reactive: beyond the
+// source's opening transmission (round 1 is always stepped), a node's
+// only spontaneous round is the machine's wake.
+func (a *AckNode) NextWake() int {
 	if w := a.m.wake(); w > a.round {
 		return int(w)
 	}
@@ -222,19 +251,29 @@ func (a *AlgBack) NextWake() int {
 }
 
 // Skip implements radio.Waker.
-func (a *AlgBack) Skip(rounds int) { a.round += int32(rounds) }
+func (a *AckNode) Skip(rounds int) { a.round += int32(rounds) }
 
-// NewBackProtocols builds one AlgBack instance per node, carved from one
-// bulk allocation.
+// NewBProtocols builds one algorithm-B node per node for the given
+// labeling and source message.
+func NewBProtocols(labels []Label, source int, mu string) []radio.Protocol {
+	return newAckProtocols(labels, source, mu, bSpec)
+}
+
+// NewBackProtocols builds one algorithm-Back node per node.
 func NewBackProtocols(labels []Label, source int, mu string) []radio.Protocol {
-	nodes := make([]AlgBack, len(labels))
+	return newAckProtocols(labels, source, mu, backSpec)
+}
+
+// newAckProtocols carves one AckNode per label from one bulk allocation,
+// so a label-once/run-many loop stays allocation-light.
+func newAckProtocols(labels []Label, source int, mu string, spec ackSpec) []radio.Protocol {
+	nodes := make([]AckNode, len(labels))
 	ps := make([]radio.Protocol, len(labels))
-	for v := range labels {
-		var src *string
+	for v, lab := range labels {
+		nodes[v].m = ackMachine{label: lab, spec: spec, origin: v == source}
 		if v == source {
-			src = &mu
+			nodes[v].m.payload = mu
 		}
-		nodes[v] = *NewAlgBack(labels[v], src)
 		ps[v] = &nodes[v]
 	}
 	return ps

@@ -233,11 +233,11 @@ func TestRunCommonRound(t *testing.T) {
 
 func TestAlgBackInformedAccessor(t *testing.T) {
 	mu := "m"
-	src := NewAlgBack(MustParseLabel("100"), &mu)
+	src := newAckNode(MustParseLabel("100"), &mu, backSpec)
 	if ok, r := src.Informed(); !ok || r != 0 {
 		t.Fatal("source accessor wrong")
 	}
-	other := NewAlgBack(MustParseLabel("000"), nil)
+	other := newAckNode(MustParseLabel("000"), nil, backSpec)
 	if ok, _ := other.Informed(); ok {
 		t.Fatal("fresh node informed")
 	}
@@ -333,7 +333,7 @@ func TestAckMachineTimestampRun(t *testing.T) {
 				}
 				back := NewBackProtocols(lack.Labels, src, "m")
 				retx += checkTimestampRun(t, g, back, model(seed), func(v int, _ uint8) *ackMachine {
-					return &back[v].(*AlgBack).m
+					return &back[v].(*AckNode).m
 				})
 				larb, err := LambdaArb(g, int(seed*5)%n, BuildOptions{})
 				if err != nil {
@@ -373,7 +373,7 @@ func TestAlgBackRelaysOnlyOwnTimestamps(t *testing.T) {
 		}
 	}
 	script := radio.CompiledScript(rounds, msgs)
-	ps := []radio.Protocol{&script, NewAlgBack(MustParseLabel("100"), nil)}
+	ps := []radio.Protocol{&script, newAckNode(MustParseLabel("100"), nil, backSpec)}
 	res := radio.Run(graph.Path(2), ps, radio.Options{MaxRounds: rounds[len(rounds)-1] + 2})
 
 	var got []radio.Reception

@@ -6,7 +6,8 @@ import (
 
 // AlgBarb is the arbitrary-source algorithm of §4.2: the node labeled 111
 // (the coordinator r chosen by λarb) drives three phases, each one run of
-// Back's acknowledged-broadcast machine (barbSpecs):
+// the acknowledged-broadcast machine that also runs B and Back
+// (barbSpecs):
 //
 //  1. acknowledged broadcast of "initialize" from r; each node v stores the
 //     timestamp t_v of its first "initialize"; the x3 node z appends T = t_z
@@ -63,18 +64,22 @@ func (a *AlgBarb) Step(rcv *radio.Message) radio.Action {
 	}
 
 	// Coordinator bootstrapping and phase transitions.
+	var act radio.Action
 	if a.isR {
 		if !a.p[0].started() {
-			return a.p[0].start(r, "initialize", 0)
+			act.Transmit = a.p[0].start(r, "initialize", 0, &act.Msg)
+			return act
 		}
 		if a.phase2StartAt == r {
-			return a.p[1].start(r, "", a.t)
+			act.Transmit = a.p[1].start(r, "", a.t, &act.Msg)
+			return act
 		}
 		if a.phase3StartAt == r {
 			// Phase-3 start: r knows completion T−1 rounds after this
 			// transmission (its own phase-local reception round is 0).
 			a.KnowsCompleteRound = int(r + a.t - 1)
-			return a.p[2].start(r, a.mu, 0)
+			act.Transmit = a.p[2].start(r, a.mu, 0, &act.Msg)
+			return act
 		}
 	}
 
@@ -88,7 +93,8 @@ func (a *AlgBarb) Step(rcv *radio.Message) radio.Action {
 	// Standard per-phase duties; later phases take precedence (by the
 	// phase-separation argument at most one phase is active per round).
 	for i := 2; i >= 0; i-- {
-		if act := a.p[i].act(r, rcv); act.Transmit {
+		if a.p[i].act(r, rcv, &act.Msg) {
+			act.Transmit = true
 			return act
 		}
 	}

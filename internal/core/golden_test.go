@@ -117,7 +117,7 @@ func TestBackQuiescenceAfterAck(t *testing.T) {
 		t.Fatal(err)
 	}
 	ps := NewBackProtocols(l.Labels, 0, "m")
-	src := ps[0].(*AlgBack)
+	src := ps[0].(*AckNode)
 	res := radio.Run(g, ps, radio.Options{MaxRounds: 6 * g.N()})
 	ack := src.AckRound()
 	if ack == 0 {

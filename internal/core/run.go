@@ -110,7 +110,7 @@ type AckOutcome struct {
 func PlanAcknowledged(g *graph.Graph, l *Labeling, source int, mu string) ([]radio.Protocol, radio.Options, func(*radio.Result) *AckOutcome) {
 	n := g.N()
 	ps := NewBackProtocols(l.Labels, source, mu)
-	src := ps[source].(*AlgBack)
+	src := ps[source].(*AckNode)
 	base := radio.Options{
 		MaxRounds:       3*n + 6,
 		StopAfterSilent: 3,
@@ -181,8 +181,8 @@ func RunCommonRound(g *graph.Graph, source int, mu string, opt BuildOptions) (*C
 		return nil, fmt.Errorf("core: acknowledged broadcast failed")
 	}
 	out := &CommonRoundOutcome{Ack: ack, M: ack.AckRound, CommonRound: 2 * ack.AckRound}
-	// Second execution: B with message m over the same labels (AlgB reads
-	// the 2-bit prefix and ignores x3).
+	// Second execution: B with message m over the same labels (B starts
+	// no ack, so it ignores z's x3 bit).
 	ps, base, asmB := PlanBroadcast(g, l, source, fmt.Sprintf("%d", out.M))
 	out.SecondCompletion = asmB(radio.Run(g, ps, base)).CompletionRound
 	return out, nil

@@ -1,3 +1,19 @@
+// Package gjp is a bounded 1-bit echo search adapted from
+// Gańczorz–Jurdziński–Pelc, "Optimal-Length Labeling Schemes for Fast
+// Deterministic Communication in Radio Networks" (arXiv:2410.07382).
+// Only that paper's 1-bit idea is taken here, and none of its guarantees
+// is claimed.
+//
+// The protocol is algorithm B over the 2-bit labels 10 and 01: a node's
+// bit b becomes x1 = b, x2 = ¬b. So a newly informed bit-1 node forwards
+// µ two rounds after first hearing it, a newly informed bit-0 node sends
+// "stay" one round after, and a transmitter that hears a lone "stay"
+// retransmits µ, which keeps the wave alive where no bit-1 node was newly
+// informed. Build picks the bits by a bounded backtracking search over an
+// exact simulation of the stages. It is not universal: it fails where no
+// 1-bit labeling exists (Figure 1) and where the search misses one within
+// its budget, and every labeling it returns has been verified by running
+// the protocol.
 package gjp
 
 import (
@@ -31,9 +47,28 @@ const (
 // its budget.
 var ErrNoLabeling = errors.New("no 1-bit labeling found")
 
-// Build computes a 1-bit labeling under which the echo-controlled
-// protocol (see Node) completes broadcast from source, by exact
-// simulation of the stage dynamics with backtracking.
+// NewProtocols builds the protocol for a 1-bit labeling: algorithm B
+// over the labels (b, ¬b).
+func NewProtocols(labels []core.Label, source int, mu string) []radio.Protocol {
+	one, zero := core.MakeLabel(true, false), core.MakeLabel(false, true)
+	bLabels := make([]core.Label, len(labels))
+	for v, l := range labels {
+		bLabels[v] = zero
+		if l.Bit(0) {
+			bLabels[v] = one
+		}
+	}
+	return core.NewBProtocols(bLabels, source, mu)
+}
+
+// MaxRounds bounds a run: the wave informs at least one node every two
+// rounds while it is alive, plus slack for the opening and the final
+// echo/forward pair.
+func MaxRounds(n int) int { return 2*n + 4 }
+
+// Build computes a 1-bit labeling under which the protocol (see
+// NewProtocols) completes broadcast from source, by exact simulation of
+// the stage dynamics with backtracking.
 //
 // The dynamics are deterministic given the bits, so construction walks
 // data rounds d = 1, 3, 5, …: the transmitter set T of round d newly
@@ -44,11 +79,10 @@ var ErrNoLabeling = errors.New("no 1-bit labeling found")
 // whose every candidate informs nobody is a dead end and backtracks;
 // budget bounds the total candidate evaluations.
 //
-// Like the scheme it adapts, 1-bit broadcast is not universal: Build
-// returns an error wrapping ErrNoLabeling when no assignment within
-// budget sustains the wave.
-// Every labeling returned has been verified by running the real protocol
-// on the engine.
+// Broadcast under this protocol is not universal: Build returns an error
+// wrapping ErrNoLabeling when no assignment within budget sustains the
+// wave. Every labeling returned has been verified by running the real
+// protocol on the engine.
 func Build(g *graph.Graph, source int, budget int) ([]core.Label, error) {
 	n := g.N()
 	if source < 0 || source >= n {
@@ -307,16 +341,15 @@ func (b *builder) step(T, newly []int, sel []bool) (next []int, score int) {
 }
 
 // verify runs the real protocol over the constructed labeling and
-// confirms complete broadcast — the constructive simulation and the
-// engine must agree, so a failure here is a bug, not a search miss. It
-// runs on a clone of g, so the engine's slab form is not left cached on
-// the labeled graph.
+// confirms that every node but the source received µ — the constructive
+// simulation and the engine must agree, so a failure here is a bug, not
+// a search miss. It runs on a clone of g, so the engine's slab form is
+// not left cached on the labeled graph.
 func verify(g *graph.Graph, labels []core.Label, source int) error {
-	mu := "µ"
-	ps := NewProtocols(labels, source, mu)
-	radio.Run(g.Clone(), ps, radio.Options{MaxRounds: MaxRounds(g.N()), StopAfterSilent: 3})
-	for v, p := range ps {
-		if ok, _ := p.(*Node).Informed(); !ok {
+	ps := NewProtocols(labels, source, "µ")
+	res := radio.Run(g.Clone(), ps, radio.Options{MaxRounds: MaxRounds(g.N()), StopAfterSilent: 3})
+	for v := range labels {
+		if v != source && res.FirstReception(v, radio.KindData) == radio.NoReception {
 			return fmt.Errorf("gjp: internal error: constructed labeling leaves node %d uninformed", v)
 		}
 	}

@@ -10,19 +10,19 @@ import (
 )
 
 // complete runs the constructed labeling through the real engine and
-// reports whether every node ends up informed.
+// reports whether every node ends up informed with µ.
 func complete(t *testing.T, g *graph.Graph, labels []core.Label, source int) bool {
 	t.Helper()
 	mu := "µ"
-	ps := NewProtocols(labels, source, mu)
-	radio.Run(g, ps, radio.Options{MaxRounds: MaxRounds(g.N()), StopAfterSilent: 3})
-	for _, p := range ps {
-		ok, _ := p.(*Node).Informed()
-		if !ok {
+	res := radio.Run(g, NewProtocols(labels, source, mu), radio.Options{MaxRounds: MaxRounds(g.N()), StopAfterSilent: 3})
+	for v := range labels {
+		if v != source && res.FirstReception(v, radio.KindData) == radio.NoReception {
 			return false
 		}
-		if got := p.(*Node).Message(); got != mu {
-			t.Fatalf("informed node holds %q, want %q", got, mu)
+		for _, rec := range res.Receives[v] {
+			if rec.Msg.Kind == radio.KindData && rec.Msg.Payload != mu {
+				t.Fatalf("node %d received payload %q, want %q", v, rec.Msg.Payload, mu)
+			}
 		}
 	}
 	return true
@@ -125,14 +125,22 @@ func TestBuildQuickBudget(t *testing.T) {
 	}
 }
 
-// TestProtocolTiming exercises the node state machine directly on a
-// 3-path with the middle node labeled 1: source sends in round 1, the
-// bit-1 middle node forwards µ at informedAt+2.
+// bits returns a 1-bit labeling spelled by bs.
+func bits(bs ...bool) []core.Label {
+	labels := make([]core.Label, len(bs))
+	for v, b := range bs {
+		labels[v] = core.MakeLabel(b)
+	}
+	return labels
+}
+
+// TestProtocolTiming steps the nodes of a 3-path with the middle node
+// labeled 1 directly: the source sends in round 1, the bit-1 middle node
+// forwards µ two rounds after hearing it.
 func TestProtocolTiming(t *testing.T) {
 	mu := "µ"
-	src := NewNode(core.MakeLabel(false), &mu)
-	mid := NewNode(core.MakeLabel(true), nil)
-	end := NewNode(core.MakeLabel(false), nil)
+	ps := NewProtocols(bits(false, true, false), 0, mu)
+	src, mid, end := ps[0], ps[1], ps[2]
 
 	// Round 1: source transmits; receptions are delivered at the NEXT
 	// round's Step (the engine hands round r−1's airwaves to round r).
@@ -143,15 +151,15 @@ func TestProtocolTiming(t *testing.T) {
 	mid.Step(nil)
 	end.Step(nil)
 
-	// Round 2: middle processes the µ it heard in round 1 (informedAt=1);
-	// it is bit-1, so no echo and no transmission yet.
+	// Round 2: middle processes the µ it heard in round 1; it is bit-1
+	// (x2 = 0), so no echo and no transmission yet.
 	src.Step(nil)
 	if a := mid.Step(&radio.Message{Kind: radio.KindData, Payload: mu}); a.Transmit {
 		t.Fatalf("bit-1 node acted on reception round: %+v", a)
 	}
 	end.Step(nil)
 
-	// Round 3 (= informedAt+2): middle forwards µ.
+	// Round 3 (two rounds after hearing µ): middle forwards µ.
 	src.Step(nil)
 	if a := mid.Step(nil); !a.Transmit || a.Msg.Kind != radio.KindData || a.Msg.Payload != mu {
 		t.Fatalf("middle round 3: %+v", a)
@@ -160,32 +168,32 @@ func TestProtocolTiming(t *testing.T) {
 
 	// Round 4: end processes the forwarded µ — informed as of round 3.
 	end.Step(&radio.Message{Kind: radio.KindData, Payload: mu})
-	if ok, at := end.Informed(); !ok || at != 3 {
+	if ok, at := end.(*core.AckNode).Informed(); !ok || at != 3 {
 		t.Fatalf("end Informed = %v at %d, want round 3", ok, at)
 	}
 }
 
-// TestProtocolEchoKeepsWaveAlive: a bit-0 node answers with a stay echo
-// at informedAt+1, and the transmitter that hears the lone echo
-// retransmits µ one round later.
+// TestProtocolEchoKeepsWaveAlive: a bit-0 node (x2 = 1) answers with a
+// "stay" echo one round after hearing µ, and the transmitter that hears
+// the lone echo retransmits µ one round later.
 func TestProtocolEchoKeepsWaveAlive(t *testing.T) {
 	mu := "µ"
-	src := NewNode(core.MakeLabel(false), &mu)
-	zero := NewNode(core.MakeLabel(false), nil)
+	ps := NewProtocols(bits(false, false), 0, mu)
+	src, zero := ps[0], ps[1]
 
 	src.Step(nil) // round 1: transmit µ
 	zero.Step(nil)
 
-	// Round 2: the bit-0 node processes the reception (informedAt=1) and
-	// echoes in the same step.
+	// Round 2: the bit-0 node processes the reception and echoes in the
+	// same step.
 	src.Step(nil)
 	a := zero.Step(&radio.Message{Kind: radio.KindData, Payload: mu})
 	if !a.Transmit || a.Msg.Kind != radio.KindStay {
 		t.Fatalf("bit-0 node round 2: %+v", a)
 	}
 
-	// Round 3: the source processes the lone echo (echoAt=2) and, having
-	// last sent µ in round 1 (= r−2), retransmits to keep the wave alive.
+	// Round 3: the source processes the lone echo and, having last sent
+	// µ in round 1 (= r−2), retransmits to keep the wave alive.
 	if a := src.Step(&radio.Message{Kind: radio.KindStay}); !a.Transmit || a.Msg.Kind != radio.KindData || a.Msg.Payload != mu {
 		t.Fatalf("source after lone echo: %+v", a)
 	}

@@ -49,9 +49,31 @@ func verifyCollisionFree(out *Outcome, scheme string) error {
 	return nil
 }
 
+// slottedScheme is the run half shared by the two slotted baselines:
+// both run baseline.Slotted over their labels and must never collide.
+type slottedScheme struct{}
+
+func (slottedScheme) Protocols(l *Labeling, source int, mu string) ([]Protocol, error) {
+	return baseline.NewSlottedProtocols(l.Labels, source, mu), nil
+}
+
+func (s slottedScheme) Run(l *Labeling, source int, cfg *Config) (*Outcome, error) {
+	if err := l.checkLabels(); err != nil {
+		return nil, err
+	}
+	ps, _ := s.Protocols(l, source, cfg.Mu)
+	maxRounds := baseline.SlottedMaxRounds(l.Graph, source, l.Bits())
+	out := baseline.Observe(l.Graph, ps, source, cfg.radioOptions(radio.Options{MaxRounds: maxRounds}))
+	return baselineOutcome(out), nil
+}
+
+func (slottedScheme) Verify(out *Outcome) error {
+	return verifyCollisionFree(out, out.Scheme)
+}
+
 // roundRobinScheme adapts the classical O(log n)-bit distinct-identifier
 // baseline: node v transmits µ exactly in slot v of a 2^⌈log₂ n⌉ period.
-type roundRobinScheme struct{}
+type roundRobinScheme struct{ slottedScheme }
 
 func (roundRobinScheme) Name() string { return "roundrobin" }
 func (roundRobinScheme) Describe() string {
@@ -65,27 +87,9 @@ func (roundRobinScheme) Label(g *Graph, source int, _ *Config) (*Labeling, error
 	}, nil
 }
 
-func (roundRobinScheme) Protocols(l *Labeling, source int, mu string) ([]Protocol, error) {
-	return baseline.NewRoundRobinProtocols(l.Labels, source, mu), nil
-}
-
-func (r roundRobinScheme) Run(l *Labeling, source int, cfg *Config) (*Outcome, error) {
-	if err := l.checkLabels(); err != nil {
-		return nil, err
-	}
-	ps, _ := r.Protocols(l, source, cfg.Mu)
-	maxRounds := baseline.SlottedMaxRounds(l.Graph, source, l.Bits())
-	out := baseline.Observe(l.Graph, ps, source, cfg.radioOptions(radio.Options{MaxRounds: maxRounds}))
-	return baselineOutcome(out), nil
-}
-
-func (roundRobinScheme) Verify(out *Outcome) error {
-	return verifyCollisionFree(out, "roundrobin")
-}
-
 // colorRobinScheme adapts the O(log Δ)-bit distance-2-colouring baseline:
 // informed nodes transmit in the slot of their colour.
-type colorRobinScheme struct{}
+type colorRobinScheme struct{ slottedScheme }
 
 func (colorRobinScheme) Name() string { return "colorrobin" }
 func (colorRobinScheme) Describe() string {
@@ -98,24 +102,6 @@ func (colorRobinScheme) Label(g *Graph, source int, _ *Config) (*Labeling, error
 		Scheme: "colorrobin", Graph: g, Source: source,
 		Labels: labels, Z: -1, R: -1,
 	}, nil
-}
-
-func (colorRobinScheme) Protocols(l *Labeling, source int, mu string) ([]Protocol, error) {
-	return baseline.NewColorRobinProtocols(l.Labels, source, mu), nil
-}
-
-func (c colorRobinScheme) Run(l *Labeling, source int, cfg *Config) (*Outcome, error) {
-	if err := l.checkLabels(); err != nil {
-		return nil, err
-	}
-	ps, _ := c.Protocols(l, source, cfg.Mu)
-	maxRounds := baseline.SlottedMaxRounds(l.Graph, source, l.Bits())
-	out := baseline.Observe(l.Graph, ps, source, cfg.radioOptions(radio.Options{MaxRounds: maxRounds}))
-	return baselineOutcome(out), nil
-}
-
-func (colorRobinScheme) Verify(out *Outcome) error {
-	return verifyCollisionFree(out, "colorrobin")
 }
 
 // centralizedScheme adapts the known-topology reference point: a greedy

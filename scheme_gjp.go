@@ -13,23 +13,23 @@ func init() {
 	Register(gjpScheme{})
 }
 
-// gjpScheme adapts the optimal-length scheme of Gańczorz–Jurdziński–Pelc
-// (arXiv:2410.07382), which closes the paper's open question on the
-// shortest labels enabling deterministic radio broadcast. The adaptation
-// keeps their 1-bit mechanism on this repo's engine: a newly informed
-// bit-1 node forwards µ two rounds after first hearing it, a newly
-// informed bit-0 node sends a constant-size "stay" echo one round after,
-// and a transmitter hearing a collision-free echo retransmits µ — so the
-// echo steers the wave through regions with no fresh forwarders. Labels
-// are constructed by exact stage simulation with backtracking and every
-// labeling is verified against the engine before being returned; Label
-// fails with ErrNoLabeling when no 1-bit assignment sustains the wave
-// (echo-controlled 1-bit broadcast, like onebit, is not universal).
+// gjpScheme is a bounded 1-bit echo search adapted from
+// Gańczorz–Jurdziński–Pelc (arXiv:2410.07382); it takes only that
+// paper's 1-bit idea and claims none of its guarantees. The protocol is
+// algorithm B over the labels 10 and 01: a node's bit b becomes x1 = b,
+// x2 = ¬b, so a newly informed bit-1 node forwards µ and a bit-0 node
+// answers with "stay", which makes a transmitter that hears it alone
+// retransmit. gjp.Build picks the bits by a bounded backtracking search
+// over an exact stage simulation and verifies every labeling on the
+// engine. Label fails with ErrNoLabeling where no 1-bit labeling exists
+// (figure1) and where the search finds none within its budget (README's
+// scheme table lists where a probe met that). Like onebit, the scheme is
+// not universal.
 type gjpScheme struct{}
 
 func (gjpScheme) Name() string { return "gjp" }
 func (gjpScheme) Describe() string {
-	return "1-bit echo-controlled forwarding (Gańczorz–Jurdziński–Pelc optimal length), constructed by exact simulation"
+	return "bounded 1-bit echo search adapted from Gańczorz–Jurdziński–Pelc: algorithm B over labels 10/01 (not universal)"
 }
 
 func (gjpScheme) Label(g *Graph, source int, cfg *Config) (*Labeling, error) {
