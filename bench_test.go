@@ -93,6 +93,64 @@ func BenchmarkBitCSR(b *testing.B) {
 	}
 }
 
+// BenchmarkFreeze times Graph.Freeze turning an edit buffer into the CSR
+// on BenchmarkLabeling's cells, renumbered by a random permutation so
+// the buffer arrives unsorted, as an uploaded edge list does. The edits
+// are made with the timer stopped, a batch of graphs at a time so that
+// stopping it costs little, and the batch holds about 2²⁰ edges.
+func BenchmarkFreeze(b *testing.B) {
+	for _, fam := range benchFamilies {
+		for _, n := range benchSizes {
+			base := benchNet(b, fam, n).Graph.Edges()
+			perm := graph.RandomPermutation(n, 2)
+			edges := make([][2]int, len(base))
+			for i, e := range base {
+				edges[i] = [2]int{perm[e[0]], perm[e[1]]}
+			}
+			batch := make([]*graph.Graph, max(1, min(64, (1<<20)/len(edges))))
+			b.Run(fmt.Sprintf("%s/n=%d", fam, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i += len(batch) {
+					b.StopTimer()
+					k := min(len(batch), b.N-i)
+					for j := range batch[:k] {
+						g := graph.New(n)
+						g.Grow(len(edges))
+						for _, e := range edges {
+							g.AddEdge(e[0], e[1])
+						}
+						batch[j] = g
+					}
+					b.StartTimer()
+					for _, g := range batch[:k] {
+						g.Freeze()
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkFingerprint times the first Fingerprint call of a frozen graph
+// on BenchmarkLabeling's cells: the FNV-1a hash of its CSR, which a
+// graph computes once, when a cache key first asks for it. A graph keeps
+// its hash, so each iteration hashes a fresh Clone of an unhashed graph
+// (two small allocations besides the hash).
+func BenchmarkFingerprint(b *testing.B) {
+	for _, fam := range benchFamilies {
+		for _, n := range benchSizes {
+			g := benchNet(b, fam, n).Graph
+			g.Freeze()
+			b.Run(fmt.Sprintf("%s/n=%d", fam, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					g.Clone().Fingerprint()
+				}
+			})
+		}
+	}
+}
+
 // codecCell is one of BenchmarkLabeling's cells with its λ labeling and
 // the labeling's wire bytes.
 type codecCell struct {

@@ -252,7 +252,7 @@ func (l *Labeling) decode(data []byte, known *Graph) error {
 			if err != nil {
 				return err
 			}
-			if labels[v], err = core.ParseLabel(string(b)); err != nil {
+			if labels[v], err = core.ParseLabel(b); err != nil {
 				return fmt.Errorf("radiobcast: labeling codec: node %d: %w", v, err)
 			}
 		}
@@ -349,7 +349,12 @@ func WriteLabeling(w io.Writer, l *Labeling) error {
 }
 
 // ReadLabeling reads one labeling in the wire format from r (consuming r
-// to EOF) and returns it ready for RunLabeled.
+// to EOF) and returns it ready for RunLabeled. The labeling's graph is
+// decoded straight into its CSR and is not hashed: its Fingerprint is
+// computed if and when a caller asks for it. r is read with io.ReadAll,
+// which regrows its buffer as the input arrives; the typed client and
+// the daemon know an HTTP body's length up front, so they read it into
+// one buffer of that size and call UnmarshalBinary instead.
 func ReadLabeling(r io.Reader) (*Labeling, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -364,42 +369,62 @@ func ReadLabeling(r io.Reader) (*Labeling, error) {
 
 // decoder reads the wire format with every count bounded by the remaining
 // input, so corrupt length fields fail instead of allocating. Error text
-// is built only on the error path.
+// is built only on the error path. It advances an offset instead of
+// re-slicing buf: storing a slice header back into *d would make every
+// read pay a GC write barrier while a collection runs.
 type decoder struct {
 	buf []byte
+	off int // buf[off:] is the unread input
 }
 
-func (d *decoder) rem() int { return len(d.buf) }
+func (d *decoder) rem() int { return len(d.buf) - d.off }
 
 func (d *decoder) byte(what string) (byte, error) {
-	if len(d.buf) == 0 {
+	if d.off == len(d.buf) {
 		return 0, fmt.Errorf("radiobcast: labeling codec: truncated at %s", what)
 	}
-	b := d.buf[0]
-	d.buf = d.buf[1:]
-	return b, nil
+	d.off++
+	return d.buf[d.off-1], nil
+}
+
+// short reads a uvarint of one or two bytes, the encoding of every node
+// id and count below 2¹⁴, and reports false, reading nothing, for any
+// other. It makes no call, so it inlines: the per-edge, per-label and
+// per-node reads try it first and fall back to varuint.
+func (d *decoder) short() (int, bool) {
+	if b := d.buf[d.off:]; len(b) > 0 && b[0] < 0x80 {
+		d.off++
+		return int(b[0]), true
+	} else if len(b) > 1 && b[1] < 0x80 {
+		d.off += 2
+		return int(b[0]&0x7f) | int(b[1])<<7, true
+	}
+	return 0, false
 }
 
 // varuint reads a uvarint that must fit int32 (so the conversion below
 // is safe even where int is 32 bits).
 func (d *decoder) varuint(what string) (int, error) {
-	v, k := binary.Uvarint(d.buf)
+	if v, ok := d.short(); ok {
+		return v, nil
+	}
+	v, k := binary.Uvarint(d.buf[d.off:])
 	if k <= 0 {
 		return 0, fmt.Errorf("radiobcast: labeling codec: truncated or malformed uvarint at %s", what)
 	}
 	if v >= 1<<31 {
 		return 0, fmt.Errorf("radiobcast: labeling codec: %s %d implausibly large", what, v)
 	}
-	d.buf = d.buf[k:]
+	d.off += k
 	return int(v), nil
 }
 
 func (d *decoder) varint(what string) (int, error) {
-	v, k := binary.Varint(d.buf)
+	v, k := binary.Varint(d.buf[d.off:])
 	if k <= 0 {
 		return 0, fmt.Errorf("radiobcast: labeling codec: truncated or malformed varint at %s", what)
 	}
-	d.buf = d.buf[k:]
+	d.off += k
 	if v >= 1<<31 || v < -(1<<31) {
 		return 0, fmt.Errorf("radiobcast: labeling codec: %s %d implausibly large", what, v)
 	}
@@ -410,11 +435,14 @@ func (d *decoder) varint(what string) (int, error) {
 // least minBytesPer bytes per counted element, bounding any subsequent
 // allocation by the input size.
 func (d *decoder) count(what string, minBytesPer int) (int, error) {
-	v, err := d.varuint(what)
-	if err != nil {
-		return 0, err
+	v, ok := d.short()
+	if !ok {
+		var err error
+		if v, err = d.varuint(what); err != nil {
+			return 0, err
+		}
 	}
-	if v*minBytesPer > len(d.buf) {
+	if v*minBytesPer > d.rem() {
 		return 0, fmt.Errorf("radiobcast: labeling codec: %s %d exceeds remaining input", what, v)
 	}
 	return v, nil
@@ -427,17 +455,17 @@ func (d *decoder) bytes(what string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := d.buf[:k]
-	d.buf = d.buf[k:]
-	return b, nil
+	d.off += k
+	return d.buf[d.off-k : d.off], nil
 }
 
 // graph reads m edges into a fresh n-node graph, which must be simple
-// and connected.
+// and connected. The edges go straight into the graph's CSR as keys
+// (graph.FromEdgeKeys), with no edit buffer; a canonical blob lists them
+// in ascending key order, so sorting them takes one pass.
 func (d *decoder) graph(n, m int) (*Graph, error) {
-	g := graph.New(n)
-	g.Grow(m)
-	for i := 0; i < m; i++ {
+	keys := make([]int64, m)
+	for i := range keys {
 		u, v, err := d.edge()
 		if err != nil {
 			return nil, err
@@ -445,8 +473,9 @@ func (d *decoder) graph(n, m int) (*Graph, error) {
 		if u >= n || v >= n || u == v {
 			return nil, fmt.Errorf("radiobcast: labeling codec: bad edge {%d,%d} in %d-node graph", u, v, n)
 		}
-		g.AddEdge(u, v)
+		keys[i] = int64(min(u, v))*int64(n) + int64(max(u, v))
 	}
+	g := graph.FromEdgeKeys(n, keys)
 	if g.M() != m {
 		return nil, fmt.Errorf("radiobcast: labeling codec: duplicate edges (%d listed, %d distinct)", m, g.M())
 	}
@@ -481,18 +510,26 @@ func (d *decoder) knownGraph(known *Graph, n, m int) error {
 }
 
 func (d *decoder) edge() (u, v int, err error) {
-	if u, err = d.varuint("edge endpoint"); err != nil {
-		return 0, 0, err
+	u, ok := d.short()
+	if !ok {
+		if u, err = d.varuint("edge endpoint"); err != nil {
+			return 0, 0, err
+		}
 	}
-	v, err = d.varuint("edge endpoint")
+	if v, ok = d.short(); !ok {
+		v, err = d.varuint("edge endpoint")
+	}
 	return u, v, err
 }
 
 // node reads one node id, which must lie in [0, n).
 func (d *decoder) node(what string, n int) (int, error) {
-	v, err := d.varuint(what)
-	if err != nil {
-		return 0, err
+	v, ok := d.short()
+	if !ok {
+		var err error
+		if v, err = d.varuint(what); err != nil {
+			return 0, err
+		}
 	}
 	if v >= n {
 		return 0, fmt.Errorf("radiobcast: labeling codec: %s %d out of range [0,%d)", what, v, n)
@@ -503,11 +540,15 @@ func (d *decoder) node(what string, n int) (int, error) {
 // stageLists reads the stored DOM_i/NEW_i list pairs, which end the blob,
 // into one backing array. A uvarint ends at its only byte below 0x80, so
 // well-formed remaining input holds exactly that many uvarints: the
-// 2·stored list lengths and the nodes. Counting them sizes the array
-// once; a malformed section fails below.
+// 2·stored list lengths and the nodes. Counting them, eight bytes at a
+// time, sizes the array once; a malformed section fails below.
 func (d *decoder) stageLists(stored, n int) (doms, news [][]int32, err error) {
 	uvarints := 0
-	for _, b := range d.buf {
+	rest := d.buf[d.off:]
+	for ; len(rest) >= 8; rest = rest[8:] {
+		uvarints += bits.OnesCount64(^binary.LittleEndian.Uint64(rest) & 0x8080808080808080)
+	}
+	for _, b := range rest {
 		if b < 0x80 {
 			uvarints++
 		}

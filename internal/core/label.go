@@ -48,8 +48,9 @@ func MakeLabel(bits ...bool) Label {
 }
 
 // ParseLabel returns the label spelled by s, which must consist solely of
-// '0' and '1' and be at most MaxLabelBits long.
-func ParseLabel(s string) (Label, error) {
+// '0' and '1' and be at most MaxLabelBits long. It takes the bytes of a
+// wire blob as they are, without a string copy.
+func ParseLabel[T string | []byte](s T) (Label, error) {
 	if len(s) > MaxLabelBits {
 		return Label{}, fmt.Errorf("core: invalid label: %d bytes exceed the %d-bit limit", len(s), MaxLabelBits)
 	}
@@ -118,7 +119,7 @@ func (l Label) MarshalText() ([]byte, error) { return l.AppendText(nil) }
 // rules.
 func (l *Label) UnmarshalText(b []byte) error {
 	var err error
-	*l, err = ParseLabel(string(b))
+	*l, err = ParseLabel(b)
 	return err
 }
 

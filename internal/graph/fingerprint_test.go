@@ -1,6 +1,10 @@
 package graph
 
-import "testing"
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+)
 
 func TestFingerprintStructural(t *testing.T) {
 	a, b := Grid(4, 4), Grid(4, 4)
@@ -33,5 +37,53 @@ func TestFingerprintCached(t *testing.T) {
 	g := Grid(5, 5)
 	if g.Fingerprint() != g.Fingerprint() {
 		t.Fatal("fingerprint not stable across calls")
+	}
+}
+
+// TestFingerprintCarriedByClone: a clone shares its original's hash
+// until one of them is edited, and the edit clears only the edited
+// graph's.
+func TestFingerprintCarriedByClone(t *testing.T) {
+	g := Path(8)
+	want := g.Fingerprint()
+	c := g.Clone()
+	if c.fp.Load() != want {
+		t.Fatal("Clone dropped the cached fingerprint")
+	}
+	c.AddEdge(0, 7)
+	if c.Fingerprint() != Cycle(8).Fingerprint() || g.Fingerprint() != want {
+		t.Fatal("editing a clone did not rehash it alone")
+	}
+	if Path(8).Clone().Fingerprint() != want {
+		t.Fatal("an unhashed graph's clone hashes differently")
+	}
+}
+
+// TestFromEdgeKeysMatchesAddEdge: FromEdgeKeys builds the graph that
+// New and one AddEdge per key build, from keys in any order and with
+// repeats.
+func TestFromEdgeKeysMatchesAddEdge(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + r.Intn(40)
+		want := New(n)
+		var keys []int64
+		for k := r.Intn(3 * n); k > 0; k-- {
+			u, v := r.Intn(n), r.Intn(n)
+			if u == v {
+				continue
+			}
+			want.AddEdge(u, v)
+			keys = append(keys, int64(min(u, v))*int64(n)+int64(max(u, v)))
+			if r.Intn(4) == 0 {
+				keys = append(keys, keys[r.Intn(len(keys))])
+			}
+		}
+		got := FromEdgeKeys(n, keys)
+		if !reflect.DeepEqual(got.Freeze().Offsets, want.Freeze().Offsets) ||
+			!reflect.DeepEqual(got.Freeze().Targets, want.Freeze().Targets) ||
+			got.Fingerprint() != want.Fingerprint() {
+			t.Fatalf("trial %d (n=%d): FromEdgeKeys disagrees with AddEdge", trial, n)
+		}
 	}
 }

@@ -10,26 +10,33 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync/atomic"
 )
 
 // Graph is a simple undirected graph over nodes 0..n-1 whose adjacency is
 // its CSR (see Freeze). New, AddEdge and RemoveEdge only append to an edit
-// buffer; the first read turns the buffer into the CSR and the fingerprint
-// and drops it. Adjacency comes out sorted and duplicate-free, so every
-// downstream algorithm iterates neighbours in a deterministic order.
+// buffer; the first read turns the buffer into the CSR and drops it.
+// FromEdgeKeys builds the CSR directly. Adjacency comes out sorted and
+// duplicate-free, so every downstream algorithm iterates neighbours in a
+// deterministic order. The fingerprint is hashed on its first call, not
+// by the read that builds the CSR, since only cache keys read it.
 //
 // Edits belong before the first read: an edit after a read that changes
 // the graph reopens the buffer from the CSR, which costs O(m), so
 // builders that test membership while they add edges keep their own
 // state. A graph is read-only once it is shared: read it once (Freeze)
 // before handing it to other goroutines, and do not edit it afterwards.
+// Fingerprint may be called first by several goroutines at once.
 type Graph struct {
 	n int
 	// buf holds the edits since the last read: each is the edge key
 	// min·n+max shifted left one bit, with the low bit set for a removal.
 	buf []int64
 	csr *CSR // nil while edits are pending
-	fp  uint64
+	// fp caches the fingerprint of csr, 0 until the first Fingerprint
+	// call. It is atomic because that call may come from several
+	// goroutines sharing a frozen graph.
+	fp atomic.Uint64
 }
 
 // New returns an edgeless graph with n nodes.
@@ -94,6 +101,7 @@ func (g *Graph) edit(u, v int, removal int64) {
 			buf = append(buf, g.key(e[0], e[1])<<1)
 		}
 		g.buf, g.csr = buf, nil
+		g.fp.Store(0)
 	}
 	g.buf = append(g.buf, g.key(min(u, v), max(u, v))<<1|removal)
 }
@@ -101,9 +109,9 @@ func (g *Graph) edit(u, v int, removal int64) {
 func (g *Graph) key(u, v int) int64 { return int64(u)*int64(g.n) + int64(v) }
 
 // Freeze returns the CSR form of g. The first call after an edit builds it
-// from the edit buffer through edgesToCSR, computes the fingerprint and
-// drops the buffer; later calls return the same CSR, so callers on hot
-// paths just call Freeze every time. Every other read goes through it.
+// from the edit buffer through edgesToCSR and drops the buffer; later
+// calls return the same CSR, so callers on hot paths just call Freeze
+// every time. Every other read goes through it.
 func (g *Graph) Freeze() *CSR {
 	if g.csr != nil {
 		return g.csr
@@ -124,7 +132,6 @@ func (g *Graph) Freeze() *CSR {
 		}
 	}
 	g.csr = edgesToCSR(g.n, edges)
-	g.fp = fingerprint(g.csr)
 	g.buf = nil
 	return g.csr
 }
@@ -180,15 +187,16 @@ func (g *Graph) Edges() [][2]int {
 }
 
 // Clone returns a copy that edits do not tie to g. The two share the
-// immutable CSR arrays until one of them is edited, but not the slab
-// form the engine caches on a CSR (see CSR.Bits): runs on a clone leave
-// g without one, so a one-off run such as a labeling's self-check can
-// execute on a clone and leave nothing cached on the labeled graph.
+// immutable CSR arrays, and the fingerprint if g has hashed it, until one
+// of them is edited, but not the slab form the engine caches on a CSR
+// (see CSR.Bits): runs on a clone leave g without one, so a one-off run
+// such as a labeling's self-check can execute on a clone and leave
+// nothing cached on the labeled graph.
 func (g *Graph) Clone() *Graph {
 	csr := g.Freeze()
-	c := *g
-	c.csr = &CSR{Offsets: csr.Offsets, Targets: csr.Targets}
-	return &c
+	c := &Graph{n: g.n, csr: &CSR{Offsets: csr.Offsets, Targets: csr.Targets}}
+	c.fp.Store(g.fp.Load())
+	return c
 }
 
 // Validate checks the structural invariants of the CSR: offsets that

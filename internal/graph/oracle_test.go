@@ -294,19 +294,28 @@ func TestFirstReadDropsEditBuffer(t *testing.T) {
 func TestConcurrentReadsOfFrozenGraph(t *testing.T) {
 	g := GNPConnected(200, 0.05, 11)
 	g.Freeze()
-	wantBFS, wantEdges, wantFP := g.BFS(7), g.Edges(), g.Fingerprint()
+	wantBFS, wantEdges := g.BFS(7), g.Edges()
+	// The fingerprint comes from a twin, so that g is first hashed by the
+	// goroutines below, racing.
+	wantFP := GNPConnected(200, 0.05, 11).Fingerprint()
 	var wg sync.WaitGroup
+	start := make(chan struct{})
 	bits := make([]*BitCSR, 4)
 	for i := range bits {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			<-start
+			if g.Fingerprint() != wantFP {
+				t.Error("a racing first Fingerprint call disagrees with the twin's")
+			}
 			bits[i] = g.Freeze().Bits()
 			if !reflect.DeepEqual(g.BFS(7), wantBFS) || !reflect.DeepEqual(g.Edges(), wantEdges) || g.Fingerprint() != wantFP {
 				t.Error("concurrent read disagrees with the sequential one")
 			}
 		}()
 	}
+	close(start)
 	wg.Wait()
 	for _, b := range bits[1:] {
 		if !reflect.DeepEqual(b, bits[0]) {

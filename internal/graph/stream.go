@@ -1,14 +1,16 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // This file is the million-node construction path: a generator that
 // fills the edit buffer in O(m) instead of testing all n(n-1)/2 pairs,
 // and edgesToCSR, which turns sorted edge keys into the CSR on a graph's
-// first read.
+// first read or in FromEdgeKeys.
 
 // streamGNPThreshold is the size at which GNPConnected switches from the
 // quadratic pair loop to the streaming geometric-skip sampler. The two
@@ -55,16 +57,37 @@ func StreamGNPConnected(n int, p float64, seed int64) *Graph {
 	return &Graph{n: n, buf: keys}
 }
 
+// FromEdgeKeys returns the n-node graph whose edges are the keys
+// u·n+v, 0 ≤ u < v < n, with its CSR built straight from them and no
+// edit buffer. It sorts keys in place, which takes linear time when they
+// arrive in ascending order as a canonical edge list does, and drops a
+// key listed twice, so M counts the distinct edges. Keys out of that
+// range are a caller's bug: check them first.
+func FromEdgeKeys(n int, keys []int64) *Graph {
+	if n < 0 {
+		panic(fmt.Sprintf("graph: negative node count %d", n))
+	}
+	slices.Sort(keys)
+	return &Graph{n: n, csr: edgesToCSR(n, slices.Compact(keys))}
+}
+
 // edgesToCSR assembles sorted, deduplicated i*n+j edge keys (i < j) into
 // a CSR in two counting passes. Per-node target lists come out ascending:
 // for node v, the sub-v neighbours arrive while scanning rows 0..v-1 in
-// order, then v's own row appends the super-v neighbours in order.
+// order, then v's own row appends the super-v neighbours in order. The
+// keys ascend, so each pass finds a key's row i by moving a cursor over
+// the rows instead of dividing by n.
 func edgesToCSR(n int, edges []int64) *CSR {
+	n64 := int64(n)
 	offsets := make([]int32, n+1)
+	i, base := 0, int64(0) // the row cursor: base = i·n
 	for _, key := range edges {
-		i, j := key/int64(n), key%int64(n)
+		for key >= base+n64 {
+			i++
+			base += n64
+		}
 		offsets[i+1]++
-		offsets[j+1]++
+		offsets[key-base+1]++
 	}
 	for v := 0; v < n; v++ {
 		offsets[v+1] += offsets[v]
@@ -72,11 +95,16 @@ func edgesToCSR(n int, edges []int64) *CSR {
 	targets := make([]int32, 2*len(edges))
 	cursor := make([]int32, n)
 	copy(cursor, offsets[:n])
+	i, base = 0, 0
 	for _, key := range edges {
-		i, j := int32(key/int64(n)), int32(key%int64(n))
-		targets[cursor[i]] = j
+		for key >= base+n64 {
+			i++
+			base += n64
+		}
+		j := key - base
+		targets[cursor[i]] = int32(j)
 		cursor[i]++
-		targets[cursor[j]] = i
+		targets[cursor[j]] = int32(i)
 		cursor[j]++
 	}
 	return &CSR{Offsets: offsets, Targets: targets}

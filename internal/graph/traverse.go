@@ -50,18 +50,25 @@ func (g *Graph) Layers(src int) [][]int {
 }
 
 // IsConnected reports whether the graph is connected (a 0-node graph is
-// considered connected).
+// considered connected). It needs reachability, not distances, so it
+// walks the CSR from node 0 with a node queue and a seen mark per node.
 func (g *Graph) IsConnected() bool {
 	if g.n == 0 {
 		return true
 	}
-	dist := g.BFS(0)
-	for _, d := range dist {
-		if d == -1 {
-			return false
+	c := g.Freeze()
+	seen := make([]bool, g.n)
+	seen[0] = true
+	queue := make([]int32, 1, g.n)
+	for i := 0; i < len(queue); i++ {
+		for _, w := range c.Neighbors(int(queue[i])) {
+			if !seen[w] {
+				seen[w] = true
+				queue = append(queue, w)
+			}
 		}
 	}
-	return true
+	return len(queue) == g.n
 }
 
 // Eccentricity returns max_v dist(src, v). It panics on disconnected graphs.

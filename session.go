@@ -28,11 +28,12 @@ import (
 // single-flighted: one computes, the rest wait for it and share the
 // result. Stats reports hits, misses, coalesced waits and evictions.
 //
-// One caveat comes from Graph: its first read builds its CSR and
-// fingerprint from the edges added so far. When a single *Graph value is
-// shared by concurrent Runs, call its Freeze once before handing it out;
-// afterwards all uses are reads. Graphs from Session.Family are published
-// frozen already.
+// One caveat comes from Graph: its first read builds its CSR from the
+// edges added so far. When a single *Graph value is shared by concurrent
+// Runs, call its Freeze once before handing it out; afterwards all uses
+// are reads (the fingerprint, hashed on first use, may be first asked
+// for concurrently). Graphs from Session.Family are published frozen
+// and hashed already.
 type Session struct {
 	sims sync.Pool
 
@@ -405,10 +406,12 @@ func (s *Session) Close(ctx context.Context) error {
 //
 // Every call returns a fresh *Network, so the caller may set its Source
 // and Coordinator (At, Coordinated); "figure1" keeps its preset source.
-// The *Graph inside is shared between callers and is frozen (its CSR
-// and fingerprint built) before it is first returned. Shared graphs are
-// read-only: a caller must not AddEdge or RemoveEdge on it — clone it
-// first. The churn fault model edits a private copy of its CSR.
+// The *Graph inside is shared between callers, and its CSR and
+// fingerprint are built before it is first returned: the labeling cache
+// keys every request on it by the fingerprint, so the hash is paid once
+// per cached graph. Shared graphs are read-only: a caller must not
+// AddEdge or RemoveEdge on it — clone it first. The churn fault model
+// edits a private copy of its CSR.
 func (s *Session) Family(name string, n int) (*Network, error) {
 	key := familyKey{name, n}
 	s.mu.Lock()
@@ -423,7 +426,7 @@ func (s *Session) Family(name string, n int) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	net.Graph.Freeze()
+	net.Graph.Fingerprint() // freezes the graph, then hashes it
 	if s.capacity <= 0 {
 		return net, nil
 	}
@@ -627,8 +630,8 @@ func (s *Session) storeGet(key labelingKey, g *Graph) (*Labeling, bool) {
 		return nil, false
 	}
 	l := &Labeling{}
-	// Fingerprint freezes a freshly decoded graph, so it is read-only
-	// before the labeling is shared through the LRU.
+	// A decoded graph is frozen already; the preload hashes it here to
+	// check it against the key.
 	if err := l.decode(data, g); err != nil || l.Scheme != key.scheme ||
 		l.Graph.N() != key.n || l.Graph.M() != key.m ||
 		(g == nil && l.Graph.Fingerprint() != key.fp) {
