@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"radiobcast"
-	"radiobcast/internal/httpbody"
 )
 
 // Client speaks the radiobcastd HTTP API. The zero value is not usable;
@@ -90,17 +89,10 @@ func (c *Client) probe(ctx context.Context, path string) error {
 	return nil
 }
 
-// maxLabelingPrealloc caps the buffer Label sizes from a response's
-// Content-Length, so a false header cannot make the client allocate more
-// before the body arrives; a larger labeling still reads in full.
-const maxLabelingPrealloc = 8 << 20
-
 // Label asks the daemon for a labeling of the request's graph and returns
 // it decoded from the binary wire format, together with the metadata
-// envelope. The body is read into one buffer sized from its
-// Content-Length, then decoded. The labeling is ready for local
-// RunLabeled — or for shipping onwards, since it round-trips through
-// radiobcast.WriteLabeling.
+// envelope. The labeling is ready for local RunLabeled — or for shipping
+// onwards, since it round-trips through radiobcast.WriteLabeling.
 func (c *Client) Label(ctx context.Context, lr LabelRequest) (*radiobcast.Labeling, *LabelMeta, error) {
 	resp, err := c.postJSON(ctx, "/v1/label", lr, radiobcast.LabelingContentType)
 	if err != nil {
@@ -116,12 +108,8 @@ func (c *Client) Label(ctx context.Context, lr LabelRequest) (*radiobcast.Labeli
 			return nil, nil, fmt.Errorf("client: bad %s header: %w", MetaHeader, err)
 		}
 	}
-	blob, err := httpbody.ReadAll(resp.Body, min(resp.ContentLength, maxLabelingPrealloc))
+	l, err := radiobcast.ReadLabeling(resp.Body)
 	if err != nil {
-		return nil, nil, fmt.Errorf("client: decoding labeling: %w", err)
-	}
-	l := new(radiobcast.Labeling)
-	if err := l.UnmarshalBinary(blob); err != nil {
 		return nil, nil, fmt.Errorf("client: decoding labeling: %w", err)
 	}
 	return l, &meta, nil

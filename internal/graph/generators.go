@@ -223,8 +223,7 @@ func GNPConnected(n int, p float64, seed int64) *Graph {
 	if n >= streamGNPThreshold && p < 1 {
 		return StreamGNPConnected(n, p, seed)
 	}
-	src := rand.NewSource(seed)
-	r := rand.New(src)
+	r := rand.New(rand.NewSource(seed))
 	g := New(n)
 	parent := make([]int, n)
 	for i := 1; i < n; i++ {
@@ -233,21 +232,10 @@ func GNPConnected(n int, p float64, seed int64) *Graph {
 	}
 	// Each pair is visited once, so before its visit {i, j} is an edge
 	// only if it is a tree edge: the parent array answers that without
-	// the per-pair adjacency search. Each other pair makes the test
-	// r.Float64() < p straight on the source: Float64 is Int63/2⁶³,
-	// redrawn when that rounds to 1, and dividing by 2⁶³ is exact, so
-	// comparing Int63 with p·2⁶³ draws the same stream and decides alike.
-	threshold := p * (1 << 63)
+	// the per-pair adjacency search.
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			if parent[j] == i || parent[i] == j {
-				continue
-			}
-			x := float64(src.Int63())
-			for x == 1<<63 {
-				x = float64(src.Int63())
-			}
-			if x < threshold {
+			if parent[j] != i && parent[i] != j && r.Float64() < p {
 				g.AddEdge(i, j)
 			}
 		}

@@ -12,7 +12,6 @@ import (
 	"radiobcast"
 	"radiobcast/client"
 	"radiobcast/internal/graph"
-	"radiobcast/internal/httpbody"
 )
 
 // httpErr carries a pre-mapped (status, code, message) triple through the
@@ -233,17 +232,7 @@ func (s *Server) handleRunLabeled(w http.ResponseWriter, r *http.Request) int {
 		return writeError(w, http.StatusUnsupportedMediaType, "unsupported_media_type",
 			fmt.Sprintf("run-labeled takes a %s body, got %q", radiobcast.LabelingContentType, ct))
 	}
-	// The body is read into one buffer sized from its Content-Length,
-	// capped at the body limit the MaxBytesReader enforces.
-	size := r.ContentLength
-	if s.cfg.MaxBodyBytes > 0 {
-		size = min(size, s.cfg.MaxBodyBytes)
-	}
-	blob, err := httpbody.ReadAll(r.Body, size)
-	l := new(radiobcast.Labeling)
-	if err == nil {
-		err = l.UnmarshalBinary(blob)
-	}
+	l, err := radiobcast.ReadLabeling(r.Body)
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {

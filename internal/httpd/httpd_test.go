@@ -13,6 +13,7 @@ import (
 	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -327,6 +328,34 @@ func TestRunLabeledBodyLimit(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge || eb.Error.Code != "limit_exceeded" {
 		t.Fatalf("oversized labeling: status=%d body=%+v", resp.StatusCode, eb)
+	}
+}
+
+// TestRunLabeledIgnoresDeclaredLength: the body's Content-Length comes
+// from the peer, so the daemon must not allocate by it before the bytes
+// arrive, even with the body cap off (MaxBodyBytes < 0). A request that
+// declares 1 GiB and sends a few bytes is a 400 that allocates little.
+func TestRunLabeledIgnoresDeclaredLength(t *testing.T) {
+	srv := httpd.New(httpd.Config{MaxBodyBytes: -1, RatePerSec: -1})
+	req := httptest.NewRequest(http.MethodPost, "/v1/run-labeled", strings.NewReader("short"))
+	req.Header.Set("Content-Type", radiobcast.LabelingContentType)
+	req.ContentLength = 1 << 30
+	rec := httptest.NewRecorder()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	srv.Handler().ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+
+	var eb client.ErrorBody
+	if err := json.NewDecoder(rec.Body).Decode(&eb); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Code != http.StatusBadRequest || eb.Error.Code != "bad_request" {
+		t.Fatalf("short body declared at 1 GiB: status=%d body=%+v, want 400 bad_request", rec.Code, eb)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("serving a 5-byte body declared at 1 GiB allocated %d bytes", got)
 	}
 }
 

@@ -136,11 +136,6 @@ type bitLane struct {
 	topo faults.TopologyModel
 	fst  *faults.State
 
-	// stop is opt.Ctx.Done(), read once when the lane starts: Done
-	// returns the same channel every time, and Err takes the context's
-	// lock on every call. Nil when the run is not cancellable.
-	stop <-chan struct{}
-
 	rounds, total, silent      int
 	silentStopped, interrupted bool
 	done                       bool
@@ -160,9 +155,6 @@ func (l *bitLane) init(s *Sim, g *graph.Graph, protos []Protocol, opt Options) {
 	csr := g.Freeze()
 	s.reset(n, protos)
 	*l = bitLane{s: s, csr: csr, bcsr: csr.Bits(), opt: opt}
-	if opt.Ctx != nil {
-		l.stop = opt.Ctx.Done()
-	}
 	if fm := opt.Faults; fm != nil {
 		s.heard = grow(s.heard, n)
 		if s.txList == nil {
@@ -193,12 +185,10 @@ func (l *bitLane) finish() *Result {
 func (l *bitLane) runRound(round int) {
 	s := l.s
 	bs := &s.bits
-	select {
-	case <-l.stop:
+	if l.opt.Ctx != nil && l.opt.Ctx.Err() != nil {
 		l.interrupted = true
 		l.done = true
 		return
-	default:
 	}
 	cur, nx := s.cur, 1-s.cur
 	rxMark := len(s.rxNodes)

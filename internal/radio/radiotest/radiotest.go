@@ -61,18 +61,11 @@ func Run(g *graph.Graph, protos []radio.Protocol, opt radio.Options) *radio.Resu
 	}
 	has := func(bits []uint64, v int) bool { return fm != nil && bits[v>>6]&(1<<(uint(v)&63)) != 0 }
 
-	var stop <-chan struct{} // nil, never ready, without a context
-	if opt.Ctx != nil {
-		stop = opt.Ctx.Done()
-	}
 	silent := 0
-rounds:
 	for round := 1; round <= opt.MaxRounds; round++ {
-		select {
-		case <-stop:
+		if opt.Ctx != nil && opt.Ctx.Err() != nil {
 			res.Interrupted = true
-			break rounds
-		default:
+			break
 		}
 		var st faults.State
 		if fm != nil {
