@@ -287,6 +287,31 @@ func BenchmarkEdgeListGraph(b *testing.B) {
 	}
 }
 
+// BenchmarkFamily times what Session.Family does for a member it has not
+// cached: build the family graph, then Fingerprint, which freezes and
+// hashes it. The gnp cells run GNPConnected's pair loop; path/n=4096 is
+// a control that does not reach it.
+func BenchmarkFamily(b *testing.B) {
+	for _, c := range []struct {
+		family string
+		n      int
+	}{
+		{"gnp-sparse", 256}, {"gnp-sparse", 1024}, {"gnp-sparse", 4096},
+		{"gnp-dense", 256}, {"gnp-dense", 1024}, {"path", 4096},
+	} {
+		b.Run(fmt.Sprintf("%s/n=%d", c.family, c.n), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				net, err := radiobcast.Family(c.family, c.n)
+				if err != nil {
+					b.Fatal(err)
+				}
+				net.Graph.Fingerprint()
+			}
+		})
+	}
+}
+
 // BenchmarkStages isolates the §2.1 sequence construction (experiment L26).
 func BenchmarkStages(b *testing.B) {
 	for _, n := range benchSizes {

@@ -360,6 +360,33 @@ func TestErrors(t *testing.T) {
 	}
 }
 
+// TestDistinctOnEveryScheme: Labeling.Distinct counts what a map of
+// the labels counts, on every registered scheme's labeling of path/64.
+// Round robin's labels there are 6-bit identifiers, most of which take
+// Distinct's map path; every other scheme's fit its bit set.
+func TestDistinctOnEveryScheme(t *testing.T) {
+	net, err := radiobcast.Family("path", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range builtins {
+		l, err := radiobcast.LabelNetwork(net, name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		seen := map[radiobcast.Label]bool{}
+		for _, x := range l.Labels {
+			seen[x] = true
+		}
+		if l.Distinct() != len(seen) {
+			t.Errorf("%s: Distinct = %d, map counts %d", name, l.Distinct(), len(seen))
+		}
+		if name == "roundrobin" && l.Bits() != 6 {
+			t.Errorf("roundrobin labels path/64 with %d-bit labels, want 6", l.Bits())
+		}
+	}
+}
+
 // TestLabelingAccessors exercises the public Labeling surface the CLIs
 // rely on.
 func TestLabelingAccessors(t *testing.T) {

@@ -144,13 +144,22 @@ func MaxLen(labels []Label) int {
 }
 
 // Distinct returns the number of distinct labels used (the paper counts
-// these in §5: λack uses 5, λarb uses 6).
+// these in §5: λack uses 5, λarb uses 6). A label of at most 5 bits sets
+// its own bit of a word, so the λ schemes' labelings need no map.
 func Distinct(labels []Label) int {
-	seen := make(map[Label]bool, 8)
+	var short uint64 // bit l.v for each label l with l.v < 64
+	var long map[Label]struct{}
 	for _, l := range labels {
-		seen[l] = true
+		if l.v < 64 {
+			short |= 1 << l.v
+			continue
+		}
+		if long == nil {
+			long = make(map[Label]struct{})
+		}
+		long[l] = struct{}{}
 	}
-	return len(seen)
+	return bits.OnesCount64(short) + len(long)
 }
 
 // Histogram returns label → count.

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"unsafe"
@@ -146,6 +147,28 @@ func TestLabelFormatting(t *testing.T) {
 	}
 	if err := json.Unmarshal([]byte(`["2x"]`), &back); err == nil {
 		t.Fatal("json decoded a non-bit label")
+	}
+}
+
+// TestDistinctMatchesMap: Distinct counts what a map of the labels
+// counts, on random labelings that mix labels of 0 to 31 bits, so both
+// its bit set (at most 5 bits, and the 6-bit 000000) and its map serve.
+func TestDistinctMatchesMap(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 500; trial++ {
+		maxBits := 1 + r.Intn(MaxLabelBits)
+		labels := make([]Label, r.Intn(200))
+		for i := range labels {
+			l := r.Intn(maxBits + 1)
+			labels[i] = Label{uint32(1<<l - 1 + r.Int63n(1<<l))}
+		}
+		seen := map[Label]bool{}
+		for _, l := range labels {
+			seen[l] = true
+		}
+		if got := Distinct(labels); got != len(seen) {
+			t.Fatalf("trial %d: Distinct = %d, map counts %d", trial, got, len(seen))
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -219,28 +220,150 @@ func RandomTree(n int, seed int64) *Graph {
 // the CSR directly (see StreamGNPConnected) — same distribution and seed
 // determinism, different random sequence — so million-node members of the
 // gnp families are constructible without the quadratic pair loop.
+//
+// Below the threshold the graph is the one the plain loop builds: node j
+// attaches to r.Intn(j), then every pair {i, j}, i < j, in order, but the
+// tree's, is an edge if r.Float64() < p, with r = rand.New(rand.NewSource(seed)).
+// The loop makes the same decisions without a call per pair. After the
+// tree it reads the source's next 607 outputs into a ring and continues
+// math/rand's lagged Fibonacci stream there, yₖ = yₖ₋₆₀₇ + yₖ₋₂₇₃ mod 2⁶⁴,
+// and where Float64 would compare float64(y&(2⁶³−1))/2⁶³ with p it
+// compares y&(2⁶³−1) with the integer thresholds that give the same
+// answers, redrawing for the same pair where Float64 would round to 1.
+// math/rand keeps its value stream unchanged, so the graphs are too;
+// TestGNPMatchesOracle, which runs the plain loop, fails if it ever moves.
 func GNPConnected(n int, p float64, seed int64) *Graph {
-	if n >= streamGNPThreshold && p < 1 {
+	if n >= streamGNPThreshold {
 		return StreamGNPConnected(n, p, seed)
 	}
-	r := rand.New(rand.NewSource(seed))
-	g := New(n)
-	parent := make([]int, n)
-	for i := 1; i < n; i++ {
-		parent[i] = r.Intn(i)
-		g.AddEdge(i, parent[i])
+	return gnpConnected(n, p, rand.NewSource(seed).(rand.Source64))
+}
+
+// The lags of math/rand's source: output k is the sum of outputs k−607
+// and k−273.
+const (
+	rngLen = 607
+	rngTap = 273
+)
+
+// gnpConnected is GNPConnected's construction on src, which must produce
+// math/rand's stream: tests pass a stub that reaches Float64's redraw.
+func gnpConnected(n int, p float64, src rand.Source64) *Graph {
+	r := rand.New(src)
+	// tree lists the tree edges by their index among all n(n−1)/2 pairs in
+	// loop order, ascending: sorted by parent, then by child.
+	parent := make([]int32, n)
+	start := make([]int32, n+1)
+	for j := 1; j < n; j++ {
+		parent[j] = int32(r.Intn(j))
+		start[parent[j]+1]++
 	}
-	// Each pair is visited once, so before its visit {i, j} is an edge
-	// only if it is a tree edge: the parent array answers that without
-	// the per-pair adjacency search.
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if parent[j] != i && parent[i] != j && r.Float64() < p {
-				g.AddEdge(i, j)
+	for i := 1; i <= n; i++ {
+		start[i] += start[i-1]
+	}
+	tree := make([]int64, max(n-1, 0))
+	for j := 1; j < n; j++ {
+		i := int(parent[j])
+		tree[start[i]] = int64(i)*int64(2*n-i-1)/2 + int64(j-i-1) // rows 0..i−1 hold i(2n−i−1)/2 pairs
+		start[i]++
+	}
+
+	// Float64 returns float64(v)/2⁶³ for v = y&(2⁶³−1), monotone in v. The
+	// pair is an edge for v < accept; for v ≥ redraw Float64 rounds to 1
+	// and draws again. Clamping keeps p > 1 from accepting those.
+	redraw := firstFloat64(func(f float64) bool { return f == 1 })
+	accept := min(firstFloat64(func(f float64) bool { return !(f < p) }), redraw)
+	pairs := int64(n)*int64(n-1)/2 - int64(len(tree))
+	expected := float64(pairs) * float64(accept) / (1 << 63)
+	c := pairKeys{n: int64(n), tree: tree}
+	c.keys = make([]int64, 0, len(tree)+int(expected+4*math.Sqrt(expected))+16)
+
+	var ring [rngLen]uint64 // the next 607 outputs: draw d takes slot d mod 607
+	for i := range ring {
+		ring[i] = src.Uint64()
+	}
+	span := redraw - accept
+	for q, slot := int64(0), 0; q < pairs; {
+		// Slot i's successor is itself plus slot (i+334) mod 607: take the
+		// slots up to where either index wraps.
+		end, lag := rngLen, -rngTap
+		if slot < rngTap {
+			end, lag = rngTap, rngLen-rngTap
+		}
+		run := ring[slot:end][:min(int64(end-slot), pairs-q)]
+		next := ring[slot+lag:][:len(run)]
+		skipped := 0
+		for k, y := range run {
+			run[k] = y + next[k]
+			if v := y & (1<<63 - 1); v-accept >= span { // v < accept or v ≥ redraw
+				if v >= redraw {
+					skipped++
+					continue
+				}
+				c.edge(q + int64(k-skipped))
 			}
 		}
+		q += int64(len(run) - skipped)
+		if slot += len(run); slot == rngLen {
+			slot = 0
+		}
 	}
-	return g
+	c.finish()
+	return &Graph{n: n, buf: c.keys}
+}
+
+// firstFloat64 returns the least v in [0, 2⁶³) for which ok(float64(v)/2⁶³)
+// holds, or 2⁶³ if none does; ok must be monotone.
+func firstFloat64(ok func(f float64) bool) uint64 {
+	lo, hi := uint64(0), uint64(1)<<63
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if ok(float64(int64(mid)) / (1 << 63)) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+// pairKeys appends the edit-buffer keys of pairs {i, j}, i < j, given in
+// ascending order by their index among all pairs in row order. For
+// GNPConnected it also merges in the tree's edges, so its keys ascend.
+type pairKeys struct {
+	n    int64
+	tree []int64 // the tree edges' indices among all pairs, ascending
+	t    int     // the next tree edge to add
+	keys []int64
+	// The pair cursor: row i holds the pairs {i, j}, j > i, and the
+	// pairs before it number base.
+	i, base int64
+}
+
+// edge adds the q-th pair outside the tree, after the tree edges that
+// precede it.
+func (c *pairKeys) edge(q int64) {
+	for c.t < len(c.tree) && c.tree[c.t] <= q+int64(c.t) {
+		c.add(c.tree[c.t])
+		c.t++
+	}
+	c.add(q + int64(c.t))
+}
+
+// finish adds the tree edges after the last drawn pair.
+func (c *pairKeys) finish() {
+	for ; c.t < len(c.tree); c.t++ {
+		c.add(c.tree[c.t])
+	}
+}
+
+// add appends the key of the pair with index k among all pairs.
+func (c *pairKeys) add(k int64) {
+	for k >= c.base+c.n-1-c.i {
+		c.base += c.n - 1 - c.i
+		c.i++
+	}
+	c.keys = append(c.keys, (c.i*c.n+c.i+1+k-c.base)<<1)
 }
 
 // RandomRadius2 returns a random connected graph in which every node is at

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"math"
+	"math/rand"
 	"reflect"
 	"sort"
 	"sync"
@@ -320,6 +322,143 @@ func TestConcurrentReadsOfFrozenGraph(t *testing.T) {
 	for _, b := range bits[1:] {
 		if !reflect.DeepEqual(b, bits[0]) {
 			t.Fatal("racing Bits calls built different slab forms")
+		}
+	}
+}
+
+// gnpOracle is GNPConnected's plain pair loop below streamGNPThreshold,
+// one Float64 call per pair, on any source.
+func gnpOracle(n int, p float64, src rand.Source) *Graph {
+	r := rand.New(src)
+	g := New(n)
+	parent := make([]int, n)
+	for i := 1; i < n; i++ {
+		parent[i] = r.Intn(i)
+		g.AddEdge(i, parent[i])
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if parent[j] != i && parent[i] != j && r.Float64() < p {
+				g.AddEdge(i, j)
+			}
+		}
+	}
+	return g
+}
+
+// matchGNPOracle requires two graphs to have the same edges.
+func matchGNPOracle(t *testing.T, g, want *Graph, format string, args ...any) {
+	t.Helper()
+	if g.M() != want.M() || g.Fingerprint() != want.Fingerprint() {
+		t.Fatalf(format+": m=%d fp=%#x, oracle m=%d fp=%#x", append(args, g.M(), g.Fingerprint(), want.M(), want.Fingerprint())...)
+	}
+}
+
+// TestGNPMatchesOracle: GNPConnected builds the plain loop's graph for
+// every size, seed and probability, including p outside [0, 1] and NaN.
+// It also fails if math/rand's value stream ever changes, since the
+// loop continues that stream by itself.
+func TestGNPMatchesOracle(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 10, 64, 257, 700} {
+		for _, p := range []float64{-1, math.Inf(-1), math.NaN(), 0, 1e-300, 2 / float64(n), 0.3, 0.9, 1 - 0x1p-53, 1, 1.5, math.Inf(1)} {
+			for _, seed := range []int64{int64(n), 1, -7, 1 << 40} {
+				matchGNPOracle(t, GNPConnected(n, p, seed), gnpOracle(n, p, rand.NewSource(seed)), "n=%d p=%g seed=%d", n, p, seed)
+			}
+		}
+	}
+}
+
+// FuzzGNPMatchesOracle is TestGNPMatchesOracle on fuzzed sizes,
+// probabilities and seeds.
+func FuzzGNPMatchesOracle(f *testing.F) {
+	f.Add(uint16(10), 0.3, int64(1))
+	f.Add(uint16(257), 2.0/257, int64(257))
+	f.Add(uint16(64), 1.5, int64(-3))
+	f.Add(uint16(3), math.NaN(), int64(0))
+	f.Fuzz(func(t *testing.T, nb uint16, p float64, seed int64) {
+		n := int(nb % 401)
+		matchGNPOracle(t, GNPConnected(n, p, seed), gnpOracle(n, p, rand.NewSource(seed)), "n=%d p=%g seed=%d", n, p, seed)
+	})
+}
+
+// lfib is math/rand's additive lagged Fibonacci source started from
+// chosen outputs: its first 607 outputs are ring's, and every later
+// output is the sum of the outputs 607 and 273 before it. It counts the
+// outputs on which Float64 rounds to 1.
+type lfib struct {
+	ring    [rngLen]uint64
+	i       int
+	redraws int
+}
+
+func (s *lfib) Uint64() uint64 {
+	y := s.ring[s.i]
+	s.ring[s.i] = y + s.ring[(s.i+rngLen-rngTap)%rngLen]
+	s.i = (s.i + 1) % rngLen
+	if y&(1<<63-1) >= 1<<63-1<<9 {
+		s.redraws++
+	}
+	return y
+}
+
+func (s *lfib) Int63() int64 { return int64(s.Uint64() & (1<<63 - 1)) }
+func (s *lfib) Seed(int64)   { panic("lfib: Seed") }
+
+// newLfib starts an lfib at the next output of src.
+func newLfib(src rand.Source64) *lfib {
+	s := new(lfib)
+	for i := range s.ring {
+		s.ring[i] = src.Uint64()
+	}
+	return s
+}
+
+// TestLfibContinuesMathRand: started from math/rand outputs, lfib
+// produces math/rand's next outputs, so it stands in for the source.
+func TestLfibContinuesMathRand(t *testing.T) {
+	for _, seed := range []int64{1, 42, -5} {
+		src, ref := rand.NewSource(seed).(rand.Source64), rand.NewSource(seed).(rand.Source64)
+		src.Uint64()
+		ref.Uint64()
+		s := newLfib(src)
+		for k := 0; k < 5000; k++ {
+			if got, want := s.Uint64(), ref.Uint64(); got != want {
+				t.Fatalf("seed %d: output %d is %#x, math/rand gives %#x", seed, k, got, want)
+			}
+		}
+	}
+}
+
+// TestGNPRedrawsLikeFloat64: Float64 rounds an output in
+// [2⁶³−2⁹, 2⁶³), masked, to 1 and draws again, which happens about once
+// in 2⁵⁴ outputs, so no seed reaches it. An lfib with such outputs
+// planted among its first 607 outputs, and, through the recurrence,
+// after them, drives GNPConnected's loop and the plain one alike.
+func TestGNPRedrawsLikeFloat64(t *testing.T) {
+	const top = 1<<63 - 1<<9 // the least masked output that rounds to 1
+	base := newLfib(rand.NewSource(3).(rand.Source64))
+	planted := 0
+	for i := 300; i < rngLen; i += 7 {
+		// Both halves of the range, either top bit, and the output just
+		// below it, which does not round to 1.
+		base.ring[i] = []uint64{top, 1<<64 - 1, 1<<63 | (top + 77), top - 1}[i%4]
+		if i%4 != 3 {
+			planted++
+		}
+	}
+	for m := 650; m < 880; m += 50 {
+		// Output m = output m−607 + output m−273.
+		base.ring[m-rngLen] = top + uint64(m-650) - base.ring[m-rngTap]
+		planted++
+	}
+	for _, n := range []int{64, 150, 280} {
+		for _, p := range []float64{0.05, 0.3, 0.9, 1 - 0x1p-53, 1, 1.5} {
+			oracleSrc, src := *base, *base
+			want := gnpOracle(n, p, &oracleSrc)
+			if oracleSrc.redraws < planted {
+				t.Fatalf("n=%d: the plain loop drew %d outputs that round to 1, want at least the %d planted", n, oracleSrc.redraws, planted)
+			}
+			matchGNPOracle(t, gnpConnected(n, p, &src), want, "n=%d p=%g", n, p)
 		}
 	}
 }

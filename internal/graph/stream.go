@@ -23,38 +23,46 @@ const streamGNPThreshold = 50000
 // are drawn by geometric skipping in O(m) instead of testing all n(n-1)/2
 // pairs, straight into the edit buffer. Deterministic in seed; the random
 // sequence differs from GNPConnected's, so results agree in distribution
-// but not bit-for-bit.
+// but not bit-for-bit, except at the edges of p, where both give the
+// same graph: the tree for p ≤ 0 or NaN, every pair for p ≥ 1.
 func StreamGNPConnected(n int, p float64, seed int64) *Graph {
 	r := rand.New(rand.NewSource(seed))
+	total := int64(n) * int64(n-1) / 2
+	// The expected number of sampled pairs: as in GNPConnected, none for
+	// p ≤ 0 or NaN and every pair for p ≥ 1.
+	expected := 0.0
+	switch {
+	case p >= 1:
+		expected = float64(total)
+	case p > 0:
+		expected = float64(total) * p
+	}
 	// Edits of the edges i*n+j (i < j): the tree plus the sampled pairs,
 	// deduplicated on the first read.
-	keys := make([]int64, 0, n-1+int(float64(n)*(float64(n-1)/2)*p)+16)
+	keys := make([]int64, 0, n-1+int(expected)+16)
 	for i := 1; i < n; i++ {
 		j := r.Intn(i)
 		keys = append(keys, (int64(j)*int64(n)+int64(i))<<1)
 	}
-	if p > 0 && p < 1 && n > 1 {
-		total := int64(n) * int64(n-1) / 2
+	c := pairKeys{n: int64(n), keys: keys}
+	switch {
+	case p >= 1:
+		for k := int64(0); k < total; k++ {
+			c.add(k)
+		}
+	case p > 0 && n > 1:
 		logq := math.Log1p(-p)
 		k := int64(-1)
-		// rowBase is the number of pairs preceding row i; advancing the
-		// row cursor is amortized O(n) over the whole walk.
-		row, rowBase := int64(0), int64(0)
 		for {
 			u := r.Float64()
 			k += 1 + int64(math.Log1p(-u)/logq)
 			if k >= total || k < 0 {
 				break
 			}
-			for k >= rowBase+int64(n)-1-row {
-				rowBase += int64(n) - 1 - row
-				row++
-			}
-			i, j := row, row+1+(k-rowBase)
-			keys = append(keys, (i*int64(n)+j)<<1)
+			c.add(k)
 		}
 	}
-	return &Graph{n: n, buf: keys}
+	return &Graph{n: n, buf: c.keys}
 }
 
 // FromEdgeKeys returns the n-node graph whose edges are the keys

@@ -3,6 +3,7 @@
 package graph
 
 import (
+	"math"
 	"reflect"
 	"testing"
 )
@@ -84,5 +85,29 @@ func TestEdgesToCSRAscendingTargets(t *testing.T) {
 	}
 	if got := c.Targets[c.Offsets[3]:c.Offsets[4]]; !reflect.DeepEqual(got, []int32{0, 1, 4, 5}) {
 		t.Fatalf("node 3 row = %v", got)
+	}
+}
+
+// TestStreamGNPEdgeProbabilities: at the edges of p the streaming
+// sampler gives GNPConnected's graph, the tree for p ≤ 0 or NaN and every
+// pair for p ≥ 1, where it used to panic sizing its buffer (p < 0, NaN)
+// or return only the tree (p ≥ 1).
+func TestStreamGNPEdgeProbabilities(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 10, 100} {
+		for _, p := range []float64{-1, -0.1, math.Inf(-1), math.NaN(), 0, 1, 1.5, math.Inf(1)} {
+			g, want := StreamGNPConnected(n, p, 4), GNPConnected(n, p, 4)
+			m := max(n-1, 0)
+			if p >= 1 {
+				m = n * (n - 1) / 2
+			}
+			if g.M() != m || g.Fingerprint() != want.Fingerprint() {
+				t.Errorf("n=%d p=%g: m=%d fp=%#x, GNPConnected gives m=%d fp=%#x", n, p, g.M(), g.Fingerprint(), want.M(), want.Fingerprint())
+			}
+		}
+	}
+	for _, p := range []float64{-0.1, math.NaN()} {
+		if g := GNPConnected(streamGNPThreshold, p, 4); g.M() != streamGNPThreshold-1 {
+			t.Errorf("GNPConnected(%d, %g): m=%d, want the tree's %d", streamGNPThreshold, p, g.M(), streamGNPThreshold-1)
+		}
 	}
 }
