@@ -1,6 +1,9 @@
 // Command experiments regenerates the paper's evaluation artifacts: Figure 1
-// and every theorem-derived table (see EXPERIMENTS.md). By default it runs
-// the full registry; use -exp to select specific experiments.
+// and every theorem-derived table. By default it runs the full registry;
+// use -exp to select specific experiments. EXPERIMENTS.md is its full
+// output, checked by TestExperimentsGolden and refreshed with
+//
+//	go run ./cmd/experiments -o EXPERIMENTS.md
 //
 // Usage:
 //
@@ -11,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -84,19 +88,28 @@ func main() {
 		out = f
 	}
 
+	if err := write(out, os.Stderr, entries, cfg, *csv); err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// write runs the entries in order and writes their tables to out, as
+// aligned text or CSV, noting each entry on progress as it starts.
+func write(out, progress io.Writer, entries []experiments.Entry, cfg experiments.Config, csv bool) error {
 	for _, e := range entries {
-		fmt.Fprintf(os.Stderr, "running %s: %s\n", e.ID, e.Desc)
+		fmt.Fprintf(progress, "running %s: %s\n", e.ID, e.Desc)
 		tables, err := e.Gen(cfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %s failed: %v\n", e.ID, err)
-			os.Exit(1)
+			return fmt.Errorf("%s failed: %w", e.ID, err)
 		}
 		for _, t := range tables {
-			if *csv {
+			if csv {
 				fmt.Fprintln(out, t.CSV())
 			} else {
 				fmt.Fprintln(out, t.Render())
 			}
 		}
 	}
+	return nil
 }

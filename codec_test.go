@@ -34,6 +34,7 @@ var codecMatrix = map[string]struct {
 	"flooding":    {"star", 9},
 	"onebit":      {"path", 8},
 	"gjp":         {"grid", 16},
+	"test-slot":   {"path", 12},
 }
 
 // TestLabelingCodecRoundTripAllSchemes pins the acceptance criterion: a
@@ -263,8 +264,8 @@ var wireGolden = map[string]string{
 // to fail here first.
 func TestLabelingWireBytesGolden(t *testing.T) {
 	for _, scheme := range radiobcast.SchemeNames() {
-		if scheme == "hook-b" {
-			continue // test-only instrumentation scheme
+		if testOnly(scheme) {
+			continue
 		}
 		want, ok := wireGolden[scheme]
 		if !ok {

@@ -30,6 +30,32 @@ func TestRunCtxPreCancelled(t *testing.T) {
 	}
 }
 
+// TestLabelSearchStopsAtDeadline: the searching schemes check the context
+// between simulations and candidate evaluations, so a deadline far below a
+// full search ends the labeling with the context's own error. On
+// gnp-sparse/1024 neither search finds a labeling, and without the checks
+// onebit runs for seconds.
+func TestLabelSearchStopsAtDeadline(t *testing.T) {
+	net, err := radiobcast.Family("gnp-sparse", 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.Graph.Freeze()
+	for _, scheme := range []string{"gjp", "onebit"} {
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		start := time.Now()
+		l, err := radiobcast.LabelNetworkCtx(ctx, net, scheme)
+		took := time.Since(start)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) || l != nil {
+			t.Errorf("%s: labeling %v, err %v; want context.DeadlineExceeded", scheme, l != nil, err)
+		}
+		if took > time.Second {
+			t.Errorf("%s: returned %v after a 50ms deadline, want within 1s", scheme, took)
+		}
+	}
+}
+
 // TestRunCtxCancelMidRunPartial pins the partial-result contract: a run
 // cancelled in round r returns ctx.Err() together with the prefix through
 // round r, and stops within one round.
@@ -111,12 +137,12 @@ func TestSweepCancellationWithinOneCell(t *testing.T) {
 	defer hookB.reset()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	trigger := func() {
-		if hookB.runs.Load() >= cancelAfter {
+	trigger := func(*radiobcast.Plan) {
+		if hookB.plans.Load() >= cancelAfter {
 			cancel()
 		}
 	}
-	hookB.onRun.Store(&trigger)
+	hookB.onPlan.Store(&trigger)
 	spec := radiobcast.SweepSpec{
 		Families: []string{"path"},
 		Sizes:    []int{64},
@@ -162,7 +188,7 @@ func TestSweepCancellationWithinOneCell(t *testing.T) {
 		t.Fatalf("%d cells dispatched, want ≤ %d (cancellation must stop dispatch within one cell)",
 			cells, cancelAfter+workers+1)
 	}
-	if started := int(hookB.runs.Load()); started > cells {
+	if started := int(hookB.plans.Load()); started > cells {
 		t.Fatalf("%d scheme runs for %d dispatched cells", started, cells)
 	}
 	waitForGoroutines(t, before)

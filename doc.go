@@ -8,8 +8,9 @@
 // and DESIGN.md for the system inventory): every algorithm in the
 // repository — the paper's λ/λack/λarb schemes, the verified one-bit
 // schemes of §5, and the four comparison baselines — implements the one
-// Scheme interface (label a graph, emit per-node protocols, run, verify)
-// and registers itself by name. A full run is one call:
+// Scheme interface (label a graph, plan a run, verify), registers itself
+// by name, and runs its plan on the facade's one path. A full run is one
+// call:
 //
 //	net, _ := radiobcast.Family("grid", 64)
 //	out, _ := radiobcast.RunCtx(ctx, net, "barb")

@@ -109,9 +109,11 @@ func TestErrLabelingMismatch(t *testing.T) {
 	}
 	// The cross case: a schedule-only labeling stamped with a label
 	// scheme's name must error, not panic in the engine.
-	cross := &radiobcast.Labeling{Scheme: "b", Graph: net.Graph, Schedule: [][]int{{0}}}
-	if _, err := radiobcast.RunLabeled(cross); !errors.Is(err, radiobcast.ErrLabelingMismatch) {
-		t.Fatalf("schedule-only labeling under scheme b: err = %v, want ErrLabelingMismatch", err)
+	for _, scheme := range []string{"b", "back", "barb", "roundrobin", "colorrobin", "flooding", "onebit", "gjp"} {
+		cross := &radiobcast.Labeling{Scheme: scheme, Graph: net.Graph, Schedule: [][]int{{0}}}
+		if _, err := radiobcast.RunLabeled(cross); !errors.Is(err, radiobcast.ErrLabelingMismatch) {
+			t.Fatalf("schedule-only labeling under scheme %s: err = %v, want ErrLabelingMismatch", scheme, err)
+		}
 	}
 	// A valid labeling still runs.
 	if _, err := radiobcast.RunLabeled(l, radiobcast.WithMessage("m")); err != nil {

@@ -20,8 +20,8 @@ var builtins = []string{"b", "back", "barb", "centralized", "colorrobin", "flood
 func TestRegistryComplete(t *testing.T) {
 	var got []string
 	for _, name := range radiobcast.SchemeNames() {
-		if name == "hook-b" {
-			continue // test-only instrumentation scheme (testscheme_test.go)
+		if testOnly(name) {
+			continue
 		}
 		got = append(got, name)
 	}
@@ -158,7 +158,7 @@ func TestRunLabeledReusesLabeling(t *testing.T) {
 	}
 }
 
-// TestProtocolsSurface exercises the Scheme.Protocols contract for every
+// TestProtocolsSurface exercises the Scheme.Plan contract for every
 // registered scheme: one fresh protocol per node, and driving them through
 // the radio engine directly reproduces the facade run (checked for "b").
 func TestProtocolsSurface(t *testing.T) {
@@ -176,12 +176,12 @@ func TestProtocolsSurface(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ps, err := s.Protocols(l, net.Source, "m")
+			p, err := s.Plan(l, net.Source, "m")
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(ps) != net.Graph.N() {
-				t.Fatalf("%d protocols for %d nodes", len(ps), net.Graph.N())
+			if len(p.Protocols) != net.Graph.N() {
+				t.Fatalf("%d protocols for %d nodes", len(p.Protocols), net.Graph.N())
 			}
 		})
 	}
@@ -194,11 +194,11 @@ func TestProtocolsSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, err := b.Protocols(l, net.Source, "m")
+	p, err := b.Plan(l, net.Source, "m")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := radio.Run(net.Graph, ps, radio.Options{
+	res := radio.Run(net.Graph, p.Protocols, radio.Options{
 		MaxRounds:       2*net.Graph.N() + 4,
 		StopAfterSilent: 3,
 	})

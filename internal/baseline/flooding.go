@@ -99,6 +99,7 @@ func NewFloodingProtocols(labels []core.Label, d FloodingDelays, source int, mu 
 // labeling and returns the outcome (which may be incomplete: callers use
 // this to *verify* candidate labelings).
 func RunFlooding(g *graph.Graph, labels []core.Label, d FloodingDelays, source int, mu string) *Outcome {
-	ps := NewFloodingProtocols(labels, d, source, mu)
-	return Observe(g, ps, source, radio.Options{MaxRounds: FloodingMaxRounds(g.N())})
+	obs, stop := Observe(NewFloodingProtocols(labels, d, source, mu), source)
+	res := radio.Run(g, obs, radio.Options{MaxRounds: FloodingMaxRounds(g.N()), Stop: stop})
+	return Assemble(res, obs, source)
 }

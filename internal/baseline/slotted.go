@@ -148,32 +148,43 @@ type Outcome struct {
 	CompletionRound int
 }
 
-// Observe runs protocols ps on g from source under opt, recording each
-// node's first µ reception, and stops as soon as every node is informed
-// (or after opt.MaxRounds); it sets opt.Stop. An incomplete broadcast is
-// reported through AllInformed, not as an error: the facade's Verify
-// judges it.
-func Observe(g *graph.Graph, ps []radio.Protocol, source int, opt radio.Options) *Outcome {
-	n := g.N()
-	informed := make([]int, n)
+// Observe wraps every protocol of ps but the source's in an observer that
+// records the round of its first µ reception, and returns the wrapped
+// protocols with a stop predicate that ends the run once every node is
+// informed. Assemble reads the observations back after the run.
+func Observe(ps []radio.Protocol, source int) ([]radio.Protocol, func(int) bool) {
 	// remaining counts the uninformed non-source nodes; observers decrement
 	// it atomically, making the stop predicate O(1) instead of an O(n)
 	// rescan every round.
-	remaining := int64(n - 1)
-	opt.Stop = func(int) bool {
+	remaining := int64(len(ps) - 1)
+	stop := func(int) bool {
 		return atomic.LoadInt64(&remaining) <= 0
 	}
-	res := radio.Run(g, wrapObservers(ps, informed, source, &remaining), opt)
-	out := &Outcome{Result: res, InformedRound: informed, AllInformed: true}
-	for v := 0; v < n; v++ {
+	return wrapObservers(ps, source, &remaining), stop
+}
+
+// Assemble builds the outcome of a run of the protocols Observe returned.
+// An incomplete broadcast is reported through AllInformed, not as an
+// error: the facade's Verify judges it.
+func Assemble(res *radio.Result, observed []radio.Protocol, source int) *Outcome {
+	out := &Outcome{Result: res, InformedRound: make([]int, len(observed)), AllInformed: true}
+	for v, p := range observed {
 		if v == source {
 			continue
 		}
-		if informed[v] == 0 {
+		var r int
+		switch o := p.(type) {
+		case *observer:
+			r = o.informed
+		case *wakerObserver:
+			r = o.informed
+		}
+		out.InformedRound[v] = r
+		if r == 0 {
 			out.AllInformed = false
 		}
-		if informed[v] > out.CompletionRound {
-			out.CompletionRound = informed[v]
+		if r > out.CompletionRound {
+			out.CompletionRound = r
 		}
 	}
 	return out
@@ -183,15 +194,15 @@ func Observe(g *graph.Graph, ps []radio.Protocol, source int, opt radio.Options)
 // data reception.
 type observer struct {
 	inner     radio.Protocol
-	informed  *int
+	informed  int
 	remaining *int64 // decremented on first reception
 	round     int
 }
 
 func (o *observer) Step(rcv *radio.Message) radio.Action {
 	o.round++
-	if rcv != nil && rcv.Kind == radio.KindData && *o.informed == 0 {
-		*o.informed = o.round - 1
+	if rcv != nil && rcv.Kind == radio.KindData && o.informed == 0 {
+		o.informed = o.round - 1
 		atomic.AddInt64(o.remaining, -1)
 	}
 	return o.inner.Step(rcv)
@@ -215,23 +226,25 @@ func (o *wakerObserver) Skip(rounds int) {
 // wrapObservers wraps every protocol but the source's, which runs bare:
 // an echo of µ back to the source must not count as its informing, so
 // InformedRound[source] stays 0.
-func wrapObservers(ps []radio.Protocol, informed []int, source int, remaining *int64) []radio.Protocol {
+func wrapObservers(ps []radio.Protocol, source int, remaining *int64) []radio.Protocol {
 	out := make([]radio.Protocol, len(ps))
-	wakers := 0
+	wakers, others := 0, 0
 	for v, p := range ps {
 		if _, ok := p.(radio.Waker); ok && v != source {
 			wakers++
+		} else if v != source {
+			others++
 		}
 	}
 	wobs := make([]wakerObserver, wakers)
-	obs := make([]observer, len(ps)-1-wakers)
+	obs := make([]observer, others)
 	wi, oi := 0, 0
 	for v := range ps {
 		if v == source {
 			out[v] = ps[v]
 			continue
 		}
-		o := observer{inner: ps[v], informed: &informed[v], remaining: remaining}
+		o := observer{inner: ps[v], remaining: remaining}
 		if w, ok := ps[v].(radio.Waker); ok {
 			wobs[wi] = wakerObserver{observer: o, w: w}
 			out[v] = &wobs[wi]

@@ -21,31 +21,28 @@ type BroadcastOutcome struct {
 	Labels []Label
 }
 
-// PlanBroadcast splits a B execution into its three ingredients — the
-// protocol vector, the scheme's base engine options, and an assemble
-// function that turns the engine Result into the outcome — so callers can
-// set their own engine knobs on the options before running. A run is
-// exactly plan → radio.Run → assemble. MaxRounds defaults to 2n+4,
-// comfortably above the paper's 2n−3 bound.
-func PlanBroadcast(g *graph.Graph, l *Labeling, source int, mu string) ([]radio.Protocol, radio.Options, func(*radio.Result) *BroadcastOutcome) {
-	n := g.N()
+// PlanBroadcast returns what a B execution runs: the protocol vector and
+// the scheme's base engine options, on which callers set their own engine
+// knobs. A run is exactly plan → radio.Run → AssembleBroadcast. MaxRounds
+// defaults to 2n+4, comfortably above the paper's 2n−3 bound.
+func PlanBroadcast(g *graph.Graph, l *Labeling, source int, mu string) ([]radio.Protocol, radio.Options) {
 	ps := NewBProtocols(l.Labels, source, mu)
-	base := radio.Options{
-		MaxRounds:       2*n + 4,
-		StopAfterSilent: 3,
-	}
-	asm := func(res *radio.Result) *BroadcastOutcome {
-		out := &BroadcastOutcome{}
-		assembleInformed(out, res, l, n, source)
-		return out
-	}
-	return ps, base, asm
+	return ps, radio.Options{MaxRounds: 2*g.N() + 4, StopAfterSilent: 3}
+}
+
+// AssembleBroadcast turns the Result of running PlanBroadcast's protocols
+// into the outcome.
+func AssembleBroadcast(res *radio.Result, l *Labeling, source int) *BroadcastOutcome {
+	out := &BroadcastOutcome{}
+	assembleInformed(out, res, l, source)
+	return out
 }
 
 // assembleInformed fills the broadcast half of an outcome from the
 // engine Result: every non-source node's first µ reception, and the
 // completion round.
-func assembleInformed(out *BroadcastOutcome, res *radio.Result, l *Labeling, n, source int) {
+func assembleInformed(out *BroadcastOutcome, res *radio.Result, l *Labeling, source int) {
+	n := len(l.Labels)
 	out.Result, out.Stages, out.Labels = res, l.Stages, l.Labels
 	out.InformedRound = make([]int, n)
 	out.AllInformed = true
@@ -103,25 +100,20 @@ type AckOutcome struct {
 	Z        int
 }
 
-// PlanAcknowledged is the plan/assemble split of a Back execution (see
-// PlanBroadcast). The assemble closure reads the source protocol's ack
-// state, so it must be called on the Result of running exactly the
-// returned protocol vector.
-func PlanAcknowledged(g *graph.Graph, l *Labeling, source int, mu string) ([]radio.Protocol, radio.Options, func(*radio.Result) *AckOutcome) {
-	n := g.N()
+// PlanAcknowledged is PlanBroadcast for a Back execution.
+func PlanAcknowledged(g *graph.Graph, l *Labeling, source int, mu string) ([]radio.Protocol, radio.Options) {
 	ps := NewBackProtocols(l.Labels, source, mu)
-	src := ps[source].(*AckNode)
-	base := radio.Options{
-		MaxRounds:       3*n + 6,
-		StopAfterSilent: 3,
-	}
-	asm := func(res *radio.Result) *AckOutcome {
-		out := &AckOutcome{Z: l.Z}
-		assembleInformed(&out.BroadcastOutcome, res, l, n, source)
-		out.AckRound = src.AckRound()
-		return out
-	}
-	return ps, base, asm
+	return ps, radio.Options{MaxRounds: 3*g.N() + 6, StopAfterSilent: 3}
+}
+
+// AssembleAcknowledged turns the Result of running PlanAcknowledged's
+// protocols ps into the outcome. It reads the source protocol's ack
+// state, so res must come from running exactly ps.
+func AssembleAcknowledged(res *radio.Result, l *Labeling, ps []radio.Protocol, source int) *AckOutcome {
+	out := &AckOutcome{Z: l.Z}
+	assembleInformed(&out.BroadcastOutcome, res, l, source)
+	out.AckRound = ps[source].(*AckNode).AckRound()
+	return out
 }
 
 // VerifyAcknowledged checks Theorem 3.9 and Corollary 3.8: broadcast
@@ -175,16 +167,16 @@ func RunCommonRound(g *graph.Graph, source int, mu string, opt BuildOptions) (*C
 	if err != nil {
 		return nil, err
 	}
-	ps, base, asm := PlanAcknowledged(g, l, source, mu)
-	ack := asm(radio.Run(g, ps, base))
+	ps, base := PlanAcknowledged(g, l, source, mu)
+	ack := AssembleAcknowledged(radio.Run(g, ps, base), l, ps, source)
 	if g.N() >= 2 && ack.AckRound == 0 {
 		return nil, fmt.Errorf("core: acknowledged broadcast failed")
 	}
 	out := &CommonRoundOutcome{Ack: ack, M: ack.AckRound, CommonRound: 2 * ack.AckRound}
 	// Second execution: B with message m over the same labels (B starts
 	// no ack, so it ignores z's x3 bit).
-	ps, base, asmB := PlanBroadcast(g, l, source, fmt.Sprintf("%d", out.M))
-	out.SecondCompletion = asmB(radio.Run(g, ps, base)).CompletionRound
+	ps, base = PlanBroadcast(g, l, source, fmt.Sprintf("%d", out.M))
+	out.SecondCompletion = AssembleBroadcast(radio.Run(g, ps, base), l, source).CompletionRound
 	return out, nil
 }
 
@@ -213,15 +205,14 @@ type ArbOutcome struct {
 	T                  int
 }
 
-// PlanArbitrary is the plan/assemble split of a Barb execution (see
-// PlanBroadcast). Both the base Stop predicate and the assemble closure
-// read per-node protocol state, so the Result handed to assemble must
-// come from running exactly the returned protocol vector. Errors for
-// n < 2 (Barb needs a coordinator and at least one other node).
-func PlanArbitrary(g *graph.Graph, l *Labeling, source int, mu string) ([]radio.Protocol, radio.Options, func(*radio.Result) *ArbOutcome, error) {
+// PlanArbitrary is PlanBroadcast for a Barb execution. The base Stop
+// predicate reads per-node protocol state, so it must only stop a run of
+// exactly the returned protocol vector. Errors for n < 2 (Barb needs a
+// coordinator and at least one other node).
+func PlanArbitrary(g *graph.Graph, l *Labeling, source int, mu string) ([]radio.Protocol, radio.Options, error) {
 	n := g.N()
 	if n < 2 {
-		return nil, radio.Options{}, nil, fmt.Errorf("core: Barb needs n ≥ 2")
+		return nil, radio.Options{}, fmt.Errorf("core: Barb needs n ≥ 2")
 	}
 	ps := NewBarbProtocols(l.Labels, source, mu)
 	nodes := make([]*AlgBarb, n)
@@ -239,27 +230,33 @@ func PlanArbitrary(g *graph.Graph, l *Labeling, source int, mu string) ([]radio.
 			return true
 		},
 	}
-	asm := func(res *radio.Result) *ArbOutcome {
-		out := &ArbOutcome{
-			Result: res, Labels: l.Labels, R: l.R, Source: source,
-			MuKnownRound:       make([]int, n),
-			KnowsCompleteRound: make([]int, n),
-			AllKnowMu:          true,
-			TotalRounds:        res.Rounds,
-		}
-		for v, nd := range nodes {
-			if got, ok := nd.Mu(); !ok || got != mu {
-				out.AllKnowMu = false
-			}
-			out.MuKnownRound[v] = nd.MuKnownRound
-			out.KnowsCompleteRound[v] = nd.KnowsCompleteRound
-			if t, ok := nd.TValue(); ok && t > out.T {
-				out.T = t
-			}
-		}
-		return out
+	return ps, base, nil
+}
+
+// AssembleArbitrary turns the Result of running PlanArbitrary's protocols
+// ps into the outcome, reading each node's protocol state, so res must
+// come from running exactly ps.
+func AssembleArbitrary(res *radio.Result, l *Labeling, ps []radio.Protocol, source int, mu string) *ArbOutcome {
+	n := len(ps)
+	out := &ArbOutcome{
+		Result: res, Labels: l.Labels, R: l.R, Source: source,
+		MuKnownRound:       make([]int, n),
+		KnowsCompleteRound: make([]int, n),
+		AllKnowMu:          true,
+		TotalRounds:        res.Rounds,
 	}
-	return ps, base, asm, nil
+	for v, p := range ps {
+		nd := p.(*AlgBarb)
+		if got, ok := nd.Mu(); !ok || got != mu {
+			out.AllKnowMu = false
+		}
+		out.MuKnownRound[v] = nd.MuKnownRound
+		out.KnowsCompleteRound[v] = nd.KnowsCompleteRound
+		if t, ok := nd.TValue(); ok && t > out.T {
+			out.T = t
+		}
+	}
+	return out
 }
 
 // VerifyArbitrary checks Barb's guarantees: every node learned µ with the

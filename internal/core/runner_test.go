@@ -17,8 +17,8 @@ func runBroadcast(g *graph.Graph, source int, mu string, opt BuildOptions) (*Bro
 }
 
 func runBroadcastLabeled(g *graph.Graph, l *Labeling, source int, mu string) *BroadcastOutcome {
-	ps, base, asm := PlanBroadcast(g, l, source, mu)
-	return asm(radio.Run(g, ps, base))
+	ps, base := PlanBroadcast(g, l, source, mu)
+	return AssembleBroadcast(radio.Run(g, ps, base), l, source)
 }
 
 func runAcknowledged(g *graph.Graph, source int, mu string, opt BuildOptions) (*AckOutcome, error) {
@@ -30,8 +30,8 @@ func runAcknowledged(g *graph.Graph, source int, mu string, opt BuildOptions) (*
 }
 
 func runAcknowledgedLabeled(g *graph.Graph, l *Labeling, source int, mu string) *AckOutcome {
-	ps, base, asm := PlanAcknowledged(g, l, source, mu)
-	return asm(radio.Run(g, ps, base))
+	ps, base := PlanAcknowledged(g, l, source, mu)
+	return AssembleAcknowledged(radio.Run(g, ps, base), l, ps, source)
 }
 
 func runArbitrary(g *graph.Graph, r, source int, mu string, opt BuildOptions) (*ArbOutcome, error) {
@@ -43,9 +43,9 @@ func runArbitrary(g *graph.Graph, r, source int, mu string, opt BuildOptions) (*
 }
 
 func runArbitraryLabeled(g *graph.Graph, l *Labeling, source int, mu string) (*ArbOutcome, error) {
-	ps, base, asm, err := PlanArbitrary(g, l, source, mu)
+	ps, base, err := PlanArbitrary(g, l, source, mu)
 	if err != nil {
 		return nil, err
 	}
-	return asm(radio.Run(g, ps, base)), nil
+	return AssembleArbitrary(radio.Run(g, ps, base), l, ps, source, mu), nil
 }

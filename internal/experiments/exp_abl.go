@@ -40,8 +40,13 @@ func DomAblationExperiment(cfg Config) ([]*Table, error) {
 	}
 	rows := sweep.Map(jobs, cfg.Workers, func(j job) row {
 		g := graph.Families[j.c.Family](j.c.N)
-		out, err := radiobcast.Run(radiobcast.NewNetwork(g), "b", radiobcast.WithMessage("m"),
-			radiobcast.WithBuild(core.BuildOptions{Order: j.order}))
+		l, err := core.Lambda(g, 0, core.BuildOptions{Order: j.order})
+		if err != nil {
+			return row{fam: j.c.Family, n: g.N(), order: j.order.String(), err: err}
+		}
+		out, err := radiobcast.RunLabeled(&radiobcast.Labeling{
+			Scheme: "b", Graph: g, Labels: l.Labels, Stages: l.Stages, Z: l.Z, R: l.R,
+		}, radiobcast.WithMessage("m"))
 		if err != nil {
 			return row{fam: j.c.Family, n: g.N(), order: j.order.String(), err: err}
 		}

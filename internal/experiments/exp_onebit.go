@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"radiobcast/internal/baseline"
@@ -81,7 +82,7 @@ func OneBitExperiment(cfg Config) ([]*Table, error) {
 			found := sweep.Map(seeds, cfg.Workers, func(seed int64) bool {
 				g := fam.build(n, seed)
 				for _, d := range []baseline.FloodingDelays{baseline.GridDelays, baseline.DefaultDelays} {
-					if _, ok := onebit.SearchRandom(g, d, 0, 2000, seed); ok {
+					if s, _ := onebit.SearchRandom(context.Background(), g, d, 0, 2000, seed); s != nil {
 						return true
 					}
 				}

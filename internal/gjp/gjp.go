@@ -17,6 +17,7 @@
 package gjp
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -82,8 +83,9 @@ func MaxRounds(n int) int { return 2*n + 4 }
 // Broadcast under this protocol is not universal: Build returns an error
 // wrapping ErrNoLabeling when no assignment within budget sustains the
 // wave. Every labeling returned has been verified by running the real
-// protocol on the engine.
-func Build(g *graph.Graph, source int, budget int) ([]core.Label, error) {
+// protocol on the engine. Build checks ctx between candidate evaluations
+// and returns ctx's error once ctx is done.
+func Build(ctx context.Context, g *graph.Graph, source int, budget int) ([]core.Label, error) {
 	n := g.N()
 	if source < 0 || source >= n {
 		return nil, fmt.Errorf("gjp: source %d out of range [0,%d)", source, n)
@@ -91,13 +93,17 @@ func Build(g *graph.Graph, source int, budget int) ([]core.Label, error) {
 	if budget <= 0 {
 		budget = DefaultBudget
 	}
-	b := &builder{csr: g.Freeze(), n: n, bits: make([]int8, n), informed: make([]bool, n), budget: budget}
+	b := &builder{ctx: ctx, csr: g.Freeze(), n: n, bits: make([]int8, n), informed: make([]bool, n), budget: budget}
 	for i := range b.bits {
 		b.bits[i] = -1
 	}
 	b.informed[source] = true
 	b.ninf = 1
-	if !b.search([]int{source}) {
+	found := b.search([]int{source})
+	if b.err != nil {
+		return nil, b.err
+	}
+	if !found {
 		return nil, fmt.Errorf("gjp: %w for %v from source %d (echo-controlled broadcast is not universal)", ErrNoLabeling, g, source)
 	}
 	labels := make([]core.Label, n)
@@ -111,6 +117,8 @@ func Build(g *graph.Graph, source int, budget int) ([]core.Label, error) {
 }
 
 type builder struct {
+	ctx      context.Context
+	err      error // ctx's error, once candidates found ctx done
 	csr      *graph.CSR
 	n        int
 	bits     []int8 // -1 = unassigned
@@ -147,7 +155,7 @@ func (b *builder) search(T []int) bool {
 
 	cands := b.candidates(T, newly)
 	for _, c := range cands {
-		if b.budget <= 0 {
+		if b.budget <= 0 || b.err != nil {
 			break
 		}
 		b.budget--
@@ -230,6 +238,9 @@ func (b *builder) candidates(T, newly []int) []candidate {
 	seen := map[string]bool{}
 	var out []candidate
 	for _, sel := range sels {
+		if b.err = b.ctx.Err(); b.err != nil {
+			return nil // the search unwinds without trying another candidate
+		}
 		key := selKey(sel)
 		if seen[key] {
 			continue

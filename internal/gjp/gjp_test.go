@@ -1,6 +1,7 @@
 package gjp
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -50,7 +51,7 @@ func TestBuildFamilies(t *testing.T) {
 		{"barbell", graph.Barbell(4, 12)},
 	}
 	for _, tc := range cases {
-		labels, err := Build(tc.g, 0, DefaultBudget)
+		labels, err := Build(context.Background(), tc.g, 0, DefaultBudget)
 		if err != nil {
 			t.Errorf("%s: %v", tc.name, err)
 			continue
@@ -73,7 +74,7 @@ func TestBuildFamilies(t *testing.T) {
 func TestBuildAllSourcesSmall(t *testing.T) {
 	for _, g := range []*graph.Graph{graph.Path(9), graph.Cycle(8), graph.Grid(3, 3)} {
 		for src := 0; src < g.N(); src++ {
-			labels, err := Build(g, src, DefaultBudget)
+			labels, err := Build(context.Background(), g, src, DefaultBudget)
 			if err != nil {
 				t.Fatalf("n=%d src=%d: %v", g.N(), src, err)
 			}
@@ -89,11 +90,11 @@ func TestBuildAllSourcesSmall(t *testing.T) {
 // reproducible across processes (the store contract depends on this).
 func TestBuildDeterministic(t *testing.T) {
 	for _, g := range []*graph.Graph{graph.Grid(5, 5), graph.Cycle(17), graph.BinaryTree(31)} {
-		a, err := Build(g, 0, DefaultBudget)
+		a, err := Build(context.Background(), g, 0, DefaultBudget)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Build(g, 0, DefaultBudget)
+		b, err := Build(context.Background(), g, 0, DefaultBudget)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,14 +110,14 @@ func TestBuildDeterministic(t *testing.T) {
 // Figure 1 graph defeats every 1-bit echo assignment, and Build must
 // report that as ErrNoLabeling instead of returning a broken labeling.
 func TestBuildFigure1Fails(t *testing.T) {
-	if _, err := Build(graph.Figure1(), 0, DefaultBudget); !errors.Is(err, ErrNoLabeling) {
+	if _, err := Build(context.Background(), graph.Figure1(), 0, DefaultBudget); !errors.Is(err, ErrNoLabeling) {
 		t.Fatalf("Build on Figure 1: err = %v, want ErrNoLabeling", err)
 	}
 }
 
 func TestBuildQuickBudget(t *testing.T) {
 	g := graph.Grid(4, 4)
-	labels, err := Build(g, 0, QuickBudget)
+	labels, err := Build(context.Background(), g, 0, QuickBudget)
 	if err != nil {
 		t.Fatalf("quick budget: %v", err)
 	}

@@ -241,6 +241,31 @@ func TestLabelNoLabeling(t *testing.T) {
 	}
 }
 
+// TestLabelSearchTimesOut: a labeling search outlasting RequestTimeout
+// is cut at the deadline and served as 503 canceled, not run to the end
+// of its search and served as 422 no_labeling.
+func TestLabelSearchTimesOut(t *testing.T) {
+	_, ts, _ := newTestServer(t, httpd.Config{RequestTimeout: 200 * time.Millisecond})
+	body := `{"graph":{"family":"gnp-sparse","n":1024},"scheme":"onebit"}`
+	start := time.Now()
+	resp, err := http.Post(ts.URL+"/v1/label", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	took := time.Since(start)
+	var eb client.ErrorBody
+	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusServiceUnavailable || eb.Error.Code != "canceled" {
+		t.Fatalf("onebit past the deadline: status=%d body=%+v, want 503 canceled", resp.StatusCode, eb)
+	}
+	if took > 2*time.Second {
+		t.Fatalf("answered after %v with a 200ms RequestTimeout, want within 2s", took)
+	}
+}
+
 // TestFamilySizeBelowOne pins that a family member with fewer than one
 // node is the request's fault: 400 bad_request, not a 500 from a panic in
 // the generator.

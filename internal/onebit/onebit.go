@@ -12,6 +12,7 @@
 package onebit
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -93,37 +94,47 @@ func GridSchemeAt(rows, cols, si, sj int) (*Scheme, *graph.Graph, error) {
 
 // SearchExhaustive tries every 1-bit labeling (2^n of them) under the given
 // delays and returns the first that completes, preferring lexicographically
-// small labelings. Only feasible for small n (≤ ~20).
-func SearchExhaustive(g *graph.Graph, d baseline.FloodingDelays, source int) (*Scheme, bool) {
+// small labelings, or nil when none does. Only feasible for small n
+// (≤ ~20). It checks ctx between simulations and returns ctx's error once
+// ctx is done.
+func SearchExhaustive(ctx context.Context, g *graph.Graph, d baseline.FloodingDelays, source int) (*Scheme, error) {
 	n := g.N()
 	if n > 22 {
 		panic(fmt.Sprintf("onebit: exhaustive search infeasible for n=%d", n))
 	}
 	labels := make([]core.Label, n)
 	for mask := 0; mask < 1<<uint(n); mask++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		for v := 0; v < n; v++ {
 			labels[v] = core.MakeLabel(mask&(1<<uint(v)) != 0)
 		}
 		if round, ok := Verify(g, labels, d, source); ok {
-			return &Scheme{Labels: append([]core.Label(nil), labels...), Delays: d, CompletionRound: round}, true
+			return &Scheme{Labels: append([]core.Label(nil), labels...), Delays: d, CompletionRound: round}, nil
 		}
 	}
-	return nil, false
+	return nil, nil
 }
 
 // SearchRandom hill-climbs over labelings: starting from all-1, it flips
 // random bits, keeping flips that reduce the number of uninformed nodes.
-// Deterministic in seed. Returns the best scheme found, if any completes.
-func SearchRandom(g *graph.Graph, d baseline.FloodingDelays, source int, tries int, seed int64) (*Scheme, bool) {
+// Deterministic in seed. Returns the scheme found, or nil when no labeling
+// completes within tries flips. It checks ctx between simulations and
+// returns ctx's error once ctx is done.
+func SearchRandom(ctx context.Context, g *graph.Graph, d baseline.FloodingDelays, source int, tries int, seed int64) (*Scheme, error) {
 	n := g.N()
 	r := rand.New(rand.NewSource(seed))
 	labels := uniform(n, true)
 	best := uninformedCount(g, labels, d, source)
 	if best == 0 {
 		round, _ := Verify(g, labels, d, source)
-		return &Scheme{Labels: labels, Delays: d, CompletionRound: round}, true
+		return &Scheme{Labels: labels, Delays: d, CompletionRound: round}, nil
 	}
 	for t := 0; t < tries; t++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		v := r.Intn(n)
 		flipped := append([]core.Label(nil), labels...)
 		flipped[v] = core.MakeLabel(!flipped[v].Bit(0))
@@ -132,11 +143,11 @@ func SearchRandom(g *graph.Graph, d baseline.FloodingDelays, source int, tries i
 			labels, best = flipped, score
 			if best == 0 {
 				round, _ := Verify(g, labels, d, source)
-				return &Scheme{Labels: labels, Delays: d, CompletionRound: round}, true
+				return &Scheme{Labels: labels, Delays: d, CompletionRound: round}, nil
 			}
 		}
 	}
-	return nil, false
+	return nil, nil
 }
 
 func uninformedCount(g *graph.Graph, labels []core.Label, d baseline.FloodingDelays, source int) int {

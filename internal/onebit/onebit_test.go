@@ -1,6 +1,7 @@
 package onebit
 
 import (
+	"context"
 	"testing"
 
 	"radiobcast/internal/baseline"
@@ -104,9 +105,9 @@ func TestSearchExhaustiveFindsC4(t *testing.T) {
 	// All-1 fails on C4 (collision at the antipode); the search must find a
 	// working labeling.
 	g := graph.Cycle(4)
-	s, ok := SearchExhaustive(g, baseline.DefaultDelays, 0)
-	if !ok {
-		t.Fatal("no 1-bit scheme found for C4")
+	s, err := SearchExhaustive(context.Background(), g, baseline.DefaultDelays, 0)
+	if err != nil || s == nil {
+		t.Fatalf("no 1-bit scheme found for C4: %v", err)
 	}
 	if round, ok := Verify(g, s.Labels, s.Delays, 0); !ok || round == 0 {
 		t.Fatal("returned scheme does not verify")
@@ -119,7 +120,7 @@ func TestSearchExhaustiveInfeasiblePanics(t *testing.T) {
 			t.Fatal("expected panic for large n")
 		}
 	}()
-	SearchExhaustive(graph.Path(30), baseline.DefaultDelays, 0)
+	SearchExhaustive(context.Background(), graph.Path(30), baseline.DefaultDelays, 0)
 }
 
 func TestSearchRandomRadius2(t *testing.T) {
@@ -128,9 +129,9 @@ func TestSearchRandomRadius2(t *testing.T) {
 	// star (where all-1 already fails for ≥ 2 leaves beyond round 1... the
 	// star is distance-1, all nodes hear the hub directly).
 	g := graph.Star(8)
-	s, ok := SearchRandom(g, baseline.DefaultDelays, 0, 500, 1)
-	if !ok {
-		t.Fatal("no scheme found for star")
+	s, err := SearchRandom(context.Background(), g, baseline.DefaultDelays, 0, 500, 1)
+	if err != nil || s == nil {
+		t.Fatalf("no scheme found for star: %v", err)
 	}
 	if _, ok := Verify(g, s.Labels, s.Delays, 0); !ok {
 		t.Fatal("scheme does not verify")

@@ -3,7 +3,6 @@ package radiobcast
 import (
 	"context"
 
-	"radiobcast/internal/core"
 	"radiobcast/internal/faults"
 	"radiobcast/internal/graph"
 	"radiobcast/internal/radio"
@@ -25,8 +24,8 @@ type Config struct {
 	// composition). Set by WithFaultSpec / FaultRate; validated and
 	// materialized when the run is prepared.
 	Fault *FaultSpec
-	// Quick reduces search effort for schemes that search for labelings
-	// (currently the one-bit scheme).
+	// Quick reduces search effort for schemes that search for labelings:
+	// onebit's hill-climb tries and gjp's candidate budget.
 	Quick bool
 	// Coordinator is the coordinator node r of λarb (scheme "barb").
 	// Unless WithCoordinator was given, Run substitutes the Network's
@@ -35,9 +34,6 @@ type Config struct {
 	// Seed drives any randomized search a scheme performs (deterministic
 	// per seed; currently the one-bit hill-climb).
 	Seed int64
-	// Build tunes the §2.1 stage construction underlying the λ-family
-	// schemes (prune order, deliberately broken ablation modes).
-	Build core.BuildOptions
 	// Sim, when non-nil, is the reusable engine the run executes on:
 	// passing the same Sim to every run of a label-once/run-many loop
 	// amortises all per-run engine buffers (see NewSim).
@@ -112,9 +108,14 @@ func WithSeed(seed int64) Option { return func(c *Config) { c.Seed = seed } }
 // A Sim must not be used by two runs concurrently.
 func WithSim(s *Sim) Option { return func(c *Config) { c.Sim = s } }
 
-// WithBuild sets the options of the §2.1 stage construction (λ-family
-// schemes); mainly for ablations.
-func WithBuild(b core.BuildOptions) Option { return func(c *Config) { c.Build = b } }
+// context is the run's context for work that needs a non-nil one (the
+// labeling searches); a Config without one never cancels.
+func (c *Config) context() context.Context {
+	if c.ctx == nil {
+		return context.Background()
+	}
+	return c.ctx
+}
 
 func newConfig(opts []Option) *Config {
 	c := &Config{Mu: "µ", Seed: 1, source: -1}
@@ -124,17 +125,16 @@ func newConfig(opts []Option) *Config {
 	return c
 }
 
-// radioOptions sets the run's engine knobs on a scheme's base options:
-// its context, round-bound override, trace, fault model, Sim and test
-// engine. Every runner passes its engine options through here.
-func (c *Config) radioOptions(base radio.Options) radio.Options {
-	base.Ctx = c.ctx
-	if c.MaxRounds > 0 {
-		base.MaxRounds = c.MaxRounds
+// radioOptions is the engine options of a run of plan p: its bounds, with
+// the run's context, round-bound override, trace, fault model, Sim and
+// test engine set on them.
+func (c *Config) radioOptions(p Plan) radio.Options {
+	opt := radio.Options{
+		MaxRounds: p.MaxRounds, StopAfterSilent: p.StopAfterSilent, Stop: p.Stop,
+		Ctx: c.ctx, Trace: c.Trace, Faults: c.faultModel, Sim: c.Sim, Engine: c.engine,
 	}
-	base.Trace = c.Trace
-	base.Faults = c.faultModel
-	base.Sim = c.Sim
-	base.Engine = c.engine
-	return base
+	if c.MaxRounds > 0 {
+		opt.MaxRounds = c.MaxRounds
+	}
+	return opt
 }

@@ -2,6 +2,7 @@ package radiobcast
 
 import (
 	"context"
+	"fmt"
 
 	"radiobcast/internal/radio"
 )
@@ -13,9 +14,11 @@ func LabelNetwork(net *Network, scheme string, opts ...Option) (*Labeling, error
 	return LabelNetworkCtx(context.Background(), net, scheme, opts...)
 }
 
-// LabelNetworkCtx is LabelNetwork with cancellation: a done ctx aborts
-// before (or, for searching schemes, between) the expensive work and
-// returns ctx.Err().
+// LabelNetworkCtx is LabelNetwork with cancellation: a ctx done before
+// labeling starts returns ctx.Err(). The searching schemes (gjp, onebit)
+// also check ctx between simulations and candidate evaluations, and stop
+// with an error that errors.Is ctx.Err(); the other schemes' labelings are
+// not searches and run to completion once started.
 func LabelNetworkCtx(ctx context.Context, net *Network, scheme string, opts ...Option) (*Labeling, error) {
 	s, cfg, source, err := prepare(ctx, net, scheme, opts)
 	if err != nil {
@@ -218,22 +221,34 @@ func (c *Config) sourceOr(fallback int) int {
 	return fallback
 }
 
-// finish runs the scheme and fills the outcome fields common to all
-// schemes, so adapters only populate what is specific to them. When the
-// run was cut short by the Config's context, the partial outcome is
-// returned together with the ctx error.
+// finish runs the scheme's plan on the engine and fills the outcome
+// fields common to all schemes, so plans only assemble what is specific
+// to them. It is the facade's one call into the engine. When the run was
+// cut short by the Config's context, the partial outcome is returned
+// together with the ctx error.
 func finish(s Scheme, l *Labeling, source int, cfg *Config) (*Outcome, error) {
-	out, err := s.Run(l, source, cfg)
+	p, err := s.Plan(l, source, cfg.Mu)
 	if err != nil {
 		return nil, err
 	}
+	if len(p.Protocols) != l.Graph.N() {
+		// Facade validation leaves one cross case: a labeling without labels
+		// (a schedule-only one) under a label-driven scheme plans none.
+		return nil, labelingMismatch("scheme %q planned %d protocols for %d nodes", s.Name(), len(p.Protocols), l.Graph.N())
+	}
+	if p.MaxRounds <= 0 || p.Assemble == nil {
+		return nil, fmt.Errorf("radiobcast: scheme %s planned %d rounds, assembler %t", s.Name(), p.MaxRounds, p.Assemble != nil)
+	}
+	res := radio.Run(l.Graph, p.Protocols, cfg.radioOptions(p))
+	out := p.Assemble(res)
 	out.Scheme = s.Name()
 	out.Graph = l.Graph
 	out.Source = source
 	out.Mu = cfg.Mu
+	out.Result = res
 	if out.Labeling == nil {
-		// Schemes may install their own labeling (centralized recomputes
-		// its schedule for an overridden source); keep it.
+		// A plan may install its own labeling (centralized recomputes its
+		// schedule for an overridden source); keep it.
 		out.Labeling = l
 	}
 	out.Coverage, out.Degraded = degradation(out)

@@ -96,18 +96,6 @@ func (l *Labeling) Strings() []string { return core.Strings(l.Labels) }
 // Histogram counts nodes per label value.
 func (l *Labeling) Histogram() map[Label]int { return core.Histogram(l.Labels) }
 
-// checkLabels verifies the labeling carries one label per node — the
-// precondition of every label-driven scheme's Run. Facade validation
-// already rejects most malformed labelings; this closes the remaining
-// cross case (e.g. a schedule-only labeling stamped with a label scheme's
-// name), returning ErrLabelingMismatch instead of panicking downstream.
-func (l *Labeling) checkLabels() error {
-	if len(l.Labels) != l.Graph.N() {
-		return labelingMismatch("scheme %q needs %d labels, labeling has %d", l.Scheme, l.Graph.N(), len(l.Labels))
-	}
-	return nil
-}
-
 // coreLabeling recovers the internal λ-family labeling, reconstructing it
 // from the public fields when the Labeling was assembled by hand.
 func (l *Labeling) coreLabeling() *core.Labeling {
@@ -166,11 +154,11 @@ type Outcome struct {
 }
 
 // Scheme is the single contract every algorithm in this repository
-// implements: label a graph, derive per-node protocols, run, verify. All
-// nine built-in schemes (b, back, barb, onebit, gjp, roundrobin,
-// colorrobin, centralized, flooding) register implementations of this
-// interface; new algorithms plug in via Register without touching any
-// caller.
+// implements: label a graph, plan a broadcast over the labeling, verify
+// the outcome. All nine built-in schemes (b, back, barb, onebit, gjp,
+// roundrobin, colorrobin, centralized, flooding) register implementations
+// of this interface; new algorithms plug in via Register without touching
+// any caller.
 type Scheme interface {
 	// Name is the registry key (e.g. "b", "barb", "roundrobin").
 	Name() string
@@ -179,16 +167,35 @@ type Scheme interface {
 	// Label computes the scheme's labeling of g for the given source
 	// (schemes with a coordinator read it from cfg.Coordinator instead).
 	Label(g *Graph, source int, cfg *Config) (*Labeling, error)
-	// Protocols instantiates one fresh protocol per node for a broadcast
-	// of mu from source under labeling l.
-	Protocols(l *Labeling, source int, mu string) ([]Protocol, error)
-	// Run executes a broadcast of cfg.Mu from source under labeling l and
-	// reports the unified outcome. An unsuccessful broadcast is not an
-	// error: it yields an Outcome with AllInformed == false that Verify
-	// rejects. Errors are reserved for impossible setups.
-	Run(l *Labeling, source int, cfg *Config) (*Outcome, error)
+	// Plan instantiates a broadcast of mu from source under labeling l:
+	// fresh protocols, one per node, the run's bounds and the assembler of
+	// its outcome. The facade runs every plan the same way. Errors are
+	// reserved for impossible setups; an unsuccessful broadcast yields an
+	// Outcome with AllInformed == false that Verify rejects.
+	Plan(l *Labeling, source int, mu string) (Plan, error)
 	// Verify checks the outcome against the scheme's guarantees (the
 	// paper's theorems for the λ family, collision-freeness for the
 	// slotted baselines, plain completion for flooding).
 	Verify(out *Outcome) error
+}
+
+// Plan is one broadcast ready to run: the facade runs Protocols on the
+// engine under the bounds below (which WithMaxRounds and the other
+// options adjust), hands the engine's Result to Assemble, and fills the
+// Outcome fields every scheme shares (Scheme, Graph, Source, Mu, Result,
+// Labeling unless Assemble set it, Coverage and Degraded).
+type Plan struct {
+	// Protocols holds one fresh protocol per node.
+	Protocols []Protocol
+	// MaxRounds bounds the run (> 0); WithMaxRounds overrides it.
+	MaxRounds int
+	// StopAfterSilent, when > 0, ends the run after this many consecutive
+	// rounds without a transmission.
+	StopAfterSilent int
+	// Stop, when non-nil, is evaluated after each round; returning true
+	// ends the run.
+	Stop func(round int) bool
+	// Assemble (non-nil) turns the engine's Result into the scheme's
+	// Outcome: at least InformedRound, AllInformed and CompletionRound.
+	Assemble func(*Result) *Outcome
 }

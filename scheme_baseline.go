@@ -5,7 +5,6 @@ import (
 
 	"radiobcast/internal/baseline"
 	"radiobcast/internal/core"
-	"radiobcast/internal/radio"
 )
 
 func init() {
@@ -15,15 +14,24 @@ func init() {
 	Register(floodingScheme{})
 }
 
-// baselineOutcome maps the shared baseline result shape into the unified
-// Outcome. Incompleteness is not an error at run level (Verify judges it).
-func baselineOutcome(out *baseline.Outcome) *Outcome {
-	return &Outcome{
-		Result:          out.Result,
-		InformedRound:   out.InformedRound,
-		AllInformed:     out.AllInformed,
-		CompletionRound: out.CompletionRound,
-		inner:           out,
+// observedPlan is the plan of every scheme but the λ family: ps run under
+// baseline observers, which end the run once every node is informed, for
+// at most maxRounds rounds, and the outcome records each node's first
+// reception under labeling l.
+func observedPlan(l *Labeling, ps []Protocol, source, maxRounds int) Plan {
+	obs, stop := baseline.Observe(ps, source)
+	return Plan{
+		Protocols: obs, MaxRounds: maxRounds, Stop: stop,
+		Assemble: func(res *Result) *Outcome {
+			out := baseline.Assemble(res, obs, source)
+			return &Outcome{
+				InformedRound:   out.InformedRound,
+				AllInformed:     out.AllInformed,
+				CompletionRound: out.CompletionRound,
+				Labeling:        l,
+				inner:           out,
+			}
+		},
 	}
 }
 
@@ -49,22 +57,13 @@ func verifyCollisionFree(out *Outcome, scheme string) error {
 	return nil
 }
 
-// slottedScheme is the run half shared by the two slotted baselines:
+// slottedScheme is the plan half shared by the two slotted baselines:
 // both run baseline.Slotted over their labels and must never collide.
 type slottedScheme struct{}
 
-func (slottedScheme) Protocols(l *Labeling, source int, mu string) ([]Protocol, error) {
-	return baseline.NewSlottedProtocols(l.Labels, source, mu), nil
-}
-
-func (s slottedScheme) Run(l *Labeling, source int, cfg *Config) (*Outcome, error) {
-	if err := l.checkLabels(); err != nil {
-		return nil, err
-	}
-	ps, _ := s.Protocols(l, source, cfg.Mu)
-	maxRounds := baseline.SlottedMaxRounds(l.Graph, source, l.Bits())
-	out := baseline.Observe(l.Graph, ps, source, cfg.radioOptions(radio.Options{MaxRounds: maxRounds}))
-	return baselineOutcome(out), nil
+func (slottedScheme) Plan(l *Labeling, source int, mu string) (Plan, error) {
+	ps := baseline.NewSlottedProtocols(l.Labels, source, mu)
+	return observedPlan(l, ps, source, baseline.SlottedMaxRounds(l.Graph, source, l.Bits())), nil
 }
 
 func (slottedScheme) Verify(out *Outcome) error {
@@ -121,14 +120,7 @@ func (centralizedScheme) Label(g *Graph, source int, _ *Config) (*Labeling, erro
 	}, nil
 }
 
-func (centralizedScheme) Protocols(l *Labeling, _ int, mu string) ([]Protocol, error) {
-	if l.Schedule == nil {
-		return nil, fmt.Errorf("radiobcast: centralized labeling has no schedule")
-	}
-	return baseline.ScheduledProtocols(l.Graph.N(), l.Schedule, mu), nil
-}
-
-func (c centralizedScheme) Run(l *Labeling, source int, cfg *Config) (*Outcome, error) {
+func (centralizedScheme) Plan(l *Labeling, source int, mu string) (Plan, error) {
 	if source != l.Source || l.Schedule == nil {
 		// The schedule is source-specific; recompute for a new source.
 		l = &Labeling{
@@ -136,14 +128,8 @@ func (c centralizedScheme) Run(l *Labeling, source int, cfg *Config) (*Outcome, 
 			Schedule: baseline.BuildSchedule(l.Graph, source), Z: -1, R: -1,
 		}
 	}
-	ps, err := c.Protocols(l, source, cfg.Mu)
-	if err != nil {
-		return nil, err
-	}
-	out := baseline.Observe(l.Graph, ps, source, cfg.radioOptions(radio.Options{MaxRounds: len(l.Schedule) + 1}))
-	o := baselineOutcome(out)
-	o.Labeling = l
-	return o, nil
+	ps := baseline.ScheduledProtocols(l.Graph.N(), l.Schedule, mu)
+	return observedPlan(l, ps, source, len(l.Schedule)+1), nil
 }
 
 func (centralizedScheme) Verify(out *Outcome) error {
@@ -180,18 +166,9 @@ func (floodingScheme) Label(g *Graph, source int, _ *Config) (*Labeling, error) 
 	}, nil
 }
 
-func (floodingScheme) Protocols(l *Labeling, source int, mu string) ([]Protocol, error) {
-	return baseline.NewFloodingProtocols(l.Labels, l.Delays, source, mu), nil
-}
-
-func (f floodingScheme) Run(l *Labeling, source int, cfg *Config) (*Outcome, error) {
-	if err := l.checkLabels(); err != nil {
-		return nil, err
-	}
-	ps, _ := f.Protocols(l, source, cfg.Mu)
-	maxRounds := baseline.FloodingMaxRounds(l.Graph.N())
-	out := baseline.Observe(l.Graph, ps, source, cfg.radioOptions(radio.Options{MaxRounds: maxRounds}))
-	return baselineOutcome(out), nil
+func (floodingScheme) Plan(l *Labeling, source int, mu string) (Plan, error) {
+	ps := baseline.NewFloodingProtocols(l.Labels, l.Delays, source, mu)
+	return observedPlan(l, ps, source, baseline.FloodingMaxRounds(l.Graph.N())), nil
 }
 
 func (floodingScheme) Verify(out *Outcome) error {

@@ -2,6 +2,7 @@ package radiobcast
 
 import (
 	"fmt"
+	"slices"
 
 	"radiobcast/internal/core"
 	"radiobcast/internal/radio"
@@ -22,31 +23,26 @@ func (bScheme) Describe() string {
 	return "2-bit labeling λ + universal algorithm B (broadcast in ≤ 2n−3 rounds)"
 }
 
-func (bScheme) Label(g *Graph, source int, cfg *Config) (*Labeling, error) {
-	l, err := core.Lambda(g, source, cfg.Build)
+func (bScheme) Label(g *Graph, source int, _ *Config) (*Labeling, error) {
+	l, err := core.Lambda(g, source, core.BuildOptions{})
 	if err != nil {
 		return nil, err
 	}
 	return wrapCore("b", g, source, l), nil
 }
 
-func (bScheme) Protocols(l *Labeling, source int, mu string) ([]Protocol, error) {
-	return core.NewBProtocols(l.Labels, source, mu), nil
-}
-
-func (bScheme) Run(l *Labeling, source int, cfg *Config) (*Outcome, error) {
-	if err := l.checkLabels(); err != nil {
-		return nil, err
-	}
-	ps, base, asm := core.PlanBroadcast(l.Graph, l.coreLabeling(), source, cfg.Mu)
-	out := asm(radio.Run(l.Graph, ps, cfg.radioOptions(base)))
-	return &Outcome{
-		Result:          out.Result,
-		InformedRound:   out.InformedRound,
-		AllInformed:     out.AllInformed,
-		CompletionRound: out.CompletionRound,
-		inner:           out,
-	}, nil
+func (bScheme) Plan(l *Labeling, source int, mu string) (Plan, error) {
+	cl := l.coreLabeling()
+	ps, base := core.PlanBroadcast(l.Graph, cl, source, mu)
+	return corePlan(ps, base, func(res *Result) *Outcome {
+		out := core.AssembleBroadcast(res, cl, source)
+		return &Outcome{
+			InformedRound:   out.InformedRound,
+			AllInformed:     out.AllInformed,
+			CompletionRound: out.CompletionRound,
+			inner:           out,
+		}
+	}), nil
 }
 
 func (bScheme) Verify(out *Outcome) error {
@@ -66,32 +62,27 @@ func (backScheme) Describe() string {
 	return "3-bit labeling λack + algorithm Back (broadcast with acknowledgement)"
 }
 
-func (backScheme) Label(g *Graph, source int, cfg *Config) (*Labeling, error) {
-	l, err := core.LambdaAck(g, source, cfg.Build)
+func (backScheme) Label(g *Graph, source int, _ *Config) (*Labeling, error) {
+	l, err := core.LambdaAck(g, source, core.BuildOptions{})
 	if err != nil {
 		return nil, err
 	}
 	return wrapCore("back", g, source, l), nil
 }
 
-func (backScheme) Protocols(l *Labeling, source int, mu string) ([]Protocol, error) {
-	return core.NewBackProtocols(l.Labels, source, mu), nil
-}
-
-func (backScheme) Run(l *Labeling, source int, cfg *Config) (*Outcome, error) {
-	if err := l.checkLabels(); err != nil {
-		return nil, err
-	}
-	ps, base, asm := core.PlanAcknowledged(l.Graph, l.coreLabeling(), source, cfg.Mu)
-	out := asm(radio.Run(l.Graph, ps, cfg.radioOptions(base)))
-	return &Outcome{
-		Result:          out.Result,
-		InformedRound:   out.InformedRound,
-		AllInformed:     out.AllInformed,
-		CompletionRound: out.CompletionRound,
-		AckRound:        out.AckRound,
-		inner:           out,
-	}, nil
+func (backScheme) Plan(l *Labeling, source int, mu string) (Plan, error) {
+	cl := l.coreLabeling()
+	ps, base := core.PlanAcknowledged(l.Graph, cl, source, mu)
+	return corePlan(ps, base, func(res *Result) *Outcome {
+		out := core.AssembleAcknowledged(res, cl, ps, source)
+		return &Outcome{
+			InformedRound:   out.InformedRound,
+			AllInformed:     out.AllInformed,
+			CompletionRound: out.CompletionRound,
+			AckRound:        out.AckRound,
+			inner:           out,
+		}
+	}), nil
 }
 
 func (backScheme) Verify(out *Outcome) error {
@@ -113,42 +104,31 @@ func (barbScheme) Describe() string {
 }
 
 func (barbScheme) Label(g *Graph, _ int, cfg *Config) (*Labeling, error) {
-	l, err := core.LambdaArb(g, cfg.Coordinator, cfg.Build)
+	l, err := core.LambdaArb(g, cfg.Coordinator, core.BuildOptions{})
 	if err != nil {
 		return nil, err
 	}
 	return wrapCore("barb", g, cfg.Coordinator, l), nil
 }
 
-func (barbScheme) Protocols(l *Labeling, source int, mu string) ([]Protocol, error) {
-	return core.NewBarbProtocols(l.Labels, source, mu), nil
-}
-
-func (barbScheme) Run(l *Labeling, source int, cfg *Config) (*Outcome, error) {
-	if err := l.checkLabels(); err != nil {
-		return nil, err
-	}
-	ps, base, asm, err := core.PlanArbitrary(l.Graph, l.coreLabeling(), source, cfg.Mu)
+func (barbScheme) Plan(l *Labeling, source int, mu string) (Plan, error) {
+	cl := l.coreLabeling()
+	ps, base, err := core.PlanArbitrary(l.Graph, cl, source, mu)
 	if err != nil {
-		return nil, err
+		return Plan{}, err
 	}
-	out := asm(radio.Run(l.Graph, ps, cfg.radioOptions(base)))
-	completion := 0
-	for _, r := range out.MuKnownRound {
-		if r > completion {
-			completion = r
+	return corePlan(ps, base, func(res *Result) *Outcome {
+		out := core.AssembleArbitrary(res, cl, ps, source, mu)
+		return &Outcome{
+			InformedRound:      out.MuKnownRound,
+			AllInformed:        out.AllKnowMu,
+			CompletionRound:    slices.Max(out.MuKnownRound), // PlanArbitrary needs n ≥ 2
+			KnowsCompleteRound: out.KnowsCompleteRound,
+			TotalRounds:        out.TotalRounds,
+			T:                  out.T,
+			inner:              out,
 		}
-	}
-	return &Outcome{
-		Result:             out.Result,
-		InformedRound:      out.MuKnownRound,
-		AllInformed:        out.AllKnowMu,
-		CompletionRound:    completion,
-		KnowsCompleteRound: out.KnowsCompleteRound,
-		TotalRounds:        out.TotalRounds,
-		T:                  out.T,
-		inner:              out,
-	}, nil
+	}), nil
 }
 
 func (barbScheme) Verify(out *Outcome) error {
@@ -157,6 +137,15 @@ func (barbScheme) Verify(out *Outcome) error {
 		return fmt.Errorf("radiobcast: outcome did not come from scheme barb")
 	}
 	return core.VerifyArbitrary(out.Graph, a, out.Mu)
+}
+
+// corePlan carries a core plan's protocols and base options into a Plan.
+func corePlan(ps []Protocol, base radio.Options, assemble func(*Result) *Outcome) Plan {
+	return Plan{
+		Protocols: ps, MaxRounds: base.MaxRounds,
+		StopAfterSilent: base.StopAfterSilent, Stop: base.Stop,
+		Assemble: assemble,
+	}
 }
 
 // wrapCore lifts an internal λ-family labeling into the public shape. It

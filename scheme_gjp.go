@@ -4,9 +4,7 @@ import (
 	"errors"
 	"fmt"
 
-	"radiobcast/internal/baseline"
 	"radiobcast/internal/gjp"
-	"radiobcast/internal/radio"
 )
 
 func init() {
@@ -37,7 +35,7 @@ func (gjpScheme) Label(g *Graph, source int, cfg *Config) (*Labeling, error) {
 	if cfg.Quick {
 		budget = gjp.QuickBudget
 	}
-	labels, err := gjp.Build(g, source, budget)
+	labels, err := gjp.Build(cfg.context(), g, source, budget)
 	if errors.Is(err, gjp.ErrNoLabeling) {
 		return nil, fmt.Errorf("radiobcast: %w: %w", ErrNoLabeling, err)
 	}
@@ -50,18 +48,9 @@ func (gjpScheme) Label(g *Graph, source int, cfg *Config) (*Labeling, error) {
 	}, nil
 }
 
-func (gjpScheme) Protocols(l *Labeling, source int, mu string) ([]Protocol, error) {
-	return gjp.NewProtocols(l.Labels, source, mu), nil
-}
-
-func (s gjpScheme) Run(l *Labeling, source int, cfg *Config) (*Outcome, error) {
-	if err := l.checkLabels(); err != nil {
-		return nil, err
-	}
-	ps, _ := s.Protocols(l, source, cfg.Mu)
-	maxRounds := gjp.MaxRounds(l.Graph.N())
-	out := baseline.Observe(l.Graph, ps, source, cfg.radioOptions(radio.Options{MaxRounds: maxRounds}))
-	return baselineOutcome(out), nil
+func (gjpScheme) Plan(l *Labeling, source int, mu string) (Plan, error) {
+	ps := gjp.NewProtocols(l.Labels, source, mu)
+	return observedPlan(l, ps, source, gjp.MaxRounds(l.Graph.N())), nil
 }
 
 func (gjpScheme) Verify(out *Outcome) error {

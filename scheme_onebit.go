@@ -5,7 +5,6 @@ import (
 
 	"radiobcast/internal/baseline"
 	"radiobcast/internal/onebit"
-	"radiobcast/internal/radio"
 )
 
 func init() {
@@ -18,8 +17,9 @@ func init() {
 // over all 2^n labelings for small graphs, a seeded hill-climb otherwise —
 // and every labeling returned has been verified to complete broadcast by
 // exact simulation. Label fails with ErrNoLabeling when no labeling is
-// found (one-bit broadcast is not universal).
-type onebitScheme struct{}
+// found (one-bit broadcast is not universal). A labeling runs on
+// flooding's plan.
+type onebitScheme struct{ floodingScheme }
 
 // onebitExhaustiveMax bounds the exhaustive 2^n search (beyond it the
 // hill-climb takes over).
@@ -40,13 +40,16 @@ func (onebitScheme) Label(g *Graph, source int, cfg *Config) (*Labeling, error) 
 	search := g.Clone()
 	for _, d := range []baseline.FloodingDelays{baseline.DefaultDelays, baseline.GridDelays} {
 		var s *onebit.Scheme
-		var ok bool
+		var err error
 		if g.N() <= onebitExhaustiveMax {
-			s, ok = onebit.SearchExhaustive(search, d, source)
+			s, err = onebit.SearchExhaustive(cfg.context(), search, d, source)
 		} else {
-			s, ok = onebit.SearchRandom(search, d, source, tries, cfg.Seed)
+			s, err = onebit.SearchRandom(cfg.context(), search, d, source, tries, cfg.Seed)
 		}
-		if ok {
+		if err != nil {
+			return nil, err
+		}
+		if s != nil {
 			return &Labeling{
 				Scheme: "onebit", Graph: g, Source: source,
 				Labels: s.Labels, Delays: s.Delays, Z: -1, R: -1,
@@ -54,20 +57,6 @@ func (onebitScheme) Label(g *Graph, source int, cfg *Config) (*Labeling, error) 
 		}
 	}
 	return nil, fmt.Errorf("radiobcast: %w: no 1-bit labeling found for %v from source %d (one-bit broadcast is not universal)", ErrNoLabeling, g, source)
-}
-
-func (onebitScheme) Protocols(l *Labeling, source int, mu string) ([]Protocol, error) {
-	return baseline.NewFloodingProtocols(l.Labels, l.Delays, source, mu), nil
-}
-
-func (o onebitScheme) Run(l *Labeling, source int, cfg *Config) (*Outcome, error) {
-	if err := l.checkLabels(); err != nil {
-		return nil, err
-	}
-	ps, _ := o.Protocols(l, source, cfg.Mu)
-	maxRounds := baseline.FloodingMaxRounds(l.Graph.N())
-	out := baseline.Observe(l.Graph, ps, source, cfg.radioOptions(radio.Options{MaxRounds: maxRounds}))
-	return baselineOutcome(out), nil
 }
 
 func (onebitScheme) Verify(out *Outcome) error {

@@ -3,11 +3,11 @@ package radiobcast
 import (
 	"container/list"
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 
-	"radiobcast/internal/core"
 	"radiobcast/internal/store"
 )
 
@@ -128,7 +128,7 @@ type SessionStats struct {
 	// Misses counts labelings computed and inserted.
 	Misses uint64
 	// Bypasses counts labelings computed without consulting the cache
-	// (non-default build options, or a zero-capacity cache).
+	// (quick mode, a non-default search seed, or a zero-capacity cache).
 	Bypasses uint64
 	// Evictions counts LRU entries discarded to make room.
 	Evictions uint64
@@ -512,11 +512,11 @@ func (s *Session) finishPooled(sch Scheme, l *Labeling, source int, cfg *Config)
 }
 
 // cacheable reports whether a labeling under cfg is a pure function of
-// (graph, scheme, source, coordinator). Non-default build options, quick
-// mode and non-default search seeds change the labels, so those label
-// calls bypass the cache instead of poisoning it.
+// (graph, scheme, source, coordinator). Quick mode and non-default search
+// seeds change the labels, so those label calls bypass the cache instead
+// of poisoning it.
 func cacheable(cfg *Config) bool {
-	return cfg.Build == (core.BuildOptions{}) && !cfg.Quick && cfg.Seed == 1
+	return !cfg.Quick && cfg.Seed == 1
 }
 
 // labelCached serves sch.Label through the LRU with single-flight
@@ -527,7 +527,10 @@ func cacheable(cfg *Config) bool {
 // on the flight (counted as coalesced) and return the leader's labeling.
 // A waiter whose own context ends abandons the wait with ctx.Err(); the
 // leader is unaffected. Labeling errors are delivered to every request of
-// the flight but are not cached — the next request retries.
+// the flight but are not cached — the next request retries. A waiter
+// whose own context is live does not take over the leader's
+// cancellation (searching schemes stop when it ends): it waits again,
+// or leads a new flight.
 //
 // With a store attached, the disk tier joins the same flight: the leader
 // first tries a store read (a hit skips the compute entirely and counts
@@ -554,16 +557,19 @@ func (s *Session) labelCached(ctx context.Context, sch Scheme, g *Graph, source 
 	if f, ok := s.flights[key]; ok {
 		s.mu.Unlock()
 		s.coalesced.Add(1)
-		if ctx == nil {
-			<-f.done
-			return f.l, f.err
+		if ctx != nil {
+			select {
+			case <-f.done:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
 		}
-		select {
-		case <-f.done:
-			return f.l, f.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
+		<-f.done
+		if ctxErr(ctx) == nil && (errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded)) {
+			// The leader's context ended, not this request's.
+			return s.labelCached(ctx, sch, g, source, cfg)
 		}
+		return f.l, f.err
 	}
 	f := &flight{done: make(chan struct{})}
 	s.flights[key] = f

@@ -480,9 +480,10 @@ func TestSessionCloseFlushesStore(t *testing.T) {
 	// operation is genuinely in flight) when Close is called.
 	entered := make(chan struct{}, len(nets))
 	release := make(chan struct{})
-	gate := func() {
+	gate := func() error {
 		entered <- struct{}{}
 		<-release
+		return nil
 	}
 	hookB.onLabel.Store(&gate)
 

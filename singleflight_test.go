@@ -28,9 +28,10 @@ func TestSessionSingleFlight(t *testing.T) {
 	const n = 8
 	release := make(chan struct{})
 	entered := make(chan struct{}, n)
-	block := func() {
+	block := func() error {
 		entered <- struct{}{}
 		<-release
+		return nil
 	}
 	hookB.onLabel.Store(&block)
 
@@ -96,9 +97,10 @@ func TestSessionSingleFlightWaiterCancel(t *testing.T) {
 
 	release := make(chan struct{})
 	entered := make(chan struct{}, 1)
-	block := func() {
+	block := func() error {
 		entered <- struct{}{}
 		<-release
+		return nil
 	}
 	hookB.onLabel.Store(&block)
 
@@ -135,5 +137,72 @@ func TestSessionSingleFlightWaiterCancel(t *testing.T) {
 	st := sess.Stats()
 	if st.Misses != 1 || st.Coalesced != 1 || st.Entries != 1 {
 		t.Fatalf("stats = %+v, want 1 miss / 1 coalesced / 1 entry", st)
+	}
+}
+
+// TestSessionSingleFlightLeaderCancel: a leader whose context ends stops
+// its labeling with the context's error, and a coalesced waiter whose own
+// context is live does not inherit that error: it leads a new flight and
+// gets the labeling.
+func TestSessionSingleFlightLeaderCancel(t *testing.T) {
+	hookB.reset()
+	defer hookB.reset()
+	sess := radiobcast.NewSession()
+	net := figNet(t)
+	net.Graph.Fingerprint()
+
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	defer cancelLeader()
+	entered := make(chan struct{}, 1)
+	hook := func() error {
+		if hookB.labels.Load() > 1 {
+			return nil // the waiter's own flight labels normally
+		}
+		entered <- struct{}{}
+		<-leaderCtx.Done()
+		return leaderCtx.Err()
+	}
+	hookB.onLabel.Store(&hook)
+
+	leaderDone := make(chan error, 1)
+	go func() {
+		_, err := sess.Label(leaderCtx, net, "hook-b")
+		leaderDone <- err
+	}()
+	<-entered
+
+	type result struct {
+		l   *radiobcast.Labeling
+		err error
+	}
+	waiterDone := make(chan result, 1)
+	go func() {
+		l, err := sess.Label(context.Background(), net, "hook-b")
+		waiterDone <- result{l, err}
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for sess.CacheCoalesced() < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("waiter never coalesced")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancelLeader()
+	if err := <-leaderDone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled leader returned %v, want context.Canceled", err)
+	}
+	w := <-waiterDone
+	if w.err != nil && !errors.Is(w.err, radiobcast.ErrNoLabeling) {
+		t.Fatalf("live waiter returned %v, want a labeling or ErrNoLabeling", w.err)
+	}
+	if w.err == nil && w.l == nil {
+		t.Fatal("live waiter returned neither a labeling nor an error")
+	}
+	if got := hookB.labels.Load(); got != 2 {
+		t.Fatalf("Label called %d times, want 2 (the cancelled leader, then the waiter)", got)
+	}
+	st := sess.Stats()
+	if st.Misses != 2 || st.Coalesced != 1 || st.Entries != 1 {
+		t.Fatalf("stats = %+v, want 2 misses / 1 coalesced / 1 entry", st)
 	}
 }
