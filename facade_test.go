@@ -96,8 +96,8 @@ func TestSchemeMatrix(t *testing.T) {
 // TestParallelMatchesSequential pins the deprecated WithWorkers option
 // to a no-op: runs with WithWorkers(-1) are bit-identical to runs
 // without it and to the reference engine. Run under -race this also
-// exercises the facade's wrapper layer (baseline observers, Stop
-// predicates) for data races.
+// exercises the plans' Stop predicates (the baselines' uninformed
+// counters) for data races.
 func TestParallelMatchesSequential(t *testing.T) {
 	for _, scheme := range []string{"b", "back", "barb", "roundrobin", "colorrobin"} {
 		t.Run(scheme, func(t *testing.T) {

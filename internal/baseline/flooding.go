@@ -15,12 +15,13 @@ import (
 type Flooding struct {
 	delay int // rounds between first reception and the single retransmission; 0 = never
 
-	round    int
-	haveMsg  bool
-	msg      string
-	recvAt   int
-	sent     bool
-	isSource bool
+	round      int
+	haveMsg    bool
+	msg        string
+	recvAt     int
+	sent       bool
+	isSource   bool
+	uninformed *int // the run's count of uninformed nodes (see uninformedStop)
 }
 
 // FloodingDelays configures the two delays selected by the label bit.
@@ -46,6 +47,7 @@ func (p *Flooding) Step(rcv *radio.Message) radio.Action {
 		p.haveMsg = true
 		p.msg = rcv.Payload
 		p.recvAt = p.round - 1
+		*p.uninformed--
 	}
 	switch {
 	case p.isSource && !p.sent:
@@ -77,13 +79,15 @@ func (p *Flooding) NextWake() int {
 func (p *Flooding) Skip(rounds int) { p.round += rounds }
 
 // NewFloodingProtocols builds one protocol per node from its 1-bit
-// label, carved from one bulk allocation.
-func NewFloodingProtocols(labels []core.Label, d FloodingDelays, source int, mu string) []radio.Protocol {
+// label, carved from one bulk allocation, and the stop predicate that
+// ends the run once every node holds µ.
+func NewFloodingProtocols(labels []core.Label, d FloodingDelays, source int, mu string) ([]radio.Protocol, func(int) bool) {
+	uninformed, stop := uninformedStop(len(labels))
 	nodes := make([]Flooding, len(labels))
 	ps := make([]radio.Protocol, len(labels))
 	for v, label := range labels {
 		p := &nodes[v]
-		p.delay, p.recvAt = d.DelayZero, -1
+		p.delay, p.recvAt, p.uninformed = d.DelayZero, -1, uninformed
 		if label.Bit(0) {
 			p.delay = d.DelayOne
 		}
@@ -92,14 +96,13 @@ func NewFloodingProtocols(labels []core.Label, d FloodingDelays, source int, mu 
 		}
 		ps[v] = p
 	}
-	return ps
+	return ps, stop
 }
 
 // RunFlooding runs the delayed-flooding protocol under the given 1-bit
 // labeling and returns the outcome (which may be incomplete: callers use
 // this to *verify* candidate labelings).
 func RunFlooding(g *graph.Graph, labels []core.Label, d FloodingDelays, source int, mu string) *Outcome {
-	obs, stop := Observe(NewFloodingProtocols(labels, d, source, mu), source)
-	res := radio.Run(g, obs, radio.Options{MaxRounds: FloodingMaxRounds(g.N()), Stop: stop})
-	return Assemble(res, obs, source)
+	ps, stop := NewFloodingProtocols(labels, d, source, mu)
+	return Assemble(radio.Run(g, ps, radio.Options{MaxRounds: FloodingMaxRounds(g.N()), Stop: stop}), source)
 }

@@ -7,27 +7,26 @@ import (
 )
 
 // The tests run each baseline the way the facade does: label, build the
-// protocols, and run them observed under the scheme's round bound.
+// protocols, run them under the scheme's bounds and read the outcome
+// from the Result.
 
-func runObserved(g *graph.Graph, ps []radio.Protocol, source, maxRounds int) *Outcome {
-	obs, stop := Observe(ps, source)
-	return Assemble(radio.Run(g, obs, radio.Options{MaxRounds: maxRounds, Stop: stop}), obs, source)
+func runSlotted(g *graph.Graph, labels []core.Label, source int, mu string) *Outcome {
+	ps, stop := NewSlottedProtocols(labels, source, mu)
+	opt := radio.Options{MaxRounds: SlottedMaxRounds(g, source, core.MaxLen(labels)), Stop: stop}
+	return Assemble(radio.Run(g, ps, opt), source)
 }
 
 func runRoundRobin(g *graph.Graph, source int, mu string) *Outcome {
-	labels := RoundRobinLabels(g.N())
-	ps := NewSlottedProtocols(labels, source, mu)
-	return runObserved(g, ps, source, SlottedMaxRounds(g, source, core.MaxLen(labels)))
+	return runSlotted(g, RoundRobinLabels(g.N()), source, mu)
 }
 
 func runColorRobin(g *graph.Graph, source int, mu string) *Outcome {
 	labels, _ := ColorRobinLabels(g)
-	ps := NewSlottedProtocols(labels, source, mu)
-	return runObserved(g, ps, source, SlottedMaxRounds(g, source, core.MaxLen(labels)))
+	return runSlotted(g, labels, source, mu)
 }
 
 func runCentralized(g *graph.Graph, source int, mu string) *Outcome {
 	schedule := BuildSchedule(g, source)
 	ps := ScheduledProtocols(g.N(), schedule, mu)
-	return runObserved(g, ps, source, len(schedule)+1)
+	return Assemble(radio.Run(g, ps, radio.Options{MaxRounds: len(schedule) + 1}), source)
 }

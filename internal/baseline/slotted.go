@@ -9,7 +9,6 @@ package baseline
 
 import (
 	"math/bits"
-	"sync/atomic"
 
 	"radiobcast/internal/core"
 	"radiobcast/internal/graph"
@@ -31,9 +30,10 @@ type Slotted struct {
 	slot   int
 	period int
 
-	round   int
-	haveMsg bool
-	msg     string
+	round      int
+	haveMsg    bool
+	msg        string
+	uninformed *int // the run's count of uninformed nodes (see uninformedStop)
 }
 
 // Step implements radio.Protocol.
@@ -42,6 +42,7 @@ func (p *Slotted) Step(rcv *radio.Message) radio.Action {
 	if rcv != nil && rcv.Kind == radio.KindData && !p.haveMsg {
 		p.haveMsg = true
 		p.msg = rcv.Payload
+		*p.uninformed--
 	}
 	if p.haveMsg && (p.round-1)%p.period == p.slot {
 		return radio.Send(radio.Message{Kind: radio.KindData, Payload: p.msg})
@@ -63,19 +64,32 @@ func (p *Slotted) NextWake() int {
 func (p *Slotted) Skip(rounds int) { p.round += rounds }
 
 // NewSlottedProtocols builds one protocol per node from its slot label,
-// carved from one bulk allocation.
-func NewSlottedProtocols(labels []core.Label, source int, mu string) []radio.Protocol {
+// carved from one bulk allocation, and the stop predicate that ends the
+// run once every node holds µ.
+func NewSlottedProtocols(labels []core.Label, source int, mu string) ([]radio.Protocol, func(int) bool) {
+	uninformed, stop := uninformedStop(len(labels))
 	nodes := make([]Slotted, len(labels))
 	ps := make([]radio.Protocol, len(labels))
 	for v, label := range labels {
 		p := &nodes[v]
 		p.slot, p.period = slotOf(label)
+		p.uninformed = uninformed
 		if v == source {
 			p.haveMsg, p.msg = true, mu
 		}
 		ps[v] = p
 	}
-	return ps
+	return ps, stop
+}
+
+// uninformedStop returns the count of a run's n−1 uninformed nodes, which
+// a protocol decrements when it first gets µ, and the stop predicate
+// that ends the run once the count reaches zero: in the round after the
+// last first reception, the round the protocol processes it. One
+// goroutine steps a run's protocols, so the count needs no atomic.
+func uninformedStop(n int) (*int, func(int) bool) {
+	uninformed := n - 1
+	return &uninformed, func(int) bool { return uninformed <= 0 }
 }
 
 // RoundRobinLabels assigns the distinct-identifier labeling: node v gets v
@@ -138,7 +152,7 @@ func SlottedMaxRounds(g *graph.Graph, source, labelBits int) int {
 // FloodingMaxRounds bounds a delayed-flooding run.
 func FloodingMaxRounds(n int) int { return 3*n + 8 }
 
-// Outcome is the shared result shape for all observer-run schemes.
+// Outcome is the shared result shape of the baseline runs.
 type Outcome struct {
 	Result *radio.Result
 	// InformedRound[v] is the round in which v first received µ (0 for the
@@ -148,112 +162,11 @@ type Outcome struct {
 	CompletionRound int
 }
 
-// Observe wraps every protocol of ps but the source's in an observer that
-// records the round of its first µ reception, and returns the wrapped
-// protocols with a stop predicate that ends the run once every node is
-// informed. Assemble reads the observations back after the run.
-func Observe(ps []radio.Protocol, source int) ([]radio.Protocol, func(int) bool) {
-	// remaining counts the uninformed non-source nodes; observers decrement
-	// it atomically, making the stop predicate O(1) instead of an O(n)
-	// rescan every round.
-	remaining := int64(len(ps) - 1)
-	stop := func(int) bool {
-		return atomic.LoadInt64(&remaining) <= 0
-	}
-	return wrapObservers(ps, source, &remaining), stop
-}
-
-// Assemble builds the outcome of a run of the protocols Observe returned.
+// Assemble builds the outcome of a run from its Result (core.Informed).
 // An incomplete broadcast is reported through AllInformed, not as an
 // error: the facade's Verify judges it.
-func Assemble(res *radio.Result, observed []radio.Protocol, source int) *Outcome {
-	out := &Outcome{Result: res, InformedRound: make([]int, len(observed)), AllInformed: true}
-	for v, p := range observed {
-		if v == source {
-			continue
-		}
-		var r int
-		switch o := p.(type) {
-		case *observer:
-			r = o.informed
-		case *wakerObserver:
-			r = o.informed
-		}
-		out.InformedRound[v] = r
-		if r == 0 {
-			out.AllInformed = false
-		}
-		if r > out.CompletionRound {
-			out.CompletionRound = r
-		}
-	}
-	return out
-}
-
-// observer wraps a non-source protocol to record the round of its first
-// data reception.
-type observer struct {
-	inner     radio.Protocol
-	informed  int
-	remaining *int64 // decremented on first reception
-	round     int
-}
-
-func (o *observer) Step(rcv *radio.Message) radio.Action {
-	o.round++
-	if rcv != nil && rcv.Kind == radio.KindData && o.informed == 0 {
-		o.informed = o.round - 1
-		atomic.AddInt64(o.remaining, -1)
-	}
-	return o.inner.Step(rcv)
-}
-
-// wakerObserver additionally forwards the inner protocol's sparse-wakeup
-// contract, keeping its own round counter in sync through Skip. A skipped
-// round heard nothing, so no reception goes unrecorded.
-type wakerObserver struct {
-	observer
-	w radio.Waker
-}
-
-func (o *wakerObserver) NextWake() int { return o.w.NextWake() }
-
-func (o *wakerObserver) Skip(rounds int) {
-	o.round += rounds
-	o.w.Skip(rounds)
-}
-
-// wrapObservers wraps every protocol but the source's, which runs bare:
-// an echo of µ back to the source must not count as its informing, so
-// InformedRound[source] stays 0.
-func wrapObservers(ps []radio.Protocol, source int, remaining *int64) []radio.Protocol {
-	out := make([]radio.Protocol, len(ps))
-	wakers, others := 0, 0
-	for v, p := range ps {
-		if _, ok := p.(radio.Waker); ok && v != source {
-			wakers++
-		} else if v != source {
-			others++
-		}
-	}
-	wobs := make([]wakerObserver, wakers)
-	obs := make([]observer, others)
-	wi, oi := 0, 0
-	for v := range ps {
-		if v == source {
-			out[v] = ps[v]
-			continue
-		}
-		o := observer{inner: ps[v], remaining: remaining}
-		if w, ok := ps[v].(radio.Waker); ok {
-			wobs[wi] = wakerObserver{observer: o, w: w}
-			out[v] = &wobs[wi]
-			wi++
-		} else {
-			obs[oi] = o
-			out[v] = &obs[oi]
-			oi++
-		}
-	}
+func Assemble(res *radio.Result, source int) *Outcome {
+	out := &Outcome{Result: res}
+	out.InformedRound, out.AllInformed, out.CompletionRound = core.Informed(res, source)
 	return out
 }

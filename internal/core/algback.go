@@ -52,7 +52,6 @@ type ackMachine struct {
 	lastDataTx    int32  // round of the last broadcast transmission
 	firstTS       int32  // timestamps of the first and last broadcast
 	lastTS        int32  // transmissions (0 = none carried one)
-	ackRound      int32  // origin only: round its first ack arrived
 }
 
 // started reports whether the node has transmitted the broadcast yet; for
@@ -104,20 +103,9 @@ func (m *ackMachine) sentWithTS(ts int32) bool {
 // broadcast. Algorithm 2 adopts any message other than "stay"; restricting
 // adoption to the broadcast kind is equivalent by Observation 3.3.
 func (m *ackMachine) receive(msg *radio.Message, rr int32) {
-	if msg.Phase != m.spec.phase {
-		return
-	}
-	switch msg.Kind {
-	case m.spec.kind:
-		if m.firstRecv == 0 && !m.origin {
-			m.payload, m.aux = msg.Payload, int32(msg.Aux)
-			m.informedRound, m.firstRecv = int32(msg.TS), rr
-		}
-	case radio.KindAck:
-		// The origin's ack reception ends the broadcast (§3.2).
-		if m.origin && m.ackRound == 0 {
-			m.ackRound = rr
-		}
+	if msg.Phase == m.spec.phase && msg.Kind == m.spec.kind && m.firstRecv == 0 && !m.origin {
+		m.payload, m.aux = msg.Payload, int32(msg.Aux)
+		m.informedRound, m.firstRecv = int32(msg.TS), rr
 	}
 }
 
@@ -217,10 +205,6 @@ func (a *AckNode) Informed() (bool, int) {
 	}
 	return false, 0
 }
-
-// AckRound returns, at the source, the round in which an "ack" first
-// arrived (§3.2, Corollary 3.8), or 0 if none has.
-func (a *AckNode) AckRound() int { return int(a.m.ackRound) }
 
 // Step implements radio.Protocol, mirroring Algorithm 1 or 2. Its only
 // call into the machine is act; receive and transmit inline.

@@ -212,25 +212,6 @@ func TestAlgBackWrongZPrematureAck(t *testing.T) {
 	}
 }
 
-func TestRunCommonRound(t *testing.T) {
-	for _, g := range []*graph.Graph{
-		graph.Path(6), graph.Figure1(), graph.Grid(3, 3), graph.Cycle(7),
-	} {
-		out, err := RunCommonRound(g, 0, "m", BuildOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := VerifyCommonRound(out); err != nil {
-			t.Fatal(err)
-		}
-		// m itself is the first ack round; 2m must exceed the second
-		// broadcast's completion round.
-		if out.CommonRound != 2*out.M {
-			t.Fatalf("common round = %d, want 2m = %d", out.CommonRound, 2*out.M)
-		}
-	}
-}
-
 func TestAlgBackInformedAccessor(t *testing.T) {
 	mu := "m"
 	src := newAckNode(MustParseLabel("100"), &mu, backSpec)

@@ -117,9 +117,8 @@ func TestBackQuiescenceAfterAck(t *testing.T) {
 		t.Fatal(err)
 	}
 	ps := NewBackProtocols(l.Labels, 0, "m")
-	src := ps[0].(*AckNode)
 	res := radio.Run(g, ps, radio.Options{MaxRounds: 6 * g.N()})
-	ack := src.AckRound()
+	ack := res.FirstReception(0, radio.KindAck)
 	if ack == 0 {
 		t.Fatal("no ack")
 	}

@@ -39,26 +39,34 @@ func AssembleBroadcast(res *radio.Result, l *Labeling, source int) *BroadcastOut
 }
 
 // assembleInformed fills the broadcast half of an outcome from the
-// engine Result: every non-source node's first µ reception, and the
-// completion round.
+// engine Result.
 func assembleInformed(out *BroadcastOutcome, res *radio.Result, l *Labeling, source int) {
-	n := len(l.Labels)
 	out.Result, out.Stages, out.Labels = res, l.Stages, l.Labels
-	out.InformedRound = make([]int, n)
-	out.AllInformed = true
-	for v := 0; v < n; v++ {
+	out.InformedRound, out.AllInformed, out.CompletionRound = Informed(res, source)
+}
+
+// Informed reads who a run informed from its Result, the one record of
+// it: rounds[v] is node v's first µ (KindData) reception, 0 for the
+// source and for a node never informed; all reports whether every other
+// node was informed; last is the largest entry, the completion round of
+// a complete broadcast. A reception a crash wiped is not in the Result,
+// so it informs no one. Every scheme but Barb, whose coordinator learns
+// µ from an ack, reads its outcome through here.
+func Informed(res *radio.Result, source int) (rounds []int, all bool, last int) {
+	rounds = make([]int, len(res.Receives))
+	all = true
+	for v := range rounds {
 		if v == source {
 			continue
 		}
 		r := res.FirstReception(v, radio.KindData)
-		out.InformedRound[v] = r
+		rounds[v] = r
 		if r == radio.NoReception {
-			out.AllInformed = false
+			all = false
 		}
-		if r > out.CompletionRound {
-			out.CompletionRound = r
-		}
+		last = max(last, r)
 	}
+	return rounds, all, last
 }
 
 // VerifyBroadcast checks the outcome against the paper's guarantees:
@@ -95,7 +103,8 @@ func VerifyBroadcast(out *BroadcastOutcome, mu string) error {
 type AckOutcome struct {
 	BroadcastOutcome
 	// AckRound is the round in which the source received an "ack"
-	// (the t′ of Theorem 3.9); 0 if it never arrived.
+	// (the t′ of Theorem 3.9), its first ack reception in Result; 0 if it
+	// never arrived.
 	AckRound int
 	Z        int
 }
@@ -107,12 +116,11 @@ func PlanAcknowledged(g *graph.Graph, l *Labeling, source int, mu string) ([]rad
 }
 
 // AssembleAcknowledged turns the Result of running PlanAcknowledged's
-// protocols ps into the outcome. It reads the source protocol's ack
-// state, so res must come from running exactly ps.
-func AssembleAcknowledged(res *radio.Result, l *Labeling, ps []radio.Protocol, source int) *AckOutcome {
-	out := &AckOutcome{Z: l.Z}
+// protocols into the outcome: the broadcast half as AssembleBroadcast
+// reads it, and the source's first ack reception.
+func AssembleAcknowledged(res *radio.Result, l *Labeling, source int) *AckOutcome {
+	out := &AckOutcome{AckRound: res.FirstReception(source, radio.KindAck), Z: l.Z}
 	assembleInformed(&out.BroadcastOutcome, res, l, source)
-	out.AckRound = ps[source].(*AckNode).AckRound()
 	return out
 }
 
@@ -140,51 +148,6 @@ func VerifyAcknowledged(out *AckOutcome, mu string) error {
 	}
 	if out.AckRound < lo || out.AckRound > hi {
 		return fmt.Errorf("core: ack round %d outside Corollary 3.8 window [%d,%d] (ℓ=%d)", out.AckRound, lo, hi, l)
-	}
-	return nil
-}
-
-// CommonRoundOutcome summarises the §3 composition Back→B that yields a
-// common round in which all nodes know broadcast has completed.
-type CommonRoundOutcome struct {
-	Ack *AckOutcome
-	// M is the round in which the source first received the ack; the second
-	// broadcast disseminates m = M and every node knows completion at round
-	// 2M of the second execution's clock.
-	M int
-	// SecondCompletion is the completion round of the second broadcast.
-	SecondCompletion int
-	// CommonRound is 2M (in the second execution's clock).
-	CommonRound int
-}
-
-// RunCommonRound performs acknowledged broadcast and then broadcasts the
-// ack round m with algorithm B, verifying all nodes receive m before round
-// 2m (the paper's closing argument of §3). The composition is not a
-// registered scheme, so it runs the two plans itself.
-func RunCommonRound(g *graph.Graph, source int, mu string, opt BuildOptions) (*CommonRoundOutcome, error) {
-	l, err := LambdaAck(g, source, opt)
-	if err != nil {
-		return nil, err
-	}
-	ps, base := PlanAcknowledged(g, l, source, mu)
-	ack := AssembleAcknowledged(radio.Run(g, ps, base), l, ps, source)
-	if g.N() >= 2 && ack.AckRound == 0 {
-		return nil, fmt.Errorf("core: acknowledged broadcast failed")
-	}
-	out := &CommonRoundOutcome{Ack: ack, M: ack.AckRound, CommonRound: 2 * ack.AckRound}
-	// Second execution: B with message m over the same labels (B starts
-	// no ack, so it ignores z's x3 bit).
-	ps, base = PlanBroadcast(g, l, source, fmt.Sprintf("%d", out.M))
-	out.SecondCompletion = AssembleBroadcast(radio.Run(g, ps, base), l, source).CompletionRound
-	return out, nil
-}
-
-// VerifyCommonRound checks that the second broadcast finishes before round
-// 2m, so that round 2m is a common completion-knowledge round.
-func VerifyCommonRound(out *CommonRoundOutcome) error {
-	if out.SecondCompletion >= out.CommonRound {
-		return fmt.Errorf("core: second broadcast finished in round %d, not before 2m = %d", out.SecondCompletion, out.CommonRound)
 	}
 	return nil
 }

@@ -31,7 +31,7 @@ func runAcknowledged(g *graph.Graph, source int, mu string, opt BuildOptions) (*
 
 func runAcknowledgedLabeled(g *graph.Graph, l *Labeling, source int, mu string) *AckOutcome {
 	ps, base := PlanAcknowledged(g, l, source, mu)
-	return AssembleAcknowledged(radio.Run(g, ps, base), l, ps, source)
+	return AssembleAcknowledged(radio.Run(g, ps, base), l, source)
 }
 
 func runArbitrary(g *graph.Graph, r, source int, mu string, opt BuildOptions) (*ArbOutcome, error) {

@@ -2,9 +2,9 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 
 	"radiobcast"
-	"radiobcast/internal/core"
 	"radiobcast/internal/graph"
 	"radiobcast/internal/sweep"
 )
@@ -70,6 +70,55 @@ func Theorem39Experiment(cfg Config) ([]*Table, error) {
 	return []*Table{t}, nil
 }
 
+// CommonRoundOutcome summarises the §3 composition Back→B that yields a
+// common round in which all nodes know broadcast has completed.
+type CommonRoundOutcome struct {
+	// M is the round in which the source first received the ack; the second
+	// broadcast disseminates m = M and every node knows completion at round
+	// 2M of the second execution's clock.
+	M int
+	// SecondCompletion is the completion round of the second broadcast.
+	SecondCompletion int
+	// CommonRound is 2M (in the second execution's clock).
+	CommonRound int
+}
+
+// RunCommonRound performs acknowledged broadcast of mu from net's source
+// with Back and then broadcasts the ack round m with B over the same
+// labeling (B starts no ack, so it ignores z's x3 bit): the paper's
+// closing argument of §3. Both runs go through the facade with opts, and
+// both must pass Verify.
+func RunCommonRound(net *radiobcast.Network, mu string, opts ...radiobcast.Option) (*CommonRoundOutcome, error) {
+	ack, err := radiobcast.Run(net, "back", append(opts, radiobcast.WithMessage(mu))...)
+	if err != nil {
+		return nil, err
+	}
+	if err := radiobcast.Verify(ack); err != nil {
+		return nil, err
+	}
+	out := &CommonRoundOutcome{M: ack.AckRound, CommonRound: 2 * ack.AckRound}
+	l := *ack.Labeling
+	l.Scheme = "b"
+	second, err := radiobcast.RunLabeled(&l, append(opts, radiobcast.WithMessage(strconv.Itoa(out.M)))...)
+	if err != nil {
+		return nil, err
+	}
+	if err := radiobcast.Verify(second); err != nil {
+		return nil, err
+	}
+	out.SecondCompletion = second.CompletionRound
+	return out, nil
+}
+
+// VerifyCommonRound checks that the second broadcast finishes before round
+// 2m, so that round 2m is a common completion-knowledge round.
+func VerifyCommonRound(out *CommonRoundOutcome) error {
+	if out.SecondCompletion >= out.CommonRound {
+		return fmt.Errorf("second broadcast finished in round %d, not before 2m = %d", out.SecondCompletion, out.CommonRound)
+	}
+	return nil
+}
+
 // CommonRoundExperiment verifies the §3 composition: after Back, the source
 // broadcasts m (its ack round) with B; everyone receives m before round 2m,
 // so round 2m is a common completion-knowledge round.
@@ -90,13 +139,13 @@ func CommonRoundExperiment(cfg Config) ([]*Table, error) {
 		if g.N() < 2 {
 			return row{fam: c.Family, n: g.N()}
 		}
-		out, err := core.RunCommonRound(g, 0, "m", core.BuildOptions{})
+		out, err := RunCommonRound(radiobcast.NewNetwork(g), "m")
 		if err != nil {
 			return row{fam: c.Family, n: g.N(), err: err}
 		}
 		return row{
 			fam: c.Family, n: g.N(), m: out.M, second: out.SecondCompletion,
-			ok: core.VerifyCommonRound(out) == nil, valid: true,
+			ok: VerifyCommonRound(out) == nil, valid: true,
 		}
 	})
 	for _, r := range rows {

@@ -4,6 +4,9 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"radiobcast"
+	"radiobcast/internal/graph"
 )
 
 func quickCfg() Config { return Config{Quick: true, Workers: 4} }
@@ -143,6 +146,25 @@ func TestFaultExperiment(t *testing.T) {
 		got := append(append([]string{}, row[:4]...), row[5:]...)
 		if !slices.Equal(got, want[i]) {
 			t.Errorf("FAULT row %d = %v, want %v", i, got, want[i])
+		}
+	}
+}
+
+func TestRunCommonRound(t *testing.T) {
+	for _, g := range []*graph.Graph{
+		graph.Path(6), graph.Figure1(), graph.Grid(3, 3), graph.Cycle(7),
+	} {
+		out, err := RunCommonRound(radiobcast.NewNetwork(g), "m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := VerifyCommonRound(out); err != nil {
+			t.Fatal(err)
+		}
+		// m itself is the first ack round; 2m must exceed the second
+		// broadcast's completion round.
+		if out.CommonRound != 2*out.M {
+			t.Fatalf("common round = %d, want 2m = %d", out.CommonRound, 2*out.M)
 		}
 	}
 }

@@ -38,7 +38,10 @@ type Words struct {
 	Down []uint64
 	// Wipe discards the node's pending (delivered but not yet processed)
 	// reception before this round's step — the crash-with-memory-loss
-	// policy. Meaningful only alongside Down at a crash round.
+	// policy. Meaningful only alongside Down at a crash round. The
+	// engine also drops the wiped reception from the run's Result, so no
+	// outcome counts it; the Trace keeps the channel delivery, and so
+	// does State.Heard.
 	Wipe []uint64
 }
 
@@ -59,7 +62,9 @@ type State struct {
 	// CSR is the topology in effect this round.
 	CSR *graph.CSR
 	// Heard[v] reports whether v has successfully received at least one
-	// message so far — the adversary's view of the informed frontier.
+	// message so far — the adversary's view of the informed frontier. It
+	// counts channel deliveries, a reception that a Wipe later discarded
+	// included.
 	Heard []bool
 	// Transmitters lists the nodes whose decided action this round is
 	// Transmit. It is nil in the pre-step call and set in the

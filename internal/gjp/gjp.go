@@ -48,9 +48,9 @@ const (
 // its budget.
 var ErrNoLabeling = errors.New("no 1-bit labeling found")
 
-// NewProtocols builds the protocol for a 1-bit labeling: algorithm B
-// over the labels (b, ¬b).
-func NewProtocols(labels []core.Label, source int, mu string) []radio.Protocol {
+// Plan returns what a run over a 1-bit labeling executes: B's plan
+// (core.PlanBroadcast, with its bounds) over the labels (b, ¬b).
+func Plan(g *graph.Graph, labels []core.Label, source int, mu string) ([]radio.Protocol, radio.Options) {
 	one, zero := core.MakeLabel(true, false), core.MakeLabel(false, true)
 	bLabels := make([]core.Label, len(labels))
 	for v, l := range labels {
@@ -59,16 +59,11 @@ func NewProtocols(labels []core.Label, source int, mu string) []radio.Protocol {
 			bLabels[v] = one
 		}
 	}
-	return core.NewBProtocols(bLabels, source, mu)
+	return core.PlanBroadcast(g, &core.Labeling{Labels: bLabels}, source, mu)
 }
 
-// MaxRounds bounds a run: the wave informs at least one node every two
-// rounds while it is alive, plus slack for the opening and the final
-// echo/forward pair.
-func MaxRounds(n int) int { return 2*n + 4 }
-
 // Build computes a 1-bit labeling under which the protocol (see
-// NewProtocols) completes broadcast from source, by exact simulation of
+// Plan) completes broadcast from source, by exact simulation of
 // the stage dynamics with backtracking.
 //
 // The dynamics are deterministic given the bits, so construction walks
@@ -357,8 +352,8 @@ func (b *builder) step(T, newly []int, sel []bool) (next []int, score int) {
 // a search miss. It runs on a clone of g, so the engine's slab form is
 // not left cached on the labeled graph.
 func verify(g *graph.Graph, labels []core.Label, source int) error {
-	ps := NewProtocols(labels, source, "µ")
-	res := radio.Run(g.Clone(), ps, radio.Options{MaxRounds: MaxRounds(g.N()), StopAfterSilent: 3})
+	ps, opt := Plan(g, labels, source, "µ")
+	res := radio.Run(g.Clone(), ps, opt)
 	for v := range labels {
 		if v != source && res.FirstReception(v, radio.KindData) == radio.NoReception {
 			return fmt.Errorf("gjp: internal error: constructed labeling leaves node %d uninformed", v)

@@ -15,7 +15,8 @@ import (
 func complete(t *testing.T, g *graph.Graph, labels []core.Label, source int) bool {
 	t.Helper()
 	mu := "µ"
-	res := radio.Run(g, NewProtocols(labels, source, mu), radio.Options{MaxRounds: MaxRounds(g.N()), StopAfterSilent: 3})
+	ps, opt := Plan(g, labels, source, mu)
+	res := radio.Run(g, ps, opt)
 	for v := range labels {
 		if v != source && res.FirstReception(v, radio.KindData) == radio.NoReception {
 			return false
@@ -140,7 +141,7 @@ func bits(bs ...bool) []core.Label {
 // forwards µ two rounds after hearing it.
 func TestProtocolTiming(t *testing.T) {
 	mu := "µ"
-	ps := NewProtocols(bits(false, true, false), 0, mu)
+	ps, _ := Plan(graph.Path(3), bits(false, true, false), 0, mu)
 	src, mid, end := ps[0], ps[1], ps[2]
 
 	// Round 1: source transmits; receptions are delivered at the NEXT
@@ -179,7 +180,7 @@ func TestProtocolTiming(t *testing.T) {
 // the lone echo retransmits µ one round later.
 func TestProtocolEchoKeepsWaveAlive(t *testing.T) {
 	mu := "µ"
-	ps := NewProtocols(bits(false, false), 0, mu)
+	ps, _ := Plan(graph.Path(2), bits(false, false), 0, mu)
 	src, zero := ps[0], ps[1]
 
 	src.Step(nil) // round 1: transmit µ
@@ -197,11 +198,5 @@ func TestProtocolEchoKeepsWaveAlive(t *testing.T) {
 	// µ in round 1 (= r−2), retransmits to keep the wave alive.
 	if a := src.Step(&radio.Message{Kind: radio.KindStay}); !a.Transmit || a.Msg.Kind != radio.KindData || a.Msg.Payload != mu {
 		t.Fatalf("source after lone echo: %+v", a)
-	}
-}
-
-func TestMaxRounds(t *testing.T) {
-	if got := MaxRounds(10); got != 24 {
-		t.Fatalf("MaxRounds(10) = %d, want 24", got)
 	}
 }

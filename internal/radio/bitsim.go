@@ -137,6 +137,7 @@ type bitLane struct {
 	fst  *faults.State
 
 	rounds, total, silent      int
+	rxPrev                     int // start of the previous round's receptions in the log
 	silentStopped, interrupted bool
 	done                       bool
 }
@@ -191,7 +192,6 @@ func (l *bitLane) runRound(round int) {
 		return
 	}
 	cur, nx := s.cur, 1-s.cur
-	rxMark := len(s.rxNodes)
 
 	if s.faulted {
 		// Pre-step fault phase: swap in a churned topology, then let the
@@ -209,13 +209,20 @@ func (l *bitLane) runRound(round int) {
 		clear(bs.fx.Wipe)
 		*l.fst = faults.State{Round: round, CSR: l.csr, Heard: s.heard}
 		l.fm.Apply(l.fst, &bs.fx)
+		wiped := false
 		for i, wp := range bs.fx.Wipe {
 			if wp != 0 {
 				bs.setsW[cur][i] &^= wp
 				bs.busyW[cur][i] &^= wp
+				wiped = true
 			}
 		}
+		if wiped {
+			s.dropWiped(l.rxPrev, bs.fx.Wipe)
+		}
 	}
+	rxMark := len(s.rxNodes)
+	l.rxPrev = rxMark
 
 	// Phase 1: assemble the step set and step it in ascending node
 	// order (the fault models' transmitter lists are order-sensitive).

@@ -72,7 +72,11 @@ type Result struct {
 	Rounds int
 	// Transmits[v] lists the rounds in which node v transmitted.
 	Transmits [][]int
-	// Receives[v] lists node v's successful receptions in round order.
+	// Receives[v] lists node v's successful receptions in round order:
+	// exactly the receptions v's protocol processed, plus any in the run's
+	// last round. A reception a fault wiped before v stepped on it
+	// (faults.Words.Wipe) is no reception and is not listed; the Trace
+	// keeps the channel delivery.
 	Receives [][]Reception
 	// Collisions[v] counts rounds in which v listened while ≥ 2 neighbours
 	// transmitted.

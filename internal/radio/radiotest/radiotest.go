@@ -80,9 +80,21 @@ func Run(g *graph.Graph, protos []radio.Protocol, opt radio.Options) *radio.Resu
 			st = faults.State{Round: round, CSR: csr, Heard: informed}
 			fm.Apply(&st, &fx)
 			for v := 0; v < n; v++ {
-				if has(fx.Wipe, v) {
-					heard[v], busy[v] = false, false
+				if !has(fx.Wipe, v) {
+					continue
 				}
+				if heard[v] {
+					// The wiped reception is last round's, the last logged:
+					// the protocol never processes it, so the Result drops
+					// it (the Trace keeps the delivery). A node left with
+					// none gets nil, as the engine gives it.
+					if k := len(res.Receives[v]) - 1; k > 0 {
+						res.Receives[v] = res.Receives[v][:k]
+					} else {
+						res.Receives[v] = nil
+					}
+				}
+				heard[v], busy[v] = false, false
 			}
 		}
 

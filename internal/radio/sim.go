@@ -167,6 +167,21 @@ func (s *Sim) logTransmit(v int32, round int) {
 	}
 }
 
+// dropWiped removes from the reception log, from entry mark on (the
+// previous round's deliveries), every reception of a node whose wipe bit
+// is set: its protocol never processes that reception, so it is no
+// reception of the run. The Trace, recorded as the round ran, keeps it.
+func (s *Sim) dropWiped(mark int, wipe []uint64) {
+	keep := mark
+	for i := mark; i < len(s.rxNodes); i++ {
+		if v := s.rxNodes[i]; wipe[v>>6]&(1<<(uint(v)&63)) == 0 {
+			s.rxNodes[keep], s.rxRecs[keep] = v, s.rxRecs[i]
+			keep++
+		}
+	}
+	s.rxNodes, s.rxRecs = s.rxNodes[:keep], s.rxRecs[:keep]
+}
+
 // materialize builds the caller-owned Result from the flat event logs:
 // a constant number of allocations regardless of traffic, with per-node
 // views carved out of two exactly-sized backing arrays.

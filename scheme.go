@@ -123,7 +123,10 @@ type Outcome struct {
 	// collisions, message sizes).
 	Result *Result
 	// InformedRound[v] is the round in which v first learned µ (0 for the
-	// source, and for nodes never informed).
+	// source, and for nodes never informed). Every scheme but barb reads it
+	// from Result as v's first µ reception, a reception in the run's last
+	// round included. A reception a crash wiped is neither in Result nor
+	// counted here; the Trace keeps the channel delivery.
 	InformedRound []int
 	// AllInformed reports whether every node learned µ.
 	AllInformed bool
@@ -138,7 +141,9 @@ type Outcome struct {
 	Degraded Degradation
 
 	// AckRound is the round the source received the acknowledgement
-	// (scheme "back"; 0 when absent).
+	// (scheme "back"; 0 when absent): its first ack reception in Result.
+	// A wiped ack is neither in Result nor counted; the Trace keeps the
+	// channel delivery.
 	AckRound int
 
 	// KnowsCompleteRound[v] is the absolute round from which v knows the

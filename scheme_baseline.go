@@ -14,25 +14,21 @@ func init() {
 	Register(floodingScheme{})
 }
 
-// observedPlan is the plan of every scheme but the λ family: ps run under
-// baseline observers, which end the run once every node is informed, for
-// at most maxRounds rounds, and the outcome records each node's first
-// reception under labeling l.
-func observedPlan(l *Labeling, ps []Protocol, source, maxRounds int) Plan {
-	obs, stop := baseline.Observe(ps, source)
-	return Plan{
-		Protocols: obs, MaxRounds: maxRounds, Stop: stop,
-		Assemble: func(res *Result) *Outcome {
-			out := baseline.Assemble(res, obs, source)
-			return &Outcome{
-				InformedRound:   out.InformedRound,
-				AllInformed:     out.AllInformed,
-				CompletionRound: out.CompletionRound,
-				Labeling:        l,
-				inner:           out,
-			}
-		},
+// resultPlan completes the plan p of every scheme outside the λ family:
+// its outcome reads who was informed from the engine's Result
+// (baseline.Assemble) and carries labeling l.
+func resultPlan(l *Labeling, source int, p Plan) Plan {
+	p.Assemble = func(res *Result) *Outcome {
+		out := baseline.Assemble(res, source)
+		return &Outcome{
+			InformedRound:   out.InformedRound,
+			AllInformed:     out.AllInformed,
+			CompletionRound: out.CompletionRound,
+			Labeling:        l,
+			inner:           out,
+		}
 	}
+	return p
 }
 
 func verifyComplete(out *Outcome, scheme string) error {
@@ -62,8 +58,9 @@ func verifyCollisionFree(out *Outcome, scheme string) error {
 type slottedScheme struct{}
 
 func (slottedScheme) Plan(l *Labeling, source int, mu string) (Plan, error) {
-	ps := baseline.NewSlottedProtocols(l.Labels, source, mu)
-	return observedPlan(l, ps, source, baseline.SlottedMaxRounds(l.Graph, source, l.Bits())), nil
+	ps, stop := baseline.NewSlottedProtocols(l.Labels, source, mu)
+	maxRounds := baseline.SlottedMaxRounds(l.Graph, source, l.Bits())
+	return resultPlan(l, source, Plan{Protocols: ps, MaxRounds: maxRounds, Stop: stop}), nil
 }
 
 func (slottedScheme) Verify(out *Outcome) error {
@@ -128,8 +125,10 @@ func (centralizedScheme) Plan(l *Labeling, source int, mu string) (Plan, error) 
 			Schedule: baseline.BuildSchedule(l.Graph, source), Z: -1, R: -1,
 		}
 	}
+	// No stop predicate: the scripts fall silent after the schedule, whose
+	// last round is the run's second-to-last.
 	ps := baseline.ScheduledProtocols(l.Graph.N(), l.Schedule, mu)
-	return observedPlan(l, ps, source, len(l.Schedule)+1), nil
+	return resultPlan(l, source, Plan{Protocols: ps, MaxRounds: len(l.Schedule) + 1}), nil
 }
 
 func (centralizedScheme) Verify(out *Outcome) error {
@@ -167,8 +166,9 @@ func (floodingScheme) Label(g *Graph, source int, _ *Config) (*Labeling, error) 
 }
 
 func (floodingScheme) Plan(l *Labeling, source int, mu string) (Plan, error) {
-	ps := baseline.NewFloodingProtocols(l.Labels, l.Delays, source, mu)
-	return observedPlan(l, ps, source, baseline.FloodingMaxRounds(l.Graph.N())), nil
+	ps, stop := baseline.NewFloodingProtocols(l.Labels, l.Delays, source, mu)
+	maxRounds := baseline.FloodingMaxRounds(l.Graph.N())
+	return resultPlan(l, source, Plan{Protocols: ps, MaxRounds: maxRounds, Stop: stop}), nil
 }
 
 func (floodingScheme) Verify(out *Outcome) error {

@@ -74,7 +74,7 @@ func (backScheme) Plan(l *Labeling, source int, mu string) (Plan, error) {
 	cl := l.coreLabeling()
 	ps, base := core.PlanAcknowledged(l.Graph, cl, source, mu)
 	return corePlan(ps, base, func(res *Result) *Outcome {
-		out := core.AssembleAcknowledged(res, cl, ps, source)
+		out := core.AssembleAcknowledged(res, cl, source)
 		return &Outcome{
 			InformedRound:   out.InformedRound,
 			AllInformed:     out.AllInformed,

@@ -15,12 +15,23 @@ import (
 // flooding, which is not universal, may fail Verify. EXPERIMENTS.md runs
 // none of flooding's, onebit's or gjp's plans, so beyond TestSchemeMatrix
 // this is their end-to-end check.
+//
+// Every run must also be cut-consistent: rerun with WithMaxRounds(c), it
+// informs exactly the nodes the uncut run informed by round c, in the
+// same rounds, and its AckRound follows the same rule (see checkCut). The
+// check runs clean and under one fault the input picks: crash without
+// memory loss, rate or duty. A crash that wipes a reception is left out:
+// a reception in round c that a crash in round c+1 would wipe is kept by
+// the cut run, which ends before the crash. barb is exempt: its
+// coordinator learns µ from an ack, so its outcome reads protocol state,
+// not the Result.
 func FuzzSchemes(f *testing.F) {
-	f.Add(uint8(4), uint8(0), int64(1), uint8(0))
-	f.Add(uint8(12), uint8(5), int64(7), uint8(90))
-	f.Add(uint8(9), uint8(8), int64(3), uint8(255))
-	f.Add(uint8(2), uint8(1), int64(0), uint8(128))
-	f.Fuzz(func(t *testing.T, size, src uint8, seed int64, density uint8) {
+	// cut 0 cuts each run at its completion round.
+	f.Add(uint8(4), uint8(0), int64(1), uint8(0), uint16(0), uint8(0))
+	f.Add(uint8(12), uint8(5), int64(7), uint8(90), uint16(0), uint8(1))
+	f.Add(uint8(9), uint8(8), int64(3), uint8(255), uint16(0), uint8(2))
+	f.Add(uint8(2), uint8(1), int64(0), uint8(128), uint16(0), uint8(0))
+	f.Fuzz(func(t *testing.T, size, src uint8, seed int64, density uint8, cut uint16, fault uint8) {
 		n := 2 + int(size)%11
 		r := rand.New(rand.NewSource(seed))
 		g := graph.New(n)
@@ -34,6 +45,12 @@ func FuzzSchemes(f *testing.F) {
 				}
 			}
 		}
+		cutFaults := []radiobcast.FaultSpec{
+			{Model: radiobcast.FaultModelCrash, Rate: 0.1, Down: 2, Seed: seed},
+			{Model: radiobcast.FaultModelRate, Rate: 0.3, Seed: seed},
+			{Model: radiobcast.FaultModelDuty, Period: 4, On: 3, Seed: seed},
+		}
+		spec := radiobcast.WithFaultSpec(cutFaults[int(fault)%len(cutFaults)])
 		net := radiobcast.NewNetwork(g).At(int(src) % n)
 		for _, scheme := range radiobcast.SchemeNames() {
 			out, err := radiobcast.Run(net, scheme, radiobcast.WithMessage("m"))
@@ -47,11 +64,52 @@ func FuzzSchemes(f *testing.F) {
 				if scheme != "flooding" {
 					t.Fatalf("%s on %v from %d: %v", scheme, g, net.Source, err)
 				}
-				continue
-			}
-			if !out.AllInformed || out.Coverage != 1 {
+			} else if !out.AllInformed || out.Coverage != 1 {
 				t.Fatalf("%s on %v from %d: verified outcome informs %.2f of the nodes", scheme, g, net.Source, out.Coverage)
 			}
+			if scheme == "barb" {
+				continue
+			}
+			checkCut(t, out, int(cut))
+			checkCut(t, runOn(t, out.Labeling, spec), int(cut), spec)
 		}
 	})
+}
+
+// checkCut reruns full's labeling with opts, cut at round c: the uncut
+// run's completion round shifted by shift and wrapped into
+// [1, full.Result.Rounds]. The cut run must inform every node the uncut
+// run informed by round c, in the same round, and no other; its AckRound
+// is the uncut one if that is at most c, else 0.
+func checkCut(t *testing.T, full *radiobcast.Outcome, shift int, opts ...radiobcast.Option) {
+	t.Helper()
+	rounds := full.Result.Rounds
+	c := 1 + ((full.CompletionRound-1+shift)%rounds+rounds)%rounds
+	cut := runOn(t, full.Labeling, append(opts, radiobcast.WithMaxRounds(c))...)
+	upTo := func(r int) int {
+		if r > c {
+			return 0
+		}
+		return r
+	}
+	for v, r := range full.InformedRound {
+		if got := cut.InformedRound[v]; got != upTo(r) {
+			t.Fatalf("%s on %v cut at round %d of %d: node %d informed in round %d, uncut run says %d",
+				full.Scheme, full.Graph, c, rounds, v, got, r)
+		}
+	}
+	if cut.AckRound != upTo(full.AckRound) {
+		t.Fatalf("%s on %v cut at round %d of %d: ack round %d, uncut run says %d",
+			full.Scheme, full.Graph, c, rounds, cut.AckRound, full.AckRound)
+	}
+}
+
+// runOn runs one broadcast of "m" over labeling l.
+func runOn(t *testing.T, l *radiobcast.Labeling, opts ...radiobcast.Option) *radiobcast.Outcome {
+	t.Helper()
+	out, err := radiobcast.RunLabeled(l, append(opts, radiobcast.WithMessage("m"))...)
+	if err != nil {
+		t.Fatalf("%s on %v: %v", l.Scheme, l.Graph, err)
+	}
+	return out
 }

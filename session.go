@@ -274,13 +274,16 @@ func (s *Session) preloadStore() {
 // a snapshot taken mid-operation may be skewed by the operation in flight
 // — fine for metrics, which is what this is for.
 func (s *Session) Stats() SessionStats {
+	s.mu.Lock()
+	entries := s.lru.Len()
+	s.mu.Unlock()
 	st := SessionStats{
 		Hits:        s.hits.Load(),
 		Misses:      s.misses.Load(),
 		Bypasses:    s.bypasses.Load(),
 		Evictions:   s.evictions.Load(),
 		Coalesced:   s.coalesced.Load(),
-		Entries:     s.CacheEntries(),
+		Entries:     entries,
 		StoreHits:   s.storeHits.Load(),
 		StoreMisses: s.storeMisses.Load(),
 		StoreWrites: s.storeWrites.Load(),
@@ -298,45 +301,9 @@ func (s *Session) CacheHits() uint64 { return s.hits.Load() }
 // CacheMisses returns the cumulative miss count (see SessionStats.Misses).
 func (s *Session) CacheMisses() uint64 { return s.misses.Load() }
 
-// CacheBypasses returns the cumulative bypass count (see
-// SessionStats.Bypasses).
-func (s *Session) CacheBypasses() uint64 { return s.bypasses.Load() }
-
-// CacheEvictions returns the cumulative eviction count (see
-// SessionStats.Evictions).
-func (s *Session) CacheEvictions() uint64 { return s.evictions.Load() }
-
-// CacheCoalesced returns the cumulative count of requests deduplicated
-// onto another request's in-flight labeling (see SessionStats.Coalesced).
-func (s *Session) CacheCoalesced() uint64 { return s.coalesced.Load() }
-
-// CacheEntries returns the number of labelings currently cached.
-func (s *Session) CacheEntries() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lru.Len()
-}
-
 // StoreHits returns the cumulative count of labelings served from the
 // disk store (see SessionStats.StoreHits).
 func (s *Session) StoreHits() uint64 { return s.storeHits.Load() }
-
-// StoreMisses returns the cumulative count of LRU misses that also
-// missed the disk store (see SessionStats.StoreMisses).
-func (s *Session) StoreMisses() uint64 { return s.storeMisses.Load() }
-
-// StoreWrites returns the cumulative count of labelings persisted to the
-// disk store (see SessionStats.StoreWrites).
-func (s *Session) StoreWrites() uint64 { return s.storeWrites.Load() }
-
-// StoreBytes returns the current total size of stored labeling blobs (0
-// without a store).
-func (s *Session) StoreBytes() uint64 {
-	if s.store == nil {
-		return 0
-	}
-	return uint64(s.store.Bytes())
-}
 
 // begin registers one in-flight operation, failing once the session is
 // closed. Every public entry point pairs it with end, so Close can wait

@@ -512,7 +512,7 @@ func TestSessionCloseFlushesStore(t *testing.T) {
 
 	// Durability: a fresh store handle on the same directory must replay
 	// the index and serve every entry the drained session persisted.
-	want := int(sess.StoreWrites())
+	want := int(sess.Stats().StoreWrites)
 	if want == 0 {
 		t.Fatal("no store writes recorded; gate broke the flight path")
 	}

@@ -50,9 +50,9 @@ func TestSessionSingleFlight(t *testing.T) {
 	// other n−1 must pile onto its flight while it blocks.
 	<-entered
 	deadline := time.Now().Add(10 * time.Second)
-	for sess.CacheCoalesced() < n-1 {
+	for sess.Stats().Coalesced < n-1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d followers coalesced", sess.CacheCoalesced(), n-1)
+			t.Fatalf("only %d of %d followers coalesced", sess.Stats().Coalesced, n-1)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -119,7 +119,7 @@ func TestSessionSingleFlightWaiterCancel(t *testing.T) {
 		waiterDone <- err
 	}()
 	deadline := time.Now().Add(10 * time.Second)
-	for sess.CacheCoalesced() < 1 {
+	for sess.Stats().Coalesced < 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("waiter never coalesced")
 		}
@@ -181,7 +181,7 @@ func TestSessionSingleFlightLeaderCancel(t *testing.T) {
 		waiterDone <- result{l, err}
 	}()
 	deadline := time.Now().Add(10 * time.Second)
-	for sess.CacheCoalesced() < 1 {
+	for sess.Stats().Coalesced < 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("waiter never coalesced")
 		}
