@@ -312,18 +312,22 @@ func BenchmarkFamily(b *testing.B) {
 	}
 }
 
-// BenchmarkStages isolates the §2.1 sequence construction (experiment L26).
+// BenchmarkStages isolates the §2.1 sequence construction (experiment
+// L26) on the deepest family, path (ℓ = n), and a shallow one,
+// gnp-sparse: its allocations must not grow with ℓ.
 func BenchmarkStages(b *testing.B) {
-	for _, n := range benchSizes {
-		g := benchNet(b, "gnp-sparse", n).Graph
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.BuildStages(g, 0, core.BuildOptions{}); err != nil {
-					b.Fatal(err)
+	for _, fam := range []string{"path", "gnp-sparse"} {
+		for _, n := range benchSizes {
+			g := benchNet(b, fam, n).Graph
+			b.Run(fmt.Sprintf("%s/n=%d", fam, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					if _, err := core.BuildStages(g, 0, core.BuildOptions{}); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 
@@ -344,10 +348,12 @@ func BenchmarkMinimalDomset(b *testing.B) {
 		csr := g.Freeze()
 		bcsr := graph.NewBitCSR(csr)
 		p := domset.NewPruner(g.N())
+		var out []int32
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := p.Prune(csr, bcsr, cand, targets.Words(), targets.Count(), domset.Ascending); err != nil {
+				var err error
+				if out, err = p.Prune(out[:0], csr, bcsr, cand, targets.Words(), targets.Count(), domset.Ascending); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -310,11 +310,11 @@ func (l *Labeling) decode(data []byte, known *Graph) error {
 		if lStage > n || stored > n {
 			return fmt.Errorf("radiobcast: labeling codec: %d stages (ℓ=%d) for %d nodes", stored, lStage, n)
 		}
-		doms, news, err := d.stageLists(stored, n)
+		off, nodes, err := d.stageLists(stored, n)
 		if err != nil {
 			return err
 		}
-		stages, err = core.RebuildStages(g, source, lStage, restricted != 0, stalled, doms, news)
+		stages, err = core.RebuildStages(g, source, lStage, restricted != 0, stalled, off, nodes)
 		if err != nil {
 			return fmt.Errorf("radiobcast: labeling codec: %w", err)
 		}
@@ -533,11 +533,14 @@ func (d *decoder) node(what string, n int) (int, error) {
 }
 
 // stageLists reads the stored DOM_i/NEW_i list pairs, which end the blob,
-// into one backing array. A uvarint ends at its only byte below 0x80, so
-// well-formed remaining input holds exactly that many uvarints: the
-// 2·stored list lengths and the nodes. Counting them, eight bytes at a
-// time, sizes the array once; a malformed section fails below.
-func (d *decoder) stageLists(stored, n int) (doms, news [][]int32, err error) {
+// into the flat form core.RebuildStages takes: the lists' nodes back to
+// back, DOM_1, NEW_1, DOM_2, NEW_2, … as the blob writes them, and the
+// offset where each list ends after a leading 0. A uvarint ends at its
+// only byte below 0x80, so well-formed remaining input holds exactly
+// that many uvarints: the 2·stored list lengths and the nodes. Counting
+// them, eight bytes at a time, sizes the nodes array once; a malformed
+// section fails below.
+func (d *decoder) stageLists(stored, n int) (off, nodes []int32, err error) {
 	uvarints := 0
 	rest := d.buf[d.off:]
 	for ; len(rest) >= 8; rest = rest[8:] {
@@ -548,15 +551,13 @@ func (d *decoder) stageLists(stored, n int) (doms, news [][]int32, err error) {
 			uvarints++
 		}
 	}
-	nodes := make([]int32, 0, max(uvarints-2*stored, 0))
-	lists := make([][]int32, 2*stored)
-	doms, news = lists[:stored:stored], lists[stored:]
-	for i := range lists {
+	nodes = make([]int32, 0, max(uvarints-2*stored, 0))
+	off = make([]int32, 1, 2*stored+1)
+	for range 2 * stored {
 		k, err := d.count("stage list", 1)
 		if err != nil {
 			return nil, nil, err
 		}
-		start := len(nodes)
 		for ; k > 0; k-- {
 			v, err := d.node("stage node", n)
 			if err != nil {
@@ -564,12 +565,7 @@ func (d *decoder) stageLists(stored, n int) (doms, news [][]int32, err error) {
 			}
 			nodes = append(nodes, int32(v))
 		}
-		// The lists alternate DOM_1, NEW_1, DOM_2, NEW_2, ….
-		if list := nodes[start:len(nodes):len(nodes)]; i%2 == 0 {
-			doms[i/2] = list
-		} else {
-			news[i/2] = list
-		}
+		off = append(off, int32(len(nodes)))
 	}
-	return doms, news, nil
+	return off, nodes, nil
 }

@@ -53,7 +53,8 @@ func labelsFromStages(st *Stages, bcsr *graph.BitCSR) (*Labeling, error) {
 
 	newW := make([]uint64, (n+63)/64)
 	for i := 1; i+1 <= st.NumStored(); i++ {
-		curDom, nextDom, curNew := st.doms[i-1], st.doms[i], st.news[i-1]
+		curDom, curNew := st.Lists(i)
+		nextDom, _ := st.Lists(i + 1)
 		for _, w := range curNew {
 			newW[w>>6] |= 1 << (uint(w) & 63)
 		}
@@ -109,7 +110,8 @@ func VerifyLambda(l *Labeling) error {
 	// sender count per v is a popcount over slabs(v) ∩ newX2W.
 	newX2W := make([]uint64, (n+63)/64)
 	for i := 1; i+1 <= st.NumStored(); i++ {
-		curDom, nextDom, curNew := st.doms[i-1], st.doms[i], st.news[i-1]
+		curDom, curNew := st.Lists(i)
+		nextDom, _ := st.Lists(i + 1)
 		for _, w := range curNew {
 			if l.Labels[w].X2() {
 				newX2W[w>>6] |= 1 << (uint(w) & 63)

@@ -32,7 +32,7 @@ func extendToAck(l *Labeling) error {
 	if st.L >= 2 {
 		// NEW_{ℓ−1} is stored ascending, so its first element is the
 		// smallest — no stage materialization needed.
-		if last := st.news[st.NumStored()-1]; len(last) > 0 {
+		if _, last := st.Lists(st.NumStored()); len(last) > 0 {
 			z = int(last[0])
 		}
 		if z == -1 {

@@ -33,10 +33,12 @@ type Stage struct {
 // (Γ(NEW_i) ∩ UNINF_{i+1}). That replaces the former five-full-sets-per-
 // stage snapshots, Θ(n·ℓ) = Θ(n²) bits on deep (path-like) families,
 // with Θ(n + Σ_i |DOM_i| + |NEW_i|) words, which is O(n + m) overall —
-// the change that makes million-node labelings storable. Stage(i)
-// materializes the five sets on demand by replaying the recurrence
-// through a cached forward cursor, so sequential consumers (λ
-// verification, invariant checks, stage dumps) pay O(deltas) per step.
+// the change that makes million-node labelings storable. The lists sit
+// in two flat arrays, as graph.CSR stores its rows, so a stage costs
+// two offsets and its nodes, whatever ℓ is. Stage(i) materializes the
+// five sets on demand by replaying the recurrence through a cached
+// forward cursor, so sequential consumers (λ verification, invariant
+// checks, stage dumps) pay O(deltas) per step.
 type Stages struct {
 	G      *graph.Graph
 	Source int
@@ -52,9 +54,12 @@ type Stages struct {
 	// construction can stall; the standard one always progresses (Lemma 2.5).
 	Stalled int
 
-	// doms[i-1] and news[i-1] are the DOM_i / NEW_i node lists, ascending
-	// and duplicate-free — the entire stored state of the construction.
-	doms, news [][]int32
+	// nodes holds the DOM_1, NEW_1, DOM_2, NEW_2, … node lists back to
+	// back, in the order the wire format writes them, and list j is
+	// nodes[off[j]:off[j+1]]: DOM_i is list 2i−2 and NEW_i list 2i−1.
+	// Each list is ascending and duplicate-free. The two arrays are the
+	// entire stored state of the construction (Lists reads them).
+	off, nodes []int32
 
 	// mu guards cur so Stage(i) is safe for concurrent readers (the
 	// Session shares cached labelings across requests).
@@ -108,8 +113,8 @@ func BuildStages(g *graph.Graph, source int, opt BuildOptions) (*Stages, error) 
 // returned sets; jumping backward restarts the replay from stage 1. The
 // returned sets are private copies; mutating them does not affect s.
 func (s *Stages) Stage(i int) Stage {
-	if i < 1 || i > len(s.doms) {
-		panic(fmt.Sprintf("core: stage %d out of range [1,%d]", i, len(s.doms)))
+	if i < 1 || i > s.NumStored() {
+		panic(fmt.Sprintf("core: stage %d out of range [1,%d]", i, s.NumStored()))
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -120,12 +125,13 @@ func (s *Stages) Stage(i int) Stage {
 		s.advanceCursor()
 	}
 	n := s.G.N()
+	dom, nw := s.Lists(i)
 	return Stage{
 		Inf:      s.cur.inf.Clone(),
 		Uninf:    s.cur.uninf.Clone(),
 		Frontier: s.cur.frontier.Clone(),
-		Dom:      nodeset.OfInt32(n, s.doms[i-1]),
-		New:      nodeset.OfInt32(n, s.news[i-1]),
+		Dom:      nodeset.OfInt32(n, dom),
+		New:      nodeset.OfInt32(n, nw),
 	}
 }
 
@@ -149,7 +155,7 @@ func (s *Stages) resetCursor() {
 // only NEW_i and its neighbourhoods.
 func (s *Stages) advanceCursor() {
 	csr := s.G.Freeze()
-	prevNew := s.news[s.cur.idx-1]
+	_, prevNew := s.Lists(s.cur.idx)
 	for _, v := range prevNew {
 		s.cur.inf.Add(int(v))
 		s.cur.uninf.Remove(int(v))
@@ -166,12 +172,24 @@ func (s *Stages) advanceCursor() {
 }
 
 // NumStored returns the number of stored stages (ℓ−1 for ℓ > 1, else 1).
-func (s *Stages) NumStored() int { return len(s.doms) }
+func (s *Stages) NumStored() int { return (len(s.off) - 1) / 2 }
+
+// Lists returns the DOM_i and NEW_i node lists of stage i (1-based), in
+// ascending order. Together with the graph and the source the lists of
+// every stage determine the whole structure: INF/UNINF/FRONTIER follow
+// from the recurrence of §2.1. They are the delta representation Stages
+// itself stores, returned without a copy, so the caller must not modify
+// them. Panics if i is out of range.
+func (s *Stages) Lists(i int) (dom, nw []int32) {
+	o := s.off[2*i-2 : 2*i+1]
+	return s.nodes[o[0]:o[1]:o[1]], s.nodes[o[1]:o[2]:o[2]]
+}
 
 // DomUnion returns the union of all DOM_i (the x1 = 1 nodes).
 func (s *Stages) DomUnion() *nodeset.Set {
 	u := nodeset.New(s.G.N())
-	for _, dom := range s.doms {
+	for i := 1; i <= s.NumStored(); i++ {
+		dom, _ := s.Lists(i)
 		for _, v := range dom {
 			u.Add(int(v))
 		}
@@ -184,9 +202,10 @@ func (s *Stages) DomUnion() *nodeset.Set {
 // (2i−1) in which the node is informed.
 func (s *Stages) InformedStage() []int {
 	out := make([]int, s.G.N())
-	for i, list := range s.news {
-		for _, v := range list {
-			out[v] = i + 1
+	for i := 1; i <= s.NumStored(); i++ {
+		_, nw := s.Lists(i)
+		for _, v := range nw {
+			out[v] = i
 		}
 	}
 	return out

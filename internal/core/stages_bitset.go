@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"radiobcast/internal/domset"
 	"radiobcast/internal/graph"
@@ -35,6 +35,15 @@ import (
 // node-at-a-time oracle in stages_oracle_test.go, for every prune order
 // and mode.
 //
+// Each stage's lists are appended straight onto the Stages' two flat
+// arrays. Minimality gives every DOM_i node a private frontier neighbour,
+// which has exactly one DOM_i neighbour and so is in NEW_i; hence
+// |DOM_i| ≤ |NEW_i|, and since the NEW_i partition V ∖ {source}, the
+// standard construction stores at most 2(n−1) nodes over at most n−1
+// stages. The arrays start at those bounds, so they never grow (the
+// ablations may outgrow them), and are cut to their length on return,
+// so the labeling keeps no spare capacity.
+//
 // The slab form is the kernel's own (graph.NewBitCSR), built at the first
 // stage that reads it and returned for labelsFromStages; nil means no
 // stage needed it, because the source informs every node in round 1. It
@@ -45,14 +54,25 @@ func buildStagesBitset(g *graph.Graph, source int, opt BuildOptions) (*Stages, *
 	if source < 0 || source >= n {
 		panic(fmt.Sprintf("core: source %d out of range [0,%d)", source, n))
 	}
-	st := &Stages{G: g, Source: source, Restricted: opt.Restricted}
 	csr := g.Freeze()
 	var bcsr *graph.BitCSR
 
 	// Stage 1: INF_1 = DOM_1 = {source}, NEW_1 = FRONTIER_1 = Γ(source).
+	// When that informs every node (n = 1 included), stage 1 is the only
+	// one stored, and the arrays are sized to hold it exactly.
 	nbrS := csr.Neighbors(source)
-	st.doms = append(st.doms, []int32{int32(source)})
-	st.news = append(st.news, append(make([]int32, 0, len(nbrS)), nbrS...))
+	offCap, nodesCap := 2*n-1, 2*(n-1)
+	if 1+len(nbrS) == n {
+		offCap, nodesCap = 3, n
+	}
+	st := &Stages{
+		G: g, Source: source, Restricted: opt.Restricted,
+		off:   make([]int32, 1, offCap),
+		nodes: make([]int32, 0, nodesCap),
+	}
+	defer func() { st.off, st.nodes = trimmed(st.off), trimmed(st.nodes) }()
+	st.nodes = append(append(st.nodes, int32(source)), nbrS...)
+	st.off = append(st.off, 1, int32(len(st.nodes)))
 	if n == 1 {
 		st.L = 1
 		return st, nil, nil
@@ -84,7 +104,7 @@ func buildStagesBitset(g *graph.Graph, source int, opt BuildOptions) (*Stages, *
 	var merged []int32
 
 	for i := 2; ; i++ {
-		prevDom, prevNew := st.doms[i-2], st.news[i-2]
+		prevDom, prevNew := st.Lists(i - 1)
 		informed += len(prevNew)
 		if informed == n {
 			st.L = i
@@ -120,25 +140,29 @@ func buildStagesBitset(g *graph.Graph, source int, opt BuildOptions) (*Stages, *
 			merged = mergeSortedInt32(merged[:0], prevDom, prevNew)
 			cands = merged
 		}
-		var domList []int32
+		// DOM_i goes onto the nodes array. When the candidates do not
+		// dominate FRONTIER_i, stage i is not stored.
+		domStart := len(st.nodes)
 		if opt.SkipMinimality {
-			domList = usefulCandidates(bcsr, cands, frontierW)
-			if !domset.Dominates(g, nodeset.OfInt32(n, domList), nodeset.FromWords(n, frontierW)) {
+			st.nodes = appendUseful(st.nodes, bcsr, cands, frontierW)
+			if !domset.Dominates(g, nodeset.OfInt32(n, st.nodes[domStart:]), nodeset.FromWords(n, frontierW)) {
+				st.nodes = st.nodes[:domStart]
 				st.Stalled = i
 				return st, bcsr, fmt.Errorf("core: stage %d: candidates do not dominate frontier (skip-minimality mode)", i)
 			}
 		} else {
 			var err error
-			domList, err = pruner.Prune(csr, bcsr, cands, frontierW, frontierCount, opt.Order)
+			st.nodes, err = pruner.Prune(st.nodes, csr, bcsr, cands, frontierW, frontierCount, opt.Order)
 			if err != nil {
 				st.Stalled = i
 				return st, bcsr, fmt.Errorf("core: stage %d: %v (restricted=%v)", i, err, opt.Restricted)
 			}
 		}
+		st.off = append(st.off, int32(len(st.nodes)))
 
 		// NEW_i = FRONTIER_i nodes covered by exactly one DOM_i member.
 		wlist = wlist[:0]
-		for _, c := range domList {
+		for _, c := range st.nodes[domStart:] {
 			words, masks := bcsr.Slabs(int(c))
 			for k, wi := range words {
 				if !wmark[wi] {
@@ -150,21 +174,20 @@ func buildStagesBitset(g *graph.Graph, source int, opt BuildOptions) (*Stages, *
 			}
 		}
 		// Touched words in ascending order make the extracted list ascending.
-		sort.Slice(wlist, func(a, b int) bool { return wlist[a] < wlist[b] })
-		newList := make([]int32, 0, len(prevNew))
+		slices.Sort(wlist)
+		newStart := len(st.nodes)
 		for _, wi := range wlist {
 			x := busy1[wi] &^ busy2[wi] & frontierW[wi]
 			base := int32(wi) << 6
 			for ; x != 0; x &= x - 1 {
-				newList = append(newList, base|int32(bits.TrailingZeros64(x)))
+				st.nodes = append(st.nodes, base|int32(bits.TrailingZeros64(x)))
 			}
 			busy1[wi], busy2[wi] = 0, 0
 			wmark[wi] = false
 		}
+		st.off = append(st.off, int32(len(st.nodes)))
 
-		st.doms = append(st.doms, domList)
-		st.news = append(st.news, newList)
-		if len(newList) == 0 {
+		if len(st.nodes) == newStart {
 			// Lemma 2.4 rules this out for the standard construction; the
 			// SkipMinimality ablation exists to reach it.
 			st.Stalled = i
@@ -177,20 +200,28 @@ func buildStagesBitset(g *graph.Graph, source int, opt BuildOptions) (*Stages, *
 	}
 }
 
-// usefulCandidates is DOM_i under the SkipMinimality ablation: every
-// candidate with a frontier neighbour, unpruned.
-func usefulCandidates(bcsr *graph.BitCSR, cands []int32, frontierW []uint64) []int32 {
-	dom := make([]int32, 0, len(cands))
+// appendUseful appends DOM_i under the SkipMinimality ablation to dst:
+// every candidate with a frontier neighbour, unpruned.
+func appendUseful(dst []int32, bcsr *graph.BitCSR, cands []int32, frontierW []uint64) []int32 {
 	for _, c := range cands {
 		words, masks := bcsr.Slabs(int(c))
 		for k, wi := range words {
 			if masks[k]&frontierW[wi] != 0 {
-				dom = append(dom, c)
+				dst = append(dst, c)
 				break
 			}
 		}
 	}
-	return dom
+	return dst
+}
+
+// trimmed returns s in an array of its own length: s itself when it has
+// no spare capacity, else a copy.
+func trimmed(s []int32) []int32 {
+	if len(s) == cap(s) {
+		return s
+	}
+	return slices.Clone(s)
 }
 
 // mergeSortedInt32 merges two sorted, disjoint lists into dst.

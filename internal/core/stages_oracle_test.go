@@ -26,7 +26,7 @@ func neighborhood(csr *graph.CSR, x *nodeset.Set) *nodeset.Set {
 // BuildStages to it in every mode, ablations and stall errors included.
 func buildStagesOracle(g *graph.Graph, source int, opt BuildOptions) (*Stages, error) {
 	n := g.N()
-	st := &Stages{G: g, Source: source, Restricted: opt.Restricted}
+	st := &Stages{G: g, Source: source, Restricted: opt.Restricted, off: []int32{0}}
 	csr := g.Freeze()
 
 	inf := nodeset.Of(n, source)
@@ -92,18 +92,13 @@ func buildStagesOracle(g *graph.Graph, source int, opt BuildOptions) (*Stages, e
 	}
 }
 
-// appendStage records one stage's DOM/NEW delta lists.
+// appendStage records one stage's DOM/NEW delta lists, each as an
+// ascending run of the flat nodes array — the storage form of Stages.
 func (s *Stages) appendStage(dom, newSet *nodeset.Set) {
-	s.doms = append(s.doms, setToInt32(dom))
-	s.news = append(s.news, setToInt32(newSet))
-}
-
-// setToInt32 extracts a set's members as an ascending int32 list — the
-// delta-storage form of Stages.
-func setToInt32(s *nodeset.Set) []int32 {
-	out := make([]int32, 0, s.Count())
-	s.ForEach(func(v int) { out = append(out, int32(v)) })
-	return out
+	for _, set := range [2]*nodeset.Set{dom, newSet} {
+		set.ForEach(func(v int) { s.nodes = append(s.nodes, int32(v)) })
+		s.off = append(s.off, int32(len(s.nodes)))
+	}
 }
 
 // restrictToUseful keeps candidates with at least one frontier neighbour.

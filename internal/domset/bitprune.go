@@ -1,9 +1,10 @@
 package domset
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"radiobcast/internal/graph"
 	"radiobcast/internal/nodeset"
@@ -11,13 +12,13 @@ import (
 
 // Pruner is the word-parallel form of MinimalSubset, and the pruner the
 // stage construction in package core runs: candidates arrive as a sorted
-// int32 list, targets as a frontier bit-word vector, and the minimal subset
-// comes back as a fresh ascending int32 list. The algorithm is the same
-// greedy-removal loop as MinimalSubset — same usefulness filter, same
-// candidate permutation per PruneOrder (including the stable degree
-// sorts), same removable test, same decrements — so for equal inputs the
-// two produce the identical set. The speed comes from two word-level
-// tricks:
+// int32 list, targets as a frontier bit-word vector, and the minimal
+// subset is appended, ascending, to the caller's int32 list. The
+// algorithm is the same greedy-removal loop as MinimalSubset — same
+// usefulness filter, same candidate permutation per PruneOrder (including
+// the stable degree sorts), same removable test, same decrements — so for
+// equal inputs the two produce the identical set. The speed comes from
+// two word-level tricks:
 //
 //   - cover counts are exact per-target int32s, but the *removable* test
 //     ("does c have a target neighbour with cover exactly 1?") runs as
@@ -48,15 +49,15 @@ func NewPruner(n int) *Pruner {
 	}
 }
 
-// Prune returns the minimal subset of candidates dominating the frontier,
-// matching MinimalSubset(g, candidates, frontier, order) element for
-// element. bcsr is the slab form of csr (graph.NewBitCSR), which the
-// caller builds once per construction. candidates must be sorted
-// ascending; frontierW is the frontier as bit words with frontierCount
-// bits set. The returned slice is freshly allocated (callers keep it as
-// stage storage); scratch state is reset before returning on every path,
-// including the error path.
-func (p *Pruner) Prune(csr *graph.CSR, bcsr *graph.BitCSR, candidates []int32, frontierW []uint64, frontierCount int, order PruneOrder) ([]int32, error) {
+// Prune appends to dst the minimal subset of candidates dominating the
+// frontier, matching MinimalSubset(g, candidates, frontier, order)
+// element for element, and returns the extended slice; on error it
+// returns dst as it was. bcsr is the slab form of csr (graph.NewBitCSR),
+// which the caller builds once per construction. candidates must be
+// sorted ascending and may lie in dst below its length; frontierW is the
+// frontier as bit words with frontierCount bits set. Scratch state is
+// reset before returning on every path, including the error path.
+func (p *Pruner) Prune(dst []int32, csr *graph.CSR, bcsr *graph.BitCSR, candidates []int32, frontierW []uint64, frontierCount int, order PruneOrder) ([]int32, error) {
 	p.kept = p.kept[:0]
 	p.tlist = p.tlist[:0]
 	defer func() {
@@ -103,7 +104,7 @@ func (p *Pruner) Prune(csr *graph.CSR, bcsr *graph.BitCSR, candidates []int32, f
 			for x := w; x != 0; x &= x - 1 {
 				t := int32(wi)<<6 | int32(bits.TrailingZeros64(x))
 				if p.cover[t] == 0 {
-					return nil, fmt.Errorf("domset: target %d not dominated by candidate set %v",
+					return dst, fmt.Errorf("domset: target %d not dominated by candidate set %v",
 						t, nodeset.OfInt32(p.n, candidates))
 				}
 			}
@@ -127,18 +128,17 @@ func (p *Pruner) Prune(csr *graph.CSR, bcsr *graph.BitCSR, candidates []int32, f
 			p.ord[i], p.ord[j] = p.ord[j], p.ord[i]
 		}
 	case DegreeAsc:
-		sort.SliceStable(p.ord, func(i, j int) bool {
-			return csr.Degree(int(p.kept[p.ord[i]])) < csr.Degree(int(p.kept[p.ord[j]]))
+		slices.SortStableFunc(p.ord, func(a, b int32) int {
+			return cmp.Compare(csr.Degree(int(p.kept[a])), csr.Degree(int(p.kept[b])))
 		})
 	case DegreeDesc:
-		sort.SliceStable(p.ord, func(i, j int) bool {
-			return csr.Degree(int(p.kept[p.ord[i]])) > csr.Degree(int(p.kept[p.ord[j]]))
+		slices.SortStableFunc(p.ord, func(a, b int32) int {
+			return cmp.Compare(csr.Degree(int(p.kept[b])), csr.Degree(int(p.kept[a])))
 		})
 	}
 
 	// Greedy removal: c is removable iff it has no target neighbour that
 	// only c covers — one masked AND against eq1 per slab.
-	removed := 0
 	for _, pos := range p.ord {
 		c := int(p.kept[pos])
 		words, masks := bcsr.Slabs(c)
@@ -152,7 +152,6 @@ func (p *Pruner) Prune(csr *graph.CSR, bcsr *graph.BitCSR, candidates []int32, f
 		if !removable {
 			continue
 		}
-		removed++
 		p.kept[pos] = -1 - p.kept[pos] // mark without losing ascending order
 		for k, wi := range words {
 			x := masks[k] & frontierW[wi]
@@ -170,13 +169,12 @@ func (p *Pruner) Prune(csr *graph.CSR, bcsr *graph.BitCSR, candidates []int32, f
 		}
 	}
 
-	out := make([]int32, 0, k-removed)
 	for i, c := range p.kept {
 		if c >= 0 {
-			out = append(out, c)
+			dst = append(dst, c)
 		} else {
 			p.kept[i] = -1 - c // unmark so tlist reset assumptions stay local
 		}
 	}
-	return out, nil
+	return dst, nil
 }

@@ -1,6 +1,7 @@
 package domset
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -14,7 +15,7 @@ func pruneViaWords(t *testing.T, p *Pruner, g *graph.Graph, candidates, targets 
 	cand := make([]int32, 0, candidates.Count())
 	candidates.ForEach(func(v int) { cand = append(cand, int32(v)) })
 	csr := g.Freeze()
-	got, err := p.Prune(csr, graph.NewBitCSR(csr), cand, targets.Words(), targets.Count(), order)
+	got, err := p.Prune(nil, csr, graph.NewBitCSR(csr), cand, targets.Words(), targets.Count(), order)
 	if err != nil {
 		return nil, err
 	}
@@ -71,23 +72,28 @@ func TestPrunerMatchesMinimalSubset(t *testing.T) {
 }
 
 // TestPrunerUndominatedTarget checks the error path mirrors the scalar
-// message, and that scratch state is reset so the Pruner stays reusable.
+// message and hands back the caller's slice as it was, that scratch state
+// is reset so the Pruner stays reusable, and that the subset is appended
+// after what the caller's slice holds.
 func TestPrunerUndominatedTarget(t *testing.T) {
 	g := graph.Path(5)
 	p := NewPruner(5)
 	csr := g.Freeze()
 	bcsr := graph.NewBitCSR(csr)
 	targets := nodeset.Of(5, 4).Words() // node 4's only neighbour is 3
-	if _, err := p.Prune(csr, bcsr, []int32{0, 1}, targets, 1, Ascending); err == nil {
+	dst := []int32{2}
+	if got, err := p.Prune(dst, csr, bcsr, []int32{0, 1}, targets, 1, Ascending); err == nil {
 		t.Fatal("expected undominated-target error")
+	} else if !slices.Equal(got, dst) {
+		t.Fatalf("Prune error path returned %v, want the caller's %v", got, dst)
 	}
 	// Reuse after the error: {3} dominates {4} and is already minimal.
-	got, err := p.Prune(csr, bcsr, []int32{3}, targets, 1, Ascending)
+	got, err := p.Prune(dst, csr, bcsr, []int32{3}, targets, 1, Ascending)
 	if err != nil {
 		t.Fatalf("reuse after error: %v", err)
 	}
-	if len(got) != 1 || got[0] != 3 {
-		t.Fatalf("Prune = %v, want [3]", got)
+	if !slices.Equal(got, []int32{2, 3}) {
+		t.Fatalf("Prune = %v, want [2 3]", got)
 	}
 }
 

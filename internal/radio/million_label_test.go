@@ -107,11 +107,17 @@ func TestMillionNodePathLabeling(t *testing.T) {
 
 // labelingRetainedCeiling bounds the heap one λ labeling of a 4096-node
 // G(n, 6/n) may retain: its 4-byte labels and DOM/NEW lists take about
-// 49 KiB. The graph's slab form, about 390 KiB more, is the labeling
+// 41 KiB. The graph's slab form, about 390 KiB more, is the labeling
 // kernel's scratch and must not stay behind on the graph, as it did while
 // the kernel took it from the CSR's cache (517 KiB per labeling); string
 // labels and the stay picks kept 113 KiB.
 const labelingRetainedCeiling = 64 << 10
+
+// deepLabelingRetainedCeiling bounds the heap one λ labeling of a
+// 4096-node path (ℓ = n) may retain: its labels and the 2(n−1) stage
+// nodes with their offsets take 16 + 32 + 32 KiB. A slice header and its
+// size-class slack per DOM_i and NEW_i list made it 272 KiB.
+const deepLabelingRetainedCeiling = 128 << 10
 
 // retainedPerLabeling labels every network with scheme and returns the
 // labelings and the heap each retains on average.
@@ -134,29 +140,70 @@ func retainedPerLabeling(t *testing.T, nets []*radiobcast.Network, scheme string
 }
 
 // TestLabelingRetainsNoSlabForm labels frozen 4096-node G(n, 6/n) graphs
-// and bounds the heap the labelings retain, then runs and verifies one of
-// them, so the engine still builds its own slab form for a labeled graph.
+// and paths and bounds the heap the labelings retain, then runs and
+// verifies one of them, so the engine still builds its own slab form for
+// a labeled graph.
 func TestLabelingRetainsNoSlabForm(t *testing.T) {
 	const n, graphs = 4096, 20
-	nets := make([]*radiobcast.Network, graphs)
-	for i := range nets {
-		g := graph.StreamGNPConnected(n, 6.0/n, int64(i+1))
-		g.Freeze()
-		nets[i] = radiobcast.NewNetwork(g)
-	}
-	labelings, per := retainedPerLabeling(t, nets, "b")
-	if per > labelingRetainedCeiling {
-		t.Fatalf("each labeling retained %d KiB, ceiling %d KiB", per>>10, labelingRetainedCeiling>>10)
-	}
+	for _, c := range []struct {
+		name, scheme string
+		build        func(i int) *graph.Graph
+		ceiling      uint64
+	}{
+		{"gnp-sparse/b", "b", func(i int) *graph.Graph { return graph.StreamGNPConnected(n, 6.0/n, int64(i+1)) }, labelingRetainedCeiling},
+		{"path/b", "b", func(int) *graph.Graph { return graph.Path(n) }, deepLabelingRetainedCeiling},
+		{"path/back", "back", func(int) *graph.Graph { return graph.Path(n) }, deepLabelingRetainedCeiling},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			nets := make([]*radiobcast.Network, graphs)
+			for i := range nets {
+				g := c.build(i)
+				g.Freeze()
+				nets[i] = radiobcast.NewNetwork(g)
+			}
+			labelings, per := retainedPerLabeling(t, nets, c.scheme)
+			t.Logf("each labeling retained %d B", per)
+			if per > c.ceiling {
+				t.Fatalf("each labeling retained %d KiB, ceiling %d KiB", per>>10, c.ceiling>>10)
+			}
 
-	out, err := radiobcast.RunLabeled(labelings[0], radiobcast.WithMessage("m"))
-	if err != nil {
-		t.Fatalf("run labeled: %v", err)
+			out, err := radiobcast.RunLabeled(labelings[0], radiobcast.WithMessage("m"))
+			if err != nil {
+				t.Fatalf("run labeled: %v", err)
+			}
+			if err := radiobcast.Verify(out); err != nil {
+				t.Fatalf("verify: %v", err)
+			}
+			runtime.KeepAlive(labelings)
+		})
 	}
-	if err := radiobcast.Verify(out); err != nil {
-		t.Fatalf("verify: %v", err)
+}
+
+// TestLabelingAllocsDoNotGrowWithDepth requires a λ labeling of a
+// 4096-node path (ℓ = 4096) to make at most 32 more allocations than one
+// of a 64-node path. Stage lists that each took an allocation of their
+// own made a b labeling of the longer path cost 12,466 allocations
+// against 228.
+func TestLabelingAllocsDoNotGrowWithDepth(t *testing.T) {
+	for _, scheme := range []string{"b", "back"} {
+		var allocs [2]float64
+		for i, n := range []int{64, 4096} {
+			net, err := radiobcast.Family("path", n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			net.Graph.Freeze()
+			allocs[i] = testing.AllocsPerRun(10, func() {
+				if _, err := radiobcast.LabelNetwork(net, scheme); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		t.Logf("%s: %v allocations on path/64, %v on path/4096", scheme, allocs[0], allocs[1])
+		if allocs[1] > allocs[0]+32 {
+			t.Errorf("%s labeling makes %v allocations on path/4096, %v on path/64", scheme, allocs[1], allocs[0])
+		}
 	}
-	runtime.KeepAlive(labelings)
 }
 
 // oneBitRetainedCeiling bounds the heap one 1-bit labeling of a 4096-node

@@ -239,6 +239,9 @@ func (s *Session) Err() error { return s.initErr }
 
 // preloadStore warms the LRU with the store's most-recent labelings, so
 // a restarted daemon serves its working set from memory immediately.
+// The first labeling of a topology builds its graph, and every later
+// one with the same (fingerprint, n, m) decodes onto that graph, so the
+// preloaded labelings of one topology share one graph.
 func (s *Session) preloadStore() {
 	n := s.storePreload
 	if n < 0 {
@@ -250,15 +253,18 @@ func (s *Session) preloadStore() {
 	if n <= 0 {
 		return
 	}
+	graphs := map[labelingKey]*Graph{} // keyed by the graph fields alone
 	for _, k := range s.store.RecentKeys(n) {
 		key := labelingKey{
 			fp: k.Fingerprint, n: k.N, m: k.M,
 			scheme: k.Scheme, source: k.Source, coordinator: k.Coordinator,
 		}
-		l, ok := s.storeGet(key, nil)
+		gkey := labelingKey{fp: key.fp, n: key.n, m: key.m}
+		l, ok := s.storeGet(key, graphs[gkey])
 		if !ok {
 			continue
 		}
+		graphs[gkey] = l.Graph
 		s.mu.Lock()
 		if _, dup := s.index[key]; !dup {
 			s.index[key] = s.lru.PushBack(&cacheEntry{key: key, l: l})
@@ -591,12 +597,13 @@ func storeKey(k labelingKey) store.Key {
 // storeGet reads and decodes one labeling from the disk store. The store
 // already guarantees the bytes hash to their content address; decoding
 // the wire format (with its own CRC) and cross-checking the graph closes
-// the loop. With the request's graph g, the blob decodes onto g — its
-// edge list must be g's, edge for edge — so the labeling shares the
-// request's graph instead of a private copy; the warm-start preload has
-// no request graph, passes nil, and checks the decoded graph's
-// fingerprint against the key instead. Anything inconsistent is dropped
-// from the store and demoted to a miss — never an error.
+// the loop. With a graph g, the request's or the one the preload decoded
+// first for the key's topology, the blob decodes onto g — its edge list
+// must be g's, edge for edge — so the labeling shares g instead of a
+// private copy; with g nil (the preload's first labeling of a topology)
+// the decoded graph's fingerprint is checked against the key instead.
+// Anything inconsistent is dropped from the store and demoted to a miss
+// — never an error.
 func (s *Session) storeGet(key labelingKey, g *Graph) (*Labeling, bool) {
 	data, ok := s.store.Get(storeKey(key))
 	if !ok {

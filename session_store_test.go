@@ -435,6 +435,51 @@ func TestSessionStorePreload(t *testing.T) {
 	}
 }
 
+// TestSessionStorePreloadSharesGraph: the preload decodes the labelings
+// of one topology onto one graph. A session stores b labelings of
+// path/4096 from 8 sources; a session restarted on the store serves all
+// 8 from its LRU, and they refer to one *Graph, where each preloaded
+// labeling used to build a graph of its own.
+func TestSessionStorePreloadSharesGraph(t *testing.T) {
+	const sources = 8
+	dir := t.TempDir()
+	net := storeNet(t, "path", 4096)
+	ctx := context.Background()
+
+	seed := radiobcast.NewSession(radiobcast.WithStore(dir))
+	if err := seed.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for src := range sources {
+		if _, err := seed.Label(ctx, net, "b", radiobcast.WithSource(src)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := seed.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	warm := radiobcast.NewSession(radiobcast.WithStore(dir))
+	if err := warm.Err(); err != nil {
+		t.Fatal(err)
+	}
+	defer warm.Close(ctx)
+	graphs := map[*radiobcast.Graph]bool{}
+	for src := range sources {
+		l, err := warm.Label(ctx, net, "b", radiobcast.WithSource(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs[l.Graph] = true
+	}
+	if st := warm.Stats(); st.Hits != sources || st.StoreHits != sources {
+		t.Fatalf("stats = %+v, want %d preloaded store hits served as LRU hits", st, sources)
+	}
+	if len(graphs) != 1 {
+		t.Fatalf("the %d labelings refer to %d graphs, want 1", sources, len(graphs))
+	}
+}
+
 // TestSessionStoreOpenError: an unusable store directory surfaces through
 // Err() and fails every operation, rather than silently running storeless.
 func TestSessionStoreOpenError(t *testing.T) {
