@@ -559,6 +559,46 @@ func BenchmarkSweep(b *testing.B) {
 	}
 }
 
+// BenchmarkSweepWorkload runs the grid of the radiobcastd benchmark's
+// sweep workload (bench/workloads.go) in process: 288 cells of b and back
+// over path, grid and gnp-sparse at 256 and 1024 nodes, from both ends,
+// clean, at fault rate 0.02 and under crashes, on two workers. A fresh
+// Session per iteration labels all 24 labelings again, as the daemon's
+// set-up pass does, so one iteration is that pass without HTTP. Every
+// clean cell must verify.
+func BenchmarkSweepWorkload(b *testing.B) {
+	spec := radiobcast.SweepSpec{
+		Families:   []string{"path", "grid", "gnp-sparse"},
+		Sizes:      []int{256, 1024},
+		Schemes:    []string{"b", "back"},
+		Sources:    []int{0, -1},
+		FaultRates: []float64{0, 0.02},
+		Faults:     []radiobcast.FaultSpec{{Model: radiobcast.FaultModelCrash, Rate: 0.01, Down: 3}},
+		Repeats:    4,
+		Workers:    2,
+		Seed:       1,
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cells := 0
+		for c, err := range radiobcast.NewSession().Sweep(context.Background(), spec) {
+			if err != nil {
+				b.Fatal(err)
+			}
+			if c.Err != nil {
+				b.Fatal(c.Err)
+			}
+			if !c.Cell.Faulted() && !c.Verified {
+				b.Fatalf("clean cell %d not verified", c.Index)
+			}
+			cells++
+		}
+		if cells != 288 {
+			b.Fatalf("sweep returned %d cells, want 288", cells)
+		}
+	}
+}
+
 // BenchmarkExperimentRegistry times each experiment generator end to end in
 // quick mode (the EXPERIMENTS.md regeneration path).
 func BenchmarkExperimentRegistry(b *testing.B) {

@@ -38,7 +38,7 @@ func main() {
 	fmt.Println("golden comparison against the paper's printed transmit sets:")
 	allMatch := true
 	for v := range graph.Figure1Transmits {
-		got := fmt.Sprint(out.Result.Transmits[v])
+		got := fmt.Sprint(out.Result.Transmits(v))
 		want := fmt.Sprint(graph.Figure1Transmits[v])
 		mark := "ok"
 		if got != want {
@@ -47,7 +47,8 @@ func main() {
 		}
 		fmt.Printf("  node %2d: got %-12s want %-12s %s\n", v, got, want, mark)
 	}
-	if allMatch {
-		fmt.Println("all transmit schedules match the figure.")
+	if !allMatch {
+		log.Fatal("the run's transmit schedules differ from the figure")
 	}
+	fmt.Println("all transmit schedules match the figure.")
 }

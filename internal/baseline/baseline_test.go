@@ -164,7 +164,7 @@ func TestFloodingZeroBitNeverForwards(t *testing.T) {
 	if out.AllInformed {
 		t.Fatal("node 2 should stay uninformed behind a 0-labeled node")
 	}
-	if len(out.Result.Transmits[1]) != 0 {
+	if len(out.Result.Transmits(1)) != 0 {
 		t.Fatal("0-labeled node transmitted")
 	}
 }

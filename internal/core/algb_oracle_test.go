@@ -180,7 +180,9 @@ func (c bCase) run(ps []radio.Protocol) (*radio.Result, *radio.Trace) {
 // traces.
 func (c bCase) check() error {
 	want, wantTr := c.run(oracleBProtocols(c.labels, c.source, "µ"))
-	got, gotTr := c.run(NewBProtocols(c.labels, c.source, "µ"))
+	ps, release := NewBProtocols(c.labels, c.source, "µ")
+	got, gotTr := c.run(ps)
+	release()
 	if !reflect.DeepEqual(want, got) {
 		return fmt.Errorf("Results differ:\noracle  %+v\nmachine %+v", want, got)
 	}

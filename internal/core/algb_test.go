@@ -22,7 +22,7 @@ func TestAlgBFigure1Golden(t *testing.T) {
 		t.Fatal(err)
 	}
 	for v, want := range graph.Figure1Transmits {
-		got := out.Result.Transmits[v]
+		got := out.Result.Transmits(v)
 		if len(got) == 0 && len(want) == 0 {
 			continue
 		}
@@ -162,7 +162,7 @@ func TestAlgBLemma28Characterisation(t *testing.T) {
 		stage := l.Stages.Stage(i)
 		round := 2*i - 1
 		for v := 0; v < g.N(); v++ {
-			transmitted := containsInt(out.Result.Transmits[v], round)
+			transmitted := containsInt(out.Result.Transmits(v), round)
 			if transmitted != stage.Dom.Has(v) {
 				t.Fatalf("round %d: node %d transmitted=%v but DOM_%d membership=%v",
 					round, v, transmitted, i, stage.Dom.Has(v))
@@ -170,7 +170,7 @@ func TestAlgBLemma28Characterisation(t *testing.T) {
 		}
 		// Even round 2i: stays from x2-labeled NEW_i members.
 		for v := 0; v < g.N(); v++ {
-			transmitted := containsInt(out.Result.Transmits[v], 2*i)
+			transmitted := containsInt(out.Result.Transmits(v), 2*i)
 			want := stage.New.Has(v) && l.Labels[v].X2()
 			if transmitted != want {
 				t.Fatalf("round %d: node %d stay=%v, want %v", 2*i, v, transmitted, want)
@@ -214,7 +214,7 @@ func TestAlgBUninformedIgnoresStay(t *testing.T) {
 	if ok, _ := ps[1].(*AckNode).Informed(); ok {
 		t.Fatal("node adopted a stay message as µ")
 	}
-	if len(res.Transmits[1]) != 0 {
+	if len(res.Transmits(1)) != 0 {
 		t.Fatal("uninformed node transmitted")
 	}
 }
@@ -228,8 +228,8 @@ func TestAlgBZeroLabelNeverTransmits(t *testing.T) {
 		NewAlgB(MustParseLabel("00"), nil),
 	}
 	res := radio.Run(g, ps, radio.Options{MaxRounds: 8, StopAfterSilent: 3})
-	if len(res.Transmits[1]) != 0 {
-		t.Fatalf("00-labeled node transmitted at %v", res.Transmits[1])
+	if len(res.Transmits(1)) != 0 {
+		t.Fatalf("00-labeled node transmitted at %v", res.Transmits(1))
 	}
 	if got := res.FirstReception(1, radio.KindData); got != 1 {
 		t.Fatalf("reception round = %d, want 1", got)

@@ -238,27 +238,31 @@ func (a *AckNode) NextWake() int {
 func (a *AckNode) Skip(rounds int) { a.round += int32(rounds) }
 
 // NewBProtocols builds one algorithm-B node per node for the given
-// labeling and source message.
-func NewBProtocols(labels []Label, source int, mu string) []radio.Protocol {
+// labeling and source message. The nodes live in a pooled slab: release
+// returns it to the pool, after which the protocols must not be used. A
+// caller that never calls release leaves the slab to the garbage
+// collector.
+func NewBProtocols(labels []Label, source int, mu string) (ps []radio.Protocol, release func()) {
 	return newAckProtocols(labels, source, mu, bSpec)
 }
 
-// NewBackProtocols builds one algorithm-Back node per node.
-func NewBackProtocols(labels []Label, source int, mu string) []radio.Protocol {
+// NewBackProtocols builds one algorithm-Back node per node, in a pooled
+// slab like NewBProtocols.
+func NewBackProtocols(labels []Label, source int, mu string) (ps []radio.Protocol, release func()) {
 	return newAckProtocols(labels, source, mu, backSpec)
 }
 
-// newAckProtocols carves one AckNode per label from one bulk allocation,
-// so a label-once/run-many loop stays allocation-light.
-func newAckProtocols(labels []Label, source int, mu string, spec ackSpec) []radio.Protocol {
-	nodes := make([]AckNode, len(labels))
-	ps := make([]radio.Protocol, len(labels))
+// newAckProtocols sets one AckNode per label in a slab from ackSlabs.
+// Every node is assigned whole, so no state of the slab's last run
+// survives.
+func newAckProtocols(labels []Label, source int, mu string, spec ackSpec) ([]radio.Protocol, func()) {
+	s := takeSlab[AckNode](&ackSlabs, len(labels))
 	for v, lab := range labels {
-		nodes[v].m = ackMachine{label: lab, spec: spec, origin: v == source}
+		s.nodes[v] = AckNode{m: ackMachine{label: lab, spec: spec, origin: v == source}}
 		if v == source {
-			nodes[v].m.payload = mu
+			s.nodes[v].m.payload = mu
 		}
-		ps[v] = &nodes[v]
+		s.ps[v] = &s.nodes[v]
 	}
-	return ps
+	return s.ps, func() { s.put(&ackSlabs) }
 }

@@ -140,7 +140,7 @@ func TestAlgBackTimestampsMatchRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps := NewBackProtocols(l.Labels, graph.Figure1Source, "m")
+	ps, _ := NewBackProtocols(l.Labels, graph.Figure1Source, "m")
 	tr := &radio.Trace{}
 	radio.Run(g, ps, radio.Options{MaxRounds: 40, StopAfterSilent: 3, Trace: tr})
 	for _, round := range tr.Rounds {
@@ -162,7 +162,7 @@ func TestAlgBackAtMostOneTransmitterAfterBroadcast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps := NewBackProtocols(l.Labels, graph.Figure1Source, "m")
+	ps, _ := NewBackProtocols(l.Labels, graph.Figure1Source, "m")
 	tr := &radio.Trace{}
 	radio.Run(g, ps, radio.Options{MaxRounds: 40, StopAfterSilent: 3, Trace: tr})
 	cutoff := 2*l.Stages.L - 3
@@ -312,7 +312,7 @@ func TestAckMachineTimestampRun(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				back := NewBackProtocols(lack.Labels, src, "m")
+				back, _ := NewBackProtocols(lack.Labels, src, "m")
 				retx += checkTimestampRun(t, g, back, model(seed), func(v int, _ uint8) *ackMachine {
 					return &back[v].(*AckNode).m
 				})
@@ -320,7 +320,7 @@ func TestAckMachineTimestampRun(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				barb := NewBarbProtocols(larb.Labels, int(seed*3)%n, "m")
+				barb, _ := NewBarbProtocols(larb.Labels, int(seed*3)%n, "m")
 				retx += checkTimestampRun(t, g, barb, model(seed), func(v int, phase uint8) *ackMachine {
 					return &barb[v].(*AlgBarb).p[phase-1]
 				})
@@ -358,7 +358,7 @@ func TestAlgBackRelaysOnlyOwnTimestamps(t *testing.T) {
 	res := radio.Run(graph.Path(2), ps, radio.Options{MaxRounds: rounds[len(rounds)-1] + 2})
 
 	var got []radio.Reception
-	for _, rec := range res.Receives[0] {
+	for _, rec := range res.Receives(0) {
 		if rec.Msg.Kind == radio.KindAck {
 			if !relay[rec.Round] {
 				t.Errorf("round %d: node relayed an ack it did not send µ for", rec.Round)
@@ -372,7 +372,7 @@ func TestAlgBackRelaysOnlyOwnTimestamps(t *testing.T) {
 	if len(got) != len(relay) {
 		t.Fatalf("node relayed %d acks, want %d (rounds %v)", len(got), len(relay), relay)
 	}
-	if want := []int{3, 5, 7}; !reflect.DeepEqual(res.Transmits[1][:3], want) {
-		t.Fatalf("µ transmissions in rounds %v, want %v first", res.Transmits[1], want)
+	if want := []int{3, 5, 7}; !reflect.DeepEqual(res.Transmits(1)[:3], want) {
+		t.Fatalf("µ transmissions in rounds %v, want %v first", res.Transmits(1), want)
 	}
 }

@@ -165,21 +165,21 @@ func (a *AlgBarb) NextWake() int {
 // Skip implements radio.Waker.
 func (a *AlgBarb) Skip(rounds int) { a.round += int32(rounds) }
 
-// NewBarbProtocols builds one AlgBarb per node for the λarb labels,
-// carved from one bulk allocation. source is the node holding µ.
-func NewBarbProtocols(labels []Label, source int, mu string) []radio.Protocol {
-	nodes := make([]AlgBarb, len(labels))
-	ps := make([]radio.Protocol, len(labels))
+// NewBarbProtocols builds one AlgBarb per node for the λarb labels, in
+// a pooled slab like NewBProtocols. source is the node holding µ. Every
+// node is assigned whole, so no state of the slab's last run survives.
+func NewBarbProtocols(labels []Label, source int, mu string) (ps []radio.Protocol, release func()) {
+	s := takeSlab[AlgBarb](&barbSlabs, len(labels))
 	for v, lab := range labels {
-		a := &nodes[v]
-		a.isR = lab == coordinatorLabel
+		a := &s.nodes[v]
+		*a = AlgBarb{isR: lab == coordinatorLabel}
 		for i := range a.p {
 			a.p[i] = ackMachine{label: lab, spec: barbSpecs[i], origin: a.isR}
 		}
 		if v == source {
 			a.mu, a.isMuSource, a.haveMu = mu, true, true
 		}
-		ps[v] = a
+		s.ps[v] = a
 	}
-	return ps
+	return s.ps, func() { s.put(&barbSlabs) }
 }

@@ -40,8 +40,9 @@ func TestBackScheduleEqualsB(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		bSched := dataStaySchedule(g, NewBProtocols(l.Labels, src, "m"), 2*n+4)
-		backPs := NewBackProtocols(l.Labels, src, "m")
+		bPs, _ := NewBProtocols(l.Labels, src, "m")
+		bSched := dataStaySchedule(g, bPs, 2*n+4)
+		backPs, _ := NewBackProtocols(l.Labels, src, "m")
 		backSched := dataStaySchedule(g, backPs, 3*n+6)
 		cutoff := 2*l.Stages.L - 3
 		for v := 0; v < n; v++ {

@@ -96,11 +96,11 @@ func TestQuiescenceAfterCompletion(t *testing.T) {
 		graph.Figure1(), graph.Grid(4, 4), graph.Cycle(9), graph.BinaryTree(15),
 	} {
 		l := mustLambda(t, g, 0)
-		ps := NewBProtocols(l.Labels, 0, "m")
+		ps, _ := NewBProtocols(l.Labels, 0, "m")
 		res := radio.Run(g, ps, radio.Options{MaxRounds: 4 * g.N()})
 		cutoff := 2*l.Stages.L - 3
-		for v, rounds := range res.Transmits {
-			for _, r := range rounds {
+		for v := range res.N() {
+			for _, r := range res.Transmits(v) {
 				if r > cutoff {
 					t.Fatalf("node %d transmitted in round %d > 2ℓ−3 = %d", v, r, cutoff)
 				}
@@ -116,14 +116,14 @@ func TestBackQuiescenceAfterAck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps := NewBackProtocols(l.Labels, 0, "m")
+	ps, _ := NewBackProtocols(l.Labels, 0, "m")
 	res := radio.Run(g, ps, radio.Options{MaxRounds: 6 * g.N()})
 	ack := res.FirstReception(0, radio.KindAck)
 	if ack == 0 {
 		t.Fatal("no ack")
 	}
-	for v, rounds := range res.Transmits {
-		for _, r := range rounds {
+	for v := range res.N() {
+		for _, r := range res.Transmits(v) {
 			if r > ack {
 				t.Fatalf("node %d transmitted in round %d after the ack (round %d)", v, r, ack)
 			}

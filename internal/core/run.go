@@ -21,13 +21,15 @@ type BroadcastOutcome struct {
 	Labels []Label
 }
 
-// PlanBroadcast returns what a B execution runs: the protocol vector and
+// PlanBroadcast returns what a B execution runs: the protocol vector,
 // the scheme's base engine options, on which callers set their own engine
-// knobs. A run is exactly plan → radio.Run → AssembleBroadcast. MaxRounds
-// defaults to 2n+4, comfortably above the paper's 2n−3 bound.
-func PlanBroadcast(g *graph.Graph, l *Labeling, source int, mu string) ([]radio.Protocol, radio.Options) {
-	ps := NewBProtocols(l.Labels, source, mu)
-	return ps, radio.Options{MaxRounds: 2*g.N() + 4, StopAfterSilent: 3}
+// knobs, and the release of the protocols' pooled slab (see
+// NewBProtocols). A run is exactly plan → radio.Run → AssembleBroadcast →
+// release. MaxRounds defaults to 2n+4, comfortably above the paper's
+// 2n−3 bound.
+func PlanBroadcast(g *graph.Graph, l *Labeling, source int, mu string) (ps []radio.Protocol, base radio.Options, release func()) {
+	ps, release = NewBProtocols(l.Labels, source, mu)
+	return ps, radio.Options{MaxRounds: 2*g.N() + 4, StopAfterSilent: 3}, release
 }
 
 // AssembleBroadcast turns the Result of running PlanBroadcast's protocols
@@ -53,7 +55,7 @@ func assembleInformed(out *BroadcastOutcome, res *radio.Result, l *Labeling, sou
 // so it informs no one. Every scheme but Barb, whose coordinator learns
 // µ from an ack, reads its outcome through here.
 func Informed(res *radio.Result, source int) (rounds []int, all bool, last int) {
-	rounds = make([]int, len(res.Receives))
+	rounds = make([]int, res.N())
 	all = true
 	for v := range rounds {
 		if v == source {
@@ -90,7 +92,7 @@ func VerifyBroadcast(out *BroadcastOutcome, mu string) error {
 		if out.InformedRound[v] != want {
 			return fmt.Errorf("core: node %d informed in round %d, Lemma 2.8 predicts %d", v, out.InformedRound[v], want)
 		}
-		for _, rec := range out.Result.Receives[v] {
+		for _, rec := range out.Result.Receives(v) {
 			if rec.Msg.Kind == radio.KindData && rec.Msg.Payload != mu {
 				return fmt.Errorf("core: node %d received payload %q, want %q", v, rec.Msg.Payload, mu)
 			}
@@ -110,9 +112,9 @@ type AckOutcome struct {
 }
 
 // PlanAcknowledged is PlanBroadcast for a Back execution.
-func PlanAcknowledged(g *graph.Graph, l *Labeling, source int, mu string) ([]radio.Protocol, radio.Options) {
-	ps := NewBackProtocols(l.Labels, source, mu)
-	return ps, radio.Options{MaxRounds: 3*g.N() + 6, StopAfterSilent: 3}
+func PlanAcknowledged(g *graph.Graph, l *Labeling, source int, mu string) (ps []radio.Protocol, base radio.Options, release func()) {
+	ps, release = NewBackProtocols(l.Labels, source, mu)
+	return ps, radio.Options{MaxRounds: 3*g.N() + 6, StopAfterSilent: 3}, release
 }
 
 // AssembleAcknowledged turns the Result of running PlanAcknowledged's
@@ -172,33 +174,29 @@ type ArbOutcome struct {
 // predicate reads per-node protocol state, so it must only stop a run of
 // exactly the returned protocol vector. Errors for n < 2 (Barb needs a
 // coordinator and at least one other node).
-func PlanArbitrary(g *graph.Graph, l *Labeling, source int, mu string) ([]radio.Protocol, radio.Options, error) {
+func PlanArbitrary(g *graph.Graph, l *Labeling, source int, mu string) (ps []radio.Protocol, base radio.Options, release func(), err error) {
 	n := g.N()
 	if n < 2 {
-		return nil, radio.Options{}, fmt.Errorf("core: Barb needs n ≥ 2")
+		return nil, radio.Options{}, nil, fmt.Errorf("core: Barb needs n ≥ 2")
 	}
-	ps := NewBarbProtocols(l.Labels, source, mu)
-	nodes := make([]*AlgBarb, n)
-	for v := range ps {
-		nodes[v] = ps[v].(*AlgBarb)
-	}
-	base := radio.Options{
+	nodes, release := NewBarbProtocols(l.Labels, source, mu)
+	base = radio.Options{
 		MaxRounds: 14*n + 40,
 		Stop: func(round int) bool {
-			for _, nd := range nodes {
-				if nd.KnowsCompleteRound == 0 || round < nd.KnowsCompleteRound {
+			for _, p := range nodes {
+				if nd := p.(*AlgBarb); nd.KnowsCompleteRound == 0 || round < nd.KnowsCompleteRound {
 					return false
 				}
 			}
 			return true
 		},
 	}
-	return ps, base, nil
+	return nodes, base, release, nil
 }
 
 // AssembleArbitrary turns the Result of running PlanArbitrary's protocols
 // ps into the outcome, reading each node's protocol state, so res must
-// come from running exactly ps.
+// come from running exactly ps and the slab must not be released yet.
 func AssembleArbitrary(res *radio.Result, l *Labeling, ps []radio.Protocol, source int, mu string) *ArbOutcome {
 	n := len(ps)
 	out := &ArbOutcome{

@@ -6,7 +6,7 @@ import (
 )
 
 // The tests run each task the way the facade does: plan → radio.Run →
-// assemble, on the scheme's base options.
+// assemble → release, on the scheme's base options.
 
 func runBroadcast(g *graph.Graph, source int, mu string, opt BuildOptions) (*BroadcastOutcome, error) {
 	l, err := Lambda(g, source, opt)
@@ -17,7 +17,8 @@ func runBroadcast(g *graph.Graph, source int, mu string, opt BuildOptions) (*Bro
 }
 
 func runBroadcastLabeled(g *graph.Graph, l *Labeling, source int, mu string) *BroadcastOutcome {
-	ps, base := PlanBroadcast(g, l, source, mu)
+	ps, base, release := PlanBroadcast(g, l, source, mu)
+	defer release()
 	return AssembleBroadcast(radio.Run(g, ps, base), l, source)
 }
 
@@ -30,7 +31,8 @@ func runAcknowledged(g *graph.Graph, source int, mu string, opt BuildOptions) (*
 }
 
 func runAcknowledgedLabeled(g *graph.Graph, l *Labeling, source int, mu string) *AckOutcome {
-	ps, base := PlanAcknowledged(g, l, source, mu)
+	ps, base, release := PlanAcknowledged(g, l, source, mu)
+	defer release()
 	return AssembleAcknowledged(radio.Run(g, ps, base), l, source)
 }
 
@@ -43,9 +45,10 @@ func runArbitrary(g *graph.Graph, r, source int, mu string, opt BuildOptions) (*
 }
 
 func runArbitraryLabeled(g *graph.Graph, l *Labeling, source int, mu string) (*ArbOutcome, error) {
-	ps, base, err := PlanArbitrary(g, l, source, mu)
+	ps, base, release, err := PlanArbitrary(g, l, source, mu)
 	if err != nil {
 		return nil, err
 	}
+	defer release()
 	return AssembleArbitrary(radio.Run(g, ps, base), l, ps, source, mu), nil
 }

@@ -48,8 +48,8 @@ func FaultExperiment(cfg Config) ([]*Table, error) {
 		// Enumerate all (node, round) transmission events.
 		type event struct{ node, round int }
 		var events []event
-		for v, rounds := range nominal.Result.Transmits {
-			for _, r := range rounds {
+		for v := range nominal.Result.N() {
+			for _, r := range nominal.Result.Transmits(v) {
 				events = append(events, event{v, r})
 			}
 		}

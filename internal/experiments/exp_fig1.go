@@ -32,7 +32,7 @@ func Figure1Experiment(cfg Config) ([]*Table, error) {
 		Columns: []string{"node", "label", "transmits", "golden-tx", "informed", "golden-informed", "match"},
 	}
 	for v := 0; v < g.N(); v++ {
-		tx := intSet(out.Result.Transmits[v])
+		tx := intSet(out.Result.Transmits(v))
 		goldenTx := intSet(graph.Figure1Transmits[v])
 		informed := out.InformedRound[v]
 		goldenInf := graph.Figure1InformedRounds[v]

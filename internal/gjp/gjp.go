@@ -49,8 +49,9 @@ const (
 var ErrNoLabeling = errors.New("no 1-bit labeling found")
 
 // Plan returns what a run over a 1-bit labeling executes: B's plan
-// (core.PlanBroadcast, with its bounds) over the labels (b, ¬b).
-func Plan(g *graph.Graph, labels []core.Label, source int, mu string) ([]radio.Protocol, radio.Options) {
+// (core.PlanBroadcast, with its bounds and slab release) over the labels
+// (b, ¬b).
+func Plan(g *graph.Graph, labels []core.Label, source int, mu string) (ps []radio.Protocol, base radio.Options, release func()) {
 	one, zero := core.MakeLabel(true, false), core.MakeLabel(false, true)
 	bLabels := make([]core.Label, len(labels))
 	for v, l := range labels {
@@ -352,8 +353,9 @@ func (b *builder) step(T, newly []int, sel []bool) (next []int, score int) {
 // a search miss. It runs on a clone of g, so the engine's slab form is
 // not left cached on the labeled graph.
 func verify(g *graph.Graph, labels []core.Label, source int) error {
-	ps, opt := Plan(g, labels, source, "µ")
+	ps, opt, release := Plan(g, labels, source, "µ")
 	res := radio.Run(g.Clone(), ps, opt)
+	release()
 	for v := range labels {
 		if v != source && res.FirstReception(v, radio.KindData) == radio.NoReception {
 			return fmt.Errorf("gjp: internal error: constructed labeling leaves node %d uninformed", v)

@@ -15,13 +15,13 @@ import (
 func complete(t *testing.T, g *graph.Graph, labels []core.Label, source int) bool {
 	t.Helper()
 	mu := "µ"
-	ps, opt := Plan(g, labels, source, mu)
+	ps, opt, _ := Plan(g, labels, source, mu)
 	res := radio.Run(g, ps, opt)
 	for v := range labels {
 		if v != source && res.FirstReception(v, radio.KindData) == radio.NoReception {
 			return false
 		}
-		for _, rec := range res.Receives[v] {
+		for _, rec := range res.Receives(v) {
 			if rec.Msg.Kind == radio.KindData && rec.Msg.Payload != mu {
 				t.Fatalf("node %d received payload %q, want %q", v, rec.Msg.Payload, mu)
 			}
@@ -141,7 +141,7 @@ func bits(bs ...bool) []core.Label {
 // forwards µ two rounds after hearing it.
 func TestProtocolTiming(t *testing.T) {
 	mu := "µ"
-	ps, _ := Plan(graph.Path(3), bits(false, true, false), 0, mu)
+	ps, _, _ := Plan(graph.Path(3), bits(false, true, false), 0, mu)
 	src, mid, end := ps[0], ps[1], ps[2]
 
 	// Round 1: source transmits; receptions are delivered at the NEXT
@@ -180,7 +180,7 @@ func TestProtocolTiming(t *testing.T) {
 // the lone echo retransmits µ one round later.
 func TestProtocolEchoKeepsWaveAlive(t *testing.T) {
 	mu := "µ"
-	ps, _ := Plan(graph.Path(2), bits(false, false), 0, mu)
+	ps, _, _ := Plan(graph.Path(2), bits(false, false), 0, mu)
 	src, zero := ps[0], ps[1]
 
 	src.Step(nil) // round 1: transmit µ

@@ -66,18 +66,14 @@ type Reception struct {
 	Msg   Message
 }
 
-// Result aggregates everything observable about a run.
+// Result aggregates everything observable about a run. Its per-node
+// views are carved out of two flat arrays, the way graph.CSR stores
+// rows: every transmit round in one, every reception in the other, both
+// indexed by one offsets array. Transmits(v) and Receives(v) return
+// views into them; NewResult builds them.
 type Result struct {
 	// Rounds is the number of rounds executed.
 	Rounds int
-	// Transmits[v] lists the rounds in which node v transmitted.
-	Transmits [][]int
-	// Receives[v] lists node v's successful receptions in round order:
-	// exactly the receptions v's protocol processed, plus any in the run's
-	// last round. A reception a fault wiped before v stepped on it
-	// (faults.Words.Wipe) is no reception and is not listed; the Trace
-	// keeps the channel delivery.
-	Receives [][]Reception
 	// Collisions[v] counts rounds in which v listened while ≥ 2 neighbours
 	// transmitted.
 	Collisions []int
@@ -90,6 +86,78 @@ type Result struct {
 	// Interrupted reports that the run was cut short by Options.Ctx: the
 	// result is a valid prefix of the full execution, not its entirety.
 	Interrupted bool
+
+	// Node v's transmit rounds are tx[txOff[v]:txOff[v+1]] and its
+	// receptions rx[rxOff[v]:rxOff[v+1]]; txOff and rxOff are the two
+	// halves of one offsets array.
+	txOff, rxOff []int32
+	tx           []int
+	rx           []Reception
+}
+
+// NewResult returns the Result of a run over n nodes with the given
+// round-ordered event logs, one entry per event: node txNodes[i]
+// transmitted in round txRounds[i], and node rxNodes[i] made reception
+// rx[i]. Each node's views keep its events in log order. Collisions is
+// zeroed and the run-level fields are left to the caller. The Result
+// shares no memory with the logs.
+func NewResult(n int, txNodes, txRounds, rxNodes []int32, rx []Reception) *Result {
+	off := make([]int32, 2*(n+1))
+	res := &Result{
+		Collisions: make([]int, n),
+		txOff:      off[:n+1],
+		rxOff:      off[n+1:],
+		tx:         make([]int, len(txNodes)),
+		rx:         make([]Reception, len(rxNodes)),
+	}
+	// A counting sort by node: each offsets half first holds the group
+	// starts and serves as the fill cursor, which leaves entry v at the
+	// end of v's group; shifting the half up one place makes the ends
+	// offsets again.
+	groupStarts(res.txOff, txNodes)
+	for i, v := range txNodes {
+		res.tx[res.txOff[v]] = int(txRounds[i])
+		res.txOff[v]++
+	}
+	groupStarts(res.rxOff, rxNodes)
+	for i, v := range rxNodes {
+		res.rx[res.rxOff[v]] = rx[i]
+		res.rxOff[v]++
+	}
+	copy(res.txOff[1:], res.txOff)
+	copy(res.rxOff[1:], res.rxOff)
+	res.txOff[0], res.rxOff[0] = 0, 0
+	return res
+}
+
+// groupStarts sets off[v], for each v < len(off), to the number of
+// entries of nodes below v: the start of v's group once they are grouped
+// by node. off must be zero on entry.
+func groupStarts(off, nodes []int32) {
+	for _, v := range nodes {
+		off[v+1]++
+	}
+	for v := 1; v < len(off); v++ {
+		off[v] += off[v-1]
+	}
+}
+
+// N returns the number of nodes of the run.
+func (r *Result) N() int { return len(r.Collisions) }
+
+// Transmits returns the rounds in which node v transmitted, ascending.
+// The slice is a view into the Result.
+func (r *Result) Transmits(v int) []int {
+	return r.tx[r.txOff[v]:r.txOff[v+1]:r.txOff[v+1]]
+}
+
+// Receives returns node v's successful receptions in round order:
+// exactly the receptions v's protocol processed, plus any in the run's
+// last round. A reception a fault wiped before v stepped on it
+// (faults.Words.Wipe) is no reception and is not listed; the Trace keeps
+// the channel delivery. The slice is a view into the Result.
+func (r *Result) Receives(v int) []Reception {
+	return r.rx[r.rxOff[v]:r.rxOff[v+1]:r.rxOff[v+1]]
 }
 
 // NoReception is the sentinel returned by FirstReception for a node that
@@ -102,7 +170,7 @@ const NoReception = 0
 // successfully received a message of the given kind, or NoReception if it
 // never did.
 func (r *Result) FirstReception(v int, kind Kind) int {
-	for _, rec := range r.Receives[v] {
+	for _, rec := range r.Receives(v) {
 		if rec.Msg.Kind == kind {
 			return rec.Round
 		}
@@ -110,23 +178,12 @@ func (r *Result) FirstReception(v int, kind Kind) int {
 	return NoReception
 }
 
-// TransmissionsPerNode returns the per-node transmission counts.
-func (r *Result) TransmissionsPerNode() []int {
-	out := make([]int, len(r.Transmits))
-	for v, ts := range r.Transmits {
-		out[v] = len(ts)
-	}
-	return out
-}
-
 // MaxTransmissionsPerNode returns the largest per-node transmission count
 // (an energy metric).
 func (r *Result) MaxTransmissionsPerNode() int {
 	m := 0
-	for _, ts := range r.Transmits {
-		if len(ts) > m {
-			m = len(ts)
-		}
+	for v := range r.N() {
+		m = max(m, int(r.txOff[v+1]-r.txOff[v]))
 	}
 	return m
 }

@@ -3,6 +3,7 @@ package radio
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -35,8 +36,8 @@ func TestSingleTransmitterDelivers(t *testing.T) {
 	if got := res.FirstReception(2, KindData); got != 0 {
 		t.Fatalf("node 2 first reception = %d, want none", got)
 	}
-	if len(res.Receives[1]) != 1 || res.Receives[1][0].Msg.Payload != "mu" {
-		t.Fatalf("node 1 receptions = %+v", res.Receives[1])
+	if len(res.Receives(1)) != 1 || res.Receives(1)[0].Msg.Payload != "mu" {
+		t.Fatalf("node 1 receptions = %+v", res.Receives(1))
 	}
 	if res.TotalTransmissions != 1 {
 		t.Fatalf("TotalTransmissions = %d, want 1", res.TotalTransmissions)
@@ -51,8 +52,8 @@ func TestCollisionSilencesListener(t *testing.T) {
 	ps[1] = NewScripted(dataMsg("a"), 1)
 	ps[2] = NewScripted(dataMsg("b"), 1)
 	res := Run(g, ps, Options{MaxRounds: 2})
-	if len(res.Receives[0]) != 0 {
-		t.Fatalf("centre heard %v despite collision", res.Receives[0])
+	if len(res.Receives(0)) != 0 {
+		t.Fatalf("centre heard %v despite collision", res.Receives(0))
 	}
 	if res.Collisions[0] != 1 {
 		t.Fatalf("Collisions[0] = %d, want 1", res.Collisions[0])
@@ -67,7 +68,7 @@ func TestTransmitterHearsNothing(t *testing.T) {
 		NewScripted(dataMsg("y"), 1),
 	}
 	res := Run(g, ps, Options{MaxRounds: 2})
-	if len(res.Receives[0]) != 0 || len(res.Receives[1]) != 0 {
+	if len(res.Receives(0)) != 0 || len(res.Receives(1)) != 0 {
 		t.Fatal("transmitting node heard a message")
 	}
 	// and no collision is charged to a transmitter
@@ -86,8 +87,8 @@ func TestReceivedMessageVisibleNextStep(t *testing.T) {
 	if got := res.FirstReception(2, KindData); got != 2 {
 		t.Fatalf("node 2 first reception = %d, want 2", got)
 	}
-	if !reflect.DeepEqual(res.Transmits[1], []int{2}) {
-		t.Fatalf("echo transmit rounds = %v, want [2]", res.Transmits[1])
+	if !reflect.DeepEqual(res.Transmits(1), []int{2}) {
+		t.Fatalf("echo transmit rounds = %v, want [2]", res.Transmits(1))
 	}
 }
 
@@ -166,6 +167,51 @@ func (k *keepProtocol) Step(rcv *Message) Action {
 	return Listen
 }
 
+// TestResultFromEventLog checks the per-node views of a Result built
+// from a hand-written, round-ordered event log on four nodes, on the
+// engine's own path: the log in a Sim, a wipe that drops a reception
+// (dropWiped), then materialize. Node 3's only reception, in round 2, is
+// wiped before it steps on it; node 2 neither transmits nor hears.
+func TestResultFromEventLog(t *testing.T) {
+	a, b, c := Reception{1, dataMsg("a")}, Reception{2, dataMsg("b")}, Reception{3, dataMsg("c")}
+	s := NewSim()
+	s.reset(4, make([]Protocol, 4))
+	s.txNodes, s.txRounds = []int32{0, 1, 0}, []int32{1, 2, 3}
+	s.rxNodes, s.rxRecs = []int32{1, 0, 3}, []Reception{a, b, b}
+	s.dropWiped(1, []uint64{1 << 3}) // round 2's receptions start at entry 1
+	s.rxNodes, s.rxRecs = append(s.rxNodes, 1), append(s.rxRecs, c)
+	s.collisions[2] = 1
+	res := s.materialize(3, 3, false)
+
+	if res.N() != 4 || res.Rounds != 3 || res.TotalTransmissions != 3 {
+		t.Fatalf("N %d, rounds %d, transmissions %d; want 4, 3, 3", res.N(), res.Rounds, res.TotalTransmissions)
+	}
+	wantTx := [][]int{{1, 3}, {2}, {}, {}}
+	wantRx := [][]Reception{{b}, {a, c}, {}, {}}
+	for v := range res.N() {
+		if got := res.Transmits(v); !slices.Equal(got, wantTx[v]) {
+			t.Errorf("Transmits(%d) = %v, want %v", v, got, wantTx[v])
+		}
+		if got := res.Receives(v); !slices.Equal(got, wantRx[v]) {
+			t.Errorf("Receives(%d) = %v, want %v", v, got, wantRx[v])
+		}
+	}
+	if !slices.Equal(res.Collisions, []int{0, 0, 1, 0}) {
+		t.Errorf("Collisions = %v, want [0 0 1 0]", res.Collisions)
+	}
+	if res.FirstReception(1, KindData) != 1 || res.FirstReception(3, KindData) != NoReception {
+		t.Errorf("first receptions %d and %d, want 1 and NoReception", res.FirstReception(1, KindData), res.FirstReception(3, KindData))
+	}
+
+	// The views share no memory with the log, and appending to one leaves
+	// the next node's untouched.
+	s.rxRecs[0].Msg.Payload = "x"
+	_ = append(res.Transmits(0), 99)
+	if res.Receives(1)[0] != a || !slices.Equal(res.Transmits(1), []int{2}) {
+		t.Errorf("views changed: Receives(1) = %v, Transmits(1) = %v", res.Receives(1), res.Transmits(1))
+	}
+}
+
 func TestMetrics(t *testing.T) {
 	g := graph.Star(4)
 	ps := listenAll(4)
@@ -181,8 +227,10 @@ func TestMetrics(t *testing.T) {
 	if res.MaxMessageBits != wantBits {
 		t.Fatalf("MaxMessageBits = %d, want %d", res.MaxMessageBits, wantBits)
 	}
-	if got := res.TransmissionsPerNode(); !reflect.DeepEqual(got, []int{2, 0, 0, 0}) {
-		t.Fatalf("TransmissionsPerNode = %v", got)
+	for v, want := range []int{2, 0, 0, 0} {
+		if got := len(res.Transmits(v)); got != want {
+			t.Fatalf("node %d transmitted %d times, want %d", v, got, want)
+		}
 	}
 }
 
@@ -239,7 +287,7 @@ func TestQuickExactlyOneNeighbourRule(t *testing.T) {
 		res := Run(g, ps, Options{MaxRounds: horizon})
 		for v := 0; v < n; v++ {
 			gotRounds := map[int]bool{}
-			for _, rec := range res.Receives[v] {
+			for _, rec := range res.Receives(v) {
 				gotRounds[rec.Round] = true
 			}
 			for round := 1; round <= horizon; round++ {

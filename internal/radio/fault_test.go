@@ -19,8 +19,8 @@ func TestDropSuppressesDelivery(t *testing.T) {
 		t.Fatalf("first reception = %d, want 3", got)
 	}
 	// The transmitter still counts both transmissions (its radio fired).
-	if len(res.Transmits[0]) != 2 {
-		t.Fatalf("transmit count = %d, want 2", len(res.Transmits[0]))
+	if len(res.Transmits(0)) != 2 {
+		t.Fatalf("transmit count = %d, want 2", len(res.Transmits(0)))
 	}
 }
 
@@ -37,8 +37,8 @@ func TestDropResolvesCollisions(t *testing.T) {
 		MaxRounds: 2,
 		Faults:    faults.DropFunc(func(node, round int) bool { return node == 2 }),
 	})
-	if len(res.Receives[0]) != 1 || res.Receives[0][0].Msg.Payload != "a" {
-		t.Fatalf("centre receptions = %+v", res.Receives[0])
+	if len(res.Receives(0)) != 1 || res.Receives(0)[0].Msg.Payload != "a" {
+		t.Fatalf("centre receptions = %+v", res.Receives(0))
 	}
 	if res.Collisions[0] != 0 {
 		t.Fatal("jammed transmitter still caused a collision")

@@ -67,7 +67,7 @@ func TestMillionNodeSmoke(t *testing.T) {
 	res := Run(g, floodProtocols(n), Options{MaxRounds: 200, StopAfterSilent: 3})
 	informed := 1 // the source
 	for v := 1; v < n; v++ {
-		if len(res.Receives[v]) > 0 {
+		if len(res.Receives(v)) > 0 {
 			informed++
 		}
 	}

@@ -37,7 +37,7 @@ func TestNoiseFlagOnCollision(t *testing.T) {
 		NewScripted(Message{Kind: KindData}, 1),
 	}
 	res := Run(g, ps, Options{MaxRounds: 3})
-	if len(res.Receives[0]) != 0 {
+	if len(res.Receives(0)) != 0 {
 		t.Fatal("collision should deliver nothing")
 	}
 	// busy[0] is the flag for round 0 (before any round: false);

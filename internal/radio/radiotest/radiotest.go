@@ -3,9 +3,10 @@
 // paper (§1.1) in the most direct way there is: every round, every node
 // is stepped, and each listener scans its neighbours to learn whether
 // exactly one of them transmitted. It ignores Waker hints, keeps no
-// bitsets and no per-run buffers, and shares only types with radio, so
-// a defect in the engine's fast paths cannot hide behind the same
-// defect here.
+// bitsets and no per-run buffers, and shares with radio only types and
+// radio.NewResult, which turns its round-ordered events into a Result
+// and has a unit test of its own, so a defect in the engine's fast paths
+// cannot hide behind the same defect here.
 //
 // Run has the signature of radio.Options.Engine: tests install it
 // there (or through the facade's test-only engine option) to run a
@@ -14,6 +15,7 @@ package radiotest
 
 import (
 	"fmt"
+	"slices"
 
 	"radiobcast/internal/faults"
 	"radiobcast/internal/graph"
@@ -33,11 +35,13 @@ func Run(g *graph.Graph, protos []radio.Protocol, opt radio.Options) *radio.Resu
 		panic("radiotest: Options.MaxRounds must be positive")
 	}
 	csr := g.Freeze()
-	res := &radio.Result{
-		Transmits:  make([][]int, n),
-		Receives:   make([][]radio.Reception, n),
-		Collisions: make([]int, n),
-	}
+	// The run's events in round order, from which radio.NewResult builds
+	// the Result, and its run-level fields.
+	var txNodes, txRounds, rxNodes []int32
+	var rx []radio.Reception
+	collisions := make([]int, n)
+	var rounds, total, maxBits int
+	var silentStopped, interrupted bool
 
 	// heard[v]/msg[v]: v received msg[v] last round; busy[v]: at least
 	// one neighbour's transmission reached v last round.
@@ -64,7 +68,7 @@ func Run(g *graph.Graph, protos []radio.Protocol, opt radio.Options) *radio.Resu
 	silent := 0
 	for round := 1; round <= opt.MaxRounds; round++ {
 		if opt.Ctx != nil && opt.Ctx.Err() != nil {
-			res.Interrupted = true
+			interrupted = true
 			break
 		}
 		var st faults.State
@@ -84,15 +88,14 @@ func Run(g *graph.Graph, protos []radio.Protocol, opt radio.Options) *radio.Resu
 					continue
 				}
 				if heard[v] {
-					// The wiped reception is last round's, the last logged:
+					// The wiped reception is last round's, v's last logged:
 					// the protocol never processes it, so the Result drops
-					// it (the Trace keeps the delivery). A node left with
-					// none gets nil, as the engine gives it.
-					if k := len(res.Receives[v]) - 1; k > 0 {
-						res.Receives[v] = res.Receives[v][:k]
-					} else {
-						res.Receives[v] = nil
+					// it (the Trace keeps the delivery).
+					i := len(rxNodes) - 1
+					for rxNodes[i] != int32(v) {
+						i--
 					}
+					rxNodes, rx = slices.Delete(rxNodes, i, i+1), slices.Delete(rx, i, i+1)
 				}
 				heard[v], busy[v] = false, false
 			}
@@ -129,9 +132,9 @@ func Run(g *graph.Graph, protos []radio.Protocol, opt radio.Options) *radio.Resu
 		// neighbour's transmission reached the channel (was not jammed).
 		tr := radio.TraceRound{Round: round}
 		for _, v := range tx {
-			res.Transmits[v] = append(res.Transmits[v], round)
+			txNodes, txRounds = append(txNodes, v), append(txRounds, int32(round))
 			m := actions[v].Msg
-			res.MaxMessageBits = max(res.MaxMessageBits, m.BitLen())
+			maxBits = max(maxBits, m.BitLen())
 			tr.Transmitters = append(tr.Transmitters, radio.TraceTx{Node: int(v), Msg: m})
 		}
 		for v := 0; v < n; v++ {
@@ -150,10 +153,11 @@ func Run(g *graph.Graph, protos []radio.Protocol, opt radio.Options) *radio.Resu
 			switch {
 			case count == 1:
 				heard[v], msg[v] = true, actions[sender].Msg
-				res.Receives[v] = append(res.Receives[v], radio.Reception{Round: round, Msg: msg[v]})
+				rxNodes = append(rxNodes, int32(v))
+				rx = append(rx, radio.Reception{Round: round, Msg: msg[v]})
 				tr.Deliveries = append(tr.Deliveries, radio.TraceRx{Node: v, Msg: msg[v]})
 			case count > 1:
-				res.Collisions[v]++
+				collisions[v]++
 			}
 		}
 		if fm != nil {
@@ -167,8 +171,8 @@ func Run(g *graph.Graph, protos []radio.Protocol, opt radio.Options) *radio.Resu
 			opt.Trace.Rounds = append(opt.Trace.Rounds, tr)
 		}
 
-		res.Rounds = round
-		res.TotalTransmissions += len(tx)
+		rounds = round
+		total += len(tx)
 		if len(tx) == 0 {
 			silent++
 		} else {
@@ -181,9 +185,13 @@ func Run(g *graph.Graph, protos []radio.Protocol, opt radio.Options) *radio.Resu
 			break
 		}
 		if opt.StopAfterSilent > 0 && silent >= opt.StopAfterSilent {
-			res.SilentStopped = true
+			silentStopped = true
 			break
 		}
 	}
+	res := radio.NewResult(n, txNodes, txRounds, rxNodes, rx)
+	copy(res.Collisions, collisions)
+	res.Rounds, res.TotalTransmissions, res.MaxMessageBits = rounds, total, maxBits
+	res.SilentStopped, res.Interrupted = silentStopped, interrupted
 	return res
 }

@@ -43,8 +43,9 @@ const NeverWake = 0
 // bitsim.go), the per-round action vector, and the flat transmit/receive
 // accumulators — and resizes rather than reallocates them between runs,
 // so driving many runs through one Sim (the label-once/run-many regime
-// of the paper and the Sweep workloads) does only a constant number of
-// small allocations per run regardless of graph size.
+// of the paper and the Sweep workloads) allocates only each run's
+// Result: at most five allocations whatever the graph size, of 16 bytes
+// per node plus 8 per transmission and 56 per reception.
 //
 // A Sim may be used for any sequence of runs over graphs of any sizes,
 // but a single Sim must not run concurrently with itself. The zero value
@@ -67,7 +68,6 @@ type Sim struct {
 	nextWake []int
 	txList   []int32 // this round's transmitters, ascending
 
-	cnt        []int32 // per-node tally scratch of materialize, zero between uses
 	collisions []int
 
 	// Fault-injection state, live only when Options.Faults is set: the
@@ -122,7 +122,6 @@ func (s *Sim) reset(n int, protos []Protocol) {
 	}
 	s.nextWake = grow(s.nextWake, n)
 	s.txList = s.txList[:0]
-	s.cnt = grow(s.cnt, n)
 	s.collisions = grow(s.collisions, n)
 	s.txNodes = s.txNodes[:0]
 	s.txRounds = s.txRounds[:0]
@@ -182,57 +181,13 @@ func (s *Sim) dropWiped(mark int, wipe []uint64) {
 	s.rxNodes, s.rxRecs = s.rxNodes[:keep], s.rxRecs[:keep]
 }
 
-// materialize builds the caller-owned Result from the flat event logs:
-// a constant number of allocations regardless of traffic, with per-node
-// views carved out of two exactly-sized backing arrays.
+// materialize builds the caller-owned Result from the flat event logs.
 func (s *Sim) materialize(rounds, total int, silentStopped bool) *Result {
-	n := s.n
-	res := &Result{
-		Rounds:             rounds,
-		TotalTransmissions: total,
-		MaxMessageBits:     s.maxBits,
-		SilentStopped:      silentStopped,
-		Collisions:         make([]int, n),
-		Transmits:          make([][]int, n),
-		Receives:           make([][]Reception, n),
-	}
+	res := NewResult(s.n, s.txNodes, s.txRounds, s.rxNodes, s.rxRecs)
 	copy(res.Collisions, s.collisions)
-
-	cnt := s.cnt
-	for _, v := range s.txNodes {
-		cnt[v]++
-	}
-	txBacking := make([]int, len(s.txNodes))
-	off := 0
-	for v := 0; v < n; v++ {
-		if c := int(cnt[v]); c > 0 {
-			res.Transmits[v] = txBacking[off : off : off+c]
-			off += c
-		}
-	}
-	for i, v := range s.txNodes {
-		res.Transmits[v] = append(res.Transmits[v], int(s.txRounds[i]))
-	}
-	for _, v := range s.txNodes {
-		cnt[v] = 0
-	}
-
-	for _, v := range s.rxNodes {
-		cnt[v]++
-	}
-	rxBacking := make([]Reception, len(s.rxNodes))
-	off = 0
-	for v := 0; v < n; v++ {
-		if c := int(cnt[v]); c > 0 {
-			res.Receives[v] = rxBacking[off : off : off+c]
-			off += c
-		}
-	}
-	for i, v := range s.rxNodes {
-		res.Receives[v] = append(res.Receives[v], s.rxRecs[i])
-	}
-	for _, v := range s.rxNodes {
-		cnt[v] = 0
-	}
+	res.Rounds = rounds
+	res.TotalTransmissions = total
+	res.MaxMessageBits = s.maxBits
+	res.SilentStopped = silentStopped
 	return res
 }

@@ -207,15 +207,15 @@ func TestWakerSkipAccounting(t *testing.T) {
 		}
 	}
 	res := radio.Run(g, mk(), radio.Options{MaxRounds: 30})
-	if got, want := fmt.Sprint(res.Transmits[0]), "[5 9 23]"; got != want {
+	if got, want := fmt.Sprint(res.Transmits(0)), "[5 9 23]"; got != want {
 		t.Fatalf("node 0 transmitted in %v, want %s", got, want)
 	}
-	if got, want := fmt.Sprint(res.Transmits[2]), "[14]"; got != want {
+	if got, want := fmt.Sprint(res.Transmits(2)), "[14]"; got != want {
 		t.Fatalf("node 2 transmitted in %v, want %s", got, want)
 	}
 	// Node 1 hears each uncontended transmission.
-	if len(res.Receives[1]) != 4 {
-		t.Fatalf("node 1 received %d messages, want 4", len(res.Receives[1]))
+	if len(res.Receives(1)) != 4 {
+		t.Fatalf("node 1 received %d messages, want 4", len(res.Receives(1)))
 	}
 }
 
@@ -279,8 +279,9 @@ func TestSimZeroSteadyStateAllocs(t *testing.T) {
 		reset()
 		sim.Run(g, protos, radio.Options{MaxRounds: 20})
 	})
-	// materialize detaches the Result: 1 struct + 3 per-node views + 2
-	// backing arrays; everything else must be reused.
+	// materialize detaches the Result in five allocations (the struct,
+	// Collisions, the offsets and the two event arrays), 16 bytes per node
+	// plus the events; everything else must be reused.
 	if allocs > 8 {
 		t.Fatalf("steady-state Sim.Run does %.0f allocs/run, want ≤ 8", allocs)
 	}

@@ -71,20 +71,20 @@ func (t *Trace) String() string {
 // brackets and the rounds in which it hears a message in parentheses.
 func Annotations(res *Result, labels []string) string {
 	var b strings.Builder
-	for v := range res.Transmits {
+	for v := range res.N() {
 		label := ""
 		if labels != nil {
 			label = labels[v]
 		}
 		fmt.Fprintf(&b, "node %2d  %-4s  %-12s %s\n",
-			v, label, braced(res.Transmits[v]), parens(receiveRounds(res, v)))
+			v, label, braced(res.Transmits(v)), parens(receiveRounds(res, v)))
 	}
 	return b.String()
 }
 
 func receiveRounds(res *Result, v int) []int {
-	out := make([]int, 0, len(res.Receives[v]))
-	for _, rec := range res.Receives[v] {
+	out := make([]int, 0, len(res.Receives(v)))
+	for _, rec := range res.Receives(v) {
 		out = append(out, rec.Round)
 	}
 	return out

@@ -36,8 +36,8 @@ func TestWipedReceptionIsNoReception(t *testing.T) {
 		ps := []radio.Protocol{radio.NewScripted(mu, 1), &radio.Scripted{}, &radio.Scripted{}}
 		tr := &radio.Trace{}
 		res := run(graph.Star(3), ps, radio.Options{MaxRounds: 3, Faults: wipeAt{node: 1, round: 2}, Trace: tr})
-		if len(res.Receives[1]) != 0 {
-			t.Fatalf("%s: wiped leaf keeps receptions %+v", name, res.Receives[1])
+		if len(res.Receives(1)) != 0 {
+			t.Fatalf("%s: wiped leaf keeps receptions %+v", name, res.Receives(1))
 		}
 		if got := res.FirstReception(1, radio.KindData); got != radio.NoReception {
 			t.Fatalf("%s: wiped leaf's first reception = %d, want none", name, got)

@@ -14,11 +14,11 @@ func init() {
 	Register(floodingScheme{})
 }
 
-// resultPlan completes the plan p of every scheme outside the λ family:
-// its outcome reads who was informed from the engine's Result
+// resultAssembler is the assembler of every scheme outside the λ
+// family: its outcome reads who was informed from the engine's Result
 // (baseline.Assemble) and carries labeling l.
-func resultPlan(l *Labeling, source int, p Plan) Plan {
-	p.Assemble = func(res *Result) *Outcome {
+func resultAssembler(l *Labeling, source int) func(*Result) *Outcome {
+	return func(res *Result) *Outcome {
 		out := baseline.Assemble(res, source)
 		return &Outcome{
 			InformedRound:   out.InformedRound,
@@ -28,7 +28,6 @@ func resultPlan(l *Labeling, source int, p Plan) Plan {
 			inner:           out,
 		}
 	}
-	return p
 }
 
 func verifyComplete(out *Outcome, scheme string) error {
@@ -60,7 +59,7 @@ type slottedScheme struct{}
 func (slottedScheme) Plan(l *Labeling, source int, mu string) (Plan, error) {
 	ps, stop := baseline.NewSlottedProtocols(l.Labels, source, mu)
 	maxRounds := baseline.SlottedMaxRounds(l.Graph, source, l.Bits())
-	return resultPlan(l, source, Plan{Protocols: ps, MaxRounds: maxRounds, Stop: stop}), nil
+	return Plan{Protocols: ps, MaxRounds: maxRounds, Stop: stop, Assemble: resultAssembler(l, source)}, nil
 }
 
 func (slottedScheme) Verify(out *Outcome) error {
@@ -128,7 +127,7 @@ func (centralizedScheme) Plan(l *Labeling, source int, mu string) (Plan, error) 
 	// No stop predicate: the scripts fall silent after the schedule, whose
 	// last round is the run's second-to-last.
 	ps := baseline.ScheduledProtocols(l.Graph.N(), l.Schedule, mu)
-	return resultPlan(l, source, Plan{Protocols: ps, MaxRounds: len(l.Schedule) + 1}), nil
+	return Plan{Protocols: ps, MaxRounds: len(l.Schedule) + 1, Assemble: resultAssembler(l, source)}, nil
 }
 
 func (centralizedScheme) Verify(out *Outcome) error {
@@ -168,7 +167,7 @@ func (floodingScheme) Label(g *Graph, source int, _ *Config) (*Labeling, error) 
 func (floodingScheme) Plan(l *Labeling, source int, mu string) (Plan, error) {
 	ps, stop := baseline.NewFloodingProtocols(l.Labels, l.Delays, source, mu)
 	maxRounds := baseline.FloodingMaxRounds(l.Graph.N())
-	return resultPlan(l, source, Plan{Protocols: ps, MaxRounds: maxRounds, Stop: stop}), nil
+	return Plan{Protocols: ps, MaxRounds: maxRounds, Stop: stop, Assemble: resultAssembler(l, source)}, nil
 }
 
 func (floodingScheme) Verify(out *Outcome) error {

@@ -33,8 +33,8 @@ func (bScheme) Label(g *Graph, source int, _ *Config) (*Labeling, error) {
 
 func (bScheme) Plan(l *Labeling, source int, mu string) (Plan, error) {
 	cl := l.coreLabeling()
-	ps, base := core.PlanBroadcast(l.Graph, cl, source, mu)
-	return corePlan(ps, base, func(res *Result) *Outcome {
+	ps, base, release := core.PlanBroadcast(l.Graph, cl, source, mu)
+	return corePlan(ps, base, release, func(res *Result) *Outcome {
 		out := core.AssembleBroadcast(res, cl, source)
 		return &Outcome{
 			InformedRound:   out.InformedRound,
@@ -72,8 +72,8 @@ func (backScheme) Label(g *Graph, source int, _ *Config) (*Labeling, error) {
 
 func (backScheme) Plan(l *Labeling, source int, mu string) (Plan, error) {
 	cl := l.coreLabeling()
-	ps, base := core.PlanAcknowledged(l.Graph, cl, source, mu)
-	return corePlan(ps, base, func(res *Result) *Outcome {
+	ps, base, release := core.PlanAcknowledged(l.Graph, cl, source, mu)
+	return corePlan(ps, base, release, func(res *Result) *Outcome {
 		out := core.AssembleAcknowledged(res, cl, source)
 		return &Outcome{
 			InformedRound:   out.InformedRound,
@@ -113,11 +113,11 @@ func (barbScheme) Label(g *Graph, _ int, cfg *Config) (*Labeling, error) {
 
 func (barbScheme) Plan(l *Labeling, source int, mu string) (Plan, error) {
 	cl := l.coreLabeling()
-	ps, base, err := core.PlanArbitrary(l.Graph, cl, source, mu)
+	ps, base, release, err := core.PlanArbitrary(l.Graph, cl, source, mu)
 	if err != nil {
 		return Plan{}, err
 	}
-	return corePlan(ps, base, func(res *Result) *Outcome {
+	return corePlan(ps, base, release, func(res *Result) *Outcome {
 		out := core.AssembleArbitrary(res, cl, ps, source, mu)
 		return &Outcome{
 			InformedRound:      out.MuKnownRound,
@@ -139,12 +139,19 @@ func (barbScheme) Verify(out *Outcome) error {
 	return core.VerifyArbitrary(out.Graph, a, out.Mu)
 }
 
-// corePlan carries a core plan's protocols and base options into a Plan.
-func corePlan(ps []Protocol, base radio.Options, assemble func(*Result) *Outcome) Plan {
+// corePlan carries a core plan's protocols and base options into a Plan
+// whose Assemble releases the protocols' pooled slab once assemble has
+// read the Result: Assemble runs once per plan, after the run, so the
+// slab is free for the next plan as soon as the outcome is built.
+func corePlan(ps []Protocol, base radio.Options, release func(), assemble func(*Result) *Outcome) Plan {
 	return Plan{
 		Protocols: ps, MaxRounds: base.MaxRounds,
 		StopAfterSilent: base.StopAfterSilent, Stop: base.Stop,
-		Assemble: assemble,
+		Assemble: func(res *Result) *Outcome {
+			out := assemble(res)
+			release()
+			return out
+		},
 	}
 }
 

@@ -49,8 +49,8 @@ func (gjpScheme) Label(g *Graph, source int, cfg *Config) (*Labeling, error) {
 }
 
 func (gjpScheme) Plan(l *Labeling, source int, mu string) (Plan, error) {
-	ps, base := gjp.Plan(l.Graph, l.Labels, source, mu)
-	return resultPlan(l, source, corePlan(ps, base, nil)), nil
+	ps, base, release := gjp.Plan(l.Graph, l.Labels, source, mu)
+	return corePlan(ps, base, release, resultAssembler(l, source)), nil
 }
 
 func (gjpScheme) Verify(out *Outcome) error {

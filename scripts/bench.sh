@@ -9,7 +9,8 @@
 #
 #   <n>           index of the BENCH_<n>.json file to write (required)
 #   bench-regex   go test -bench pattern
-#                 (default: the broadcast + baseline + sweep + labeling
+#                 (default: the broadcast + baseline + sweep + the
+#                 benchmark daemon's sweep grid + labeling
 #                 + stage construction + slab build + family graph build
 #                 + graph freeze and fingerprint + codec + store +
 #                 serving hot paths)
@@ -23,7 +24,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 n="${1:?usage: scripts/bench.sh <n> [bench-regex] [benchtime]}"
-pattern="${2:-BenchmarkBroadcastB\$|BenchmarkBroadcastBack\$|BenchmarkBroadcastBarb\$|BenchmarkBaselines\$|BenchmarkSweep\$|BenchmarkLabeling\$|BenchmarkStages\$|BenchmarkBitCSR\$|BenchmarkSessionCacheMiss\$|BenchmarkSessionCacheHit\$|BenchmarkStoreHit\$|BenchmarkEdgeListGraph\$|BenchmarkFamily\$|BenchmarkFreeze\$|BenchmarkFingerprint\$|BenchmarkCodec\$|BenchmarkStoreGet\$}"
+pattern="${2:-BenchmarkBroadcastB\$|BenchmarkBroadcastBack\$|BenchmarkBroadcastBarb\$|BenchmarkBaselines\$|BenchmarkSweep\$|BenchmarkSweepWorkload\$|BenchmarkLabeling\$|BenchmarkStages\$|BenchmarkBitCSR\$|BenchmarkSessionCacheMiss\$|BenchmarkSessionCacheHit\$|BenchmarkStoreHit\$|BenchmarkEdgeListGraph\$|BenchmarkFamily\$|BenchmarkFreeze\$|BenchmarkFingerprint\$|BenchmarkCodec\$|BenchmarkStoreGet\$}"
 benchtime="${3:-1s}"
 out="BENCH_${n}.json"
 

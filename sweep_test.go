@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 
 	"radiobcast"
@@ -17,13 +19,19 @@ import (
 )
 
 func sameResults(a, b *radio.Result) bool {
-	return a.Rounds == b.Rounds &&
-		a.TotalTransmissions == b.TotalTransmissions &&
-		a.MaxMessageBits == b.MaxMessageBits &&
-		a.SilentStopped == b.SilentStopped &&
-		reflect.DeepEqual(a.Transmits, b.Transmits) &&
-		reflect.DeepEqual(a.Receives, b.Receives) &&
-		reflect.DeepEqual(a.Collisions, b.Collisions)
+	if a.Rounds != b.Rounds ||
+		a.TotalTransmissions != b.TotalTransmissions ||
+		a.MaxMessageBits != b.MaxMessageBits ||
+		a.SilentStopped != b.SilentStopped ||
+		!reflect.DeepEqual(a.Collisions, b.Collisions) {
+		return false
+	}
+	for v := range a.N() {
+		if !slices.Equal(a.Transmits(v), b.Transmits(v)) || !slices.Equal(a.Receives(v), b.Receives(v)) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestEngineModesBitIdentical pins the engine's core contract on the
@@ -135,8 +143,8 @@ func TestWithTraceMatchesResult(t *testing.T) {
 
 			// Rebuild the per-round views from the Result.
 			txByRound := map[int]map[int]bool{}
-			for v, rounds := range res.Transmits {
-				for _, r := range rounds {
+			for v := range res.N() {
+				for _, r := range res.Transmits(v) {
 					if txByRound[r] == nil {
 						txByRound[r] = map[int]bool{}
 					}
@@ -144,8 +152,8 @@ func TestWithTraceMatchesResult(t *testing.T) {
 				}
 			}
 			rxByRound := map[int]map[int]bool{}
-			for v, recs := range res.Receives {
-				for _, rec := range recs {
+			for v := range res.N() {
+				for _, rec := range res.Receives(v) {
 					if rxByRound[rec.Round] == nil {
 						rxByRound[rec.Round] = map[int]bool{}
 					}
@@ -209,8 +217,8 @@ func TestWithFaultsSuppressesDelivery(t *testing.T) {
 			if out.Result.TotalTransmissions == 0 {
 				t.Fatal("jammed run recorded no transmissions; faults should jam, not silence, the sender")
 			}
-			for v, recs := range out.Result.Receives {
-				if len(recs) != 0 {
+			for v := range out.Result.N() {
+				if recs := out.Result.Receives(v); len(recs) != 0 {
 					t.Fatalf("node %d received %d messages through a fully jammed channel", v, len(recs))
 				}
 			}
@@ -261,8 +269,8 @@ func TestFaultRateDeterministic(t *testing.T) {
 	if jammedAll.Result.TotalTransmissions == 0 {
 		t.Fatal("rate 1 silenced the senders; it should jam, not silence")
 	}
-	for v, recs := range jammedAll.Result.Receives {
-		if len(recs) != 0 {
+	for v := range jammedAll.Result.N() {
+		if recs := jammedAll.Result.Receives(v); len(recs) != 0 {
 			t.Fatalf("node %d received %d messages at fault rate 1", v, len(recs))
 		}
 	}
@@ -323,6 +331,49 @@ func TestRunLabeledSteadyStateAllocs(t *testing.T) {
 			if allocs > budget {
 				t.Fatalf("steady-state RunLabeled does %.0f allocs/run, want ≤ %d", allocs, budget)
 			}
+		})
+	}
+}
+
+// TestPooledRunBytesPerNode pins what a pooled run allocates: on a reused
+// Sim, a RunLabeled of b or back allocates its Result and outcome, not
+// per-node slice headers or a fresh protocol slab. path/1024's receptions
+// alone are about 130 bytes per node for b. The mean over many runs keeps
+// a GC that empties a pool mid-measurement from mattering.
+func TestPooledRunBytesPerNode(t *testing.T) {
+	for _, tc := range []struct {
+		scheme  string
+		perNode float64
+	}{{"b", 200}, {"back", 320}} {
+		t.Run(tc.scheme, func(t *testing.T) {
+			net, err := radiobcast.Family("path", 1024)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l, err := radiobcast.LabelNetwork(net, tc.scheme)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := []radiobcast.Option{radiobcast.WithMessage("m"), radiobcast.WithSim(radiobcast.NewSim())}
+			run := func() {
+				out, err := radiobcast.RunLabeled(l, opts...)
+				if err != nil || !out.AllInformed {
+					t.Fatalf("run failed: %v", err)
+				}
+			}
+			run() // warm-up sizes the Sim and fills the slab pool
+			const runs = 200
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range runs {
+				run()
+			}
+			runtime.ReadMemStats(&after)
+			got := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(net.Graph.N())
+			if got > tc.perNode {
+				t.Fatalf("a pooled %s run on path/1024 allocates %.0f bytes per node, want ≤ %.0f", tc.scheme, got, tc.perNode)
+			}
+			t.Logf("%.0f bytes per node", got)
 		})
 	}
 }
