@@ -4,7 +4,8 @@
 // against the shared Session (the second run is a cache hit), upload the
 // saved labeling to run-labeled, stream a sweep as its cells complete,
 // scrape the metrics, and finally drain the daemon and watch readiness
-// flip while in-flight work completes.
+// flip while in-flight work completes. It exits non-zero when a run or
+// sweep cell it prints is not verified.
 package main
 
 import (
@@ -62,6 +63,9 @@ func main() {
 		}
 		fmt.Printf("run %d: informed all %d nodes by round %d (verified=%t)\n",
 			i, out.N, out.CompletionRound, out.Verified)
+		if !out.Verified {
+			log.Fatalf("run %d not verified: %s", i, out.VerifyError)
+		}
 	}
 
 	// Ship the saved labeling back: run-labeled never touches the
@@ -70,7 +74,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("run-labeled: completion round %d over uploaded labeling\n", out.CompletionRound)
+	fmt.Printf("run-labeled: completion round %d over uploaded labeling (verified=%t)\n",
+		out.CompletionRound, out.Verified)
+	if !out.Verified {
+		log.Fatalf("run-labeled not verified: %s", out.VerifyError)
+	}
 
 	// Stream a sweep: cells arrive as NDJSON in completion order.
 	cells, err := c.Sweep(context.Background(), client.SweepRequest{
@@ -80,6 +88,9 @@ func main() {
 	}, func(cell client.SweepCellResult) error {
 		fmt.Printf("  cell %s/n=%d/%s: completion=%d verified=%t\n",
 			cell.Family, cell.Size, cell.Scheme, cell.CompletionRound, cell.Verified)
+		if !cell.Verified {
+			return fmt.Errorf("cell %s/n=%d/%s not verified: %s", cell.Family, cell.Size, cell.Scheme, cell.Error)
+		}
 		return nil
 	})
 	if err != nil {

@@ -70,12 +70,18 @@ func RunFourCycle(factory Factory, horizon int) *Outcome {
 	}
 }
 
-// symmetryChecker records both neighbours' actions per round and flags any
+// symmetryChecker records both neighbours' steps per round and flags any
 // divergence (which for a deterministic protocol with identical inputs
 // would indicate hidden nondeterminism).
 type symmetryChecker struct {
-	actions  [2][]radio.Action
+	steps    [2][]step
 	diverged bool
+}
+
+// step is one round's decision: whether the node transmitted, and what.
+type step struct {
+	transmit bool
+	msg      radio.Message
 }
 
 func (s *symmetryChecker) wrap(p radio.Protocol, idx int) radio.Protocol {
@@ -88,19 +94,18 @@ type symmetryWrapper struct {
 	inner   radio.Protocol
 }
 
-func (w *symmetryWrapper) Step(rcv *radio.Message) radio.Action {
-	act := w.inner.Step(rcv)
-	c := w.checker
-	c.actions[w.idx] = append(c.actions[w.idx], act)
-	round := len(c.actions[w.idx])
-	other := 1 - w.idx
-	if len(c.actions[other]) >= round {
-		a, b := c.actions[w.idx][round-1], c.actions[other][round-1]
-		if a.Transmit != b.Transmit || (a.Transmit && a.Msg != b.Msg) {
-			c.diverged = true
-		}
+func (w *symmetryWrapper) Step(rcv, out *radio.Message) bool {
+	st := step{transmit: w.inner.Step(rcv, out)}
+	if st.transmit {
+		st.msg = *out
 	}
-	return act
+	c := w.checker
+	c.steps[w.idx] = append(c.steps[w.idx], st)
+	round := len(c.steps[w.idx])
+	if other := c.steps[1-w.idx]; len(other) >= round && other[round-1] != st {
+		c.diverged = true
+	}
+	return st.transmit
 }
 
 // Verify runs the factory and returns an error unless the run matches the
@@ -154,7 +159,7 @@ func mix(h, v uint64) uint64 {
 // Step transmits iff a hash of (seed, history) is even; the history
 // fingerprint absorbs every reception, so the function is deterministic in
 // exactly the inputs the model allows.
-func (p *prProtocol) Step(rcv *radio.Message) radio.Action {
+func (p *prProtocol) Step(rcv, out *radio.Message) bool {
 	p.round++
 	if rcv != nil {
 		p.fingerprint = mix(p.fingerprint, uint64(rcv.Kind)+1)
@@ -168,7 +173,8 @@ func (p *prProtocol) Step(rcv *radio.Message) radio.Action {
 	}
 	decide := mix(p.seed, p.fingerprint)
 	if decide&1 == 0 && (p.haveMsg || p.isSource) {
-		return radio.Send(radio.Message{Kind: radio.KindData, Payload: p.msg})
+		*out = radio.Message{Kind: radio.KindData, Payload: p.msg}
+		return true
 	}
-	return radio.Listen
+	return false
 }

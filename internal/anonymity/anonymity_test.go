@@ -53,22 +53,20 @@ type forwardOnce struct {
 	sent     bool
 }
 
-func (f *forwardOnce) Step(rcv *radio.Message) radio.Action {
+func (f *forwardOnce) Step(rcv, out *radio.Message) bool {
 	f.round++
 	if rcv != nil && rcv.Kind == radio.KindData && !f.haveMsg {
 		f.haveMsg = true
 		f.msg = rcv.Payload
 		f.recvAt = f.round - 1
 	}
-	if f.isSource && !f.sent {
-		f.sent = true
-		return radio.Send(radio.Message{Kind: radio.KindData, Payload: f.msg})
+	due := f.isSource || f.haveMsg && f.round == f.recvAt+1
+	if f.sent || !due {
+		return false
 	}
-	if !f.isSource && f.haveMsg && !f.sent && f.round == f.recvAt+1 {
-		f.sent = true
-		return radio.Send(radio.Message{Kind: radio.KindData, Payload: f.msg})
-	}
-	return radio.Listen
+	f.sent = true
+	*out = radio.Message{Kind: radio.KindData, Payload: f.msg}
+	return true
 }
 
 func TestPseudorandomProgramSweep(t *testing.T) {

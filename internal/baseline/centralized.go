@@ -112,7 +112,7 @@ func scheduleOneRound(csr *graph.CSR, informed *nodeset.Set) []int {
 	return chosen
 }
 
-// ScheduledProtocols turns a per-round transmitter schedule into compiled
+// ScheduledProtocols turns a per-round transmitter schedule into
 // Scripted protocols (one per node) carrying message mu. Per-node round
 // lists are carved out of one arena, so scripting a whole network costs a
 // constant number of allocations.

@@ -41,7 +41,7 @@ var DefaultDelays = FloodingDelays{DelayOne: 1, DelayZero: 0}
 var GridDelays = FloodingDelays{DelayOne: 1, DelayZero: 2}
 
 // Step implements radio.Protocol.
-func (p *Flooding) Step(rcv *radio.Message) radio.Action {
+func (p *Flooding) Step(rcv, out *radio.Message) bool {
 	p.round++
 	if rcv != nil && rcv.Kind == radio.KindData && !p.haveMsg {
 		p.haveMsg = true
@@ -49,17 +49,15 @@ func (p *Flooding) Step(rcv *radio.Message) radio.Action {
 		p.recvAt = p.round - 1
 		*p.uninformed--
 	}
-	switch {
-	case p.isSource && !p.sent:
-		// The source always transmits once, in its first round.
-		p.sent = true
-		return radio.Send(radio.Message{Kind: radio.KindData, Payload: p.msg})
-	case !p.isSource && p.haveMsg && !p.sent && p.delay > 0 && p.round == p.recvAt+p.delay:
-		p.sent = true
-		return radio.Send(radio.Message{Kind: radio.KindData, Payload: p.msg})
-	default:
-		return radio.Listen
+	// The source transmits once, in its first round; any other node once,
+	// delay rounds after its first reception.
+	due := p.isSource || p.haveMsg && p.delay > 0 && p.round == p.recvAt+p.delay
+	if p.sent || !due {
+		return false
 	}
+	p.sent = true
+	*out = radio.Message{Kind: radio.KindData, Payload: p.msg}
+	return true
 }
 
 // NextWake implements radio.Waker: the single delayed retransmission at

@@ -37,7 +37,7 @@ type Slotted struct {
 }
 
 // Step implements radio.Protocol.
-func (p *Slotted) Step(rcv *radio.Message) radio.Action {
+func (p *Slotted) Step(rcv, out *radio.Message) bool {
 	p.round++
 	if rcv != nil && rcv.Kind == radio.KindData && !p.haveMsg {
 		p.haveMsg = true
@@ -45,9 +45,10 @@ func (p *Slotted) Step(rcv *radio.Message) radio.Action {
 		*p.uninformed--
 	}
 	if p.haveMsg && (p.round-1)%p.period == p.slot {
-		return radio.Send(radio.Message{Kind: radio.KindData, Payload: p.msg})
+		*out = radio.Message{Kind: radio.KindData, Payload: p.msg}
+		return true
 	}
-	return radio.Listen
+	return false
 }
 
 // NextWake implements radio.Waker: an informed node's next own slot; an
@@ -167,6 +168,6 @@ type Outcome struct {
 // error: the facade's Verify judges it.
 func Assemble(res *radio.Result, source int) *Outcome {
 	out := &Outcome{Result: res}
-	out.InformedRound, out.AllInformed, out.CompletionRound = core.Informed(res, source)
+	out.InformedRound, out.AllInformed, out.CompletionRound = core.Informed(res, source, -1)
 	return out
 }

@@ -112,12 +112,12 @@ var beepMsg = radio.Message{Kind: radio.KindData}
 // Step satisfies radio.Protocol so Beep fits the engine's protocol slice;
 // the engine always routes collision-detection protocols through StepNoise,
 // so this must never be called.
-func (b *Beep) Step(*radio.Message) radio.Action {
+func (b *Beep) Step(_, _ *radio.Message) bool {
 	panic("cdetect: Beep needs the collision-detection engine path (StepNoise)")
 }
 
 // StepNoise implements radio.NoiseProtocol.
-func (b *Beep) StepNoise(_ *radio.Message, busyPrev bool) radio.Action {
+func (b *Beep) StepNoise(_ *radio.Message, busyPrev bool, out *radio.Message) bool {
 	b.round++
 	r := b.round
 
@@ -126,10 +126,11 @@ func (b *Beep) StepNoise(_ *radio.Message, busyPrev bool) radio.Action {
 		if (r-1)%3 == 0 {
 			k := (r - 1) / 3
 			if k < len(b.bits) && b.bits[k] {
-				return radio.Send(beepMsg)
+				*out = beepMsg
+				return true
 			}
 		}
-		return radio.Listen
+		return false
 	}
 
 	// Synchronisation: the first noise ever heard is the start bit,
@@ -137,7 +138,7 @@ func (b *Beep) StepNoise(_ *radio.Message, busyPrev bool) radio.Action {
 	// d+1 is also this node's relay round for bit 0.
 	if !b.synced {
 		if !busyPrev {
-			return radio.Listen
+			return false
 		}
 		b.synced = true
 		b.d = r - 1
@@ -157,10 +158,11 @@ func (b *Beep) StepNoise(_ *radio.Message, busyPrev bool) radio.Action {
 	if (r-b.d-1)%3 == 0 {
 		k := (r - b.d - 1) / 3
 		if k < len(b.bits) && b.bits[k] {
-			return radio.Send(beepMsg)
+			*out = beepMsg
+			return true
 		}
 	}
-	return radio.Listen
+	return false
 }
 
 // finished reports whether all expected bits have been read.

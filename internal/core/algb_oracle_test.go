@@ -41,7 +41,7 @@ func newOracleB(label Label, sourceMsg *string) *oracleB {
 }
 
 // Step implements radio.Protocol, mirroring Algorithm 1 line by line.
-func (a *oracleB) Step(rcv *radio.Message) radio.Action {
+func (a *oracleB) Step(rcv, out *radio.Message) bool {
 	a.round++
 	r := a.round
 
@@ -65,34 +65,38 @@ func (a *oracleB) Step(rcv *radio.Message) radio.Action {
 		// lines 2-3: the source transmits µ in its first round
 		a.everActive = true
 		a.lastDataTx = r
-		return radio.Send(radio.Message{Kind: radio.KindData, Payload: a.msg})
+		*out = radio.Message{Kind: radio.KindData, Payload: a.msg}
+		return true
 
 	case !a.haveMsg:
 		// line 4: still uninformed — listen
-		return radio.Listen
+		return false
 
 	case a.informedAt > 0 && a.informedAt == r-2:
 		// lines 9-12: first received µ two rounds ago
 		if a.label.X1() {
 			a.lastDataTx = r
-			return radio.Send(radio.Message{Kind: radio.KindData, Payload: a.msg})
+			*out = radio.Message{Kind: radio.KindData, Payload: a.msg}
+			return true
 		}
-		return radio.Listen
+		return false
 
 	case a.informedAt > 0 && a.informedAt == r-1:
 		// lines 13-16: first received µ one round ago
 		if a.label.X2() {
-			return radio.Send(radio.Message{Kind: radio.KindStay})
+			*out = radio.Message{Kind: radio.KindStay}
+			return true
 		}
-		return radio.Listen
+		return false
 
 	case a.lastDataTx > 0 && a.lastDataTx == r-2 && a.stayAt == r-1:
 		// lines 17-19: transmitted µ two rounds ago and heard "stay" since
 		a.lastDataTx = r
-		return radio.Send(radio.Message{Kind: radio.KindData, Payload: a.msg})
+		*out = radio.Message{Kind: radio.KindData, Payload: a.msg}
+		return true
 
 	default:
-		return radio.Listen
+		return false
 	}
 }
 

@@ -2,12 +2,14 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"radiobcast/internal/domset"
 	"radiobcast/internal/graph"
 	"radiobcast/internal/radio"
+	"radiobcast/internal/radio/radiotest"
 )
 
 func TestAlgBFigure1Golden(t *testing.T) {
@@ -207,7 +209,7 @@ func TestAlgBUninformedIgnoresStay(t *testing.T) {
 	// (Algorithm 1 line 5).
 	g := graph.Path(2)
 	ps := []radio.Protocol{
-		radio.NewScripted(radio.Message{Kind: radio.KindStay}, 1, 2, 3),
+		radiotest.Script(radio.Message{Kind: radio.KindStay}, 1, 2, 3),
 		NewAlgB(MustParseLabel("11"), nil),
 	}
 	res := radio.Run(g, ps, radio.Options{MaxRounds: 6})
@@ -236,21 +238,43 @@ func TestAlgBZeroLabelNeverTransmits(t *testing.T) {
 	}
 }
 
+// TestVerifyBroadcastNeedsEveryNodeListed pins Lemma 2.8's check: a node
+// in no NEW list fails verification, though the run informed it.
+func TestVerifyBroadcastNeedsEveryNodeListed(t *testing.T) {
+	g := graph.Path(4)
+	out, err := runBroadcast(g, 0, "m", BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyBroadcast(out, "m"); err != nil {
+		t.Fatal(err)
+	}
+	// Drop the last node of the last stored list, NEW_{ℓ−1}.
+	st := out.Stages
+	off := slices.Clone(st.off)
+	off[len(off)-1]--
+	out.Stages = &Stages{G: st.G, Source: st.Source, L: st.L, off: off, nodes: st.nodes[:len(st.nodes)-1]}
+	if err := VerifyBroadcast(out, "m"); err == nil {
+		t.Fatal("a node in no NEW list passed verification")
+	}
+}
+
 func TestAlgBInformedAccessors(t *testing.T) {
 	mu := "m"
 	src := NewAlgB(MustParseLabel("10"), &mu)
 	if ok, r := src.Informed(); !ok || r != 0 {
 		t.Fatal("source must be informed at round 0")
 	}
-	if a := src.Step(nil); !a.Transmit || a.Msg != (radio.Message{Kind: radio.KindData, Payload: "m"}) {
-		t.Fatalf("source's first step = %+v, want µ = %q", a, mu)
+	var out radio.Message
+	if tx := src.Step(nil, &out); !tx || out != (radio.Message{Kind: radio.KindData, Payload: "m"}) {
+		t.Fatalf("source's first step = %t, %+v, want µ = %q", tx, out, mu)
 	}
 	other := NewAlgB(MustParseLabel("00"), nil)
 	if ok, _ := other.Informed(); ok {
 		t.Fatal("fresh node must be uninformed")
 	}
-	other.Step(nil)
-	other.Step(&radio.Message{Kind: radio.KindData, Payload: "m"})
+	other.Step(nil, &out)
+	other.Step(&radio.Message{Kind: radio.KindData, Payload: "m"}, &out)
 	if ok, r := other.Informed(); !ok || r != 1 {
 		t.Fatalf("node that heard µ in round 1: Informed = %v, %d", ok, r)
 	}

@@ -58,11 +58,9 @@ type ackMachine struct {
 // the origin, whether it has started it.
 func (m *ackMachine) started() bool { return m.lastDataTx != 0 }
 
-// The machine's decisions write the message to send through an out
-// pointer and report whether the node transmits. A radio.Action is too
-// large for the compiler to keep in registers, so every function that
-// returns one spills and reloads it; this way only the protocol's Step
-// returns it.
+// The machine's decisions follow radio.Protocol's step contract: they
+// write the message to send through out and report whether the node
+// transmits, so Step hands the engine's out pointer straight down.
 
 // start is the origin's first transmission, in round r.
 func (m *ackMachine) start(r int32, payload string, aux int32, out *radio.Message) bool {
@@ -208,20 +206,17 @@ func (a *AckNode) Informed() (bool, int) {
 
 // Step implements radio.Protocol, mirroring Algorithm 1 or 2. Its only
 // call into the machine is act; receive and transmit inline.
-func (a *AckNode) Step(rcv *radio.Message) radio.Action {
+func (a *AckNode) Step(rcv, out *radio.Message) bool {
 	a.round++
 	m := &a.m
 	if rcv != nil {
 		m.receive(rcv, a.round-1)
 	}
-	var msg radio.Message
 	if m.origin && !m.started() {
 		// lines 4-5: the source transmits (µ, 1) in its first round.
-		m.transmit(a.round, 1, &msg)
-	} else if !m.act(a.round, rcv, &msg) {
-		return radio.Listen
+		return m.transmit(a.round, 1, out)
 	}
-	return radio.Send(msg)
+	return m.act(a.round, rcv, out)
 }
 
 // NextWake implements radio.Waker. B and Back are reactive: beyond the

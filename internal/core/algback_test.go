@@ -236,17 +236,19 @@ type txRecorder struct {
 	runs  map[uint8][]sentTx
 }
 
-func (r *txRecorder) Step(rcv *radio.Message) radio.Action {
+func (r *txRecorder) Step(rcv, out *radio.Message) bool {
 	r.round++
-	act := r.Protocol.Step(rcv)
+	if !r.Protocol.Step(rcv, out) {
+		return false
+	}
 	spec := backSpec
-	if p := act.Msg.Phase; p > 0 {
+	if p := out.Phase; p > 0 {
 		spec = barbSpecs[p-1]
 	}
-	if act.Transmit && act.Msg.Kind == spec.kind {
-		r.runs[act.Msg.Phase] = append(r.runs[act.Msg.Phase], sentTx{r.round, act.Msg.TS})
+	if out.Kind == spec.kind {
+		r.runs[out.Phase] = append(r.runs[out.Phase], sentTx{r.round, out.TS})
 	}
-	return act
+	return true
 }
 
 // checkTimestampRun runs ps on g under model and checks every node's

@@ -26,10 +26,9 @@ import (
 type AlgBarb struct {
 	p [3]ackMachine // phases 1–3
 
-	mu         string
+	mu         string // µ, once known: from the start at sG, from the phase-2 ack at r
 	isR        bool
 	isMuSource bool
-	haveMu     bool
 	haveT      bool
 
 	round         int32
@@ -38,21 +37,16 @@ type AlgBarb struct {
 	phase2StartAt int32
 	phase3StartAt int32
 
-	// MuKnownRound is the absolute round in which this node learned µ
-	// (0 = held from the start). KnowsCompleteRound is the absolute round
-	// from which the node knows that broadcast has completed (0 = not yet).
-	MuKnownRound       int
+	// KnowsCompleteRound is the absolute round from which the node knows
+	// that broadcast has completed (0 = not yet).
 	KnowsCompleteRound int
 }
-
-// Mu returns the source message if known.
-func (a *AlgBarb) Mu() (string, bool) { return a.mu, a.haveMu }
 
 // TValue returns the learned T, if any.
 func (a *AlgBarb) TValue() (int, bool) { return int(a.t), a.haveT }
 
 // Step implements radio.Protocol.
-func (a *AlgBarb) Step(rcv *radio.Message) radio.Action {
+func (a *AlgBarb) Step(rcv, out *radio.Message) bool {
 	a.round++
 	r := a.round
 
@@ -64,41 +58,35 @@ func (a *AlgBarb) Step(rcv *radio.Message) radio.Action {
 	}
 
 	// Coordinator bootstrapping and phase transitions.
-	var act radio.Action
 	if a.isR {
 		if !a.p[0].started() {
-			act.Transmit = a.p[0].start(r, "initialize", 0, &act.Msg)
-			return act
+			return a.p[0].start(r, "initialize", 0, out)
 		}
 		if a.phase2StartAt == r {
-			act.Transmit = a.p[1].start(r, "", a.t, &act.Msg)
-			return act
+			return a.p[1].start(r, "", a.t, out)
 		}
 		if a.phase3StartAt == r {
 			// Phase-3 start: r knows completion T−1 rounds after this
 			// transmission (its own phase-local reception round is 0).
 			a.KnowsCompleteRound = int(r + a.t - 1)
-			act.Transmit = a.p[2].start(r, a.mu, 0, &act.Msg)
-			return act
+			return a.p[2].start(r, a.mu, 0, out)
 		}
 	}
 
 	// sG's deferred phase-2 acknowledgement carrying µ.
 	if a.sgAckRound == r {
-		return radio.Send(radio.Message{
-			Kind: radio.KindAck, TS: int(a.p[1].informedRound), Payload: a.mu, Phase: 2,
-		})
+		*out = radio.Message{Kind: radio.KindAck, TS: int(a.p[1].informedRound), Payload: a.mu, Phase: 2}
+		return true
 	}
 
 	// Standard per-phase duties; later phases take precedence (by the
 	// phase-separation argument at most one phase is active per round).
 	for i := 2; i >= 0; i-- {
-		if a.p[i].act(r, rcv, &act.Msg) {
-			act.Transmit = true
-			return act
+		if a.p[i].act(r, rcv, out) {
+			return true
 		}
 	}
-	return radio.Listen
+	return false
 }
 
 // react handles the node-level consequences of a reception (recorded at
@@ -114,11 +102,6 @@ func (a *AlgBarb) react(m *radio.Message, rr int32) {
 			a.sgAckRound = rr + a.t + 1
 		}
 	case m.Phase == 3 && m.Kind == radio.KindData:
-		if !a.haveMu {
-			a.mu = m.Payload
-			a.haveMu = true
-			a.MuKnownRound = int(rr)
-		}
 		// Every node (including sG, which already holds µ) starts its
 		// completion wait at its first phase-3 reception: T − t_v rounds
 		// after receiving µ in phase 3, all nodes know broadcast completed.
@@ -138,8 +121,6 @@ func (a *AlgBarb) react(m *radio.Message, rr int32) {
 	case a.isR && m.Phase == 2 && m.Kind == radio.KindAck && a.phase3StartAt == 0:
 		// Phase 2 complete: the ack carries µ.
 		a.mu = m.Payload
-		a.haveMu = true
-		a.MuKnownRound = int(rr)
 		a.phase3StartAt = rr + 1
 	}
 }
@@ -177,7 +158,7 @@ func NewBarbProtocols(labels []Label, source int, mu string) (ps []radio.Protoco
 			a.p[i] = ackMachine{label: lab, spec: barbSpecs[i], origin: a.isR}
 		}
 		if v == source {
-			a.mu, a.isMuSource, a.haveMu = mu, true, true
+			a.mu, a.isMuSource = mu, true
 		}
 		s.ps[v] = a
 	}

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"radiobcast/internal/graph"
+	"radiobcast/internal/radio"
 )
 
 func TestAlgBarbSingleEdge(t *testing.T) {
@@ -32,6 +34,41 @@ func TestAlgBarbSourceIsCoordinator(t *testing.T) {
 	}
 	if err := VerifyArbitrary(g, out, "m"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAlgBarbCoordinatorInformedByAck pins Barb's reading of the Result:
+// the coordinator r is informed by the phase-2 ack that carries µ, before
+// any phase-3 data reaches it, and r is the node whose protocol ran as
+// coordinator (labeled 111), whatever the labeling's R field says.
+func TestAlgBarbCoordinatorInformedByAck(t *testing.T) {
+	g := graph.Path(16)
+	l, err := LambdaArb(g, 0, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := runArbitraryLabeled(g, l, 15, "m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ack := 0
+	for _, rec := range out.Result.Receives(0) {
+		if rec.Msg.Kind == radio.KindAck && rec.Msg.Phase == 2 {
+			ack = rec.Round
+			break
+		}
+	}
+	if data := out.Result.FirstReception(0, radio.KindData); ack == 0 || out.InformedRound[0] != ack || data <= ack {
+		t.Fatalf("r informed in round %d; its µ ack came in round %d, its first data in %d", out.InformedRound[0], ack, data)
+	}
+	wrongR := *l
+	wrongR.R = 5
+	got, err := runArbitraryLabeled(g, &wrongR, 15, "m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.R != 0 || !slices.Equal(got.InformedRound, out.InformedRound) {
+		t.Fatalf("labeling with R = 5: coordinator %d, informed %v; want 0, %v", got.R, got.InformedRound, out.InformedRound)
 	}
 }
 

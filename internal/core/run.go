@@ -36,39 +36,64 @@ func PlanBroadcast(g *graph.Graph, l *Labeling, source int, mu string) (ps []rad
 // into the outcome.
 func AssembleBroadcast(res *radio.Result, l *Labeling, source int) *BroadcastOutcome {
 	out := &BroadcastOutcome{}
-	assembleInformed(out, res, l, source)
+	assembleInformed(out, res, l, source, -1)
 	return out
 }
 
 // assembleInformed fills the broadcast half of an outcome from the
-// engine Result.
-func assembleInformed(out *BroadcastOutcome, res *radio.Result, l *Labeling, source int) {
+// engine Result; coordinator is Informed's.
+func assembleInformed(out *BroadcastOutcome, res *radio.Result, l *Labeling, source, coordinator int) {
 	out.Result, out.Stages, out.Labels = res, l.Stages, l.Labels
-	out.InformedRound, out.AllInformed, out.CompletionRound = Informed(res, source)
+	out.InformedRound, out.AllInformed, out.CompletionRound = Informed(res, source, coordinator)
 }
 
 // Informed reads who a run informed from its Result, the one record of
-// it: rounds[v] is node v's first µ (KindData) reception, 0 for the
+// it: rounds[v] is node v's first reception that carries µ, 0 for the
 // source and for a node never informed; all reports whether every other
 // node was informed; last is the largest entry, the completion round of
-// a complete broadcast. A reception a crash wiped is not in the Result,
-// so it informs no one. Every scheme but Barb, whose coordinator learns
-// µ from an ack, reads its outcome through here.
-func Informed(res *radio.Result, source int) (rounds []int, all bool, last int) {
+// a complete broadcast. A data message carries µ, and so does the
+// phase-2 ack that fetches µ to Barb's coordinator r (§4.2) when r hears
+// it: coordinator is r, or −1 for the schemes without one. A reception a
+// crash wiped is not in the Result, so it informs no one. Every scheme
+// reads its outcome through here.
+func Informed(res *radio.Result, source, coordinator int) (rounds []int, all bool, last int) {
 	rounds = make([]int, res.N())
 	all = true
 	for v := range rounds {
 		if v == source {
 			continue
 		}
-		r := res.FirstReception(v, radio.KindData)
-		rounds[v] = r
-		if r == radio.NoReception {
+		for _, rec := range res.Receives(v) {
+			if carriesMu(&rec.Msg, v, coordinator) {
+				rounds[v] = rec.Round
+				break
+			}
+		}
+		if rounds[v] == radio.NoReception {
 			all = false
 		}
-		last = max(last, r)
+		last = max(last, rounds[v])
 	}
 	return rounds, all, last
+}
+
+// carriesMu reports whether msg, heard by node v, carries µ (see
+// Informed).
+func carriesMu(msg *radio.Message, v, coordinator int) bool {
+	return msg.Kind == radio.KindData || v == coordinator && msg.Kind == radio.KindAck && msg.Phase == 2
+}
+
+// checkPayloads returns an error for the first reception carrying µ
+// whose payload is not mu.
+func checkPayloads(res *radio.Result, coordinator int, mu string) error {
+	for v := range res.N() {
+		for _, rec := range res.Receives(v) {
+			if carriesMu(&rec.Msg, v, coordinator) && rec.Msg.Payload != mu {
+				return fmt.Errorf("core: node %d received payload %q, want %q", v, rec.Msg.Payload, mu)
+			}
+		}
+	}
+	return nil
 }
 
 // VerifyBroadcast checks the outcome against the paper's guarantees:
@@ -83,22 +108,22 @@ func VerifyBroadcast(out *BroadcastOutcome, mu string) error {
 	if n >= 2 && out.CompletionRound > 2*n-3 {
 		return fmt.Errorf("core: completion round %d exceeds 2n−3 = %d", out.CompletionRound, 2*n-3)
 	}
-	stageOf := out.Stages.InformedStage()
-	for v := 0; v < n; v++ {
-		if v == out.Stages.Source {
-			continue
-		}
-		want := 2*stageOf[v] - 1
-		if out.InformedRound[v] != want {
-			return fmt.Errorf("core: node %d informed in round %d, Lemma 2.8 predicts %d", v, out.InformedRound[v], want)
-		}
-		for _, rec := range out.Result.Receives(v) {
-			if rec.Msg.Kind == radio.KindData && rec.Msg.Payload != mu {
-				return fmt.Errorf("core: node %d received payload %q, want %q", v, rec.Msg.Payload, mu)
+	// The NEW lists are disjoint (Lemma 2.3), so n−1 entries that each
+	// pass are every node but the source, the one node informed in round 0.
+	listed := 0
+	for i := 1; i <= out.Stages.NumStored(); i++ {
+		_, nw := out.Stages.Lists(i)
+		for _, v := range nw {
+			if want := 2*i - 1; out.InformedRound[v] != want {
+				return fmt.Errorf("core: node %d informed in round %d, Lemma 2.8 predicts %d", v, out.InformedRound[v], want)
 			}
 		}
+		listed += len(nw)
 	}
-	return nil
+	if listed != n-1 {
+		return fmt.Errorf("core: the NEW lists hold %d nodes, want the %d non-source nodes", listed, n-1)
+	}
+	return checkPayloads(out.Result, -1, mu)
 }
 
 // AckOutcome summarises a run of algorithm Back.
@@ -122,7 +147,7 @@ func PlanAcknowledged(g *graph.Graph, l *Labeling, source int, mu string) (ps []
 // reads it, and the source's first ack reception.
 func AssembleAcknowledged(res *radio.Result, l *Labeling, source int) *AckOutcome {
 	out := &AckOutcome{AckRound: res.FirstReception(source, radio.KindAck), Z: l.Z}
-	assembleInformed(&out.BroadcastOutcome, res, l, source)
+	assembleInformed(&out.BroadcastOutcome, res, l, source, -1)
 	return out
 }
 
@@ -154,15 +179,15 @@ func VerifyAcknowledged(out *AckOutcome, mu string) error {
 	return nil
 }
 
-// ArbOutcome summarises a run of Barb.
+// ArbOutcome summarises a run of Barb. Its broadcast half reads the
+// Result as AssembleBroadcast does, with the coordinator informed by the
+// ack that carries µ (see Informed).
 type ArbOutcome struct {
-	Result *radio.Result
-	Labels []Label
+	BroadcastOutcome
+	// R is the coordinator: the node whose protocol ran as r, the one
+	// labeled 111 (−1 if none was).
 	R      int
 	Source int
-	// MuKnownRound[v]: absolute round when v learned µ (0 = source).
-	MuKnownRound []int
-	AllKnowMu    bool
 	// KnowsCompleteRound[v]: absolute round from which v knows broadcast
 	// completed (0 = never); for correct runs all entries are equal.
 	KnowsCompleteRound []int
@@ -195,28 +220,26 @@ func PlanArbitrary(g *graph.Graph, l *Labeling, source int, mu string) (ps []rad
 }
 
 // AssembleArbitrary turns the Result of running PlanArbitrary's protocols
-// ps into the outcome, reading each node's protocol state, so res must
-// come from running exactly ps and the slab must not be released yet.
-func AssembleArbitrary(res *radio.Result, l *Labeling, ps []radio.Protocol, source int, mu string) *ArbOutcome {
-	n := len(ps)
+// ps into the outcome. KnowsCompleteRound, T and which node ran as the
+// coordinator are protocol state, so res must come from running exactly
+// ps and the slab must not be released yet.
+func AssembleArbitrary(res *radio.Result, l *Labeling, ps []radio.Protocol, source int) *ArbOutcome {
 	out := &ArbOutcome{
-		Result: res, Labels: l.Labels, R: l.R, Source: source,
-		MuKnownRound:       make([]int, n),
-		KnowsCompleteRound: make([]int, n),
-		AllKnowMu:          true,
+		R: -1, Source: source,
+		KnowsCompleteRound: make([]int, len(ps)),
 		TotalRounds:        res.Rounds,
 	}
 	for v, p := range ps {
 		nd := p.(*AlgBarb)
-		if got, ok := nd.Mu(); !ok || got != mu {
-			out.AllKnowMu = false
+		if nd.isR {
+			out.R = v
 		}
-		out.MuKnownRound[v] = nd.MuKnownRound
 		out.KnowsCompleteRound[v] = nd.KnowsCompleteRound
 		if t, ok := nd.TValue(); ok && t > out.T {
 			out.T = t
 		}
 	}
+	assembleInformed(&out.BroadcastOutcome, res, l, source, out.R)
 	return out
 }
 
@@ -224,8 +247,11 @@ func AssembleArbitrary(res *radio.Result, l *Labeling, ps []radio.Protocol, sour
 // right payload, and all nodes reach "knows complete" in the same round.
 func VerifyArbitrary(g *graph.Graph, out *ArbOutcome, mu string) error {
 	n := g.N()
-	if !out.AllKnowMu {
+	if !out.AllInformed {
 		return fmt.Errorf("core: Barb incomplete: some node never learned µ")
+	}
+	if err := checkPayloads(out.Result, out.R, mu); err != nil {
+		return err
 	}
 	common := 0
 	for v := 0; v < n; v++ {

@@ -50,5 +50,5 @@ func runArbitraryLabeled(g *graph.Graph, l *Labeling, source int, mu string) (*A
 		return nil, err
 	}
 	defer release()
-	return AssembleArbitrary(radio.Run(g, ps, base), l, ps, source, mu), nil
+	return AssembleArbitrary(radio.Run(g, ps, base), l, ps, source), nil
 }

@@ -80,7 +80,7 @@ func TestSlabReuse(t *testing.T) {
 				a.p[i] = ackMachine{label: lab, spec: barbSpecs[i], origin: a.isR}
 			}
 		}
-		want[n-1].mu, want[n-1].isMuSource, want[n-1].haveMu = "second", true, true
+		want[n-1].mu, want[n-1].isMuSource = "second", true
 		checkSlabReuse(t, g,
 			func() ([]radio.Protocol, func()) { return NewBarbProtocols(l.Labels, 0, "first") },
 			func() ([]radio.Protocol, func()) { return NewBarbProtocols(l.Labels, n-1, "second") },

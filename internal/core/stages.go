@@ -197,20 +197,6 @@ func (s *Stages) DomUnion() *nodeset.Set {
 	return u
 }
 
-// InformedStage returns, for each node, the stage i at which it appears in
-// NEW_i (0 for the source). Together with Lemma 2.8 this is the round
-// (2i−1) in which the node is informed.
-func (s *Stages) InformedStage() []int {
-	out := make([]int, s.G.N())
-	for i := 1; i <= s.NumStored(); i++ {
-		_, nw := s.Lists(i)
-		for _, v := range nw {
-			out[v] = i
-		}
-	}
-	return out
-}
-
 // CheckStageInvariants validates every fact and lemma of §2.1 against the
 // computed stages, returning the first violation found. It is used by the
 // test suite and the L26 experiment; a nil result machine-checks:

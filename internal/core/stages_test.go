@@ -139,17 +139,6 @@ func TestStagesFigure1(t *testing.T) {
 	}
 }
 
-func TestStagesInformedStage(t *testing.T) {
-	st := mustStages(t, graph.Path(4), 0)
-	got := st.InformedStage()
-	want := []int{0, 1, 2, 3}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("InformedStage = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestStagesAllFamiliesAllOrders(t *testing.T) {
 	for _, name := range graph.FamilyNames() {
 		g := graph.Families[name](24)

@@ -146,30 +146,30 @@ func TestProtocolTiming(t *testing.T) {
 
 	// Round 1: source transmits; receptions are delivered at the NEXT
 	// round's Step (the engine hands round r−1's airwaves to round r).
-	a := src.Step(nil)
-	if !a.Transmit || a.Msg.Kind != radio.KindData || a.Msg.Payload != mu {
-		t.Fatalf("source round 1: %+v", a)
+	var out radio.Message
+	if !src.Step(nil, &out) || out.Kind != radio.KindData || out.Payload != mu {
+		t.Fatalf("source round 1: %+v", out)
 	}
-	mid.Step(nil)
-	end.Step(nil)
+	mid.Step(nil, &out)
+	end.Step(nil, &out)
 
 	// Round 2: middle processes the µ it heard in round 1; it is bit-1
 	// (x2 = 0), so no echo and no transmission yet.
-	src.Step(nil)
-	if a := mid.Step(&radio.Message{Kind: radio.KindData, Payload: mu}); a.Transmit {
-		t.Fatalf("bit-1 node acted on reception round: %+v", a)
+	src.Step(nil, &out)
+	if mid.Step(&radio.Message{Kind: radio.KindData, Payload: mu}, &out) {
+		t.Fatalf("bit-1 node acted on reception round: %+v", out)
 	}
-	end.Step(nil)
+	end.Step(nil, &out)
 
 	// Round 3 (two rounds after hearing µ): middle forwards µ.
-	src.Step(nil)
-	if a := mid.Step(nil); !a.Transmit || a.Msg.Kind != radio.KindData || a.Msg.Payload != mu {
-		t.Fatalf("middle round 3: %+v", a)
+	src.Step(nil, &out)
+	if !mid.Step(nil, &out) || out.Kind != radio.KindData || out.Payload != mu {
+		t.Fatalf("middle round 3: %+v", out)
 	}
-	end.Step(nil)
+	end.Step(nil, &out)
 
 	// Round 4: end processes the forwarded µ — informed as of round 3.
-	end.Step(&radio.Message{Kind: radio.KindData, Payload: mu})
+	end.Step(&radio.Message{Kind: radio.KindData, Payload: mu}, &out)
 	if ok, at := end.(*core.AckNode).Informed(); !ok || at != 3 {
 		t.Fatalf("end Informed = %v at %d, want round 3", ok, at)
 	}
@@ -183,20 +183,20 @@ func TestProtocolEchoKeepsWaveAlive(t *testing.T) {
 	ps, _, _ := Plan(graph.Path(2), bits(false, false), 0, mu)
 	src, zero := ps[0], ps[1]
 
-	src.Step(nil) // round 1: transmit µ
-	zero.Step(nil)
+	var out radio.Message
+	src.Step(nil, &out) // round 1: transmit µ
+	zero.Step(nil, &out)
 
 	// Round 2: the bit-0 node processes the reception and echoes in the
 	// same step.
-	src.Step(nil)
-	a := zero.Step(&radio.Message{Kind: radio.KindData, Payload: mu})
-	if !a.Transmit || a.Msg.Kind != radio.KindStay {
-		t.Fatalf("bit-0 node round 2: %+v", a)
+	src.Step(nil, &out)
+	if !zero.Step(&radio.Message{Kind: radio.KindData, Payload: mu}, &out) || out.Kind != radio.KindStay {
+		t.Fatalf("bit-0 node round 2: %+v", out)
 	}
 
 	// Round 3: the source processes the lone echo and, having last sent
 	// µ in round 1 (= r−2), retransmits to keep the wave alive.
-	if a := src.Step(&radio.Message{Kind: radio.KindStay}); !a.Transmit || a.Msg.Kind != radio.KindData || a.Msg.Payload != mu {
-		t.Fatalf("source after lone echo: %+v", a)
+	if !src.Step(&radio.Message{Kind: radio.KindStay}, &out) || out.Kind != radio.KindData || out.Payload != mu {
+		t.Fatalf("source after lone echo: %+v", out)
 	}
 }

@@ -256,7 +256,7 @@ func (l *bitLane) runRound(round int) {
 		}
 	}
 	if l.opt.Trace != nil {
-		l.opt.Trace.record(round, s.txList, s.actions, bs.setsW[nx], s.msgs[nx])
+		l.opt.Trace.record(round, s.txList, s.out, bs.setsW[nx], s.msgs[nx])
 	}
 	l.total += transmitted
 	s.cur = nx
@@ -308,12 +308,12 @@ func (l *bitLane) stepActive(v, round int) {
 	s := l.s
 	bs := &s.bits
 	wi, mask := v>>6, uint64(1)<<(uint(v)&63)
-	var a Action
+	var tx bool
 	if wk := s.wakers[v]; wk != nil {
 		if sk := round - 1 - int(bs.lastStep[v]); sk > 0 {
 			wk.Skip(sk)
 		}
-		a = s.stepNodeBit(v)
+		tx = s.stepNodeBit(v)
 		bs.lastStep[v] = int32(round)
 		nw := wk.NextWake()
 		s.nextWake[v] = nw
@@ -326,25 +326,22 @@ func (l *bitLane) stepActive(v, round int) {
 			}
 		}
 	} else {
-		a = s.stepNodeBit(v) // non-Wakers stay eager for the whole run
+		tx = s.stepNodeBit(v) // non-Wakers stay eager for the whole run
 		bs.lastStep[v] = int32(round)
 	}
-	if s.faulted && a.Transmit && bs.fx.Down[wi]&mask != 0 {
-		// Radio off: the protocol stepped (its clock runs) and believes
-		// it transmitted, but nothing reaches the channel.
-		a = Listen
-	}
-	s.actions[v] = a
-	if a.Transmit {
+	// A radio-off node is no transmitter: the protocol stepped (its clock
+	// runs) and believes it transmitted, but nothing reaches the channel.
+	if tx && !(s.faulted && bs.fx.Down[wi]&mask != 0) {
 		s.txList = append(s.txList, int32(v))
 		bs.txW[wi] |= mask
 	}
 }
 
-// stepNodeBit invokes one protocol step with what v heard last round.
-// The received-message pointer aliases the Sim's buffer; Protocol
-// implementations must not retain it beyond the call (see Protocol).
-func (s *Sim) stepNodeBit(v int) Action {
+// stepNodeBit invokes one protocol step with what v heard last round and
+// reports whether v transmits, having written its message to s.out[v].
+// Both pointers alias the Sim's buffers; Protocol implementations must
+// not retain them beyond the call (see Protocol).
+func (s *Sim) stepNodeBit(v int) bool {
 	bs := &s.bits
 	wi, mask := v>>6, uint64(1)<<(uint(v)&63)
 	var rcv *Message
@@ -352,9 +349,9 @@ func (s *Sim) stepNodeBit(v int) Action {
 		rcv = &s.msgs[s.cur][v]
 	}
 	if np := s.noise[v]; np != nil {
-		return np.StepNoise(rcv, bs.busyW[s.cur][wi]&mask != 0)
+		return np.StepNoise(rcv, bs.busyW[s.cur][wi]&mask != 0, &s.out[v])
 	}
-	return s.protos[v].Step(rcv)
+	return s.protos[v].Step(rcv, &s.out[v])
 }
 
 // resolve is the word-parallel channel resolution (see the file comment)
@@ -410,7 +407,7 @@ func (l *bitLane) resolve(round, nx int) int {
 		bs.setsW[nx][wi] |= singles
 		for x := singles; x != 0; x &= x - 1 {
 			v := int(wi)<<6 | bits.TrailingZeros64(x)
-			msg := s.actions[l.findSender(v)].Msg
+			msg := s.out[l.findSender(v)]
 			s.msgs[nx][v] = msg
 			s.rxNodes = append(s.rxNodes, int32(v))
 			s.rxRecs = append(s.rxRecs, Reception{Round: round, Msg: msg})

@@ -12,7 +12,10 @@ import (
 // cancellation exists for.
 type chatter struct{}
 
-func (chatter) Step(*Message) Action { return Send(Message{Kind: KindData, Payload: "x"}) }
+func (chatter) Step(_, out *Message) bool {
+	*out = Message{Kind: KindData, Payload: "x"}
+	return true
+}
 
 func chatterProtos(n int) []Protocol {
 	ps := make([]Protocol, n)

@@ -6,12 +6,24 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"radiobcast/internal/graph"
 )
 
 func dataMsg(payload string) Message {
 	return Message{Kind: KindData, Payload: payload}
+}
+
+// script returns a protocol transmitting msg in each of the given rounds,
+// which must be ascending.
+func script(msg Message, rounds ...int) *Scripted {
+	msgs := make([]Message, len(rounds))
+	for i := range msgs {
+		msgs[i] = msg
+	}
+	s := CompiledScript(rounds, msgs)
+	return &s
 }
 
 // listenAll returns n protocols that never transmit.
@@ -28,7 +40,7 @@ func TestSingleTransmitterDelivers(t *testing.T) {
 	// must not (not adjacent).
 	g := graph.Path(3)
 	ps := listenAll(3)
-	ps[0] = NewScripted(dataMsg("mu"), 1)
+	ps[0] = script(dataMsg("mu"), 1)
 	res := Run(g, ps, Options{MaxRounds: 3})
 	if got := res.FirstReception(1, KindData); got != 1 {
 		t.Fatalf("node 1 first reception = %d, want 1", got)
@@ -49,8 +61,8 @@ func TestCollisionSilencesListener(t *testing.T) {
 	// the centre hears nothing and records a collision.
 	g := graph.Star(3)
 	ps := listenAll(3)
-	ps[1] = NewScripted(dataMsg("a"), 1)
-	ps[2] = NewScripted(dataMsg("b"), 1)
+	ps[1] = script(dataMsg("a"), 1)
+	ps[2] = script(dataMsg("b"), 1)
 	res := Run(g, ps, Options{MaxRounds: 2})
 	if len(res.Receives(0)) != 0 {
 		t.Fatalf("centre heard %v despite collision", res.Receives(0))
@@ -64,8 +76,8 @@ func TestTransmitterHearsNothing(t *testing.T) {
 	// Two adjacent nodes transmit simultaneously; neither hears the other.
 	g := graph.Path(2)
 	ps := []Protocol{
-		NewScripted(dataMsg("x"), 1),
-		NewScripted(dataMsg("y"), 1),
+		script(dataMsg("x"), 1),
+		script(dataMsg("y"), 1),
 	}
 	res := Run(g, ps, Options{MaxRounds: 2})
 	if len(res.Receives(0)) != 0 || len(res.Receives(1)) != 0 {
@@ -81,7 +93,7 @@ func TestReceivedMessageVisibleNextStep(t *testing.T) {
 	// An echo protocol: retransmit whatever was heard, one round later.
 	g := graph.Path(3)
 	echo := &echoProtocol{}
-	ps := []Protocol{NewScripted(dataMsg("mu"), 1), echo, &Scripted{}}
+	ps := []Protocol{script(dataMsg("mu"), 1), echo, &Scripted{}}
 	res := Run(g, ps, Options{MaxRounds: 4})
 	// Node 1 hears in round 1, echoes in round 2, node 2 hears in round 2.
 	if got := res.FirstReception(2, KindData); got != 2 {
@@ -97,16 +109,16 @@ type echoProtocol struct{}
 // Step retransmits in round r whatever was heard in round r−1 (the heard
 // message is handed to the *next* Step call, so echoing it immediately
 // means transmitting exactly one round after reception).
-func (e *echoProtocol) Step(rcv *Message) Action {
+func (e *echoProtocol) Step(rcv, out *Message) bool {
 	if rcv != nil {
-		return Send(*rcv)
+		*out = *rcv
 	}
-	return Listen
+	return rcv != nil
 }
 
 func TestStopAfterSilent(t *testing.T) {
 	g := graph.Path(2)
-	ps := []Protocol{NewScripted(dataMsg("x"), 1), &Scripted{}}
+	ps := []Protocol{script(dataMsg("x"), 1), &Scripted{}}
 	res := Run(g, ps, Options{MaxRounds: 100, StopAfterSilent: 3})
 	if !res.SilentStopped {
 		t.Fatal("run did not silent-stop")
@@ -118,7 +130,7 @@ func TestStopAfterSilent(t *testing.T) {
 
 func TestStopCallback(t *testing.T) {
 	g := graph.Path(2)
-	ps := []Protocol{NewScripted(dataMsg("x"), 1, 5, 9), &Scripted{}}
+	ps := []Protocol{script(dataMsg("x"), 1, 5, 9), &Scripted{}}
 	res := Run(g, ps, Options{
 		MaxRounds: 100,
 		Stop:      func(round int) bool { return round == 6 },
@@ -147,12 +159,11 @@ func TestProtocolCountMismatchPanics(t *testing.T) {
 }
 
 func TestMessageCopiedNotAliased(t *testing.T) {
-	// The engine must copy delivered messages: the action buffer is reused.
+	// The engine must copy delivered messages: the out buffer is reused.
 	g := graph.Path(2)
 	keep := &keepProtocol{}
-	ps := []Protocol{NewScripted(dataMsg("first"), 1), keep}
-	ps[0].(*Scripted).Schedule[2] = dataMsg("second")
-	Run(g, ps, Options{MaxRounds: 3})
+	sender := CompiledScript([]int{1, 2}, []Message{dataMsg("first"), dataMsg("second")})
+	Run(g, []Protocol{&sender, keep}, Options{MaxRounds: 3})
 	if len(keep.got) != 2 || keep.got[0].Payload != "first" || keep.got[1].Payload != "second" {
 		t.Fatalf("deliveries corrupted: %+v", keep.got)
 	}
@@ -160,11 +171,11 @@ func TestMessageCopiedNotAliased(t *testing.T) {
 
 type keepProtocol struct{ got []Message }
 
-func (k *keepProtocol) Step(rcv *Message) Action {
+func (k *keepProtocol) Step(rcv, _ *Message) bool {
 	if rcv != nil {
 		k.got = append(k.got, *rcv)
 	}
-	return Listen
+	return false
 }
 
 // TestResultFromEventLog checks the per-node views of a Result built
@@ -215,7 +226,7 @@ func TestResultFromEventLog(t *testing.T) {
 func TestMetrics(t *testing.T) {
 	g := graph.Star(4)
 	ps := listenAll(4)
-	ps[0] = NewScripted(Message{Kind: KindData, Payload: "abc", TS: 9}, 1, 2)
+	ps[0] = script(Message{Kind: KindData, Payload: "abc", TS: 9}, 1, 2)
 	res := Run(g, ps, Options{MaxRounds: 2})
 	if res.TotalTransmissions != 2 {
 		t.Fatalf("TotalTransmissions = %d", res.TotalTransmissions)
@@ -237,7 +248,7 @@ func TestMetrics(t *testing.T) {
 func TestTraceCapture(t *testing.T) {
 	g := graph.Path(2)
 	tr := &Trace{}
-	ps := []Protocol{NewScripted(dataMsg("mu"), 1), &Scripted{}}
+	ps := []Protocol{script(dataMsg("mu"), 1), &Scripted{}}
 	Run(g, ps, Options{MaxRounds: 2, Trace: tr})
 	if len(tr.Rounds) != 1 {
 		t.Fatalf("trace rounds = %d, want 1 (silent rounds omitted)", len(tr.Rounds))
@@ -255,19 +266,26 @@ func TestTraceCapture(t *testing.T) {
 }
 
 // randomScripted builds random fixed schedules so the model cross-check
-// exercises dense collision patterns.
-func randomScripted(r *rand.Rand, n, horizon int) []Protocol {
-	ps := make([]Protocol, n)
+// exercises dense collision patterns; sched[v][r] reports whether node v
+// transmits in round r.
+func randomScripted(r *rand.Rand, n, horizon int) (ps []Protocol, sched [][]bool) {
+	ps = make([]Protocol, n)
+	sched = make([][]bool, n)
 	for v := 0; v < n; v++ {
-		s := &Scripted{Schedule: map[int]Message{}}
+		var rounds []int
+		var msgs []Message
+		sched[v] = make([]bool, horizon+1)
 		for round := 1; round <= horizon; round++ {
 			if r.Intn(3) == 0 {
-				s.Schedule[round] = Message{Kind: KindData, Payload: "p", TS: round}
+				rounds = append(rounds, round)
+				msgs = append(msgs, Message{Kind: KindData, Payload: "p", TS: round})
+				sched[v][round] = true
 			}
 		}
-		ps[v] = s
+		s := CompiledScript(rounds, msgs)
+		ps[v] = &s
 	}
-	return ps
+	return ps, sched
 }
 
 func TestQuickExactlyOneNeighbourRule(t *testing.T) {
@@ -278,12 +296,7 @@ func TestQuickExactlyOneNeighbourRule(t *testing.T) {
 		n := 2 + r.Intn(30)
 		g := graph.GNPConnected(n, 0.3, seed)
 		horizon := 1 + r.Intn(10)
-		ps := randomScripted(rand.New(rand.NewSource(seed+1)), n, horizon)
-		// Extract the schedules before running (Run mutates round counters).
-		sched := make([]map[int]Message, n)
-		for v, p := range ps {
-			sched[v] = p.(*Scripted).Schedule
-		}
+		ps, sched := randomScripted(rand.New(rand.NewSource(seed+1)), n, horizon)
 		res := Run(g, ps, Options{MaxRounds: horizon})
 		for v := 0; v < n; v++ {
 			gotRounds := map[int]bool{}
@@ -291,14 +304,13 @@ func TestQuickExactlyOneNeighbourRule(t *testing.T) {
 				gotRounds[rec.Round] = true
 			}
 			for round := 1; round <= horizon; round++ {
-				_, vTransmits := sched[v][round]
 				count := 0
 				for _, w := range g.Neighbors(v) {
-					if _, ok := sched[w][round]; ok {
+					if sched[w][round] {
 						count++
 					}
 				}
-				wantHear := !vTransmits && count == 1
+				wantHear := !sched[v][round] && count == 1
 				if gotRounds[round] != wantHear {
 					return false
 				}
@@ -329,6 +341,21 @@ func TestMessageBitLen(t *testing.T) {
 	}
 }
 
+// TestMessageSize pins the layout on 64-bit platforms: Kind and Phase
+// share a word, so a Message is 40 bytes and a Reception, every entry of
+// a Result's reception array, 48.
+func TestMessageSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Message{}); got != 40 {
+		t.Errorf("Message is %d bytes, want 40", got)
+	}
+	if got := unsafe.Sizeof(Reception{}); got != 48 {
+		t.Errorf("Reception is %d bytes, want 48", got)
+	}
+}
+
 func TestKindString(t *testing.T) {
 	names := map[Kind]string{
 		KindData: "data", KindStay: "stay", KindAck: "ack",
@@ -343,7 +370,7 @@ func TestKindString(t *testing.T) {
 
 func TestAnnotationsFormat(t *testing.T) {
 	g := graph.Path(2)
-	ps := []Protocol{NewScripted(dataMsg("mu"), 1), &Scripted{}}
+	ps := []Protocol{script(dataMsg("mu"), 1), &Scripted{}}
 	res := Run(g, ps, Options{MaxRounds: 1})
 	out := Annotations(res, []string{"10", "00"})
 	if out == "" {

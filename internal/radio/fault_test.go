@@ -9,7 +9,7 @@ import (
 
 func TestDropSuppressesDelivery(t *testing.T) {
 	g := graph.Path(2)
-	ps := []Protocol{NewScripted(Message{Kind: KindData, Payload: "x"}, 1, 3), &Scripted{}}
+	ps := []Protocol{script(Message{Kind: KindData, Payload: "x"}, 1, 3), &Scripted{}}
 	res := Run(g, ps, Options{
 		MaxRounds: 4,
 		Faults:    faults.DropFunc(func(node, round int) bool { return node == 0 && round == 1 }),
@@ -30,8 +30,8 @@ func TestDropResolvesCollisions(t *testing.T) {
 	g := graph.Star(3)
 	ps := []Protocol{
 		&Scripted{},
-		NewScripted(Message{Kind: KindData, Payload: "a"}, 1),
-		NewScripted(Message{Kind: KindData, Payload: "b"}, 1),
+		script(Message{Kind: KindData, Payload: "a"}, 1),
+		script(Message{Kind: KindData, Payload: "b"}, 1),
 	}
 	res := Run(g, ps, Options{
 		MaxRounds: 2,
@@ -48,7 +48,7 @@ func TestDropResolvesCollisions(t *testing.T) {
 func TestDropAffectsNoiseFlag(t *testing.T) {
 	g := graph.Path(2)
 	rec := &noiseRecorder{}
-	ps := []Protocol{NewScripted(Message{Kind: KindData}, 1), rec}
+	ps := []Protocol{script(Message{Kind: KindData}, 1), rec}
 	Run(g, ps, Options{
 		MaxRounds: 2,
 		Faults:    faults.DropFunc(func(node, round int) bool { return true }),

@@ -46,17 +46,19 @@ func (k Kind) String() string {
 	}
 }
 
-// Message is a transmitted frame. Payload carries the source message µ
-// where applicable. TS is the round-number timestamp appended by the
-// acknowledged algorithms (Lemma 3.5); Aux carries the T value of the
-// arbitrary-source algorithm; Phase tags Barb's three phases. Unused fields
-// are zero and contribute nothing to BitLen.
+// Message is a transmitted frame. Phase tags Barb's three phases.
+// Payload carries the source message µ where applicable. TS is the
+// round-number timestamp appended by the acknowledged algorithms (Lemma
+// 3.5); Aux carries the T value of the arbitrary-source algorithm. Unused
+// fields are zero and contribute nothing to BitLen. Phase sits beside
+// Kind so that the two bytes share one word: a Message is 40 bytes and a
+// Reception 48.
 type Message struct {
 	Kind    Kind
+	Phase   uint8
 	Payload string
 	TS      int
 	Aux     int
-	Phase   uint8
 }
 
 // BitLen returns the size of the message in bits, charging 3 bits for the
@@ -90,33 +92,24 @@ func (m *Message) String() string {
 	return fmt.Sprintf("(%s)", body)
 }
 
-// Action is a node's decision for one round: transmit Msg, or listen.
-type Action struct {
-	Transmit bool
-	Msg      Message
-}
-
-// Listen is the no-transmission action.
-var Listen = Action{}
-
-// Send returns a transmit action for msg.
-func Send(msg Message) Action { return Action{Transmit: true, Msg: msg} }
-
 // Protocol is the deterministic state machine run at each node. Step is
 // called once per round r = 1, 2, ...; received is the message the node
 // heard in round r−1, or nil for round 1, for silence, for collision, or
 // if the node itself transmitted in round r−1 (all indistinguishable in
-// the model). The returned action applies to round r. Implementations must
-// base decisions only on their label and message history — never on the
-// topology — to qualify as universal algorithms in the paper's sense.
+// the model). A node that transmits in round r sets *out to the whole
+// message and returns true; a node that listens returns false, and the
+// engine ignores *out. Implementations must base decisions only on their
+// label and message history — never on the topology — to qualify as
+// universal algorithms in the paper's sense.
 //
-// received points into an engine-owned buffer: it is valid only for the
-// duration of the Step call, so implementations copy out what they keep
-// (copying the Message value is enough). Protocols may additionally
+// received and out point into engine-owned buffers: they are valid only
+// for the duration of the Step call, so implementations copy out what
+// they keep (copying the Message value is enough), and out may hold an
+// earlier round's message on entry. Protocols may additionally
 // implement Waker, in which case the engine may replace runs of
 // guaranteed-silent Step calls with one Skip call (see Waker).
 type Protocol interface {
-	Step(received *Message) Action
+	Step(received, out *Message) bool
 }
 
 // NoiseProtocol is the collision-detection variant of the model (§1.1 of
@@ -126,7 +119,7 @@ type Protocol interface {
 // or collision, as usual), a busy flag that is true iff at least one
 // neighbour transmitted in the previous round — i.e. the node can
 // distinguish silence from noise. The engine uses StepNoise instead of
-// Step for such protocols.
+// Step for such protocols; out and the result are Step's.
 type NoiseProtocol interface {
-	StepNoise(received *Message, busy bool) Action
+	StepNoise(received *Message, busy bool, out *Message) bool
 }

@@ -19,16 +19,17 @@ type floodOnce struct {
 	msg    Message
 }
 
-func (f *floodOnce) Step(rcv *Message) Action {
+func (f *floodOnce) Step(rcv, out *Message) bool {
 	f.round++
 	if rcv != nil && f.sendAt == 0 {
 		f.msg = *rcv
 		f.sendAt = f.round + 1 + int(uint32(f.v)*2654435761%13)
 	}
 	if f.sendAt == f.round {
-		return Send(f.msg)
+		*out = f.msg
+		return true
 	}
-	return Listen
+	return false
 }
 
 func (f *floodOnce) NextWake() int {
@@ -45,7 +46,7 @@ func floodProtocols(n int) []Protocol {
 	for v := 1; v < n; v++ {
 		ps[v] = &floodOnce{v: v}
 	}
-	ps[0] = NewScripted(Message{Kind: KindData, Payload: "m"}, 1)
+	ps[0] = script(Message{Kind: KindData, Payload: "m"}, 1)
 	return ps
 }
 

@@ -13,17 +13,18 @@ type noiseRecorder struct {
 	round    int
 }
 
-func (n *noiseRecorder) Step(*Message) Action {
+func (n *noiseRecorder) Step(_, _ *Message) bool {
 	panic("engine must use StepNoise for NoiseProtocol implementations")
 }
 
-func (n *noiseRecorder) StepNoise(_ *Message, busy bool) Action {
+func (n *noiseRecorder) StepNoise(_ *Message, busy bool, out *Message) bool {
 	n.round++
 	n.busy = append(n.busy, busy)
-	if msg, ok := n.schedule[n.round]; ok {
-		return Send(msg)
+	msg, ok := n.schedule[n.round]
+	if ok {
+		*out = msg
 	}
-	return Listen
+	return ok
 }
 
 func TestNoiseFlagOnCollision(t *testing.T) {
@@ -33,8 +34,8 @@ func TestNoiseFlagOnCollision(t *testing.T) {
 	centre := &noiseRecorder{}
 	ps := []Protocol{
 		centre,
-		NewScripted(Message{Kind: KindData}, 1),
-		NewScripted(Message{Kind: KindData}, 1),
+		script(Message{Kind: KindData}, 1),
+		script(Message{Kind: KindData}, 1),
 	}
 	res := Run(g, ps, Options{MaxRounds: 3})
 	if len(res.Receives(0)) != 0 {
@@ -57,7 +58,7 @@ func TestNoiseFlagSingleTransmitter(t *testing.T) {
 	// Exactly one transmitting neighbour: both the message AND busy=true.
 	g := graph.Path(2)
 	rec := &noiseRecorder{}
-	ps := []Protocol{NewScripted(Message{Kind: KindData, Payload: "x"}, 1), rec}
+	ps := []Protocol{script(Message{Kind: KindData, Payload: "x"}, 1), rec}
 	res := Run(g, ps, Options{MaxRounds: 2})
 	if res.FirstReception(1, KindData) != 1 {
 		t.Fatal("message not delivered")
@@ -72,7 +73,7 @@ func TestNoiseFlagTransmitterHearsNothing(t *testing.T) {
 	// transmits in the same round.
 	g := graph.Path(2)
 	rec := &noiseRecorder{schedule: map[int]Message{1: {Kind: KindData}}}
-	ps := []Protocol{NewScripted(Message{Kind: KindData}, 1), rec}
+	ps := []Protocol{script(Message{Kind: KindData}, 1), rec}
 	Run(g, ps, Options{MaxRounds: 2})
 	if rec.busy[1] {
 		t.Fatal("transmitter must not sense the channel")
@@ -83,7 +84,7 @@ func TestMixedProtocolTypes(t *testing.T) {
 	// Plain Step protocols and NoiseProtocols coexist in one run.
 	g := graph.Path(3)
 	rec := &noiseRecorder{}
-	ps := []Protocol{NewScripted(Message{Kind: KindData}, 1), &Scripted{}, rec}
+	ps := []Protocol{script(Message{Kind: KindData}, 1), &Scripted{}, rec}
 	res := Run(g, ps, Options{MaxRounds: 2})
 	if res.FirstReception(1, KindData) != 1 {
 		t.Fatal("plain protocol missed delivery")

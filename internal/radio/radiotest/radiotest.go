@@ -10,7 +10,8 @@
 //
 // Run has the signature of radio.Options.Engine: tests install it
 // there (or through the facade's test-only engine option) to run a
-// whole scheme on the reference engine.
+// whole scheme on the reference engine. Script builds the scripted
+// transmitters the tests drive the engines with.
 package radiotest
 
 import (
@@ -48,7 +49,10 @@ func Run(g *graph.Graph, protos []radio.Protocol, opt radio.Options) *radio.Resu
 	heard := make([]bool, n)
 	busy := make([]bool, n)
 	msg := make([]radio.Message, n)
-	actions := make([]radio.Action, n)
+	// transmit[v]/out[v]: v's transmission this round, with the message
+	// its protocol wrote.
+	transmit := make([]bool, n)
+	out := make([]radio.Message, n)
 
 	// fx holds the round's fault effects; has reads node v's bit of one
 	// of its fields.
@@ -109,17 +113,15 @@ func Run(g *graph.Graph, protos []radio.Protocol, opt radio.Options) *radio.Resu
 				m := msg[v]
 				rcv = &m
 			}
-			var a radio.Action
+			var sends bool
 			if np, ok := p.(radio.NoiseProtocol); ok {
-				a = np.StepNoise(rcv, busy[v])
+				sends = np.StepNoise(rcv, busy[v], &out[v])
 			} else {
-				a = p.Step(rcv)
+				sends = p.Step(rcv, &out[v])
 			}
-			if has(fx.Down, v) {
-				a = radio.Listen // radio off: the clock ran, nothing is sent
-			}
-			actions[v] = a
-			if a.Transmit {
+			// A radio-off node's clock ran, but nothing is sent.
+			transmit[v] = sends && !has(fx.Down, v)
+			if transmit[v] {
 				tx = append(tx, int32(v))
 			}
 		}
@@ -133,18 +135,18 @@ func Run(g *graph.Graph, protos []radio.Protocol, opt radio.Options) *radio.Resu
 		tr := radio.TraceRound{Round: round}
 		for _, v := range tx {
 			txNodes, txRounds = append(txNodes, v), append(txRounds, int32(round))
-			m := actions[v].Msg
+			m := out[v]
 			maxBits = max(maxBits, m.BitLen())
 			tr.Transmitters = append(tr.Transmitters, radio.TraceTx{Node: int(v), Msg: m})
 		}
 		for v := 0; v < n; v++ {
 			heard[v], busy[v] = false, false
-			if actions[v].Transmit || has(fx.Down, v) {
+			if transmit[v] || has(fx.Down, v) {
 				continue
 			}
 			count, sender := 0, -1
 			for _, w := range csr.Neighbors(v) {
-				if actions[w].Transmit && !has(fx.Jam, int(w)) {
+				if transmit[w] && !has(fx.Jam, int(w)) {
 					count++
 					sender = int(w)
 				}
@@ -152,7 +154,7 @@ func Run(g *graph.Graph, protos []radio.Protocol, opt radio.Options) *radio.Resu
 			busy[v] = count > 0
 			switch {
 			case count == 1:
-				heard[v], msg[v] = true, actions[sender].Msg
+				heard[v], msg[v] = true, out[sender]
 				rxNodes = append(rxNodes, int32(v))
 				rx = append(rx, radio.Reception{Round: round, Msg: msg[v]})
 				tr.Deliveries = append(tr.Deliveries, radio.TraceRx{Node: v, Msg: msg[v]})
@@ -162,7 +164,7 @@ func Run(g *graph.Graph, protos []radio.Protocol, opt radio.Options) *radio.Resu
 		}
 		if fm != nil {
 			for v := range heard {
-				if heard[v] || actions[v].Transmit {
+				if heard[v] || transmit[v] {
 					informed[v] = true
 				}
 			}
@@ -194,4 +196,15 @@ func Run(g *graph.Graph, protos []radio.Protocol, opt radio.Options) *radio.Resu
 	res.Rounds, res.TotalTransmissions, res.MaxMessageBits = rounds, total, maxBits
 	res.SilentStopped, res.Interrupted = silentStopped, interrupted
 	return res
+}
+
+// Script returns a protocol transmitting msg in each of the given rounds,
+// which must be ascending.
+func Script(msg radio.Message, rounds ...int) *radio.Scripted {
+	msgs := make([]radio.Message, len(rounds))
+	for i := range msgs {
+		msgs[i] = msg
+	}
+	s := radio.CompiledScript(rounds, msgs)
+	return &s
 }

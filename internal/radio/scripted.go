@@ -1,36 +1,15 @@
 package radio
 
-import "sort"
-
 // Scripted is a Protocol that transmits fixed messages at a fixed set of
 // rounds, regardless of what it hears. It backs the centralized-schedule
 // baseline (where a controller with full topology knowledge precomputes
-// collision-free schedules) and the engine tests.
-//
-// A Scripted can be populated two ways: through the public Schedule map
-// (which may be filled or modified any time before the first Step), or by
-// CompiledScript with pre-sorted parallel round/message slices — the
-// allocation-free path the centralized baseline uses to script thousands
-// of nodes. On the first Step the map, if any, is compiled into the
-// sorted form; mutating Schedule after that has no effect.
+// collision-free schedules) and the engine tests. CompiledScript builds
+// one; the zero Scripted never transmits.
 type Scripted struct {
-	// Schedule maps round numbers to the message transmitted in that round.
-	Schedule map[int]Message
-
-	rounds   []int // ascending transmission rounds
-	msgs     []Message
-	compiled bool
-	round    int
-	idx      int // first entry with rounds[idx] >= the next round
-}
-
-// NewScripted returns a protocol transmitting msg at each of the given rounds.
-func NewScripted(msg Message, rounds ...int) *Scripted {
-	s := &Scripted{Schedule: make(map[int]Message, len(rounds))}
-	for _, r := range rounds {
-		s.Schedule[r] = msg
-	}
-	return s
+	rounds []int // ascending transmission rounds
+	msgs   []Message
+	round  int
+	idx    int // first entry with rounds[idx] >= the next round
 }
 
 // CompiledScript returns a protocol value transmitting msgs[i] in round
@@ -38,47 +17,25 @@ func NewScripted(msg Message, rounds ...int) *Scripted {
 // copied. The value form lets callers bulk-allocate one []Scripted for a
 // whole network.
 func CompiledScript(rounds []int, msgs []Message) Scripted {
-	return Scripted{rounds: rounds, msgs: msgs, compiled: true}
-}
-
-func (s *Scripted) compile() {
-	s.compiled = true
-	if len(s.Schedule) == 0 {
-		return
-	}
-	s.rounds = make([]int, 0, len(s.Schedule))
-	for r := range s.Schedule {
-		s.rounds = append(s.rounds, r)
-	}
-	sort.Ints(s.rounds)
-	s.msgs = make([]Message, len(s.rounds))
-	for i, r := range s.rounds {
-		s.msgs[i] = s.Schedule[r]
-	}
+	return Scripted{rounds: rounds, msgs: msgs}
 }
 
 // Step implements Protocol.
-func (s *Scripted) Step(*Message) Action {
-	if !s.compiled {
-		s.compile()
-	}
+func (s *Scripted) Step(_, out *Message) bool {
 	s.round++
 	for s.idx < len(s.rounds) && s.rounds[s.idx] < s.round {
 		s.idx++
 	}
 	if s.idx < len(s.rounds) && s.rounds[s.idx] == s.round {
-		msg := s.msgs[s.idx]
+		*out = s.msgs[s.idx]
 		s.idx++
-		return Send(msg)
+		return true
 	}
-	return Listen
+	return false
 }
 
 // NextWake implements Waker: the next scheduled transmission round.
 func (s *Scripted) NextWake() int {
-	if !s.compiled {
-		s.compile()
-	}
 	for s.idx < len(s.rounds) && s.rounds[s.idx] <= s.round {
 		s.idx++
 	}

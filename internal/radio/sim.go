@@ -12,16 +12,16 @@ import "radiobcast/internal/graph"
 // may skip Step in any other round; before the next real Step it reports
 // the number of skipped rounds through Skip, so the protocol's internal
 // round counter stays in sync. A skipped round must be externally
-// identical to a Step that returned Listen: the engine's Results are
+// identical to a Step that returned false: the engine's Results are
 // then bit-identical to those of the reference engine in
 // internal/radio/radiotest, which steps every node every round and
 // ignores Waker (pinned by FuzzEngineMatchesOracle and the facade
 // matrix tests).
 type Waker interface {
 	// NextWake returns the absolute 1-based round number of the next round
-	// in which the protocol might return a non-Listen action — or otherwise
-	// needs to observe the passage of time — assuming it hears neither a
-	// message nor noise in any intervening round. Returning NeverWake means
+	// in which the protocol might transmit — or otherwise needs to observe
+	// the passage of time — assuming it hears neither a message nor noise
+	// in any intervening round. Returning NeverWake means
 	// the protocol stays passive until its next reception. Returning a
 	// round in 1..current is safe and simply disables skipping — but 0
 	// is NeverWake, which suspends the node until its next reception;
@@ -30,7 +30,7 @@ type Waker interface {
 	// Skip informs the protocol that `rounds` rounds elapsed in which it
 	// was not stepped. Implementations advance their internal round counter
 	// by that amount, exactly as if Step had been called with nil and had
-	// returned Listen each time.
+	// returned false each time.
 	Skip(rounds int)
 }
 
@@ -40,12 +40,12 @@ const NeverWake = 0
 
 // Sim is a reusable simulation engine. It owns every per-run buffer —
 // the word-packed channel and fault state of the bitset core (see
-// bitsim.go), the per-round action vector, and the flat transmit/receive
+// bitsim.go), the per-node outgoing messages, and the flat transmit/receive
 // accumulators — and resizes rather than reallocates them between runs,
 // so driving many runs through one Sim (the label-once/run-many regime
 // of the paper and the Sweep workloads) allocates only each run's
 // Result: at most five allocations whatever the graph size, of 16 bytes
-// per node plus 8 per transmission and 56 per reception.
+// per node plus 8 per transmission and 48 per reception.
 //
 // A Sim may be used for any sequence of runs over graphs of any sizes,
 // but a single Sim must not run concurrently with itself. The zero value
@@ -59,7 +59,9 @@ type Sim struct {
 	noise  []NoiseProtocol
 	wakers []Waker
 
-	actions []Action
+	// out[v] is the message v's protocol wrote in its last transmitting
+	// step; it is read only for this round's transmitters (txList).
+	out []Message
 
 	// Double-buffered deliveries: msgs[cur][v] is what v heard in the
 	// previous round, valid iff v's bit is set in bits.setsW[cur].
@@ -116,7 +118,7 @@ func (s *Sim) reset(n int, protos []Protocol) {
 			s.wakers[v] = w
 		}
 	}
-	s.actions = grow(s.actions, n)
+	s.out = grow(s.out, n)
 	for i := 0; i < 2; i++ {
 		s.msgs[i] = grow(s.msgs[i], n)
 	}
@@ -151,7 +153,7 @@ func (s *Sim) release() {
 	s.protos = nil
 	clear(s.noise)
 	clear(s.wakers)
-	clear(s.actions)
+	clear(s.out)
 	for i := 0; i < 2; i++ {
 		clear(s.msgs[i])
 	}
@@ -161,7 +163,7 @@ func (s *Sim) release() {
 func (s *Sim) logTransmit(v int32, round int) {
 	s.txNodes = append(s.txNodes, v)
 	s.txRounds = append(s.txRounds, int32(round))
-	if b := s.actions[v].Msg.BitLen(); b > s.maxBits {
+	if b := s.out[v].BitLen(); b > s.maxBits {
 		s.maxBits = b
 	}
 }

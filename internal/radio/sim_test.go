@@ -24,16 +24,17 @@ type echo struct {
 	pending radio.Message
 }
 
-func (e *echo) Step(rcv *radio.Message) radio.Action {
+func (e *echo) Step(rcv, out *radio.Message) bool {
 	e.round++
 	if rcv != nil {
 		e.pending = *rcv
 		e.sendAt = e.round + e.delayOf(rcv)
 	}
 	if e.sendAt == e.round {
-		return radio.Send(e.pending)
+		*out = e.pending
+		return true
 	}
-	return radio.Listen
+	return false
 }
 
 func (e *echo) delayOf(m *radio.Message) int { return 1 + len(m.Payload)%3 }
@@ -60,11 +61,11 @@ type noiseEcho struct {
 	pending radio.Message
 }
 
-func (e *noiseEcho) Step(*radio.Message) radio.Action {
+func (e *noiseEcho) Step(_, _ *radio.Message) bool {
 	panic("engine must use StepNoise for NoiseProtocol implementations")
 }
 
-func (e *noiseEcho) StepNoise(rcv *radio.Message, busy bool) radio.Action {
+func (e *noiseEcho) StepNoise(rcv *radio.Message, busy bool, out *radio.Message) bool {
 	e.round++
 	switch {
 	case rcv != nil:
@@ -73,9 +74,10 @@ func (e *noiseEcho) StepNoise(rcv *radio.Message, busy bool) radio.Action {
 		e.pending, e.sendAt = radio.Message{Kind: radio.KindStay}, e.round+2
 	}
 	if e.sendAt == e.round {
-		return radio.Send(e.pending)
+		*out = e.pending
+		return true
 	}
-	return radio.Listen
+	return false
 }
 
 func (e *noiseEcho) NextWake() int {
@@ -96,11 +98,15 @@ func randomProtocols(n int, seed int64) []radio.Protocol {
 	for v := range ps {
 		switch r.Intn(3) {
 		case 0:
-			sched := map[int]radio.Message{}
-			for k := r.Intn(4); k > 0; k-- {
-				sched[1+r.Intn(30)] = radio.Message{Kind: radio.KindData, Payload: fmt.Sprintf("p%d", r.Intn(8))}
+			var rounds []int
+			var msgs []radio.Message
+			for k, at := r.Intn(4), 0; k > 0; k-- {
+				at += 1 + r.Intn(10)
+				rounds = append(rounds, at)
+				msgs = append(msgs, radio.Message{Kind: radio.KindData, Payload: fmt.Sprintf("p%d", r.Intn(8))})
 			}
-			ps[v] = &radio.Scripted{Schedule: sched}
+			s := radio.CompiledScript(rounds, msgs)
+			ps[v] = &s
 		case 1:
 			ps[v] = &wakingEcho{}
 		default:
@@ -201,9 +207,9 @@ func TestWakerSkipAccounting(t *testing.T) {
 	g := graph.Path(3)
 	mk := func() []radio.Protocol {
 		return []radio.Protocol{
-			radio.NewScripted(radio.Message{Kind: radio.KindData, Payload: "a"}, 5, 9, 23),
+			radiotest.Script(radio.Message{Kind: radio.KindData, Payload: "a"}, 5, 9, 23),
 			&radio.Scripted{}, // silent
-			radio.NewScripted(radio.Message{Kind: radio.KindData, Payload: "b"}, 14),
+			radiotest.Script(radio.Message{Kind: radio.KindData, Payload: "b"}, 14),
 		}
 	}
 	res := radio.Run(g, mk(), radio.Options{MaxRounds: 30})
@@ -219,25 +225,12 @@ func TestWakerSkipAccounting(t *testing.T) {
 	}
 }
 
-// TestCompiledScriptMatchesMap pins the two Scripted population styles to
-// identical behaviour.
-func TestCompiledScriptMatchesMap(t *testing.T) {
-	msg := radio.Message{Kind: radio.KindData, Payload: "x"}
-	g := graph.Path(2)
-	a := radio.Run(g, []radio.Protocol{radio.NewScripted(msg, 2, 7, 7, 11), &radio.Scripted{}}, radio.Options{MaxRounds: 15})
-	compiled := radio.CompiledScript([]int{2, 7, 11}, []radio.Message{msg, msg, msg})
-	b := radio.Run(g, []radio.Protocol{&compiled, &radio.Scripted{}}, radio.Options{MaxRounds: 15})
-	if !sameRun(a, b, nil, nil) {
-		t.Fatalf("compiled script diverged from map-driven script")
-	}
-}
-
 // TestNoReceptionSentinel pins the documented sentinel value and the
 // 1-based round convention.
 func TestNoReceptionSentinel(t *testing.T) {
 	g := graph.Path(3)
 	res := radio.Run(g, []radio.Protocol{
-		radio.NewScripted(radio.Message{Kind: radio.KindData, Payload: "x"}, 1),
+		radiotest.Script(radio.Message{Kind: radio.KindData, Payload: "x"}, 1),
 		&radio.Scripted{}, &radio.Scripted{},
 	}, radio.Options{MaxRounds: 3})
 	if r := res.FirstReception(1, radio.KindData); r != 1 {

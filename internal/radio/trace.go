@@ -32,13 +32,13 @@ type TraceRx struct {
 	Msg  Message
 }
 
-// record appends one round: its transmitters (tx, ascending, with the
-// messages in actions) and its deliveries in ascending node order, read
-// from the round's delivery words. Silent rounds are omitted.
-func (t *Trace) record(round int, tx []int32, actions []Action, delivered []uint64, msgs []Message) {
+// record appends one round: its transmitters (tx, ascending, with their
+// messages in out) and its deliveries in ascending node order, read from
+// the round's delivery words. Silent rounds are omitted.
+func (t *Trace) record(round int, tx []int32, out []Message, delivered []uint64, msgs []Message) {
 	tr := TraceRound{Round: round}
 	for _, v := range tx {
-		tr.Transmitters = append(tr.Transmitters, TraceTx{Node: int(v), Msg: actions[v].Msg})
+		tr.Transmitters = append(tr.Transmitters, TraceTx{Node: int(v), Msg: out[v]})
 	}
 	for wi, word := range delivered {
 		for ; word != 0; word &= word - 1 {

@@ -33,7 +33,7 @@ func TestWipedReceptionIsNoReception(t *testing.T) {
 	}
 	for name, run := range engines {
 		mu := radio.Message{Kind: radio.KindData, Payload: "µ"}
-		ps := []radio.Protocol{radio.NewScripted(mu, 1), &radio.Scripted{}, &radio.Scripted{}}
+		ps := []radio.Protocol{radiotest.Script(mu, 1), &radio.Scripted{}, &radio.Scripted{}}
 		tr := &radio.Trace{}
 		res := run(graph.Star(3), ps, radio.Options{MaxRounds: 3, Faults: wipeAt{node: 1, round: 2}, Trace: tr})
 		if len(res.Receives(1)) != 0 {

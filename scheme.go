@@ -20,8 +20,6 @@ type (
 	Protocol = radio.Protocol
 	// Message is what a node transmits in a round.
 	Message = radio.Message
-	// Action is a protocol's per-round decision (transmit or listen).
-	Action = radio.Action
 	// Result aggregates everything observable about an engine run.
 	Result = radio.Result
 	// Trace records a run round by round (see WithTrace).
@@ -47,7 +45,7 @@ const NoReception = radio.NoReception
 // NewSim returns a reusable simulation engine. Passing it to consecutive
 // runs via WithSim keeps every engine buffer across runs, so that in the
 // steady state of a label-once/run-many loop the engine allocates only
-// the run's Result: 16 bytes per node plus 8 per transmission and 56 per
+// the run's Result: 16 bytes per node plus 8 per transmission and 48 per
 // reception, in at most five allocations. A Sim must not be shared by
 // concurrent runs; the Sweep subsystem gives each worker its own.
 func NewSim() *Sim { return radio.NewSim() }
@@ -124,10 +122,12 @@ type Outcome struct {
 	// collisions, message sizes).
 	Result *Result
 	// InformedRound[v] is the round in which v first learned µ (0 for the
-	// source, and for nodes never informed). Every scheme but barb reads it
-	// from Result as v's first µ reception, a reception in the run's last
-	// round included. A reception a crash wiped is neither in Result nor
-	// counted here; the Trace keeps the channel delivery.
+	// source, and for nodes never informed). Every built-in scheme reads it
+	// from Result as v's first reception that carries µ, a reception in the
+	// run's last round included: a data message, or at barb's coordinator
+	// the acknowledgement that fetches µ from the source. A reception a
+	// crash wiped is neither in Result nor counted here; the Trace keeps
+	// the channel delivery.
 	InformedRound []int
 	// AllInformed reports whether every node learned µ.
 	AllInformed bool

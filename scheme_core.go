@@ -2,7 +2,6 @@ package radiobcast
 
 import (
 	"fmt"
-	"slices"
 
 	"radiobcast/internal/core"
 	"radiobcast/internal/radio"
@@ -118,11 +117,11 @@ func (barbScheme) Plan(l *Labeling, source int, mu string) (Plan, error) {
 		return Plan{}, err
 	}
 	return corePlan(ps, base, release, func(res *Result) *Outcome {
-		out := core.AssembleArbitrary(res, cl, ps, source, mu)
+		out := core.AssembleArbitrary(res, cl, ps, source)
 		return &Outcome{
-			InformedRound:      out.MuKnownRound,
-			AllInformed:        out.AllKnowMu,
-			CompletionRound:    slices.Max(out.MuKnownRound), // PlanArbitrary needs n ≥ 2
+			InformedRound:      out.InformedRound,
+			AllInformed:        out.AllInformed,
+			CompletionRound:    out.CompletionRound,
 			KnowsCompleteRound: out.KnowsCompleteRound,
 			TotalRounds:        out.TotalRounds,
 			T:                  out.T,

@@ -22,9 +22,7 @@ import (
 // check runs clean and under one fault the input picks: crash without
 // memory loss, rate or duty. A crash that wipes a reception is left out:
 // a reception in round c that a crash in round c+1 would wipe is kept by
-// the cut run, which ends before the crash. barb is exempt: its
-// coordinator learns µ from an ack, so its outcome reads protocol state,
-// not the Result.
+// the cut run, which ends before the crash.
 func FuzzSchemes(f *testing.F) {
 	// cut 0 cuts each run at its completion round.
 	f.Add(uint8(4), uint8(0), int64(1), uint8(0), uint16(0), uint8(0))
@@ -67,25 +65,23 @@ func FuzzSchemes(f *testing.F) {
 			} else if !out.AllInformed || out.Coverage != 1 {
 				t.Fatalf("%s on %v from %d: verified outcome informs %.2f of the nodes", scheme, g, net.Source, out.Coverage)
 			}
-			if scheme == "barb" {
-				continue
-			}
 			checkCut(t, out, int(cut))
-			checkCut(t, runOn(t, out.Labeling, spec), int(cut), spec)
+			checkCut(t, runOn(t, out.Labeling, spec, radiobcast.WithSource(out.Source)), int(cut), spec)
 		}
 	})
 }
 
-// checkCut reruns full's labeling with opts, cut at round c: the uncut
-// run's completion round shifted by shift and wrapped into
-// [1, full.Result.Rounds]. The cut run must inform every node the uncut
+// checkCut reruns full's labeling from full's source with opts, cut at
+// round c: the uncut run's completion round shifted by shift and wrapped
+// into [1, full.Result.Rounds]. The source is explicit because a barb
+// labeling's Source is its coordinator. The cut run must inform every node the uncut
 // run informed by round c, in the same round, and no other; its AckRound
 // is the uncut one if that is at most c, else 0.
 func checkCut(t *testing.T, full *radiobcast.Outcome, shift int, opts ...radiobcast.Option) {
 	t.Helper()
 	rounds := full.Result.Rounds
 	c := 1 + ((full.CompletionRound-1+shift)%rounds+rounds)%rounds
-	cut := runOn(t, full.Labeling, append(opts, radiobcast.WithMaxRounds(c))...)
+	cut := runOn(t, full.Labeling, append(opts, radiobcast.WithSource(full.Source), radiobcast.WithMaxRounds(c))...)
 	upTo := func(r int) int {
 		if r > c {
 			return 0

@@ -337,9 +337,9 @@ func TestRunLabeledSteadyStateAllocs(t *testing.T) {
 
 // TestPooledRunBytesPerNode pins what a pooled run allocates: on a reused
 // Sim, a RunLabeled of b or back allocates its Result and outcome, not
-// per-node slice headers or a fresh protocol slab. path/1024's receptions
-// alone are about 130 bytes per node for b. The mean over many runs keeps
-// a GC that empties a pool mid-measurement from mattering.
+// per-node slice headers or a fresh protocol slab; path/1024 reads about
+// 130 bytes per node for b, most of it receptions. The mean over many
+// runs keeps a GC that empties a pool mid-measurement from mattering.
 func TestPooledRunBytesPerNode(t *testing.T) {
 	for _, tc := range []struct {
 		scheme  string
@@ -375,6 +375,39 @@ func TestPooledRunBytesPerNode(t *testing.T) {
 			}
 			t.Logf("%.0f bytes per node", got)
 		})
+	}
+}
+
+// TestVerifyAllocatesNothing pins that Verify reads an outcome without
+// allocating, for every registered scheme on path/256 and grid/256, from
+// the last node, so barb's coordinator (node 0) is not its source. It
+// covers each cell where the scheme labels and passes Verify: flooding is
+// not universal, and the searched schemes may find no labeling.
+func TestVerifyAllocatesNothing(t *testing.T) {
+	for _, family := range []string{"path", "grid"} {
+		net, err := radiobcast.Family(family, 256)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net = net.At(net.Graph.N() - 1)
+		for _, scheme := range radiobcast.SchemeNames() {
+			out, err := radiobcast.Run(net, scheme, radiobcast.WithMessage("m"))
+			if errors.Is(err, radiobcast.ErrNoLabeling) {
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s on %s/256: %v", scheme, family, err)
+			}
+			if err := radiobcast.Verify(out); err != nil {
+				if scheme == "flooding" {
+					continue
+				}
+				t.Fatalf("%s on %s/256: %v", scheme, family, err)
+			}
+			if allocs := testing.AllocsPerRun(10, func() { _ = radiobcast.Verify(out) }); allocs != 0 {
+				t.Errorf("%s on %s/256: Verify makes %.0f allocations, want 0", scheme, family, allocs)
+			}
+		}
 	}
 }
 

@@ -164,15 +164,16 @@ type slotNode struct {
 	mu                  string
 }
 
-func (p *slotNode) Step(rcv *radiobcast.Message) radiobcast.Action {
+func (p *slotNode) Step(rcv, out *radiobcast.Message) bool {
 	p.round++
 	if rcv != nil && !p.informed {
 		p.mu, p.informed = rcv.Payload, true
 	}
 	if p.informed && (p.round-1)%p.period == p.slot {
-		return radiobcast.Action{Transmit: true, Msg: radiobcast.Message{Payload: p.mu}}
+		*out = radiobcast.Message{Payload: p.mu}
+		return true
 	}
-	return radiobcast.Action{}
+	return false
 }
 
 // TestSchemeFromScratch runs test-slot, a scheme written against the
