@@ -61,7 +61,7 @@ type LabelMeta struct {
 	Scheme   string `json:"scheme"`
 	N        int    `json:"n"`
 	M        int    `json:"m"`
-	Source   int    `json:"source"`
+	Source   int    `json:"source"`   // the anchor: the source, barb's r, or 0 where labels depend on no node
 	Bits     int    `json:"bits"`     // labeling length in bits (§1.1)
 	Distinct int    `json:"distinct"` // distinct label values
 	Bytes    int    `json:"bytes"`    // size of the wire-format blob
@@ -105,8 +105,9 @@ type RunRequest struct {
 // RunLabeledParams are the query parameters of POST /v1/run-labeled (the
 // body is the wire-format labeling itself).
 type RunLabeledParams struct {
-	// Source overrides the labeling's source when non-nil (useful for
-	// source-independent "barb" labelings).
+	// Source overrides the labeling's source, its anchor, when non-nil
+	// (useful for "barb", "roundrobin", "colorrobin" and "flooding"
+	// labelings, whose labels do not depend on the source).
 	Source *int
 	// Mu is the broadcast message (server default "µ").
 	Mu string

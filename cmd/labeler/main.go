@@ -16,7 +16,8 @@
 // With -sources, the monitor labels one graph for many designated sources
 // in a single invocation, fanning the independent (graph, source)
 // labelings across -workers goroutines through a shared Session (so
-// duplicate sources coalesce instead of recomputing):
+// sources that share an anchor, as every source of barb or roundrobin
+// does, coalesce instead of recomputing):
 //
 //	labeler -family grid -n 64 -scheme b -sources 0,7,42
 //	labeler -family path -n 1024 -scheme back -sources all -save path.labels
@@ -61,7 +62,7 @@ func main() {
 		file     = flag.String("graph", "", "read graph from edge-list file")
 		scheme   = flag.String("scheme", "b", "registered scheme name (see -schemes)")
 		source   = flag.Int("source", -1, "designated source (default: the network's)")
-		sources  = flag.String("sources", "", "label for many sources: comma-separated node list, or \"all\"")
+		sources  = flag.String("sources", "", "label for many sources: comma-separated node list, or \"all\" (one labeling serves every source of barb, roundrobin, colorrobin and flooding)")
 		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "labeling workers for -sources")
 		r        = flag.Int("r", 0, "coordinator for barb")
 		stages   = flag.Bool("stages", false, "print the stage decomposition")
@@ -188,10 +189,10 @@ func main() {
 		net, *scheme, l.Bits(), l.Distinct())
 	for v, lab := range l.Labels {
 		marks := ""
-		if v == l.Z {
+		if v == l.Z() {
 			marks += "  (z: acknowledgement initiator)"
 		}
-		if v == l.R {
+		if v == l.R() {
 			marks += "  (r: coordinator)"
 		}
 		fmt.Printf("node %3d: %s%s\n", v, lab, marks)
@@ -224,9 +225,10 @@ func main() {
 // labelMany fans independent (graph, source) labelings across workers
 // through one shared Session. Each source's labeling is summarized on its
 // own line (in source order); with -save, each is written to
-// <save>.s<source> in the wire format. Duplicate sources in the list are
-// served by the Session cache — or coalesced onto the in-flight
-// computation when workers race — rather than recomputed.
+// <save>.s<source> in the wire format. Sources that share an anchor
+// (duplicates, or every source of a scheme whose labels do not depend
+// on it) are served by the Session cache — or coalesced onto the
+// in-flight computation when workers race — rather than recomputed.
 func labelMany(ctx context.Context, net *radiobcast.Network, scheme, list string, workers int, savePrefix, storeDir string) error {
 	srcs, err := parseSources(list, net.Graph.N())
 	if err != nil {

@@ -330,11 +330,11 @@ func report(out *radiobcast.Outcome) {
 	case l.Labels != nil:
 		fmt.Printf("labels: %d-bit, %d distinct\n", l.Bits(), l.Distinct())
 	}
-	if l.Z >= 0 {
-		fmt.Printf("acknowledgement initiator z = node %d\n", l.Z)
+	if z := l.Z(); z >= 0 {
+		fmt.Printf("acknowledgement initiator z = node %d\n", z)
 	}
-	if l.R >= 0 {
-		fmt.Printf("coordinator r = node %d\n", l.R)
+	if r := l.R(); r >= 0 {
+		fmt.Printf("coordinator r = node %d\n", r)
 	}
 	fmt.Printf("broadcast complete: %v, completion round %d", out.AllInformed, out.CompletionRound)
 	if out.Scheme == "b" || out.Scheme == "back" {

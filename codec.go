@@ -19,7 +19,7 @@ import (
 //
 //	"RBL1"            magic + version
 //	scheme            uvarint length + bytes
-//	source, Z, R      varints
+//	source, z, r      varints: Source (the anchor), Z(), R()
 //	graph             n, m uvarints, then m edge pairs (u, v) as uvarints
 //	flags             bit0 labels, bit1 schedule, bit2 stages
 //	labels            n × (uvarint length + bytes), when present
@@ -31,7 +31,9 @@ import (
 //
 // All integers are varint-encoded; everything a Run or Verify needs
 // travels in the blob (the λ-family stage structure is rebuilt from its
-// DOM/NEW lists via the §2.1 recurrence). Decoding is defensive: every
+// DOM/NEW lists via the §2.1 recurrence). z and r are derived from the
+// labels, and a blob whose z or r disagrees with its labels is rejected
+// (ErrLabelingMismatch). Decoding is defensive: every
 // count is bounded by the remaining input before anything is allocated,
 // every label must be a bit string of at most 31 bits (the longest a
 // Label holds), and corrupt or truncated blobs return errors, never
@@ -91,8 +93,8 @@ func (l *Labeling) MarshalBinary() ([]byte, error) {
 	buf = binary.AppendUvarint(buf, uint64(len(l.Scheme)))
 	buf = append(buf, l.Scheme...)
 	buf = binary.AppendVarint(buf, int64(l.Source))
-	buf = binary.AppendVarint(buf, int64(l.Z))
-	buf = binary.AppendVarint(buf, int64(l.R))
+	buf = binary.AppendVarint(buf, int64(l.Z()))
+	buf = binary.AppendVarint(buf, int64(l.R()))
 
 	// The edges {u, v}, u < v, in lexicographic order: each CSR row is
 	// ascending, so its entries above u are u's edges in order.
@@ -232,9 +234,6 @@ func (l *Labeling) decode(data []byte, known *Graph) error {
 	if source < 0 || source >= n {
 		return fmt.Errorf("radiobcast: labeling codec: source %d out of range [0,%d)", source, n)
 	}
-	if z < -1 || z >= n || r < -1 || r >= n {
-		return fmt.Errorf("radiobcast: labeling codec: z=%d or r=%d out of range for n=%d", z, r, n)
-	}
 
 	flags, err := d.byte("flags")
 	if err != nil {
@@ -323,17 +322,19 @@ func (l *Labeling) decode(data []byte, known *Graph) error {
 		return fmt.Errorf("radiobcast: labeling codec: %d trailing bytes", d.rem())
 	}
 
-	*l = Labeling{
+	out := Labeling{
 		Scheme:   string(scheme),
 		Graph:    g,
 		Source:   source,
 		Labels:   labels,
 		Stages:   stages,
-		Z:        z,
-		R:        r,
 		Delays:   baseline.FloodingDelays{DelayOne: delayOne, DelayZero: delayZero},
 		Schedule: schedule,
 	}
+	if z != out.Z() || r != out.R() {
+		return labelingMismatch("labeling codec: blob says z=%d r=%d, its %s labels say z=%d r=%d", z, r, out.Scheme, out.Z(), out.R())
+	}
+	*l = out
 	return nil
 }
 

@@ -133,9 +133,65 @@ func TestLabelingCodecWriteRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Scheme != "back" || got.Z != l.Z || got.Graph.N() != net.Graph.N() {
+	if got.Scheme != "back" || got.Z() != l.Z() || got.Graph.N() != net.Graph.N() {
 		t.Fatalf("round-trip mangled the labeling: %+v", got)
 	}
+}
+
+// TestLabelingCodecChecksZR: z and r are written from the labels, and a
+// blob whose z or r varint names another node than its labels do is
+// outside input that contradicts itself, rejected with
+// ErrLabelingMismatch even under a valid CRC.
+func TestLabelingCodecChecksZR(t *testing.T) {
+	net, err := radiobcast.Family("path", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		scheme     string
+		z, r       int // what the labels say
+		forgeZ, fr int // what the forged blob says
+	}{
+		{"back", 15, -1, 3, -1},
+		{"barb", 15, 0, 15, 5},
+		{"barb", 15, 0, 4, 0},
+		{"b", -1, -1, 3, -1},
+	} {
+		l, err := radiobcast.LabelNetwork(net, c.scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l.Z() != c.z || l.R() != c.r {
+			t.Fatalf("%s: labels give z=%d r=%d, want %d %d", c.scheme, l.Z(), l.R(), c.z, c.r)
+		}
+		var back radiobcast.Labeling
+		if err := back.UnmarshalBinary(forgeZR(t, l, c.z, c.r)); err != nil || back.Z() != c.z || back.R() != c.r {
+			t.Fatalf("%s: honest blob decodes to z=%d r=%d: %v", c.scheme, back.Z(), back.R(), err)
+		}
+		err = back.UnmarshalBinary(forgeZR(t, l, c.forgeZ, c.fr))
+		if !errors.Is(err, radiobcast.ErrLabelingMismatch) {
+			t.Fatalf("%s blob claiming z=%d r=%d decoded: %v", c.scheme, c.forgeZ, c.fr, err)
+		}
+	}
+}
+
+// forgeZR returns l's wire bytes with z and r written as given, and the
+// checksum recomputed.
+func forgeZR(t *testing.T, l *radiobcast.Labeling, z, r int) []byte {
+	t.Helper()
+	blob, err := l.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := binary.AppendUvarint([]byte("RBL1"), uint64(len(l.Scheme)))
+	head = binary.AppendVarint(append(head, l.Scheme...), int64(l.Source))
+	written := binary.AppendVarint(binary.AppendVarint(slices.Clone(head), int64(l.Z())), int64(l.R()))
+	if !bytes.HasPrefix(blob, written) {
+		t.Fatal("blob does not start with its scheme, source, z and r")
+	}
+	body := binary.AppendVarint(binary.AppendVarint(head, int64(z)), int64(r))
+	body = append(body, blob[len(written):len(blob)-crc32.Size]...)
+	return binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
 }
 
 func TestLabelingCodecRejectsTruncation(t *testing.T) {

@@ -31,7 +31,7 @@ func main() {
 	}
 	fmt.Printf("network: %v, max degree %d\n", net, net.Graph.MaxDegree())
 	fmt.Printf("labels: %d bits each, %d distinct values, ack initiator z = node %d\n",
-		labeling.Bits(), labeling.Distinct(), labeling.Z)
+		labeling.Bits(), labeling.Distinct(), labeling.Z())
 
 	// Stream the firmware: each chunk is a fresh acknowledged broadcast
 	// over the same labels. The gateway proceeds only on acknowledgement.

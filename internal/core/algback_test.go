@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -13,27 +14,31 @@ import (
 func TestAlgBackSingleEdge(t *testing.T) {
 	// n=2: v informed in round 1 = 2ℓ−3 (ℓ=2); z = v transmits (ack,1) in
 	// round 2 = 2ℓ−2; the source hears it.
-	out, err := runAcknowledged(graph.Path(2), 0, "m", BuildOptions{})
+	g := graph.Path(2)
+	l, err := LambdaAck(g, 0, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := runAcknowledgedLabeled(g, l, 0, "m")
 	if err := VerifyAcknowledged(out, "m"); err != nil {
 		t.Fatal(err)
 	}
 	if out.AckRound != 2 {
 		t.Fatalf("ack round = %d, want 2", out.AckRound)
 	}
-	if out.Z != 1 {
-		t.Fatalf("z = %d, want 1", out.Z)
+	if z := slices.IndexFunc(l.Labels, Label.X3); z != 1 {
+		t.Fatalf("z = %d, want 1", z)
 	}
 }
 
 func TestAlgBackFigure1(t *testing.T) {
 	// ℓ=5: completion in round 7, ack window {2ℓ−2..3ℓ−4} = {8..11}.
-	out, err := runAcknowledged(graph.Figure1(), graph.Figure1Source, "m", BuildOptions{})
+	g := graph.Figure1()
+	l, err := LambdaAck(g, graph.Figure1Source, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := runAcknowledgedLabeled(g, l, graph.Figure1Source, "m")
 	if err := VerifyAcknowledged(out, "m"); err != nil {
 		t.Fatal(err)
 	}
@@ -44,8 +49,8 @@ func TestAlgBackFigure1(t *testing.T) {
 		t.Fatalf("ack round = %d, want within [8,11]", out.AckRound)
 	}
 	// z must be node 12 (the unique last-informed node).
-	if out.Z != 12 {
-		t.Fatalf("z = %d, want 12", out.Z)
+	if z := slices.IndexFunc(l.Labels, Label.X3); z != 12 {
+		t.Fatalf("z = %d, want 12", z)
 	}
 }
 

@@ -153,7 +153,7 @@ func NewBarbProtocols(labels []Label, source int, mu string) (ps []radio.Protoco
 	s := takeSlab[AlgBarb](&barbSlabs, len(labels))
 	for v, lab := range labels {
 		a := &s.nodes[v]
-		*a = AlgBarb{isR: lab == coordinatorLabel}
+		*a = AlgBarb{isR: lab == CoordinatorLabel}
 		for i := range a.p {
 			a.p[i] = ackMachine{label: lab, spec: barbSpecs[i], origin: a.isR}
 		}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"slices"
 	"testing"
 	"testing/quick"
 
@@ -39,8 +38,7 @@ func TestAlgBarbSourceIsCoordinator(t *testing.T) {
 
 // TestAlgBarbCoordinatorInformedByAck pins Barb's reading of the Result:
 // the coordinator r is informed by the phase-2 ack that carries µ, before
-// any phase-3 data reaches it, and r is the node whose protocol ran as
-// coordinator (labeled 111), whatever the labeling's R field says.
+// any phase-3 data reaches it.
 func TestAlgBarbCoordinatorInformedByAck(t *testing.T) {
 	g := graph.Path(16)
 	l, err := LambdaArb(g, 0, BuildOptions{})
@@ -60,15 +58,6 @@ func TestAlgBarbCoordinatorInformedByAck(t *testing.T) {
 	}
 	if data := out.Result.FirstReception(0, radio.KindData); ack == 0 || out.InformedRound[0] != ack || data <= ack {
 		t.Fatalf("r informed in round %d; its µ ack came in round %d, its first data in %d", out.InformedRound[0], ack, data)
-	}
-	wrongR := *l
-	wrongR.R = 5
-	got, err := runArbitraryLabeled(g, &wrongR, 15, "m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.R != 0 || !slices.Equal(got.InformedRound, out.InformedRound) {
-		t.Fatalf("labeling with R = 5: coordinator %d, informed %v; want 0, %v", got.R, got.InformedRound, out.InformedRound)
 	}
 }
 

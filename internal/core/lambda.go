@@ -16,10 +16,6 @@ type Labeling struct {
 	// keeps some v ∈ DOM_{i+1} ∩ DOM_i transmitting (x2(w) = 1); 0 if w was
 	// not picked.
 	StayPick []int32
-	// Z is the acknowledgement initiator of λack (−1 for plain λ).
-	Z int
-	// R is the coordinator of λarb (−1 otherwise).
-	R int
 }
 
 // Lambda computes the 2-bit labeling scheme λ of §2.2 for graph g with
@@ -85,7 +81,7 @@ func labelsFromStages(st *Stages, bcsr *graph.BitCSR) (*Labeling, error) {
 	for v := 0; v < n; v++ {
 		labels[v] = MakeLabel(x1.Has(v), x2[v])
 	}
-	return &Labeling{Labels: labels, Stages: st, StayPick: stayPick, Z: -1, R: -1}, nil
+	return &Labeling{Labels: labels, Stages: st, StayPick: stayPick}, nil
 }
 
 // VerifyLambda checks the structural properties the correctness proof of

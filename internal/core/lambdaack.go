@@ -42,12 +42,6 @@ func extendToAck(l *Labeling) error {
 	for v := 0; v < n; v++ {
 		l.Labels[v] = MakeLabel(l.Labels[v].X1(), l.Labels[v].X2(), v == z)
 	}
-	l.Z = z
-	if z >= 0 {
-		if l.Labels[z].X1() || l.Labels[z].X2() {
-			return fmt.Errorf("core: Fact 3.1 violated: z=%d has label %s", z, l.Labels[z])
-		}
-	}
 	return checkFact31(l.Labels)
 }
 
@@ -76,6 +70,5 @@ func LambdaAckWithZ(g *graph.Graph, source, z int, opt BuildOptions) (*Labeling,
 	for v := 0; v < n; v++ {
 		l.Labels[v] = MakeLabel(l.Labels[v].X1(), l.Labels[v].X2(), v == z)
 	}
-	l.Z = z
 	return l, nil
 }

@@ -6,8 +6,8 @@ import (
 	"radiobcast/internal/graph"
 )
 
-// coordinatorLabel is the coordinator r's λarb label 111.
-var coordinatorLabel = MakeLabel(true, true, true)
+// CoordinatorLabel is the coordinator r's λarb label 111.
+var CoordinatorLabel = MakeLabel(true, true, true)
 
 // LambdaArb computes the 3-bit labeling scheme λarb of §4.1 for the setting
 // where the source is not known at labeling time. An arbitrary node r is
@@ -24,8 +24,7 @@ func LambdaArb(g *graph.Graph, r int, opt BuildOptions) (*Labeling, error) {
 	if err != nil {
 		return nil, err
 	}
-	l.Labels[r] = coordinatorLabel
-	l.R = r
+	l.Labels[r] = CoordinatorLabel
 	// λarb uses at most 6 distinct labels: the 5 of λack plus 111 (§5).
 	if d := Distinct(l.Labels); d > 6 {
 		return nil, fmt.Errorf("core: λarb produced %d distinct labels, want ≤ 6", d)

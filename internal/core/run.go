@@ -16,9 +16,9 @@ type BroadcastOutcome struct {
 	AllInformed   bool
 	// CompletionRound is the largest InformedRound (the t of Theorem 2.9).
 	CompletionRound int
-	// Stages is the construction underlying the labels.
+	// Stages is the construction underlying the labels (nil for Barb,
+	// whose checks do not read it).
 	Stages *Stages
-	Labels []Label
 }
 
 // PlanBroadcast returns what a B execution runs: the protocol vector,
@@ -27,23 +27,23 @@ type BroadcastOutcome struct {
 // NewBProtocols). A run is exactly plan → radio.Run → AssembleBroadcast →
 // release. MaxRounds defaults to 2n+4, comfortably above the paper's
 // 2n−3 bound.
-func PlanBroadcast(g *graph.Graph, l *Labeling, source int, mu string) (ps []radio.Protocol, base radio.Options, release func()) {
-	ps, release = NewBProtocols(l.Labels, source, mu)
+func PlanBroadcast(g *graph.Graph, labels []Label, source int, mu string) (ps []radio.Protocol, base radio.Options, release func()) {
+	ps, release = NewBProtocols(labels, source, mu)
 	return ps, radio.Options{MaxRounds: 2*g.N() + 4, StopAfterSilent: 3}, release
 }
 
 // AssembleBroadcast turns the Result of running PlanBroadcast's protocols
-// into the outcome.
-func AssembleBroadcast(res *radio.Result, l *Labeling, source int) *BroadcastOutcome {
+// over the labels of stages st into the outcome.
+func AssembleBroadcast(res *radio.Result, st *Stages, source int) *BroadcastOutcome {
 	out := &BroadcastOutcome{}
-	assembleInformed(out, res, l, source, -1)
+	assembleInformed(out, res, st, source, -1)
 	return out
 }
 
 // assembleInformed fills the broadcast half of an outcome from the
 // engine Result; coordinator is Informed's.
-func assembleInformed(out *BroadcastOutcome, res *radio.Result, l *Labeling, source, coordinator int) {
-	out.Result, out.Stages, out.Labels = res, l.Stages, l.Labels
+func assembleInformed(out *BroadcastOutcome, res *radio.Result, st *Stages, source, coordinator int) {
+	out.Result, out.Stages = res, st
 	out.InformedRound, out.AllInformed, out.CompletionRound = Informed(res, source, coordinator)
 }
 
@@ -133,21 +133,20 @@ type AckOutcome struct {
 	// (the t′ of Theorem 3.9), its first ack reception in Result; 0 if it
 	// never arrived.
 	AckRound int
-	Z        int
 }
 
 // PlanAcknowledged is PlanBroadcast for a Back execution.
-func PlanAcknowledged(g *graph.Graph, l *Labeling, source int, mu string) (ps []radio.Protocol, base radio.Options, release func()) {
-	ps, release = NewBackProtocols(l.Labels, source, mu)
+func PlanAcknowledged(g *graph.Graph, labels []Label, source int, mu string) (ps []radio.Protocol, base radio.Options, release func()) {
+	ps, release = NewBackProtocols(labels, source, mu)
 	return ps, radio.Options{MaxRounds: 3*g.N() + 6, StopAfterSilent: 3}, release
 }
 
 // AssembleAcknowledged turns the Result of running PlanAcknowledged's
 // protocols into the outcome: the broadcast half as AssembleBroadcast
 // reads it, and the source's first ack reception.
-func AssembleAcknowledged(res *radio.Result, l *Labeling, source int) *AckOutcome {
-	out := &AckOutcome{AckRound: res.FirstReception(source, radio.KindAck), Z: l.Z}
-	assembleInformed(&out.BroadcastOutcome, res, l, source, -1)
+func AssembleAcknowledged(res *radio.Result, st *Stages, source int) *AckOutcome {
+	out := &AckOutcome{AckRound: res.FirstReception(source, radio.KindAck)}
+	assembleInformed(&out.BroadcastOutcome, res, st, source, -1)
 	return out
 }
 
@@ -186,8 +185,7 @@ type ArbOutcome struct {
 	BroadcastOutcome
 	// R is the coordinator: the node whose protocol ran as r, the one
 	// labeled 111 (−1 if none was).
-	R      int
-	Source int
+	R int
 	// KnowsCompleteRound[v]: absolute round from which v knows broadcast
 	// completed (0 = never); for correct runs all entries are equal.
 	KnowsCompleteRound []int
@@ -199,12 +197,12 @@ type ArbOutcome struct {
 // predicate reads per-node protocol state, so it must only stop a run of
 // exactly the returned protocol vector. Errors for n < 2 (Barb needs a
 // coordinator and at least one other node).
-func PlanArbitrary(g *graph.Graph, l *Labeling, source int, mu string) (ps []radio.Protocol, base radio.Options, release func(), err error) {
+func PlanArbitrary(g *graph.Graph, labels []Label, source int, mu string) (ps []radio.Protocol, base radio.Options, release func(), err error) {
 	n := g.N()
 	if n < 2 {
 		return nil, radio.Options{}, nil, fmt.Errorf("core: Barb needs n ≥ 2")
 	}
-	nodes, release := NewBarbProtocols(l.Labels, source, mu)
+	nodes, release := NewBarbProtocols(labels, source, mu)
 	base = radio.Options{
 		MaxRounds: 14*n + 40,
 		Stop: func(round int) bool {
@@ -223,9 +221,9 @@ func PlanArbitrary(g *graph.Graph, l *Labeling, source int, mu string) (ps []rad
 // ps into the outcome. KnowsCompleteRound, T and which node ran as the
 // coordinator are protocol state, so res must come from running exactly
 // ps and the slab must not be released yet.
-func AssembleArbitrary(res *radio.Result, l *Labeling, ps []radio.Protocol, source int) *ArbOutcome {
+func AssembleArbitrary(res *radio.Result, ps []radio.Protocol, source int) *ArbOutcome {
 	out := &ArbOutcome{
-		R: -1, Source: source,
+		R:                  -1,
 		KnowsCompleteRound: make([]int, len(ps)),
 		TotalRounds:        res.Rounds,
 	}
@@ -239,7 +237,7 @@ func AssembleArbitrary(res *radio.Result, l *Labeling, ps []radio.Protocol, sour
 			out.T = t
 		}
 	}
-	assembleInformed(&out.BroadcastOutcome, res, l, source, out.R)
+	assembleInformed(&out.BroadcastOutcome, res, nil, source, out.R)
 	return out
 }
 

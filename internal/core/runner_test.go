@@ -17,9 +17,9 @@ func runBroadcast(g *graph.Graph, source int, mu string, opt BuildOptions) (*Bro
 }
 
 func runBroadcastLabeled(g *graph.Graph, l *Labeling, source int, mu string) *BroadcastOutcome {
-	ps, base, release := PlanBroadcast(g, l, source, mu)
+	ps, base, release := PlanBroadcast(g, l.Labels, source, mu)
 	defer release()
-	return AssembleBroadcast(radio.Run(g, ps, base), l, source)
+	return AssembleBroadcast(radio.Run(g, ps, base), l.Stages, source)
 }
 
 func runAcknowledged(g *graph.Graph, source int, mu string, opt BuildOptions) (*AckOutcome, error) {
@@ -31,9 +31,9 @@ func runAcknowledged(g *graph.Graph, source int, mu string, opt BuildOptions) (*
 }
 
 func runAcknowledgedLabeled(g *graph.Graph, l *Labeling, source int, mu string) *AckOutcome {
-	ps, base, release := PlanAcknowledged(g, l, source, mu)
+	ps, base, release := PlanAcknowledged(g, l.Labels, source, mu)
 	defer release()
-	return AssembleAcknowledged(radio.Run(g, ps, base), l, source)
+	return AssembleAcknowledged(radio.Run(g, ps, base), l.Stages, source)
 }
 
 func runArbitrary(g *graph.Graph, r, source int, mu string, opt BuildOptions) (*ArbOutcome, error) {
@@ -45,10 +45,10 @@ func runArbitrary(g *graph.Graph, r, source int, mu string, opt BuildOptions) (*
 }
 
 func runArbitraryLabeled(g *graph.Graph, l *Labeling, source int, mu string) (*ArbOutcome, error) {
-	ps, base, release, err := PlanArbitrary(g, l, source, mu)
+	ps, base, release, err := PlanArbitrary(g, l.Labels, source, mu)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	return AssembleArbitrary(radio.Run(g, ps, base), l, ps, source), nil
+	return AssembleArbitrary(radio.Run(g, ps, base), ps, source), nil
 }

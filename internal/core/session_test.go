@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"radiobcast/internal/graph"
@@ -43,7 +44,7 @@ func TestSessionLabelsExposed(t *testing.T) {
 	if MaxLen(l.Labels) != 3 {
 		t.Fatalf("label length %d, want 3", MaxLen(l.Labels))
 	}
-	if l.Z != 4 {
-		t.Fatalf("z = %d, want the far endpoint 4", l.Z)
+	if z := slices.IndexFunc(l.Labels, Label.X3); z != 4 {
+		t.Fatalf("z = %d, want the far endpoint 4", z)
 	}
 }

@@ -75,7 +75,7 @@ func TestSlabReuse(t *testing.T) {
 		want := make([]AlgBarb, n)
 		for v, lab := range l.Labels {
 			a := &want[v]
-			a.isR = lab == coordinatorLabel
+			a.isR = lab == CoordinatorLabel
 			for i := range a.p {
 				a.p[i] = ackMachine{label: lab, spec: barbSpecs[i], origin: a.isR}
 			}

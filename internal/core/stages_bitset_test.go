@@ -66,9 +66,6 @@ func assertLabelingsIdentical(t *testing.T, tag string, got, want *Labeling) {
 	if !reflect.DeepEqual(got.StayPick, want.StayPick) {
 		t.Fatalf("%s: stay picks differ:\ngot    %v\noracle %v", tag, got.StayPick, want.StayPick)
 	}
-	if got.Z != want.Z || got.R != want.R {
-		t.Fatalf("%s: z/r differ: got (%d,%d) oracle (%d,%d)", tag, got.Z, got.R, want.Z, want.R)
-	}
 	assertStagesIdentical(t, tag, got.Stages, nil, want.Stages, nil)
 }
 
@@ -102,8 +99,7 @@ func oracleLabeling(g *graph.Graph, source int, opt BuildOptions, ack, arb bool)
 		}
 	}
 	if arb {
-		l.Labels[source] = MustParseLabel("111")
-		l.R = source
+		l.Labels[source] = CoordinatorLabel
 	}
 	return l, nil
 }

@@ -45,7 +45,7 @@ func DomAblationExperiment(cfg Config) ([]*Table, error) {
 			return row{fam: j.c.Family, n: g.N(), order: j.order.String(), err: err}
 		}
 		out, err := radiobcast.RunLabeled(&radiobcast.Labeling{
-			Scheme: "b", Graph: g, Labels: l.Labels, Stages: l.Stages, Z: l.Z, R: l.R,
+			Scheme: "b", Graph: g, Labels: l.Labels, Stages: l.Stages,
 		}, radiobcast.WithMessage("m"))
 		if err != nil {
 			return row{fam: j.c.Family, n: g.N(), order: j.order.String(), err: err}
@@ -123,7 +123,7 @@ func ZAblationExperiment(cfg Config) ([]*Table, error) {
 		if err := radiobcast.Verify(good); err != nil {
 			return nil, fmt.Errorf("%s: %w", tc.name, err)
 		}
-		t.AddRow(tc.name, tc.g.N(), fmt.Sprintf("%d (correct)", good.Labeling.Z),
+		t.AddRow(tc.name, tc.g.N(), fmt.Sprintf("%d (correct)", good.Labeling.Z()),
 			good.CompletionRound, good.AckRound, boolMark(good.AckRound > good.CompletionRound))
 
 		// Wrong choice: a node informed in stage 1.
@@ -133,7 +133,7 @@ func ZAblationExperiment(cfg Config) ([]*Table, error) {
 			return nil, err
 		}
 		bad, err := radiobcast.RunLabeled(&radiobcast.Labeling{
-			Scheme: "back", Graph: tc.g, Labels: l.Labels, Stages: l.Stages, Z: l.Z, R: l.R,
+			Scheme: "back", Graph: tc.g, Labels: l.Labels, Stages: l.Stages,
 		}, radiobcast.WithMessage("m"))
 		if err != nil {
 			return nil, err

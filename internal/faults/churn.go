@@ -8,8 +8,8 @@ import (
 
 // ChurnEvent is one scheduled topology mutation: at the start of Round,
 // the undirected edge {U, V} appears (Add) or disappears. Events on
-// already-present (or already-absent) edges are no-ops, matching the
-// graph's AddEdge/RemoveEdge tolerance.
+// already-present (or already-absent) edges are no-ops, as they are for
+// graph.CSR.SetEdge, which applies them.
 type ChurnEvent struct {
 	Round int  `json:"round"`
 	Add   bool `json:"add"`

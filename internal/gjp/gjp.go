@@ -60,7 +60,7 @@ func Plan(g *graph.Graph, labels []core.Label, source int, mu string) (ps []radi
 			bLabels[v] = one
 		}
 	}
-	return core.PlanBroadcast(g, &core.Labeling{Labels: bLabels}, source, mu)
+	return core.PlanBroadcast(g, bLabels, source, mu)
 }
 
 // Build computes a 1-bit labeling under which the protocol (see

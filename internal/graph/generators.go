@@ -363,7 +363,7 @@ func (c *pairKeys) add(k int64) {
 		c.base += c.n - 1 - c.i
 		c.i++
 	}
-	c.keys = append(c.keys, (c.i*c.n+c.i+1+k-c.base)<<1)
+	c.keys = append(c.keys, c.i*c.n+c.i+1+k-c.base)
 }
 
 // RandomRadius2 returns a random connected graph in which every node is at

@@ -7,30 +7,29 @@
 package graph
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sync/atomic"
 )
 
 // Graph is a simple undirected graph over nodes 0..n-1 whose adjacency is
-// its CSR (see Freeze). New, AddEdge and RemoveEdge only append to an edit
-// buffer; the first read turns the buffer into the CSR and drops it.
+// its CSR (see Freeze). New and AddEdge only append to an edit buffer;
+// the first read turns the buffer into the CSR and drops it.
 // FromEdgeKeys builds the CSR directly. Adjacency comes out sorted and
 // duplicate-free, so every downstream algorithm iterates neighbours in a
 // deterministic order. The fingerprint is hashed on its first call, not
 // by the read that builds the CSR, since only cache keys read it.
 //
-// Edits belong before the first read: an edit after a read that changes
-// the graph reopens the buffer from the CSR, which costs O(m), so
+// Edits belong before the first read: an edge added after a read that is
+// not already present reopens the buffer from the CSR, which costs O(m), so
 // builders that test membership while they add edges keep their own
 // state. A graph is read-only once it is shared: read it once (Freeze)
 // before handing it to other goroutines, and do not edit it afterwards.
 // Fingerprint may be called first by several goroutines at once.
 type Graph struct {
 	n int
-	// buf holds the edits since the last read: each is the edge key
-	// min·n+max shifted left one bit, with the low bit set for a removal.
+	// buf holds the edges added since the last read, each as its key
+	// min·n+max.
 	buf []int64
 	csr *CSR // nil while edits are pending
 	// fp caches the fingerprint of csr, 0 until the first Fingerprint
@@ -67,7 +66,20 @@ func (g *Graph) AddEdge(u, v int) {
 	if u == v {
 		panic(fmt.Sprintf("graph: self-loop at %d", u))
 	}
-	g.edit(u, v, 0)
+	if g.csr != nil {
+		// On a frozen graph an edge already present keeps the CSR; a new
+		// one reopens the buffer from it.
+		if g.HasEdge(u, v) {
+			return
+		}
+		buf := make([]int64, 0, g.csr.M()+1)
+		for _, e := range g.Edges() {
+			buf = append(buf, g.key(e[0], e[1]))
+		}
+		g.buf, g.csr = buf, nil
+		g.fp.Store(0)
+	}
+	g.buf = append(g.buf, g.key(min(u, v), max(u, v)))
 }
 
 // Grow makes room for m more edits, so code that knows its edge count
@@ -79,59 +91,19 @@ func (g *Graph) Grow(m int) {
 	}
 }
 
-// RemoveEdge deletes the undirected edge {u, v}. Removing an absent edge
-// is a no-op, mirroring AddEdge's tolerance of re-adds.
-func (g *Graph) RemoveEdge(u, v int) {
-	g.check(u)
-	g.check(v)
-	if u != v {
-		g.edit(u, v, 1)
-	}
-}
-
-// edit appends one edit to the buffer. On a frozen graph an edit that
-// changes nothing keeps the CSR; any other reopens the buffer from it.
-func (g *Graph) edit(u, v int, removal int64) {
-	if g.csr != nil {
-		if g.HasEdge(u, v) == (removal == 0) {
-			return
-		}
-		buf := make([]int64, 0, g.csr.M()+1)
-		for _, e := range g.Edges() {
-			buf = append(buf, g.key(e[0], e[1])<<1)
-		}
-		g.buf, g.csr = buf, nil
-		g.fp.Store(0)
-	}
-	g.buf = append(g.buf, g.key(min(u, v), max(u, v))<<1|removal)
-}
-
 func (g *Graph) key(u, v int) int64 { return int64(u)*int64(g.n) + int64(v) }
 
-// Freeze returns the CSR form of g. The first call after an edit builds it
-// from the edit buffer through edgesToCSR and drops the buffer; later
-// calls return the same CSR, so callers on hot paths just call Freeze
-// every time. Every other read goes through it.
+// Freeze returns the CSR form of g. The first call after an edit sorts
+// the edit buffer, drops its repeated edges, builds the CSR from it
+// through edgesToCSR and drops the buffer; later calls return the same
+// CSR, so callers on hot paths just call Freeze every time. Every other
+// read goes through it.
 func (g *Graph) Freeze() *CSR {
 	if g.csr != nil {
 		return g.csr
 	}
-	buf := g.buf
-	// The last edit of an edge decides whether it is present, so with
-	// removals in the buffer the sort keeps each edge's edits in arrival
-	// order. Without them an edge's edits are equal and any order will do.
-	if slices.ContainsFunc(buf, func(e int64) bool { return e&1 != 0 }) {
-		slices.SortStableFunc(buf, func(a, b int64) int { return cmp.Compare(a>>1, b>>1) })
-	} else {
-		slices.Sort(buf)
-	}
-	edges := buf[:0]
-	for i, e := range buf {
-		if e&1 == 0 && (i+1 == len(buf) || buf[i+1]>>1 != e>>1) {
-			edges = append(edges, e>>1)
-		}
-	}
-	g.csr = edgesToCSR(g.n, edges)
+	slices.Sort(g.buf)
+	g.csr = edgesToCSR(g.n, slices.Compact(g.buf))
 	g.buf = nil
 	return g.csr
 }

@@ -233,60 +233,3 @@ func TestQuickEdgeSymmetry(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestRemoveEdge(t *testing.T) {
-	g := New(5)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
-	g.RemoveEdge(2, 1)
-	if g.HasEdge(1, 2) || g.HasEdge(2, 1) {
-		t.Fatal("edge {1,2} survived removal")
-	}
-	if g.M() != 2 {
-		t.Fatalf("M = %d after removal, want 2", g.M())
-	}
-	if d := g.Degree(1); d != 1 {
-		t.Fatalf("deg(1) = %d after removal, want 1", d)
-	}
-	// Removing an absent edge (or a self-loop coordinate) is a no-op.
-	g.RemoveEdge(1, 2)
-	g.RemoveEdge(4, 4)
-	g.RemoveEdge(0, 4)
-	if g.M() != 2 {
-		t.Fatalf("no-op removals changed M to %d", g.M())
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Remove-then-re-add round-trips.
-	g.AddEdge(1, 2)
-	if !g.HasEdge(1, 2) || g.M() != 3 {
-		t.Fatal("re-add after removal failed")
-	}
-}
-
-func TestRemoveEdgeInvalidatesCaches(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
-	csr := g.Freeze()
-	fp := g.Fingerprint()
-	if !neighborSet(g, 1).Has(2) {
-		t.Fatal("precondition: 2 in N(1)")
-	}
-	g.RemoveEdge(1, 2)
-	if g.Freeze() == csr {
-		t.Fatal("RemoveEdge did not invalidate the CSR cache")
-	}
-	if g.Freeze().M() != 2 {
-		t.Fatalf("refrozen CSR has M = %d, want 2", g.Freeze().M())
-	}
-	if g.Fingerprint() == fp {
-		t.Fatal("RemoveEdge did not change the fingerprint")
-	}
-	if neighborSet(g, 1).Has(2) {
-		t.Fatal("RemoveEdge did not reach the neighbour lists")
-	}
-}

@@ -42,7 +42,7 @@ func StreamGNPConnected(n int, p float64, seed int64) *Graph {
 	keys := make([]int64, 0, n-1+int(expected)+16)
 	for i := 1; i < n; i++ {
 		j := r.Intn(i)
-		keys = append(keys, (int64(j)*int64(n)+int64(i))<<1)
+		keys = append(keys, int64(j)*int64(n)+int64(i))
 	}
 	c := pairKeys{n: int64(n), keys: keys}
 	switch {

@@ -28,8 +28,10 @@ import (
 
 // Key identifies one stored labeling. It mirrors the Session's LRU key:
 // the fingerprint is a 64-bit structural graph hash, with n and m riding
-// along so a hash collision between different-sized graphs cannot alias;
-// Coordinator participates because "barb" labelings depend on it.
+// along so a hash collision between different-sized graphs cannot alias.
+// The Session writes the labeling's anchor, the one node its labels
+// depend on, as Source, and 0 as Coordinator; the field stays so the
+// index format does not change.
 type Key struct {
 	Fingerprint uint64
 	N, M        int

@@ -7,9 +7,9 @@ import (
 	"radiobcast/internal/radio"
 )
 
-// LabelNetwork computes the named scheme's labeling of the network — the
-// paper's one-time "central monitor" step. The labeling can then serve any
-// number of RunLabeled broadcasts.
+// LabelNetwork computes the named scheme's labeling of the network for
+// its anchor (Scheme.Anchor) — the paper's one-time "central monitor"
+// step. The labeling can then serve any number of RunLabeled broadcasts.
 func LabelNetwork(net *Network, scheme string, opts ...Option) (*Labeling, error) {
 	return LabelNetworkCtx(context.Background(), net, scheme, opts...)
 }
@@ -24,7 +24,7 @@ func LabelNetworkCtx(ctx context.Context, net *Network, scheme string, opts ...O
 	if err != nil {
 		return nil, err
 	}
-	return s.Label(net.Graph, source, cfg)
+	return s.Label(net.Graph, s.Anchor(source, cfg.Coordinator), cfg)
 }
 
 // Run labels the network with the named scheme and executes one broadcast:
@@ -51,7 +51,7 @@ func RunCtx(ctx context.Context, net *Network, scheme string, opts ...Option) (*
 	if err != nil {
 		return nil, err
 	}
-	l, err := s.Label(net.Graph, source, cfg)
+	l, err := s.Label(net.Graph, s.Anchor(source, cfg.Coordinator), cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -62,8 +62,9 @@ func RunCtx(ctx context.Context, net *Network, scheme string, opts ...Option) (*
 }
 
 // RunLabeled executes one broadcast over a previously computed labeling.
-// The source defaults to the labeling's source; schemes whose labels are
-// source-independent ("barb") accept any WithSource override.
+// The source defaults to the labeling's Source, its anchor. Schemes whose
+// anchor is not the source ("barb", "roundrobin", "colorrobin",
+// "flooding") accept any WithSource override.
 func RunLabeled(l *Labeling, opts ...Option) (*Outcome, error) {
 	return RunLabeledCtx(context.Background(), l, opts...)
 }

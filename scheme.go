@@ -1,6 +1,8 @@
 package radiobcast
 
 import (
+	"slices"
+
 	"radiobcast/internal/baseline"
 	"radiobcast/internal/core"
 	"radiobcast/internal/graph"
@@ -60,26 +62,20 @@ type Labeling struct {
 	Scheme string
 	// Graph is the labeled topology.
 	Graph *Graph
-	// Source is the node the labeling was computed for: the designated
-	// source for source-specific schemes, the coordinator r for "barb".
+	// Source is the anchor the labels were computed for (Scheme.Anchor):
+	// the source, barb's coordinator r, or 0 for the schemes whose labels
+	// depend on no node. RunLabeled runs from it unless told otherwise.
 	Source int
 	// Labels holds one label per node (nil for the unlabeled centralized
 	// baseline).
 	Labels []Label
 	// Stages is the §2.1 stage construction (λ-family schemes only).
 	Stages *core.Stages
-	// Z is the acknowledgement initiator of λack (−1 when absent).
-	Z int
-	// R is the coordinator of λarb (−1 when absent).
-	R int
 	// Delays are the flooding delays selected by 1-bit labels (schemes
 	// "onebit" and "flooding").
 	Delays baseline.FloodingDelays
 	// Schedule is the centralized baseline's per-round transmitter plan.
 	Schedule [][]int
-
-	// core caches the internal labeling for the λ-family run paths.
-	core *core.Labeling
 }
 
 // Bits returns the length of the labeling: the maximum label length in
@@ -95,13 +91,29 @@ func (l *Labeling) Strings() []string { return core.Strings(l.Labels) }
 // Histogram counts nodes per label value.
 func (l *Labeling) Histogram() map[Label]int { return core.Histogram(l.Labels) }
 
-// coreLabeling recovers the internal λ-family labeling, reconstructing it
-// from the public fields when the Labeling was assembled by hand.
-func (l *Labeling) coreLabeling() *core.Labeling {
-	if l.core != nil {
-		return l.core
+// Z returns λack's acknowledgement initiator z, read from the labels: the
+// node with x3 = 1 (§3.1), for "barb" the one other than r. It is −1 for
+// the other schemes, or when no node qualifies.
+func (l *Labeling) Z() int {
+	if l.Scheme != "back" && l.Scheme != "barb" {
+		return -1
 	}
-	return &core.Labeling{Labels: l.Labels, Stages: l.Stages, Z: l.Z, R: l.R}
+	r := l.R()
+	for v, lab := range l.Labels {
+		if lab.X3() && v != r {
+			return v
+		}
+	}
+	return -1
+}
+
+// R returns λarb's coordinator r, read from the labels: the node labeled
+// 111 (§4.1) in a "barb" labeling, else −1.
+func (l *Labeling) R() int {
+	if l.Scheme != "barb" {
+		return -1
+	}
+	return slices.Index(l.Labels, core.CoordinatorLabel)
 }
 
 // Outcome is the unified result of running any registered scheme. The
@@ -170,9 +182,12 @@ type Scheme interface {
 	Name() string
 	// Describe is a one-line human description (label length, origin).
 	Describe() string
-	// Label computes the scheme's labeling of g for the given source
-	// (schemes with a coordinator read it from cfg.Coordinator instead).
-	Label(g *Graph, source int, cfg *Config) (*Labeling, error)
+	// Anchor is the one node the scheme's labels depend on, for a run
+	// from source with coordinator r: source, r, or 0 when they depend on
+	// no node. Labelings are computed, and cached, per anchor.
+	Anchor(source, r int) int
+	// Label computes the scheme's labeling of g for anchor (its Source).
+	Label(g *Graph, anchor int, cfg *Config) (*Labeling, error)
 	// Plan instantiates a broadcast of mu from source under labeling l:
 	// fresh protocols, one per node, the run's bounds and the assembler of
 	// its outcome. The facade runs every plan the same way. Errors are

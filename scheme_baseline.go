@@ -53,8 +53,11 @@ func verifyCollisionFree(out *Outcome, scheme string) error {
 }
 
 // slottedScheme is the plan half shared by the two slotted baselines:
-// both run baseline.Slotted over their labels and must never collide.
+// both run baseline.Slotted over their labels, which depend on no node,
+// and must never collide.
 type slottedScheme struct{}
+
+func (slottedScheme) Anchor(int, int) int { return 0 }
 
 func (slottedScheme) Plan(l *Labeling, source int, mu string) (Plan, error) {
 	ps, stop := baseline.NewSlottedProtocols(l.Labels, source, mu)
@@ -75,10 +78,10 @@ func (roundRobinScheme) Describe() string {
 	return "O(log n)-bit distinct identifiers, one transmission slot per node"
 }
 
-func (roundRobinScheme) Label(g *Graph, source int, _ *Config) (*Labeling, error) {
+func (roundRobinScheme) Label(g *Graph, anchor int, _ *Config) (*Labeling, error) {
 	return &Labeling{
-		Scheme: "roundrobin", Graph: g, Source: source,
-		Labels: baseline.RoundRobinLabels(g.N()), Z: -1, R: -1,
+		Scheme: "roundrobin", Graph: g, Source: anchor,
+		Labels: baseline.RoundRobinLabels(g.N()),
 	}, nil
 }
 
@@ -91,11 +94,11 @@ func (colorRobinScheme) Describe() string {
 	return "O(log Δ)-bit distance-2 colouring, one transmission slot per colour"
 }
 
-func (colorRobinScheme) Label(g *Graph, source int, _ *Config) (*Labeling, error) {
+func (colorRobinScheme) Label(g *Graph, anchor int, _ *Config) (*Labeling, error) {
 	labels, _ := baseline.ColorRobinLabels(g)
 	return &Labeling{
-		Scheme: "colorrobin", Graph: g, Source: source,
-		Labels: labels, Z: -1, R: -1,
+		Scheme: "colorrobin", Graph: g, Source: anchor,
+		Labels: labels,
 	}, nil
 }
 
@@ -109,20 +112,19 @@ func (centralizedScheme) Describe() string {
 	return "centralized greedy schedule over full topology knowledge (no labels)"
 }
 
+func (centralizedScheme) Anchor(source, _ int) int { return source }
+
 func (centralizedScheme) Label(g *Graph, source int, _ *Config) (*Labeling, error) {
 	return &Labeling{
 		Scheme: "centralized", Graph: g, Source: source,
-		Schedule: baseline.BuildSchedule(g, source), Z: -1, R: -1,
+		Schedule: baseline.BuildSchedule(g, source),
 	}, nil
 }
 
-func (centralizedScheme) Plan(l *Labeling, source int, mu string) (Plan, error) {
+func (s centralizedScheme) Plan(l *Labeling, source int, mu string) (Plan, error) {
 	if source != l.Source || l.Schedule == nil {
-		// The schedule is source-specific; recompute for a new source.
-		l = &Labeling{
-			Scheme: "centralized", Graph: l.Graph, Source: source,
-			Schedule: baseline.BuildSchedule(l.Graph, source), Z: -1, R: -1,
-		}
+		// The schedule is source-specific (and its Label cannot fail).
+		l, _ = s.Label(l.Graph, source, nil)
 	}
 	// No stop predicate: the scripts fall silent after the schedule, whose
 	// last round is the run's second-to-last.
@@ -152,15 +154,17 @@ func (floodingScheme) Describe() string {
 	return "1-bit delayed flooding, all-1 labels (not universal; baseline for onebit)"
 }
 
-func (floodingScheme) Label(g *Graph, source int, _ *Config) (*Labeling, error) {
+func (floodingScheme) Anchor(int, int) int { return 0 }
+
+func (floodingScheme) Label(g *Graph, anchor int, _ *Config) (*Labeling, error) {
 	labels := make([]Label, g.N())
 	one := core.MakeLabel(true)
 	for v := range labels {
 		labels[v] = one
 	}
 	return &Labeling{
-		Scheme: "flooding", Graph: g, Source: source,
-		Labels: labels, Delays: baseline.DefaultDelays, Z: -1, R: -1,
+		Scheme: "flooding", Graph: g, Source: anchor,
+		Labels: labels, Delays: baseline.DefaultDelays,
 	}, nil
 }
 

@@ -22,6 +22,8 @@ func (bScheme) Describe() string {
 	return "2-bit labeling λ + universal algorithm B (broadcast in ≤ 2n−3 rounds)"
 }
 
+func (bScheme) Anchor(source, _ int) int { return source }
+
 func (bScheme) Label(g *Graph, source int, _ *Config) (*Labeling, error) {
 	l, err := core.Lambda(g, source, core.BuildOptions{})
 	if err != nil {
@@ -31,10 +33,9 @@ func (bScheme) Label(g *Graph, source int, _ *Config) (*Labeling, error) {
 }
 
 func (bScheme) Plan(l *Labeling, source int, mu string) (Plan, error) {
-	cl := l.coreLabeling()
-	ps, base, release := core.PlanBroadcast(l.Graph, cl, source, mu)
+	ps, base, release := core.PlanBroadcast(l.Graph, l.Labels, source, mu)
 	return corePlan(ps, base, release, func(res *Result) *Outcome {
-		out := core.AssembleBroadcast(res, cl, source)
+		out := core.AssembleBroadcast(res, l.Stages, source)
 		return &Outcome{
 			InformedRound:   out.InformedRound,
 			AllInformed:     out.AllInformed,
@@ -61,6 +62,8 @@ func (backScheme) Describe() string {
 	return "3-bit labeling λack + algorithm Back (broadcast with acknowledgement)"
 }
 
+func (backScheme) Anchor(source, _ int) int { return source }
+
 func (backScheme) Label(g *Graph, source int, _ *Config) (*Labeling, error) {
 	l, err := core.LambdaAck(g, source, core.BuildOptions{})
 	if err != nil {
@@ -70,10 +73,9 @@ func (backScheme) Label(g *Graph, source int, _ *Config) (*Labeling, error) {
 }
 
 func (backScheme) Plan(l *Labeling, source int, mu string) (Plan, error) {
-	cl := l.coreLabeling()
-	ps, base, release := core.PlanAcknowledged(l.Graph, cl, source, mu)
+	ps, base, release := core.PlanAcknowledged(l.Graph, l.Labels, source, mu)
 	return corePlan(ps, base, release, func(res *Result) *Outcome {
-		out := core.AssembleAcknowledged(res, cl, source)
+		out := core.AssembleAcknowledged(res, l.Stages, source)
 		return &Outcome{
 			InformedRound:   out.InformedRound,
 			AllInformed:     out.AllInformed,
@@ -102,22 +104,23 @@ func (barbScheme) Describe() string {
 	return "3-bit labeling λarb + algorithm Barb (any node may be the source)"
 }
 
-func (barbScheme) Label(g *Graph, _ int, cfg *Config) (*Labeling, error) {
-	l, err := core.LambdaArb(g, cfg.Coordinator, core.BuildOptions{})
+func (barbScheme) Anchor(_, r int) int { return r }
+
+func (barbScheme) Label(g *Graph, r int, _ *Config) (*Labeling, error) {
+	l, err := core.LambdaArb(g, r, core.BuildOptions{})
 	if err != nil {
 		return nil, err
 	}
-	return wrapCore("barb", g, cfg.Coordinator, l), nil
+	return wrapCore("barb", g, r, l), nil
 }
 
 func (barbScheme) Plan(l *Labeling, source int, mu string) (Plan, error) {
-	cl := l.coreLabeling()
-	ps, base, release, err := core.PlanArbitrary(l.Graph, cl, source, mu)
+	ps, base, release, err := core.PlanArbitrary(l.Graph, l.Labels, source, mu)
 	if err != nil {
 		return Plan{}, err
 	}
 	return corePlan(ps, base, release, func(res *Result) *Outcome {
-		out := core.AssembleArbitrary(res, cl, ps, source)
+		out := core.AssembleArbitrary(res, ps, source)
 		return &Outcome{
 			InformedRound:      out.InformedRound,
 			AllInformed:        out.AllInformed,
@@ -154,19 +157,15 @@ func corePlan(ps []Protocol, base radio.Options, release func(), assemble func(*
 	}
 }
 
-// wrapCore lifts an internal λ-family labeling into the public shape. It
-// drops StayPick, which only core.VerifyLambda reads and no facade path
-// calls, so a cached labeling does not keep four bytes per node for it.
-func wrapCore(scheme string, g *Graph, source int, l *core.Labeling) *Labeling {
-	l.StayPick = nil
+// wrapCore lifts an internal λ-family labeling for anchor into the
+// public shape. It keeps the labels and stages alone: StayPick is read
+// only by core.VerifyLambda, which no facade path calls.
+func wrapCore(scheme string, g *Graph, anchor int, l *core.Labeling) *Labeling {
 	return &Labeling{
 		Scheme: scheme,
 		Graph:  g,
-		Source: source,
+		Source: anchor,
 		Labels: l.Labels,
 		Stages: l.Stages,
-		Z:      l.Z,
-		R:      l.R,
-		core:   l,
 	}
 }

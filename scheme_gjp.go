@@ -30,6 +30,8 @@ func (gjpScheme) Describe() string {
 	return "bounded 1-bit echo search adapted from Gańczorz–Jurdziński–Pelc: algorithm B over labels 10/01 (not universal)"
 }
 
+func (gjpScheme) Anchor(source, _ int) int { return source }
+
 func (gjpScheme) Label(g *Graph, source int, cfg *Config) (*Labeling, error) {
 	budget := gjp.DefaultBudget
 	if cfg.Quick {
@@ -44,7 +46,7 @@ func (gjpScheme) Label(g *Graph, source int, cfg *Config) (*Labeling, error) {
 	}
 	return &Labeling{
 		Scheme: "gjp", Graph: g, Source: source,
-		Labels: labels, Z: -1, R: -1,
+		Labels: labels,
 	}, nil
 }
 

@@ -30,6 +30,9 @@ func (onebitScheme) Describe() string {
 	return "verified 1-bit labeling (§5) under delayed flooding, found by search"
 }
 
+// Anchor overrides flooding's: a onebit labeling is searched per source.
+func (onebitScheme) Anchor(source, _ int) int { return source }
+
 func (onebitScheme) Label(g *Graph, source int, cfg *Config) (*Labeling, error) {
 	tries := 4000
 	if cfg.Quick {
@@ -52,7 +55,7 @@ func (onebitScheme) Label(g *Graph, source int, cfg *Config) (*Labeling, error) 
 		if s != nil {
 			return &Labeling{
 				Scheme: "onebit", Graph: g, Source: source,
-				Labels: s.Labels, Delays: s.Delays, Z: -1, R: -1,
+				Labels: s.Labels, Delays: s.Delays,
 			}, nil
 		}
 	}

@@ -73,8 +73,9 @@ func FuzzSchemes(f *testing.F) {
 
 // checkCut reruns full's labeling from full's source with opts, cut at
 // round c: the uncut run's completion round shifted by shift and wrapped
-// into [1, full.Result.Rounds]. The source is explicit because a barb
-// labeling's Source is its coordinator. The cut run must inform every node the uncut
+// into [1, full.Result.Rounds]. The source is explicit because a
+// labeling's Source is its anchor, which for barb is its coordinator and
+// for roundrobin, colorrobin and flooding is 0. The cut run must inform every node the uncut
 // run informed by round c, in the same round, and no other; its AckRound
 // is the uncut one if that is at most c, else 0.
 func checkCut(t *testing.T, full *radiobcast.Outcome, shift int, opts ...radiobcast.Option) {

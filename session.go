@@ -13,9 +13,11 @@ import (
 
 // Session is the serving object of the facade: it owns a pool of reusable
 // simulation engines and an LRU cache of labelings keyed by (graph
-// fingerprint, scheme, source), so the steady state of a serve-many-runs
-// workload — the paper's "label once at a central monitor, then broadcast
-// forever" regime — neither relabels nor reallocates engine buffers. A
+// fingerprint, scheme, Scheme.Anchor's node), so the steady state of a
+// serve-many-runs workload — the paper's "label once at a central
+// monitor, then broadcast forever" regime — neither relabels nor
+// reallocates engine buffers, and runs from every source share a "barb"
+// labeling. A
 // Session is safe for concurrent use; create one per process (or per
 // tenant) and route every request through it:
 //
@@ -104,13 +106,12 @@ type flight struct {
 // labelingKey identifies a cached labeling. The fingerprint is a 64-bit
 // structural hash; n and m ride along so an (astronomically unlikely)
 // hash collision between different-sized graphs still cannot alias.
-// Coordinator is part of the key because "barb" labels depend on it.
+// anchor is the one node the scheme's labels depend on (Scheme.Anchor).
 type labelingKey struct {
-	fp          uint64
-	n, m        int
-	scheme      string
-	source      int
-	coordinator int
+	fp     uint64
+	n, m   int
+	scheme string
+	anchor int
 }
 
 type cacheEntry struct {
@@ -255,9 +256,12 @@ func (s *Session) preloadStore() {
 	}
 	graphs := map[labelingKey]*Graph{} // keyed by the graph fields alone
 	for _, k := range s.store.RecentKeys(n) {
+		if k.Coordinator != 0 {
+			continue // no lookup reaches it (see storeKey)
+		}
 		key := labelingKey{
 			fp: k.Fingerprint, n: k.N, m: k.M,
-			scheme: k.Scheme, source: k.Source, coordinator: k.Coordinator,
+			scheme: k.Scheme, anchor: k.Source,
 		}
 		gkey := labelingKey{fp: key.fp, n: key.n, m: key.m}
 		l, ok := s.storeGet(key, graphs[gkey])
@@ -383,7 +387,7 @@ func (s *Session) Close(ctx context.Context) error {
 // fingerprint are built before it is first returned: the labeling cache
 // keys every request on it by the fingerprint, so the hash is paid once
 // per cached graph. Shared graphs are read-only: a caller must not
-// AddEdge or RemoveEdge on it — clone it first. The churn fault model
+// AddEdge on it — clone it first. The churn fault model
 // edits a private copy of its CSR.
 func (s *Session) Family(name string, n int) (*Network, error) {
 	key := familyKey{name, n}
@@ -431,7 +435,7 @@ func (s *Session) Label(ctx context.Context, net *Network, scheme string, opts .
 	if err != nil {
 		return nil, err
 	}
-	return s.labelCached(ctx, sch, net.Graph, source, cfg)
+	return s.labelCached(ctx, sch, net.Graph, sch.Anchor(source, cfg.Coordinator), cfg)
 }
 
 // Run labels (or cache-hits) the network and executes one broadcast on a
@@ -448,7 +452,7 @@ func (s *Session) Run(ctx context.Context, net *Network, scheme string, opts ...
 	if err != nil {
 		return nil, err
 	}
-	l, err := s.labelCached(ctx, sch, net.Graph, source, cfg)
+	l, err := s.labelCached(ctx, sch, net.Graph, sch.Anchor(source, cfg.Coordinator), cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -485,14 +489,14 @@ func (s *Session) finishPooled(sch Scheme, l *Labeling, source int, cfg *Config)
 }
 
 // cacheable reports whether a labeling under cfg is a pure function of
-// (graph, scheme, source, coordinator). Quick mode and non-default search
+// (graph, scheme, anchor). Quick mode and non-default search
 // seeds change the labels, so those label calls bypass the cache instead
 // of poisoning it.
 func cacheable(cfg *Config) bool {
 	return !cfg.Quick && cfg.Seed == 1
 }
 
-// labelCached serves sch.Label through the LRU with single-flight
+// labelCached serves sch.Label for anchor through the LRU with single-flight
 // deduplication. The labeling itself is computed outside the session lock
 // — concurrent misses on different keys label in parallel — but
 // concurrent misses on the *same* key do the work exactly once: the first
@@ -510,14 +514,14 @@ func cacheable(cfg *Config) bool {
 // as StoreHits, not Misses), and a computed labeling is written back
 // before the flight is released, so N concurrent first requests for an
 // unstored key are still one compute and one store write.
-func (s *Session) labelCached(ctx context.Context, sch Scheme, g *Graph, source int, cfg *Config) (*Labeling, error) {
+func (s *Session) labelCached(ctx context.Context, sch Scheme, g *Graph, anchor int, cfg *Config) (*Labeling, error) {
 	if s.capacity <= 0 || !cacheable(cfg) {
 		s.bypasses.Add(1)
-		return sch.Label(g, source, cfg)
+		return sch.Label(g, anchor, cfg)
 	}
 	key := labelingKey{
 		fp: g.Fingerprint(), n: g.N(), m: g.M(),
-		scheme: sch.Name(), source: source, coordinator: cfg.Coordinator,
+		scheme: sch.Name(), anchor: anchor,
 	}
 	s.mu.Lock()
 	if el, ok := s.index[key]; ok {
@@ -540,7 +544,7 @@ func (s *Session) labelCached(ctx context.Context, sch Scheme, g *Graph, source 
 		<-f.done
 		if ctxErr(ctx) == nil && (errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded)) {
 			// The leader's context ended, not this request's.
-			return s.labelCached(ctx, sch, g, source, cfg)
+			return s.labelCached(ctx, sch, g, anchor, cfg)
 		}
 		return f.l, f.err
 	}
@@ -579,18 +583,19 @@ func (s *Session) labelCached(ctx context.Context, sch Scheme, g *Graph, source 
 		s.storeMisses.Add(1)
 	}
 	s.misses.Add(1)
-	f.l, f.err = sch.Label(g, source, cfg)
+	f.l, f.err = sch.Label(g, anchor, cfg)
 	if f.err == nil && s.store != nil {
 		s.storeWrite(key, f.l)
 	}
 	return f.l, f.err
 }
 
-// storeKey maps the LRU key onto the store's exported key type.
+// storeKey maps the LRU key onto the store's key type, the anchor as
+// Source and 0 as Coordinator (so b, back and gjp keys did not change).
 func storeKey(k labelingKey) store.Key {
 	return store.Key{
 		Fingerprint: k.fp, N: k.n, M: k.m,
-		Scheme: k.scheme, Source: k.source, Coordinator: k.coordinator,
+		Scheme: k.scheme, Source: k.anchor,
 	}
 }
 
@@ -602,8 +607,9 @@ func storeKey(k labelingKey) store.Key {
 // must be g's, edge for edge — so the labeling shares g instead of a
 // private copy; with g nil (the preload's first labeling of a topology)
 // the decoded graph's fingerprint is checked against the key instead.
-// Anything inconsistent is dropped from the store and demoted to a miss
-// — never an error.
+// The blob's Source must be the key's anchor, so a barb entry keyed by its
+// source is never served for another coordinator. Anything inconsistent
+// is dropped from the store and demoted to a miss — never an error.
 func (s *Session) storeGet(key labelingKey, g *Graph) (*Labeling, bool) {
 	data, ok := s.store.Get(storeKey(key))
 	if !ok {
@@ -612,7 +618,7 @@ func (s *Session) storeGet(key labelingKey, g *Graph) (*Labeling, bool) {
 	l := &Labeling{}
 	// A decoded graph is frozen already; the preload hashes it here to
 	// check it against the key.
-	if err := l.decode(data, g); err != nil || l.Scheme != key.scheme ||
+	if err := l.decode(data, g); err != nil || l.Scheme != key.scheme || l.Source != key.anchor ||
 		l.Graph.N() != key.n || l.Graph.M() != key.m ||
 		(g == nil && l.Graph.Fingerprint() != key.fp) {
 		s.store.Drop(storeKey(key))

@@ -248,6 +248,75 @@ func TestSessionStoreWrongLabelingDropped(t *testing.T) {
 	}
 }
 
+// TestSessionStoreWrongAnchorDropped: a blob is served only under a key
+// whose Source is the blob's own anchor. A b labeling for source 0 and a
+// barb labeling for coordinator 0 are planted under Source 5 — the barb
+// entry is what a store written when keys held the source has for source
+// 5 — and each reads as a miss, is dropped and is recomputed for 5.
+func TestSessionStoreWrongAnchorDropped(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	net := storeNet(t, "path", 8)
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := func(scheme string) store.Key {
+		return store.Key{Fingerprint: net.Graph.Fingerprint(), N: 8, M: 7, Scheme: scheme, Source: 5}
+	}
+	for _, scheme := range []string{"b", "barb"} {
+		l, err := radiobcast.LabelNetwork(net, scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := l.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Put(key(scheme), blob); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	sess := radiobcast.NewSession(radiobcast.WithStore(dir), radiobcast.WithStorePreload(0))
+	if err := sess.Err(); err != nil {
+		t.Fatal(err)
+	}
+	lb, err := sess.Label(ctx, net, "b", radiobcast.WithSource(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	la, err := sess.Label(ctx, net, "barb", radiobcast.WithCoordinator(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lb.Source != 5 || la.Source != 5 || la.R() != 5 {
+		t.Fatalf("served b for source %d and barb for coordinator %d (r=%d), want 5", lb.Source, la.Source, la.R())
+	}
+	if s := sess.Stats(); s.StoreHits != 0 || s.Misses != 2 || s.StoreWrites != 2 {
+		t.Fatalf("stats = %+v, want both planted entries demoted to misses and rewritten", s)
+	}
+	if err := sess.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if st, err = store.Open(dir, store.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for scheme, l := range map[string]*radiobcast.Labeling{"b": lb, "barb": la} {
+		want, err := l.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := st.Get(key(scheme)); !ok || !bytes.Equal(got, want) {
+			t.Errorf("%s: the key holds %d bytes (found %v), not the recomputed labeling", scheme, len(got), ok)
+		}
+	}
+}
+
 // TestSessionStoreForgedGraphDropped: a blob planted under the right key
 // — same scheme, n and m, intact CRC and content address — but carrying
 // a different graph must not be served. The store hit decodes onto the

@@ -255,6 +255,68 @@ func TestSessionSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestSessionLabelsOncePerAnchor: a Session keys a labeling by the one
+// node its labels depend on. Runs from 8 sources share one barb labeling
+// per coordinator, and one roundrobin, colorrobin and flooding labeling,
+// while b labels once per source.
+func TestSessionLabelsOncePerAnchor(t *testing.T) {
+	ctx := context.Background()
+	net, err := radiobcast.Family("path", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := radiobcast.NewSession()
+	defer sess.Close(ctx)
+	misses := func(scheme string, opts ...radiobcast.Option) uint64 {
+		t.Helper()
+		before := sess.CacheMisses()
+		for src := range 8 {
+			out, err := sess.Run(ctx, net, scheme, append(opts, radiobcast.WithSource(src))...)
+			if err != nil {
+				t.Fatalf("%s from %d: %v", scheme, src, err)
+			}
+			if err := radiobcast.Verify(out); err != nil || out.Source != src {
+				t.Fatalf("%s from %d: ran from %d, verify: %v", scheme, src, out.Source, err)
+			}
+		}
+		return sess.CacheMisses() - before
+	}
+	for _, c := range []struct {
+		scheme string
+		opts   []radiobcast.Option
+		want   uint64
+	}{
+		{"barb", nil, 1},
+		{"barb", []radiobcast.Option{radiobcast.WithCoordinator(5)}, 1}, // a second coordinator is a second miss
+		{"barb", nil, 0},
+		{"roundrobin", nil, 1},
+		{"colorrobin", nil, 1},
+		{"flooding", nil, 1},
+		{"b", nil, 8},
+	} {
+		if got := misses(c.scheme, c.opts...); got != c.want {
+			t.Errorf("%s over 8 sources: %d misses, want %d", c.scheme, got, c.want)
+		}
+	}
+	for _, c := range []struct {
+		scheme string
+		opts   []radiobcast.Option
+		anchor int
+	}{
+		{"barb", []radiobcast.Option{radiobcast.WithCoordinator(5)}, 5},
+		{"roundrobin", nil, 0},
+		{"b", nil, 7},
+	} {
+		l, err := sess.Label(ctx, net, c.scheme, append(c.opts, radiobcast.WithSource(7))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l.Source != c.anchor {
+			t.Errorf("%s labeling for source 7: Source %d, want its anchor %d", c.scheme, l.Source, c.anchor)
+		}
+	}
+}
+
 // TestSessionSweepReusesCache: a second sweep over the same grid serves
 // every labeling from the session cache.
 func TestSessionSweepReusesCache(t *testing.T) {

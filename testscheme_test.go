@@ -27,14 +27,14 @@ type hookScheme struct {
 
 func (h *hookScheme) Name() string { return h.name }
 
-func (h *hookScheme) Label(g *radiobcast.Graph, source int, cfg *radiobcast.Config) (*radiobcast.Labeling, error) {
+func (h *hookScheme) Label(g *radiobcast.Graph, anchor int, cfg *radiobcast.Config) (*radiobcast.Labeling, error) {
 	h.labels.Add(1)
 	if f := h.onLabel.Load(); f != nil {
 		if err := (*f)(); err != nil {
 			return nil, err
 		}
 	}
-	l, err := h.Scheme.Label(g, source, cfg)
+	l, err := h.Scheme.Label(g, anchor, cfg)
 	if l != nil {
 		l.Scheme = h.name
 	}
@@ -83,7 +83,10 @@ func (slotScheme) Name() string { return "test-slot" }
 
 func (slotScheme) Describe() string { return "test scheme: one transmission slot per node" }
 
-func (slotScheme) Label(g *radiobcast.Graph, source int, _ *radiobcast.Config) (*radiobcast.Labeling, error) {
+// Anchor is 0: the slots depend on no node.
+func (slotScheme) Anchor(int, int) int { return 0 }
+
+func (slotScheme) Label(g *radiobcast.Graph, anchor int, _ *radiobcast.Config) (*radiobcast.Labeling, error) {
 	w := max(1, bits.Len(uint(g.N()-1)))
 	labels := make([]radiobcast.Label, g.N())
 	for v := range labels {
@@ -93,7 +96,7 @@ func (slotScheme) Label(g *radiobcast.Graph, source int, _ *radiobcast.Config) (
 		}
 		labels[v] = l
 	}
-	return &radiobcast.Labeling{Scheme: "test-slot", Graph: g, Source: source, Labels: labels, Z: -1, R: -1}, nil
+	return &radiobcast.Labeling{Scheme: "test-slot", Graph: g, Source: anchor, Labels: labels}, nil
 }
 
 func (slotScheme) Plan(l *radiobcast.Labeling, source int, mu string) (radiobcast.Plan, error) {
