@@ -347,7 +347,7 @@ func report(out *radiobcast.Outcome) {
 	}
 	if out.KnowsCompleteRound != nil {
 		fmt.Printf("all nodes know completion by round %d (total %d rounds, T = %d)\n",
-			out.KnowsCompleteRound[0], out.TotalRounds, out.T)
+			out.KnowsCompleteRound[0], out.Result.Rounds, out.T)
 	}
 	fmt.Printf("traffic: %d transmissions, max message %d bits\n",
 		out.Result.TotalTransmissions, out.Result.MaxMessageBits)

@@ -94,7 +94,6 @@ func TestLabelingCodecRoundTripAllSchemes(t *testing.T) {
 				"CompletionRound":    {want.CompletionRound, got.CompletionRound},
 				"AckRound":           {want.AckRound, got.AckRound},
 				"KnowsCompleteRound": {want.KnowsCompleteRound, got.KnowsCompleteRound},
-				"TotalRounds":        {want.TotalRounds, got.TotalRounds},
 				"T":                  {want.T, got.T},
 			} {
 				if !reflect.DeepEqual(pair[0], pair[1]) {

@@ -35,9 +35,6 @@ func degradation(out *Outcome) (float64, Degradation) {
 			informed++
 		}
 	}
-	if out.InformedRound == nil {
-		informed = 1 // the source always knows µ
-	}
 	cov := float64(informed) / float64(n)
 	switch {
 	case informed == n:

@@ -55,7 +55,7 @@ func main() {
 		}
 		fmt.Printf("source sw%-2d: %q\n", src, alerts[src])
 		fmt.Printf("  all %d switches informed; common completion-knowledge round: %d (total %d rounds)\n",
-			net.Graph.N(), out.KnowsCompleteRound[0], out.TotalRounds)
+			net.Graph.N(), out.KnowsCompleteRound[0], out.Result.Rounds)
 	}
 	fmt.Println("\nno relabeling was needed between sources — the roles are source-independent.")
 }

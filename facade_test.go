@@ -4,6 +4,7 @@
 package radiobcast_test
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"strings"
@@ -403,6 +404,98 @@ func TestErrors(t *testing.T) {
 	if _, err := radiobcast.Run(net, "onebit", radiobcast.WithQuick()); err != nil {
 		t.Fatalf("onebit on a 4-path should find a labeling: %v", err)
 	}
+}
+
+// TestVerifyPartialOutcome: Verify judges an outcome's own fields, so an
+// outcome with a part missing is an error, never a panic, for every
+// shipped scheme. A part only some schemes read (barb's
+// KnowsCompleteRound, the λ stages Lemma 2.8 is checked against) does not
+// matter to the others.
+func TestVerifyPartialOutcome(t *testing.T) {
+	net, err := radiobcast.Family("path", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net = net.At(7) // barb's coordinator, node 0, is not the source
+	shapes := []struct {
+		name  string
+		spoil func(*radiobcast.Outcome)
+		only  []string // the schemes that read the part; nil for all
+	}{
+		{"empty", func(o *radiobcast.Outcome) { *o = radiobcast.Outcome{Scheme: o.Scheme} }, nil},
+		{"no Result", func(o *radiobcast.Outcome) { o.Result = nil }, nil},
+		{"no Labeling", func(o *radiobcast.Outcome) { o.Labeling = nil }, nil},
+		{"no Graph and no Labeling", func(o *radiobcast.Outcome) { o.Graph, o.Labeling = nil, nil }, nil},
+		{"no InformedRound", func(o *radiobcast.Outcome) { o.InformedRound = nil }, nil},
+		{"short InformedRound", func(o *radiobcast.Outcome) { o.InformedRound = o.InformedRound[1:] }, nil},
+		{"a CompletionRound past every informed round", func(o *radiobcast.Outcome) { o.CompletionRound++ }, nil},
+		{"no KnowsCompleteRound", func(o *radiobcast.Outcome) { o.KnowsCompleteRound = nil }, []string{"barb"}},
+		{"a Labeling without Stages", func(o *radiobcast.Outcome) {
+			l := *o.Labeling
+			l.Stages = nil
+			o.Labeling = &l
+		}, []string{"b", "back"}},
+	}
+	for _, scheme := range radiobcast.SchemeNames() {
+		if testOnly(scheme) {
+			continue
+		}
+		out, err := radiobcast.Run(net, scheme, radiobcast.WithMessage("m"))
+		if err != nil {
+			t.Fatalf("%s: %v", scheme, err)
+		}
+		if err := radiobcast.Verify(out); err != nil {
+			t.Fatalf("%s: the whole outcome fails Verify: %v", scheme, err)
+		}
+		for _, sh := range shapes {
+			o := *out
+			sh.spoil(&o)
+			wantErr := sh.only == nil || slices.Contains(sh.only, scheme)
+			what := scheme + ", " + sh.name
+			if err := verifyNoPanic(t, what, &o); (err != nil) != wantErr {
+				t.Errorf("%s: Verify returns %v, want an error: %t", what, err, wantErr)
+			}
+		}
+	}
+	// An incomplete outcome without its Result: flooding collides on an
+	// even cycle.
+	cycle, err := radiobcast.Family("cycle", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := radiobcast.Run(cycle, "flooding")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.AllInformed {
+		t.Fatal("flooding completes on cycle/8")
+	}
+	out.Result = nil
+	if err := verifyNoPanic(t, "incomplete flooding, no Result", out); err == nil {
+		t.Error("incomplete flooding, no Result: Verify passes")
+	}
+	// A b outcome relabeled as back has no ack, so back's Verify fails it.
+	out, err = radiobcast.Run(net, "b", radiobcast.WithMessage("m"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out.Scheme = "back"
+	if err := radiobcast.Verify(out); err == nil {
+		t.Fatal("a b outcome passes back's Verify")
+	}
+}
+
+// verifyNoPanic is Verify with a panic reported as a test failure (and
+// returned as an error).
+func verifyNoPanic(t *testing.T, what string, o *radiobcast.Outcome) (err error) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != nil {
+			t.Errorf("%s: Verify panics: %v", what, r)
+			err = fmt.Errorf("panic: %v", r)
+		}
+	}()
+	return radiobcast.Verify(o)
 }
 
 // TestDistinctOnEveryScheme: Labeling.Distinct counts what a map of

@@ -6,6 +6,7 @@ import (
 
 	"radiobcast/internal/core"
 	"radiobcast/internal/graph"
+	"radiobcast/internal/radio"
 )
 
 func TestRoundRobinLabelsDistinct(t *testing.T) {
@@ -128,14 +129,14 @@ func TestFloodingPathAllOnes(t *testing.T) {
 	for v := range labels {
 		labels[v] = core.MustParseLabel("1")
 	}
-	out := RunFlooding(graph.Path(n), labels, DefaultDelays, 0, "m")
-	if !out.AllInformed {
-		t.Fatalf("path flooding incomplete: %v", out.InformedRound)
+	rounds, all, _ := RunFlooding(graph.Path(n), labels, DefaultDelays, 0, "m")
+	if !all {
+		t.Fatalf("path flooding incomplete: %v", rounds)
 	}
 	// Node v informed in round v.
 	for v := 1; v < n; v++ {
-		if out.InformedRound[v] != v {
-			t.Fatalf("informed(%d) = %d, want %d", v, out.InformedRound[v], v)
+		if rounds[v] != v {
+			t.Fatalf("informed(%d) = %d, want %d", v, rounds[v], v)
 		}
 	}
 }
@@ -148,19 +149,20 @@ func TestFloodingEvenCycleAllOnesFails(t *testing.T) {
 	for v := range labels {
 		labels[v] = core.MustParseLabel("1")
 	}
-	out := RunFlooding(graph.Cycle(n), labels, DefaultDelays, 0, "m")
-	if out.AllInformed {
+	rounds, all, _ := RunFlooding(graph.Cycle(n), labels, DefaultDelays, 0, "m")
+	if all {
 		t.Fatal("all-ones flooding should fail on an even cycle")
 	}
-	if out.InformedRound[n/2] != 0 {
-		t.Fatalf("antipode informed at %d, want never", out.InformedRound[n/2])
+	if rounds[n/2] != 0 {
+		t.Fatalf("antipode informed at %d, want never", rounds[n/2])
 	}
 }
 
 func TestFloodingZeroBitNeverForwards(t *testing.T) {
 	g := graph.Path(3)
 	labels := []core.Label{core.MakeLabel(true), core.MakeLabel(false), core.MakeLabel(true)}
-	out := RunFlooding(g, labels, DefaultDelays, 0, "m")
+	ps, stop := NewFloodingProtocols(labels, DefaultDelays, 0, "m")
+	out := run(g, ps, radio.Options{MaxRounds: FloodingMaxRounds(g.N()), Stop: stop}, 0)
 	if out.AllInformed {
 		t.Fatal("node 2 should stay uninformed behind a 0-labeled node")
 	}

@@ -98,9 +98,10 @@ func NewFloodingProtocols(labels []core.Label, d FloodingDelays, source int, mu 
 }
 
 // RunFlooding runs the delayed-flooding protocol under the given 1-bit
-// labeling and returns the outcome (which may be incomplete: callers use
-// this to *verify* candidate labelings).
-func RunFlooding(g *graph.Graph, labels []core.Label, d FloodingDelays, source int, mu string) *Outcome {
+// labeling and returns who it informed, as core.Informed reads it from
+// the Result. The broadcast may be incomplete: callers use this to
+// *verify* candidate labelings.
+func RunFlooding(g *graph.Graph, labels []core.Label, d FloodingDelays, source int, mu string) (rounds []int, all bool, last int) {
 	ps, stop := NewFloodingProtocols(labels, d, source, mu)
-	return Assemble(radio.Run(g, ps, radio.Options{MaxRounds: FloodingMaxRounds(g.N()), Stop: stop}), source)
+	return core.Informed(radio.Run(g, ps, radio.Options{MaxRounds: FloodingMaxRounds(g.N()), Stop: stop}), source, -1)
 }

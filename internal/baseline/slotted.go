@@ -152,22 +152,3 @@ func SlottedMaxRounds(g *graph.Graph, source, labelBits int) int {
 
 // FloodingMaxRounds bounds a delayed-flooding run.
 func FloodingMaxRounds(n int) int { return 3*n + 8 }
-
-// Outcome is the shared result shape of the baseline runs.
-type Outcome struct {
-	Result *radio.Result
-	// InformedRound[v] is the round in which v first received µ (0 for the
-	// source and for nodes never informed).
-	InformedRound   []int
-	AllInformed     bool
-	CompletionRound int
-}
-
-// Assemble builds the outcome of a run from its Result (core.Informed).
-// An incomplete broadcast is reported through AllInformed, not as an
-// error: the facade's Verify judges it.
-func Assemble(res *radio.Result, source int) *Outcome {
-	out := &Outcome{Result: res}
-	out.InformedRound, out.AllInformed, out.CompletionRound = core.Informed(res, source, -1)
-	return out
-}

@@ -20,7 +20,7 @@ func TestAlgBFigure1Golden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyBroadcast(out, "mu"); err != nil {
+	if err := out.verifyBroadcast("mu"); err != nil {
 		t.Fatal(err)
 	}
 	for v, want := range graph.Figure1Transmits {
@@ -47,7 +47,7 @@ func TestAlgBSingleEdge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyBroadcast(out, "m"); err != nil {
+	if err := out.verifyBroadcast("m"); err != nil {
 		t.Fatal(err)
 	}
 	if out.CompletionRound != 1 {
@@ -76,7 +76,7 @@ func TestAlgBPathTiming(t *testing.T) {
 			t.Fatalf("informed(%d) = %d, want %d", v, out.InformedRound[v], 2*v-1)
 		}
 	}
-	if err := VerifyBroadcast(out, "m"); err != nil {
+	if err := out.verifyBroadcast("m"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -89,7 +89,7 @@ func TestAlgBFourCycleWithLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyBroadcast(out, "m"); err != nil {
+	if err := out.verifyBroadcast("m"); err != nil {
 		t.Fatal(err)
 	}
 	if out.CompletionRound != 3 {
@@ -116,7 +116,7 @@ func TestAlgBAllSourcesSmallGraphs(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s src=%d: %v", name, src, err)
 			}
-			if err := VerifyBroadcast(out, "m"); err != nil {
+			if err := out.verifyBroadcast("m"); err != nil {
 				t.Fatalf("%s src=%d: %v", name, src, err)
 			}
 		}
@@ -131,7 +131,7 @@ func TestAlgBAllFamiliesAllOrders(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%v: %v", name, order, err)
 			}
-			if err := VerifyBroadcast(out, "m"); err != nil {
+			if err := out.verifyBroadcast("m"); err != nil {
 				t.Fatalf("%s/%v: %v", name, order, err)
 			}
 		}
@@ -147,7 +147,7 @@ func TestAlgBQuickRandomGraphs(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return VerifyBroadcast(out, "m") == nil
+		return out.verifyBroadcast("m") == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -246,7 +246,7 @@ func TestVerifyBroadcastNeedsEveryNodeListed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyBroadcast(out, "m"); err != nil {
+	if err := out.verifyBroadcast("m"); err != nil {
 		t.Fatal(err)
 	}
 	// Drop the last node of the last stored list, NEW_{ℓ−1}.
@@ -254,7 +254,7 @@ func TestVerifyBroadcastNeedsEveryNodeListed(t *testing.T) {
 	off := slices.Clone(st.off)
 	off[len(off)-1]--
 	out.Stages = &Stages{G: st.G, Source: st.Source, L: st.L, off: off, nodes: st.nodes[:len(st.nodes)-1]}
-	if err := VerifyBroadcast(out, "m"); err == nil {
+	if err := out.verifyBroadcast("m"); err == nil {
 		t.Fatal("a node in no NEW list passed verification")
 	}
 }
@@ -295,10 +295,10 @@ func TestBroadcastInvariantUnderRelabeling(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := VerifyBroadcast(out1, "m"); err != nil {
+		if err := out1.verifyBroadcast("m"); err != nil {
 			t.Fatal(err)
 		}
-		if err := VerifyBroadcast(out2, "m"); err != nil {
+		if err := out2.verifyBroadcast("m"); err != nil {
 			t.Fatalf("seed %d: relabeled graph: %v", seed, err)
 		}
 		// ℓ is permutation-invariant? Not necessarily (prune order is index

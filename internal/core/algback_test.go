@@ -20,7 +20,7 @@ func TestAlgBackSingleEdge(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := runAcknowledgedLabeled(g, l, 0, "m")
-	if err := VerifyAcknowledged(out, "m"); err != nil {
+	if err := out.verifyAcknowledged("m"); err != nil {
 		t.Fatal(err)
 	}
 	if out.AckRound != 2 {
@@ -39,7 +39,7 @@ func TestAlgBackFigure1(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := runAcknowledgedLabeled(g, l, graph.Figure1Source, "m")
-	if err := VerifyAcknowledged(out, "m"); err != nil {
+	if err := out.verifyAcknowledged("m"); err != nil {
 		t.Fatal(err)
 	}
 	if out.CompletionRound != 7 {
@@ -62,7 +62,7 @@ func TestAlgBackPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyAcknowledged(out, "m"); err != nil {
+	if err := out.verifyAcknowledged("m"); err != nil {
 		t.Fatal(err)
 	}
 	if out.CompletionRound != 2*n-3 {
@@ -92,7 +92,7 @@ func TestAlgBackTheorem39Window(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if err := VerifyAcknowledged(out, "m"); err != nil {
+		if err := out.verifyAcknowledged("m"); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		tC, tA := out.CompletionRound, out.AckRound
@@ -114,7 +114,7 @@ func TestAlgBackQuickRandom(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return VerifyAcknowledged(out, "m") == nil
+		return out.verifyAcknowledged("m") == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -130,7 +130,7 @@ func TestAlgBackAllSourcesSmall(t *testing.T) {
 			if err != nil {
 				t.Fatalf("src=%d: %v", src, err)
 			}
-			if err := VerifyAcknowledged(out, "m"); err != nil {
+			if err := out.verifyAcknowledged("m"); err != nil {
 				t.Fatalf("src=%d: %v", src, err)
 			}
 		}

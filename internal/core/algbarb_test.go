@@ -16,7 +16,7 @@ func TestAlgBarbSingleEdge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyArbitrary(g, out, "m"); err != nil {
+	if err := out.verifyArbitrary("m"); err != nil {
 		t.Fatal(err)
 	}
 	if out.T != 1 {
@@ -31,7 +31,7 @@ func TestAlgBarbSourceIsCoordinator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyArbitrary(g, out, "m"); err != nil {
+	if err := out.verifyArbitrary("m"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -77,7 +77,7 @@ func TestAlgBarbAllSourceCoordinatorPairs(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s r=%d src=%d: %v", name, r, src, err)
 				}
-				if err := VerifyArbitrary(g, out, "m"); err != nil {
+				if err := out.verifyArbitrary("m"); err != nil {
 					t.Fatalf("%s r=%d src=%d: %v", name, r, src, err)
 				}
 			}
@@ -92,7 +92,7 @@ func TestAlgBarbFigure1AllSources(t *testing.T) {
 		if err != nil {
 			t.Fatalf("src=%d: %v", src, err)
 		}
-		if err := VerifyArbitrary(g, out, "payload"); err != nil {
+		if err := out.verifyArbitrary("payload"); err != nil {
 			t.Fatalf("src=%d: %v", src, err)
 		}
 	}
@@ -109,7 +109,7 @@ func TestAlgBarbFamilies(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if err := VerifyArbitrary(g, out, "m"); err != nil {
+		if err := out.verifyArbitrary("m"); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
@@ -125,7 +125,7 @@ func TestAlgBarbQuickRandom(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return VerifyArbitrary(g, out, "m") == nil
+		return out.verifyArbitrary("m") == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -145,7 +145,7 @@ func TestAlgBarbTEqualsLastInformedRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyArbitrary(g, out, "m"); err != nil {
+	if err := out.verifyArbitrary("m"); err != nil {
 		t.Fatal(err)
 	}
 	want := 2*l.Stages.L - 3
@@ -169,11 +169,11 @@ func TestAlgBarbLinearTime(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := VerifyArbitrary(g, out, "m"); err != nil {
+		if err := out.verifyArbitrary("m"); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		if out.TotalRounds > 14*n+40 {
-			t.Fatalf("n=%d: %d rounds, exceeds linear budget", n, out.TotalRounds)
+		if out.Result.Rounds > 14*n+40 {
+			t.Fatalf("n=%d: %d rounds, exceeds linear budget", n, out.Result.Rounds)
 		}
 	}
 }

@@ -80,7 +80,7 @@ func TestBarbPhasesShareSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyArbitrary(g, out, "m"); err != nil {
+	if err := out.verifyArbitrary("m"); err != nil {
 		t.Fatal(err)
 	}
 	// Phase-1 reception offsets (t_v) from the init receptions.

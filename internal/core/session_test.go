@@ -20,7 +20,7 @@ func TestSessionSendsSequence(t *testing.T) {
 	firstAck := 0
 	for _, mu := range []string{"alpha", "beta", "gamma"} {
 		out := runAcknowledgedLabeled(g, l, 0, mu)
-		if err := VerifyAcknowledged(out, mu); err != nil {
+		if err := out.verifyAcknowledged(mu); err != nil {
 			t.Fatalf("send %q: %v", mu, err)
 		}
 		if out.AckRound <= out.CompletionRound {

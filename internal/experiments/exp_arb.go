@@ -48,8 +48,8 @@ func ArbitraryExperiment(cfg Config) ([]*Table, error) {
 					return nil, fmt.Errorf("%s r=%d src=%d: %w", name, r, src, err)
 				}
 				pairs++
-				if out.TotalRounds > maxRounds {
-					maxRounds = out.TotalRounds
+				if out.Result.Rounds > maxRounds {
+					maxRounds = out.Result.Rounds
 				}
 			}
 		}
@@ -88,7 +88,7 @@ func ArbitraryExperiment(cfg Config) ([]*Table, error) {
 		if err := radiobcast.Verify(out); err != nil {
 			return row{fam: c.Family, n: g.N(), err: err}
 		}
-		return row{fam: c.Family, n: g.N(), T: out.T, rounds: out.TotalRounds, know: out.KnowsCompleteRound[0]}
+		return row{fam: c.Family, n: g.N(), T: out.T, rounds: out.Result.Rounds, know: out.KnowsCompleteRound[0]}
 	})
 	for _, r := range rows {
 		if r.skip {

@@ -356,8 +356,9 @@ func verify(g *graph.Graph, labels []core.Label, source int) error {
 	ps, opt, release := Plan(g, labels, source, "µ")
 	res := radio.Run(g.Clone(), ps, opt)
 	release()
-	for v := range labels {
-		if v != source && res.FirstReception(v, radio.KindData) == radio.NoReception {
+	rounds, _, _ := core.Informed(res, source, -1)
+	for v, r := range rounds {
+		if v != source && r == radio.NoReception {
 			return fmt.Errorf("gjp: internal error: constructed labeling leaves node %d uninformed", v)
 		}
 	}

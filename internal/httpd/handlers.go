@@ -239,6 +239,10 @@ func (s *Server) handleRunLabeled(w http.ResponseWriter, r *http.Request) int {
 			return writeError(w, http.StatusRequestEntityTooLarge, "limit_exceeded",
 				fmt.Sprintf("labeling exceeds %d bytes", mbe.Limit))
 		}
+		if errors.Is(err, radiobcast.ErrLabelingMismatch) {
+			// A blob whose z or r disagrees with its labels.
+			return writeFacadeError(w, fmt.Errorf("decoding labeling: %w", err))
+		}
 		return writeError(w, http.StatusBadRequest, "bad_request", "decoding labeling: "+err.Error())
 	}
 	if l.Graph.N() > s.cfg.MaxGraphN {

@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -218,9 +219,6 @@ func TestRunLabeledEndpoint(t *testing.T) {
 	}
 }
 
-// TestRunLabeledRejectsNonBitLabel: an upload whose label is not a bit
-// string is a malformed request (400 bad_request), not a run that looks
-// like a channel fault.
 // TestLabelNoLabeling pins how a searched scheme's failure is served: no
 // 1-bit labeling exists for Figure 1, which is the request's answer, not
 // a server fault.
@@ -291,6 +289,9 @@ func TestFamilySizeBelowOne(t *testing.T) {
 	}
 }
 
+// TestRunLabeledRejectsNonBitLabel: an upload whose label is not a bit
+// string is a malformed request (400 bad_request), not a run that looks
+// like a channel fault.
 func TestRunLabeledRejectsNonBitLabel(t *testing.T) {
 	_, ts, _ := newTestServer(t, httpd.Config{})
 	net, err := radiobcast.Family("path", 8)
@@ -325,6 +326,74 @@ func TestRunLabeledRejectsNonBitLabel(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest || eb.Error.Code != "bad_request" ||
 		!strings.Contains(eb.Error.Message, "not a bit") {
 		t.Fatalf("label \"2x\": status=%d body=%+v", resp.StatusCode, eb)
+	}
+}
+
+// TestRunLabeledRejectsWrongZ: an upload whose z varint names another
+// node than its labels do contradicts itself, and is answered as README's
+// error table says, 400 labeling_mismatch, under a valid CRC.
+func TestRunLabeledRejectsWrongZ(t *testing.T) {
+	_, ts, _ := newTestServer(t, httpd.Config{})
+	net, err := radiobcast.Family("path", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := radiobcast.LabelNetwork(net, "back")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := l.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The blob opens with "RBL1", the scheme, the source, z and r. The
+	// labels put z at node 15; 15 and 3 are both one-byte varints.
+	head := binary.AppendUvarint([]byte("RBL1"), uint64(len(l.Scheme)))
+	head = binary.AppendVarint(append(head, l.Scheme...), int64(l.Source))
+	at := len(head)
+	if l.Z() != 15 || !bytes.HasPrefix(blob, binary.AppendVarint(head, 15)) {
+		t.Fatalf("blob does not open with z = 15 (labels give z = %d)", l.Z())
+	}
+	body := slices.Clone(blob[:len(blob)-crc32.Size])
+	body[at] = binary.AppendVarint(nil, 3)[0]
+	body = binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
+
+	resp, err := http.Post(ts.URL+"/v1/run-labeled", radiobcast.LabelingContentType, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eb client.ErrorBody
+	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || eb.Error.Code != "labeling_mismatch" {
+		t.Fatalf("back blob claiming z = 3: status=%d body=%+v, want 400 labeling_mismatch", resp.StatusCode, eb)
+	}
+}
+
+// TestRunLabeledStagelessBlob: a b or back blob may leave out its stage
+// lists, which the run does not need but Lemma 2.8's check does; the
+// answer is an unverified run with the reason, not a panic.
+func TestRunLabeledStagelessBlob(t *testing.T) {
+	_, _, c := newTestServer(t, httpd.Config{})
+	net, err := radiobcast.Family("path", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, scheme := range []string{"b", "back"} {
+		l, err := radiobcast.LabelNetwork(net, scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.Stages = nil
+		out, err := c.RunLabeled(context.Background(), l, client.RunLabeledParams{})
+		if err != nil {
+			t.Fatalf("%s: %v", scheme, err)
+		}
+		if !out.AllInformed || out.Verified || !strings.Contains(out.VerifyError, "stages") {
+			t.Fatalf("%s without stages: %+v, want a complete run that fails Verify for want of stages", scheme, out)
+		}
 	}
 }
 

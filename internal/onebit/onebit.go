@@ -33,11 +33,11 @@ type Scheme struct {
 // Verify runs the delayed-flooding protocol under the labels and reports
 // whether broadcast completes, returning the completion round.
 func Verify(g *graph.Graph, labels []core.Label, d baseline.FloodingDelays, source int) (int, bool) {
-	out := baseline.RunFlooding(g, labels, d, source, "m")
-	if out == nil || !out.AllInformed {
+	_, all, last := baseline.RunFlooding(g, labels, d, source, "m")
+	if !all {
 		return 0, false
 	}
-	return out.CompletionRound, true
+	return last, true
 }
 
 // PathScheme labels a path (node ids in path order) with all-1 labels:
@@ -151,9 +151,9 @@ func SearchRandom(ctx context.Context, g *graph.Graph, d baseline.FloodingDelays
 }
 
 func uninformedCount(g *graph.Graph, labels []core.Label, d baseline.FloodingDelays, source int) int {
-	out := baseline.RunFlooding(g, labels, d, source, "m")
+	rounds, _, _ := baseline.RunFlooding(g, labels, d, source, "m")
 	count := 0
-	for v, r := range out.InformedRound {
+	for v, r := range rounds {
 		if v != source && r == 0 {
 			count++
 		}

@@ -83,7 +83,7 @@ func TestGridSchemeInformedTimes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := baseline.RunFlooding(g, s.Labels, s.Delays, 0, "m")
+	rounds, _, _ := baseline.RunFlooding(g, s.Labels, s.Delays, 0, "m")
 	for i := 0; i < rows; i++ {
 		for j := 0; j < cols; j++ {
 			if i == 0 && j == 0 {
@@ -94,8 +94,8 @@ func TestGridSchemeInformedTimes(t *testing.T) {
 			if j > 0 {
 				want = i + 2*j - 1
 			}
-			if out.InformedRound[v] != want {
-				t.Fatalf("t(%d,%d) = %d, want %d", i, j, out.InformedRound[v], want)
+			if rounds[v] != want {
+				t.Fatalf("t(%d,%d) = %d, want %d", i, j, rounds[v], want)
 			}
 		}
 	}

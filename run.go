@@ -3,7 +3,9 @@ package radiobcast
 import (
 	"context"
 	"fmt"
+	"slices"
 
+	"radiobcast/internal/core"
 	"radiobcast/internal/radio"
 )
 
@@ -88,6 +90,24 @@ func Verify(out *Outcome) error {
 		return unknownScheme(out.Scheme)
 	}
 	return s.Verify(out)
+}
+
+// verifyComplete is the guard every shipped Verify starts with: the
+// outcome carries its Result and Labeling, one informed round per node
+// whose largest is its CompletionRound, and reports every node informed.
+func verifyComplete(out *Outcome) error {
+	switch {
+	case out.Result == nil || out.Labeling == nil:
+		return fmt.Errorf("radiobcast: %s outcome lacks its Result or Labeling", out.Scheme)
+	case len(out.InformedRound) != out.Result.N():
+		return fmt.Errorf("radiobcast: %s outcome has %d informed rounds for %d nodes", out.Scheme, len(out.InformedRound), out.Result.N())
+	case len(out.InformedRound) > 0 && out.CompletionRound != slices.Max(out.InformedRound):
+		return fmt.Errorf("radiobcast: %s outcome reports completion round %d, its informed rounds end in %d",
+			out.Scheme, out.CompletionRound, slices.Max(out.InformedRound))
+	case !out.AllInformed:
+		return fmt.Errorf("radiobcast: %s broadcast incomplete after %d rounds", out.Scheme, out.Result.Rounds)
+	}
+	return nil
 }
 
 // Annotate renders the outcome's per-node transmit/receive history in the
@@ -222,11 +242,12 @@ func (c *Config) sourceOr(fallback int) int {
 	return fallback
 }
 
-// finish runs the scheme's plan on the engine and fills the outcome
-// fields common to all schemes, so plans only assemble what is specific
-// to them. It is the facade's one call into the engine. When the run was
-// cut short by the Config's context, the partial outcome is returned
-// together with the ctx error.
+// finish runs the scheme's plan on the engine and builds the outcome: it
+// fills the fields common to all schemes, who was informed included, so
+// plans only assemble what is specific to them. It is the facade's one
+// call into the engine, and its one reading of who a run informed. When
+// the run was cut short by the Config's context, the partial outcome is
+// returned together with the ctx error.
 func finish(s Scheme, l *Labeling, source int, cfg *Config) (*Outcome, error) {
 	p, err := s.Plan(l, source, cfg.Mu)
 	if err != nil {
@@ -237,20 +258,14 @@ func finish(s Scheme, l *Labeling, source int, cfg *Config) (*Outcome, error) {
 		// (a schedule-only one) under a label-driven scheme plans none.
 		return nil, labelingMismatch("scheme %q planned %d protocols for %d nodes", s.Name(), len(p.Protocols), l.Graph.N())
 	}
-	if p.MaxRounds <= 0 || p.Assemble == nil {
-		return nil, fmt.Errorf("radiobcast: scheme %s planned %d rounds, assembler %t", s.Name(), p.MaxRounds, p.Assemble != nil)
+	if p.MaxRounds <= 0 {
+		return nil, fmt.Errorf("radiobcast: scheme %s planned %d rounds", s.Name(), p.MaxRounds)
 	}
 	res := radio.Run(l.Graph, p.Protocols, cfg.radioOptions(p))
-	out := p.Assemble(res)
-	out.Scheme = s.Name()
-	out.Graph = l.Graph
-	out.Source = source
-	out.Mu = cfg.Mu
-	out.Result = res
-	if out.Labeling == nil {
-		// A plan may install its own labeling (centralized recomputes its
-		// schedule for an overridden source); keep it.
-		out.Labeling = l
+	out := &Outcome{Scheme: s.Name(), Graph: l.Graph, Source: source, Mu: cfg.Mu, Labeling: l, Result: res}
+	out.InformedRound, out.AllInformed, out.CompletionRound = core.Informed(res, source, l.R())
+	if p.Assemble != nil {
+		p.Assemble(out)
 	}
 	out.Coverage, out.Degraded = degradation(out)
 	if err := ctxErr(cfg.ctx); err != nil {

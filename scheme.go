@@ -116,9 +116,10 @@ func (l *Labeling) R() int {
 	return slices.Index(l.Labels, core.CoordinatorLabel)
 }
 
-// Outcome is the unified result of running any registered scheme. The
-// first block is populated by every scheme; the later fields only by the
-// schemes they belong to.
+// Outcome is the unified result of running any registered scheme, and
+// the one record of the run. The facade fills the first block for every
+// scheme; a plan's Assemble fills the later fields of the schemes they
+// belong to.
 type Outcome struct {
 	// Scheme is the registry name of the scheme that ran.
 	Scheme string
@@ -134,12 +135,13 @@ type Outcome struct {
 	// collisions, message sizes).
 	Result *Result
 	// InformedRound[v] is the round in which v first learned µ (0 for the
-	// source, and for nodes never informed). Every built-in scheme reads it
-	// from Result as v's first reception that carries µ, a reception in the
-	// run's last round included: a data message, or at barb's coordinator
-	// the acknowledgement that fetches µ from the source. A reception a
-	// crash wiped is neither in Result nor counted here; the Trace keeps
-	// the channel delivery.
+	// source, and for nodes never informed). The facade reads it, with
+	// AllInformed and CompletionRound, from Result for every scheme: v's
+	// first reception that carries µ, a reception in the run's last round
+	// included. That is a data message, or at barb's coordinator (the node
+	// labeled 111) the acknowledgement that fetches µ from the source. A
+	// reception a crash wiped is neither in Result nor counted here; the
+	// Trace keeps the channel delivery.
 	InformedRound []int
 	// AllInformed reports whether every node learned µ.
 	AllInformed bool
@@ -162,13 +164,8 @@ type Outcome struct {
 	// KnowsCompleteRound[v] is the absolute round from which v knows the
 	// broadcast completed (scheme "barb"; 0 = never).
 	KnowsCompleteRound []int
-	// TotalRounds is the total length of the three-phase Barb execution.
-	TotalRounds int
 	// T is the completion estimate disseminated by Barb's coordinator.
 	T int
-
-	// inner retains the scheme-specific outcome for Verify.
-	inner any
 }
 
 // Scheme is the single contract every algorithm in this repository
@@ -189,22 +186,25 @@ type Scheme interface {
 	// Label computes the scheme's labeling of g for anchor (its Source).
 	Label(g *Graph, anchor int, cfg *Config) (*Labeling, error)
 	// Plan instantiates a broadcast of mu from source under labeling l:
-	// fresh protocols, one per node, the run's bounds and the assembler of
-	// its outcome. The facade runs every plan the same way. Errors are
-	// reserved for impossible setups; an unsuccessful broadcast yields an
-	// Outcome with AllInformed == false that Verify rejects.
+	// fresh protocols, one per node, the run's bounds and, if the scheme
+	// has outcome fields of its own, their assembler. The facade runs
+	// every plan the same way. Errors are reserved for impossible setups;
+	// an unsuccessful broadcast yields an Outcome with AllInformed ==
+	// false that Verify rejects.
 	Plan(l *Labeling, source int, mu string) (Plan, error)
-	// Verify checks the outcome against the scheme's guarantees (the
-	// paper's theorems for the λ family, collision-freeness for the
-	// slotted baselines, plain completion for flooding).
+	// Verify checks the outcome's fields against the scheme's guarantees
+	// (the paper's theorems for the λ family, collision-freeness for the
+	// slotted baselines, plain completion for flooding). An outcome with a
+	// part missing is an error, not a panic.
 	Verify(out *Outcome) error
 }
 
 // Plan is one broadcast ready to run: the facade runs Protocols on the
 // engine under the bounds below (which WithMaxRounds and the other
-// options adjust), hands the engine's Result to Assemble, and fills the
-// Outcome fields every scheme shares (Scheme, Graph, Source, Mu, Result,
-// Labeling unless Assemble set it, Coverage and Degraded).
+// options adjust) and builds the run's Outcome. It fills the fields every
+// scheme shares (Scheme, Graph, Source, Mu, Labeling, Result, and who was
+// informed: InformedRound, AllInformed, CompletionRound), hands the
+// Outcome to Assemble, and then computes Coverage and Degraded.
 type Plan struct {
 	// Protocols holds one fresh protocol per node.
 	Protocols []Protocol
@@ -216,11 +216,12 @@ type Plan struct {
 	// Stop, when non-nil, is evaluated after each round; returning true
 	// ends the run.
 	Stop func(round int) bool
-	// Assemble (non-nil) turns the engine's Result into the scheme's
-	// Outcome: at least InformedRound, AllInformed and CompletionRound.
-	// It is called at most once, after the run: the plan's protocols are
-	// dead once it returns, since a plan may hand their memory to later
-	// runs (the λ schemes return their pooled slab), so neither
-	// Assemble's Outcome nor the caller may keep a reference to them.
-	Assemble func(*Result) *Outcome
+	// Assemble, when non-nil, adds the scheme's own fields to the run's
+	// Outcome: back's AckRound, barb's KnowsCompleteRound and T, or the
+	// labeling centralized recomputed for another source. It is called at
+	// most once, after the run: the plan's protocols are dead once it
+	// returns, since a plan may hand their memory to later runs (the λ
+	// schemes return their pooled slab), so neither the Outcome nor the
+	// caller may keep a reference to them.
+	Assemble func(out *Outcome)
 }

@@ -14,44 +14,6 @@ func init() {
 	Register(floodingScheme{})
 }
 
-// resultAssembler is the assembler of every scheme outside the λ
-// family: its outcome reads who was informed from the engine's Result
-// (baseline.Assemble) and carries labeling l.
-func resultAssembler(l *Labeling, source int) func(*Result) *Outcome {
-	return func(res *Result) *Outcome {
-		out := baseline.Assemble(res, source)
-		return &Outcome{
-			InformedRound:   out.InformedRound,
-			AllInformed:     out.AllInformed,
-			CompletionRound: out.CompletionRound,
-			Labeling:        l,
-			inner:           out,
-		}
-	}
-}
-
-func verifyComplete(out *Outcome, scheme string) error {
-	if _, ok := out.inner.(*baseline.Outcome); !ok {
-		return fmt.Errorf("radiobcast: outcome did not come from scheme %s", scheme)
-	}
-	if !out.AllInformed {
-		return fmt.Errorf("radiobcast: %s broadcast incomplete after %d rounds", scheme, out.Result.Rounds)
-	}
-	return nil
-}
-
-func verifyCollisionFree(out *Outcome, scheme string) error {
-	if err := verifyComplete(out, scheme); err != nil {
-		return err
-	}
-	for v, c := range out.Result.Collisions {
-		if c > 0 {
-			return fmt.Errorf("radiobcast: %s is slotted but node %d observed %d collision rounds", scheme, v, c)
-		}
-	}
-	return nil
-}
-
 // slottedScheme is the plan half shared by the two slotted baselines:
 // both run baseline.Slotted over their labels, which depend on no node,
 // and must never collide.
@@ -62,11 +24,19 @@ func (slottedScheme) Anchor(int, int) int { return 0 }
 func (slottedScheme) Plan(l *Labeling, source int, mu string) (Plan, error) {
 	ps, stop := baseline.NewSlottedProtocols(l.Labels, source, mu)
 	maxRounds := baseline.SlottedMaxRounds(l.Graph, source, l.Bits())
-	return Plan{Protocols: ps, MaxRounds: maxRounds, Stop: stop, Assemble: resultAssembler(l, source)}, nil
+	return Plan{Protocols: ps, MaxRounds: maxRounds, Stop: stop}, nil
 }
 
 func (slottedScheme) Verify(out *Outcome) error {
-	return verifyCollisionFree(out, out.Scheme)
+	if err := verifyComplete(out); err != nil {
+		return err
+	}
+	for v, c := range out.Result.Collisions {
+		if c > 0 {
+			return fmt.Errorf("radiobcast: %s is slotted but node %d observed %d collision rounds", out.Scheme, v, c)
+		}
+	}
+	return nil
 }
 
 // roundRobinScheme adapts the classical O(log n)-bit distinct-identifier
@@ -122,18 +92,21 @@ func (centralizedScheme) Label(g *Graph, source int, _ *Config) (*Labeling, erro
 }
 
 func (s centralizedScheme) Plan(l *Labeling, source int, mu string) (Plan, error) {
+	var assemble func(*Outcome)
 	if source != l.Source || l.Schedule == nil {
-		// The schedule is source-specific (and its Label cannot fail).
+		// The schedule is source-specific (and its Label cannot fail); the
+		// outcome carries the one the run followed.
 		l, _ = s.Label(l.Graph, source, nil)
+		assemble = func(out *Outcome) { out.Labeling = l }
 	}
 	// No stop predicate: the scripts fall silent after the schedule, whose
 	// last round is the run's second-to-last.
 	ps := baseline.ScheduledProtocols(l.Graph.N(), l.Schedule, mu)
-	return Plan{Protocols: ps, MaxRounds: len(l.Schedule) + 1, Assemble: resultAssembler(l, source)}, nil
+	return Plan{Protocols: ps, MaxRounds: len(l.Schedule) + 1, Assemble: assemble}, nil
 }
 
 func (centralizedScheme) Verify(out *Outcome) error {
-	if err := verifyComplete(out, "centralized"); err != nil {
+	if err := verifyComplete(out); err != nil {
 		return err
 	}
 	if want := len(out.Labeling.Schedule); out.CompletionRound > want {
@@ -171,9 +144,9 @@ func (floodingScheme) Label(g *Graph, anchor int, _ *Config) (*Labeling, error) 
 func (floodingScheme) Plan(l *Labeling, source int, mu string) (Plan, error) {
 	ps, stop := baseline.NewFloodingProtocols(l.Labels, l.Delays, source, mu)
 	maxRounds := baseline.FloodingMaxRounds(l.Graph.N())
-	return Plan{Protocols: ps, MaxRounds: maxRounds, Stop: stop, Assemble: resultAssembler(l, source)}, nil
+	return Plan{Protocols: ps, MaxRounds: maxRounds, Stop: stop}, nil
 }
 
 func (floodingScheme) Verify(out *Outcome) error {
-	return verifyComplete(out, "flooding")
+	return verifyComplete(out)
 }

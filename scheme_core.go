@@ -1,8 +1,6 @@
 package radiobcast
 
 import (
-	"fmt"
-
 	"radiobcast/internal/core"
 	"radiobcast/internal/radio"
 )
@@ -34,23 +32,14 @@ func (bScheme) Label(g *Graph, source int, _ *Config) (*Labeling, error) {
 
 func (bScheme) Plan(l *Labeling, source int, mu string) (Plan, error) {
 	ps, base, release := core.PlanBroadcast(l.Graph, l.Labels, source, mu)
-	return corePlan(ps, base, release, func(res *Result) *Outcome {
-		out := core.AssembleBroadcast(res, l.Stages, source)
-		return &Outcome{
-			InformedRound:   out.InformedRound,
-			AllInformed:     out.AllInformed,
-			CompletionRound: out.CompletionRound,
-			inner:           out,
-		}
-	}), nil
+	return corePlan(ps, base, release, nil), nil
 }
 
 func (bScheme) Verify(out *Outcome) error {
-	b, ok := out.inner.(*core.BroadcastOutcome)
-	if !ok {
-		return fmt.Errorf("radiobcast: outcome did not come from scheme b")
+	if err := verifyComplete(out); err != nil {
+		return err
 	}
-	return core.VerifyBroadcast(b, out.Mu)
+	return core.VerifyBroadcast(out.Result, out.InformedRound, out.Labeling.Stages, out.Mu)
 }
 
 // backScheme adapts the 3-bit scheme λack with acknowledged broadcast
@@ -74,24 +63,16 @@ func (backScheme) Label(g *Graph, source int, _ *Config) (*Labeling, error) {
 
 func (backScheme) Plan(l *Labeling, source int, mu string) (Plan, error) {
 	ps, base, release := core.PlanAcknowledged(l.Graph, l.Labels, source, mu)
-	return corePlan(ps, base, release, func(res *Result) *Outcome {
-		out := core.AssembleAcknowledged(res, l.Stages, source)
-		return &Outcome{
-			InformedRound:   out.InformedRound,
-			AllInformed:     out.AllInformed,
-			CompletionRound: out.CompletionRound,
-			AckRound:        out.AckRound,
-			inner:           out,
-		}
+	return corePlan(ps, base, release, func(out *Outcome) {
+		out.AckRound = out.Result.FirstReception(out.Source, radio.KindAck)
 	}), nil
 }
 
 func (backScheme) Verify(out *Outcome) error {
-	a, ok := out.inner.(*core.AckOutcome)
-	if !ok {
-		return fmt.Errorf("radiobcast: outcome did not come from scheme back")
+	if err := verifyComplete(out); err != nil {
+		return err
 	}
-	return core.VerifyAcknowledged(a, out.Mu)
+	return core.VerifyAcknowledged(out.Result, out.InformedRound, out.AckRound, out.Labeling.Stages, out.Mu)
 }
 
 // barbScheme adapts the 3-bit source-independent scheme λarb with the
@@ -119,40 +100,32 @@ func (barbScheme) Plan(l *Labeling, source int, mu string) (Plan, error) {
 	if err != nil {
 		return Plan{}, err
 	}
-	return corePlan(ps, base, release, func(res *Result) *Outcome {
-		out := core.AssembleArbitrary(res, ps, source)
-		return &Outcome{
-			InformedRound:      out.InformedRound,
-			AllInformed:        out.AllInformed,
-			CompletionRound:    out.CompletionRound,
-			KnowsCompleteRound: out.KnowsCompleteRound,
-			TotalRounds:        out.TotalRounds,
-			T:                  out.T,
-			inner:              out,
-		}
+	return corePlan(ps, base, release, func(out *Outcome) {
+		out.KnowsCompleteRound, out.T = core.ArbitraryState(ps)
 	}), nil
 }
 
 func (barbScheme) Verify(out *Outcome) error {
-	a, ok := out.inner.(*core.ArbOutcome)
-	if !ok {
-		return fmt.Errorf("radiobcast: outcome did not come from scheme barb")
+	if err := verifyComplete(out); err != nil {
+		return err
 	}
-	return core.VerifyArbitrary(out.Graph, a, out.Mu)
+	return core.VerifyArbitrary(out.Result, out.KnowsCompleteRound, out.Labeling.R(), out.Mu)
 }
 
 // corePlan carries a core plan's protocols and base options into a Plan
-// whose Assemble releases the protocols' pooled slab once assemble has
-// read the Result: Assemble runs once per plan, after the run, so the
-// slab is free for the next plan as soon as the outcome is built.
-func corePlan(ps []Protocol, base radio.Options, release func(), assemble func(*Result) *Outcome) Plan {
+// whose Assemble runs assemble (if non-nil), which may read the
+// protocols, and then releases their pooled slab: Assemble runs once per
+// plan, after the run, so the slab is free for the next plan as soon as
+// the outcome is built.
+func corePlan(ps []Protocol, base radio.Options, release func(), assemble func(*Outcome)) Plan {
 	return Plan{
 		Protocols: ps, MaxRounds: base.MaxRounds,
 		StopAfterSilent: base.StopAfterSilent, Stop: base.Stop,
-		Assemble: func(res *Result) *Outcome {
-			out := assemble(res)
+		Assemble: func(out *Outcome) {
+			if assemble != nil {
+				assemble(out)
+			}
 			release()
-			return out
 		},
 	}
 }

@@ -52,11 +52,11 @@ func (gjpScheme) Label(g *Graph, source int, cfg *Config) (*Labeling, error) {
 
 func (gjpScheme) Plan(l *Labeling, source int, mu string) (Plan, error) {
 	ps, base, release := gjp.Plan(l.Graph, l.Labels, source, mu)
-	return corePlan(ps, base, release, resultAssembler(l, source)), nil
+	return corePlan(ps, base, release, nil), nil
 }
 
 func (gjpScheme) Verify(out *Outcome) error {
-	if err := verifyComplete(out, "gjp"); err != nil {
+	if err := verifyComplete(out); err != nil {
 		return err
 	}
 	if bits := out.Labeling.Bits(); bits > 1 {

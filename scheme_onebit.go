@@ -63,7 +63,7 @@ func (onebitScheme) Label(g *Graph, source int, cfg *Config) (*Labeling, error) 
 }
 
 func (onebitScheme) Verify(out *Outcome) error {
-	if err := verifyComplete(out, "onebit"); err != nil {
+	if err := verifyComplete(out); err != nil {
 		return err
 	}
 	if bits := out.Labeling.Bits(); bits > 1 {

@@ -129,22 +129,6 @@ func (slotScheme) Plan(l *radiobcast.Labeling, source int, mu string) (radiobcas
 			}
 			return true
 		},
-		Assemble: func(res *radiobcast.Result) *radiobcast.Outcome {
-			out := &radiobcast.Outcome{InformedRound: make([]int, n), AllInformed: true}
-			for v := range nodes {
-				if v == source {
-					continue
-				}
-				r := res.FirstReception(v, 0)
-				if r == radiobcast.NoReception {
-					out.AllInformed = false
-					continue
-				}
-				out.InformedRound[v] = r
-				out.CompletionRound = max(out.CompletionRound, r)
-			}
-			return out
-		},
 	}, nil
 }
 
@@ -180,9 +164,9 @@ func (p *slotNode) Step(rcv, out *radiobcast.Message) bool {
 }
 
 // TestSchemeFromScratch runs test-slot, a scheme written against the
-// public API alone, through every entry point that runs a scheme. Its
-// Assemble cannot set an Outcome's unexported fields, so the public Plan
-// is all an outside scheme needs.
+// public API alone, through every entry point that runs a scheme. It has
+// no Assemble: the facade reads who was informed for every scheme, so
+// protocols and bounds are all an outside scheme's Plan needs.
 func TestSchemeFromScratch(t *testing.T) {
 	ctx := context.Background()
 	net, err := radiobcast.Family("grid", 16)
@@ -241,13 +225,41 @@ func TestMalformedPlan(t *testing.T) {
 	defer hookB.reset()
 	net := figNet(t)
 	for name, spoil := range map[string]func(*radiobcast.Plan){
-		"short":        func(p *radiobcast.Plan) { p.Protocols = p.Protocols[1:] },
-		"unbounded":    func(p *radiobcast.Plan) { p.MaxRounds = 0 },
-		"no assembler": func(p *radiobcast.Plan) { p.Assemble = nil },
+		"short":     func(p *radiobcast.Plan) { p.Protocols = p.Protocols[1:] },
+		"unbounded": func(p *radiobcast.Plan) { p.MaxRounds = 0 },
 	} {
 		hookB.onPlan.Store(&spoil)
 		if out, err := radiobcast.Run(net, "hook-b"); err == nil || out != nil {
 			t.Errorf("%s plan: outcome %t, err %v; want an error", name, out != nil, err)
 		}
+	}
+}
+
+// TestAssembleRunsBeforeCoverage pins the Assemble contract: a plan's
+// Assemble receives the outcome the facade built, who was informed
+// included, and Coverage, Degraded and Verify judge what it leaves there.
+// Here hook-b's Assemble runs b's own, which releases the slab, and then
+// forgets that node 1 was informed.
+func TestAssembleRunsBeforeCoverage(t *testing.T) {
+	hookB.reset()
+	defer hookB.reset()
+	forget := func(p *radiobcast.Plan) {
+		own := p.Assemble
+		p.Assemble = func(out *radiobcast.Outcome) {
+			own(out)
+			out.InformedRound[1] = 0
+			out.AllInformed = false
+		}
+	}
+	hookB.onPlan.Store(&forget)
+	out, err := radiobcast.Run(figNet(t), "hook-b", radiobcast.WithMessage("m"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Source == 1 || out.Coverage >= 1 || out.Degraded == radiobcast.DegradedNone {
+		t.Fatalf("coverage %v, degraded %q after Assemble dropped node 1", out.Coverage, out.Degraded)
+	}
+	if err := radiobcast.Verify(out); err == nil {
+		t.Fatal("Verify passes an outcome whose Assemble dropped node 1")
 	}
 }
