@@ -11,6 +11,7 @@ package radiobcast_test
 import (
 	"context"
 	"fmt"
+	"math/rand/v2"
 	"testing"
 
 	"radiobcast"
@@ -20,7 +21,6 @@ import (
 	"radiobcast/internal/domset"
 	"radiobcast/internal/experiments"
 	"radiobcast/internal/graph"
-	"radiobcast/internal/nodeset"
 	"radiobcast/internal/onebit"
 	"radiobcast/internal/store"
 )
@@ -102,7 +102,7 @@ func BenchmarkFreeze(b *testing.B) {
 	for _, fam := range benchFamilies {
 		for _, n := range benchSizes {
 			base := benchNet(b, fam, n).Graph.Edges()
-			perm := graph.RandomPermutation(n, 2)
+			perm := rand.New(rand.NewPCG(2, 0)).Perm(n)
 			edges := make([][2]int, len(base))
 			for i, e := range base {
 				edges[i] = [2]int{perm[e[0]], perm[e[1]]}
@@ -115,7 +115,6 @@ func BenchmarkFreeze(b *testing.B) {
 					k := min(len(batch), b.N-i)
 					for j := range batch[:k] {
 						g := graph.New(n)
-						g.Grow(len(edges))
 						for _, e := range edges {
 							g.AddEdge(e[0], e[1])
 						}
@@ -269,7 +268,7 @@ func BenchmarkSessionCacheMiss(b *testing.B) {
 func BenchmarkEdgeListGraph(b *testing.B) {
 	const n = 4096
 	base := graph.StreamGNPConnected(n, 6.0/n, 1).Edges()
-	perm := graph.RandomPermutation(n, 2)
+	perm := rand.New(rand.NewPCG(2, 0)).Perm(n)
 	edges := make([][2]int, len(base))
 	for i, e := range base {
 		edges[i] = [2]int{perm[e[0]], perm[e[1]]}
@@ -337,14 +336,22 @@ func BenchmarkStages(b *testing.B) {
 func BenchmarkMinimalDomset(b *testing.B) {
 	for _, n := range benchSizes {
 		g := benchNet(b, "gnp-sparse", n).Graph
-		// Candidates: BFS layer 1 (ascending); targets: layer 2.
-		layers := g.Layers(0)
-		if len(layers) < 3 {
+		// Candidates: the nodes at distance 1 from node 0 (ascending);
+		// targets: those at distance 2, as a bit-word vector.
+		var cand []int32
+		targets, count := make([]uint64, (g.N()+63)/64), 0
+		for v, d := range g.BFS(0) {
+			switch d {
+			case 1:
+				cand = append(cand, int32(v))
+			case 2:
+				targets[v/64] |= 1 << (v % 64)
+				count++
+			}
+		}
+		if count == 0 {
 			b.Skip("graph too shallow")
 		}
-		var cand []int32
-		nodeset.Of(g.N(), layers[1]...).ForEach(func(v int) { cand = append(cand, int32(v)) })
-		targets := nodeset.Of(g.N(), layers[2]...)
 		csr := g.Freeze()
 		bcsr := graph.NewBitCSR(csr)
 		p := domset.NewPruner(g.N())
@@ -353,7 +360,7 @@ func BenchmarkMinimalDomset(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				var err error
-				if out, err = p.Prune(out[:0], csr, bcsr, cand, targets.Words(), targets.Count(), domset.Ascending); err != nil {
+				if out, err = p.Prune(out[:0], csr, bcsr, cand, targets, count, domset.Ascending); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -534,7 +541,7 @@ func BenchmarkOneBit(b *testing.B) {
 
 // BenchmarkSweep times the batched workload path: a families × sizes ×
 // schemes × fault-rates grid executed as one RunSweep job with shared
-// frozen graphs, shared labelings and session-pooled reusable engines.
+// frozen graphs, shared labelings and pooled reusable engines.
 func BenchmarkSweep(b *testing.B) {
 	spec := radiobcast.SweepSpec{
 		Families:   benchFamilies,

@@ -33,7 +33,9 @@ import (
 // travels in the blob (the λ-family stage structure is rebuilt from its
 // DOM/NEW lists via the §2.1 recurrence). z and r are derived from the
 // labels, and a blob whose z or r disagrees with its labels is rejected
-// (ErrLabelingMismatch). Decoding is defensive: every
+// (ErrLabelingMismatch), as is a b or back labeling without its stage
+// lists, in both directions: Verify checks those runs against them.
+// Decoding is defensive: every
 // count is bounded by the remaining input before anything is allocated,
 // every label must be a bit string of at most 31 bits (the longest a
 // Label holds), and corrupt or truncated blobs return errors, never
@@ -64,6 +66,9 @@ const LabelingContentType = "application/vnd.radiobcast.labeling.v1"
 func (l *Labeling) MarshalBinary() ([]byte, error) {
 	if l == nil || l.Graph == nil {
 		return nil, labelingMismatch("cannot marshal a labeling without a graph")
+	}
+	if l.Stages == nil && stagesRequired(l.Scheme) {
+		return nil, labelingMismatch("cannot marshal a %s labeling without its stages", l.Scheme)
 	}
 	csr := l.Graph.Freeze()
 	n := csr.N()
@@ -151,6 +156,11 @@ func (l *Labeling) MarshalBinary() ([]byte, error) {
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 	return buf, nil
 }
+
+// stagesRequired reports whether a labeling of the scheme must carry its
+// §2.1 stage lists: Verify checks b's and back's runs against them
+// (Lemma 2.8), so without them such a labeling runs but never verifies.
+func stagesRequired(scheme string) bool { return scheme == "b" || scheme == "back" }
 
 // appendNodes appends a node list: its length, then the nodes.
 func appendNodes[T int | int32](buf []byte, list []T) []byte {
@@ -241,6 +251,9 @@ func (l *Labeling) decode(data []byte, known *Graph) error {
 	}
 	if flags&^byte(flagHasLabels|flagHasSchedule|flagHasStages) != 0 {
 		return fmt.Errorf("radiobcast: labeling codec: unknown flag bits %#x", flags)
+	}
+	if flags&flagHasStages == 0 && stagesRequired(string(scheme)) {
+		return labelingMismatch("labeling codec: a %s labeling without its stages", scheme)
 	}
 
 	var labels []Label

@@ -18,6 +18,7 @@ import (
 
 	"radiobcast"
 	"radiobcast/internal/graph"
+	"radiobcast/internal/wiretest"
 )
 
 // codecMatrix pairs every registered scheme with a family it labels.
@@ -295,6 +296,30 @@ func TestMarshalInvalidLabeling(t *testing.T) {
 	}
 }
 
+// TestLabelingCodecRefusesStagelessLambda: Verify checks a b or back run
+// against its labeling's stage lists, so neither direction of the codec
+// takes such a labeling without them: MarshalBinary refuses it, and a
+// blob cut down to one decodes to ErrLabelingMismatch.
+func TestLabelingCodecRefusesStagelessLambda(t *testing.T) {
+	net, err := radiobcast.Family("path", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, scheme := range []string{"b", "back"} {
+		l, err := radiobcast.LabelNetwork(net, scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := new(radiobcast.Labeling).UnmarshalBinary(wiretest.StagelessBlob(t, l)); !errors.Is(err, radiobcast.ErrLabelingMismatch) {
+			t.Fatalf("%s: stage-less blob decoded: %v", scheme, err)
+		}
+		l.Stages = nil
+		if _, err := l.MarshalBinary(); !errors.Is(err, radiobcast.ErrLabelingMismatch) {
+			t.Fatalf("%s: stage-less labeling marshaled: %v", scheme, err)
+		}
+	}
+}
+
 // goldenFamilies is the fixed family matrix of TestLabelingWireBytesGolden:
 // every registered scheme labels each of these at n = 64.
 var goldenFamilies = []string{"path", "cycle", "grid", "btree", "gnp-sparse", "complete"}
@@ -532,7 +557,6 @@ func oracleGraph(data []byte) (g *graph.Graph, span [2]int, err error) {
 	}
 	span[0] = len(body) - len(d.buf)
 	g = graph.New(n)
-	g.Grow(m)
 	for i := 0; i < m; i++ {
 		u, err := d.varuint("edge endpoint")
 		if err != nil {

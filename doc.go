@@ -17,9 +17,9 @@
 //	err := radiobcast.Verify(out)
 //
 // Serving workloads go through a Session, which caches labelings by
-// graph structure and pools simulation engines, so the steady state of
-// the paper's label-once/run-many regime neither relabels nor
-// reallocates:
+// graph structure; its runs borrow pooled simulation engines, so the
+// steady state of the paper's label-once/run-many regime neither
+// relabels nor reallocates:
 //
 //	sess := radiobcast.NewSession()
 //	out, _ := sess.Run(ctx, net, "b", radiobcast.WithMessage("µ"))
@@ -54,7 +54,7 @@
 // frozen graphs and labelings across cells; the fault axis is the
 // FaultRates entries followed by the Faults specs, each spec's seed
 // folded with the repeat index so the grid is reproducible. Every cell
-// runs on its own engine borrowed from the Session's pool; the worker
+// runs on its own engine borrowed from the engine's pool; the worker
 // pool is the only parallelism.
 //
 // The machinery lives under internal/:

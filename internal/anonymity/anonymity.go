@@ -15,8 +15,6 @@
 package anonymity
 
 import (
-	"fmt"
-
 	"radiobcast/internal/graph"
 	"radiobcast/internal/radio"
 )
@@ -106,19 +104,6 @@ func (w *symmetryWrapper) Step(rcv, out *radio.Message) bool {
 		c.diverged = true
 	}
 	return st.transmit
-}
-
-// Verify runs the factory and returns an error unless the run matches the
-// impossibility prediction: symmetric neighbours and an uninformed antipode.
-func Verify(factory Factory, horizon int) error {
-	out := RunFourCycle(factory, horizon)
-	if !out.NeighboursSymmetric {
-		return fmt.Errorf("anonymity: neighbours diverged — protocol is not label-oblivious deterministic")
-	}
-	if out.AntipodeInformed != 0 {
-		return fmt.Errorf("anonymity: antipode informed in round %d — impossibility violated", out.AntipodeInformed)
-	}
-	return nil
 }
 
 // PseudorandomProgram returns a Factory whose transmit decisions are an

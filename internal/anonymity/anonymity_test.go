@@ -1,6 +1,7 @@
 package anonymity
 
 import (
+	"fmt"
 	"testing"
 
 	"radiobcast"
@@ -99,4 +100,17 @@ func coreFourCycleBroadcast(t *testing.T) int {
 		t.Fatal(err)
 	}
 	return out.CompletionRound
+}
+
+// Verify runs the factory and returns an error unless the run matches the
+// impossibility prediction: symmetric neighbours and an uninformed antipode.
+func Verify(factory Factory, horizon int) error {
+	out := RunFourCycle(factory, horizon)
+	if !out.NeighboursSymmetric {
+		return fmt.Errorf("anonymity: neighbours diverged — protocol is not label-oblivious deterministic")
+	}
+	if out.AntipodeInformed != 0 {
+		return fmt.Errorf("anonymity: antipode informed in round %d — impossibility violated", out.AntipodeInformed)
+	}
+	return nil
 }

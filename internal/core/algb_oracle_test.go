@@ -9,6 +9,7 @@ import (
 	"radiobcast/internal/faults"
 	"radiobcast/internal/graph"
 	"radiobcast/internal/radio"
+	"radiobcast/internal/radio/radiotest"
 )
 
 // oracleB is algorithm B (Algorithm 1) at a single node, transcribed line
@@ -269,10 +270,7 @@ func decodeBCase(data []byte) (bCase, error) {
 			g.AddEdge(u, v)
 		}
 	}
-	comps := g.ConnectedComponents()
-	for i := 1; i < len(comps); i++ {
-		g.AddEdge(comps[i-1][0], comps[i][0])
-	}
+	radiotest.Connect(g)
 	c := bCase{g: g, source: int(hdr[1]) % n, fault: int(hdr[2]) % numBFaults, seed: int64(hdr[3])}
 	switch hdr[4] % 3 {
 	case 0, 1:

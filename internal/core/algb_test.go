@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand/v2"
 	"reflect"
 	"slices"
 	"testing"
@@ -213,7 +214,7 @@ func TestAlgBUninformedIgnoresStay(t *testing.T) {
 		NewAlgB(MustParseLabel("11"), nil),
 	}
 	res := radio.Run(g, ps, radio.Options{MaxRounds: 6})
-	if ok, _ := ps[1].(*AckNode).Informed(); ok {
+	if ps[1].(*AckNode).m.firstRecv != 0 {
 		t.Fatal("node adopted a stay message as µ")
 	}
 	if len(res.Transmits(1)) != 0 {
@@ -259,10 +260,12 @@ func TestVerifyBroadcastNeedsEveryNodeListed(t *testing.T) {
 	}
 }
 
+// TestAlgBInformedAccessors pins when the machine counts itself informed:
+// the source from the start, any other node from its first µ.
 func TestAlgBInformedAccessors(t *testing.T) {
 	mu := "m"
 	src := NewAlgB(MustParseLabel("10"), &mu)
-	if ok, r := src.Informed(); !ok || r != 0 {
+	if !src.m.origin || src.m.firstRecv != 0 {
 		t.Fatal("source must be informed at round 0")
 	}
 	var out radio.Message
@@ -270,13 +273,13 @@ func TestAlgBInformedAccessors(t *testing.T) {
 		t.Fatalf("source's first step = %t, %+v, want µ = %q", tx, out, mu)
 	}
 	other := NewAlgB(MustParseLabel("00"), nil)
-	if ok, _ := other.Informed(); ok {
+	if other.m.origin || other.m.firstRecv != 0 {
 		t.Fatal("fresh node must be uninformed")
 	}
 	other.Step(nil, &out)
 	other.Step(&radio.Message{Kind: radio.KindData, Payload: "m"}, &out)
-	if ok, r := other.Informed(); !ok || r != 1 {
-		t.Fatalf("node that heard µ in round 1: Informed = %v, %d", ok, r)
+	if r := other.m.firstRecv; r != 1 {
+		t.Fatalf("node that heard µ in round 1: informed in round %d", r)
 	}
 }
 
@@ -285,8 +288,11 @@ func TestBroadcastInvariantUnderRelabeling(t *testing.T) {
 	// differ, but completion ≤ 2n−3 and full information always hold).
 	for seed := int64(0); seed < 20; seed++ {
 		g := graph.GNPConnected(24, 0.15, seed)
-		perm := graph.RandomPermutation(24, seed+100)
-		relabeled := graph.Relabel(g, perm)
+		perm := rand.New(rand.NewPCG(uint64(seed), 100)).Perm(24)
+		relabeled := graph.New(24)
+		for _, e := range g.Edges() {
+			relabeled.AddEdge(perm[e[0]], perm[e[1]])
+		}
 		out1, err := runBroadcast(g, 3, "m", BuildOptions{})
 		if err != nil {
 			t.Fatal(err)

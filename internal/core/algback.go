@@ -191,19 +191,6 @@ func newAckNode(label Label, sourceMsg *string, spec ackSpec) *AckNode {
 	return a
 }
 
-// Informed reports whether the node holds µ and the round it first
-// received it (0 for the source). Under Back that round is also the
-// node's informedRound (Lemma 3.5).
-func (a *AckNode) Informed() (bool, int) {
-	switch {
-	case a.m.origin:
-		return true, 0
-	case a.m.firstRecv != 0:
-		return true, int(a.m.firstRecv)
-	}
-	return false, 0
-}
-
 // Step implements radio.Protocol, mirroring Algorithm 1 or 2. Its only
 // call into the machine is act; receive and transmit inline.
 func (a *AckNode) Step(rcv, out *radio.Message) bool {

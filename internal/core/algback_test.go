@@ -220,11 +220,11 @@ func TestAlgBackWrongZPrematureAck(t *testing.T) {
 func TestAlgBackInformedAccessor(t *testing.T) {
 	mu := "m"
 	src := newAckNode(MustParseLabel("100"), &mu, backSpec)
-	if ok, r := src.Informed(); !ok || r != 0 {
+	if !src.m.origin || src.m.firstRecv != 0 {
 		t.Fatal("source accessor wrong")
 	}
 	other := newAckNode(MustParseLabel("000"), nil, backSpec)
-	if ok, _ := other.Informed(); ok {
+	if other.m.origin || other.m.firstRecv != 0 {
 		t.Fatal("fresh node informed")
 	}
 }

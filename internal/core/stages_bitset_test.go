@@ -9,6 +9,7 @@ import (
 
 	"radiobcast/internal/domset"
 	"radiobcast/internal/graph"
+	"radiobcast/internal/radio/radiotest"
 )
 
 // The word-parallel stage kernel must be indistinguishable from the
@@ -220,10 +221,7 @@ func decodeStagesCase(data []byte) (g *graph.Graph, source int, opt BuildOptions
 			g.AddEdge(u, v)
 		}
 	}
-	comps := g.ConnectedComponents()
-	for i := 1; i < len(comps); i++ {
-		g.AddEdge(comps[i-1][0], comps[i][0])
-	}
+	radiotest.Connect(g)
 	opt = BuildOptions{
 		Order:          domset.Orders[hdr[2]%4],
 		Restricted:     hdr[2]&4 != 0,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"radiobcast/internal/domset"
+	"radiobcast/internal/domset/domsettest"
 	"radiobcast/internal/graph"
 	"radiobcast/internal/nodeset"
 )
@@ -30,8 +31,6 @@ func buildStagesOracle(g *graph.Graph, source int, opt BuildOptions) (*Stages, e
 	csr := g.Freeze()
 
 	inf := nodeset.Of(n, source)
-	uninf := nodeset.Full(n)
-	uninf.Remove(source)
 	frontier := nodeset.New(n)
 	for _, w := range csr.Neighbors(source) {
 		frontier.Add(int(w))
@@ -52,11 +51,11 @@ func buildStagesOracle(g *graph.Graph, source int, opt BuildOptions) (*Stages, e
 			st.L = i
 			return st, nil
 		}
-		uninf = nodeset.Subtract(uninf, prevNew)
 		// FRONTIER_i = UNINF_i ∩ Γ(INF_i), computed incrementally:
-		// previous frontier survivors plus uninformed neighbours of NEW_{i−1}.
-		frontier = nodeset.Intersect(frontier, uninf)
-		frontier.UnionWith(nodeset.Intersect(neighborhood(csr, prevNew), uninf))
+		// previous frontier survivors plus uninformed neighbours of NEW_{i−1},
+		// where UNINF_i = V \ INF_i.
+		frontier = nodeset.Subtract(frontier, inf)
+		frontier.UnionWith(nodeset.Subtract(neighborhood(csr, prevNew), inf))
 
 		candidates := prevDom.Clone()
 		if !opt.Restricted {
@@ -70,7 +69,7 @@ func buildStagesOracle(g *graph.Graph, source int, opt BuildOptions) (*Stages, e
 			}
 		} else {
 			var err error
-			dom, err = domset.MinimalSubset(g, candidates, frontier, opt.Order)
+			dom, err = domsettest.MinimalSubset(g, candidates, frontier, opt.Order)
 			if err != nil {
 				st.Stalled = i
 				return st, fmt.Errorf("core: stage %d: %v (restricted=%v)", i, err, opt.Restricted)

@@ -10,8 +10,9 @@ import (
 	"radiobcast/internal/nodeset"
 )
 
-// Pruner is the word-parallel form of MinimalSubset, and the pruner the
-// stage construction in package core runs: candidates arrive as a sorted
+// Pruner is the word-parallel form of domsettest.MinimalSubset, the
+// set-at-a-time reference, and the pruner the stage construction in
+// package core runs: candidates arrive as a sorted
 // int32 list, targets as a frontier bit-word vector, and the minimal
 // subset is appended, ascending, to the caller's int32 list. The
 // algorithm is the same greedy-removal loop as MinimalSubset — same

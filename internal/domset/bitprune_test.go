@@ -1,21 +1,25 @@
-package domset
+package domset_test
 
 import (
 	"slices"
 	"testing"
 	"testing/quick"
 
+	"radiobcast/internal/domset"
+	"radiobcast/internal/domset/domsettest"
 	"radiobcast/internal/graph"
 	"radiobcast/internal/nodeset"
 )
 
 // pruneViaWords runs Pruner on set-typed inputs, converting at the seam.
-func pruneViaWords(t *testing.T, p *Pruner, g *graph.Graph, candidates, targets *nodeset.Set, order PruneOrder) (*nodeset.Set, error) {
+func pruneViaWords(t *testing.T, p *domset.Pruner, g *graph.Graph, candidates, targets *nodeset.Set, order domset.PruneOrder) (*nodeset.Set, error) {
 	t.Helper()
 	cand := make([]int32, 0, candidates.Count())
 	candidates.ForEach(func(v int) { cand = append(cand, int32(v)) })
+	words := make([]uint64, (g.N()+63)/64)
+	targets.ForEach(func(v int) { words[v/64] |= 1 << (v % 64) })
 	csr := g.Freeze()
-	got, err := p.Prune(nil, csr, graph.NewBitCSR(csr), cand, targets.Words(), targets.Count(), order)
+	got, err := p.Prune(nil, csr, graph.NewBitCSR(csr), cand, words, targets.Count(), order)
 	if err != nil {
 		return nil, err
 	}
@@ -29,7 +33,7 @@ func TestPrunerMatchesMinimalSubset(t *testing.T) {
 	f := func(seed int64) bool {
 		n := 3 + int(uint64(seed)%70)
 		g := graph.GNPConnected(n, 0.2, seed)
-		p := NewPruner(n)
+		p := domset.NewPruner(n)
 		// Candidates: every third node plus node 0; targets: the rest that
 		// have a candidate neighbour (so domination holds by construction).
 		candidates := nodeset.New(n)
@@ -53,8 +57,8 @@ func TestPrunerMatchesMinimalSubset(t *testing.T) {
 		if targets.Empty() {
 			return true
 		}
-		for _, order := range Orders {
-			want, err1 := MinimalSubset(g, candidates, targets, order)
+		for _, order := range domset.Orders {
+			want, err1 := domsettest.MinimalSubset(g, candidates, targets, order)
 			got, err2 := pruneViaWords(t, p, g, candidates, targets, order)
 			if (err1 == nil) != (err2 == nil) {
 				return false
@@ -77,18 +81,18 @@ func TestPrunerMatchesMinimalSubset(t *testing.T) {
 // after what the caller's slice holds.
 func TestPrunerUndominatedTarget(t *testing.T) {
 	g := graph.Path(5)
-	p := NewPruner(5)
+	p := domset.NewPruner(5)
 	csr := g.Freeze()
 	bcsr := graph.NewBitCSR(csr)
-	targets := nodeset.Of(5, 4).Words() // node 4's only neighbour is 3
+	targets := []uint64{1 << 4} // node 4's only neighbour is 3
 	dst := []int32{2}
-	if got, err := p.Prune(dst, csr, bcsr, []int32{0, 1}, targets, 1, Ascending); err == nil {
+	if got, err := p.Prune(dst, csr, bcsr, []int32{0, 1}, targets, 1, domset.Ascending); err == nil {
 		t.Fatal("expected undominated-target error")
 	} else if !slices.Equal(got, dst) {
 		t.Fatalf("Prune error path returned %v, want the caller's %v", got, dst)
 	}
 	// Reuse after the error: {3} dominates {4} and is already minimal.
-	got, err := p.Prune(dst, csr, bcsr, []int32{3}, targets, 1, Ascending)
+	got, err := p.Prune(dst, csr, bcsr, []int32{3}, targets, 1, domset.Ascending)
 	if err != nil {
 		t.Fatalf("reuse after error: %v", err)
 	}
@@ -101,7 +105,7 @@ func TestPrunerUndominatedTarget(t *testing.T) {
 // worth of calls, checking the sparse reset leaves no residue.
 func TestPrunerReuseAcrossCalls(t *testing.T) {
 	g := graph.Grid(7, 7)
-	p := NewPruner(g.N())
+	p := domset.NewPruner(g.N())
 	for trial := 0; trial < 20; trial++ {
 		candidates := nodeset.New(g.N())
 		for v := trial % 7; v < g.N(); v += 7 {
@@ -123,8 +127,8 @@ func TestPrunerReuseAcrossCalls(t *testing.T) {
 		if targets.Empty() {
 			continue
 		}
-		want, err1 := MinimalSubset(g, candidates, targets, Ascending)
-		got, err2 := pruneViaWords(t, p, g, candidates, targets, Ascending)
+		want, err1 := domsettest.MinimalSubset(g, candidates, targets, domset.Ascending)
+		got, err2 := pruneViaWords(t, p, g, candidates, targets, domset.Ascending)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("trial %d: errs %v / %v", trial, err1, err2)
 		}

@@ -9,7 +9,6 @@ package domset
 
 import (
 	"fmt"
-	"sort"
 
 	"radiobcast/internal/graph"
 	"radiobcast/internal/nodeset"
@@ -51,83 +50,6 @@ func (o PruneOrder) String() string {
 
 // Orders lists all prune orders (for ablation sweeps).
 var Orders = []PruneOrder{Ascending, Descending, DegreeAsc, DegreeDesc}
-
-// MinimalSubset returns a minimal subset of candidates that dominates all
-// of targets in g: every target has at least one neighbour in the result,
-// and removing any single member would break that. Candidates with no
-// target neighbour are dropped outright. It returns an error if candidates
-// do not dominate targets.
-//
-// MinimalSubset is the set-at-a-time reference: the stage construction
-// prunes with Pruner, and the tests pin both Pruner and the stage
-// oracle of package core to this function.
-func MinimalSubset(g *graph.Graph, candidates, targets *nodeset.Set, order PruneOrder) (*nodeset.Set, error) {
-	n := g.N()
-	csr := g.Freeze()
-	// cover[t] = number of kept candidates adjacent to target t.
-	cover := make([]int, n)
-	kept := nodeset.New(n)
-	candidates.ForEach(func(c int) {
-		useful := false
-		for _, w := range csr.Neighbors(c) {
-			if targets.Has(int(w)) {
-				cover[w]++
-				useful = true
-			}
-		}
-		if useful {
-			kept.Add(c)
-		}
-	})
-	undominated := -1
-	targets.ForEach(func(t int) {
-		if cover[t] == 0 && undominated == -1 {
-			undominated = t
-		}
-	})
-	if undominated != -1 {
-		return nil, fmt.Errorf("domset: target %d not dominated by candidate set %v", undominated, candidates)
-	}
-
-	for _, c := range orderedElements(g, kept, order) {
-		removable := true
-		for _, w := range csr.Neighbors(c) {
-			if targets.Has(int(w)) && cover[w] == 1 {
-				removable = false
-				break
-			}
-		}
-		if removable {
-			kept.Remove(c)
-			for _, w := range csr.Neighbors(c) {
-				if targets.Has(int(w)) {
-					cover[w]--
-				}
-			}
-		}
-	}
-	return kept, nil
-}
-
-func orderedElements(g *graph.Graph, s *nodeset.Set, order PruneOrder) []int {
-	elems := s.Elements() // ascending
-	switch order {
-	case Ascending:
-	case Descending:
-		for i, j := 0, len(elems)-1; i < j; i, j = i+1, j-1 {
-			elems[i], elems[j] = elems[j], elems[i]
-		}
-	case DegreeAsc:
-		sort.SliceStable(elems, func(i, j int) bool {
-			return g.Degree(elems[i]) < g.Degree(elems[j])
-		})
-	case DegreeDesc:
-		sort.SliceStable(elems, func(i, j int) bool {
-			return g.Degree(elems[i]) > g.Degree(elems[j])
-		})
-	}
-	return elems
-}
 
 // Dominates reports whether every target has a neighbour in dom.
 func Dominates(g *graph.Graph, dom, targets *nodeset.Set) bool {

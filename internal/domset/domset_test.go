@@ -1,10 +1,12 @@
-package domset
+package domset_test
 
 import (
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"radiobcast/internal/domset"
+	"radiobcast/internal/domset/domsettest"
 	"radiobcast/internal/graph"
 	"radiobcast/internal/nodeset"
 )
@@ -14,7 +16,7 @@ func TestMinimalSubsetStar(t *testing.T) {
 	g := graph.Star(5)
 	cand := nodeset.Of(5, 0)
 	targets := nodeset.Of(5, 1, 2, 3, 4)
-	dom, err := MinimalSubset(g, cand, targets, Ascending)
+	dom, err := domsettest.MinimalSubset(g, cand, targets, domset.Ascending)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +31,7 @@ func TestMinimalSubsetDropsRedundant(t *testing.T) {
 	g := graph.Cycle(4)
 	cand := nodeset.Of(4, 1, 3)
 	targets := nodeset.Of(4, 2)
-	dom, err := MinimalSubset(g, cand, targets, Ascending)
+	dom, err := domsettest.MinimalSubset(g, cand, targets, domset.Ascending)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +42,7 @@ func TestMinimalSubsetDropsRedundant(t *testing.T) {
 		// ascending prune removes 1 first (2 still covered by 3)
 		t.Fatalf("ascending prune should keep node 3, got %v", dom)
 	}
-	dom2, err := MinimalSubset(g, cand, targets, Descending)
+	dom2, err := domsettest.MinimalSubset(g, cand, targets, domset.Descending)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +57,7 @@ func TestMinimalSubsetDropsUseless(t *testing.T) {
 	g := graph.Path(4) // 0-1-2-3
 	cand := nodeset.Of(4, 0, 2)
 	targets := nodeset.Of(4, 3)
-	dom, err := MinimalSubset(g, cand, targets, Ascending)
+	dom, err := domsettest.MinimalSubset(g, cand, targets, domset.Ascending)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,14 +70,14 @@ func TestMinimalSubsetUndominated(t *testing.T) {
 	g := graph.Path(4)
 	cand := nodeset.Of(4, 0)
 	targets := nodeset.Of(4, 3)
-	if _, err := MinimalSubset(g, cand, targets, Ascending); err == nil {
+	if _, err := domsettest.MinimalSubset(g, cand, targets, domset.Ascending); err == nil {
 		t.Fatal("expected error for undominated target")
 	}
 }
 
 func TestMinimalSubsetEmptyTargets(t *testing.T) {
 	g := graph.Path(4)
-	dom, err := MinimalSubset(g, nodeset.Of(4, 1, 2), nodeset.New(4), Ascending)
+	dom, err := domsettest.MinimalSubset(g, nodeset.Of(4, 1, 2), nodeset.New(4), domset.Ascending)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,13 +88,13 @@ func TestMinimalSubsetEmptyTargets(t *testing.T) {
 
 func TestDominates(t *testing.T) {
 	g := graph.Path(5)
-	if !Dominates(g, nodeset.Of(5, 1, 3), nodeset.Of(5, 0, 2, 4)) {
+	if !domset.Dominates(g, nodeset.Of(5, 1, 3), nodeset.Of(5, 0, 2, 4)) {
 		t.Fatal("expected domination")
 	}
-	if Dominates(g, nodeset.Of(5, 1), nodeset.Of(5, 4)) {
+	if domset.Dominates(g, nodeset.Of(5, 1), nodeset.Of(5, 4)) {
 		t.Fatal("unexpected domination")
 	}
-	if !Dominates(g, nodeset.New(5), nodeset.New(5)) {
+	if !domset.Dominates(g, nodeset.New(5), nodeset.New(5)) {
 		t.Fatal("empty set should dominate empty targets")
 	}
 }
@@ -102,11 +104,11 @@ func TestPrivateNeighbor(t *testing.T) {
 	g := graph.Path(5)
 	dom := nodeset.Of(5, 1, 3)
 	targets := nodeset.Of(5, 0, 2, 4)
-	if got := PrivateNeighbor(g, dom, targets, 1); got != 0 {
+	if got := domset.PrivateNeighbor(g, dom, targets, 1); got != 0 {
 		// 2 is adjacent to both 1 and 3, so 1's private neighbour is 0
 		t.Fatalf("private(1) = %d, want 0", got)
 	}
-	if got := PrivateNeighbor(g, dom, targets, 3); got != 4 {
+	if got := domset.PrivateNeighbor(g, dom, targets, 3); got != 4 {
 		t.Fatalf("private(3) = %d, want 4", got)
 	}
 }
@@ -114,13 +116,13 @@ func TestPrivateNeighbor(t *testing.T) {
 func TestIsMinimal(t *testing.T) {
 	g := graph.Cycle(4)
 	targets := nodeset.Of(4, 2)
-	if IsMinimal(g, nodeset.Of(4, 1, 3), targets) {
+	if domset.IsMinimal(g, nodeset.Of(4, 1, 3), targets) {
 		t.Fatal("non-minimal set reported minimal")
 	}
-	if !IsMinimal(g, nodeset.Of(4, 1), targets) {
+	if !domset.IsMinimal(g, nodeset.Of(4, 1), targets) {
 		t.Fatal("minimal set reported non-minimal")
 	}
-	if IsMinimal(g, nodeset.Of(4, 0), targets) {
+	if domset.IsMinimal(g, nodeset.Of(4, 0), targets) {
 		t.Fatal("non-dominating set reported minimal")
 	}
 }
@@ -152,15 +154,15 @@ func TestQuickMinimalInvariants(t *testing.T) {
 				}
 			}
 		}
-		for _, order := range Orders {
-			dom, err := MinimalSubset(g, cand, targets, order)
+		for _, order := range domset.Orders {
+			dom, err := domsettest.MinimalSubset(g, cand, targets, order)
 			if err != nil {
 				return false
 			}
 			if !dom.SubsetOf(cand) {
 				return false
 			}
-			if !IsMinimal(g, dom, targets) {
+			if !domset.IsMinimal(g, dom, targets) {
 				return false
 			}
 		}
@@ -172,7 +174,7 @@ func TestQuickMinimalInvariants(t *testing.T) {
 }
 
 func TestOrderStrings(t *testing.T) {
-	for _, o := range Orders {
+	for _, o := range domset.Orders {
 		if o.String() == "" {
 			t.Fatal("empty order name")
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -167,4 +168,17 @@ func TestRunCommonRound(t *testing.T) {
 			t.Fatalf("common round = %d, want 2m = %d", out.CommonRound, 2*out.M)
 		}
 	}
+}
+
+// RunAll executes every experiment and returns all tables.
+func RunAll(cfg Config) ([]*Table, error) {
+	var out []*Table
+	for _, e := range Registry {
+		ts, err := e.Gen(cfg)
+		if err != nil {
+			return out, fmt.Errorf("%s: %w", e.ID, err)
+		}
+		out = append(out, ts...)
+	}
+	return out, nil
 }

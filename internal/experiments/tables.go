@@ -166,19 +166,6 @@ func Find(id string) (Entry, bool) {
 	return Entry{}, false
 }
 
-// RunAll executes every experiment and returns all tables.
-func RunAll(cfg Config) ([]*Table, error) {
-	var out []*Table
-	for _, e := range Registry {
-		ts, err := e.Gen(cfg)
-		if err != nil {
-			return out, fmt.Errorf("%s: %w", e.ID, err)
-		}
-		out = append(out, ts...)
-	}
-	return out, nil
-}
-
 func boolMark(ok bool) string {
 	if ok {
 		return "yes"

@@ -126,33 +126,6 @@ func threshold(p float64) uint64 {
 	return uint64(p * (1 << 63) * 2)
 }
 
-// DropFunc turns an arbitrary predicate into a Model: node v's round-r
-// transmission is jammed when f(v, r) is true. It expresses fault
-// patterns no declarative model does, which is what the engine tests and
-// the engine fuzz target drive it with. The adapter consults f only for
-// actual transmitters, the only nodes a jam can affect.
-func DropFunc(f func(node, round int) bool) Model {
-	if f == nil {
-		return nil
-	}
-	return dropFunc{f}
-}
-
-type dropFunc struct{ f func(node, round int) bool }
-
-func (dropFunc) Reset(int) {}
-
-func (d dropFunc) Apply(st *State, w *Words) {
-	if st.Transmitters == nil {
-		return
-	}
-	for _, t := range st.Transmitters {
-		if d.f(int(t), st.Round) {
-			w.SetJam(int(t))
-		}
-	}
-}
-
 // NewRate returns the i.i.d. per-transmission jamming model: each (node,
 // round) transmission is independently jammed with probability rate,
 // decided by a seeded coordinate hash — the historical FaultRate channel.

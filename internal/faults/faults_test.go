@@ -385,27 +385,3 @@ func TestCompose(t *testing.T) {
 		t.Fatal("composed churn did not surface its topology")
 	}
 }
-
-func TestDropFuncAdapter(t *testing.T) {
-	if DropFunc(nil) != nil {
-		t.Fatal("DropFunc(nil) must be nil")
-	}
-	var calls [][2]int
-	m := DropFunc(func(node, round int) bool {
-		calls = append(calls, [2]int{node, round})
-		return node == 1
-	})
-	m.Reset(3)
-	w := newWords(3)
-	m.Apply(&State{Round: 4}, w) // pre-step: must not consult f
-	if len(calls) != 0 {
-		t.Fatal("DropFunc consulted f in the pre-step phase")
-	}
-	m.Apply(&State{Round: 4, Transmitters: []int32{0, 1}}, w)
-	if len(calls) != 2 || calls[0] != [2]int{0, 4} || calls[1] != [2]int{1, 4} {
-		t.Fatalf("DropFunc consulted f at %v", calls)
-	}
-	if eff := unpack(w, 3); eff[0] != 0 || eff[1]&jam == 0 || eff[2] != 0 {
-		t.Fatalf("DropFunc effects = %v", eff)
-	}
-}

@@ -30,6 +30,21 @@ func complete(t *testing.T, g *graph.Graph, labels []core.Label, source int) boo
 	return true
 }
 
+// barbell returns two cliques K_k joined by a path, n nodes in all.
+func barbell(k, n int) *graph.Graph {
+	g := graph.New(n)
+	for i := 0; i < k; i++ {
+		for j := i + 1; j < k; j++ {
+			g.AddEdge(i, j)
+			g.AddEdge(n-1-i, n-1-j)
+		}
+	}
+	for i := k - 1; i < n-k; i++ {
+		g.AddEdge(i, i+1)
+	}
+	return g
+}
+
 func TestBuildFamilies(t *testing.T) {
 	cases := []struct {
 		name string
@@ -49,7 +64,7 @@ func TestBuildFamilies(t *testing.T) {
 		{"hypercube-4", graph.Hypercube(4)},
 		{"caterpillar", graph.Caterpillar(6, 2)},
 		{"lollipop", graph.Lollipop(4, 12)},
-		{"barbell", graph.Barbell(4, 12)},
+		{"barbell", barbell(4, 12)},
 	}
 	for _, tc := range cases {
 		labels, err := Build(context.Background(), tc.g, 0, DefaultBudget)
@@ -141,7 +156,8 @@ func bits(bs ...bool) []core.Label {
 // forwards µ two rounds after hearing it.
 func TestProtocolTiming(t *testing.T) {
 	mu := "µ"
-	ps, _, _ := Plan(graph.Path(3), bits(false, true, false), 0, mu)
+	g, labels := graph.Path(3), bits(false, true, false)
+	ps, _, _ := Plan(g, labels, 0, mu)
 	src, mid, end := ps[0], ps[1], ps[2]
 
 	// Round 1: source transmits; receptions are delivered at the NEXT
@@ -168,10 +184,10 @@ func TestProtocolTiming(t *testing.T) {
 	}
 	end.Step(nil, &out)
 
-	// Round 4: end processes the forwarded µ — informed as of round 3.
-	end.Step(&radio.Message{Kind: radio.KindData, Payload: mu}, &out)
-	if ok, at := end.(*core.AckNode).Informed(); !ok || at != 3 {
-		t.Fatalf("end Informed = %v at %d, want round 3", ok, at)
+	// On the engine, end hears the forwarded µ in round 3.
+	ps, opt, _ := Plan(g, labels, 0, mu)
+	if rounds, all, _ := core.Informed(radio.Run(g, ps, opt), 0, -1); !all || rounds[2] != 3 {
+		t.Fatalf("informed rounds %v, want end informed in round 3", rounds)
 	}
 }
 

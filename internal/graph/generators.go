@@ -165,24 +165,6 @@ func Lollipop(k, n int) *Graph {
 	return g
 }
 
-// Barbell returns two cliques K_k joined by a path, n total nodes.
-func Barbell(k, n int) *Graph {
-	if k < 1 || n < 2*k {
-		panic(fmt.Sprintf("graph: barbell needs 1 ≤ 2k ≤ n, got k=%d n=%d", k, n))
-	}
-	g := New(n)
-	for i := 0; i < k; i++ {
-		for j := i + 1; j < k; j++ {
-			g.AddEdge(i, j)
-			g.AddEdge(n-1-i, n-1-j)
-		}
-	}
-	for i := k - 1; i < n-k; i++ {
-		g.AddEdge(i, i+1)
-	}
-	return g
-}
-
 // Hypercube returns the d-dimensional hypercube Q_d on 2^d nodes.
 func Hypercube(d int) *Graph {
 	if d < 0 || d > 24 {

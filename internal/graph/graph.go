@@ -82,15 +82,6 @@ func (g *Graph) AddEdge(u, v int) {
 	g.buf = append(g.buf, g.key(min(u, v), max(u, v)))
 }
 
-// Grow makes room for m more edits, so code that knows its edge count
-// adds the edges without reallocating. It does nothing to a graph that
-// has been read.
-func (g *Graph) Grow(m int) {
-	if g.csr == nil {
-		g.buf = slices.Grow(g.buf, m)
-	}
-}
-
 func (g *Graph) key(u, v int) int64 { return int64(u)*int64(g.n) + int64(v) }
 
 // Freeze returns the CSR form of g. The first call after an edit sorts
@@ -128,12 +119,6 @@ func (g *Graph) Neighbors(v int) []int {
 	return out
 }
 
-// Degree returns the degree of v.
-func (g *Graph) Degree(v int) int {
-	g.check(v)
-	return g.Freeze().Degree(v)
-}
-
 // MaxDegree returns Δ(G), or 0 for an edgeless graph.
 func (g *Graph) MaxDegree() int {
 	c := g.Freeze()
@@ -169,40 +154,6 @@ func (g *Graph) Clone() *Graph {
 	c := &Graph{n: g.n, csr: &CSR{Offsets: csr.Offsets, Targets: csr.Targets}}
 	c.fp.Store(g.fp.Load())
 	return c
-}
-
-// Validate checks the structural invariants of the CSR: offsets that
-// span the targets, and sorted, symmetric, loop-free adjacency. It
-// returns nil for every graph this package builds and exists to catch a
-// caller that wrote into the exported CSR arrays.
-func (g *Graph) Validate() error {
-	c := g.Freeze()
-	if len(c.Offsets) != g.n+1 || c.Offsets[0] != 0 || int(c.Offsets[g.n]) != len(c.Targets) {
-		return fmt.Errorf("graph: offsets do not span the %d targets", len(c.Targets))
-	}
-	for u := 0; u < g.n; u++ {
-		if c.Offsets[u] > c.Offsets[u+1] {
-			return fmt.Errorf("graph: offsets decrease at node %d", u)
-		}
-	}
-	for u := 0; u < g.n; u++ {
-		a := c.Neighbors(u)
-		for i, v := range a {
-			if v < 0 || int(v) >= g.n {
-				return fmt.Errorf("graph: node %d has out-of-range neighbour %d", u, v)
-			}
-			if int(v) == u {
-				return fmt.Errorf("graph: self-loop at %d", u)
-			}
-			if i > 0 && a[i-1] >= v {
-				return fmt.Errorf("graph: adjacency of %d not sorted/unique", u)
-			}
-			if _, ok := slices.BinarySearch(c.Neighbors(int(v)), int32(u)); !ok {
-				return fmt.Errorf("graph: edge {%d,%d} not symmetric", u, v)
-			}
-		}
-	}
-	return nil
 }
 
 // String renders a short summary.

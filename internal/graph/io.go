@@ -14,16 +14,6 @@ import (
 // Edge-list format: first non-comment line is the node count, each
 // subsequent line "u v" is an edge. '#' starts a comment.
 
-// WriteEdgeList writes g in edge-list format.
-func WriteEdgeList(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "%d\n", g.N())
-	for _, e := range g.Edges() {
-		fmt.Fprintf(bw, "%d %d\n", e[0], e[1])
-	}
-	return bw.Flush()
-}
-
 // ReadEdgeList parses the edge-list format and also returns the number of
 // edge lines it read. Nothing it allocates is sized by the node count the
 // input states, so a caller that distrusts the input can check that count

@@ -59,12 +59,3 @@ func (b *spBuilder) compose(s, t, budget int) {
 		b.compose(s, t, budget-left)
 	}
 }
-
-// IsSeriesParallelSize is a light sanity predicate used in tests: every
-// simple connected series-parallel graph satisfies m ≤ 2n − 3.
-func IsSeriesParallelSize(g *Graph) bool {
-	if g.N() < 2 {
-		return true
-	}
-	return g.M() <= 2*g.N()-3
-}

@@ -70,16 +70,3 @@ func (g *Graph) GreedyColoring() ([]int, int) {
 func (g *Graph) Distance2Coloring() ([]int, int) {
 	return g.Square().GreedyColoring()
 }
-
-// VerifyColoring reports whether colors is a proper colouring of g.
-func VerifyColoring(g *Graph, colors []int) bool {
-	if len(colors) != g.N() {
-		return false
-	}
-	for _, e := range g.Edges() {
-		if colors[e[0]] == colors[e[1]] {
-			return false
-		}
-	}
-	return true
-}

@@ -1,5 +1,17 @@
 package httpd
 
+import (
+	"net/http"
+
+	"radiobcast"
+)
+
+// Session returns the daemon's serving Session.
+func (s *Server) Session() *radiobcast.Session { return s.sess }
+
+// Handler returns the daemon's routes as one http.Handler.
+func (s *Server) Handler() http.Handler { return s.handler }
+
 // AcquireSweepSlot takes one slot of the bounded sweep pool exactly as a
 // running sweep would, returning its release func. Test-only: it lets the
 // saturation path be exercised deterministically instead of racing a real

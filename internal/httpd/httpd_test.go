@@ -23,6 +23,7 @@ import (
 	"radiobcast"
 	"radiobcast/client"
 	"radiobcast/internal/httpd"
+	"radiobcast/internal/wiretest"
 )
 
 // newTestServer builds a daemon with rate limiting off (tests hammer from
@@ -372,11 +373,12 @@ func TestRunLabeledRejectsWrongZ(t *testing.T) {
 	}
 }
 
-// TestRunLabeledStagelessBlob: a b or back blob may leave out its stage
-// lists, which the run does not need but Lemma 2.8's check does; the
-// answer is an unverified run with the reason, not a panic.
+// TestRunLabeledStagelessBlob: a b or back blob cut down to leave out its
+// stage lists, which Verify checks the run against, is a labeling the
+// codec refuses, so the daemon answers 400 labeling_mismatch rather than
+// an unverifiable run.
 func TestRunLabeledStagelessBlob(t *testing.T) {
-	_, _, c := newTestServer(t, httpd.Config{})
+	_, ts, _ := newTestServer(t, httpd.Config{})
 	net, err := radiobcast.Family("path", 8)
 	if err != nil {
 		t.Fatal(err)
@@ -386,13 +388,17 @@ func TestRunLabeledStagelessBlob(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		l.Stages = nil
-		out, err := c.RunLabeled(context.Background(), l, client.RunLabeledParams{})
+		resp, err := http.Post(ts.URL+"/v1/run-labeled", radiobcast.LabelingContentType, bytes.NewReader(wiretest.StagelessBlob(t, l)))
 		if err != nil {
-			t.Fatalf("%s: %v", scheme, err)
+			t.Fatal(err)
 		}
-		if !out.AllInformed || out.Verified || !strings.Contains(out.VerifyError, "stages") {
-			t.Fatalf("%s without stages: %+v, want a complete run that fails Verify for want of stages", scheme, out)
+		var eb client.ErrorBody
+		if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || eb.Error.Code != "labeling_mismatch" {
+			t.Fatalf("%s blob without stages: status=%d body=%+v, want 400 labeling_mismatch", scheme, resp.StatusCode, eb)
 		}
 	}
 }

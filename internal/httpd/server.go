@@ -153,20 +153,11 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Session returns the shared serving Session (for tests and embedders).
-func (s *Server) Session() *radiobcast.Session { return s.sess }
-
-// Handler returns the daemon's routes as one http.Handler.
-func (s *Server) Handler() http.Handler { return s.handler }
-
 // StartDrain flips the daemon into draining mode: /readyz answers 503 so
 // load balancers stop routing here, and new /v1/ requests are refused
 // with code "draining" while in-flight ones continue. Serve calls it on
 // ctx cancellation; tests call it directly.
 func (s *Server) StartDrain() { s.draining.Store(true) }
-
-// Draining reports whether StartDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // ListenAndServe listens on cfg.Addr and serves until ctx is cancelled,
 // then drains gracefully (see Serve).

@@ -47,18 +47,10 @@ func Full(n int) *Set {
 	return s
 }
 
-// Universe returns the universe size n.
-func (s *Set) Universe() int { return s.n }
-
-// Words exposes the set's backing bit words (64 nodes per word, node v at
-// bit v%64 of word v/64). The slice is owned by the set: callers must
-// treat it as read-only. It is the seam between Set-typed consumers and
-// the word-parallel kernels in core/domset, which operate on raw []uint64.
-func (s *Set) Words() []uint64 { return s.words }
-
-// FromWords returns a set over {0..n-1} initialized from bit words (same
-// layout as Words). The words are copied; missing trailing words read as
-// zero, and bits at or above n are dropped.
+// FromWords returns a set over {0..n-1} initialized from bit words (64
+// nodes per word, node v at bit v%64 of word v/64). The words are
+// copied; missing trailing words read as zero, and bits at or above n
+// are dropped.
 func FromWords(n int, words []uint64) *Set {
 	s := New(n)
 	copy(s.words, words)
@@ -148,15 +140,6 @@ func (s *Set) UnionWith(t *Set) *Set {
 	return s
 }
 
-// IntersectWith keeps only elements also in t and returns s.
-func (s *Set) IntersectWith(t *Set) *Set {
-	s.sameUniverse(t)
-	for i := range s.words {
-		s.words[i] &= t.words[i]
-	}
-	return s
-}
-
 // SubtractWith removes every element of t from s and returns s.
 func (s *Set) SubtractWith(t *Set) *Set {
 	s.sameUniverse(t)
@@ -168,9 +151,6 @@ func (s *Set) SubtractWith(t *Set) *Set {
 
 // Union returns a new set s ∪ t.
 func Union(s, t *Set) *Set { return s.Clone().UnionWith(t) }
-
-// Intersect returns a new set s ∩ t.
-func Intersect(s, t *Set) *Set { return s.Clone().IntersectWith(t) }
 
 // Subtract returns a new set s \ t.
 func Subtract(s, t *Set) *Set { return s.Clone().SubtractWith(t) }
@@ -210,13 +190,6 @@ func (s *Set) Disjoint(t *Set) bool {
 	return true
 }
 
-// Elements returns the members in ascending order.
-func (s *Set) Elements() []int {
-	out := make([]int, 0, s.Count())
-	s.ForEach(func(v int) { out = append(out, v) })
-	return out
-}
-
 // ForEach calls f for each member in ascending order.
 func (s *Set) ForEach(f func(v int)) {
 	for wi, w := range s.words {
@@ -233,16 +206,6 @@ func (s *Set) Min() int {
 	for wi, w := range s.words {
 		if w != 0 {
 			return wi*wordBits + bits.TrailingZeros64(w)
-		}
-	}
-	return -1
-}
-
-// Max returns the largest element, or -1 if the set is empty.
-func (s *Set) Max() int {
-	for wi := len(s.words) - 1; wi >= 0; wi-- {
-		if w := s.words[wi]; w != 0 {
-			return wi*wordBits + wordBits - 1 - bits.LeadingZeros64(w)
 		}
 	}
 	return -1

@@ -1,6 +1,7 @@
 package nodeset
 
 import (
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -16,8 +17,8 @@ func TestNewEmpty(t *testing.T) {
 	if s.Count() != 0 {
 		t.Fatalf("Count = %d, want 0", s.Count())
 	}
-	if s.Universe() != 100 {
-		t.Fatalf("Universe = %d, want 100", s.Universe())
+	if s.n != 100 {
+		t.Fatalf("universe = %d, want 100", s.n)
 	}
 	if s.Min() != -1 || s.Max() != -1 {
 		t.Fatalf("Min/Max of empty = %d/%d, want -1/-1", s.Min(), s.Max())
@@ -305,4 +306,35 @@ func BenchmarkCount(b *testing.B) {
 			b.Fatal("bad count")
 		}
 	}
+}
+
+// The set operations only the tests use.
+
+// Elements returns the members in ascending order.
+func (s *Set) Elements() []int {
+	out := make([]int, 0, s.Count())
+	s.ForEach(func(v int) { out = append(out, v) })
+	return out
+}
+
+// IntersectWith keeps only elements also in t and returns s.
+func (s *Set) IntersectWith(t *Set) *Set {
+	s.sameUniverse(t)
+	for i := range s.words {
+		s.words[i] &= t.words[i]
+	}
+	return s
+}
+
+// Intersect returns a new set s ∩ t.
+func Intersect(s, t *Set) *Set { return s.Clone().IntersectWith(t) }
+
+// Max returns the largest element, or -1 if the set is empty.
+func (s *Set) Max() int {
+	for wi := len(s.words) - 1; wi >= 0; wi-- {
+		if w := s.words[wi]; w != 0 {
+			return wi*wordBits + wordBits - 1 - bits.LeadingZeros64(w)
+		}
+	}
+	return -1
 }

@@ -4,9 +4,9 @@ import "testing"
 
 func TestWordsRoundTrip(t *testing.T) {
 	s := Of(130, 0, 63, 64, 100, 129)
-	got := FromWords(130, s.Words())
+	got := FromWords(130, s.words)
 	if !got.Equal(s) {
-		t.Fatalf("FromWords(Words()) = %v, want %v", got, s)
+		t.Fatalf("FromWords(words) = %v, want %v", got, s)
 	}
 }
 
@@ -33,8 +33,7 @@ func TestOfInt32(t *testing.T) {
 
 func TestWordsLayout(t *testing.T) {
 	s := Of(128, 65)
-	w := s.Words()
-	if len(w) != 2 || w[0] != 0 || w[1] != 2 {
-		t.Fatalf("Words() = %v, want [0 2]", w)
+	if w := s.words; len(w) != 2 || w[0] != 0 || w[1] != 2 {
+		t.Fatalf("words = %v, want [0 2]", w)
 	}
 }

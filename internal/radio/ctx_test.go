@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"radiobcast/internal/faults"
 	"radiobcast/internal/graph"
 )
 
@@ -35,7 +34,7 @@ func TestRunCtxStopsWithinOneRound(t *testing.T) {
 	res := Run(g, chatterProtos(4), Options{
 		MaxRounds: 1 << 20,
 		Ctx:       ctx,
-		Faults: faults.DropFunc(func(node, round int) bool {
+		Faults: DropFunc(func(node, round int) bool {
 			if round >= cancelRound {
 				cancel()
 			}

@@ -43,8 +43,7 @@ type Options struct {
 	// churn, duty-cycling, or any composition. The model is Reset at the
 	// start of the run and consulted twice per round (see faults.Model).
 	// Models are stateful: a model value must not be shared by runs that
-	// may execute concurrently. faults.DropFunc turns an arbitrary
-	// (node, round) predicate into a model.
+	// may execute concurrently.
 	Faults faults.Model
 
 	// Sim, when non-nil, is the reusable engine to run on: callers in a

@@ -42,10 +42,7 @@ func decodeEngineCase(data []byte) engineCase {
 			g.AddEdge(u, v)
 		}
 	}
-	comps := g.ConnectedComponents()
-	for i := 1; i < len(comps); i++ {
-		g.AddEdge(comps[i-1][0], comps[i][0])
-	}
+	radiotest.Connect(g)
 	c := engineCase{
 		g:         g,
 		seed:      int64(hdr[1]),
@@ -73,7 +70,7 @@ func encodeEngineCase(g *graph.Graph, seed, fault, param, flags byte) []byte {
 
 // model builds a fresh instance of the case's fault model (models are
 // stateful, so every run gets its own). Selectors cover each model of
-// internal/faults, a DropFunc predicate, and two compositions, one of
+// internal/faults, a radio.DropFunc predicate, and two compositions, one of
 // them with the budgeted jammer.
 func (c engineCase) model() faults.Model {
 	p := int(c.param)
@@ -108,7 +105,7 @@ func (c engineCase) model() faults.Model {
 	case 5:
 		return churn()
 	case 6:
-		return faults.DropFunc(func(node, round int) bool { return (node+round+p)%4 == 0 })
+		return radio.DropFunc(func(node, round int) bool { return (node+round+p)%4 == 0 })
 	case 7:
 		return faults.Compose(rate(), crash(), churn())
 	case 8:

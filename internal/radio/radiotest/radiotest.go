@@ -11,7 +11,8 @@
 // Run has the signature of radio.Options.Engine: tests install it
 // there (or through the facade's test-only engine option) to run a
 // whole scheme on the reference engine. Script builds the scripted
-// transmitters the tests drive the engines with.
+// transmitters the tests drive the engines with, and Connect joins the
+// components of a graph a fuzz target decoded.
 package radiotest
 
 import (
@@ -207,4 +208,16 @@ func Script(msg radio.Message, rounds ...int) *radio.Scripted {
 	}
 	s := radio.CompiledScript(rounds, msgs)
 	return &s
+}
+
+// Connect joins each component of g's smallest node to the smallest
+// node of the component before it, so that a graph the fuzz targets
+// decode from arbitrary bytes is connected.
+func Connect(g *graph.Graph) {
+	for v, last, dist := 1, 0, g.BFS(0); v < g.N(); v++ {
+		if dist[v] == -1 {
+			g.AddEdge(last, v)
+			last, dist = v, g.BFS(0)
+		}
+	}
 }

@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"testing"
 
-	"radiobcast/internal/faults"
 	"radiobcast/internal/graph"
 	"radiobcast/internal/radio"
 	"radiobcast/internal/radio/radiotest"
@@ -161,8 +160,8 @@ func TestSparseMatchesDense(t *testing.T) {
 func TestSparseMatchesDenseWithFaults(t *testing.T) {
 	drop := func(node, round int) bool { return (node+round)%5 == 0 }
 	for name, g := range testGraphs(t) {
-		want := radiotest.Run(g, randomProtocols(g.N(), 3), radio.Options{MaxRounds: 60, Faults: faults.DropFunc(drop)})
-		got := radio.Run(g, randomProtocols(g.N(), 3), radio.Options{MaxRounds: 60, Faults: faults.DropFunc(drop)})
+		want := radiotest.Run(g, randomProtocols(g.N(), 3), radio.Options{MaxRounds: 60, Faults: radio.DropFunc(drop)})
+		got := radio.Run(g, randomProtocols(g.N(), 3), radio.Options{MaxRounds: 60, Faults: radio.DropFunc(drop)})
 		if !sameRun(want, got, nil, nil) {
 			t.Fatalf("%s: engine diverged from the reference engine under faults", name)
 		}

@@ -199,27 +199,6 @@ func (s *Store) Bytes() int64 {
 	return s.total
 }
 
-// Corrupt returns the count of index records skipped during replay.
-func (s *Store) Corrupt() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.corrupt
-}
-
-// Quarantined returns the count of blobs demoted to quarantine/.
-func (s *Store) Quarantined() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.quarantined
-}
-
-// Evictions returns the count of blobs evicted by the byte cap.
-func (s *Store) Evictions() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.evictions
-}
-
 // Close fsyncs and closes the index. Further Gets miss and Puts fail;
 // Close is idempotent.
 func (s *Store) Close() error {

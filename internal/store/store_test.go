@@ -118,8 +118,8 @@ func TestCorruptBlobQuarantinesToMiss(t *testing.T) {
 	if _, ok := s.Get(k); ok {
 		t.Fatal("corrupt blob served as a hit")
 	}
-	if s.Quarantined() != 1 {
-		t.Fatalf("Quarantined = %d, want 1", s.Quarantined())
+	if s.quarantined != 1 {
+		t.Fatalf("Quarantined = %d, want 1", s.quarantined)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "quarantine", h)); err != nil {
 		t.Fatalf("quarantined file missing: %v", err)
@@ -189,8 +189,8 @@ func TestCorruptIndexRecordsSkipped(t *testing.T) {
 	if got, ok := s2.Get(testKey(1)); !ok || string(got) != "two" {
 		t.Fatalf("intact record lost: %q %v", got, ok)
 	}
-	if s2.Corrupt() < 2 {
-		t.Fatalf("Corrupt = %d, want >= 2", s2.Corrupt())
+	if s2.corrupt < 2 {
+		t.Fatalf("Corrupt = %d, want >= 2", s2.corrupt)
 	}
 }
 
@@ -225,8 +225,8 @@ func TestEvictionByAtime(t *testing.T) {
 	if err := s.Put(testKey(3), blob(3)); err != nil {
 		t.Fatal(err)
 	}
-	if s.Evictions() != 1 {
-		t.Fatalf("Evictions = %d, want 1", s.Evictions())
+	if s.evictions != 1 {
+		t.Fatalf("Evictions = %d, want 1", s.evictions)
 	}
 	if _, ok := s.Get(testKey(1)); ok {
 		t.Fatal("LRU victim still present")

@@ -13,34 +13,7 @@ import (
 // Map applies f to every item using the given number of workers
 // (0 or negative → GOMAXPROCS) and returns results in input order.
 func Map[T, R any](items []T, workers int, f func(T) R) []R {
-	n := len(items)
-	out := make([]R, n)
-	if n == 0 {
-		return out
-	}
-	workers = Workers(n, workers)
-	if workers == 1 {
-		for i, it := range items {
-			out[i] = f(it)
-		}
-		return out
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				out[i] = f(items[i])
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	out, _ := MapIdxCtx(context.Background(), items, workers, f)
 	return out
 }
 

@@ -2,6 +2,7 @@ package radiobcast_test
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -71,13 +72,9 @@ func TestReadNetworkBounds(t *testing.T) {
 // at least one node, is connected, and reads back from its own edge list
 // with the same fingerprint.
 func FuzzReadNetwork(f *testing.F) {
-	var fig bytes.Buffer
-	if err := graph.WriteEdgeList(&fig, graph.Figure1()); err != nil {
-		f.Fatal(err)
-	}
 	for _, seed := range []string{
 		"0\n", "3000000000\n0 1\n", "1\n", "4\n0 1\n1 2\n2 3\n",
-		"# comment\n3\n0 1 # edge\n\n1 2\n", "3\n0 1\n0 1\n", "2\n1 1\n", fig.String(),
+		"# comment\n3\n0 1 # edge\n\n1 2\n", "3\n0 1\n0 1\n", "2\n1 1\n", string(edgeList(graph.Figure1())),
 	} {
 		f.Add([]byte(seed))
 	}
@@ -90,11 +87,7 @@ func FuzzReadNetwork(f *testing.F) {
 		if g.N() < 1 || !g.IsConnected() {
 			t.Fatalf("accepted a network with n=%d, connected=%v", g.N(), g.IsConnected())
 		}
-		var buf bytes.Buffer
-		if err := graph.WriteEdgeList(&buf, g); err != nil {
-			t.Fatal(err)
-		}
-		back, err := radiobcast.ReadNetwork(&buf)
+		back, err := radiobcast.ReadNetwork(bytes.NewReader(edgeList(g)))
 		if err != nil {
 			t.Fatalf("an accepted network's own edge list is refused: %v", err)
 		}
@@ -102,4 +95,13 @@ func FuzzReadNetwork(f *testing.F) {
 			t.Fatalf("round trip changed the network: %v → %v", g, back.Graph)
 		}
 	})
+}
+
+// edgeList renders g in the edge-list format ReadNetwork reads.
+func edgeList(g *graph.Graph) []byte {
+	b := fmt.Appendf(nil, "%d\n", g.N())
+	for _, e := range g.Edges() {
+		b = fmt.Appendf(b, "%d %d\n", e[0], e[1])
+	}
+	return b
 }

@@ -31,9 +31,6 @@ type Config struct {
 	// Unless WithCoordinator was given, Run substitutes the Network's
 	// coordinator.
 	Coordinator int
-	// Seed drives any randomized search a scheme performs (deterministic
-	// per seed; currently the one-bit hill-climb).
-	Seed int64
 	// Sim, when non-nil, is the reusable engine the run executes on:
 	// passing the same Sim to every run of a label-once/run-many loop
 	// amortises all per-run engine buffers (see NewSim).
@@ -91,9 +88,6 @@ func WithCoordinator(r int) Option {
 	}
 }
 
-// WithSeed sets the seed of any randomized labeling search.
-func WithSeed(seed int64) Option { return func(c *Config) { c.Seed = seed } }
-
 // WithSim runs on a caller-owned reusable engine. In a label-once/run-many
 // loop, passing the same Sim to every RunLabeled amortises all per-run
 // engine buffers, so steady-state runs allocate only the protocols and the
@@ -118,7 +112,7 @@ func (c *Config) context() context.Context {
 }
 
 func newConfig(opts []Option) *Config {
-	c := &Config{Mu: "µ", Seed: 1, source: -1}
+	c := &Config{Mu: "µ", source: -1}
 	for _, o := range opts {
 		o(c)
 	}

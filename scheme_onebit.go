@@ -47,7 +47,7 @@ func (onebitScheme) Label(g *Graph, source int, cfg *Config) (*Labeling, error) 
 		if g.N() <= onebitExhaustiveMax {
 			s, err = onebit.SearchExhaustive(cfg.context(), search, d, source)
 		} else {
-			s, err = onebit.SearchRandom(cfg.context(), search, d, source, tries, cfg.Seed)
+			s, err = onebit.SearchRandom(cfg.context(), search, d, source, tries, 1)
 		}
 		if err != nil {
 			return nil, err

@@ -11,13 +11,13 @@ import (
 	"radiobcast/internal/store"
 )
 
-// Session is the serving object of the facade: it owns a pool of reusable
-// simulation engines and an LRU cache of labelings keyed by (graph
-// fingerprint, scheme, Scheme.Anchor's node), so the steady state of a
-// serve-many-runs workload — the paper's "label once at a central
-// monitor, then broadcast forever" regime — neither relabels nor
-// reallocates engine buffers, and runs from every source share a "barb"
-// labeling. A
+// Session is the serving object of the facade: it owns an LRU cache of
+// labelings keyed by (graph fingerprint, scheme, Scheme.Anchor's node),
+// so the steady state of a serve-many-runs workload — the paper's "label
+// once at a central monitor, then broadcast forever" regime — does not
+// relabel, and runs from every source share a "barb" labeling. Its runs,
+// like every run without WithSim, borrow a reusable engine from the
+// engine's pool, so they do not reallocate engine buffers either. A
 // Session is safe for concurrent use; create one per process (or per
 // tenant) and route every request through it:
 //
@@ -25,8 +25,8 @@ import (
 //	out, err := sess.Run(ctx, net, "b", radiobcast.WithMessage("µ"))
 //
 // The first Run for a topology pays the labeling; every later Run on a
-// structurally identical graph is a cache hit that goes straight to a
-// pooled engine. Concurrent first requests for the same key are
+// structurally identical graph is a cache hit that goes straight to the
+// run. Concurrent first requests for the same key are
 // single-flighted: one computes, the rest wait for it and share the
 // result. Stats reports hits, misses, coalesced waits and evictions.
 //
@@ -37,8 +37,6 @@ import (
 // for concurrently). Graphs from Session.Family are published frozen
 // and hashed already.
 type Session struct {
-	sims sync.Pool
-
 	// Cache counters are plain atomics so Stats and the per-counter
 	// accessors never contend with (or block behind) the cache lock —
 	// the /metrics handler of a serving daemon reads them on every
@@ -129,7 +127,7 @@ type SessionStats struct {
 	// Misses counts labelings computed and inserted.
 	Misses uint64
 	// Bypasses counts labelings computed without consulting the cache
-	// (quick mode, a non-default search seed, or a zero-capacity cache).
+	// (quick mode or a zero-capacity cache).
 	Bypasses uint64
 	// Evictions counts LRU entries discarded to make room.
 	Evictions uint64
@@ -206,8 +204,7 @@ func WithStorePreload(n int) SessionOption {
 	return func(s *Session) { s.storePreload = n }
 }
 
-// NewSession returns a Session with an empty engine pool and labeling
-// cache.
+// NewSession returns a Session with an empty labeling cache.
 func NewSession(opts ...SessionOption) *Session {
 	s := &Session{
 		capacity:     DefaultLabelingCacheSize,
@@ -216,7 +213,6 @@ func NewSession(opts ...SessionOption) *Session {
 		flights:      map[labelingKey]*flight{},
 		graphIndex:   map[familyKey]*list.Element{},
 	}
-	s.sims.New = func() any { return NewSim() }
 	for _, o := range opts {
 		o(s)
 	}
@@ -317,7 +313,7 @@ func (s *Session) StoreHits() uint64 { return s.storeHits.Load() }
 
 // begin registers one in-flight operation, failing once the session is
 // closed. Every public entry point pairs it with end, so Close can wait
-// for the pooled Sims (and the cache) to quiesce.
+// for the cache and the store to quiesce.
 func (s *Session) begin() error {
 	if s.initErr != nil {
 		return s.initErr
@@ -335,10 +331,10 @@ func (s *Session) end() { s.ops.Done() }
 
 // Close drains the session: new Run/Label/RunLabeled/Sweep calls fail
 // immediately with ErrSessionClosed, while operations already in flight
-// run to completion — Close blocks until the last one returns its pooled
-// Sim (or until ctx expires, returning ctx.Err() with the session still
-// draining). Closing an already-closed session waits again but is
-// otherwise a no-op. A nil ctx waits without a deadline.
+// run to completion — Close blocks until the last one returns (or until
+// ctx expires, returning ctx.Err() with the session still draining).
+// Closing an already-closed session waits again but is otherwise a
+// no-op. A nil ctx waits without a deadline.
 //
 // Close does not cancel in-flight work; callers wanting a bounded drain
 // pass the same deadline to the operations' contexts (the daemon does
@@ -438,11 +434,11 @@ func (s *Session) Label(ctx context.Context, net *Network, scheme string, opts .
 	return s.labelCached(ctx, sch, net.Graph, sch.Anchor(source, cfg.Coordinator), cfg)
 }
 
-// Run labels (or cache-hits) the network and executes one broadcast on a
-// pooled engine. It is RunCtx with the session's cache and Sim pool
-// in front: steady-state serving neither relabels nor reallocates engine
-// buffers. The cancellation contract is RunCtx's — partial Outcome plus
-// ctx.Err() on a cancelled run.
+// Run labels (or cache-hits) the network and executes one broadcast. It
+// is RunCtx with the session's labeling cache in front: steady-state
+// serving does not relabel, and the run borrows a pooled engine as every
+// run without WithSim does. The cancellation contract is RunCtx's —
+// partial Outcome plus ctx.Err() on a cancelled run.
 func (s *Session) Run(ctx context.Context, net *Network, scheme string, opts ...Option) (*Outcome, error) {
 	if err := s.begin(); err != nil {
 		return nil, err
@@ -459,12 +455,12 @@ func (s *Session) Run(ctx context.Context, net *Network, scheme string, opts ...
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	return s.finishPooled(sch, l, source, cfg)
+	return finish(sch, l, source, cfg)
 }
 
-// RunLabeled executes one broadcast over a caller-supplied labeling on a
-// pooled engine (the labeling cache is not consulted — the caller already
-// has the artifact, e.g. from ReadLabeling).
+// RunLabeled executes one broadcast over a caller-supplied labeling (the
+// labeling cache is not consulted — the caller already has the artifact,
+// e.g. from ReadLabeling).
 func (s *Session) RunLabeled(ctx context.Context, l *Labeling, opts ...Option) (*Outcome, error) {
 	if err := s.begin(); err != nil {
 		return nil, err
@@ -474,26 +470,14 @@ func (s *Session) RunLabeled(ctx context.Context, l *Labeling, opts ...Option) (
 	if err != nil {
 		return nil, err
 	}
-	return s.finishPooled(sch, l, source, cfg)
-}
-
-// finishPooled is finish with a session-pooled Sim installed unless the
-// caller brought their own via WithSim.
-func (s *Session) finishPooled(sch Scheme, l *Labeling, source int, cfg *Config) (*Outcome, error) {
-	if cfg.Sim == nil {
-		sim := s.sims.Get().(*Sim)
-		defer s.sims.Put(sim)
-		cfg.Sim = sim
-	}
 	return finish(sch, l, source, cfg)
 }
 
 // cacheable reports whether a labeling under cfg is a pure function of
-// (graph, scheme, anchor). Quick mode and non-default search
-// seeds change the labels, so those label calls bypass the cache instead
-// of poisoning it.
+// (graph, scheme, anchor). Quick mode changes the labels of the searching
+// schemes, so quick label calls bypass the cache instead of poisoning it.
 func cacheable(cfg *Config) bool {
-	return !cfg.Quick && cfg.Seed == 1
+	return !cfg.Quick
 }
 
 // labelCached serves sch.Label for anchor through the LRU with single-flight

@@ -14,9 +14,9 @@ import (
 // by one worker pool. Graphs are built and frozen once per (family, size)
 // and labelings once per (family, size, scheme, source); all cells that
 // differ only in fault rate or repeat share them, which is the paper's
-// label-once/run-many regime run as a single job. Every cell runs on a
-// reusable Sim from the Session's pool, so the steady state of a large
-// sweep allocates per cell only the protocols and the Outcome.
+// label-once/run-many regime run as a single job. Every cell's run
+// borrows a reusable Sim from the engine's pool, so the steady state of a
+// large sweep allocates per cell only the protocols and the Outcome.
 type SweepSpec struct {
 	// Families names the graph families to sweep (see FamilyNames).
 	Families []string
@@ -209,8 +209,8 @@ func faultLabels(specs []FaultSpec) []string {
 // half of the pair is reserved for whole-sweep failures.
 //
 // Labelings are served through the session cache, so repeated sweeps over
-// the same topologies skip straight to the runs; each cell runs on a
-// session-pooled engine.
+// the same topologies skip straight to the runs; each cell's run borrows
+// a pooled engine.
 func (s *Session) Sweep(ctx context.Context, spec SweepSpec) iter.Seq2[CellResult, error] {
 	return func(yield func(CellResult, error) bool) {
 		if ctx == nil {
@@ -292,9 +292,7 @@ func (s *Session) Sweep(ctx context.Context, spec SweepSpec) iter.Seq2[CellResul
 		inner, cancel := context.WithCancel(ctx)
 		defer cancel()
 		results, abandon := sweep.StreamIdx(inner, len(cells), spec.Workers, func(i int) CellResult {
-			sim := s.sims.Get().(*Sim)
-			defer s.sims.Put(sim)
-			return s.runCell(inner, spec, cells[i], i, nets, labelings, sim)
+			return runCell(inner, spec, cells[i], i, nets, labelings)
 		})
 		defer abandon()
 		for res := range results {
@@ -389,11 +387,10 @@ func resolveSource(src, n int) int {
 }
 
 // cellOptions builds the run options of one sweep cell.
-func cellOptions(spec SweepSpec, c SweepCell, sim *Sim) []Option {
+func cellOptions(spec SweepSpec, c SweepCell) []Option {
 	opts := []Option{
 		WithMessage(spec.Mu),
 		WithSource(c.Source),
-		WithSim(sim),
 	}
 	if spec.MaxRounds > 0 {
 		opts = append(opts, WithMaxRounds(spec.MaxRounds))
@@ -414,7 +411,7 @@ func cellOptions(spec SweepSpec, c SweepCell, sim *Sim) []Option {
 	return opts
 }
 
-func (s *Session) runCell(ctx context.Context, spec SweepSpec, c SweepCell, idx int, nets map[netKey]*Network, labelings map[labKey]labEntry, sim *Sim) CellResult {
+func runCell(ctx context.Context, spec SweepSpec, c SweepCell, idx int, nets map[netKey]*Network, labelings map[labKey]labEntry) CellResult {
 	net := nets[netKey{c.Family, c.Size}]
 	res := CellResult{Cell: c, Index: idx, N: net.Graph.N()}
 	entry := labelings[labKey{netKey{c.Family, c.Size}, c.Scheme, c.Source}]
@@ -422,7 +419,7 @@ func (s *Session) runCell(ctx context.Context, spec SweepSpec, c SweepCell, idx 
 		res.Err = entry.err
 		return res
 	}
-	out, err := RunLabeledCtx(ctx, entry.l, cellOptions(spec, c, sim)...)
+	out, err := RunLabeledCtx(ctx, entry.l, cellOptions(spec, c)...)
 	if err != nil {
 		res.Outcome = out // partial on cancellation, nil otherwise
 		res.Err = fmt.Errorf("run %s: %w", c, err)
