@@ -196,12 +196,6 @@ func runSingle(ctx context.Context, a singleArgs) {
 	if a.quick {
 		opts = append(opts, radiobcast.WithQuick())
 	}
-	var tr *radiobcast.Trace
-	if a.trace {
-		tr = &radiobcast.Trace{}
-		opts = append(opts, radiobcast.WithTrace(tr))
-	}
-
 	sess := radiobcast.NewSession()
 	out, err := sess.Run(ctx, net, a.scheme, opts...)
 	if err != nil {
@@ -219,7 +213,7 @@ func runSingle(ctx context.Context, a singleArgs) {
 	fmt.Println("verified: the scheme's guarantees hold on this run")
 
 	if a.trace {
-		fmt.Print(tr.String())
+		fmt.Print(out.Result.Trace().String())
 		fmt.Println("per-node annotations (label, {transmit rounds}, (receive rounds)):")
 		fmt.Print(radiobcast.Annotate(out))
 	}

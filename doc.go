@@ -37,8 +37,9 @@
 // Label once and broadcast many times with LabelNetwork + RunLabeled
 // (ctx variants: LabelNetworkCtx, RunLabeledCtx; the context-free names
 // are kept as context.Background() wrappers); tune runs with functional
-// options (WithMaxRounds, WithTrace, WithSim, WithQuick, WithSource, …;
-// WithWorkers is a deprecated no-op);
+// options (WithMaxRounds, WithSim, WithQuick, WithSource, …;
+// WithWorkers is a deprecated no-op); render a run round by round with
+// out.Result.Trace();
 // enumerate algorithms with Schemes and plug in new ones with Register.
 //
 // Adversarial channels are declared as a FaultSpec — an i.i.d. jamming

@@ -14,9 +14,7 @@ import (
 )
 
 func main() {
-	trace := &radiobcast.Trace{}
-	out, err := radiobcast.Run(radiobcast.Figure1(), "b",
-		radiobcast.WithMessage("µ"), radiobcast.WithTrace(trace))
+	out, err := radiobcast.Run(radiobcast.Figure1(), "b", radiobcast.WithMessage("µ"))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -27,7 +25,7 @@ func main() {
 	fmt.Println("Figure 1 reconstruction — execution of algorithm B")
 	fmt.Println("(odd rounds carry µ from DOM_i, even rounds carry \"stay\" from NEW_i)")
 	fmt.Println()
-	fmt.Print(trace.String())
+	fmt.Print(out.Result.Trace().String())
 	fmt.Println()
 	fmt.Println("per-node annotations in the figure's format:")
 	fmt.Print(radiobcast.Annotate(out))

@@ -355,17 +355,17 @@ func TestMaxRoundsTruncation(t *testing.T) {
 	}
 }
 
-// TestTraceAndAnnotate records a trace through the facade and renders the
-// Figure 1 style annotations.
+// TestTraceAndAnnotate reads a run's trace through the facade and renders
+// the Figure 1 style annotations.
 func TestTraceAndAnnotate(t *testing.T) {
-	tr := &radiobcast.Trace{}
-	out, err := radiobcast.Run(radiobcast.Figure1(), "b", radiobcast.WithTrace(tr))
+	out, err := radiobcast.Run(radiobcast.Figure1(), "b")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := radiobcast.Verify(out); err != nil {
 		t.Fatal(err)
 	}
+	tr := out.Result.Trace()
 	// The trace records active rounds only; B is silent after completion.
 	if len(tr.Rounds) == 0 || len(tr.Rounds) > out.Result.Rounds {
 		t.Fatalf("trace has %d rounds, result ran %d", len(tr.Rounds), out.Result.Rounds)

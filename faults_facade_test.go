@@ -91,7 +91,6 @@ func TestEngineModesBitIdenticalFaulted(t *testing.T) {
 				for mode, out := range map[string]*radiobcast.Outcome{
 					"engine":     run(),
 					"engine-sim": run(radiobcast.WithSim(radiobcast.NewSim())),
-					"traced":     run(radiobcast.WithTrace(&radiobcast.Trace{})),
 				} {
 					if !reflect.DeepEqual(ref.Result, out.Result) {
 						t.Fatalf("mode %s diverged from the reference engine", mode)

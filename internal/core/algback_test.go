@@ -146,8 +146,7 @@ func TestAlgBackTimestampsMatchRounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	ps, _ := NewBackProtocols(l.Labels, graph.Figure1Source, "m")
-	tr := &radio.Trace{}
-	radio.Run(g, ps, radio.Options{MaxRounds: 40, StopAfterSilent: 3, Trace: tr})
+	tr := radio.Run(g, ps, radio.Options{MaxRounds: 40, StopAfterSilent: 3}).Trace()
 	for _, round := range tr.Rounds {
 		for _, tx := range round.Transmitters {
 			if tx.Msg.Kind == radio.KindData || tx.Msg.Kind == radio.KindStay {
@@ -168,8 +167,7 @@ func TestAlgBackAtMostOneTransmitterAfterBroadcast(t *testing.T) {
 		t.Fatal(err)
 	}
 	ps, _ := NewBackProtocols(l.Labels, graph.Figure1Source, "m")
-	tr := &radio.Trace{}
-	radio.Run(g, ps, radio.Options{MaxRounds: 40, StopAfterSilent: 3, Trace: tr})
+	tr := radio.Run(g, ps, radio.Options{MaxRounds: 40, StopAfterSilent: 3}).Trace()
 	cutoff := 2*l.Stages.L - 3
 	for _, round := range tr.Rounds {
 		if round.Round > cutoff && len(round.Transmitters) > 1 {
@@ -366,12 +364,12 @@ func TestAlgBackRelaysOnlyOwnTimestamps(t *testing.T) {
 
 	var got []radio.Reception
 	for _, rec := range res.Receives(0) {
-		if rec.Msg.Kind == radio.KindAck {
-			if !relay[rec.Round] {
+		if msg := res.Message(rec); msg.Kind == radio.KindAck {
+			if !relay[int(rec.Round)] {
 				t.Errorf("round %d: node relayed an ack it did not send µ for", rec.Round)
 			}
-			if rec.Msg.TS != 1 {
-				t.Errorf("round %d: relayed ack carries TS %d, want its informedRound 1", rec.Round, rec.Msg.TS)
+			if msg.TS != 1 {
+				t.Errorf("round %d: relayed ack carries TS %d, want its informedRound 1", rec.Round, msg.TS)
 			}
 			got = append(got, rec)
 		}

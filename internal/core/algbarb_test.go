@@ -51,8 +51,8 @@ func TestAlgBarbCoordinatorInformedByAck(t *testing.T) {
 	}
 	ack := 0
 	for _, rec := range out.Result.Receives(0) {
-		if rec.Msg.Kind == radio.KindAck && rec.Msg.Phase == 2 {
-			ack = rec.Round
+		if msg := out.Result.Message(rec); msg.Kind == radio.KindAck && msg.Phase == 2 {
+			ack = int(rec.Round)
 			break
 		}
 	}

@@ -16,8 +16,7 @@ import (
 
 // dataStaySchedule extracts the rounds of µ and "stay" transmissions.
 func dataStaySchedule(g *graph.Graph, ps []radio.Protocol, maxRounds int) [][]int {
-	tr := &radio.Trace{}
-	radio.Run(g, ps, radio.Options{MaxRounds: maxRounds, StopAfterSilent: 3, Trace: tr})
+	tr := radio.Run(g, ps, radio.Options{MaxRounds: maxRounds, StopAfterSilent: 3}).Trace()
 	out := make([][]int, g.N())
 	for _, round := range tr.Rounds {
 		for _, tx := range round.Transmitters {

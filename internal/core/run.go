@@ -37,8 +37,8 @@ func Informed(res *radio.Result, source, coordinator int) (rounds []int, all boo
 			continue
 		}
 		for _, rec := range res.Receives(v) {
-			if carriesMu(&rec.Msg, v, coordinator) {
-				rounds[v] = rec.Round
+			if msg := res.Message(rec); carriesMu(&msg, v, coordinator) {
+				rounds[v] = int(rec.Round)
 				break
 			}
 		}
@@ -61,8 +61,8 @@ func carriesMu(msg *radio.Message, v, coordinator int) bool {
 func checkPayloads(res *radio.Result, coordinator int, mu string) error {
 	for v := range res.N() {
 		for _, rec := range res.Receives(v) {
-			if carriesMu(&rec.Msg, v, coordinator) && rec.Msg.Payload != mu {
-				return fmt.Errorf("core: node %d received payload %q, want %q", v, rec.Msg.Payload, mu)
+			if msg := res.Message(rec); carriesMu(&msg, v, coordinator) && msg.Payload != mu {
+				return fmt.Errorf("core: node %d received payload %q, want %q", v, msg.Payload, mu)
 			}
 		}
 	}

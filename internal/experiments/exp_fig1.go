@@ -14,8 +14,7 @@ import (
 // per-node annotations (label, transmit rounds, receive rounds) in the
 // figure's format, cross-checking each against the golden values.
 func Figure1Experiment(cfg Config) ([]*Table, error) {
-	tr := &radiobcast.Trace{}
-	out, err := radiobcast.Run(radiobcast.Figure1(), "b", radiobcast.WithMessage("µ"), radiobcast.WithTrace(tr))
+	out, err := radiobcast.Run(radiobcast.Figure1(), "b", radiobcast.WithMessage("µ"))
 	if err != nil {
 		return nil, err
 	}
@@ -46,7 +45,7 @@ func Figure1Experiment(cfg Config) ([]*Table, error) {
 		Title:   "Figure 1 round-by-round channel activity",
 		Columns: []string{"round", "transmitters", "deliveries", "meaning"},
 	}
-	for _, r := range tr.Rounds {
+	for _, r := range out.Result.Trace().Rounds {
 		var txs, rxs []string
 		for _, tx := range r.Transmitters {
 			txs = append(txs, fmt.Sprintf("%d", tx.Node))

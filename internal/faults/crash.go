@@ -1,5 +1,7 @@
 package faults
 
+import "math"
+
 // CrashConfig parameterizes the crash–recovery model.
 type CrashConfig struct {
 	// Rate is the per-node, per-round probability of starting an outage
@@ -24,20 +26,19 @@ type CrashConfig struct {
 type crasher struct {
 	cfg       CrashConfig
 	bound     uint64
-	downUntil []int // last round of v's current outage; 0 = healthy
+	downUntil []int32 // last round of v's current outage; 0 = healthy
 }
 
 // NewCrash returns the crash–recovery model described by cfg.
 func NewCrash(cfg CrashConfig) Model {
-	if cfg.Down < 1 {
-		cfg.Down = 1
-	}
+	// No run outlasts MaxInt32 rounds, the most downUntil holds.
+	cfg.Down = min(max(cfg.Down, 1), math.MaxInt32)
 	return &crasher{cfg: cfg, bound: threshold(cfg.Rate)}
 }
 
 func (c *crasher) Reset(n int) {
 	if cap(c.downUntil) < n {
-		c.downUntil = make([]int, n)
+		c.downUntil = make([]int32, n)
 	}
 	c.downUntil = c.downUntil[:n]
 	for i := range c.downUntil {
@@ -52,12 +53,12 @@ func (c *crasher) Apply(st *State, w *Words) {
 	r := st.Round
 	inWindow := r >= c.cfg.From && (c.cfg.To <= 0 || r <= c.cfg.To)
 	for v := range c.downUntil {
-		if r <= c.downUntil[v] {
+		if r <= int(c.downUntil[v]) {
 			w.SetDown(v) // outage in progress
 			continue
 		}
 		if inWindow && hash64(c.cfg.Seed, v, r) < c.bound {
-			c.downUntil[v] = r + c.cfg.Down - 1
+			c.downUntil[v] = int32(min(r+c.cfg.Down-1, math.MaxInt32))
 			w.SetDown(v)
 			if c.cfg.Lose {
 				w.SetWipe(v)

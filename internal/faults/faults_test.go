@@ -5,6 +5,7 @@
 package faults
 
 import (
+	"math"
 	"testing"
 
 	"radiobcast/internal/graph"
@@ -251,6 +252,13 @@ func TestCrashOutageTiming(t *testing.T) {
 	eff = applyOnce(m, &State{Round: 1, Transmitters: []int32{0}}, 2)
 	if eff[0] != 0 {
 		t.Fatal("crash model acted in the post-decide phase")
+	}
+	// An outage longer than the round counter holds lasts the whole run.
+	m = NewCrash(CrashConfig{Rate: 1, Down: math.MaxInt, From: 1, To: 1})
+	m.Reset(1)
+	applyOnce(m, &State{Round: 1}, 1)
+	if eff := applyOnce(m, &State{Round: math.MaxInt32}, 1); eff[0]&down == 0 {
+		t.Fatal("a node crashed for MaxInt rounds recovered")
 	}
 }
 

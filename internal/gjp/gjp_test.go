@@ -22,8 +22,8 @@ func complete(t *testing.T, g *graph.Graph, labels []core.Label, source int) boo
 			return false
 		}
 		for _, rec := range res.Receives(v) {
-			if rec.Msg.Kind == radio.KindData && rec.Msg.Payload != mu {
-				t.Fatalf("node %d received payload %q, want %q", v, rec.Msg.Payload, mu)
+			if msg := res.Message(rec); msg.Kind == radio.KindData && msg.Payload != mu {
+				t.Fatalf("node %d received payload %q, want %q", v, msg.Payload, mu)
 			}
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math/rand"
 	"slices"
 )
 
@@ -15,15 +14,6 @@ import (
 func (g *Graph) Degree(v int) int {
 	g.check(v)
 	return g.Freeze().Degree(v)
-}
-
-// Grow makes room for m more edits, so code that knows its edge count
-// adds the edges without reallocating. It does nothing to a graph that
-// has been read.
-func (g *Graph) Grow(m int) {
-	if g.csr == nil {
-		g.buf = slices.Grow(g.buf, m)
-	}
 }
 
 // Validate checks the structural invariants of the CSR: offsets that
@@ -60,19 +50,6 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// Layers returns the BFS layers from src: Layers(src)[d] is the sorted list
-// of nodes at distance d. Unreachable nodes are omitted.
-func (g *Graph) Layers(src int) [][]int {
-	dist := g.BFS(src)
-	layers := make([][]int, slices.Max(dist)+1)
-	for v, d := range dist {
-		if d >= 0 {
-			layers[d] = append(layers[d], v)
-		}
-	}
-	return layers
-}
-
 // Diameter returns max_u ecc(u). Panics on disconnected graphs.
 func (g *Graph) Diameter() int {
 	d := 0
@@ -94,31 +71,6 @@ func (g *Graph) Radius() int {
 	return r
 }
 
-// ConnectedComponents returns the node sets of each connected component,
-// ordered by smallest member.
-func (g *Graph) ConnectedComponents() [][]int {
-	c := g.Freeze()
-	seen := make([]bool, g.n)
-	var comps [][]int
-	for s := 0; s < g.n; s++ {
-		if seen[s] {
-			continue
-		}
-		comp := []int{s}
-		seen[s] = true
-		for i := 0; i < len(comp); i++ {
-			for _, w := range c.Neighbors(comp[i]) {
-				if !seen[w] {
-					seen[w] = true
-					comp = append(comp, int(w))
-				}
-			}
-		}
-		comps = append(comps, comp)
-	}
-	return comps
-}
-
 // WriteEdgeList writes g in edge-list format, the format ReadEdgeList
 // reads.
 func WriteEdgeList(w io.Writer, g *Graph) error {
@@ -128,39 +80,6 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 		fmt.Fprintf(bw, "%d %d\n", e[0], e[1])
 	}
 	return bw.Flush()
-}
-
-// Relabel returns the graph with node v renamed to perm[v]. perm must be a
-// permutation of 0..n-1.
-func Relabel(g *Graph, perm []int) *Graph {
-	n := g.N()
-	if len(perm) != n {
-		panic(fmt.Sprintf("graph: permutation length %d for %d nodes", len(perm), n))
-	}
-	seen := make([]bool, n)
-	for _, p := range perm {
-		if p < 0 || p >= n || seen[p] {
-			panic("graph: not a permutation")
-		}
-		seen[p] = true
-	}
-	out := New(n)
-	for _, e := range g.Edges() {
-		out.AddEdge(perm[e[0]], perm[e[1]])
-	}
-	return out
-}
-
-// RandomPermutation returns a uniformly random permutation of 0..n-1,
-// deterministic in seed.
-func RandomPermutation(n int, seed int64) []int {
-	r := rand.New(rand.NewSource(seed))
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	r.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-	return perm
 }
 
 // VerifyColoring reports whether colors is a proper colouring of g.

@@ -78,41 +78,3 @@ func TestWriteDOT(t *testing.T) {
 		t.Fatal("unlabeled DOT missing plain node")
 	}
 }
-
-func TestRelabel(t *testing.T) {
-	g := Path(4) // 0-1-2-3
-	perm := []int{3, 2, 1, 0}
-	r := Relabel(g, perm)
-	if !r.HasEdge(3, 2) || !r.HasEdge(1, 0) || r.HasEdge(0, 3) {
-		t.Fatalf("relabel wrong: %v", r.Edges())
-	}
-	if r.M() != g.M() {
-		t.Fatal("edge count changed")
-	}
-}
-
-func TestRelabelRejectsBadPerm(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Relabel(Path(3), []int{0, 0, 1})
-}
-
-func TestRandomPermutationDeterministic(t *testing.T) {
-	a := RandomPermutation(20, 1)
-	b := RandomPermutation(20, 1)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("not deterministic")
-		}
-	}
-	seen := make([]bool, 20)
-	for _, p := range a {
-		if seen[p] {
-			t.Fatal("not a permutation")
-		}
-		seen[p] = true
-	}
-}

@@ -246,9 +246,7 @@ var reads = []struct {
 	{"Validate", func(g *Graph) any { return g.Validate() }},
 	{"Clone", func(g *Graph) any { return g.Clone().Edges() }},
 	{"BFS", func(g *Graph) any { return g.BFS(g.N() / 2) }},
-	{"Layers", func(g *Graph) any { return g.Layers(0) }},
 	{"IsConnected", func(g *Graph) any { return g.IsConnected() }},
-	{"ConnectedComponents", func(g *Graph) any { return g.ConnectedComponents() }},
 	{"Eccentricity", func(g *Graph) any { return g.Eccentricity(0) }},
 	{"Square", func(g *Graph) any { return g.Square().Edges() }},
 	{"GreedyColoring", func(g *Graph) any { c, k := g.GreedyColoring(); return [2]any{c, k} }},

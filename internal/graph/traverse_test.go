@@ -32,20 +32,6 @@ func TestBFSDisconnected(t *testing.T) {
 	}
 }
 
-func TestLayers(t *testing.T) {
-	g := Star(5)
-	layers := g.Layers(0)
-	if len(layers) != 2 {
-		t.Fatalf("star layers = %d, want 2", len(layers))
-	}
-	if !reflect.DeepEqual(layers[0], []int{0}) {
-		t.Fatalf("layer 0 = %v", layers[0])
-	}
-	if !reflect.DeepEqual(layers[1], []int{1, 2, 3, 4}) {
-		t.Fatalf("layer 1 = %v", layers[1])
-	}
-}
-
 func TestEccentricityRadiusDiameter(t *testing.T) {
 	g := Path(5)
 	if e := g.Eccentricity(0); e != 4 {
@@ -79,20 +65,6 @@ func TestEccentricityDisconnectedPanics(t *testing.T) {
 	g := New(3)
 	g.AddEdge(0, 1)
 	g.Eccentricity(0)
-}
-
-func TestConnectedComponents(t *testing.T) {
-	g := New(6)
-	g.AddEdge(0, 1)
-	g.AddEdge(2, 3)
-	g.AddEdge(3, 4)
-	comps := g.ConnectedComponents()
-	if len(comps) != 3 {
-		t.Fatalf("components = %d, want 3", len(comps))
-	}
-	if !reflect.DeepEqual(comps[1], []int{2, 3, 4}) {
-		t.Fatalf("comps[1] = %v", comps[1])
-	}
 }
 
 func TestQuickTriangleInequalityOnTrees(t *testing.T) {

@@ -6,13 +6,17 @@ package httpd_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"strings"
@@ -604,6 +608,96 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if !strings.Contains(text, `radiobcastd_request_seconds_count{endpoint="run"} 4`) {
 		t.Errorf("latency summary missing or wrong count:\n%s", text)
+	}
+}
+
+// TestStoreCountersReachMetrics: a daemon whose store skipped a mangled
+// index record, quarantined a corrupt blob and evicted a blob under its
+// byte cap reports each count, through Session.Stats and /metrics.
+func TestStoreCountersReachMetrics(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	path, err := radiobcast.Family("path", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, err := radiobcast.Family("grid", 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Three labelings, one index record each: b and back on path/8, b on
+	// grid/9.
+	seed := radiobcast.NewSession(radiobcast.WithStore(dir))
+	var blobs [][]byte
+	for _, c := range []struct {
+		net    *radiobcast.Network
+		scheme string
+	}{{path, "b"}, {path, "back"}, {grid, "b"}} {
+		l, err := seed.Label(ctx, c.net, c.scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := l.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		blobs = append(blobs, blob)
+	}
+	if err := seed.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	// Mangle grid/9's index record and flip a byte of path/8 b's blob.
+	idx := filepath.Join(dir, "index.log")
+	data, err := os.ReadFile(idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(data), "\n")
+	if len(lines) != 4 {
+		t.Fatalf("index holds %d lines, want 3 records", len(lines)-1)
+	}
+	lines[2] = strings.Replace(lines[2], "P ", "X ", 1)
+	if err := os.WriteFile(idx, []byte(strings.Join(lines, "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(blobs[0])
+	h := hex.EncodeToString(sum[:])
+	bad := slices.Clone(blobs[0])
+	bad[len(bad)/2] ^= 0x5a
+	if err := os.WriteFile(filepath.Join(dir, "objects", h[:2], h[2:]), bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// The cap holds either path/8 blob but not both, so re-persisting b's
+	// recomputed labeling evicts back's.
+	capBytes := int64(max(len(blobs[0]), len(blobs[1])) + 1)
+	sess := radiobcast.NewSession(radiobcast.WithStore(dir), radiobcast.WithStorePreload(0), radiobcast.WithStoreBytes(capBytes))
+	if err := sess.Err(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sess.Close(ctx) })
+	if _, err := sess.Label(ctx, path, "b"); err != nil {
+		t.Fatal(err)
+	}
+	srv, _, c := newTestServer(t, httpd.Config{Session: sess})
+	st := srv.Session().Stats()
+	if st.StoreCorrupt != 1 || st.StoreQuarantined != 1 || st.StoreEvictions != 1 {
+		t.Fatalf("store counters: corrupt %d, quarantined %d, evictions %d; want 1 each",
+			st.StoreCorrupt, st.StoreQuarantined, st.StoreEvictions)
+	}
+	text, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"radiobcastd_session_store_corrupt_records_total 1\n",
+		"radiobcastd_session_store_quarantined_total 1\n",
+		"radiobcastd_session_store_evictions_total 1\n",
+		"# TYPE radiobcastd_session_store_evictions_total counter\n",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("metrics output missing %q", want)
+		}
 	}
 }
 

@@ -347,6 +347,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) int {
 		{"radiobcastd_session_store_writes_total", "Labelings persisted to the disk store.", "counter", float64(st.StoreWrites)},
 		{"radiobcastd_session_store_bytes", "Total size of stored labeling blobs.", "gauge", float64(st.StoreBytes)},
 		{"radiobcastd_session_store_entries", "Labelings currently in the disk store.", "gauge", float64(st.StoreEntries)},
+		{"radiobcastd_session_store_corrupt_records_total", "Disk-store index records skipped as malformed or failing their checksum.", "counter", float64(st.StoreCorrupt)},
+		{"radiobcastd_session_store_quarantined_total", "Disk-store blobs quarantined after a content-hash mismatch.", "counter", float64(st.StoreQuarantined)},
+		{"radiobcastd_session_store_evictions_total", "Disk-store blobs evicted by the byte cap.", "counter", float64(st.StoreEvictions)},
 		{"radiobcastd_sweeps_in_flight", "Sweeps currently holding a pool slot.", "gauge", float64(len(s.sweepSem))},
 		{"radiobcastd_sweep_slots", "Size of the sweep pool.", "gauge", float64(cap(s.sweepSem))},
 		{"radiobcastd_draining", "1 once graceful drain has begun.", "gauge", boolGauge(s.draining.Load())},

@@ -32,9 +32,8 @@ import (
 // radio-off nodes masked out. Only single-reception listeners cost
 // per-node work (a slab scan finds their unique sender).
 //
-// Tracing reads the round's ascending transmitter list and delivery
-// words, and a topology-churning fault model swaps the lane's CSR and
-// slab form at the round boundary, so every run takes this one path.
+// A topology-churning fault model swaps the lane's CSR and slab form at
+// the round boundary, so every run takes this one path.
 //
 // The engine's Results are bit-identical to the naive reference engine
 // of internal/radio/radiotest, which steps every node every round and
@@ -209,16 +208,10 @@ func (l *bitLane) runRound(round int) {
 		clear(bs.fx.Wipe)
 		*l.fst = faults.State{Round: round, CSR: l.csr, Heard: s.heard}
 		l.fm.Apply(l.fst, &bs.fx)
-		wiped := false
+		s.dropWiped(l.rxPrev, bs.fx.Wipe, bs.setsW[cur])
 		for i, wp := range bs.fx.Wipe {
-			if wp != 0 {
-				bs.setsW[cur][i] &^= wp
-				bs.busyW[cur][i] &^= wp
-				wiped = true
-			}
-		}
-		if wiped {
-			s.dropWiped(l.rxPrev, bs.fx.Wipe)
+			bs.setsW[cur][i] &^= wp
+			bs.busyW[cur][i] &^= wp
 		}
 	}
 	rxMark := len(s.rxNodes)
@@ -254,9 +247,6 @@ func (l *bitLane) runRound(round int) {
 		for _, t := range s.txList {
 			s.heard[t] = true
 		}
-	}
-	if l.opt.Trace != nil {
-		l.opt.Trace.record(round, s.txList, s.out, bs.setsW[nx], s.msgs[nx])
 	}
 	l.total += transmitted
 	s.cur = nx
@@ -339,19 +329,47 @@ func (l *bitLane) stepActive(v, round int) {
 
 // stepNodeBit invokes one protocol step with what v heard last round and
 // reports whether v transmits, having written its message to s.out[v].
-// Both pointers alias the Sim's buffers; Protocol implementations must
-// not retain them beyond the call (see Protocol).
+// Both pointers alias the Sim's buffers, rcv the transmission log entry
+// of the message heard; Protocol implementations must not retain them
+// beyond the call (see Protocol).
 func (s *Sim) stepNodeBit(v int) bool {
 	bs := &s.bits
 	wi, mask := v>>6, uint64(1)<<(uint(v)&63)
 	var rcv *Message
 	if bs.setsW[s.cur][wi]&mask != 0 {
-		rcv = &s.msgs[s.cur][v]
+		rcv = &s.txMsgs[s.heardTx[v]]
 	}
 	if np := s.noise[v]; np != nil {
 		return np.StepNoise(rcv, bs.busyW[s.cur][wi]&mask != 0, &s.out[v])
 	}
 	return s.protos[v].Step(rcv, &s.out[v])
+}
+
+// dropWiped moves out of the reception log, from entry mark on (the
+// previous round's deliveries, whose words are heard), every reception
+// of a node whose wipe bit is set: its protocol never processes that
+// reception, so it is no reception of the run, only a wiped delivery.
+func (s *Sim) dropWiped(mark int, wipe, heard []uint64) {
+	wiped := len(s.wiped)
+	for wi, wp := range wipe {
+		for x := wp & heard[wi]; x != 0; x &= x - 1 {
+			v := wi<<6 | bits.TrailingZeros64(x)
+			i := s.heardTx[v]
+			s.wipedNodes = append(s.wipedNodes, int32(v))
+			s.wiped = append(s.wiped, Reception{Round: s.txRounds[i], From: s.txNodes[i]})
+		}
+	}
+	if len(s.wiped) == wiped {
+		return
+	}
+	keep := mark
+	for i := mark; i < len(s.rxNodes); i++ {
+		if v := s.rxNodes[i]; wipe[v>>6]&(1<<(uint(v)&63)) == 0 {
+			s.rxNodes[keep], s.rxRecs[keep] = v, s.rxRecs[i]
+			keep++
+		}
+	}
+	s.rxNodes, s.rxRecs = s.rxNodes[:keep], s.rxRecs[:keep]
 }
 
 // resolve is the word-parallel channel resolution (see the file comment)
@@ -407,10 +425,10 @@ func (l *bitLane) resolve(round, nx int) int {
 		bs.setsW[nx][wi] |= singles
 		for x := singles; x != 0; x &= x - 1 {
 			v := int(wi)<<6 | bits.TrailingZeros64(x)
-			msg := s.out[l.findSender(v)]
-			s.msgs[nx][v] = msg
+			t := l.findSender(v)
+			s.heardTx[v] = s.heardTx[t]
 			s.rxNodes = append(s.rxNodes, int32(v))
-			s.rxRecs = append(s.rxRecs, Reception{Round: round, Msg: msg})
+			s.rxRecs = append(s.rxRecs, Reception{Round: int32(round), From: t})
 		}
 		for x := b2; x != 0; x &= x - 1 {
 			s.collisions[int(wi)<<6|bits.TrailingZeros64(x)]++
@@ -425,7 +443,7 @@ func (l *bitLane) resolve(round, nx int) int {
 
 // findSender returns the unique effective transmitter adjacent to v —
 // only single-reception listeners pay this slab scan.
-func (l *bitLane) findSender(v int) int {
+func (l *bitLane) findSender(v int) int32 {
 	bs := &l.s.bits
 	words, masks := l.bcsr.Slabs(v)
 	for k, wi := range words {
@@ -434,7 +452,7 @@ func (l *bitLane) findSender(v int) int {
 			x &^= bs.fx.Jam[wi]
 		}
 		if x != 0 {
-			return int(wi)<<6 | bits.TrailingZeros64(x)
+			return wi<<6 | int32(bits.TrailingZeros64(x))
 		}
 	}
 	panic("radio: single-transmitter word with no sender")

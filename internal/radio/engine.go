@@ -2,6 +2,7 @@ package radio
 
 import (
 	"context"
+	"slices"
 	"sync"
 
 	"radiobcast/internal/faults"
@@ -34,10 +35,6 @@ type Options struct {
 	// holds (e.g. the source's ack was delivered).
 	Stop func(round int) bool
 
-	// Trace, when non-nil, records every round's transmissions and
-	// deliveries (used for Figure 1 rendering and debugging).
-	Trace *Trace
-
 	// Faults, when non-nil, injects faults through the composable model
 	// interface of internal/faults: jamming, crash–recovery, topology
 	// churn, duty-cycling, or any composition. The model is Reset at the
@@ -59,17 +56,19 @@ type Options struct {
 	Engine func(g *graph.Graph, protos []Protocol, opt Options) *Result
 }
 
-// Reception records one successful message delivery.
+// Reception records one successful message delivery: the round and
+// the sender, whose transmission in that round it carried (see
+// Result.Message).
 type Reception struct {
-	Round int
-	Msg   Message
+	Round, From int32
 }
 
-// Result aggregates everything observable about a run. Its per-node
-// views are carved out of two flat arrays, the way graph.CSR stores
-// rows: every transmit round in one, every reception in the other, both
-// indexed by one offsets array. Transmits(v) and Receives(v) return
-// views into them; NewResult builds them.
+// Result aggregates everything observable about a run; it is the run's
+// one record, and Trace is a view of it. Its per-node views are carved
+// out of flat arrays, the way graph.CSR stores rows: every transmission
+// (round and message, each stored once) in one, every reception in
+// another, both indexed by one offsets array. Transmits(v) and
+// Receives(v) return views into them; NewResult builds them.
 type Result struct {
 	// Rounds is the number of rounds executed.
 	Rounds int
@@ -86,28 +85,39 @@ type Result struct {
 	// result is a valid prefix of the full execution, not its entirety.
 	Interrupted bool
 
-	// Node v's transmit rounds are tx[txOff[v]:txOff[v+1]] and its
-	// receptions rx[rxOff[v]:rxOff[v+1]]; txOff and rxOff are the two
-	// halves of one offsets array.
+	// Node v's transmissions are tx[txOff[v]:txOff[v+1]], with their
+	// messages at the same indices of txMsg, and its receptions
+	// rx[rxOff[v]:rxOff[v+1]]; txOff and rxOff are the two halves of one
+	// offsets array, and tx shares Collisions' allocation. Node
+	// wipedNodes[i] had delivery wiped[i] wiped before its protocol
+	// processed it, in round and then node order.
 	txOff, rxOff []int32
 	tx           []int
+	txMsg        []Message
 	rx           []Reception
+	wipedNodes   []int32
+	wiped        []Reception
 }
 
 // NewResult returns the Result of a run over n nodes with the given
 // round-ordered event logs, one entry per event: node txNodes[i]
-// transmitted in round txRounds[i], and node rxNodes[i] made reception
-// rx[i]. Each node's views keep its events in log order. Collisions is
-// zeroed and the run-level fields are left to the caller. The Result
-// shares no memory with the logs.
-func NewResult(n int, txNodes, txRounds, rxNodes []int32, rx []Reception) *Result {
+// transmitted txMsgs[i] in round txRounds[i], node rxNodes[i] made
+// reception rx[i], and node wipedNodes[i] had delivery wiped[i] wiped
+// (logged in round and then node order). Each node's views keep its
+// events in log order. Collisions is zeroed and the run-level fields are
+// left to the caller. The Result shares no memory with the logs.
+func NewResult(n int, txNodes, txRounds []int32, txMsgs []Message, rxNodes []int32, rx []Reception, wipedNodes []int32, wiped []Reception) *Result {
 	off := make([]int32, 2*(n+1))
+	ints := make([]int, n+len(txNodes))
 	res := &Result{
-		Collisions: make([]int, n),
+		Collisions: ints[:n:n],
 		txOff:      off[:n+1],
 		rxOff:      off[n+1:],
-		tx:         make([]int, len(txNodes)),
+		tx:         ints[n:],
+		txMsg:      make([]Message, len(txNodes)),
 		rx:         make([]Reception, len(rxNodes)),
+		wipedNodes: append([]int32(nil), wipedNodes...),
+		wiped:      append([]Reception(nil), wiped...),
 	}
 	// A counting sort by node: each offsets half first holds the group
 	// starts and serves as the fill cursor, which leaves entry v at the
@@ -115,7 +125,7 @@ func NewResult(n int, txNodes, txRounds, rxNodes []int32, rx []Reception) *Resul
 	// offsets again.
 	groupStarts(res.txOff, txNodes)
 	for i, v := range txNodes {
-		res.tx[res.txOff[v]] = int(txRounds[i])
+		res.tx[res.txOff[v]], res.txMsg[res.txOff[v]] = int(txRounds[i]), txMsgs[i]
 		res.txOff[v]++
 	}
 	groupStarts(res.rxOff, rxNodes)
@@ -153,10 +163,19 @@ func (r *Result) Transmits(v int) []int {
 // Receives returns node v's successful receptions in round order:
 // exactly the receptions v's protocol processed, plus any in the run's
 // last round. A reception a fault wiped before v stepped on it
-// (faults.Words.Wipe) is no reception and is not listed; the Trace keeps
-// the channel delivery. The slice is a view into the Result.
+// (faults.Words.Wipe) is no reception and is not listed; the Result
+// keeps the channel delivery apart, for Trace. The slice is a view into
+// the Result.
 func (r *Result) Receives(v int) []Reception {
 	return r.rx[r.rxOff[v]:r.rxOff[v+1]:r.rxOff[v+1]]
+}
+
+// Message returns the message rec, a reception or wiped delivery of this
+// run, carried: what its sender transmitted in its round.
+func (r *Result) Message(rec Reception) Message {
+	lo, hi := r.txOff[rec.From], r.txOff[rec.From+1]
+	i, _ := slices.BinarySearch(r.tx[lo:hi], int(rec.Round))
+	return r.txMsg[int(lo)+i]
 }
 
 // NoReception is the sentinel returned by FirstReception for a node that
@@ -170,8 +189,8 @@ const NoReception = 0
 // never did.
 func (r *Result) FirstReception(v int, kind Kind) int {
 	for _, rec := range r.Receives(v) {
-		if rec.Msg.Kind == kind {
-			return rec.Round
+		if r.Message(rec).Kind == kind {
+			return int(rec.Round)
 		}
 	}
 	return NoReception

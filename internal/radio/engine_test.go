@@ -48,7 +48,7 @@ func TestSingleTransmitterDelivers(t *testing.T) {
 	if got := res.FirstReception(2, KindData); got != 0 {
 		t.Fatalf("node 2 first reception = %d, want none", got)
 	}
-	if len(res.Receives(1)) != 1 || res.Receives(1)[0].Msg.Payload != "mu" {
+	if len(res.Receives(1)) != 1 || res.Message(res.Receives(1)[0]).Payload != "mu" {
 		t.Fatalf("node 1 receptions = %+v", res.Receives(1))
 	}
 	if res.TotalTransmissions != 1 {
@@ -180,16 +180,20 @@ func (k *keepProtocol) Step(rcv, _ *Message) bool {
 
 // TestResultFromEventLog checks the per-node views of a Result built
 // from a hand-written, round-ordered event log on four nodes, on the
-// engine's own path: the log in a Sim, a wipe that drops a reception
-// (dropWiped), then materialize. Node 3's only reception, in round 2, is
-// wiped before it steps on it; node 2 neither transmits nor hears.
+// engine's own path: the log in a Sim, a wipe that moves a reception to
+// the wiped deliveries (dropWiped), then materialize. Node 0 sends "a"
+// and "c" to node 1 in rounds 1 and 3, node 1 sends "b" to nodes 0 and 3
+// in round 2, and node 3's reception is wiped before it steps on it;
+// node 2 neither transmits nor hears.
 func TestResultFromEventLog(t *testing.T) {
-	a, b, c := Reception{1, dataMsg("a")}, Reception{2, dataMsg("b")}, Reception{3, dataMsg("c")}
+	a, b, c := Reception{1, 0}, Reception{2, 1}, Reception{3, 0}
 	s := NewSim()
 	s.reset(4, make([]Protocol, 4))
 	s.txNodes, s.txRounds = []int32{0, 1, 0}, []int32{1, 2, 3}
+	s.txMsgs = []Message{dataMsg("a"), dataMsg("b"), dataMsg("c")}
 	s.rxNodes, s.rxRecs = []int32{1, 0, 3}, []Reception{a, b, b}
-	s.dropWiped(1, []uint64{1 << 3}) // round 2's receptions start at entry 1
+	s.heardTx[0], s.heardTx[3] = 1, 1
+	s.dropWiped(1, []uint64{1 << 3}, []uint64{1<<0 | 1<<3}) // round 2's receptions start at entry 1
 	s.rxNodes, s.rxRecs = append(s.rxNodes, 1), append(s.rxRecs, c)
 	s.collisions[2] = 1
 	res := s.materialize(3, 3, false)
@@ -213,12 +217,34 @@ func TestResultFromEventLog(t *testing.T) {
 	if res.FirstReception(1, KindData) != 1 || res.FirstReception(3, KindData) != NoReception {
 		t.Errorf("first receptions %d and %d, want 1 and NoReception", res.FirstReception(1, KindData), res.FirstReception(3, KindData))
 	}
+	for rec, want := range map[Reception]string{a: "a", b: "b", c: "c"} {
+		if got := res.Message(rec).Payload; got != want {
+			t.Errorf("Message(%v) carries %q, want %q", rec, got, want)
+		}
+	}
+	if !slices.Equal(res.wipedNodes, []int32{3}) || !slices.Equal(res.wiped, []Reception{b}) {
+		t.Errorf("wiped deliveries %v at nodes %v, want [%v] at [3]", res.wiped, res.wipedNodes, b)
+	}
+	const trace = `round 1:
+  node 0 transmits ("a")
+  node 1 hears ("a")
+round 2:
+  node 1 transmits ("b")
+  node 0 hears ("b")
+  node 3 hears ("b")
+round 3:
+  node 0 transmits ("c")
+  node 1 hears ("c")
+`
+	if got := res.Trace().String(); got != trace {
+		t.Errorf("Trace() =\n%s\nwant\n%s", got, trace)
+	}
 
 	// The views share no memory with the log, and appending to one leaves
 	// the next node's untouched.
-	s.rxRecs[0].Msg.Payload = "x"
+	s.rxRecs[0].Round, s.txMsgs[0].Payload, s.wiped[0].From = 9, "x", 9
 	_ = append(res.Transmits(0), 99)
-	if res.Receives(1)[0] != a || !slices.Equal(res.Transmits(1), []int{2}) {
+	if res.Receives(1)[0] != a || res.Message(a).Payload != "a" || res.wiped[0] != b || !slices.Equal(res.Transmits(1), []int{2}) {
 		t.Errorf("views changed: Receives(1) = %v, Transmits(1) = %v", res.Receives(1), res.Transmits(1))
 	}
 }
@@ -247,9 +273,8 @@ func TestMetrics(t *testing.T) {
 
 func TestTraceCapture(t *testing.T) {
 	g := graph.Path(2)
-	tr := &Trace{}
 	ps := []Protocol{script(dataMsg("mu"), 1), &Scripted{}}
-	Run(g, ps, Options{MaxRounds: 2, Trace: tr})
+	tr := Run(g, ps, Options{MaxRounds: 2}).Trace()
 	if len(tr.Rounds) != 1 {
 		t.Fatalf("trace rounds = %d, want 1 (silent rounds omitted)", len(tr.Rounds))
 	}
@@ -301,7 +326,7 @@ func TestQuickExactlyOneNeighbourRule(t *testing.T) {
 		for v := 0; v < n; v++ {
 			gotRounds := map[int]bool{}
 			for _, rec := range res.Receives(v) {
-				gotRounds[rec.Round] = true
+				gotRounds[int(rec.Round)] = true
 			}
 			for round := 1; round <= horizon; round++ {
 				count := 0
@@ -342,8 +367,9 @@ func TestMessageBitLen(t *testing.T) {
 }
 
 // TestMessageSize pins the layout on 64-bit platforms: Kind and Phase
-// share a word, so a Message is 40 bytes and a Reception, every entry of
-// a Result's reception array, 48.
+// share a word, so a Message, stored once per transmission, is 40 bytes,
+// and a Reception, every entry of a Result's reception array, is its
+// round and sender in 8.
 func TestMessageSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are pinned for 64-bit platforms")
@@ -351,8 +377,8 @@ func TestMessageSize(t *testing.T) {
 	if got := unsafe.Sizeof(Message{}); got != 40 {
 		t.Errorf("Message is %d bytes, want 40", got)
 	}
-	if got := unsafe.Sizeof(Reception{}); got != 48 {
-		t.Errorf("Reception is %d bytes, want 48", got)
+	if got := unsafe.Sizeof(Reception{}); got != 8 {
+		t.Errorf("Reception is %d bytes, want 8", got)
 	}
 }
 

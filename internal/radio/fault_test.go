@@ -37,7 +37,7 @@ func TestDropResolvesCollisions(t *testing.T) {
 		MaxRounds: 2,
 		Faults:    DropFunc(func(node, round int) bool { return node == 2 }),
 	})
-	if len(res.Receives(0)) != 1 || res.Receives(0)[0].Msg.Payload != "a" {
+	if len(res.Receives(0)) != 1 || res.Message(res.Receives(0)[0]).Payload != "a" {
 		t.Fatalf("centre receptions = %+v", res.Receives(0))
 	}
 	if res.Collisions[0] != 0 {

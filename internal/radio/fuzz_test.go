@@ -3,6 +3,7 @@ package radio_test
 import (
 	"maps"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -17,17 +18,16 @@ import (
 //
 // Encoding: byte 0 sets n = 1 + b%48; byte 1 seeds the population (and
 // picks the NoiseProtocol node); byte 2 selects the fault model and byte
-// 3 parameterizes it; byte 4 holds the flags (bit 0 Trace, bit 1
-// StopAfterSilent, the rest MaxRounds). The remaining bytes are edge
-// pairs; components left over are chained together, so every input
-// decodes to a connected graph and every connected graph has an encoding.
+// 3 parameterizes it; byte 4 holds the flags (bit 0 StopAfterSilent, the
+// rest MaxRounds). The remaining bytes are edge pairs; components left
+// over are chained together, so every input decodes to a connected graph
+// and every connected graph has an encoding.
 type engineCase struct {
 	g         *graph.Graph
 	seed      int64
 	noise     int // the node running the NoiseProtocol
 	fault     byte
 	param     byte
-	trace     bool
 	silent    int
 	maxRounds int
 }
@@ -49,10 +49,9 @@ func decodeEngineCase(data []byte) engineCase {
 		noise:     int(hdr[1]) % n,
 		fault:     hdr[2] % 9,
 		param:     hdr[3],
-		trace:     hdr[4]&1 != 0,
-		maxRounds: 8 + int(hdr[4]>>2),
+		maxRounds: 8 + int(hdr[4]>>1),
 	}
-	if hdr[4]&2 != 0 {
+	if hdr[4]&1 != 0 {
 		c.silent = 3
 	}
 	return c
@@ -119,26 +118,75 @@ func (c engineCase) model() faults.Model {
 func (c engineCase) run() ([]radio.Protocol, radio.Options) {
 	ps := randomProtocols(c.g.N(), c.seed)
 	ps[c.noise] = &noiseEcho{}
-	opt := radio.Options{MaxRounds: c.maxRounds, StopAfterSilent: c.silent, Faults: c.model()}
-	if c.trace {
-		opt.Trace = &radio.Trace{}
+	return ps, radio.Options{MaxRounds: c.maxRounds, StopAfterSilent: c.silent, Faults: c.model()}
+}
+
+// checkReceptions is the first check of a radio-model auditor: each
+// reception's sender is a neighbour of the listener, in the topology of
+// the reception's round, that transmitted in that round, and
+// Result.Message returns that transmission's message.
+func checkReceptions(t *testing.T, c engineCase, res *radio.Result) {
+	t.Helper()
+	sent := map[[2]int]radio.Message{} // (round, node) → its transmission
+	for _, tr := range res.Trace().Rounds {
+		for _, tx := range tr.Transmitters {
+			sent[[2]int{tr.Round, tx.Node}] = tx.Msg
+		}
 	}
-	return ps, opt
+	type heard struct {
+		v   int
+		rec radio.Reception
+	}
+	var recs []heard
+	for v := range res.N() {
+		for _, rec := range res.Receives(v) {
+			recs = append(recs, heard{v, rec})
+		}
+	}
+	slices.SortStableFunc(recs, func(a, b heard) int { return int(a.rec.Round - b.rec.Round) })
+	// Replay the case's topology round by round, as the engines do.
+	csr := c.g.Freeze()
+	topo, _ := c.model().(faults.TopologyModel)
+	if topo != nil {
+		topo.Reset(c.g.N())
+	}
+	next := 1
+	for _, h := range recs {
+		round, from := int(h.rec.Round), int(h.rec.From)
+		for ; topo != nil && next <= round; next++ {
+			if nt := topo.Topology(next); nt != nil {
+				csr = nt
+			}
+		}
+		if _, ok := slices.BinarySearch(csr.Neighbors(h.v), h.rec.From); !ok {
+			t.Fatalf("node %d heard node %d in round %d, which is no neighbour", h.v, from, round)
+		}
+		msg, ok := sent[[2]int{round, from}]
+		if !ok {
+			t.Fatalf("node %d heard node %d in round %d, which did not transmit", h.v, from, round)
+		}
+		if got := res.Message(h.rec); got != msg {
+			t.Fatalf("node %d's round-%d reception carries %v, its sender transmitted %v", h.v, round, got, msg)
+		}
+	}
 }
 
 // FuzzEngineMatchesOracle drives each decoded input through a reused
-// Sim and through pooled Run, and requires Result and Trace deep-equal
-// to the reference engine's.
+// Sim and through pooled Run, and requires whole Results — every
+// transmission with its message, every reception with its sender, the
+// deliveries a wipe removed — deep-equal to the reference engine's. It
+// also checks each reception against the run's transmissions and the
+// case's topology (checkReceptions).
 func FuzzEngineMatchesOracle(f *testing.F) {
 	graphs := testGraphs(f)
 	for _, name := range slices.Sorted(maps.Keys(graphs)) { // stable seed#N numbering
 		g := graphs[name]
 		for fault := byte(0); fault < 9; fault++ {
-			// The flag bits cycle Trace × StopAfterSilent, and the model
-			// parameter's parity with them (crash Lose, greedy jam,
-			// staggered duty phases).
+			// The flag bit cycles StopAfterSilent, crossed with the model
+			// parameter's parity (crash Lose, greedy jam, staggered duty
+			// phases).
 			for bits := byte(0); bits < 4; bits++ {
-				f.Add(encodeEngineCase(g, 7*fault+bits, fault, 3*fault+bits, (60-8)<<2|bits))
+				f.Add(encodeEngineCase(g, 7*fault+bits, fault, 3*fault+bits, (60-8)<<1|bits>>1))
 			}
 		}
 	}
@@ -147,13 +195,14 @@ func FuzzEngineMatchesOracle(f *testing.F) {
 		c := decodeEngineCase(data)
 		ps, opt := c.run()
 		want := radiotest.Run(c.g, ps, opt)
+		checkReceptions(t, c, want)
 
-		ps, got := c.run()
-		if res := sim.Run(c.g, ps, got); !sameRun(want, res, opt.Trace, got.Trace) {
+		ps, opt = c.run()
+		if res := sim.Run(c.g, ps, opt); !reflect.DeepEqual(want, res) {
 			t.Fatalf("reused Sim diverged from the reference engine")
 		}
-		ps, got = c.run()
-		if res := radio.Run(c.g, ps, got); !sameRun(want, res, opt.Trace, got.Trace) {
+		ps, opt = c.run()
+		if res := radio.Run(c.g, ps, opt); !reflect.DeepEqual(want, res) {
 			t.Fatalf("pooled Run diverged from the reference engine")
 		}
 	})

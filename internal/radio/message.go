@@ -104,8 +104,9 @@ func (m *Message) String() string {
 //
 // received and out point into engine-owned buffers: they are valid only
 // for the duration of the Step call, so implementations copy out what
-// they keep (copying the Message value is enough), and out may hold an
-// earlier round's message on entry. Protocols may additionally
+// they keep (copying the Message value is enough), never write through
+// received (it is the run's record of the transmission heard), and out
+// may hold an earlier round's message on entry. Protocols may additionally
 // implement Waker, in which case the engine may replace runs of
 // guaranteed-silent Step calls with one Skip call (see Waker).
 type Protocol interface {

@@ -25,9 +25,8 @@ import (
 )
 
 // Run executes the protocols on g round by round and returns what the
-// radio package's Run returns for the same inputs: the same Result, the
-// same Trace, the same fault-model calls. opt.Sim and opt.Engine are
-// ignored.
+// radio package's Run returns for the same inputs: the same Result and
+// the same fault-model calls. opt.Sim and opt.Engine are ignored.
 func Run(g *graph.Graph, protos []radio.Protocol, opt radio.Options) *radio.Result {
 	n := g.N()
 	if len(protos) != n {
@@ -39,17 +38,20 @@ func Run(g *graph.Graph, protos []radio.Protocol, opt radio.Options) *radio.Resu
 	csr := g.Freeze()
 	// The run's events in round order, from which radio.NewResult builds
 	// the Result, and its run-level fields.
-	var txNodes, txRounds, rxNodes []int32
-	var rx []radio.Reception
+	var txNodes, txRounds, rxNodes, wipedNodes []int32
+	var txMsgs []radio.Message
+	var rx, wiped []radio.Reception
 	collisions := make([]int, n)
 	var rounds, total, maxBits int
 	var silentStopped, interrupted bool
 
-	// heard[v]/msg[v]: v received msg[v] last round; busy[v]: at least
-	// one neighbour's transmission reached v last round.
+	// heard[v]/msg[v]/rec[v]: v received msg[v] last round, reception
+	// rec[v]; busy[v]: at least one neighbour's transmission reached v
+	// last round.
 	heard := make([]bool, n)
 	busy := make([]bool, n)
 	msg := make([]radio.Message, n)
+	rec := make([]radio.Reception, n)
 	// transmit[v]/out[v]: v's transmission this round, with the message
 	// its protocol wrote.
 	transmit := make([]bool, n)
@@ -94,13 +96,14 @@ func Run(g *graph.Graph, protos []radio.Protocol, opt radio.Options) *radio.Resu
 				}
 				if heard[v] {
 					// The wiped reception is last round's, v's last logged:
-					// the protocol never processes it, so the Result drops
-					// it (the Trace keeps the delivery).
+					// the protocol never processes it, so the Result moves
+					// it to the wiped deliveries.
 					i := len(rxNodes) - 1
 					for rxNodes[i] != int32(v) {
 						i--
 					}
 					rxNodes, rx = slices.Delete(rxNodes, i, i+1), slices.Delete(rx, i, i+1)
+					wipedNodes, wiped = append(wipedNodes, int32(v)), append(wiped, rec[v])
 				}
 				heard[v], busy[v] = false, false
 			}
@@ -133,12 +136,10 @@ func Run(g *graph.Graph, protos []radio.Protocol, opt radio.Options) *radio.Resu
 
 		// A listener whose radio is on hears a message iff exactly one
 		// neighbour's transmission reached the channel (was not jammed).
-		tr := radio.TraceRound{Round: round}
 		for _, v := range tx {
 			txNodes, txRounds = append(txNodes, v), append(txRounds, int32(round))
-			m := out[v]
-			maxBits = max(maxBits, m.BitLen())
-			tr.Transmitters = append(tr.Transmitters, radio.TraceTx{Node: int(v), Msg: m})
+			txMsgs = append(txMsgs, out[v])
+			maxBits = max(maxBits, out[v].BitLen())
 		}
 		for v := 0; v < n; v++ {
 			heard[v], busy[v] = false, false
@@ -156,9 +157,8 @@ func Run(g *graph.Graph, protos []radio.Protocol, opt radio.Options) *radio.Resu
 			switch {
 			case count == 1:
 				heard[v], msg[v] = true, out[sender]
-				rxNodes = append(rxNodes, int32(v))
-				rx = append(rx, radio.Reception{Round: round, Msg: msg[v]})
-				tr.Deliveries = append(tr.Deliveries, radio.TraceRx{Node: v, Msg: msg[v]})
+				rec[v] = radio.Reception{Round: int32(round), From: int32(sender)}
+				rxNodes, rx = append(rxNodes, int32(v)), append(rx, rec[v])
 			case count > 1:
 				collisions[v]++
 			}
@@ -169,9 +169,6 @@ func Run(g *graph.Graph, protos []radio.Protocol, opt radio.Options) *radio.Resu
 					informed[v] = true
 				}
 			}
-		}
-		if opt.Trace != nil && (len(tr.Transmitters) > 0 || len(tr.Deliveries) > 0) {
-			opt.Trace.Rounds = append(opt.Trace.Rounds, tr)
 		}
 
 		rounds = round
@@ -192,7 +189,7 @@ func Run(g *graph.Graph, protos []radio.Protocol, opt radio.Options) *radio.Resu
 			break
 		}
 	}
-	res := radio.NewResult(n, txNodes, txRounds, rxNodes, rx)
+	res := radio.NewResult(n, txNodes, txRounds, txMsgs, rxNodes, rx, wipedNodes, wiped)
 	copy(res.Collisions, collisions)
 	res.Rounds, res.TotalTransmissions, res.MaxMessageBits = rounds, total, maxBits
 	res.SilentStopped, res.Interrupted = silentStopped, interrupted

@@ -44,8 +44,9 @@ const NeverWake = 0
 // accumulators — and resizes rather than reallocates them between runs,
 // so driving many runs through one Sim (the label-once/run-many regime
 // of the paper and the Sweep workloads) allocates only each run's
-// Result: at most five allocations whatever the graph size, of 16 bytes
-// per node plus 8 per transmission and 48 per reception.
+// Result: at most five allocations whatever the graph size (two more
+// when a fault wiped deliveries), of 16 bytes per node plus 48 per
+// transmission and 8 per reception.
 //
 // A Sim may be used for any sequence of runs over graphs of any sizes,
 // but a single Sim must not run concurrently with itself. The zero value
@@ -63,9 +64,11 @@ type Sim struct {
 	// step; it is read only for this round's transmitters (txList).
 	out []Message
 
-	// Double-buffered deliveries: msgs[cur][v] is what v heard in the
-	// previous round, valid iff v's bit is set in bits.setsW[cur].
-	msgs [2][]Message
+	// heardTx[v] indexes the transmission log at what v heard in the
+	// previous round, valid iff v's bit is set in bits.setsW[cur]. While
+	// the channel is resolved, a transmitter's own entry indexes its
+	// transmission, which its listeners copy (it hears nothing itself).
+	heardTx []int32
 
 	nextWake []int
 	txList   []int32 // this round's transmitters, ascending
@@ -80,10 +83,9 @@ type Sim struct {
 	heard   []bool
 
 	// Flat event logs, materialized into Result at the end of a run.
-	txNodes  []int32
-	txRounds []int32
-	rxNodes  []int32
-	rxRecs   []Reception
+	txNodes, txRounds, rxNodes, wipedNodes []int32
+	txMsgs                                 []Message
+	rxRecs, wiped                          []Reception
 
 	maxBits int
 
@@ -119,16 +121,17 @@ func (s *Sim) reset(n int, protos []Protocol) {
 		}
 	}
 	s.out = grow(s.out, n)
-	for i := 0; i < 2; i++ {
-		s.msgs[i] = grow(s.msgs[i], n)
-	}
+	s.heardTx = grow(s.heardTx, n)
 	s.nextWake = grow(s.nextWake, n)
 	s.txList = s.txList[:0]
 	s.collisions = grow(s.collisions, n)
 	s.txNodes = s.txNodes[:0]
 	s.txRounds = s.txRounds[:0]
+	s.txMsgs = s.txMsgs[:0]
 	s.rxNodes = s.rxNodes[:0]
 	s.rxRecs = s.rxRecs[:0]
+	s.wipedNodes = s.wipedNodes[:0]
+	s.wiped = s.wiped[:0]
 	s.maxBits = 0
 }
 
@@ -147,45 +150,32 @@ func (s *Sim) Run(g *graph.Graph, protos []Protocol, opt Options) *Result {
 // release drops every reference the buffers hold into caller objects
 // (protocols, message payloads) once the run is over, so an idle Sim —
 // pooled or caller-owned — does not keep the last network's protocol
-// state and payload strings live. The int/bool buffers are kept as is;
-// reset re-clears everything on the next run.
+// state and payload strings live: the transmission log up to its length
+// and out at the nodes that transmitted. The pointer-free buffers are
+// kept as is; reset re-clears everything on the next run.
 func (s *Sim) release() {
 	s.protos = nil
 	clear(s.noise)
 	clear(s.wakers)
-	clear(s.out)
-	for i := 0; i < 2; i++ {
-		clear(s.msgs[i])
+	for _, v := range s.txNodes {
+		s.out[v] = Message{}
 	}
-	clear(s.rxRecs)
+	clear(s.txMsgs)
 }
 
 func (s *Sim) logTransmit(v int32, round int) {
 	s.txNodes = append(s.txNodes, v)
 	s.txRounds = append(s.txRounds, int32(round))
+	s.heardTx[v] = int32(len(s.txMsgs))
+	s.txMsgs = append(s.txMsgs, s.out[v])
 	if b := s.out[v].BitLen(); b > s.maxBits {
 		s.maxBits = b
 	}
 }
 
-// dropWiped removes from the reception log, from entry mark on (the
-// previous round's deliveries), every reception of a node whose wipe bit
-// is set: its protocol never processes that reception, so it is no
-// reception of the run. The Trace, recorded as the round ran, keeps it.
-func (s *Sim) dropWiped(mark int, wipe []uint64) {
-	keep := mark
-	for i := mark; i < len(s.rxNodes); i++ {
-		if v := s.rxNodes[i]; wipe[v>>6]&(1<<(uint(v)&63)) == 0 {
-			s.rxNodes[keep], s.rxRecs[keep] = v, s.rxRecs[i]
-			keep++
-		}
-	}
-	s.rxNodes, s.rxRecs = s.rxNodes[:keep], s.rxRecs[:keep]
-}
-
 // materialize builds the caller-owned Result from the flat event logs.
 func (s *Sim) materialize(rounds, total int, silentStopped bool) *Result {
-	res := NewResult(s.n, s.txNodes, s.txRounds, s.rxNodes, s.rxRecs)
+	res := NewResult(s.n, s.txNodes, s.txRounds, s.txMsgs, s.rxNodes, s.rxRecs, s.wipedNodes, s.wiped)
 	copy(res.Collisions, s.collisions)
 	res.Rounds = rounds
 	res.TotalTransmissions = total

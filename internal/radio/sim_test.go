@@ -125,30 +125,17 @@ func testGraphs(t testing.TB) map[string]*graph.Graph {
 	}
 }
 
-// sameRun reports whether two runs are indistinguishable: deep-equal
-// Results (including which nodes have nil event logs) and Traces.
-func sameRun(a, b *radio.Result, ta, tb *radio.Trace) bool {
-	return reflect.DeepEqual(a, b) && reflect.DeepEqual(ta, tb)
-}
-
 // TestSparseMatchesDense pins the sparse-wakeup contract: the engine,
-// which skips sleeping Wakers, produces Results bit-identical to the
-// reference engine, which steps every node every round, on mixed
-// Waker/non-Waker protocol populations — and so does a traced run, whose
-// Trace must match the reference engine's too.
+// which skips sleeping Wakers, produces whole Results (every message
+// included) deep-equal to the reference engine's, which steps every node
+// every round, on mixed Waker/non-Waker protocol populations.
 func TestSparseMatchesDense(t *testing.T) {
 	for name, g := range testGraphs(t) {
 		for seed := int64(1); seed <= 4; seed++ {
 			want := radiotest.Run(g, randomProtocols(g.N(), seed), radio.Options{MaxRounds: 60})
 			got := radio.Run(g, randomProtocols(g.N(), seed), radio.Options{MaxRounds: 60})
-			if !sameRun(want, got, nil, nil) {
+			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("%s seed=%d: engine diverged from the reference engine", name, seed)
-			}
-			wantTr, gotTr := &radio.Trace{}, &radio.Trace{}
-			radiotest.Run(g, randomProtocols(g.N(), seed), radio.Options{MaxRounds: 60, Trace: wantTr})
-			radio.Run(g, randomProtocols(g.N(), seed), radio.Options{MaxRounds: 60, Trace: gotTr})
-			if !reflect.DeepEqual(wantTr, gotTr) {
-				t.Fatalf("%s seed=%d: engine trace diverged from the reference engine's", name, seed)
 			}
 		}
 	}
@@ -162,7 +149,7 @@ func TestSparseMatchesDenseWithFaults(t *testing.T) {
 	for name, g := range testGraphs(t) {
 		want := radiotest.Run(g, randomProtocols(g.N(), 3), radio.Options{MaxRounds: 60, Faults: radio.DropFunc(drop)})
 		got := radio.Run(g, randomProtocols(g.N(), 3), radio.Options{MaxRounds: 60, Faults: radio.DropFunc(drop)})
-		if !sameRun(want, got, nil, nil) {
+		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("%s: engine diverged from the reference engine under faults", name)
 		}
 	}
@@ -190,11 +177,11 @@ func TestSimReuse(t *testing.T) {
 		fresh = append(fresh, radiotest.Run(r.g, randomProtocols(r.g.N(), r.seed), radio.Options{MaxRounds: 50}))
 	}
 	for i := range runs {
-		if !sameRun(kept[i], fresh[i], nil, nil) {
+		if !reflect.DeepEqual(kept[i], fresh[i]) {
 			t.Fatalf("run %d: reused Sim diverged from the reference engine", i)
 		}
 	}
-	if !sameRun(kept[0], kept[3], nil, nil) {
+	if !reflect.DeepEqual(kept[0], kept[3]) {
 		t.Fatalf("identical runs through one Sim differ")
 	}
 }
@@ -272,8 +259,9 @@ func TestSimZeroSteadyStateAllocs(t *testing.T) {
 		sim.Run(g, protos, radio.Options{MaxRounds: 20})
 	})
 	// materialize detaches the Result in five allocations (the struct,
-	// Collisions, the offsets and the two event arrays), 16 bytes per node
-	// plus the events; everything else must be reused.
+	// the offsets, Collisions with the transmit rounds, the messages and
+	// the receptions), 16 bytes per node plus the events; everything else
+	// must be reused.
 	if allocs > 8 {
 		t.Fatalf("steady-state Sim.Run does %.0f allocs/run, want ≤ 8", allocs)
 	}

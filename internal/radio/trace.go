@@ -2,13 +2,14 @@ package radio
 
 import (
 	"fmt"
-	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 )
 
-// Trace records per-round channel activity. It exists to reproduce the
-// paper's Figure 1 annotations and to debug protocol implementations.
+// Trace is a run's channel activity round by round, a view of its
+// Result (see Result.Trace). It exists to reproduce the paper's Figure 1
+// annotations and to debug protocol implementations.
 type Trace struct {
 	Rounds []TraceRound
 }
@@ -26,29 +27,41 @@ type TraceTx struct {
 	Msg  Message
 }
 
-// TraceRx is one successful delivery.
+// TraceRx is one channel delivery, a wiped one included.
 type TraceRx struct {
 	Node int
 	Msg  Message
 }
 
-// record appends one round: its transmitters (tx, ascending, with their
-// messages in out) and its deliveries in ascending node order, read from
-// the round's delivery words. Silent rounds are omitted.
-func (t *Trace) record(round int, tx []int32, out []Message, delivered []uint64, msgs []Message) {
-	tr := TraceRound{Round: round}
-	for _, v := range tx {
-		tr.Transmitters = append(tr.Transmitters, TraceTx{Node: int(v), Msg: out[v]})
+// Trace returns the run round by round: each round's transmissions and
+// channel deliveries in ascending node order, the deliveries a fault
+// wiped included, and silent rounds omitted. It is built on each call.
+func (r *Result) Trace() *Trace {
+	rounds := make([]TraceRound, r.Rounds+1)
+	deliver := func(v int, rec Reception) {
+		tr := &rounds[rec.Round]
+		tr.Deliveries = append(tr.Deliveries, TraceRx{Node: v, Msg: r.Message(rec)})
 	}
-	for wi, word := range delivered {
-		for ; word != 0; word &= word - 1 {
-			v := wi<<6 | bits.TrailingZeros64(word)
-			tr.Deliveries = append(tr.Deliveries, TraceRx{Node: v, Msg: msgs[v]})
+	for v := range r.N() {
+		for i := r.txOff[v]; i < r.txOff[v+1]; i++ {
+			rounds[r.tx[i]].Transmitters = append(rounds[r.tx[i]].Transmitters, TraceTx{Node: v, Msg: r.txMsg[i]})
+		}
+		for _, rec := range r.Receives(v) {
+			deliver(v, rec)
 		}
 	}
-	if len(tr.Transmitters) > 0 || len(tr.Deliveries) > 0 {
-		t.Rounds = append(t.Rounds, tr)
+	for i, rec := range r.wiped {
+		deliver(int(r.wipedNodes[i]), rec)
 	}
+	t := &Trace{}
+	for round, tr := range rounds {
+		if len(tr.Transmitters) > 0 { // every delivery has a transmitter
+			slices.SortFunc(tr.Deliveries, func(a, b TraceRx) int { return a.Node - b.Node })
+			tr.Round = round
+			t.Rounds = append(t.Rounds, tr)
+		}
+	}
+	return t
 }
 
 // String renders the trace round by round.
@@ -85,7 +98,7 @@ func Annotations(res *Result, labels []string) string {
 func receiveRounds(res *Result, v int) []int {
 	out := make([]int, 0, len(res.Receives(v)))
 	for _, rec := range res.Receives(v) {
-		out = append(out, rec.Round)
+		out = append(out, int(rec.Round))
 	}
 	return out
 }

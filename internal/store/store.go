@@ -199,6 +199,15 @@ func (s *Store) Bytes() int64 {
 	return s.total
 }
 
+// Counters returns how many index records the store skipped (malformed
+// or failing their checksum), how many blobs it quarantined after a
+// content-hash mismatch, and how many the byte cap evicted.
+func (s *Store) Counters() (corrupt, quarantined, evictions uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.corrupt, s.quarantined, s.evictions
+}
+
 // Close fsyncs and closes the index. Further Gets miss and Puts fail;
 // Close is idempotent.
 func (s *Store) Close() error {

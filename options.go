@@ -16,9 +16,6 @@ type Config struct {
 	Mu string
 	// MaxRounds overrides the scheme's default round bound when > 0.
 	MaxRounds int
-	// Trace, when non-nil, records every round (transmissions and
-	// deliveries) for rendering or debugging.
-	Trace *Trace
 	// Fault, when non-nil, injects faults through a declarative model
 	// description (jamming, crash–recovery, churn, duty-cycling, or a
 	// composition). Set by WithFaultSpec / FaultRate; validated and
@@ -69,9 +66,6 @@ func WithWorkers(int) Option { return func(*Config) {} }
 // WithMaxRounds overrides the scheme's default round bound.
 func WithMaxRounds(n int) Option { return func(c *Config) { c.MaxRounds = n } }
 
-// WithTrace records the run round by round into tr.
-func WithTrace(tr *Trace) Option { return func(c *Config) { c.Trace = tr } }
-
 // WithQuick reduces search effort for labeling schemes that search
 // (trading completeness for speed).
 func WithQuick() Option { return func(c *Config) { c.Quick = true } }
@@ -120,12 +114,12 @@ func newConfig(opts []Option) *Config {
 }
 
 // radioOptions is the engine options of a run of plan p: its bounds, with
-// the run's context, round-bound override, trace, fault model, Sim and
-// test engine set on them.
+// the run's context, round-bound override, fault model, Sim and test
+// engine set on them.
 func (c *Config) radioOptions(p Plan) radio.Options {
 	opt := radio.Options{
 		MaxRounds: p.MaxRounds, StopAfterSilent: p.StopAfterSilent, Stop: p.Stop,
-		Ctx: c.ctx, Trace: c.Trace, Faults: c.faultModel, Sim: c.Sim, Engine: c.engine,
+		Ctx: c.ctx, Faults: c.faultModel, Sim: c.Sim, Engine: c.engine,
 	}
 	if c.MaxRounds > 0 {
 		opt.MaxRounds = c.MaxRounds

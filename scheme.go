@@ -24,7 +24,8 @@ type (
 	Message = radio.Message
 	// Result aggregates everything observable about an engine run.
 	Result = radio.Result
-	// Trace records a run round by round (see WithTrace).
+	// Trace is a run round by round, a view of its Result (see
+	// Result.Trace).
 	Trace = radio.Trace
 	// Sim is a reusable simulation engine owning all per-run buffers (see
 	// NewSim and WithSim).
@@ -47,8 +48,9 @@ const NoReception = radio.NoReception
 // NewSim returns a reusable simulation engine. Passing it to consecutive
 // runs via WithSim keeps every engine buffer across runs, so that in the
 // steady state of a label-once/run-many loop the engine allocates only
-// the run's Result: 16 bytes per node plus 8 per transmission and 48 per
-// reception, in at most five allocations. A Sim must not be shared by
+// the run's Result: 16 bytes per node plus 48 per transmission and 8 per
+// reception, in at most five allocations (two more when a fault wiped
+// deliveries). A Sim must not be shared by
 // concurrent runs; the Sweep subsystem gives each worker its own.
 func NewSim() *Sim { return radio.NewSim() }
 

@@ -153,6 +153,15 @@ type SessionStats struct {
 	StoreBytes uint64
 	// StoreEntries is the current number of stored labelings.
 	StoreEntries int
+	// StoreCorrupt counts store index records skipped as malformed or
+	// failing their checksum.
+	StoreCorrupt uint64
+	// StoreQuarantined counts stored blobs moved to quarantine after a
+	// content-hash mismatch (each also reads as a store miss).
+	StoreQuarantined uint64
+	// StoreEvictions counts stored blobs evicted by the byte cap
+	// (WithStoreBytes).
+	StoreEvictions uint64
 }
 
 // SessionOption configures NewSession.
@@ -297,6 +306,7 @@ func (s *Session) Stats() SessionStats {
 	if s.store != nil {
 		st.StoreBytes = uint64(s.store.Bytes())
 		st.StoreEntries = s.store.Entries()
+		st.StoreCorrupt, st.StoreQuarantined, st.StoreEvictions = s.store.Counters()
 	}
 	return st
 }
